@@ -1,8 +1,10 @@
 """Checker plugins: rule violations observed over the event stream.
 
-Each plugin sees every machine event plus read-only views of the
-machine and shadow state, and yields Warnings.  Plugins never mutate
-either view, so enabling or disabling checkers cannot change a run.
+Each plugin lists the event kinds it reads in `kinds` (it yields
+nothing for any other kind) and is handed only those events, with
+read-only views of the machine and shadow state; it yields Warnings.
+Plugins never mutate an event or either view, so enabling or disabling
+checkers cannot change a run.
 
 Shipped checkers:
     null     NULL_DEREF_UNCHECKED   allocation/descriptor dereferenced
@@ -64,13 +66,18 @@ class Warning:
 
 
 class CheckerRegistry:
-    """Fans events out to plugins in registration order and collects
-    warnings, dropping any repeat of an already-seen dedup key."""
+    """Fans each event out, in registration order, to the plugins whose
+    `kinds` include its kind, and collects warnings, dropping any repeat
+    of an already-seen dedup key."""
 
     def __init__(self, plugins):
         self.plugins = list(plugins)
         self.warnings: list = []
         self._seen: set = set()
+        self._by_kind: dict = {}
+        for plugin in self.plugins:
+            for kind in plugin.kinds:
+                self._by_kind.setdefault(kind, []).append(plugin)
 
     def reset(self):
         self.warnings.clear()
@@ -79,7 +86,7 @@ class CheckerRegistry:
             p.reset()
 
     def dispatch(self, event: Event) -> None:
-        for plugin in self.plugins:
+        for plugin in self._by_kind.get(event.kind, ()):
             for w in plugin.on_event(event):
                 key = w.dedup_key
                 if key not in self._seen:
@@ -101,6 +108,7 @@ class NullChecker:
     any alias) before the first dereference through it."""
 
     name = "null"
+    kinds = _MEM_KINDS
 
     def __init__(self, machine: Machine | None, shadow: ShadowState):
         self.shadow = shadow
@@ -132,6 +140,7 @@ class UserChecker:
     allowed while interrupts are disabled (checked or not)."""
 
     name = "user"
+    kinds = _MEM_KINDS
 
     def __init__(self, machine: Machine | None, shadow: ShadowState):
         self.shadow = shadow
@@ -174,6 +183,7 @@ class FmtChecker:
     source.  Scans the guest string at each PRINTF."""
 
     name = "fmt"
+    kinds = ("syscall",)
 
     def __init__(self, machine: Machine, shadow: ShadowState):
         self.machine = machine
@@ -262,6 +272,7 @@ class LocksetChecker:
     """
 
     name = "lockset"
+    kinds = _MEM_KINDS
 
     def __init__(self, machine: Machine | None, shadow=None,
                  tracked: str = "heap", grace: bool = False):

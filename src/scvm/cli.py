@@ -28,6 +28,7 @@ from .machine import (
     SEEDED_RANDOM,
     SchedulerPolicy,
     format_event,
+    load,
 )
 from .report import ManifestError, serialize
 
@@ -36,7 +37,7 @@ class _ConfigError(Exception):
     pass
 
 
-def _add_run_flags(p: argparse.ArgumentParser):
+def _add_run_flags(p: argparse.ArgumentParser, traces):
     p.add_argument("image", help="image file produced by `scvm asm`")
     p.add_argument("--sched", choices=[ROUND_ROBIN, SEEDED_RANDOM], default=ROUND_ROBIN)
     p.add_argument("--seed", type=int, default=0, help="scheduler / input seed")
@@ -45,7 +46,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--trace",
         action="append",
-        choices=["events", "shadow"],
+        choices=traces,
         default=None,
         help="dump a trace to stdout (repeatable)",
     )
@@ -60,10 +61,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asm.add_argument("-o", "--output", required=True)
 
     p_run = sub.add_parser("run", help="run an image without analysis")
-    _add_run_flags(p_run)
+    _add_run_flags(p_run, ["events"])
 
     p_check = sub.add_parser("check", help="run an image with checkers")
-    _add_run_flags(p_check)
+    _add_run_flags(p_check, ["events", "shadow"])
     p_check.add_argument(
         "--checkers",
         default=",".join(CHECKER_ORDER),
@@ -85,18 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _policy_from(args) -> SchedulerPolicy:
+def _image_and_policy(args):
+    """Shared by run/check: the image, after checking --steps, and the
+    scheduler policy; anything malformed is a config error."""
     try:
-        return SchedulerPolicy(kind=args.sched, quantum=args.quantum, seed=args.seed)
+        image = read_image(args.image)
+    except (OSError, ImageError) as exc:
+        raise _ConfigError(f"cannot load image {args.image}: {exc}") from None
+    if args.steps < 1:
+        raise _ConfigError("--steps must be >= 1")
+    try:
+        return image, SchedulerPolicy(kind=args.sched, quantum=args.quantum, seed=args.seed)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
-
-
-def _load_image(path):
-    try:
-        return read_image(path)
-    except (OSError, ImageError) as exc:
-        raise _ConfigError(f"cannot load image {path}: {exc}") from None
 
 
 def _cmd_asm(args) -> int:
@@ -118,33 +120,9 @@ def _cmd_asm(args) -> int:
     return 0
 
 
-def _run_common(args, checker_names, checker_options):
-    """Shared by run/check: returns (AnalysisResult, trace kinds)."""
-    trace = tuple(args.trace or ())
-    image = _load_image(args.image)
-    if args.steps < 1:
-        raise _ConfigError("--steps must be >= 1")
-    try:
-        config = RunConfig(
-            checkers=tuple(checker_names),
-            policy=_policy_from(args),
-            step_limit=args.steps,
-            checker_options=checker_options,
-            shadow_trace="shadow" in trace,
-        )
-        result = analyze(image, config)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
-    return result, trace
-
-
-def _print_traces(result, trace):
-    if "events" in trace and result.events is not None:
-        for e in result.events:
-            print(format_event(e))
-    if "shadow" in trace and result.shadow.trace is not None:
-        for line in result.shadow.trace:
-            print(line)
+def _print_events(events):
+    for e in events:
+        print(format_event(e))
 
 
 def _outcome_status(result) -> int:
@@ -156,19 +134,11 @@ def _outcome_status(result) -> int:
 
 
 def _cmd_run(args) -> int:
-    args_trace = tuple(args.trace or ())
-    # collect events only when we need to print them back out
-    image = _load_image(args.image)
-    if args.steps < 1:
-        raise _ConfigError("--steps must be >= 1")
-    config = RunConfig(
-        checkers=(),
-        policy=_policy_from(args),
-        step_limit=args.steps,
-        collect_events="events" in args_trace,
-    )
-    result = analyze(image, config)
-    _print_traces(result, args_trace)
+    """Bare run: no shadow state, no checkers, events built only for --trace."""
+    image, policy = _image_and_policy(args)
+    result = load(image, policy).run(args.steps, collect_events=bool(args.trace))
+    if args.trace:
+        _print_events(result.events)
     return _outcome_status(result)
 
 
@@ -181,13 +151,11 @@ def _cmd_check(args) -> int:
             raise _ConfigError(f"--opt expects KEY=VALUE, got {pair!r}")
         options[key] = value
     args_trace = tuple(args.trace or ())
-    image = _load_image(args.image)
-    if args.steps < 1:
-        raise _ConfigError("--steps must be >= 1")
+    image, policy = _image_and_policy(args)
     try:
         config = RunConfig(
             checkers=names,
-            policy=_policy_from(args),
+            policy=policy,
             step_limit=args.steps,
             checker_options=options,
             collect_events="events" in args_trace,
@@ -196,7 +164,11 @@ def _cmd_check(args) -> int:
         result = analyze(image, config)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
-    _print_traces(result, args_trace)
+    if "events" in args_trace:
+        _print_events(result.events)
+    if "shadow" in args_trace:
+        for line in result.shadow.trace:
+            print(line)
     report = serialize(result.warnings, result.image_sha256, config.policy)
     if args.report:
         try:

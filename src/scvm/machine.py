@@ -5,7 +5,12 @@ event stream.  Each executed instruction produces one `fetch` event plus
 events for its operand traffic, in operand-evaluation order.  Events
 are stamped with the thread, pc, privilege mode, interrupt flag, and the
 thread's held-lock set at emission time, so observers never have to
-reach back into mutable machine state to interpret them.
+reach back into mutable machine state to interpret them.  A machine
+with no observer that is not collecting builds no events at all.
+
+`Event` is slotted but not frozen, since freezing makes it several times
+dearer to build.  Every observer and the collected list share one event
+object, so observers must not mutate it.
 
 Provenance convention for `reg-write` / `mem-write` events (the `src`
 field), which the shadow engine keys on:
@@ -113,9 +118,10 @@ class _Fault(Exception):
     """Internal: raised mid-step, recorded as a GuestFault by step()."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
-    """One observable machine action.  Unused operand fields stay None."""
+    """One observable machine action.  Unused operand fields stay None.
+    Slotted, not frozen: observers must not mutate an event."""
 
     kind: str
     step: int
@@ -138,6 +144,10 @@ class Event:
     new_tid: int | None = None
     taken: bool | None = None
     base_reg: int | None = None
+
+
+def _no_emit(kind, **kw) -> None:
+    """Stands in for emit when nothing reads the step's events."""
 
 
 def _fmt_src(src: tuple) -> str:
@@ -190,7 +200,7 @@ class ThreadContext:
     pc: int
     zflag: bool = False
     mode: str = MODE_USER
-    locks_held: set = field(default_factory=set)
+    locks_held: frozenset = frozenset()  # replaced, never mutated: events share it
     alive: bool = True
     blocked_on: int | None = None
     trap_return: int | None = None
@@ -317,18 +327,20 @@ class Machine:
         self.scheduler = Scheduler(self.policy)
         self.net_seed = self.policy.seed  # READ_NET pattern offset
         self.observers: list = []
+        self._decoded: dict = {}  # pc -> (raw 8 bytes, Instruction); <= 8192 pcs
 
     def add_observer(self, fn) -> None:
         self.observers.append(fn)
 
     # -- stepping ---------------------------------------------------
 
-    def step(self) -> list:
+    def step(self, build_events: bool = True) -> list:
         """Execute one instruction of the current thread.
 
-        Returns the step's events.  A fault records itself in
-        state.fault and halts the machine; effects already committed
-        before the fault point stand, nothing after it happens.
+        Returns the step's events, or [] when build_events is False and
+        no observer is attached.  A fault records itself in state.fault
+        and halts the machine; effects already committed before the
+        fault point stand, nothing after it happens.
         """
         st = self.state
         if st.halted:
@@ -340,20 +352,17 @@ class Machine:
         step_no = st.step_count
         pc = t.pc
 
-        def emit(kind, **kw):
-            e = Event(
-                kind=kind,
-                step=step_no,
-                tid=t.tid,
-                pc=pc,
-                mode=t.mode,
-                iflag=st.iflag,
-                locks_held=frozenset(t.locks_held),
-                **kw,
-            )
-            events.append(e)
-            for fn in self.observers:
-                fn(e)
+        if build_events or self.observers:
+            observers = self.observers
+            tid = t.tid
+
+            def emit(kind, **kw):
+                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
+                events.append(e)
+                for fn in observers:
+                    fn(e)
+        else:
+            emit = _no_emit
 
         try:
             self._execute(t, pc, emit)
@@ -369,10 +378,18 @@ class Machine:
             raise _Fault(f"misaligned pc 0x{pc:04X}")
         if pc + INSTR_SIZE > MEMORY_SIZE:
             raise _Fault(f"pc 0x{pc:04X} out of range")
-        try:
-            instr = decode(bytes(st.memory[pc : pc + INSTR_SIZE]))
-        except DecodeError as exc:
-            raise _Fault(str(exc)) from None
+        # Reuse the last decode of this pc while its 8 bytes are unchanged,
+        # so stores over code need no invalidation.  Errors are not cached.
+        raw = bytes(st.memory[pc : pc + INSTR_SIZE])
+        cached = self._decoded.get(pc)
+        if cached is not None and cached[0] == raw:
+            instr = cached[1]
+        else:
+            try:
+                instr = decode(raw)
+            except DecodeError as exc:
+                raise _Fault(str(exc)) from None
+            self._decoded[pc] = (raw, instr)
         emit("fetch", op=instr.opcode.name)
 
         op = instr.opcode
@@ -520,7 +537,7 @@ class Machine:
             emit("syscall", sysno=number, args=args)
             if holder is None:
                 st.locks[r0] = t.tid
-                t.locks_held.add(r0)
+                t.locks_held = t.locks_held | {r0}
                 emit("lock", lock=r0)
                 return next_pc
             t.blocked_on = r0
@@ -600,7 +617,7 @@ class Machine:
             emit("reg-write", reg=0, value=tid, src=("syscall", number))
         elif number == SYS_UNLOCK:
             del st.locks[r0]
-            t.locks_held.discard(r0)
+            t.locks_held = t.locks_held - {r0}
             emit("unlock", lock=r0)
             for other in st.threads.values():
                 if other.blocked_on == r0:
@@ -635,7 +652,7 @@ class Machine:
                 st.halted = True
                 break
             st.current = tid
-            step_events = self.step()
+            step_events = self.step(collect_events)
             if events is not None:
                 events.extend(step_events)
         if st.fault is not None:

@@ -5,11 +5,16 @@ and prints a single ACCEPTANCE PASS/FAIL line (visible under -s, and
 in failure output otherwise).
 """
 
+import contextlib
+import dataclasses
 import functools
+import io
+import os
 import random
+import tempfile
 import time
 
-from scvm.asm import assemble
+from scvm.asm import assemble, write_image
 from scvm.checkers import (
     RULE_FMT_TAINTED,
     RULE_NULL_DEREF,
@@ -23,7 +28,7 @@ from scvm.checkers import (
 from scvm.cli import main
 from scvm.corpus import discover, run_corpus, run_entry, shipped_dir
 from scvm.driver import RunConfig, analyze
-from scvm.machine import Event, format_event
+from scvm.machine import ROUND_ROBIN, SEEDED_RANDOM, Event, format_event, load
 from scvm.report import serialize
 
 
@@ -190,16 +195,41 @@ def test_determinism():
     assert time.monotonic() - started < 10
 
 
-@criterion("non-interference: checkers do not change the machine")
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@criterion("non-interference: checkers do not change the machine; a bare run matches")
 def test_non_interference():
     started = time.monotonic()
-    for e in discover(shipped_dir()):
-        image = assemble(e.source.read_text())
-        policy = run_entry(e).manifest.policy
-        with_checkers = analyze(image, RunConfig(policy=policy))
-        without = analyze(image, RunConfig(checkers=(), policy=policy))
-        assert with_checkers.state == without.state, e.name
-        assert without.warnings == []
+    with tempfile.TemporaryDirectory() as tmp:
+        for e in discover(shipped_dir()):
+            image = assemble(e.source.read_text())
+            policy = run_entry(e).manifest.policy
+            with_checkers = analyze(image, RunConfig(policy=policy))
+            without = analyze(image, RunConfig(checkers=(), policy=policy))
+            assert with_checkers.state == without.state, e.name
+            assert without.warnings == []
+
+            # A machine with no observers builds no events; it must still
+            # end where the analyzed run ends, under either scheduler.
+            path = os.path.join(tmp, f"{e.name}.img")
+            write_image(image, path)
+            for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+                p = dataclasses.replace(policy, kind=kind)
+                bare = load(image, p).run()
+                full = analyze(image, RunConfig(policy=p))
+                assert bare.state == full.state, (e.name, kind)
+                assert bare.outcome == full.outcome, (e.name, kind)
+                flags = [path, "--sched", kind, "--seed", str(p.seed),
+                         "--quantum", str(p.quantum), "--trace", "events"]
+                run_out = _cli_stdout(["run", *flags])
+                check_out = _cli_stdout(["check", *flags, "--checkers", "",
+                                         "--report", os.devnull])
+                assert run_out == check_out, (e.name, kind)
     assert time.monotonic() - started < 10
 
 

@@ -21,12 +21,29 @@ from scvm.checkers import (
     LocksetChecker,
     LocksetTable,
     NullChecker,
+    CHECKER_ORDER,
     UNIVERSAL,
+    CheckerRegistry,
     UserChecker,
     make_checkers,
     run_checkers,
 )
-from scvm.machine import Event, SchedulerPolicy, load
+from scvm.machine import (
+    HEAP_BASE,
+    SYS_ALLOC,
+    SYS_CHECK_USER_READ,
+    SYS_CHECK_USER_WRITE,
+    SYS_KCALL,
+    SYS_LOCK,
+    SYS_OPEN,
+    SYS_PRINTF,
+    SYS_READ_NET,
+    SYS_TAG_TAINT,
+    SYS_TAG_UNTRUSTED_SOURCE,
+    Event,
+    SchedulerPolicy,
+    load,
+)
 from scvm.shadow import ShadowState, TagKind
 
 from helpers import run_program, rules_of
@@ -444,6 +461,112 @@ def test_checker_replay_is_deterministic():
     first = run_checkers([LocksetChecker(None, tracked="all")], events)
     second = run_checkers([LocksetChecker(None, tracked="all")], events)
     assert first == second
+
+
+# -- per-kind dispatch -------------------------------------------------------
+
+EVENT_KINDS = (
+    "fetch", "reg-read", "reg-write", "mem-read", "mem-write", "binop", "compare",
+    "branch", "syscall", "lock", "unlock", "spawn", "thread-exit", "mode-change",
+    "iflag-change",
+)
+SYSCALLS = (SYS_ALLOC, SYS_OPEN, SYS_READ_NET, SYS_PRINTF, SYS_KCALL, SYS_CHECK_USER_READ,
+            SYS_CHECK_USER_WRITE, SYS_TAG_TAINT, SYS_TAG_UNTRUSTED_SOURCE, SYS_LOCK)
+BUF = HEAP_BASE  # every address and PRINTF string lies in these 32 bytes
+
+
+def _operands(rng, kind) -> dict:
+    """Random operand fields of one event kind, aimed at r0-r3 (the
+    registers KCALL tags) and at BUF, so that rules do fire."""
+    def reg():
+        return rng.randrange(4)
+
+    if kind == "fetch":
+        return {"op": "MOVI"}
+    if kind == "reg-read":
+        return {"reg": reg(), "value": 0}
+    if kind == "reg-write":
+        src = rng.choice([("imm",), ("reg", reg()), ("mem", BUF + 4 * rng.randrange(8), 4),
+                          ("binop", "ADD", reg(), reg()), ("syscall", SYS_ALLOC),
+                          ("syscall", SYS_OPEN)])
+        return {"reg": reg(), "value": 0, "src": src}
+    if kind == "mem-write" and rng.random() < 0.25:  # a READ_NET fill
+        return {"addr": BUF + rng.randrange(24), "width": rng.randint(1, 8),
+                "src": ("syscall", SYS_READ_NET)}
+    if kind in ("mem-read", "mem-write"):
+        width = rng.choice((1, 4))
+        fields = {"addr": BUF + width * rng.randrange(32 // width), "width": width,
+                  "value": 0, "base_reg": reg()}
+        if kind == "mem-write":
+            fields["src"] = ("reg", reg())
+        return fields
+    if kind == "binop":
+        return {"op": "ADD", "reg": reg(), "rs": reg(), "rt": reg(), "value": 0}
+    if kind == "compare":
+        return {"rs": reg(), "value": rng.choice((0, 1))}
+    if kind == "branch":
+        return {"addr": 0, "taken": rng.random() < 0.5}
+    if kind == "syscall":
+        return {"sysno": rng.choice(SYSCALLS),
+                "args": (BUF + rng.randrange(32), rng.randrange(8), 0, 0)}
+    if kind in ("lock", "unlock"):
+        return {"lock": rng.randint(1, 2)}
+    if kind == "spawn":
+        return {"new_tid": 1}
+    return {}
+
+
+def _random_stream(rng, n):
+    events = []
+    for step in range(n):
+        kind = rng.choice(EVENT_KINDS)
+        events.append(ev(
+            kind,
+            step=step,
+            tid=rng.randrange(2),
+            pc=8 * rng.randrange(16),
+            mode=rng.choice(("user", "kernel")),
+            iflag=rng.random() < 0.7,
+            locks_held=frozenset(lock for lock in (1, 2) if rng.random() < 0.5),
+            **_operands(rng, kind),
+        ))
+    return events
+
+
+def _registry_and_reference(machine, events):
+    """Warnings from CheckerRegistry, and from a reference loop that
+    hands every event to every plugin; each side has its own shadow."""
+    shadows = ShadowState(), ShadowState()
+    plugins = [make_checkers(CHECKER_ORDER, machine, s) for s in shadows]
+    registry = CheckerRegistry(plugins[0])
+    seen, reference = set(), []
+    for e in events:
+        shadows[0].on_event(e)
+        registry.dispatch(e)
+        shadows[1].on_event(e)
+        for plugin in plugins[1]:
+            for w in plugin.on_event(e):
+                if w.dedup_key not in seen:
+                    seen.add(w.dedup_key)
+                    reference.append(w)
+    return registry.warnings, reference
+
+
+def test_per_kind_dispatch_matches_every_plugin_every_event():
+    rng = random.Random(0xD15)
+    machine = load(assemble("HALT"))
+    machine.state.memory[BUF : BUF + 32] = b"%" * 32
+    fired = set()
+    for _ in range(200):
+        events = _random_stream(rng, rng.randint(1, 150))
+        got, want = _registry_and_reference(machine, events)
+        assert got == want
+        fired |= {(w.checker, events[w.step].kind) for w in want}
+    # Every (plugin, kind) pair it declares fired, and no other pair did,
+    # so a kind missing from a plugin's `kinds` changes `got` above.
+    declared = {(p.name, kind) for p in make_checkers(CHECKER_ORDER, machine, ShadowState())
+                for kind in p.kinds}
+    assert fired == declared
 
 
 # -- non-interference ------------------------------------------------------

@@ -103,6 +103,15 @@ def test_run_event_trace_prints_steps(build, capsys):
     assert any("op=MOVI" in line for line in out)
 
 
+def test_run_shadow_trace_is_bad_config(build, capsys):
+    # a bare run has no shadow state to trace
+    img = build(CLEAN)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(img), "--trace", "shadow"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'shadow'" in capsys.readouterr().err
+
+
 # -- check ---------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ reimplementation rather than against the machine's own generator.
 import pytest
 
 from scvm.asm import assemble
+from scvm.isa import Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
     DEFAULT_STACK_TOP,
@@ -443,6 +444,80 @@ worker: MOVI r0, 1
     assert result.outcome == "fault"
     assert "deadlock" in machine.state.fault.reason
     assert machine.state.locks == {1: 1}  # the dead worker still owns it
+
+
+# -- code written at run time -------------------------------------------
+#
+# Each guest executes `site`, overwrites the instruction there, and loops
+# back to execute `site` again.  A decode reused by pc alone would replay
+# the old instruction.
+
+
+def _words(instr):
+    raw = encode(instr)
+    return int.from_bytes(raw[:4], "little"), int.from_bytes(raw[4:], "little")
+
+
+def test_store_over_executed_code_takes_effect():
+    lo, hi = _words(Instruction(Opcode.MOVI, rd=0, imm=2))
+    image = assemble(f"""
+start: MOVI r5, 0
+       MOVI r1, site
+       MOVI r2, {lo}
+       MOVI r3, {hi}
+site:  MOVI r0, 1
+       CMPI r5, 1
+       BEQ done
+       MOVI r5, 1
+       ST [r1+0], r2
+       ST [r1+4], r3
+       JMP site
+done:  HALT
+""")
+    result = load(image).run()
+    assert result.outcome == "halt"
+    assert result.state.threads[0].regs[0] == 2
+
+
+def test_read_net_over_executed_code_takes_effect():
+    image = assemble("""
+start: MOVI r5, 0
+site:  MOVI r2, 7
+       CMPI r5, 1
+       BEQ done
+       MOVI r5, 1
+       MOVI r0, site
+       MOVI r1, 8
+       SYS 3
+       JMP site
+done:  HALT
+""")
+    new = decode(bytes(range(1, 9)))  # the READ_NET pattern for seed 1
+    assert new == Instruction(Opcode.MOVI, rd=2, rs=0, rt=3, imm=0x08070605)
+    result = load(image, SchedulerPolicy(seed=1)).run()
+    assert result.outcome == "halt"
+    assert result.state.threads[0].regs[2] == 0x08070605
+
+
+def test_invalid_opcode_over_executed_code_faults():
+    image = assemble("""
+start: MOVI r5, 0
+       MOVI r1, site
+       MOVI r2, 0xEE
+site:  MOVI r0, 1
+       CMPI r5, 1
+       BEQ done
+       MOVI r5, 1
+       ST [r1+0], r2
+       JMP site
+done:  HALT
+""")
+    result = load(image).run()
+    assert result.outcome == "fault"
+    fault = result.state.fault
+    assert fault.reason == "unknown opcode byte 0xee"
+    assert fault.pc == image.symbols["site"]
+    assert fault.step == 9  # the second visit to site
 
 
 # -- determinism --------------------------------------------------------
