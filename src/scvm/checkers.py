@@ -4,7 +4,8 @@ Each plugin lists the event kinds it reads in `kinds` (it yields
 nothing for any other kind) and is handed only those events, with
 read-only views of the machine and shadow state; it yields Warnings.
 Plugins never mutate an event or either view, so enabling or disabling
-checkers cannot change a run.
+checkers cannot change a run.  A plugin serves one run: `make_checkers`
+builds fresh ones for each.
 
 Shipped checkers:
     null     NULL_DEREF_UNCHECKED   allocation/descriptor dereferenced
@@ -79,12 +80,6 @@ class CheckerRegistry:
             for kind in plugin.kinds:
                 self._by_kind.setdefault(kind, []).append(plugin)
 
-    def reset(self):
-        self.warnings.clear()
-        self._seen.clear()
-        for p in self.plugins:
-            p.reset()
-
     def dispatch(self, event: Event) -> None:
         for plugin in self._by_kind.get(event.kind, ()):
             for w in plugin.on_event(event):
@@ -97,7 +92,6 @@ class CheckerRegistry:
 def run_checkers(plugins, events) -> list:
     """Deliver a complete event stream through a fresh registry."""
     registry = CheckerRegistry(plugins)
-    registry.reset()
     for e in events:
         registry.dispatch(e)
     return registry.warnings
@@ -112,9 +106,6 @@ class NullChecker:
 
     def __init__(self, machine: Machine | None, shadow: ShadowState):
         self.shadow = shadow
-
-    def reset(self):
-        pass
 
     def on_event(self, e: Event):
         if e.kind not in _MEM_KINDS or e.base_reg is None:
@@ -144,9 +135,6 @@ class UserChecker:
 
     def __init__(self, machine: Machine | None, shadow: ShadowState):
         self.shadow = shadow
-
-    def reset(self):
-        pass
 
     def on_event(self, e: Event):
         if e.kind not in _MEM_KINDS or e.base_reg is None or e.mode != MODE_KERNEL:
@@ -189,9 +177,6 @@ class FmtChecker:
         self.machine = machine
         self.shadow = shadow
 
-    def reset(self):
-        pass
-
     def on_event(self, e: Event):
         if e.kind != "syscall" or e.sysno != SYS_PRINTF:
             return
@@ -227,41 +212,6 @@ class FmtChecker:
         )
 
 
-class _Universal:
-    """Lockset lattice top: the set of all locks."""
-
-    def __repr__(self):
-        return "UNIVERSAL"
-
-    def __and__(self, other):
-        return set(other)
-
-    def __rand__(self, other):
-        return set(other)
-
-
-UNIVERSAL = _Universal()
-
-
-class LocksetTable:
-    """Per tracked word: the intersection of lock sets held across all
-    accesses so far, plus the set of words already reported."""
-
-    def __init__(self):
-        self.locksets: dict = {}
-        self.reported: set = set()
-
-    def access(self, word: int, held) -> bool:
-        """Intersect; True when the lockset newly became empty."""
-        cur = self.locksets.get(word, UNIVERSAL)
-        new = cur & held
-        self.locksets[word] = new
-        if not new and word not in self.reported:
-            self.reported.add(word)
-            return True
-        return False
-
-
 class LocksetChecker:
     """Empty-lockset race detection over 4-byte-aligned words.
 
@@ -283,14 +233,12 @@ class LocksetChecker:
         self.machine = machine
         self.tracked = tracked
         self.grace = grace
-        self.table = LocksetTable()
+        # word -> the locks held at every access so far; a missing word
+        # has seen no access yet, so its lockset is still "all locks".
+        self.locksets: dict = {}
+        self.reported: set = set()  # words already warned about
         self._first_tid: dict = {}
         self._shared: set = set()
-
-    def reset(self):
-        self.table = LocksetTable()
-        self._first_tid.clear()
-        self._shared.clear()
 
     def _is_tracked(self, word: int) -> bool:
         if self.tracked == "all":
@@ -317,7 +265,11 @@ class LocksetChecker:
                 if owner == e.tid:
                     continue  # still exclusive to its first thread
                 self._shared.add(word)
-            if self.table.access(word, e.locks_held):
+            cur = self.locksets.get(word)
+            held = e.locks_held if cur is None else cur & e.locks_held
+            self.locksets[word] = held
+            if not held and word not in self.reported:
+                self.reported.add(word)
                 yield Warning(
                     checker=self.name,
                     rule=RULE_RACE,

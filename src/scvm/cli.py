@@ -120,9 +120,9 @@ def _cmd_asm(args) -> int:
     return 0
 
 
-def _print_events(events):
-    for e in events:
-        print(format_event(e))
+def _print_event(e) -> None:
+    """Observer for --trace events: one line per event, as it happens."""
+    print(format_event(e))
 
 
 def _outcome_status(result) -> int:
@@ -136,10 +136,10 @@ def _outcome_status(result) -> int:
 def _cmd_run(args) -> int:
     """Bare run: no shadow state, no checkers, events built only for --trace."""
     image, policy = _image_and_policy(args)
-    result = load(image, policy).run(args.steps, collect_events=bool(args.trace))
+    machine = load(image, policy)
     if args.trace:
-        _print_events(result.events)
-    return _outcome_status(result)
+        machine.add_observer(_print_event)
+    return _outcome_status(machine.run(args.steps))
 
 
 def _cmd_check(args) -> int:
@@ -158,14 +158,12 @@ def _cmd_check(args) -> int:
             policy=policy,
             step_limit=args.steps,
             checker_options=options,
-            collect_events="events" in args_trace,
+            observers=(_print_event,) if "events" in args_trace else (),
             shadow_trace="shadow" in args_trace,
         )
         result = analyze(image, config)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
-    if "events" in args_trace:
-        _print_events(result.events)
     if "shadow" in args_trace:
         for line in result.shadow.trace:
             print(line)

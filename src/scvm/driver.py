@@ -4,7 +4,8 @@ The wiring order matters and is fixed here: the shadow engine observes
 each event before the checkers do, so metadata updates (boundary
 tagging, check marking, taint materialization) are never seen late.
 Checker rules only ever consult state established by *earlier* events,
-which is what makes the ordering safe.
+which is what makes the ordering safe.  The config's own observers come
+last, so they see each event after the analysis has.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class RunConfig:
     policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
     step_limit: int = DEFAULT_STEP_LIMIT
     checker_options: dict = field(default_factory=dict)
-    collect_events: bool = False
+    observers: tuple = ()  # callables, each handed every Event
     shadow_trace: bool = False
 
 
@@ -40,7 +41,6 @@ class AnalysisResult:
     outcome: str  # "halt", "fault" or "timeout"
     state: MachineState
     warnings: list
-    events: list | None
     machine: Machine
     shadow: ShadowState
 
@@ -59,13 +59,14 @@ def analyze(image: ProgramImage, config: RunConfig | None = None) -> AnalysisRes
     registry = CheckerRegistry(plugins)
     machine.add_observer(shadow.on_event)
     machine.add_observer(registry.dispatch)
-    result = machine.run(config.step_limit, collect_events=config.collect_events)
+    for fn in config.observers:
+        machine.add_observer(fn)
+    result = machine.run(config.step_limit)
     return AnalysisResult(
         image=image,
         outcome=result.outcome,
         state=result.state,
         warnings=registry.warnings,
-        events=result.events,
         machine=machine,
         shadow=shadow,
     )

@@ -6,11 +6,11 @@ events for its operand traffic, in operand-evaluation order.  Events
 are stamped with the thread, pc, privilege mode, interrupt flag, and the
 thread's held-lock set at emission time, so observers never have to
 reach back into mutable machine state to interpret them.  A machine
-with no observer that is not collecting builds no events at all.
+with no observer builds no events at all.
 
 `Event` is slotted but not frozen, since freezing makes it several times
-dearer to build.  Every observer and the collected list share one event
-object, so observers must not mutate it.
+dearer to build.  Every observer shares one event object, so observers
+must not mutate it.
 
 Provenance convention for `reg-write` / `mem-write` events (the `src`
 field), which the shadow engine keys on:
@@ -63,8 +63,6 @@ SYS_ALLOC = 1
 SYS_OPEN = 2
 SYS_READ_NET = 3
 SYS_PRINTF = 4
-SYS_READ_FD = 5
-SYS_WRITE_FD = 6
 SYS_KCALL = 16
 SYS_KRET = 17
 SYS_SET_TRAP = 18
@@ -83,8 +81,6 @@ SYSCALL_NAMES = {
     SYS_OPEN: "OPEN",
     SYS_READ_NET: "READ_NET",
     SYS_PRINTF: "PRINTF",
-    SYS_READ_FD: "READ_FD",
-    SYS_WRITE_FD: "WRITE_FD",
     SYS_KCALL: "KCALL",
     SYS_KRET: "KRET",
     SYS_SET_TRAP: "SET_TRAP",
@@ -211,6 +207,9 @@ class ThreadContext:
 @dataclass
 class MachineState:
     memory: bytearray
+    # tid -> ThreadContext, iterated in tid order: SPAWN mints tids in
+    # increasing order and no thread is ever removed.  Scheduler.pick
+    # relies on this order.
     threads: dict
     current: int
     iflag: bool = True
@@ -267,9 +266,7 @@ class Scheduler:
 
     def pick(self, state: MachineState) -> int | None:
         """Next tid to run, or None when every live thread is blocked."""
-        eligible = sorted(
-            t.tid for t in state.threads.values() if t.alive and t.blocked_on is None
-        )
+        eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
         if not eligible:
             return None
         cur = state.current
@@ -278,8 +275,7 @@ class Scheduler:
             return cur
         self._used = 1
         if self.policy.kind == ROUND_ROBIN:
-            later = [t for t in eligible if t > cur]
-            return later[0] if later else eligible[0]
+            return next((t for t in eligible if t > cur), eligible[0])
         self._rng, out = _xorshift64star(self._rng)
         return eligible[out % len(eligible)]
 
@@ -287,7 +283,6 @@ class Scheduler:
 @dataclass(frozen=True)
 class RunResult:
     state: MachineState
-    events: list | None
     outcome: str  # "halt", "fault" or "timeout"
     steps: int
 
@@ -318,7 +313,8 @@ class Machine:
     """Owns a MachineState and steps it under a scheduler policy.
 
     Observers registered with add_observer receive every Event
-    synchronously, in emission order, during step().
+    synchronously, in emission order, during step(); they are the only
+    way to see the event stream.
     """
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
@@ -334,13 +330,12 @@ class Machine:
 
     # -- stepping ---------------------------------------------------
 
-    def step(self, build_events: bool = True) -> list:
+    def step(self) -> None:
         """Execute one instruction of the current thread.
 
-        Returns the step's events, or [] when build_events is False and
-        no observer is attached.  A fault records itself in state.fault
-        and halts the machine; effects already committed before the
-        fault point stand, nothing after it happens.
+        A fault records itself in state.fault and halts the machine;
+        effects already committed before the fault point stand, nothing
+        after it happens.
         """
         st = self.state
         if st.halted:
@@ -348,17 +343,15 @@ class Machine:
         t = st.threads[st.current]
         if not t.alive or t.blocked_on is not None:
             raise RuntimeError(f"thread {t.tid} is not runnable")
-        events: list = []
         step_no = st.step_count
         pc = t.pc
 
-        if build_events or self.observers:
-            observers = self.observers
+        observers = self.observers
+        if observers:
             tid = t.tid
 
             def emit(kind, **kw):
                 e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
-                events.append(e)
                 for fn in observers:
                     fn(e)
         else:
@@ -370,7 +363,6 @@ class Machine:
             st.fault = GuestFault(str(f), t.tid, pc, step_no)
             st.halted = True
         st.step_count = step_no + 1
-        return events
 
     def _execute(self, t: ThreadContext, pc: int, emit) -> None:
         st = self.state
@@ -586,8 +578,6 @@ class Machine:
                 raise _Fault(f"unmapped address 0x{r0:08X}")
             data, _ = _read_cstr(st.memory, r0, CSTR_CAP)
             st.output += data
-        elif number in (SYS_READ_FD, SYS_WRITE_FD):
-            pass  # modeled as no-ops
         elif number == SYS_KCALL:
             t.trap_return = next_pc
             t.mode = MODE_KERNEL
@@ -631,11 +621,10 @@ class Machine:
 
     # -- whole runs -------------------------------------------------
 
-    def run(self, step_limit: int = DEFAULT_STEP_LIMIT, collect_events: bool = False) -> RunResult:
+    def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
         """schedule+step until thread 0 HALTs, all threads die, a fault,
         or the step limit; see RunResult.outcome."""
         st = self.state
-        events: list | None = [] if collect_events else None
         while not st.halted and st.step_count < step_limit:
             if not any(t.alive for t in st.threads.values()):
                 st.halted = True
@@ -652,16 +641,14 @@ class Machine:
                 st.halted = True
                 break
             st.current = tid
-            step_events = self.step(collect_events)
-            if events is not None:
-                events.extend(step_events)
+            self.step()
         if st.fault is not None:
             outcome = "fault"
         elif st.halted:
             outcome = "halt"
         else:
             outcome = "timeout"
-        return RunResult(state=st, events=events, outcome=outcome, steps=st.step_count)
+        return RunResult(state=st, outcome=outcome, steps=st.step_count)
 
 
 def load(image: ProgramImage, policy: SchedulerPolicy | None = None) -> Machine:

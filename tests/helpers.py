@@ -21,16 +21,17 @@ def run_program(
     policy: SchedulerPolicy | None = None,
     options: dict | None = None,
     step_limit: int = 100_000,
-    collect_events: bool = False,
+    observers=(),
 ):
-    """Assemble source and analyze it; returns (image, AnalysisResult)."""
+    """Assemble source and analyze it, handing every event to each of
+    `observers`; returns (image, AnalysisResult)."""
     image = assemble(source)
     config = RunConfig(
         checkers=tuple(checkers),
         policy=policy or SchedulerPolicy(),
         checker_options=options or {},
         step_limit=step_limit,
-        collect_events=collect_events,
+        observers=tuple(observers),
     )
     return image, analyze(image, config)
 

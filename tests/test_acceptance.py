@@ -185,11 +185,12 @@ def test_determinism():
         policy = run_entry(e).manifest.policy
         outputs = []
         for _ in range(2):
+            events = []
             result = analyze(
-                image, RunConfig(policy=policy, collect_events=True)
+                image, RunConfig(policy=policy, observers=(events.append,))
             )
             report = serialize(result.warnings, result.image_sha256, policy)
-            trace = "\n".join(format_event(ev) for ev in result.events)
+            trace = "\n".join(format_event(ev) for ev in events)
             outputs.append((report.encode(), trace.encode()))
         assert outputs[0] == outputs[1], e.name
     assert time.monotonic() - started < 10

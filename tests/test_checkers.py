@@ -19,10 +19,8 @@ from scvm.checkers import (
     RULE_USER_WRITE,
     FmtChecker,
     LocksetChecker,
-    LocksetTable,
     NullChecker,
     CHECKER_ORDER,
-    UNIVERSAL,
     CheckerRegistry,
     UserChecker,
     make_checkers,
@@ -277,17 +275,28 @@ start: MOVI r0, 0x51
 # -- lockset unit behavior -------------------------------------------------
 
 
+def _race_steps(*held_sets):
+    """Steps at which the raw lockset warns when one word is accessed
+    under each of the given lock sets in turn."""
+    events = [
+        ev("mem-write", step=i, addr=0x100, width=4, locks_held=frozenset(held))
+        for i, held in enumerate(held_sets)
+    ]
+    return [w.step for w in run_checkers([LocksetChecker(None, tracked="all")], events)]
+
+
 def test_universal_intersects_to_the_other_side():
-    assert UNIVERSAL & {1, 2} == {1, 2}
-    assert frozenset({3}) & UNIVERSAL == {3}
+    # A word starts at "all locks", so its first access keeps exactly
+    # the locks it holds: {1,2} & {2} and {3} & {3} stay non-empty.
+    assert _race_steps({1, 2}, {2}) == []
+    assert _race_steps({3}, {3}) == []
+    assert _race_steps({3}, {1}) == [1]
+    assert _race_steps(set()) == [0]
 
 
 def test_table_reports_only_the_first_empty():
-    t = LocksetTable()
-    assert t.access(0x100, frozenset({1, 2})) is False
-    assert t.access(0x100, frozenset({2})) is False
-    assert t.access(0x100, frozenset({3})) is True  # {2} & {3} = {}
-    assert t.access(0x100, frozenset()) is False  # already reported
+    # {1,2} -> {2} -> {2} & {3} = {} (reported) -> {} (already reported)
+    assert _race_steps({1, 2}, {2}, {3}, set()) == [2]
 
 
 def test_tracked_heap_ignores_scratch_and_stacks():
@@ -336,17 +345,15 @@ start: MOVI r0, 8
 
 
 def test_grace_exempts_single_owner_until_shared():
-    checker = LocksetChecker(None, tracked="all", grace=True)
     events = [
         ev("mem-write", step=0, tid=0, addr=0x100, width=4),
         ev("mem-read", step=1, tid=0, addr=0x100, width=4),
         ev("mem-write", step=2, tid=0, addr=0x100, width=4),
     ]
-    assert run_checkers([checker], events) == []
+    assert run_checkers([LocksetChecker(None, tracked="all", grace=True)], events) == []
 
-    checker.reset()
     shared = events + [ev("mem-read", step=3, tid=1, addr=0x100, width=4)]
-    got = run_checkers([checker], shared)
+    got = run_checkers([LocksetChecker(None, tracked="all", grace=True)], shared)
     assert [w.step for w in got] == [3]
 
 
@@ -574,9 +581,10 @@ def test_per_kind_dispatch_matches_every_plugin_every_event():
 
 def test_checkers_do_not_perturb_the_run():
     src = UNCHECKED_DEREF
-    _, with_checkers = run_program(src, collect_events=True)
-    _, without = run_program(src, checkers=(), collect_events=True)
+    events_with, events_without = [], []
+    _, with_checkers = run_program(src, observers=(events_with.append,))
+    _, without = run_program(src, checkers=(), observers=(events_without.append,))
     assert with_checkers.state == without.state
-    assert with_checkers.events == without.events
+    assert events_with == events_without
     assert with_checkers.warnings != []
     assert without.warnings == []

@@ -1,5 +1,10 @@
 """Exit codes and outputs of the command-line front end, in process."""
 
+import contextlib
+import os
+import time
+import tracemalloc
+
 import pytest
 
 from scvm.cli import main
@@ -234,3 +239,45 @@ def test_corpus_bad_assembly_is_exit_2(tmp_path, capsys):
 def test_corpus_empty_directory_passes_vacuously(tmp_path, capsys):
     assert main(["corpus", str(tmp_path)]) == 0
     assert "0 entries" in capsys.readouterr().out
+
+
+# -- traces ----------------------------------------------------------------
+
+
+def _trace_peak(img, steps):
+    """tracemalloc peak, in bytes, of one `check --trace events` call
+    whose stdout goes to a sink that keeps nothing."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["check", str(img), "--trace", "events",
+                         "--steps", str(steps)]) == 4
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_event_trace_memory_does_not_grow_with_steps(build):
+    # Events stream to stdout as they are emitted; none is kept.
+    img = build(SPIN)
+    started = time.monotonic()
+    short = _trace_peak(img, 200)
+    long = _trace_peak(img, 2000)
+    assert long - short < 256 * 1024
+    assert time.monotonic() - started < 2
+
+
+def test_check_trace_prints_events_then_shadow_then_report(build, capsys):
+    img = build(NULL_BUG)
+    assert main(["check", str(img), "--trace", "events", "--trace", "shadow"]) == 3
+    sections = []
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith(("cell ", "object ")):
+            section = "shadow"
+        elif line.split("\t")[0].isdigit():
+            section = "events"
+        else:
+            section = "report"
+        if not sections or sections[-1] != section:
+            sections.append(section)
+    assert sections == ["events", "shadow", "report"]

@@ -1,0 +1,107 @@
+"""Random well-formed images: no host exception, and every way of
+running one ends in the same place.
+
+Each image sets every register to a random useful value, then runs a
+body of validly encoded instructions whose immediates fit their opcode
+(code addresses for branches, syscall numbers for SYS), and ends in
+HALT.  That gets many runs past their first few steps and into spawned
+threads and locks, under both schedulers.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from scvm import RunConfig, analyze
+from scvm.asm import ProgramImage
+from scvm.isa import IMM_MAX, IMM_MIN, INSTR_SIZE, Instruction, Opcode, encode
+from scvm.machine import (
+    HEAP_BASE,
+    ROUND_ROBIN,
+    SEEDED_RANDOM,
+    SYS_KCALL,
+    SYS_KRET,
+    SYS_LOCK,
+    SYS_SET_TRAP,
+    SYS_SPAWN,
+    SYS_UNLOCK,
+    SYS_YIELD,
+    SYSCALL_NAMES,
+    SchedulerPolicy,
+    load,
+)
+
+BODY_LEN = 16
+N_INSTRS = 8 + BODY_LEN + 1  # register prelude, body, final HALT
+STEP_LIMIT = 150
+
+_reg = st.integers(0, 7)
+_code_addr = st.integers(0, N_INSTRS - 1).map(lambda i: i * INSTR_SIZE)
+_value = st.one_of(
+    st.integers(0, 8),
+    _code_addr,
+    st.integers(0, 63).map(lambda i: HEAP_BASE + 4 * i),
+    st.integers(IMM_MIN, IMM_MAX),
+)
+
+# SYS is weighted up, and so are the syscalls for threads, locks and
+# kernel mode; the body has no HALT, since the image ends in one.
+_BODY_OPS = [op for op in Opcode if op != Opcode.HALT] + [Opcode.SYS] * 8
+_SYSNOS = sorted(SYSCALL_NAMES) + [
+    SYS_SPAWN, SYS_LOCK, SYS_UNLOCK, SYS_YIELD, SYS_SET_TRAP, SYS_KCALL, SYS_KRET
+] * 3
+
+
+def _instruction(op, rd, rs, rt, target, offset, value, sysno):
+    """An instruction whose immediate fits its opcode."""
+    if op == Opcode.SYS:
+        imm = sysno
+    elif op in (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL):
+        imm = target
+    elif op in (Opcode.LD, Opcode.LDB, Opcode.ST, Opcode.STB):
+        imm = 4 * offset
+    else:
+        imm = value
+    return Instruction(op, rd, rs, rt, imm)
+
+
+_instr = st.builds(
+    _instruction,
+    st.sampled_from(_BODY_OPS), _reg, _reg, _reg,
+    _code_addr, st.integers(-4, 4), _value, st.sampled_from(_SYSNOS),
+)
+# Each register starts at a random useful value, so the body's loads,
+# syscalls and branches get operands worth having.
+_prelude = st.lists(_value, min_size=8, max_size=8).map(
+    lambda values: [Instruction(Opcode.MOVI, rd=r, imm=v) for r, v in enumerate(values)]
+)
+
+
+def _recorded_run(image, policy):
+    machine = load(image, policy)
+    events = []
+    machine.add_observer(events.append)
+    return machine.run(STEP_LIMIT), events
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    prelude=_prelude,
+    body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+    quantum=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_random_images_run_alike_every_way(prelude, body, quantum, seed):
+    instrs = prelude + body + [Instruction(Opcode.HALT)]
+    image = ProgramImage(origin=0, payload=b"".join(map(encode, instrs)), entry=0)
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        bare = load(image, policy).run(STEP_LIMIT)
+        recorded, events = _recorded_run(image, policy)
+        analyzed_events = []
+        analyzed = analyze(
+            image,
+            RunConfig(policy=policy, step_limit=STEP_LIMIT,
+                      observers=(analyzed_events.append,)),
+        )
+        assert bare.state == recorded.state == analyzed.state, kind
+        assert bare.outcome == recorded.outcome == analyzed.outcome, kind
+        assert events == analyzed_events, kind

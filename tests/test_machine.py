@@ -4,6 +4,8 @@ The seeded scheduler is checked against an independent xorshift64*
 reimplementation rather than against the machine's own generator.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from scvm.asm import assemble
@@ -32,9 +34,14 @@ def _ref_xorshift64star(state):
 
 
 def run_source(src, policy=None, step_limit=10_000):
+    """Run src with a recording observer attached; returns (machine,
+    result), where result holds the RunResult's fields plus `events`,
+    every event in emission order."""
     machine = load(assemble(src), policy)
-    result = machine.run(step_limit=step_limit, collect_events=True)
-    return machine, result
+    events = []
+    machine.add_observer(events.append)
+    result = machine.run(step_limit=step_limit)
+    return machine, SimpleNamespace(**vars(result), events=events)
 
 
 def step_tids(events):
@@ -200,8 +207,9 @@ def test_printf_appends_to_output():
     assert machine.state.output == b"hi %dhi %d"
 
 
-def test_unknown_syscall_faults():
-    _, result = run_source("SYS 99\nHALT")
+@pytest.mark.parametrize("number", [5, 6, 99])
+def test_unknown_syscall_faults(number):
+    _, result = run_source(f"SYS {number}\nHALT")
     assert result.outcome == "fault"
     assert "syscall" in result.state.fault.reason
 
@@ -533,10 +541,14 @@ done:  HALT
 )
 def test_repeated_runs_are_identical(policy):
     image = assemble(CONTENDED_LOCK_SRC)
-    first = load(image, policy).run(step_limit=10_000, collect_events=True)
-    second = load(image, policy).run(step_limit=10_000, collect_events=True)
-    assert [format_event(e) for e in first.events] == [
-        format_event(e) for e in second.events
-    ]
+
+    def traced_run():
+        machine = load(image, policy)
+        trace = []
+        machine.add_observer(lambda e: trace.append(format_event(e)))
+        return machine.run(step_limit=10_000), trace
+
+    (first, first_trace), (second, second_trace) = traced_run(), traced_run()
+    assert first_trace == second_trace
     assert first.state == second.state
     assert first.steps == second.steps
