@@ -23,10 +23,8 @@ from .isa import (
     IMM_MAX,
     IMM_MIN,
     INSTR_SIZE,
-    LOAD_OPS,
     MEMORY_SIZE,
     NUM_REGS,
-    STORE_OPS,
     Instruction,
     Opcode,
     encode,

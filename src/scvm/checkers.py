@@ -24,8 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .isa import MEMORY_SIZE
-from .machine import HEAP_BASE, HEAP_LIMIT, MODE_KERNEL, SYS_PRINTF, Event, Machine
+from .machine import (
+    CSTR_CAP,
+    HEAP_BASE,
+    HEAP_LIMIT,
+    MODE_KERNEL,
+    SYS_PRINTF,
+    Event,
+    Machine,
+    read_cstr,
+)
 from .shadow import NULLABLE_TAGS, ShadowState, TagKind
 
 RULE_NULL_DEREF = "NULL_DEREF_UNCHECKED"
@@ -43,8 +51,6 @@ ALL_RULES = (
     RULE_FMT_TAINTED,
     RULE_RACE,
 )
-
-FMT_SCAN_CAP = 4096
 
 _MEM_KINDS = ("mem-read", "mem-write")
 
@@ -181,33 +187,24 @@ class FmtChecker:
         if e.kind != "syscall" or e.sysno != SYS_PRINTF:
             return
         addr = e.args[0]
-        first_tainted = None
-        tainted_obj = None
-        terminated = False
-        a = addr
-        while a < MEMORY_SIZE and a - addr < FMT_SCAN_CAP:
-            if self.machine.state.memory[a] == 0:
-                terminated = True
+        data, terminated = read_cstr(self.machine.state.memory, addr, CSTR_CAP)
+        for a in range(addr, addr + len(data)):
+            obj = self.shadow.mem_object(a)
+            if TagKind.TAINTED in obj.tags:
                 break
-            if first_tainted is None:
-                obj = self.shadow.mem_object(a)
-                if TagKind.TAINTED in obj.tags:
-                    first_tainted = a
-                    tainted_obj = obj
-            a += 1
-        if first_tainted is None:
+        else:
             return
-        detail = f"tainted byte at format offset {first_tainted - addr} ({tainted_obj.note})"
+        detail = f"tainted byte at format offset {a - addr} ({obj.note})"
         if not terminated:
-            detail += f"; no NUL within {FMT_SCAN_CAP} bytes, scan truncated"
+            detail += f"; no NUL within {CSTR_CAP} bytes, scan truncated"
         yield Warning(
             checker=self.name,
             rule=RULE_FMT_TAINTED,
             tid=e.tid,
             pc=e.pc,
             step=e.step,
-            address=first_tainted,
-            object_id=tainted_obj.id,
+            address=a,
+            object_id=obj.id,
             detail=detail,
         )
 

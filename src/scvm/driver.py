@@ -17,7 +17,6 @@ from .asm import ProgramImage
 from .checkers import CHECKER_ORDER, CheckerRegistry, make_checkers
 from .machine import (
     DEFAULT_STEP_LIMIT,
-    Machine,
     MachineState,
     SchedulerPolicy,
     load,
@@ -41,7 +40,6 @@ class AnalysisResult:
     outcome: str  # "halt", "fault" or "timeout"
     state: MachineState
     warnings: list
-    machine: Machine
     shadow: ShadowState
 
     @property
@@ -67,6 +65,5 @@ def analyze(image: ProgramImage, config: RunConfig | None = None) -> AnalysisRes
         outcome=result.outcome,
         state=result.state,
         warnings=registry.warnings,
-        machine=machine,
         shadow=shadow,
     )

@@ -23,10 +23,6 @@ NUM_REGS = 8
 MEMORY_SIZE = 65536
 INSTR_SIZE = 8
 
-# r6/r7 are stack/link registers by convention only; nothing enforces it.
-REG_STACK = 6
-REG_LINK = 7
-
 
 class Opcode(enum.IntEnum):
     MOVI = 0x01
@@ -55,8 +51,6 @@ class Opcode(enum.IntEnum):
 
 
 ALU_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR})
-LOAD_OPS = frozenset({Opcode.LD, Opcode.LDB})
-STORE_OPS = frozenset({Opcode.ST, Opcode.STB})
 
 _OPCODE_VALUES = {op.value for op in Opcode}
 
@@ -84,26 +78,6 @@ class Instruction:
         if self.opcode in (Opcode.LDB, Opcode.STB):
             return 1
         return None
-
-    def __str__(self) -> str:
-        op = self.opcode
-        if op == Opcode.MOVI:
-            return f"MOVI r{self.rd}, {self.imm}"
-        if op == Opcode.MOV:
-            return f"MOV r{self.rd}, r{self.rs}"
-        if op in LOAD_OPS:
-            return f"{op.name} r{self.rd}, [r{self.rs}{self.imm:+d}]"
-        if op in STORE_OPS:
-            return f"{op.name} [r{self.rs}{self.imm:+d}], r{self.rt}"
-        if op in ALU_OPS:
-            return f"{op.name} r{self.rd}, r{self.rs}, r{self.rt}"
-        if op == Opcode.CMP:
-            return f"CMP r{self.rs}, r{self.rt}"
-        if op == Opcode.CMPI:
-            return f"CMPI r{self.rs}, {self.imm}"
-        if op in (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL, Opcode.SYS):
-            return f"{op.name} {self.imm}"
-        return op.name
 
 
 def encode(instr: Instruction) -> bytes:

@@ -28,6 +28,7 @@ seed, step limit) always reproduces identical event streams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .asm import ProgramImage
@@ -37,6 +38,7 @@ from .isa import (
     MEMORY_SIZE,
     NUM_REGS,
     DecodeError,
+    Instruction,
     Opcode,
     decode,
 )
@@ -56,6 +58,7 @@ DEFAULT_STEP_LIMIT = 1_000_000
 FIRST_FD = 3
 CSTR_CAP = 4096
 NAME_CAP = 256
+OUTPUT_CAP = 1 << 20  # PRINTF bytes a run keeps, so a print loop cannot exhaust the host
 
 # Syscall numbers (SYS imm).  32..35 are hypercalls: no architectural
 # effect, they exist to inform the shadow/checker layers.
@@ -111,7 +114,7 @@ class GuestFault:
 
 
 class _Fault(Exception):
-    """Internal: raised mid-step, recorded as a GuestFault by step()."""
+    """Internal: raised mid-step, recorded as a GuestFault by run()."""
 
 
 @dataclass(slots=True)
@@ -223,11 +226,7 @@ class MachineState:
     next_tid: int = 1
     image_origin: int = 0
     image_end: int = 0
-    output: bytearray = field(default_factory=bytearray)
-
-    @property
-    def mode(self) -> str:
-        return self.threads[self.current].mode
+    output: bytearray = field(default_factory=bytearray)  # first OUTPUT_CAP bytes
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,7 @@ class Scheduler:
         self._used = self.policy.quantum
 
     def pick(self, state: MachineState) -> int | None:
-        """Next tid to run, or None when every live thread is blocked."""
+        """Next tid to run, or None when no live thread can run."""
         eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
         if not eligible:
             return None
@@ -287,7 +286,7 @@ class RunResult:
     steps: int
 
 
-def _read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
+def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
     """Bytes at addr up to NUL/cap/end of memory; flag = NUL was found."""
     end = min(addr + cap, MEMORY_SIZE)
     chunk = memory[addr:end]
@@ -295,6 +294,16 @@ def _read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
     if nul >= 0:
         return bytes(chunk[:nul]), True
     return bytes(chunk), False
+
+
+@functools.lru_cache(maxsize=8192)
+def _decode_cached(raw: bytes) -> Instruction:
+    """`decode`, memoized on the 8 code bytes themselves, so a store or
+    READ_NET over code needs no invalidation.  A DecodeError is raised
+    again on every call: lru_cache does not cache exceptions.  One cache
+    serves every machine, which is safe because decode is pure and
+    Instruction is frozen."""
+    return decode(raw)
 
 
 def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
@@ -310,10 +319,10 @@ def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
 
 
 class Machine:
-    """Owns a MachineState and steps it under a scheduler policy.
+    """Owns a MachineState and runs it under a scheduler policy.
 
     Observers registered with add_observer receive every Event
-    synchronously, in emission order, during step(); they are the only
+    synchronously, in emission order, during run(); they are the only
     way to see the event stream.
     """
 
@@ -323,46 +332,11 @@ class Machine:
         self.scheduler = Scheduler(self.policy)
         self.net_seed = self.policy.seed  # READ_NET pattern offset
         self.observers: list = []
-        self._decoded: dict = {}  # pc -> (raw 8 bytes, Instruction); <= 8192 pcs
 
     def add_observer(self, fn) -> None:
         self.observers.append(fn)
 
     # -- stepping ---------------------------------------------------
-
-    def step(self) -> None:
-        """Execute one instruction of the current thread.
-
-        A fault records itself in state.fault and halts the machine;
-        effects already committed before the fault point stand, nothing
-        after it happens.
-        """
-        st = self.state
-        if st.halted:
-            raise RuntimeError("machine is halted")
-        t = st.threads[st.current]
-        if not t.alive or t.blocked_on is not None:
-            raise RuntimeError(f"thread {t.tid} is not runnable")
-        step_no = st.step_count
-        pc = t.pc
-
-        observers = self.observers
-        if observers:
-            tid = t.tid
-
-            def emit(kind, **kw):
-                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
-                for fn in observers:
-                    fn(e)
-        else:
-            emit = _no_emit
-
-        try:
-            self._execute(t, pc, emit)
-        except _Fault as f:
-            st.fault = GuestFault(str(f), t.tid, pc, step_no)
-            st.halted = True
-        st.step_count = step_no + 1
 
     def _execute(self, t: ThreadContext, pc: int, emit) -> None:
         st = self.state
@@ -370,18 +344,10 @@ class Machine:
             raise _Fault(f"misaligned pc 0x{pc:04X}")
         if pc + INSTR_SIZE > MEMORY_SIZE:
             raise _Fault(f"pc 0x{pc:04X} out of range")
-        # Reuse the last decode of this pc while its 8 bytes are unchanged,
-        # so stores over code need no invalidation.  Errors are not cached.
-        raw = bytes(st.memory[pc : pc + INSTR_SIZE])
-        cached = self._decoded.get(pc)
-        if cached is not None and cached[0] == raw:
-            instr = cached[1]
-        else:
-            try:
-                instr = decode(raw)
-            except DecodeError as exc:
-                raise _Fault(str(exc)) from None
-            self._decoded[pc] = (raw, instr)
+        try:
+            instr = _decode_cached(bytes(st.memory[pc : pc + INSTR_SIZE]))
+        except DecodeError as exc:
+            raise _Fault(str(exc)) from None
         emit("fetch", op=instr.opcode.name)
 
         op = instr.opcode
@@ -559,7 +525,7 @@ class Machine:
         elif number == SYS_OPEN:
             if r0 >= MEMORY_SIZE:
                 raise _Fault(f"unmapped address 0x{r0:08X}")
-            name, terminated = _read_cstr(st.memory, r0, NAME_CAP)
+            name, terminated = read_cstr(st.memory, r0, NAME_CAP)
             if not terminated or name.startswith(b"missing"):
                 t.regs[0] = 0
             else:
@@ -576,8 +542,8 @@ class Machine:
         elif number == SYS_PRINTF:
             if r0 >= MEMORY_SIZE:
                 raise _Fault(f"unmapped address 0x{r0:08X}")
-            data, _ = _read_cstr(st.memory, r0, CSTR_CAP)
-            st.output += data
+            data, _ = read_cstr(st.memory, r0, CSTR_CAP)
+            st.output += data[: OUTPUT_CAP - len(st.output)]
         elif number == SYS_KCALL:
             t.trap_return = next_pc
             t.mode = MODE_KERNEL
@@ -622,26 +588,48 @@ class Machine:
     # -- whole runs -------------------------------------------------
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
-        """schedule+step until thread 0 HALTs, all threads die, a fault,
-        or the step limit; see RunResult.outcome."""
+        """Pick a thread, then decode, execute and count one instruction
+        of it, until thread 0 HALTs, all threads die, a fault, or the
+        step limit; see RunResult.outcome.
+
+        A fault records itself in state.fault and halts the machine;
+        effects already committed before the fault point stand, nothing
+        after it happens.
+        """
         st = self.state
+        threads = st.threads
+        observers = self.observers
+
+        if observers:
+            # Reads the loop's current t, tid, step_no and pc.
+            def emit(kind, **kw):
+                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
+                for fn in observers:
+                    fn(e)
+        else:
+            emit = _no_emit
         while not st.halted and st.step_count < step_limit:
-            if not any(t.alive for t in st.threads.values()):
-                st.halted = True
-                break
             tid = self.scheduler.pick(st)
             if tid is None:
-                blocked = st.threads[st.current]
-                st.fault = GuestFault(
-                    "deadlock: all live threads blocked",
-                    st.current,
-                    blocked.pc,
-                    st.step_count,
-                )
+                if any(x.alive for x in threads.values()):
+                    st.fault = GuestFault(
+                        "deadlock: all live threads blocked",
+                        st.current,
+                        threads[st.current].pc,
+                        st.step_count,
+                    )
                 st.halted = True
                 break
             st.current = tid
-            self.step()
+            t = threads[tid]
+            step_no = st.step_count
+            pc = t.pc
+            try:
+                self._execute(t, pc, emit)
+            except _Fault as f:
+                st.fault = GuestFault(str(f), tid, pc, step_no)
+                st.halted = True
+            st.step_count = step_no + 1
         if st.fault is not None:
             outcome = "fault"
         elif st.halted:

@@ -256,6 +256,30 @@ def test_unterminated_scan_is_capped_and_says_so():
     assert "scan truncated" in got[0].detail
 
 
+def test_tainted_string_running_into_end_of_memory_is_truncated():
+    src = """
+start: MOVI r0, 0xFFF0
+       MOVI r1, 16
+       SYS 3             ; bytes 1..16 with seed 1: no NUL before the end
+       MOVI r0, 0xFFF0
+       SYS 4
+       HALT
+"""
+    _, result = run_program(src, checkers=("fmt",), policy=SchedulerPolicy(seed=1))
+    assert result.outcome == "halt"
+    assert rules_of(result) == [RULE_FMT_TAINTED]
+    assert "format offset 0" in result.warnings[0].detail
+    assert "no NUL within 4096 bytes, scan truncated" in result.warnings[0].detail
+    assert result.state.output == bytes(range(1, 17))
+
+
+def test_printf_past_end_of_memory_faults_without_warning():
+    _, result = run_program("MOVI r0, 0x10000\nSYS 4\nHALT")
+    assert result.outcome == "fault"
+    assert result.state.fault.reason == "unmapped address 0x00010000"
+    assert result.warnings == []
+
+
 def test_taint_hypercall_reaches_printf():
     src = """
 .org 0x100

@@ -14,6 +14,7 @@ from scvm.machine import (
     DEFAULT_STACK_SIZE,
     DEFAULT_STACK_TOP,
     HEAP_BASE,
+    GuestFault,
     MODE_KERNEL,
     MODE_USER,
     SchedulerPolicy,
@@ -205,6 +206,16 @@ def test_read_net_pattern_follows_seed():
 def test_printf_appends_to_output():
     machine, _ = run_source('.org 0x100\ns: .asciiz "hi %d"\nstart: MOVI r0, s\nSYS 4\nSYS 4\nHALT')
     assert machine.state.output == b"hi %dhi %d"
+
+
+def test_printf_output_is_capped():
+    text = b"%d " * 1365  # 4,095 bytes, NUL after
+    machine = load(assemble("loop: MOVI r0, 0x4000\nSYS 4\nJMP loop"))
+    machine.state.memory[0x4000 : 0x4000 + len(text)] = text
+    result = machine.run(step_limit=1800)  # 600 PRINTFs, 2,457,000 bytes
+    assert result.outcome == "timeout"
+    assert len(machine.state.output) == 1 << 20
+    assert machine.state.output.startswith(text)
 
 
 @pytest.mark.parametrize("number", [5, 6, 99])
@@ -434,6 +445,58 @@ worker: MOVI r0, 2
     assert "deadlock" in result.state.fault.reason
 
 
+def test_abba_deadlock_fault_names_the_blocked_thread():
+    src = """
+start: MOVI r0, 1
+       SYS 49
+       MOVI r0, worker
+       MOVI r1, 0xF000
+       SYS 48
+       MOVI r3, 0
+       MOVI r3, 0
+       MOVI r0, 2
+       SYS 49
+       HALT
+worker: MOVI r0, 2
+       SYS 49
+       MOVI r0, 1
+       SYS 49
+       HALT
+"""
+    machine, result = run_source(src)
+    assert machine.state.fault == GuestFault(
+        "deadlock: all live threads blocked", tid=0, pc=0x40, step=13
+    )
+    assert result.steps == 13
+
+
+def test_exit_thread_alone_is_a_clean_halt():
+    machine, result = run_source("SYS 52")
+    assert result.outcome == "halt"
+    assert machine.state.fault is None
+    assert result.steps == 1
+
+
+def test_worker_outlives_thread_zero():
+    src = """
+start: MOVI r0, worker
+       MOVI r1, 0xF000
+       SYS 48
+       SYS 52
+worker: MOVI r2, 0x4000
+       MOVI r3, 7
+       ST [r2], r3
+       HALT
+"""
+    machine, result = run_source(src)
+    assert result.outcome == "halt"
+    assert machine.state.fault is None
+    assert machine.state.memory[0x4000] == 7
+    exits = [(e.tid, e.step) for e in result.events if e.kind == "thread-exit"]
+    assert [tid for tid, _ in exits] == [0, 1]
+    assert result.steps == exits[-1][1] + 1
+
+
 def test_exit_thread_keeps_locks():
     src = """
 start: MOVI r0, worker
@@ -552,3 +615,32 @@ def test_repeated_runs_are_identical(policy):
     assert first_trace == second_trace
     assert first.state == second.state
     assert first.steps == second.steps
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        SchedulerPolicy(quantum=3),
+        SchedulerPolicy(kind="seeded-random", seed=5, quantum=3),
+    ],
+)
+def test_run_resumes_where_it_stopped(policy):
+    image = assemble(CONTENDED_LOCK_SRC)
+
+    def recorded(*limits):
+        machine = load(image, policy)
+        events = []
+        machine.add_observer(events.append)
+        for limit in limits:
+            result = machine.run(step_limit=limit)
+        return result, events
+
+    whole, _ = recorded(10_000)
+    assert whole.outcome == "halt"
+    for n in (whole.steps // 2, 10_000):
+        one, one_events = recorded(n)
+        for k in range(1, min(n, whole.steps)):
+            split, split_events = recorded(k, n)
+            assert split.state == one.state
+            assert (split.outcome, split.steps) == (one.outcome, one.steps)
+            assert split_events == one_events
