@@ -94,6 +94,8 @@ class CheckerRegistry:
                     self._seen.add(key)
                     self.warnings.append(w)
 
+    dispatch.kinds = (*_MEM_KINDS, "syscall")  # what the shipped plugins read
+
 
 def run_checkers(plugins, events) -> list:
     """Deliver a complete event stream through a fresh registry."""

@@ -30,7 +30,7 @@ class RunConfig:
     policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
     step_limit: int = DEFAULT_STEP_LIMIT
     checker_options: dict = field(default_factory=dict)
-    observers: tuple = ()  # callables, each handed every Event
+    observers: tuple = ()  # callables, each handed the Events of its `kinds` (default all)
     shadow_trace: bool = False
 
 

@@ -1,12 +1,14 @@
 """Guest machine: interpreter, simulated threads, syscalls, event stream.
 
 Everything the analysis layers know about the guest arrives through the
-event stream.  Each executed instruction produces one `fetch` event plus
+event stream.  Each executed instruction emits one `fetch` event plus
 events for its operand traffic, in operand-evaluation order.  Events
 are stamped with the thread, pc, privilege mode, interrupt flag, and the
 thread's held-lock set at emission time, so observers never have to
-reach back into mutable machine state to interpret them.  A machine
-with no observer builds no events at all.
+reach back into mutable machine state to interpret them.  An observer
+may name the kinds it reads in a `kinds` attribute (see EVENT_KINDS);
+an event reaches only the observers that read its kind, and a kind that
+no observer reads builds no Event at all.
 
 `Event` is slotted but not frozen, since freezing makes it several times
 dearer to build.  Every observer shares one event object, so observers
@@ -97,6 +99,14 @@ SYSCALL_NAMES = {
     SYS_YIELD: "YIELD",
     SYS_EXIT_THREAD: "EXIT_THREAD",
 }
+
+# Every kind of event the machine emits, the reading list of an
+# observer that declares no `kinds`.
+EVENT_KINDS = (
+    "fetch", "reg-read", "reg-write", "mem-read", "mem-write", "binop", "compare",
+    "branch", "syscall", "lock", "unlock", "spawn", "thread-exit", "mode-change",
+    "iflag-change",
+)
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "seeded-random"
@@ -265,6 +275,19 @@ class Scheduler:
 
     def pick(self, state: MachineState) -> int | None:
         """Next tid to run, or None when no live thread can run."""
+        if len(state.threads) == 1:
+            # The general path with one candidate, minus its list: the
+            # quantum and the generator advance exactly as they would.
+            (t,) = state.threads.values()
+            if not t.alive or t.blocked_on is not None:
+                return None
+            if t.tid == state.current and self._used < self.policy.quantum:
+                self._used += 1
+            else:
+                self._used = 1
+                if self.policy.kind == SEEDED_RANDOM:
+                    self._rng = _xorshift64star(self._rng)[0]
+            return t.tid
         eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
         if not eligible:
             return None
@@ -321,9 +344,11 @@ def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
 class Machine:
     """Owns a MachineState and runs it under a scheduler policy.
 
-    Observers registered with add_observer receive every Event
-    synchronously, in emission order, during run(); they are the only
-    way to see the event stream.
+    Observers registered with add_observer receive, synchronously and
+    in emission order during run(), every Event of the kinds they read:
+    those in their `kinds` attribute (read when run() starts), or all
+    of EVENT_KINDS when they have none.  They are the only way to see
+    the event stream.
     """
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
@@ -601,11 +626,20 @@ class Machine:
         observers = self.observers
 
         if observers:
+            # Each kind's readers, in registration order.
+            by_kind = {kind: [] for kind in EVENT_KINDS}
+            for fn in observers:
+                kinds = getattr(fn, "kinds", None)
+                for kind in EVENT_KINDS if kinds is None else kinds:
+                    by_kind[kind].append(fn)
+
             # Reads the loop's current t, tid, step_no and pc.
             def emit(kind, **kw):
-                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
-                for fn in observers:
-                    fn(e)
+                readers = by_kind[kind]
+                if readers:
+                    e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
+                    for fn in readers:
+                        fn(e)
         else:
             emit = _no_emit
         while not st.halted and st.step_count < step_limit:

@@ -154,6 +154,8 @@ class ShadowState:
             self._on_syscall(e)
         # every other kind carries no shadow semantics
 
+    on_event.kinds = ("reg-write", "mem-write", "mem-read", "compare", "syscall")
+
     def _source_object(self, e: Event) -> TypeObject:
         src = e.src
         regs = self._regs(e.tid)

@@ -31,6 +31,8 @@ from scvm.driver import RunConfig, analyze
 from scvm.machine import ROUND_ROBIN, SEEDED_RANDOM, Event, format_event, load
 from scvm.report import serialize
 
+from helpers import analysis_outputs, full_delivery
+
 
 def criterion(label):
     def deco(fn):
@@ -232,6 +234,20 @@ def test_non_interference():
                                          "--report", os.devnull])
                 assert run_out == check_out, (e.name, kind)
     assert time.monotonic() - started < 10
+
+
+@criterion("filtered delivery: observers that read only their kinds analyze alike")
+def test_filtered_delivery_equals_full_delivery():
+    for e in discover(shipped_dir()):
+        image = assemble(e.source.read_text())
+        policy = run_entry(e).manifest.policy
+        for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+            config = RunConfig(policy=dataclasses.replace(policy, kind=kind))
+            filtered = analysis_outputs(image, config)
+            with full_delivery() as seen:
+                full = analysis_outputs(image, config)
+            assert "fetch" in seen, (e.name, kind)
+            assert filtered == full, (e.name, kind)
 
 
 @criterion("known false positive: sanitized copy warns and is documented")

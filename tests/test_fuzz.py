@@ -29,6 +29,8 @@ from scvm.machine import (
     load,
 )
 
+from helpers import analysis_outputs, full_delivery
+
 BODY_LEN = 16
 N_INSTRS = 8 + BODY_LEN + 1  # register prelude, body, final HALT
 STEP_LIMIT = 150
@@ -75,6 +77,21 @@ _prelude = st.lists(_value, min_size=8, max_size=8).map(
 )
 
 
+def _random_images(test):
+    """Runs test over 50 images, each with a quantum and a seed."""
+    return settings(max_examples=50, deadline=None)(given(
+        prelude=_prelude,
+        body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+        quantum=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )(test))
+
+
+def _image(prelude, body):
+    instrs = prelude + body + [Instruction(Opcode.HALT)]
+    return ProgramImage(origin=0, payload=b"".join(map(encode, instrs)), entry=0)
+
+
 def _recorded_run(image, policy):
     machine = load(image, policy)
     events = []
@@ -82,16 +99,9 @@ def _recorded_run(image, policy):
     return machine.run(STEP_LIMIT), events
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    prelude=_prelude,
-    body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
-    quantum=st.integers(1, 3),
-    seed=st.integers(0, 2**32),
-)
+@_random_images
 def test_random_images_run_alike_every_way(prelude, body, quantum, seed):
-    instrs = prelude + body + [Instruction(Opcode.HALT)]
-    image = ProgramImage(origin=0, payload=b"".join(map(encode, instrs)), entry=0)
+    image = _image(prelude, body)
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         bare = load(image, policy).run(STEP_LIMIT)
@@ -105,3 +115,16 @@ def test_random_images_run_alike_every_way(prelude, body, quantum, seed):
         assert bare.state == recorded.state == analyzed.state, kind
         assert bare.outcome == recorded.outcome == analyzed.outcome, kind
         assert events == analyzed_events, kind
+
+
+@_random_images
+def test_random_images_analyze_alike_with_full_delivery(prelude, body, quantum, seed):
+    """Shadow and checkers handed only the kinds they read give the same
+    report, shadow trace, state and outcome as when handed every event."""
+    image = _image(prelude, body)
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        config = RunConfig(policy=SchedulerPolicy(kind, quantum, seed), step_limit=STEP_LIMIT)
+        filtered = analysis_outputs(image, config)
+        with full_delivery():
+            full = analysis_outputs(image, config)
+        assert filtered == full, kind

@@ -4,20 +4,28 @@ The seeded scheduler is checked against an independent xorshift64*
 reimplementation rather than against the machine's own generator.
 """
 
+import random
 from types import SimpleNamespace
 
 import pytest
 
+import scvm.machine
 from scvm.asm import assemble
 from scvm.isa import Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
     DEFAULT_STACK_TOP,
     HEAP_BASE,
+    ROUND_ROBIN,
+    SEEDED_RANDOM,
+    Event,
     GuestFault,
     MODE_KERNEL,
     MODE_USER,
+    MachineState,
+    Scheduler,
     SchedulerPolicy,
+    _new_thread,
     format_event,
     load,
 )
@@ -355,6 +363,53 @@ def test_yield_rotates_early():
     assert tids[yield_step + 1] == 1
 
 
+def _general_pick(sched, state):
+    """Scheduler.pick as it was before its single-thread fast path: the
+    eligible list, built on every call."""
+    eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
+    if not eligible:
+        return None
+    cur = state.current
+    if cur in eligible and sched._used < sched.policy.quantum:
+        sched._used += 1
+        return cur
+    sched._used = 1
+    if sched.policy.kind == ROUND_ROBIN:
+        return next((t for t in eligible if t > cur), eligible[0])
+    sched._rng, out = _ref_xorshift64star(sched._rng)
+    return eligible[out % len(eligible)]
+
+
+@pytest.mark.parametrize("quantum", [1, 2, 3])
+@pytest.mark.parametrize("kind", [ROUND_ROBIN, SEEDED_RANDOM])
+def test_pick_matches_the_general_path(kind, quantum):
+    """Random thread sets that spend long stretches with one thread:
+    pick gives the general path's tids and leaves its quantum count and
+    generator where the general path would."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        policy = SchedulerPolicy(kind, quantum, seed)
+        fast, general = Scheduler(policy), Scheduler(policy)
+        state = MachineState(memory=bytearray(), threads={0: _new_thread(0, 0, 0)}, current=0)
+        for _ in range(200):
+            threads = list(state.threads.values())
+            roll = rng.random()
+            if roll < 0.03:
+                state.threads[len(threads)] = _new_thread(len(threads), 0, 0)
+            elif roll < 0.08:
+                rng.choice(threads).blocked_on = rng.choice([None, None, 1])
+            elif roll < 0.10:
+                rng.choice(threads).alive = False
+            elif roll < 0.15:
+                fast.expire_slice()
+                general.expire_slice()
+            tid = fast.pick(state)
+            assert tid == _general_pick(general, state), seed
+            assert (fast._used, fast._rng) == (general._used, general._rng), seed
+            if tid is not None:
+                state.current = tid
+
+
 CONTENDED_LOCK_SRC = """
 start: MOVI r0, 1
        SYS 49            ; take the lock first
@@ -644,3 +699,67 @@ def test_run_resumes_where_it_stopped(policy):
             assert split.state == one.state
             assert (split.outcome, split.steps) == (one.outcome, one.steps)
             assert split_events == one_events
+
+
+# -- observers ---------------------------------------------------------
+
+
+OBSERVED_SRC = """
+start: MOVI r0, worker
+       MOVI r1, 0xF000
+       SYS 48
+       MOVI r3, 0x8000
+loop:  LD r2, [r3]
+       ADD r2, r2, r0
+       ST [r3], r2
+       CMPI r2, 9
+       BNE loop
+       HALT
+worker: MOVI r4, 0x8004
+       ST [r4], r4
+       HALT
+"""
+
+
+def _reader(kinds):
+    """An observer that records what it receives, reading `kinds`."""
+    got = []
+
+    def observe(e):
+        got.append(e)
+
+    observe.kinds = kinds
+    return observe, got
+
+
+def test_observer_receives_only_the_kinds_it_reads():
+    machine = load(assemble(OBSERVED_SRC))
+    writes, got = _reader(("mem-write",))
+    full = []
+    machine.add_observer(writes)
+    machine.add_observer(full.append)
+    machine.run(step_limit=200)
+    expected = [e for e in full if e.kind == "mem-write"]
+    assert len(expected) > 2
+    assert got == expected
+    assert all(a is b for a, b in zip(got, expected))  # one shared Event each
+    assert {e.kind for e in full} >= {"fetch", "reg-read", "binop", "branch", "spawn"}
+    _, alone = run_source(OBSERVED_SRC, step_limit=200)
+    assert full == alone.events
+
+
+def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
+    built = []
+
+    class CountingEvent(Event):
+        def __init__(self, kind, *args, **kw):
+            built.append(kind)
+            super().__init__(kind, *args, **kw)
+
+    monkeypatch.setattr(scvm.machine, "Event", CountingEvent)
+    machine = load(assemble(OBSERVED_SRC))
+    writes, got = _reader(("mem-write",))
+    machine.add_observer(writes)
+    machine.run(step_limit=200)
+    assert len(got) > 2
+    assert built == ["mem-write"] * len(got)

@@ -1,4 +1,5 @@
-"""Repository hygiene: every import in the package is used, and the
+"""Repository hygiene: every import in the package is used, the event
+kinds the machine emits and the kinds its observers read agree, and the
 committed script still runs."""
 
 import ast
@@ -6,6 +7,11 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from scvm.asm import assemble
+from scvm.checkers import CHECKER_ORDER, CheckerRegistry, make_checkers
+from scvm.machine import EVENT_KINDS, load
+from scvm.shadow import ShadowState
 
 ROOT = Path(__file__).resolve().parent.parent
 # __init__.py is exempt: its imports are the package's re-exports.
@@ -33,6 +39,42 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def emitted_kinds(source: str) -> set:
+    """The kinds in every `emit("<kind>", ...)` call of a module."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "emit"
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_emitted_kinds_are_found():
+    assert emitted_kinds('emit("a", x=1)\nother("b")\nemit("c")') == {"a", "c"}
+
+
+def test_event_kinds_are_exactly_the_emitted_ones():
+    emitted = emitted_kinds((ROOT / "src" / "scvm" / "machine.py").read_text())
+    assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)  # a repeat would deliver twice
+    assert emitted == set(EVENT_KINDS)
+
+
+def test_observers_read_only_known_kinds():
+    assert set(ShadowState.on_event.kinds) <= set(EVENT_KINDS)
+    assert set(CheckerRegistry.dispatch.kinds) <= set(EVENT_KINDS)
+
+
+def test_registry_reads_every_kind_a_shipped_plugin_reads():
+    """A plugin kind missing from dispatch.kinds would never reach the
+    plugin in a live run."""
+    plugins = make_checkers(CHECKER_ORDER, load(assemble("HALT")), ShadowState())
+    assert [p.name for p in plugins] == list(CHECKER_ORDER)
+    for plugin in plugins:
+        assert set(plugin.kinds) <= set(CheckerRegistry.dispatch.kinds), plugin.name
 
 
 def test_demo_aliasing_script_succeeds(capsys):
