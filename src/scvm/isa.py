@@ -70,15 +70,6 @@ class Instruction:
     rt: int = 0
     imm: int = 0
 
-    @property
-    def width(self) -> int | None:
-        """Memory access width: 4 for LD/ST, 1 for LDB/STB, None otherwise."""
-        if self.opcode in (Opcode.LD, Opcode.ST):
-            return 4
-        if self.opcode in (Opcode.LDB, Opcode.STB):
-            return 1
-        return None
-
 
 def encode(instr: Instruction) -> bytes:
     """Encode a well-formed instruction into its 8-byte form."""

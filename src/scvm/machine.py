@@ -10,6 +10,13 @@ may name the kinds it reads in a `kinds` attribute (see EVENT_KINDS);
 an event reaches only the observers that read its kind, and a kind that
 no observer reads builds no Event at all.
 
+Each code word is compiled once into a handler closed over its operands
+and memoized on the word's 8 bytes, so code the guest writes at run time
+needs no invalidation.  A handler has two forms, chosen when run()
+starts: observed, handed the emit function, when an observer is
+registered, and bare, handed None, when none is.  The bare form builds
+no event and evaluates no event argument.
+
 `Event` is slotted but not frozen, since freezing makes it several times
 dearer to build.  Every observer shares one event object, so observers
 must not mutate it.
@@ -31,11 +38,12 @@ seed, step limit) always reproduces identical event streams.
 from __future__ import annotations
 
 import functools
+import operator
+import struct
 from dataclasses import dataclass, field
 
 from .asm import ProgramImage
 from .isa import (
-    ALU_OPS,
     INSTR_SIZE,
     MEMORY_SIZE,
     NUM_REGS,
@@ -153,10 +161,6 @@ class Event:
     new_tid: int | None = None
     taken: bool | None = None
     base_reg: int | None = None
-
-
-def _no_emit(kind, **kw) -> None:
-    """Stands in for emit when nothing reads the step's events."""
 
 
 def _fmt_src(src: tuple) -> str:
@@ -319,14 +323,238 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
     return bytes(chunk), False
 
 
+# -- compiled code words --------------------------------------------------
+#
+# A handler, handler(m, t, pc, emit), executes one instruction for thread
+# t of machine m at pc and sets t.pc, or raises _Fault.  It emits the
+# instruction's operand events in operand-evaluation order; run() emits
+# the `fetch` before it.  Every emit sits behind `if emit:`, so the bare
+# form (emit None) evaluates no emit argument.  The rarer opcodes share
+# one body, _general.
+
+_IMM_SRC = ("imm",)
+_ALU = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+}
+
+
+def _access_fault(addr: int, width: int) -> _Fault:
+    if addr + width > MEMORY_SIZE:
+        return _Fault(f"unmapped address 0x{addr:08X}")
+    return _Fault(f"unaligned word access at 0x{addr:04X}")
+
+
+def _movi(i: Instruction):
+    rd, value = i.rd, i.imm & M32
+
+    def movi(m, t, pc, emit):
+        t.regs[rd] = value
+        if emit:
+            emit("reg-write", reg=rd, value=value, src=_IMM_SRC)
+        t.pc = pc + INSTR_SIZE
+
+    return movi
+
+
+def _mov(i: Instruction):
+    rd, rs, src = i.rd, i.rs, ("reg", i.rs)
+
+    def mov(m, t, pc, emit):
+        value = t.regs[rs]
+        if emit:
+            emit("reg-read", reg=rs, value=value)
+        t.regs[rd] = value
+        if emit:
+            emit("reg-write", reg=rd, value=value, src=src)
+        t.pc = pc + INSTR_SIZE
+
+    return mov
+
+
+def _load(i: Instruction):
+    rd, rs, imm = i.rd, i.rs, i.imm & M32
+    width = 4 if i.opcode == Opcode.LD else 1
+    last, align = MEMORY_SIZE - width, width - 1
+
+    def load(m, t, pc, emit):
+        regs = t.regs
+        if emit:
+            emit("reg-read", reg=rs, value=regs[rs])
+        addr = (regs[rs] + imm) & M32
+        if addr > last or addr & align:
+            raise _access_fault(addr, width)
+        value = int.from_bytes(m.state.memory[addr : addr + width], "little")
+        if emit:
+            emit("mem-read", addr=addr, width=width, value=value, base_reg=rs)
+        regs[rd] = value
+        if emit:
+            emit("reg-write", reg=rd, value=value, src=("mem", addr, width))
+        t.pc = pc + INSTR_SIZE
+
+    return load
+
+
+def _store(i: Instruction):
+    rs, rt, imm, src = i.rs, i.rt, i.imm & M32, ("reg", i.rt)
+    width = 4 if i.opcode == Opcode.ST else 1
+    last, align, mask = MEMORY_SIZE - width, width - 1, (1 << 8 * width) - 1
+
+    def store(m, t, pc, emit):
+        regs = t.regs
+        if emit:
+            emit("reg-read", reg=rs, value=regs[rs])
+            emit("reg-read", reg=rt, value=regs[rt])
+        addr = (regs[rs] + imm) & M32
+        if addr > last or addr & align:
+            raise _access_fault(addr, width)
+        value = regs[rt] & mask
+        m.state.memory[addr : addr + width] = value.to_bytes(width, "little")
+        if emit:
+            emit("mem-write", addr=addr, width=width, value=value, base_reg=rs, src=src)
+        t.pc = pc + INSTR_SIZE
+
+    return store
+
+
+def _alu(i: Instruction):
+    rd, rs, rt, name, fn = i.rd, i.rs, i.rt, i.opcode.name, _ALU[i.opcode]
+    src = ("binop", name, rs, rt)
+
+    def alu(m, t, pc, emit):
+        regs = t.regs
+        a, b = regs[rs], regs[rt]
+        value = fn(a, b) & M32
+        if emit:
+            emit("reg-read", reg=rs, value=a)
+            emit("reg-read", reg=rt, value=b)
+            emit("binop", op=name, reg=rd, rs=rs, rt=rt, value=value)
+        regs[rd] = value
+        if emit:
+            emit("reg-write", reg=rd, value=value, src=src)
+        t.pc = pc + INSTR_SIZE
+
+    return alu
+
+
+def _cmp(i: Instruction):
+    rs, rt = i.rs, i.rt
+
+    def cmp(m, t, pc, emit):
+        a, b = t.regs[rs], t.regs[rt]
+        if emit:
+            emit("reg-read", reg=rs, value=a)
+            emit("reg-read", reg=rt, value=b)
+        t.zflag = a == b
+        if emit:
+            emit("compare", rs=rs, rt=rt, value=b)
+        t.pc = pc + INSTR_SIZE
+
+    return cmp
+
+
+def _cmpi(i: Instruction):
+    rs, rhs = i.rs, i.imm & M32
+
+    def cmpi(m, t, pc, emit):
+        a = t.regs[rs]
+        if emit:
+            emit("reg-read", reg=rs, value=a)
+        t.zflag = a == rhs
+        if emit:
+            emit("compare", rs=rs, value=rhs)
+        t.pc = pc + INSTR_SIZE
+
+    return cmpi
+
+
+def _branch(i: Instruction):
+    target, on = i.imm & M32, i.opcode == Opcode.BEQ
+
+    def branch(m, t, pc, emit):
+        taken = t.zflag == on
+        if emit:
+            emit("branch", addr=target, taken=taken)
+        t.pc = target if taken else pc + INSTR_SIZE
+
+    return branch
+
+
+def _general(op: Opcode, imm: int, m, t, pc, emit):
+    """JMP, CALL, RET, CLI, STI, HALT and SYS share this one body."""
+    regs = t.regs
+    next_pc = pc + INSTR_SIZE
+    if op == Opcode.JMP or op == Opcode.CALL:
+        if op == Opcode.CALL:
+            regs[7] = next_pc
+            if emit:
+                emit("reg-write", reg=7, value=next_pc, src=_IMM_SRC)
+        next_pc = imm & M32
+        if emit:
+            emit("branch", addr=next_pc, taken=True)
+    elif op == Opcode.RET:
+        next_pc = regs[7]
+        if emit:
+            emit("reg-read", reg=7, value=next_pc)
+            emit("branch", addr=next_pc, taken=True)
+    elif op == Opcode.CLI or op == Opcode.STI:
+        if t.mode != MODE_KERNEL:
+            raise _Fault(f"{op.name} in user mode")
+        m.state.iflag = op == Opcode.STI
+        if emit:
+            emit("iflag-change")
+    elif op == Opcode.HALT:
+        if t.tid == 0:
+            m.state.halted = True
+        else:
+            t.alive = False
+            if emit:
+                emit("thread-exit")
+        return
+    else:  # SYS
+        next_pc = m._syscall(t, imm, next_pc, emit)
+        if next_pc is None:
+            return  # blocked on LOCK: pc unchanged, retried when woken
+    t.pc = next_pc
+
+
+_COMPILERS = {
+    Opcode.MOVI: _movi,
+    Opcode.MOV: _mov,
+    Opcode.LD: _load,
+    Opcode.LDB: _load,
+    Opcode.ST: _store,
+    Opcode.STB: _store,
+    **dict.fromkeys(_ALU, _alu),
+    Opcode.CMP: _cmp,
+    Opcode.CMPI: _cmpi,
+    Opcode.BEQ: _branch,
+    Opcode.BNE: _branch,
+    **dict.fromkeys(
+        (Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.CLI, Opcode.STI, Opcode.HALT, Opcode.SYS),
+        lambda i: functools.partial(_general, i.opcode, i.imm),
+    ),
+}
+
+
+_code_word = struct.Struct("<Q").unpack_from  # (the 8 code bytes at pc as one int,)
+
+
 @functools.lru_cache(maxsize=8192)
-def _decode_cached(raw: bytes) -> Instruction:
-    """`decode`, memoized on the 8 code bytes themselves, so a store or
-    READ_NET over code needs no invalidation.  A DecodeError is raised
-    again on every call: lru_cache does not cache exceptions.  One cache
-    serves every machine, which is safe because decode is pure and
-    Instruction is frozen."""
-    return decode(raw)
+def _compile(word: int) -> tuple:
+    """(opcode name, handler) of one code word, memoized on its 8 bytes
+    (read by _code_word as one little-endian int, which costs less than
+    slicing out a bytes object), so a store or READ_NET over code needs
+    no invalidation.  A DecodeError is raised again on every call:
+    lru_cache does not cache exceptions.  One cache serves every
+    machine, which is safe because decode is pure and a handler holds
+    no machine state."""
+    i = decode(word.to_bytes(INSTR_SIZE, "little"))
+    return i.opcode.name, _COMPILERS[i.opcode](i)
 
 
 def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
@@ -361,155 +589,15 @@ class Machine:
     def add_observer(self, fn) -> None:
         self.observers.append(fn)
 
-    # -- stepping ---------------------------------------------------
-
-    def _execute(self, t: ThreadContext, pc: int, emit) -> None:
-        st = self.state
-        if pc % INSTR_SIZE != 0:
-            raise _Fault(f"misaligned pc 0x{pc:04X}")
-        if pc + INSTR_SIZE > MEMORY_SIZE:
-            raise _Fault(f"pc 0x{pc:04X} out of range")
-        try:
-            instr = _decode_cached(bytes(st.memory[pc : pc + INSTR_SIZE]))
-        except DecodeError as exc:
-            raise _Fault(str(exc)) from None
-        emit("fetch", op=instr.opcode.name)
-
-        op = instr.opcode
-        regs = t.regs
-        next_pc = pc + INSTR_SIZE
-
-        if op == Opcode.MOVI:
-            regs[instr.rd] = instr.imm & M32
-            emit("reg-write", reg=instr.rd, value=regs[instr.rd], src=("imm",))
-        elif op == Opcode.MOV:
-            emit("reg-read", reg=instr.rs, value=regs[instr.rs])
-            regs[instr.rd] = regs[instr.rs]
-            emit("reg-write", reg=instr.rd, value=regs[instr.rd], src=("reg", instr.rs))
-        elif op in (Opcode.LD, Opcode.LDB):
-            emit("reg-read", reg=instr.rs, value=regs[instr.rs])
-            addr = (regs[instr.rs] + instr.imm) & M32
-            width = instr.width
-            self._check_access(addr, width)
-            if width == 4:
-                value = int.from_bytes(st.memory[addr : addr + 4], "little")
-            else:
-                value = st.memory[addr]
-            emit("mem-read", addr=addr, width=width, value=value, base_reg=instr.rs)
-            regs[instr.rd] = value
-            emit("reg-write", reg=instr.rd, value=value, src=("mem", addr, width))
-        elif op in (Opcode.ST, Opcode.STB):
-            emit("reg-read", reg=instr.rs, value=regs[instr.rs])
-            emit("reg-read", reg=instr.rt, value=regs[instr.rt])
-            addr = (regs[instr.rs] + instr.imm) & M32
-            width = instr.width
-            self._check_access(addr, width)
-            value = regs[instr.rt]
-            if width == 4:
-                st.memory[addr : addr + 4] = value.to_bytes(4, "little")
-            else:
-                value &= 0xFF
-                st.memory[addr] = value
-            emit(
-                "mem-write",
-                addr=addr,
-                width=width,
-                value=value,
-                base_reg=instr.rs,
-                src=("reg", instr.rt),
-            )
-        elif op in ALU_OPS:
-            a, b = regs[instr.rs], regs[instr.rt]
-            emit("reg-read", reg=instr.rs, value=a)
-            emit("reg-read", reg=instr.rt, value=b)
-            if op == Opcode.ADD:
-                value = (a + b) & M32
-            elif op == Opcode.SUB:
-                value = (a - b) & M32
-            elif op == Opcode.MUL:
-                value = (a * b) & M32
-            elif op == Opcode.AND:
-                value = a & b
-            elif op == Opcode.OR:
-                value = a | b
-            else:  # XOR
-                value = a ^ b
-            emit("binop", op=op.name, reg=instr.rd, rs=instr.rs, rt=instr.rt, value=value)
-            regs[instr.rd] = value
-            emit(
-                "reg-write",
-                reg=instr.rd,
-                value=value,
-                src=("binop", op.name, instr.rs, instr.rt),
-            )
-        elif op == Opcode.CMP:
-            a, b = regs[instr.rs], regs[instr.rt]
-            emit("reg-read", reg=instr.rs, value=a)
-            emit("reg-read", reg=instr.rt, value=b)
-            t.zflag = a == b
-            emit("compare", rs=instr.rs, rt=instr.rt, value=b)
-        elif op == Opcode.CMPI:
-            a = regs[instr.rs]
-            emit("reg-read", reg=instr.rs, value=a)
-            rhs = instr.imm & M32
-            t.zflag = a == rhs
-            emit("compare", rs=instr.rs, value=rhs)
-        elif op in (Opcode.BEQ, Opcode.BNE):
-            taken = t.zflag if op == Opcode.BEQ else not t.zflag
-            target = instr.imm & M32
-            emit("branch", addr=target, taken=taken)
-            if taken:
-                next_pc = target
-        elif op == Opcode.JMP:
-            target = instr.imm & M32
-            emit("branch", addr=target, taken=True)
-            next_pc = target
-        elif op == Opcode.CALL:
-            target = instr.imm & M32
-            regs[7] = next_pc
-            emit("reg-write", reg=7, value=next_pc, src=("imm",))
-            emit("branch", addr=target, taken=True)
-            next_pc = target
-        elif op == Opcode.RET:
-            emit("reg-read", reg=7, value=regs[7])
-            emit("branch", addr=regs[7], taken=True)
-            next_pc = regs[7]
-        elif op == Opcode.CLI or op == Opcode.STI:
-            if t.mode != MODE_KERNEL:
-                raise _Fault(f"{op.name} in user mode")
-            st.iflag = op == Opcode.STI
-            emit("iflag-change")
-        elif op == Opcode.HALT:
-            if t.tid == 0:
-                st.halted = True
-            else:
-                t.alive = False
-                emit("thread-exit")
-            return
-        elif op == Opcode.SYS:
-            next_pc = self._syscall(t, instr.imm, next_pc, emit)
-            if next_pc is None:
-                return  # blocked on LOCK: pc unchanged, retried when woken
-        else:  # pragma: no cover - decode admits no other opcode
-            raise _Fault(f"unhandled opcode {op.name}")
-
-        t.pc = next_pc
-
-    def _check_access(self, addr: int, width: int) -> None:
-        if addr + width > MEMORY_SIZE:
-            raise _Fault(f"unmapped address 0x{addr:08X}")
-        if width == 4 and addr % 4 != 0:
-            raise _Fault(f"unaligned word access at 0x{addr:04X}")
-
     # -- syscalls ---------------------------------------------------
 
     def _syscall(self, t: ThreadContext, number: int, next_pc: int, emit):
-        """Returns the next pc, or None when the thread blocked."""
+        """Returns the next pc, or None when the thread blocked.  emit is
+        None in the bare form."""
         st = self.state
         if number not in SYSCALL_NAMES:
             raise _Fault(f"unknown syscall {number}")
-        args = tuple(t.regs[:4])
-        r0, r1 = args[0], args[1]
+        r0, r1 = t.regs[0], t.regs[1]
 
         # A blocked LOCK leaves pc unchanged, so the instruction is
         # re-executed (fetch + syscall events again) once woken.
@@ -517,11 +605,13 @@ class Machine:
             holder = st.locks.get(r0)
             if holder == t.tid:
                 raise _Fault(f"recursive LOCK of {r0}")
-            emit("syscall", sysno=number, args=args)
+            if emit:
+                emit("syscall", sysno=number, args=tuple(t.regs[:4]))
             if holder is None:
                 st.locks[r0] = t.tid
                 t.locks_held = t.locks_held | {r0}
-                emit("lock", lock=r0)
+                if emit:
+                    emit("lock", lock=r0)
                 return next_pc
             t.blocked_on = r0
             return None
@@ -537,7 +627,8 @@ class Machine:
             if t.mode != MODE_KERNEL or t.trap_return is None:
                 raise _Fault("KRET outside a KCALL")
 
-        emit("syscall", sysno=number, args=args)
+        if emit:
+            emit("syscall", sysno=number, args=tuple(t.regs[:4]))
 
         if number == SYS_ALLOC:
             size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
@@ -546,7 +637,8 @@ class Machine:
             else:
                 t.regs[0] = st.heap_next
                 st.heap_next += size
-            emit("reg-write", reg=0, value=t.regs[0], src=("syscall", number))
+            if emit:
+                emit("reg-write", reg=0, value=t.regs[0], src=("syscall", number))
         elif number == SYS_OPEN:
             if r0 >= MEMORY_SIZE:
                 raise _Fault(f"unmapped address 0x{r0:08X}")
@@ -556,14 +648,16 @@ class Machine:
             else:
                 t.regs[0] = st.next_fd
                 st.next_fd += 1
-            emit("reg-write", reg=0, value=t.regs[0], src=("syscall", number))
+            if emit:
+                emit("reg-write", reg=0, value=t.regs[0], src=("syscall", number))
         elif number == SYS_READ_NET:
             if r1 > 0:
                 if r0 + r1 > MEMORY_SIZE:
                     raise _Fault(f"unmapped address 0x{r0:08X}")
                 for i in range(r1):
                     st.memory[r0 + i] = (self.net_seed + i) & 0xFF
-                emit("mem-write", addr=r0, width=r1, src=("syscall", number))
+                if emit:
+                    emit("mem-write", addr=r0, width=r1, src=("syscall", number))
         elif number == SYS_PRINTF:
             if r0 >= MEMORY_SIZE:
                 raise _Fault(f"unmapped address 0x{r0:08X}")
@@ -572,13 +666,15 @@ class Machine:
         elif number == SYS_KCALL:
             t.trap_return = next_pc
             t.mode = MODE_KERNEL
-            emit("mode-change")
+            if emit:
+                emit("mode-change")
             return st.trap_entry
         elif number == SYS_KRET:
             target = t.trap_return
             t.trap_return = None
             t.mode = MODE_USER
-            emit("mode-change")
+            if emit:
+                emit("mode-change")
             return target
         elif number == SYS_SET_TRAP:
             st.trap_entry = r0
@@ -593,13 +689,16 @@ class Machine:
             tid = st.next_tid
             st.next_tid += 1
             st.threads[tid] = _new_thread(tid, pc=r0, stack_top=r1)
-            emit("spawn", new_tid=tid)
+            if emit:
+                emit("spawn", new_tid=tid)
             t.regs[0] = tid
-            emit("reg-write", reg=0, value=tid, src=("syscall", number))
+            if emit:
+                emit("reg-write", reg=0, value=tid, src=("syscall", number))
         elif number == SYS_UNLOCK:
             del st.locks[r0]
             t.locks_held = t.locks_held - {r0}
-            emit("unlock", lock=r0)
+            if emit:
+                emit("unlock", lock=r0)
             for other in st.threads.values():
                 if other.blocked_on == r0:
                     other.blocked_on = None
@@ -607,15 +706,19 @@ class Machine:
             self.scheduler.expire_slice()
         elif number == SYS_EXIT_THREAD:
             t.alive = False
-            emit("thread-exit")
+            if emit:
+                emit("thread-exit")
         return next_pc
 
     # -- whole runs -------------------------------------------------
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
-        """Pick a thread, then decode, execute and count one instruction
+        """Pick a thread, then fetch, execute and count one instruction
         of it, until thread 0 HALTs, all threads die, a fault, or the
         step limit; see RunResult.outcome.
+
+        Each code word runs through its compiled handler (_compile), in
+        the form chosen here, once: bare (emit None) with no observers.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -641,7 +744,8 @@ class Machine:
                     for fn in readers:
                         fn(e)
         else:
-            emit = _no_emit
+            emit = None
+        memory = st.memory
         while not st.halted and st.step_count < step_limit:
             tid = self.scheduler.pick(st)
             if tid is None:
@@ -659,8 +763,15 @@ class Machine:
             step_no = st.step_count
             pc = t.pc
             try:
-                self._execute(t, pc, emit)
-            except _Fault as f:
+                if pc % INSTR_SIZE:
+                    raise _Fault(f"misaligned pc 0x{pc:04X}")
+                if pc > MEMORY_SIZE - INSTR_SIZE:
+                    raise _Fault(f"pc 0x{pc:04X} out of range")
+                name, handler = _compile(_code_word(memory, pc)[0])
+                if emit:
+                    emit("fetch", op=name)
+                handler(self, t, pc, emit)
+            except (_Fault, DecodeError) as f:
                 st.fault = GuestFault(str(f), tid, pc, step_no)
                 st.halted = True
             st.step_count = step_no + 1

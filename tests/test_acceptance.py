@@ -8,6 +8,7 @@ in failure output otherwise).
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import os
 import random
@@ -26,7 +27,7 @@ from scvm.checkers import (
     run_checkers,
 )
 from scvm.cli import main
-from scvm.corpus import discover, run_corpus, run_entry, shipped_dir
+from scvm.corpus import REQUIRED_ENTRIES, discover, run_corpus, run_entry, shipped_dir
 from scvm.driver import RunConfig, analyze
 from scvm.machine import ROUND_ROBIN, SEEDED_RANDOM, Event, format_event, load
 from scvm.report import serialize
@@ -234,6 +235,47 @@ def test_non_interference():
                                          "--report", os.devnull])
                 assert run_out == check_out, (e.name, kind)
     assert time.monotonic() - started < 10
+
+
+# sha256 of every golden_traces() record, taken before the interpreter
+# compiled code words into handlers.  A refactor of the machine must
+# not change a byte of what the CLI prints.
+GOLDEN_TRACES_SHA256 = "7a087659bfcbe29217fd422c028cb29a9ce1b5d375b765ba8ba69000ab72dd5d"
+
+GOLDEN_POLICIES = (
+    ("--sched", ROUND_ROBIN),
+    ("--sched", SEEDED_RANDOM, "--seed", "5", "--quantum", "2"),
+)
+GOLDEN_COMMANDS = (
+    ("run", "--trace", "events"),
+    ("check", "--trace", "events", "--trace", "shadow"),
+    ("check",),
+)
+
+
+def golden_traces():
+    """Exit status and stdout of each GOLDEN_COMMANDS line on every
+    corpus entry under each of GOLDEN_POLICIES: (label, code, stdout)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for e in discover(shipped_dir()):
+            path = os.path.join(tmp, f"{e.name}.img")
+            write_image(assemble(e.source.read_text()), path)
+            for flags in GOLDEN_POLICIES:
+                for command, *extra in GOLDEN_COMMANDS:
+                    argv = [command, path, *flags, *extra]
+                    code, out = _cli_stdout(argv)
+                    yield " ".join([e.name, command, *flags, *extra]), code, out
+
+
+@criterion("golden traces: CLI traces and reports match the pinned bytes")
+def test_golden_traces():
+    digest = hashlib.sha256()
+    n = 0
+    for label, code, out in golden_traces():
+        digest.update(f"{label}\n{code}\n{len(out)}\n{out}".encode())
+        n += 1
+    assert n == len(REQUIRED_ENTRIES) * len(GOLDEN_POLICIES) * len(GOLDEN_COMMANDS)
+    assert digest.hexdigest() == GOLDEN_TRACES_SHA256
 
 
 @criterion("filtered delivery: observers that read only their kinds analyze alike")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from scvm.asm import assemble
 from scvm.isa import (
     IMM_MAX,
     IMM_MIN,
@@ -13,6 +14,7 @@ from scvm.isa import (
     decode,
     encode,
 )
+from scvm.machine import load
 
 # Opcodes and their register/immediate usage, for building random
 # well-formed instructions.
@@ -52,12 +54,23 @@ def test_short_buffer_is_decode_error():
 
 
 def test_width_by_opcode():
-    assert Instruction(Opcode.LD, rd=1).width == 4
-    assert Instruction(Opcode.ST).width == 4
-    assert Instruction(Opcode.LDB, rd=1).width == 1
-    assert Instruction(Opcode.STB).width == 1
-    assert Instruction(Opcode.ADD).width is None
-    assert Instruction(Opcode.HALT).width is None
+    """LD/ST move a word and LDB/STB a byte, as their memory events say."""
+    machine = load(assemble("""
+        MOVI r1, 0x8000
+        LD r2, [r1]
+        ST [r1], r2
+        LDB r2, [r1]
+        STB [r1], r2
+        HALT"""))
+    events = []
+    machine.add_observer(events.append)
+    machine.run()
+    assert [(e.kind, e.width) for e in events if e.kind.startswith("mem-")] == [
+        ("mem-read", 4),
+        ("mem-write", 4),
+        ("mem-read", 1),
+        ("mem-write", 1),
+    ]
 
 
 def _random_instruction(rng: random.Random) -> Instruction:

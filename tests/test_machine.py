@@ -114,6 +114,140 @@ def test_unmapped_access_faults():
     assert "unmapped" in result.state.fault.reason
 
 
+# -- fault paths ---------------------------------------------------------
+#
+# Each test pins the whole GuestFault and every event line the run
+# emitted before it, and checks that a run with no observer ends in the
+# same state.
+
+
+def fault_trace(src):
+    """(fault, format_event lines) of an observed run of src, after
+    checking that a bare run of it faults into the same state."""
+    machine, result = run_source(src)
+    bare = load(assemble(src)).run(step_limit=10_000)
+    assert result.outcome == bare.outcome == "fault"
+    assert bare.state == machine.state
+    return machine.state.fault, [format_event(e) for e in result.events]
+
+
+def _tail(*fields):
+    return " ".join([*fields, "mode=user iflag=1 locks={}"])
+
+
+def test_jump_to_misaligned_pc_faults():
+    fault, lines = fault_trace("JMP 0x0C\nHALT")
+    assert fault == GuestFault("misaligned pc 0x000C", tid=0, pc=0x0C, step=1)
+    assert lines == [
+        "0\t0\t0x0000\tfetch\t" + _tail("op=JMP"),
+        "0\t0\t0x0000\tbranch\t" + _tail("addr=0x000C", "taken=1"),
+    ]
+
+
+def test_return_to_misaligned_pc_faults():
+    fault, lines = fault_trace("MOVI r7, 0x13\nRET")
+    assert fault == GuestFault("misaligned pc 0x0013", tid=0, pc=0x13, step=2)
+    assert lines == [
+        "0\t0\t0x0000\tfetch\t" + _tail("op=MOVI"),
+        "0\t0\t0x0000\treg-write\t" + _tail("reg=r7", "value=0x00000013", "src=imm"),
+        "1\t0\t0x0008\tfetch\t" + _tail("op=RET"),
+        "1\t0\t0x0008\treg-read\t" + _tail("reg=r7", "value=0x00000013"),
+        "1\t0\t0x0008\tbranch\t" + _tail("addr=0x0013", "taken=1"),
+    ]
+
+
+def test_pc_running_off_the_end_of_memory_faults():
+    fault, lines = fault_trace("JMP last\n.org 0xFFF8\nlast: MOVI r1, 1")
+    assert fault == GuestFault("pc 0x10000 out of range", tid=0, pc=0x10000, step=2)
+    assert lines == [
+        "0\t0\t0x0000\tfetch\t" + _tail("op=JMP"),
+        "0\t0\t0x0000\tbranch\t" + _tail("addr=0xFFF8", "taken=1"),
+        "1\t0\t0xFFF8\tfetch\t" + _tail("op=MOVI"),
+        "1\t0\t0xFFF8\treg-write\t" + _tail("reg=r1", "value=0x00000001", "src=imm"),
+    ]
+
+
+def test_unaligned_word_load_faults():
+    fault, lines = fault_trace("MOVI r1, 0x8001\nLD r2, [r1+1]\nHALT")
+    assert fault == GuestFault("unaligned word access at 0x8002", tid=0, pc=8, step=1)
+    assert lines == [
+        "0\t0\t0x0000\tfetch\t" + _tail("op=MOVI"),
+        "0\t0\t0x0000\treg-write\t" + _tail("reg=r1", "value=0x00008001", "src=imm"),
+        "1\t0\t0x0008\tfetch\t" + _tail("op=LD"),
+        "1\t0\t0x0008\treg-read\t" + _tail("reg=r1", "value=0x00008001"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "base, offset, reason",
+    [
+        (0xFFFC, "+4", "unmapped address 0x00010000"),
+        (0, "-4", "unmapped address 0xFFFFFFFC"),
+    ],
+)
+def test_unmapped_store_faults(base, offset, reason):
+    fault, lines = fault_trace(f"MOVI r1, {base}\nMOVI r2, 5\nST [r1{offset}], r2\nHALT")
+    assert fault == GuestFault(reason, tid=0, pc=16, step=2)
+    assert lines == [
+        "0\t0\t0x0000\tfetch\t" + _tail("op=MOVI"),
+        "0\t0\t0x0000\treg-write\t" + _tail("reg=r1", f"value=0x{base:08X}", "src=imm"),
+        "1\t0\t0x0008\tfetch\t" + _tail("op=MOVI"),
+        "1\t0\t0x0008\treg-write\t" + _tail("reg=r2", "value=0x00000005", "src=imm"),
+        "2\t0\t0x0010\tfetch\t" + _tail("op=ST"),
+        "2\t0\t0x0010\treg-read\t" + _tail("reg=r1", f"value=0x{base:08X}"),
+        "2\t0\t0x0010\treg-read\t" + _tail("reg=r2", "value=0x00000005"),
+    ]
+
+
+# -- every opcode, with and without an observer ----------------------------
+#
+# The prelude gives the registers and a heap word distinct values; each
+# guest then ends in the opcode under test (and HALT).
+
+OPCODE_PRELUDE = """
+start: MOVI r0, 0x8000
+       MOVI r1, 0x12345678
+       MOVI r2, 0xF00D00F5
+       ST [r0+4], r1
+"""
+KERNEL_ENTRY = "MOVI r0, trap\nSYS 18\nSYS 16\nHALT\ntrap: "
+OPCODE_GUESTS = {
+    Opcode.MOVI: "MOVI r3, -5",
+    Opcode.MOV: "MOV r3, r2",
+    Opcode.LD: "LD r3, [r0+4]",
+    Opcode.LDB: "LDB r3, [r0+5]",
+    Opcode.ST: "ST [r0+8], r2",
+    Opcode.STB: "STB [r0+9], r2",
+    Opcode.ADD: "ADD r3, r2, r1",
+    Opcode.SUB: "SUB r3, r1, r2",
+    Opcode.MUL: "MUL r3, r2, r1",
+    Opcode.AND: "AND r3, r2, r1",
+    Opcode.OR: "OR r3, r2, r1",
+    Opcode.XOR: "XOR r3, r2, r1",
+    Opcode.CMP: "CMP r1, r2",
+    Opcode.CMPI: "CMPI r1, 0x12345678",
+    Opcode.BEQ: "CMP r1, r1\nBEQ end\nMOVI r3, 1",
+    Opcode.BNE: "CMP r1, r1\nBNE end\nMOVI r3, 1",
+    Opcode.JMP: "JMP end\nMOVI r3, 1",
+    Opcode.CALL: "CALL end\nMOVI r3, 1",
+    Opcode.RET: "MOVI r7, end\nRET\nMOVI r3, 1",
+    Opcode.SYS: "MOVI r0, msg\nSYS 4",
+    Opcode.CLI: KERNEL_ENTRY + "CLI",
+    Opcode.STI: KERNEL_ENTRY + "CLI\nSTI",
+    Opcode.HALT: "HALT",
+}
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+def test_every_opcode_runs_alike_with_and_without_an_observer(op):
+    src = f'{OPCODE_PRELUDE}{OPCODE_GUESTS[op]}\nend: HALT\nmsg: .asciiz "hi"\n'
+    machine, observed = run_source(src)
+    bare = load(assemble(src)).run(step_limit=10_000)
+    assert any(e.kind == "fetch" and e.op == op.name for e in observed.events)
+    assert observed.outcome == bare.outcome == "halt"
+    assert bare.state == machine.state  # registers, zflag, pc, memory, output
+
+
 def test_branch_on_equal():
     machine, _ = run_source(
         "MOVI r1, 5\nCMPI r1, 5\nBEQ yes\nMOVI r2, 1\nyes: MOVI r3, 7\nHALT"

@@ -1,9 +1,11 @@
 """Repository hygiene: every import in the package is used, the event
-kinds the machine emits and the kinds its observers read agree, and the
-committed script still runs."""
+kinds the machine emits and the kinds its observers read agree, the
+committed script still runs, and every committed benchmark record holds
+the numbers BENCHMARK.json asks for."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -84,3 +86,33 @@ def test_demo_aliasing_script_succeeds(capsys):
     spec.loader.exec_module(module)
     assert module.main() == 0
     assert "checked twin: 0 warning(s); unchecked twin: 1 warning(s)" in capsys.readouterr().out
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_there_is_a_benchmark_record():
+    assert BENCH_RECORDS
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_benchmark_record_names_every_end_to_end_metric(path):
+    """A BENCH_<n>.json holds, for every workload of BENCHMARK.json, the
+    median and quartiles of every end-to-end metric on the parent and on
+    the change, and each claim's paired runs."""
+    record = json.loads(path.read_text())
+    metrics = [m["name"] for m in BENCHMARK["end_to_end"]]
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        for side in ("parent", "change"):
+            numbers = record["workloads"][workload][side]
+            for name in metrics:
+                stats = numbers[name]
+                assert stats["q1"] <= stats["median"] <= stats["q3"], (workload, side, name)
+    for claim in record["claims"]:
+        assert claim["metric"] in metrics
+        assert claim["workload"] in record["workloads"]
+        assert claim["pairs"]
+        for pair in claim["pairs"]:
+            assert isinstance(pair["parent"], (int, float))
+            assert isinstance(pair["change"], (int, float))
