@@ -18,13 +18,14 @@ from scvm.driver import RunConfig, analyze
 def show(name):
     source = (shipped_dir() / f"{name}.s").read_text()
     image = assemble(source)
-    result = analyze(image, RunConfig(shadow_trace=True))
+    trace = []
+    result = analyze(image, RunConfig(shadow_trace=trace.append))
     print(f"=== {name} (outcome: {result.outcome}) ===")
 
-    boundary = [l for l in result.shadow.trace if "USER_UNCHECKED" in l]
+    boundary = [l for l in trace if "USER_UNCHECKED" in l]
     print(f"  {len(boundary)} shadow cell updates carry USER_UNCHECKED;")
     print(f"  first: {boundary[0]}")
-    checked = [l for l in result.shadow.trace if "WRITE_CHECKED" in l]
+    checked = [l for l in trace if "WRITE_CHECKED" in l]
     if checked:
         print(f"  the check annotates the shared object: {checked[0]}")
     else:

@@ -1,9 +1,14 @@
-"""Two-pass assembler and the loadable image container.
+"""One-walk assembler and the loadable image container.
 
 Source format: one instruction or directive per line, `;` starts a
 comment, `label:` prefixes a line.  Directives: `.org N`, `.word N`,
 `.asciiz "s"` (appends the terminating NUL).  Immediates may be decimal,
-0x-hex, a 'c' character literal, or a label name.
+0x-hex, a 'c' character literal (any one character, `;` `,` `"` and
+brackets included, or a backslash escape), or a label name.
+
+The assembler walks the parsed lines once: the walk binds each label
+and writes each instruction and datum at its address, and an immediate
+that names a label leaves a fixup, patched once every label is bound.
 
 Layout rules the loader and interpreter rely on:
   * instructions are padded to 8-byte offsets from the image origin
@@ -35,6 +40,16 @@ IMAGE_VERSION = 1
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MEM_RE = re.compile(r"^\[\s*[rR]([0-7])\s*(?:([+-])\s*(.+?)\s*)?\]$")
+
+# One line's tokens: a string literal (an unterminated one runs to the
+# end of the line), a char literal, a comment, a comma, a bracketed
+# operand (which may hold literals, and runs to the end of the line or
+# a comment when unclosed), or anything else.
+_STRING = r'"(?:[^"\\]|\\.)*"?'
+_CHAR = r"'(?:\\.|[^\\])'"
+_TOKEN_RE = re.compile(
+    rf"{_STRING}|{_CHAR}|;.*|,|\[(?:{_STRING}|{_CHAR}|[^\];\"])*\]?|[^\"',;\[]+|."
+)
 
 
 class AsmError(Exception):
@@ -136,92 +151,42 @@ class _Line:
     value: str = ""
 
 
-def _strip_comment(text: str) -> str:
-    out = []
-    in_str = False
-    escaped = False
-    for ch in text:
-        if in_str:
-            out.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_str = False
-            continue
-        if ch == ";":
-            break
-        if ch == '"':
-            in_str = True
-        out.append(ch)
-    return "".join(out)
-
-
 def _split_operands(text: str) -> list[str]:
-    """Split on commas that sit outside quotes and brackets."""
-    parts = []
-    depth = 0
-    in_str = False
-    escaped = False
-    cur = []
-    for ch in text:
-        if in_str:
-            cur.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-            cur.append(ch)
-        elif ch == "[":
-            depth += 1
-            cur.append(ch)
-        elif ch == "]":
-            depth -= 1
-            cur.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
+    """Split on the commas that sit outside literals and brackets."""
+    parts = [""]
+    for token in _TOKEN_RE.findall(text):
+        if token == ",":
+            parts.append("")
         else:
-            cur.append(ch)
-    last = "".join(cur).strip()
-    if last or parts:
-        parts.append(last)
-    return parts
+            parts[-1] += token
+    parts = [part.strip() for part in parts]
+    return parts if parts != [""] else []
 
 
 def _parse_string(lineno: int, text: str) -> bytes:
     text = text.strip()
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':
         raise AsmError(lineno, f"expected quoted string, got {text!r}")
-    body = text[1:-1]
     out = bytearray()
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            i += 1
-            if i >= len(body):
-                raise AsmError(lineno, "dangling escape in string")
-            esc = body[i]
-            if esc not in _CHAR_ESCAPES:
-                raise AsmError(lineno, f"unknown string escape \\{esc}")
-            out.append(_CHAR_ESCAPES[esc])
-        else:
+    for esc, ch in re.findall(r"(?s)\\(.?)|(.)", text[1:-1]):
+        if ch:
             out.append(ord(ch))
-        i += 1
+        elif not esc:
+            raise AsmError(lineno, "dangling escape in string")
+        elif esc not in _CHAR_ESCAPES:
+            raise AsmError(lineno, f"unknown string escape \\{esc}")
+        else:
+            out.append(_CHAR_ESCAPES[esc])
     return bytes(out)
 
 
 def _parse_lines(source: str) -> list[_Line]:
     lines = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = _strip_comment(raw).strip()
+        tokens = _TOKEN_RE.findall(raw)
+        if tokens and tokens[-1][0] == ";":
+            tokens.pop()  # the comment
+        text = "".join(tokens).strip()
         labels = []
         while True:
             m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*", text)
@@ -237,10 +202,8 @@ def _parse_lines(source: str) -> list[_Line]:
         rest = parts[1] if len(parts) > 1 else ""
         if head.startswith("."):
             directive = head.lower()
-            if directive == ".org":
-                lines.append(_Line(lineno, labels, "org", value=rest.strip()))
-            elif directive == ".word":
-                lines.append(_Line(lineno, labels, "word", value=rest.strip()))
+            if directive in (".org", ".word"):
+                lines.append(_Line(lineno, labels, directive[1:], value=rest.strip()))
             elif directive == ".asciiz":
                 data = _parse_string(lineno, rest) + b"\x00"
                 lines.append(_Line(lineno, labels, "asciiz", data=data))
@@ -287,14 +250,13 @@ def _check_imm_range(lineno: int, value: int) -> int:
     return value
 
 
-def _resolve_imm(lineno: int, token: str, symbols: dict[str, int] | None) -> int:
+def _resolve_imm(lineno: int, token: str, labels: list, sign: int = 1) -> int:
+    """The immediate's value.  A label reads 0 here and goes on `labels`
+    with its sign, to be patched in once the walk has bound every label."""
     token = token.strip()
     if _LABEL_RE.match(token) and token.upper() not in _MNEMONICS:
-        if symbols is None:
-            return 0  # pass 1: size does not depend on the value
-        if token not in symbols:
-            raise AsmError(lineno, f"undefined label {token!r}")
-        return symbols[token]
+        labels.append((token, sign))
+        return 0
     return _check_imm_range(lineno, _parse_numeric(lineno, token))
 
 
@@ -309,20 +271,19 @@ def _parse_reg(lineno: int, token: str) -> int:
     return idx
 
 
-def _parse_mem(lineno: int, token: str, symbols: dict[str, int] | None) -> tuple[int, int]:
+def _parse_mem(lineno: int, token: str, labels: list) -> tuple[int, int]:
     m = _MEM_RE.match(token.strip())
     if not m:
         raise AsmError(lineno, f"expected [rN+imm] operand, got {token!r}")
     base = int(m.group(1))
     offset = 0
     if m.group(3) is not None:
-        offset = _resolve_imm(lineno, m.group(3), symbols)
-        if m.group(2) == "-":
-            offset = -offset
+        sign = -1 if m.group(2) == "-" else 1
+        offset = sign * _resolve_imm(lineno, m.group(3), labels, sign)
     return base, _check_imm_range(lineno, offset)
 
 
-def _build_instruction(line: _Line, symbols: dict[str, int] | None) -> Instruction:
+def _build_instruction(line: _Line, labels: list) -> Instruction:
     sig = _SIGNATURES[line.mnemonic]
     if len(line.operands) != len(sig):
         raise AsmError(
@@ -334,9 +295,9 @@ def _build_instruction(line: _Line, symbols: dict[str, int] | None) -> Instructi
         if slot in ("rd", "rs", "rt"):
             fields[slot] = _parse_reg(line.lineno, token)
         elif slot == "imm":
-            fields["imm"] = _resolve_imm(line.lineno, token, symbols)
+            fields["imm"] = _resolve_imm(line.lineno, token, labels)
         elif slot == "mem":
-            base, offset = _parse_mem(line.lineno, token, symbols)
+            base, offset = _parse_mem(line.lineno, token, labels)
             fields["rs"] = base
             fields["imm"] = offset
     return Instruction(line.mnemonic, **fields)
@@ -346,111 +307,79 @@ def _align_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
 
 
-class _Layout:
-    """Shared pass-1/pass-2 walk: assigns addresses, optionally emits bytes."""
-
-    def __init__(self, lines: list[_Line], symbols: dict[str, int] | None):
-        self.lines = lines
-        self.symbols = symbols  # None during pass 1
-        self.origin: int | None = None
-        self.loc = 0
-        self.entry: int | None = None
-        self.label_addrs: dict[str, int] = {}
-        self.chunks: list[tuple[int, bytes]] = []
-        self.pending_labels: list[tuple[int, str]] = []
-
-    def _start(self, lineno: int, addr: int | None = None):
-        if self.origin is None:
-            self.origin = self.loc = 0 if addr is None else addr
-
-    def _bind_labels(self, addr: int):
-        for lineno, name in self.pending_labels:
-            if name in self.label_addrs:
-                raise AsmError(lineno, f"duplicate label {name!r}")
-            self.label_addrs[name] = addr
-        self.pending_labels.clear()
-
-    def _emit(self, lineno: int, data: bytes, align: int) -> int:
-        self._start(lineno)
-        addr = _align_up(self.loc, align) if align > 1 else self.loc
-        if addr + len(data) > MEMORY_SIZE:
-            raise AsmError(lineno, "program exceeds guest memory")
-        self._bind_labels(addr)
-        if self.symbols is not None and data:
-            self.chunks.append((addr, data))
-        self.loc = addr + len(data)
-        return addr
-
-    def run(self):
-        for line in self.lines:
-            for name in line.labels:
-                self.pending_labels.append((line.lineno, name))
-            if line.kind == "empty":
-                continue
-            if line.kind == "org":
-                target = _check_imm_range(line.lineno, _parse_numeric(line.lineno, line.value))
-                if target < 0 or target >= MEMORY_SIZE:
-                    raise AsmError(line.lineno, f".org 0x{target & 0xFFFFFFFF:x} outside memory")
-                if self.origin is None:
-                    if target % INSTR_SIZE != 0:
-                        raise AsmError(line.lineno, ".org origin must be 8-byte aligned")
-                    self._start(line.lineno, target)
-                elif target < self.loc:
-                    raise AsmError(line.lineno, ".org cannot move backwards")
-                else:
-                    self.loc = target
-                continue
-            if line.kind == "word":
-                value = _resolve_imm(line.lineno, line.value, self.symbols)
-                self._emit(line.lineno, struct.pack("<I", value & 0xFFFFFFFF), align=4)
-                continue
-            if line.kind == "asciiz":
-                self._emit(line.lineno, line.data, align=1)
-                continue
-            # instruction
-            instr = _build_instruction(line, self.symbols)
-            self._start(line.lineno)
-            rel = _align_up(self.loc - self.origin, INSTR_SIZE)
-            self.loc = self.origin + rel
-            addr = self._emit(line.lineno, encode(instr), align=1)
-            if self.entry is None:
-                self.entry = addr
-        # trailing labels land on the current location counter
-        if self.pending_labels:
-            self._start(self.pending_labels[0][0])
-            self._bind_labels(self.loc)
-
-
 def assemble(source: str) -> ProgramImage:
     """Assemble source text into a loadable image.
 
-    Two passes: the first computes the address of every label, the
-    second encodes with the symbol table filled in.  Raises AsmError
+    One walk over the parsed lines lays out every byte and binds every
+    label; the label immediates are patched after it.  Raises AsmError
     (with the offending line number) on any malformed input.
     """
     lines = _parse_lines(source)
+    memory = bytearray(MEMORY_SIZE)
+    origin = entry = None
+    loc = 0
+    symbols: dict[str, int] = {}
+    pending: list[tuple[int, str]] = []  # (lineno, label) bound at the next address
+    fixups: list[tuple[int, str, int, int]] = []  # (lineno, label, sign, field address)
 
-    pass1 = _Layout(lines, symbols=None)
-    pass1.run()
-    if pass1.origin is None or pass1.loc == pass1.origin:
+    def bind(addr: int) -> None:
+        for lineno, name in pending:
+            if name in symbols:
+                raise AsmError(lineno, f"duplicate label {name!r}")
+            symbols[name] = addr
+        pending.clear()
+
+    for line in lines:
+        pending += [(line.lineno, name) for name in line.labels]
+        if line.kind == "empty":
+            continue
+        if line.kind == "org":
+            target = _check_imm_range(line.lineno, _parse_numeric(line.lineno, line.value))
+            if target < 0 or target >= MEMORY_SIZE:
+                raise AsmError(line.lineno, f".org 0x{target & 0xFFFFFFFF:x} outside memory")
+            if origin is None:
+                if target % INSTR_SIZE != 0:
+                    raise AsmError(line.lineno, ".org origin must be 8-byte aligned")
+                origin = target
+            elif target < loc:
+                raise AsmError(line.lineno, ".org cannot move backwards")
+            loc = target
+            continue
+        # (label, sign) of an immediate that names a label, and the
+        # immediate's offset in the data
+        labels, field_at = [], 0
+        if line.kind == "word":
+            value = _resolve_imm(line.lineno, line.value, labels)
+            data, align = struct.pack("<I", value & 0xFFFFFFFF), 4
+        elif line.kind == "asciiz":
+            data, align = line.data, 1
+        else:
+            instr = _build_instruction(line, labels)
+            # The origin is 8-byte aligned, so this is an 8-byte offset from it.
+            data, align, field_at = encode(instr), INSTR_SIZE, 4
+        if origin is None:
+            origin = 0
+        addr = _align_up(loc, align)
+        if addr + len(data) > MEMORY_SIZE:
+            raise AsmError(line.lineno, "program exceeds guest memory")
+        bind(addr)
+        memory[addr : addr + len(data)] = data
+        loc = addr + len(data)
+        fixups += [(line.lineno, name, sign, addr + field_at) for name, sign in labels]
+        if entry is None and line.kind == "instr":
+            entry = addr
+    bind(loc)  # trailing labels land on the current location counter
+    if origin is None or loc == origin:
         raise AsmError(len(source.splitlines()) or 1, "program assembles to no bytes")
-    symbols = pass1.label_addrs
-
-    pass2 = _Layout(lines, symbols=symbols)
-    pass2.run()
-    if pass2.label_addrs != symbols:
-        # Cannot happen: sizes are operand-independent.  Guard anyway.
-        raise AsmError(1, "label addresses unstable between passes")
-
-    if pass2.entry is None:
-        raise AsmError(lines[-1].lineno if lines else 1, "program contains no instructions")
-    payload = bytearray(pass2.loc - pass2.origin)
-    for addr, data in pass2.chunks:
-        off = addr - pass2.origin
-        payload[off : off + len(data)] = data
+    for lineno, name, sign, at in fixups:
+        if name not in symbols:
+            raise AsmError(lineno, f"undefined label {name!r}")
+        struct.pack_into("<I", memory, at, sign * symbols[name] & 0xFFFFFFFF)
+    if entry is None:
+        raise AsmError(lines[-1].lineno, "program contains no instructions")
     return ProgramImage(
-        origin=pass2.origin,
-        payload=bytes(payload),
-        entry=pass2.entry,
-        symbols=dict(symbols),
+        origin=origin,
+        payload=bytes(memory[origin:loc]),
+        entry=entry,
+        symbols=symbols,
     )

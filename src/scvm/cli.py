@@ -151,6 +151,10 @@ def _cmd_check(args) -> int:
             raise _ConfigError(f"--opt expects KEY=VALUE, got {pair!r}")
         options[key] = value
     args_trace = tuple(args.trace or ())
+    held = []  # shadow lines wait for the run's end when event lines print too
+    shadow_trace = None
+    if "shadow" in args_trace:
+        shadow_trace = held.append if "events" in args_trace else print
     image, policy = _image_and_policy(args)
     try:
         config = RunConfig(
@@ -159,14 +163,13 @@ def _cmd_check(args) -> int:
             step_limit=args.steps,
             checker_options=options,
             observers=(_print_event,) if "events" in args_trace else (),
-            shadow_trace="shadow" in args_trace,
+            shadow_trace=shadow_trace,
         )
         result = analyze(image, config)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
-    if "shadow" in args_trace:
-        for line in result.shadow.trace:
-            print(line)
+    for line in held:
+        print(line)
     report = serialize(result.warnings, result.image_sha256, config.policy)
     if args.report:
         try:

@@ -11,6 +11,7 @@ last, so they see each event after the analysis has.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .asm import ProgramImage
@@ -31,7 +32,7 @@ class RunConfig:
     step_limit: int = DEFAULT_STEP_LIMIT
     checker_options: dict = field(default_factory=dict)
     observers: tuple = ()  # callables, each handed the Events of its `kinds` (default all)
-    shadow_trace: bool = False
+    shadow_trace: Callable[[str], None] | None = None  # handed each shadow trace line
 
 
 @dataclass
@@ -52,7 +53,7 @@ def analyze(image: ProgramImage, config: RunConfig | None = None) -> AnalysisRes
     checkers attached; returns everything a report needs."""
     config = config or RunConfig()
     machine = load(image, config.policy)
-    shadow = ShadowState(trace=[] if config.shadow_trace else None)
+    shadow = ShadowState(trace=config.shadow_trace)
     plugins = make_checkers(config.checkers, machine, shadow, config.checker_options)
     registry = CheckerRegistry(plugins)
     machine.add_observer(shadow.on_event)

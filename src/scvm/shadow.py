@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .isa import MEMORY_SIZE, NUM_REGS
+from .isa import NUM_REGS
 from .machine import (
     SYS_ALLOC,
     SYS_CHECK_USER_READ,
@@ -76,14 +77,17 @@ def _fmt_tags(tags) -> str:
 class ShadowState:
     """One cell per register per thread, one per guest memory byte.
 
-    `trace`, when set to a list, collects a line per cell/tag update
-    ("cell r0@t1 -> object 3 tags {USER_UNCHECKED}").
+    Memory cells are sparse: a byte with no entry in `mem_cells` holds
+    the shared untagged object, so untouched memory costs nothing.
+
+    `trace`, when set to a callable, is handed a line per cell/tag
+    update ("cell r0@t1 -> object 3 tags {USER_UNCHECKED}").
     """
 
-    def __init__(self, trace: list | None = None):
+    def __init__(self, trace: Callable[[str], None] | None = None):
         self._ids = itertools.count(1)
         self.untagged = TypeObject(0, set(), None, "untagged")
-        self.mem_cells: list = [self.untagged] * MEMORY_SIZE
+        self.mem_cells: dict = {}
         self.reg_cells: dict = {}
         self.taint_sources: set = set()  # (lo, hi) half-open ranges
         self.trace = trace
@@ -104,26 +108,26 @@ class ShadowState:
         return self._regs(tid)[reg]
 
     def mem_object(self, addr: int) -> TypeObject:
-        return self.mem_cells[addr]
+        return self.mem_cells.get(addr, self.untagged)
 
     def _set_reg(self, tid: int, reg: int, obj: TypeObject):
         self._regs(tid)[reg] = obj
         if self.trace is not None:
-            self.trace.append(
+            self.trace(
                 f"cell r{reg}@t{tid} -> object {obj.id} tags {_fmt_tags(obj.tags)}"
             )
 
     def _set_mem(self, addr: int, obj: TypeObject):
         self.mem_cells[addr] = obj
         if self.trace is not None:
-            self.trace.append(
+            self.trace(
                 f"cell 0x{addr:04X} -> object {obj.id} tags {_fmt_tags(obj.tags)}"
             )
 
     def _add_tag(self, obj: TypeObject, tag: TagKind):
         obj.tags.add(tag)
         if self.trace is not None:
-            self.trace.append(f"object {obj.id} tags {_fmt_tags(obj.tags)}")
+            self.trace(f"object {obj.id} tags {_fmt_tags(obj.tags)}")
 
     def _in_taint_source(self, addr: int) -> bool:
         return any(lo <= addr < hi for lo, hi in self.taint_sources)
@@ -165,7 +169,7 @@ class ShadowState:
             return regs[src[1]]
         if src[0] == "mem":
             # word loads adopt the lowest-addressed byte's cell
-            return self.mem_cells[src[1]]
+            return self.mem_cells.get(src[1], self.untagged)
         if src[0] == "binop":
             _, opname, rs, rt = src
             if rs == rt and opname in ZEROING_OPS:
@@ -192,20 +196,15 @@ class ShadowState:
                 return self.fresh(
                     {TagKind.FD_UNCHECKED}, origin, f"OPEN at step {e.step}"
                 )
+            if src[1] == SYS_READ_NET:
+                return self.fresh(
+                    {TagKind.TAINTED}, origin, f"network read of {e.width} bytes"
+                )
             return self.untagged
         return self.untagged
 
     def _on_mem_write(self, e: Event) -> None:
-        if e.src[0] == "reg":
-            obj = self._regs(e.tid)[e.src[1]]
-        elif e.src[0] == "syscall" and e.src[1] == SYS_READ_NET:
-            obj = self.fresh(
-                {TagKind.TAINTED},
-                origin=(e.pc, e.tid, e.step),
-                note=f"network read of {e.width} bytes",
-            )
-        else:
-            obj = self.untagged
+        obj = self._source_object(e)
         for a in range(e.addr, e.addr + e.width):
             self._set_mem(a, obj)
 

@@ -48,11 +48,11 @@ def rules_of(result) -> list:
 def analysis_outputs(image, config: RunConfig) -> tuple:
     """Everything an analysis shows: report text, shadow trace lines,
     final state, outcome, and the events a kind-less observer saw."""
-    events = []
-    config = dataclasses.replace(config, shadow_trace=True, observers=(events.append,))
+    events, lines = [], []
+    config = dataclasses.replace(config, shadow_trace=lines.append, observers=(events.append,))
     r = analyze(image, config)
     report = serialize(r.warnings, r.image_sha256, config.policy)
-    return report, r.shadow.trace, r.state, r.outcome, events
+    return report, lines, r.state, r.outcome, events
 
 
 @contextlib.contextmanager

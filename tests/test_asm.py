@@ -98,6 +98,10 @@ def test_char_immediates():
     image = assemble("MOVI r1, 'A'\nMOVI r2, '\\n'\nMOVI r3, '\\0'\nHALT")
     instrs = decode_all(image)
     assert [i.imm for i in instrs[:3]] == [65, 10, 0]
+    # A char literal may hold the characters that delimit comments,
+    # operands and strings.
+    image = assemble("MOVI r0, ';'\nMOVI r0, ','\nMOVI r0, '\"' ; note\nHALT")
+    assert [i.imm for i in decode_all(image)[:3]] == [59, 44, 34]
 
 
 def test_mem_operand_forms():
@@ -175,6 +179,30 @@ def test_empty_program_rejected():
         assemble('.asciiz "data only"')
 
 
+@pytest.mark.parametrize(
+    "source, lineno",
+    [
+        # Operand errors are found in line order, before a later duplicate.
+        ("a: HALT\nMOVI r9, 1\nHALT\na: HALT", 2),
+        # Undefined labels are found only after every other error.
+        ("JMP nowhere\nHALT\nMOVI r9, 1", 3),
+        ("MOVI r9, 1\n.org 0x100\n.org 0x50\nHALT", 1),
+        ("x: .word 0x1FFFFFFFF\nHALT\nx: HALT", 1),
+        # Unknown mnemonics are found before any layout error.
+        ("MOVI r9, 1\nFROB", 2),
+    ],
+)
+def test_error_precedence(source, lineno):
+    with pytest.raises(AsmError) as exc:
+        assemble(source)
+    assert exc.value.lineno == lineno
+
+
+def test_negated_offset_is_normalised_first():
+    # 0xFFFFFFFF spells -1, so [r1-0xFFFFFFFF] is [r1+1].
+    assert decode_all(assemble("LD r1, [r1-0xFFFFFFFF]\nHALT"))[0].imm == 1
+
+
 def test_assembly_is_deterministic():
     src = (
         '.org 0x200\nstart: MOVI r1, 10\nloop: SUB r1, r1, r2\nBNE loop\n'
@@ -229,3 +257,103 @@ def test_generated_programs_assemble_deterministically(values, org):
     assert first.to_bytes() == second.to_bytes()
     assert first.symbols == second.symbols
     assert [i.imm for i in decode_all(first)[:-1]] == values
+
+
+# -- a model of the layout ------------------------------------------------
+
+_CHAR_LITERALS = {"'A'": 65, "';'": 59, "','": 44, "'\"'": 34, "'['": 91, "']'": 93,
+                  "'''": 39, "'\\''": 39, "'\\n'": 10, "' '": 32}
+_STRING_PIECES = {"a": b"a", ";": b";", ",": b",", '\\"': b'"', "'": b"'", "[": b"[",
+                  "\\\\": b"\\", " ": b" "}
+_COMMENTS = ["", " ; note", " ; it's, \"quoted\" ; [r1, 2]", "; 'x'"]
+
+
+@st.composite
+def modelled_programs(draw):
+    """A well-formed source and the model of its image: the origin, the
+    symbols, and the Instruction or data bytes at each address."""
+    origin = draw(st.sampled_from([0, 8, 0x100]))
+    kinds = draw(st.lists(st.sampled_from(["instr", "word", "asciiz", "org"]), max_size=12))
+    # Lay out every line first: no size depends on an operand.
+    loc, layout = origin, []  # (kind, address, string pieces, label)
+    for i, kind in enumerate(kinds + ["instr"]):
+        pieces = label = None
+        if kind == "org":
+            loc += draw(st.integers(0, 20))
+            addr = loc
+        elif kind == "asciiz":
+            pieces = draw(st.lists(st.sampled_from(sorted(_STRING_PIECES)), max_size=6))
+            addr = loc
+            loc += sum(len(_STRING_PIECES[p]) for p in pieces) + 1
+        else:
+            size = 4 if kind == "word" else INSTR_SIZE
+            addr = -(-loc // size) * size
+            loc = addr + size
+        if kind != "org" and (i == len(kinds) or draw(st.booleans())):
+            label = f"L{i}"
+        layout.append((kind, addr, pieces, label))
+    symbols = {label: addr for _, addr, _, label in layout if label}
+    names = sorted(symbols)
+
+    def imm():
+        """(source text, value) of an immediate, perhaps a label."""
+        form = draw(st.sampled_from(["label", "dec", "hex", "char"]))
+        if form == "label":
+            name = draw(st.sampled_from(names))
+            return name, symbols[name]
+        if form == "char":
+            text = draw(st.sampled_from(sorted(_CHAR_LITERALS)))
+            return text, _CHAR_LITERALS[text]
+        value = draw(st.integers(-(2**31), 2**31 - 1))
+        return (str(value) if form == "dec" else hex(value)), value
+
+    lines, want = [f".org {origin}"], {}
+    for kind, addr, pieces, label in layout:
+        if kind == "org":
+            text = f".org {addr}"
+        elif kind == "asciiz":
+            text = '.asciiz "' + "".join(pieces) + '"'
+            want[addr] = b"".join(_STRING_PIECES[p] for p in pieces) + b"\x00"
+        elif kind == "word":
+            source, value = imm()
+            text = f".word {source}"
+            want[addr] = (value & 0xFFFFFFFF).to_bytes(4, "little")
+        else:
+            d, s, t = (draw(st.integers(0, 7)) for _ in range(3))
+            form = draw(st.sampled_from(["MOVI", "LD", "ST", "JMP", "ADD", "HALT"]))
+            name = draw(st.sampled_from(names))
+            sign = draw(st.sampled_from("+-"))
+            mem = f"[r{s}{sign}{name}]"
+            offset = symbols[name] if sign == "+" else -symbols[name]
+            if form == "MOVI":
+                source, value = imm()
+                text, instr = f"MOVI r{d}, {source}", Instruction(Opcode.MOVI, rd=d, imm=value)
+            elif form == "LD":
+                text, instr = f"LD r{d}, {mem}", Instruction(Opcode.LD, rd=d, rs=s, imm=offset)
+            elif form == "ST":
+                text, instr = f"ST {mem},r{t}", Instruction(Opcode.ST, rs=s, rt=t, imm=offset)
+            elif form == "JMP":
+                text, instr = f"JMP {name}", Instruction(Opcode.JMP, imm=symbols[name])
+            elif form == "ADD":
+                text, instr = f"ADD r{d} , r{s},r{t}", Instruction(Opcode.ADD, rd=d, rs=s, rt=t)
+            else:
+                text, instr = "HALT", Instruction(Opcode.HALT)
+            want[addr] = instr
+        prefix = f"{label}: " if label else ""
+        lines.append(prefix + text + draw(st.sampled_from(_COMMENTS)))
+    return "\n".join(lines), origin, symbols, want
+
+
+@given(modelled_programs())
+def test_assembled_image_matches_the_model(program):
+    source, origin, symbols, want = program
+    image = assemble(source)
+    assert image.origin == origin
+    assert image.symbols == symbols
+    assert image.entry == min(a for a, w in want.items() if isinstance(w, Instruction))
+    for addr, expected in want.items():
+        off = addr - origin
+        if isinstance(expected, Instruction):
+            assert decode(image.payload[off : off + INSTR_SIZE]) == expected, hex(addr)
+        else:
+            assert image.payload[off : off + len(expected)] == expected, hex(addr)

@@ -25,6 +25,16 @@ dsite: LDB r1, [r4]
 
 CLEAN = "start: MOVI r1, 1\nHALT\n"
 SPIN = "spin: JMP spin\n"
+HEAP_LOOP = """
+start: MOVI r0, 16
+       SYS 1
+       CMPI r0, 0
+       MOV r4, r0
+loop:  LD r1, [r4]
+       ADD r1, r1, r4
+       ST [r4], r1
+       JMP loop
+"""
 
 
 @pytest.fixture
@@ -244,13 +254,13 @@ def test_corpus_empty_directory_passes_vacuously(tmp_path, capsys):
 # -- traces ----------------------------------------------------------------
 
 
-def _trace_peak(img, steps):
-    """tracemalloc peak, in bytes, of one `check --trace events` call
+def _trace_peak(img, steps, trace="events"):
+    """tracemalloc peak, in bytes, of one `check --trace <trace>` call
     whose stdout goes to a sink that keeps nothing."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            assert main(["check", str(img), "--trace", "events",
+            assert main(["check", str(img), "--trace", trace,
                          "--steps", str(steps)]) == 4
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -263,6 +273,16 @@ def test_event_trace_memory_does_not_grow_with_steps(build):
     started = time.monotonic()
     short = _trace_peak(img, 200)
     long = _trace_peak(img, 2000)
+    assert long - short < 256 * 1024
+    assert time.monotonic() - started < 2
+
+
+def test_shadow_trace_memory_does_not_grow_with_steps(build):
+    # Alone, shadow lines stream to stdout as they are made; none is kept.
+    img = build(HEAP_LOOP)
+    started = time.monotonic()
+    short = _trace_peak(img, 200, "shadow")
+    long = _trace_peak(img, 4000, "shadow")
     assert long - short < 256 * 1024
     assert time.monotonic() - started < 2
 

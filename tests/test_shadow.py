@@ -5,6 +5,8 @@ machine) and synthetic event streams fed straight into ShadowState,
 which pins down propagation rules one event at a time.
 """
 
+import tracemalloc
+
 from hypothesis import given, strategies as st
 
 from scvm.machine import Event
@@ -258,11 +260,22 @@ def test_network_read_taints_the_buffer_with_one_object():
 
 def test_trace_records_cell_updates():
     trace = []
-    sh = ShadowState(trace=trace)
+    sh = ShadowState(trace=trace.append)
     alloc_into(sh, reg=0, tid=1)
     assert trace == ["cell r0@t1 -> object 1 tags {ALLOC_UNCHECKED}"]
     sh.on_event(ev("compare", tid=1, rs=0, value=0))
     assert trace[-1] == "object 1 tags {ALLOC_UNCHECKED,NULL_CHECKED}"
+
+
+def test_a_fresh_shadow_state_is_small():
+    # Untouched memory shares the untagged object instead of a cell per byte.
+    tracemalloc.start()
+    try:
+        ShadowState()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_threads_have_independent_register_cells():
