@@ -163,6 +163,14 @@ def _split_operands(text: str) -> list[str]:
     return parts if parts != [""] else []
 
 
+def _byte(lineno: int, ch: str) -> int:
+    """A literal character as one guest byte; above U+00FF there is none."""
+    code = ord(ch)
+    if code > 0xFF:
+        raise AsmError(lineno, f"character {ch!r} (U+{code:04X}) does not fit in a byte")
+    return code
+
+
 def _parse_string(lineno: int, text: str) -> bytes:
     text = text.strip()
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':
@@ -170,7 +178,7 @@ def _parse_string(lineno: int, text: str) -> bytes:
     out = bytearray()
     for esc, ch in re.findall(r"(?s)\\(.?)|(.)", text[1:-1]):
         if ch:
-            out.append(ord(ch))
+            out.append(_byte(lineno, ch))
         elif not esc:
             raise AsmError(lineno, "dangling escape in string")
         elif esc not in _CHAR_ESCAPES:
@@ -227,7 +235,7 @@ def _parse_numeric(lineno: int, token: str) -> int:
                 raise AsmError(lineno, f"unknown character escape {body!r}")
             return _CHAR_ESCAPES[body[1]]
         if len(body) == 1:
-            return ord(body)
+            return _byte(lineno, body)
         raise AsmError(lineno, f"malformed character literal {token!r}")
     neg = token.startswith("-")
     mag = token[1:] if neg else token

@@ -11,6 +11,11 @@ Exit statuses
     check:  0 no warnings, 2 bad config, 3 warnings written,
             4 guest fault or timeout (report still written)
     corpus: 0 all entries PASS, 1 some FAIL, 2 malformed manifest
+
+--trace events writes its lines to stdout in blocks of at most 32 lines,
+one write per block, so memory stays bounded and the bytes are those of
+one line per write; the last block goes out when the run ends, however
+it ends.  Shadow lines are one write each.
 """
 
 from __future__ import annotations
@@ -120,9 +125,31 @@ def _cmd_asm(args) -> int:
     return 0
 
 
-def _print_event(e) -> None:
-    """Observer for --trace events: one line per event, as it happens."""
-    print(format_event(e))
+_BLOCK_LINES = 32  # event lines per write to stdout: few writes, a few KB held
+
+
+def _event_trace():
+    """Observer for --trace events and its flush: each event's line is
+    held until _BLOCK_LINES of them go to stdout in one write.  The
+    caller flushes when the run ends, however it ends."""
+    block = []
+
+    def flush():
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")  # looked up now: stdout may be redirected
+            block.clear()
+
+    def observe(e):
+        block.append(format_event(e))
+        if len(block) >= _BLOCK_LINES:
+            flush()
+
+    return observe, flush
+
+
+def _write_line(line: str) -> None:
+    """One shadow line, one write to stdout."""
+    sys.stdout.write(line + "\n")
 
 
 def _outcome_status(result) -> int:
@@ -137,9 +164,14 @@ def _cmd_run(args) -> int:
     """Bare run: no shadow state, no checkers, events built only for --trace."""
     image, policy = _image_and_policy(args)
     machine = load(image, policy)
+    observe, flush = _event_trace()
     if args.trace:
-        machine.add_observer(_print_event)
-    return _outcome_status(machine.run(args.steps))
+        machine.add_observer(observe)
+    try:
+        result = machine.run(args.steps)
+    finally:
+        flush()
+    return _outcome_status(result)
 
 
 def _cmd_check(args) -> int:
@@ -154,22 +186,25 @@ def _cmd_check(args) -> int:
     held = []  # shadow lines wait for the run's end when event lines print too
     shadow_trace = None
     if "shadow" in args_trace:
-        shadow_trace = held.append if "events" in args_trace else print
+        shadow_trace = held.append if "events" in args_trace else _write_line
     image, policy = _image_and_policy(args)
+    observe, flush = _event_trace()
     try:
         config = RunConfig(
             checkers=names,
             policy=policy,
             step_limit=args.steps,
             checker_options=options,
-            observers=(_print_event,) if "events" in args_trace else (),
+            observers=(observe,) if "events" in args_trace else (),
             shadow_trace=shadow_trace,
         )
         result = analyze(image, config)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
+    finally:
+        flush()
     for line in held:
-        print(line)
+        _write_line(line)
     report = serialize(result.warnings, result.image_sha256, config.policy)
     if args.report:
         try:
@@ -188,10 +223,7 @@ def _cmd_check(args) -> int:
 def _cmd_corpus(args) -> int:
     try:
         result = run_corpus(args.directory)
-    except ManifestError as exc:
-        print(f"scvm corpus: {exc}", file=sys.stderr)
-        return 2
-    except AsmError as exc:
+    except (ManifestError, AsmError) as exc:
         print(f"scvm corpus: {exc}", file=sys.stderr)
         return 2
     print(result.format_table())

@@ -166,7 +166,15 @@ class Event:
 def _fmt_src(src: tuple) -> str:
     if src[0] == "mem":
         return f"mem:0x{src[1]:04X}:{src[2]}"
-    return ":".join(str(p) for p in src)
+    return ":".join(map(str, src))
+
+
+@functools.lru_cache(maxsize=256)
+def _fmt_stamp(mode: str, iflag: bool, locks_held: frozenset) -> str:
+    """The trailing `mode= iflag= locks={}` fields, rendered once per
+    distinct stamp; a run has few of them."""
+    locks = ",".join(map(str, sorted(locks_held)))
+    return f"mode={mode} iflag={int(iflag)} locks={{{locks}}}"
 
 
 def format_event(e: Event) -> str:
@@ -200,10 +208,8 @@ def format_event(e: Event) -> str:
         ops.append(f"new_tid={e.new_tid}")
     if e.taken is not None:
         ops.append(f"taken={int(e.taken)}")
-    ops.append(f"mode={e.mode}")
-    ops.append(f"iflag={int(e.iflag)}")
-    ops.append("locks={%s}" % ",".join(str(x) for x in sorted(e.locks_held)))
-    return "\t".join([str(e.step), str(e.tid), f"0x{e.pc:04X}", e.kind, " ".join(ops)])
+    ops.append(_fmt_stamp(e.mode, e.iflag, e.locks_held))
+    return f"{e.step}\t{e.tid}\t0x{e.pc:04X}\t{e.kind}\t{' '.join(ops)}"
 
 
 @dataclass
@@ -678,13 +684,6 @@ class Machine:
             return target
         elif number == SYS_SET_TRAP:
             st.trap_entry = r0
-        elif number in (
-            SYS_CHECK_USER_READ,
-            SYS_CHECK_USER_WRITE,
-            SYS_TAG_TAINT,
-            SYS_TAG_UNTRUSTED_SOURCE,
-        ):
-            pass  # hypercalls: shadow layer reads the syscall event
         elif number == SYS_SPAWN:
             tid = st.next_tid
             st.next_tid += 1
@@ -775,12 +774,7 @@ class Machine:
                 st.fault = GuestFault(str(f), tid, pc, step_no)
                 st.halted = True
             st.step_count = step_no + 1
-        if st.fault is not None:
-            outcome = "fault"
-        elif st.halted:
-            outcome = "halt"
-        else:
-            outcome = "timeout"
+        outcome = "fault" if st.fault is not None else "halt" if st.halted else "timeout"
         return RunResult(state=st, outcome=outcome, steps=st.step_count)
 
 

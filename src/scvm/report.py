@@ -22,6 +22,7 @@ corpus tally reports it separately.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -48,28 +49,18 @@ def _escape(text: str) -> str:
     )
 
 
+_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}
+
+
+def _unescape_one(m: re.Match) -> str:
+    if m[1] not in _UNESCAPES:
+        raise ReportError(f"bad escape \\{m[1]}")
+    return _UNESCAPES[m[1]]
+
+
 def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "r":
-                out.append("\r")
-            elif nxt == "\\":
-                out.append("\\")
-            else:
-                raise ReportError(f"bad escape \\{nxt}")
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Inverse of _escape; a lone backslash at the end stays as it is."""
+    return re.sub(r"(?s)\\(.)", _unescape_one, text)
 
 
 def _opt_hex(value: int | None) -> str:
@@ -88,20 +79,9 @@ def serialize(warnings, image_sha256: str, policy: SchedulerPolicy) -> str:
         f"# policy {policy.kind} seed {policy.seed} quantum {policy.quantum}",
     ]
     for w in warnings:
-        lines.append(
-            "\t".join(
-                [
-                    w.rule,
-                    w.checker,
-                    str(w.step),
-                    str(w.tid),
-                    f"0x{w.pc:04X}",
-                    _opt_hex(w.address),
-                    _opt_int(w.object_id),
-                    _escape(w.detail),
-                ]
-            )
-        )
+        fields = [w.rule, w.checker, str(w.step), str(w.tid), f"0x{w.pc:04X}",
+                  _opt_hex(w.address), _opt_int(w.object_id), _escape(w.detail)]
+        lines.append("\t".join(fields))
     return "\n".join(lines) + "\n"
 
 

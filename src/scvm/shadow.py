@@ -71,6 +71,8 @@ class TypeObject:
 
 
 def _fmt_tags(tags) -> str:
+    if not tags:
+        return "{}"
     return "{%s}" % ",".join(sorted(t.name for t in tags))
 
 

@@ -104,6 +104,24 @@ def test_char_immediates():
     assert [i.imm for i in decode_all(image)[:3]] == [59, 44, 34]
 
 
+@pytest.mark.parametrize(
+    "source", ['HALT\n.asciiz "a\u20acb"', "HALT\nMOVI r1, '\u20ac'"], ids=["asciiz", "char"]
+)
+def test_character_above_a_byte_names_line_and_character(source):
+    # A guest byte holds U+0000..U+00FF; a wider character is an
+    # assembly error, neither a ValueError nor a silent wide immediate.
+    with pytest.raises(AsmError) as exc:
+        assemble(source)
+    assert exc.value.lineno == 2
+    assert "\u20ac" in str(exc.value)
+
+
+def test_latin1_characters_are_bytes():
+    image = assemble(".asciiz \"\u00e9\u00ff\"\nMOVI r1, '\u00ff'\nHALT")
+    assert image.payload[:3] == bytes([0xE9, 0xFF, 0x00])
+    assert decode(image.payload[8:16]).imm == 0xFF  # the MOVI, aligned to 8
+
+
 def test_mem_operand_forms():
     image = assemble("LD r1, [r2+8]\nLD r1, [r2-4]\nLD r1, [r2]\nHALT")
     instrs = decode_all(image)

@@ -7,9 +7,13 @@ import tracemalloc
 
 import pytest
 
+from scvm import RunConfig, analyze
+from scvm.asm import read_image
 from scvm.cli import main
 from scvm.corpus import shipped_dir
+from scvm.machine import format_event, load
 from scvm.report import parse
+from scvm.shadow import ShadowState
 
 NULL_BUG = """
 start: MOVI r0, 8
@@ -34,6 +38,20 @@ loop:  LD r1, [r4]
        ADD r1, r1, r4
        ST [r4], r1
        JMP loop
+"""
+FAULT_LOOP = """
+start: MOVI r0, 16
+       SYS 1
+       CMPI r0, 0
+       MOV r4, r0
+       MOVI r2, 1
+       MOVI r3, 40
+loop:  LD r1, [r4]
+       ADD r1, r1, r2
+       ST [r4], r1
+       CMP r1, r3
+       BNE loop
+       CLI               ; privileged in user mode: the run faults here
 """
 
 
@@ -64,6 +82,17 @@ def test_asm_error_is_exit_1(tmp_path, capsys):
     assert main(["asm", str(src), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert "bad.s" in err and "line 1" in err
+    assert not out.exists()
+
+
+def test_asm_character_above_a_byte_is_exit_1(tmp_path, capsys):
+    src = tmp_path / "wide.s"
+    src.write_text('HALT\n.asciiz "\u20ac"\n', encoding="utf-8")
+    out = tmp_path / "wide.img"
+    assert main(["asm", str(src), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "wide.s" in err and "line 2" in err and "\u20ac" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -301,3 +330,105 @@ def test_check_trace_prints_events_then_shadow_then_report(build, capsys):
         if not sections or sections[-1] != section:
             sections.append(section)
     assert sections == ["events", "shadow", "report"]
+
+
+class CountingStdout:
+    """Stand-in for stdout that keeps every write call's string."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+    def lines(self):
+        return "".join(self.writes).splitlines()
+
+
+def _cli(argv):
+    """(exit status, CountingStdout) of one in-process call."""
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out
+
+
+def _recorded(img, command, steps):
+    """format_event lines and shadow lines of one recorded run of the
+    image, the way `scvm <command>` runs it."""
+    events, shadow = [], []
+    image = read_image(img)
+    if command == "run":
+        machine = load(image)
+        machine.add_observer(events.append)
+        machine.run(steps)
+    else:
+        analyze(image, RunConfig(step_limit=steps, observers=(events.append,),
+                                 shadow_trace=shadow.append))
+    return [format_event(e) for e in events], shadow
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_event_trace_is_the_recorded_events_in_blocks(build, tmp_path, command):
+    img = build(HEAP_LOOP)
+    argv = [command, str(img), "--trace", "events", "--steps", "300"]
+    if command == "check":
+        argv += ["--report", str(tmp_path / "r.tsv")]
+    code, out = _cli(argv)
+    assert code == 4
+    want, _ = _recorded(img, command, 300)
+    assert len(want) > 600
+    assert out.lines() == want
+    assert all(w.endswith("\n") for w in out.writes)
+    assert len(out.writes) * 8 <= len(want)
+
+
+@pytest.mark.parametrize("traces", [["shadow"], ["events", "shadow"]])
+def test_each_shadow_line_is_one_write(build, tmp_path, traces):
+    img = build(HEAP_LOOP)
+    argv = ["check", str(img), "--steps", "300", "--report", str(tmp_path / "r.tsv")]
+    for trace in traces:
+        argv += ["--trace", trace]
+    code, out = _cli(argv)
+    assert code == 4
+    _, want = _recorded(img, "check", 300)
+    assert len(want) > 100
+    shadow_writes = [w for w in out.writes if not w.split("\t")[0].isdigit()]
+    assert shadow_writes == [line + "\n" for line in want]
+
+
+def test_event_lines_precede_the_report_on_a_guest_fault(build, capsys):
+    img = build(FAULT_LOOP)
+    code, out = _cli(["check", str(img), "--trace", "events", "--trace", "shadow"])
+    assert code == 4
+    assert "fault" in capsys.readouterr().err
+    lines = out.lines()
+    want_events, want_shadow = _recorded(img, "check", 100_000)
+    n_events = len(want_events)
+    assert lines[:n_events] == want_events
+    assert lines[n_events:n_events + len(want_shadow)] == want_shadow
+    assert lines[n_events + len(want_shadow)].startswith("# scvm-report v1")
+
+
+def test_event_lines_emitted_before_an_observer_raises_reach_stdout(build, monkeypatch):
+    img = build(HEAP_LOOP)
+    want, _ = _recorded(img, "check", 300)
+    on_event = ShadowState.on_event
+
+    def failing_on_event(shadow, e):
+        if e.step >= 50:
+            raise RuntimeError("observer failed")
+        on_event(shadow, e)
+
+    monkeypatch.setattr(ShadowState, "on_event", failing_on_event)
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out), pytest.raises(RuntimeError):
+        main(["check", str(img), "--trace", "events", "--steps", "300"])
+    lines = out.lines()
+    early = [line for line in want if int(line.split("\t")[0]) < 50]
+    assert lines[:len(early)] == early  # the part-filled block is flushed too
+    assert lines == want[:len(lines)]

@@ -8,6 +8,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import scvm.machine
 from scvm.asm import assemble
@@ -15,9 +16,11 @@ from scvm.isa import Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
     DEFAULT_STACK_TOP,
+    EVENT_KINDS,
     HEAP_BASE,
     ROUND_ROBIN,
     SEEDED_RANDOM,
+    SYSCALL_NAMES,
     Event,
     GuestFault,
     MODE_KERNEL,
@@ -897,3 +900,99 @@ def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
     machine.run(step_limit=200)
     assert len(got) > 2
     assert built == ["mem-write"] * len(got)
+
+
+# -- format_event ----------------------------------------------------------
+
+
+def reference_format_event(e):
+    """format_event as it was before its stamp was cached: the rendering
+    every trace and golden hash was taken with."""
+    ops = []
+    if e.op is not None:
+        ops.append(f"op={e.op}")
+    if e.reg is not None:
+        ops.append(f"reg=r{e.reg}")
+    if e.rs is not None:
+        ops.append(f"rs=r{e.rs}")
+    if e.rt is not None:
+        ops.append(f"rt=r{e.rt}")
+    if e.addr is not None:
+        ops.append(f"addr=0x{e.addr:04X}")
+    if e.width is not None:
+        ops.append(f"width={e.width}")
+    if e.value is not None:
+        ops.append(f"value=0x{e.value & 0xFFFFFFFF:08X}")
+    if e.base_reg is not None:
+        ops.append(f"base=r{e.base_reg}")
+    if e.src is not None:
+        if e.src[0] == "mem":
+            src = f"mem:0x{e.src[1]:04X}:{e.src[2]}"
+        else:
+            src = ":".join(str(p) for p in e.src)
+        ops.append(f"src={src}")
+    if e.sysno is not None:
+        ops.append(f"sys={SYSCALL_NAMES.get(e.sysno, e.sysno)}")
+    if e.args is not None:
+        ops.append("args=" + ",".join(f"0x{a:08X}" for a in e.args))
+    if e.lock is not None:
+        ops.append(f"lock={e.lock}")
+    if e.new_tid is not None:
+        ops.append(f"new_tid={e.new_tid}")
+    if e.taken is not None:
+        ops.append(f"taken={int(e.taken)}")
+    ops.append(f"mode={e.mode}")
+    ops.append(f"iflag={int(e.iflag)}")
+    ops.append("locks={%s}" % ",".join(str(x) for x in sorted(e.locks_held)))
+    return "\t".join([str(e.step), str(e.tid), f"0x{e.pc:04X}", e.kind, " ".join(ops)])
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+_word = st.integers(0, 0xFFFFFFFF)
+_reg = st.integers(0, 7)
+_src = st.one_of(
+    st.just(("imm",)),
+    st.tuples(st.just("reg"), _reg),
+    st.tuples(st.just("mem"), st.integers(0, 0xFFFF), st.sampled_from([1, 4])),
+    st.tuples(st.just("binop"), st.sampled_from(["ADD", "SUB", "XOR"]), _reg, _reg),
+    st.tuples(st.just("syscall"), st.sampled_from(sorted(SYSCALL_NAMES))),
+)
+events = st.builds(
+    Event,
+    kind=st.sampled_from(EVENT_KINDS),
+    step=st.integers(0, 10**7),
+    tid=st.integers(0, 12),
+    pc=st.integers(0, 0xFFFF),
+    mode=st.sampled_from([MODE_USER, MODE_KERNEL]),
+    iflag=st.booleans(),
+    locks_held=st.frozensets(st.integers(0, 40) | _word, max_size=5),
+    reg=_maybe(_reg),
+    value=_maybe(st.integers(-(1 << 63), (1 << 64) - 1)),
+    addr=_maybe(st.integers(0, 0xFFFF)),
+    width=_maybe(st.sampled_from([1, 4])),
+    src=_maybe(_src),
+    op=_maybe(st.sampled_from(["ADD", "SUB", "MUL", "AND", "OR", "XOR"])),
+    rs=_maybe(_reg),
+    rt=_maybe(_reg),
+    sysno=_maybe(st.sampled_from(sorted(SYSCALL_NAMES)) | st.integers(0, 99)),
+    args=_maybe(st.lists(_word, max_size=4).map(tuple)),
+    lock=_maybe(_word),
+    new_tid=_maybe(st.integers(0, 12)),
+    taken=_maybe(st.booleans()),
+    base_reg=_maybe(_reg),
+)
+
+
+@given(events)
+@example(Event("lock", 12, 1, 0x40, MODE_KERNEL, False, frozenset({10, 9}), lock=10))
+@example(Event("fetch", 0, 0, 0, MODE_USER, True, frozenset()))
+def test_format_event_matches_the_reference(e):
+    assert format_event(e) == reference_format_event(e)
+
+
+def test_format_event_sorts_locks_numerically():
+    e = Event("unlock", 3, 0, 8, MODE_USER, True, frozenset({10, 9, 2}), lock=2)
+    assert format_event(e).endswith("lock=2 mode=user iflag=1 locks={2,9,10}")
