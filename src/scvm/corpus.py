@@ -78,9 +78,12 @@ def shipped_dir() -> Path:
 def discover(directory) -> list:
     """All .s/.manifest pairs in a directory, sorted by name.
 
-    A source without its manifest (or the reverse) is a corpus error.
+    A path that is not a directory, or a source without its manifest
+    (or the reverse), is a corpus error.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ManifestError(f"{directory}: not a directory")
     sources = {p.stem: p for p in sorted(directory.glob("*.s"))}
     manifests = {p.stem: p for p in sorted(directory.glob("*.manifest"))}
     for stem in sources.keys() - manifests.keys():

@@ -89,24 +89,8 @@ SYS_UNLOCK = 50
 SYS_YIELD = 51
 SYS_EXIT_THREAD = 52
 
-SYSCALL_NAMES = {
-    SYS_ALLOC: "ALLOC",
-    SYS_OPEN: "OPEN",
-    SYS_READ_NET: "READ_NET",
-    SYS_PRINTF: "PRINTF",
-    SYS_KCALL: "KCALL",
-    SYS_KRET: "KRET",
-    SYS_SET_TRAP: "SET_TRAP",
-    SYS_CHECK_USER_READ: "CHECK_USER_READ",
-    SYS_CHECK_USER_WRITE: "CHECK_USER_WRITE",
-    SYS_TAG_TAINT: "TAG_TAINT",
-    SYS_TAG_UNTRUSTED_SOURCE: "TAG_UNTRUSTED_SOURCE",
-    SYS_SPAWN: "SPAWN",
-    SYS_LOCK: "LOCK",
-    SYS_UNLOCK: "UNLOCK",
-    SYS_YIELD: "YIELD",
-    SYS_EXIT_THREAD: "EXIT_THREAD",
-}
+# Each syscall named once, by its constant: {1: "ALLOC", ...}.
+SYSCALL_NAMES = {n: name[4:] for name, n in dict(globals()).items() if name.startswith("SYS_")}
 
 # Every kind of event the machine emits, the reading list of an
 # observer that declares no `kinds`.
@@ -230,9 +214,9 @@ class ThreadContext:
 @dataclass
 class MachineState:
     memory: bytearray
-    # tid -> ThreadContext, iterated in tid order: SPAWN mints tids in
-    # increasing order and no thread is ever removed.  Scheduler.pick
-    # relies on this order.
+    # tid -> ThreadContext, iterated in tid order: SPAWN mints tid
+    # len(threads) and no thread is ever removed.  Scheduler.pick relies
+    # on this order.
     threads: dict
     current: int
     iflag: bool = True
@@ -243,7 +227,6 @@ class MachineState:
     step_count: int = 0
     heap_next: int = HEAP_BASE
     next_fd: int = FIRST_FD
-    next_tid: int = 1
     image_origin: int = 0
     image_end: int = 0
     output: bytearray = field(default_factory=bytearray)  # first OUTPUT_CAP bytes
@@ -332,11 +315,12 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # -- compiled code words --------------------------------------------------
 #
 # A handler, handler(m, t, pc, emit), executes one instruction for thread
-# t of machine m at pc and sets t.pc, or raises _Fault.  It emits the
-# instruction's operand events in operand-evaluation order; run() emits
-# the `fetch` before it.  Every emit sits behind `if emit:`, so the bare
-# form (emit None) evaluates no emit argument.  The rarer opcodes share
-# one body, _general.
+# t of machine m at pc and sets t.pc (a blocked LOCK leaves it as it is),
+# or raises _Fault.  It emits the instruction's operand events in
+# operand-evaluation order; run() emits the `fetch` before it.  Every
+# emit sits behind `if emit:`, so the bare form (emit None) evaluates no
+# emit argument.  The rarer opcodes share one body, _general; SYS runs
+# _syscall, bound to its number.
 
 _IMM_SRC = ("imm",)
 _ALU = {
@@ -491,7 +475,7 @@ def _branch(i: Instruction):
 
 
 def _general(op: Opcode, imm: int, m, t, pc, emit):
-    """JMP, CALL, RET, CLI, STI, HALT and SYS share this one body."""
+    """JMP, CALL, RET, CLI, STI and HALT share this one body."""
     regs = t.regs
     next_pc = pc + INSTR_SIZE
     if op == Opcode.JMP or op == Opcode.CALL:
@@ -513,7 +497,7 @@ def _general(op: Opcode, imm: int, m, t, pc, emit):
         m.state.iflag = op == Opcode.STI
         if emit:
             emit("iflag-change")
-    elif op == Opcode.HALT:
+    else:  # HALT
         if t.tid == 0:
             m.state.halted = True
         else:
@@ -521,10 +505,112 @@ def _general(op: Opcode, imm: int, m, t, pc, emit):
             if emit:
                 emit("thread-exit")
         return
-    else:  # SYS
-        next_pc = m._syscall(t, imm, next_pc, emit)
-        if next_pc is None:
-            return  # blocked on LOCK: pc unchanged, retried when woken
+    t.pc = next_pc
+
+
+def _syscall(number: int, m, t, pc, emit):
+    """SYS number, in four steps: the faults that stop the call before
+    its `syscall` event, the event, the effect (whose end-of-memory
+    faults come after the event), and the r0 result with its
+    `reg-write`.  A blocked LOCK leaves t.pc unchanged, so the
+    instruction runs again (fetch and syscall events too) once woken."""
+    st, regs = m.state, t.regs
+    r0, r1 = regs[0], regs[1]
+    if number == SYS_LOCK:
+        if st.locks.get(r0) == t.tid:
+            raise _Fault(f"recursive LOCK of {r0}")
+    elif number == SYS_UNLOCK:
+        if st.locks.get(r0) != t.tid:
+            raise _Fault(f"UNLOCK of lock {r0} not held by tid {t.tid}")
+    elif number == SYS_KCALL:
+        if t.mode == MODE_KERNEL:
+            raise _Fault("nested KCALL")
+        if st.trap_entry is None:
+            raise _Fault("KCALL with no trap entry set")
+    elif number == SYS_KRET:
+        if t.mode != MODE_KERNEL or t.trap_return is None:
+            raise _Fault("KRET outside a KCALL")
+    elif number not in SYSCALL_NAMES:
+        raise _Fault(f"unknown syscall {number}")
+    if emit:
+        emit("syscall", sysno=number, args=tuple(regs[:4]))
+
+    next_pc, result = pc + INSTR_SIZE, None
+    if number == SYS_LOCK:
+        if r0 in st.locks:
+            t.blocked_on = r0
+            return
+        st.locks[r0] = t.tid
+        t.locks_held = t.locks_held | {r0}
+        if emit:
+            emit("lock", lock=r0)
+    elif number == SYS_UNLOCK:
+        del st.locks[r0]
+        t.locks_held = t.locks_held - {r0}
+        if emit:
+            emit("unlock", lock=r0)
+        for other in st.threads.values():
+            if other.blocked_on == r0:
+                other.blocked_on = None
+    elif number == SYS_ALLOC:
+        size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
+        if st.heap_next + size > HEAP_LIMIT:
+            result = 0
+        else:
+            result = st.heap_next
+            st.heap_next += size
+    elif number == SYS_OPEN:
+        if r0 >= MEMORY_SIZE:
+            raise _Fault(f"unmapped address 0x{r0:08X}")
+        name, terminated = read_cstr(st.memory, r0, NAME_CAP)
+        if not terminated or name.startswith(b"missing"):
+            result = 0
+        else:
+            result = st.next_fd
+            st.next_fd += 1
+    elif number == SYS_READ_NET:
+        if r1 > 0:
+            if r0 + r1 > MEMORY_SIZE:
+                raise _Fault(f"unmapped address 0x{r0:08X}")
+            seed = m.policy.seed  # the pattern's offset
+            for i in range(r1):
+                st.memory[r0 + i] = (seed + i) & 0xFF
+            if emit:
+                emit("mem-write", addr=r0, width=r1, src=("syscall", number))
+    elif number == SYS_PRINTF:
+        if r0 >= MEMORY_SIZE:
+            raise _Fault(f"unmapped address 0x{r0:08X}")
+        data, _ = read_cstr(st.memory, r0, CSTR_CAP)
+        st.output += data[: OUTPUT_CAP - len(st.output)]
+    elif number == SYS_KCALL:
+        t.trap_return = next_pc
+        t.mode = MODE_KERNEL
+        next_pc = st.trap_entry
+        if emit:
+            emit("mode-change")
+    elif number == SYS_KRET:
+        next_pc = t.trap_return
+        t.trap_return = None
+        t.mode = MODE_USER
+        if emit:
+            emit("mode-change")
+    elif number == SYS_SET_TRAP:
+        st.trap_entry = r0
+    elif number == SYS_SPAWN:
+        result = len(st.threads)  # tids count up and no thread is removed
+        st.threads[result] = _new_thread(result, pc=r0, stack_top=r1)
+        if emit:
+            emit("spawn", new_tid=result)
+    elif number == SYS_YIELD:
+        m.scheduler.expire_slice()
+    elif number == SYS_EXIT_THREAD:
+        t.alive = False
+        if emit:
+            emit("thread-exit")
+    if result is not None:
+        regs[0] = result
+        if emit:
+            emit("reg-write", reg=0, value=result, src=("syscall", number))
     t.pc = next_pc
 
 
@@ -541,9 +627,10 @@ _COMPILERS = {
     Opcode.BEQ: _branch,
     Opcode.BNE: _branch,
     **dict.fromkeys(
-        (Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.CLI, Opcode.STI, Opcode.HALT, Opcode.SYS),
+        (Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.CLI, Opcode.STI, Opcode.HALT),
         lambda i: functools.partial(_general, i.opcode, i.imm),
     ),
+    Opcode.SYS: lambda i: functools.partial(_syscall, i.imm),
 }
 
 
@@ -589,127 +676,10 @@ class Machine:
         self.state = state
         self.policy = policy or SchedulerPolicy()
         self.scheduler = Scheduler(self.policy)
-        self.net_seed = self.policy.seed  # READ_NET pattern offset
         self.observers: list = []
 
     def add_observer(self, fn) -> None:
         self.observers.append(fn)
-
-    # -- syscalls ---------------------------------------------------
-
-    def _syscall(self, t: ThreadContext, number: int, next_pc: int, emit):
-        """Returns the next pc, or None when the thread blocked.  emit is
-        None in the bare form."""
-        st = self.state
-        if number not in SYSCALL_NAMES:
-            raise _Fault(f"unknown syscall {number}")
-        r0, r1 = t.regs[0], t.regs[1]
-
-        # A blocked LOCK leaves pc unchanged, so the instruction is
-        # re-executed (fetch + syscall events again) once woken.
-        if number == SYS_LOCK:
-            holder = st.locks.get(r0)
-            if holder == t.tid:
-                raise _Fault(f"recursive LOCK of {r0}")
-            if emit:
-                emit("syscall", sysno=number, args=tuple(t.regs[:4]))
-            if holder is None:
-                st.locks[r0] = t.tid
-                t.locks_held = t.locks_held | {r0}
-                if emit:
-                    emit("lock", lock=r0)
-                return next_pc
-            t.blocked_on = r0
-            return None
-
-        if number == SYS_UNLOCK and st.locks.get(r0) != t.tid:
-            raise _Fault(f"UNLOCK of lock {r0} not held by tid {t.tid}")
-        if number == SYS_KCALL:
-            if t.mode == MODE_KERNEL:
-                raise _Fault("nested KCALL")
-            if st.trap_entry is None:
-                raise _Fault("KCALL with no trap entry set")
-        if number == SYS_KRET:
-            if t.mode != MODE_KERNEL or t.trap_return is None:
-                raise _Fault("KRET outside a KCALL")
-
-        if emit:
-            emit("syscall", sysno=number, args=tuple(t.regs[:4]))
-
-        if number == SYS_ALLOC:
-            size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
-            if st.heap_next + size > HEAP_LIMIT:
-                t.regs[0] = 0
-            else:
-                t.regs[0] = st.heap_next
-                st.heap_next += size
-            if emit:
-                emit("reg-write", reg=0, value=t.regs[0], src=("syscall", number))
-        elif number == SYS_OPEN:
-            if r0 >= MEMORY_SIZE:
-                raise _Fault(f"unmapped address 0x{r0:08X}")
-            name, terminated = read_cstr(st.memory, r0, NAME_CAP)
-            if not terminated or name.startswith(b"missing"):
-                t.regs[0] = 0
-            else:
-                t.regs[0] = st.next_fd
-                st.next_fd += 1
-            if emit:
-                emit("reg-write", reg=0, value=t.regs[0], src=("syscall", number))
-        elif number == SYS_READ_NET:
-            if r1 > 0:
-                if r0 + r1 > MEMORY_SIZE:
-                    raise _Fault(f"unmapped address 0x{r0:08X}")
-                for i in range(r1):
-                    st.memory[r0 + i] = (self.net_seed + i) & 0xFF
-                if emit:
-                    emit("mem-write", addr=r0, width=r1, src=("syscall", number))
-        elif number == SYS_PRINTF:
-            if r0 >= MEMORY_SIZE:
-                raise _Fault(f"unmapped address 0x{r0:08X}")
-            data, _ = read_cstr(st.memory, r0, CSTR_CAP)
-            st.output += data[: OUTPUT_CAP - len(st.output)]
-        elif number == SYS_KCALL:
-            t.trap_return = next_pc
-            t.mode = MODE_KERNEL
-            if emit:
-                emit("mode-change")
-            return st.trap_entry
-        elif number == SYS_KRET:
-            target = t.trap_return
-            t.trap_return = None
-            t.mode = MODE_USER
-            if emit:
-                emit("mode-change")
-            return target
-        elif number == SYS_SET_TRAP:
-            st.trap_entry = r0
-        elif number == SYS_SPAWN:
-            tid = st.next_tid
-            st.next_tid += 1
-            st.threads[tid] = _new_thread(tid, pc=r0, stack_top=r1)
-            if emit:
-                emit("spawn", new_tid=tid)
-            t.regs[0] = tid
-            if emit:
-                emit("reg-write", reg=0, value=tid, src=("syscall", number))
-        elif number == SYS_UNLOCK:
-            del st.locks[r0]
-            t.locks_held = t.locks_held - {r0}
-            if emit:
-                emit("unlock", lock=r0)
-            for other in st.threads.values():
-                if other.blocked_on == r0:
-                    other.blocked_on = None
-        elif number == SYS_YIELD:
-            self.scheduler.expire_slice()
-        elif number == SYS_EXIT_THREAD:
-            t.alive = False
-            if emit:
-                emit("thread-exit")
-        return next_pc
-
-    # -- whole runs -------------------------------------------------
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
         """Pick a thread, then fetch, execute and count one instruction

@@ -85,8 +85,19 @@ def serialize(warnings, image_sha256: str, policy: SchedulerPolicy) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_policy(parts: list) -> SchedulerPolicy:
+    """The words of a `policy <kind> seed <n> quantum <n>` line; raises
+    ValueError naming what is wrong."""
+    if len(parts) != 6 or parts[2] != "seed" or parts[4] != "quantum":
+        raise ValueError("expected 'policy <kind> seed <n> quantum <n>'")
+    if parts[1] not in (ROUND_ROBIN, SEEDED_RANDOM):
+        raise ValueError(f"unknown policy kind {parts[1]!r}")
+    return SchedulerPolicy(kind=parts[1], seed=int(parts[3]), quantum=int(parts[5]))
+
+
 def parse(text: str) -> tuple[dict, list]:
-    """Inverse of serialize: (metadata dict, Warning list)."""
+    """Inverse of serialize: (metadata dict, Warning list).  A malformed
+    line raises ReportError("line N: ...")."""
     meta: dict = {}
     warnings: list = []
     # rows are "\n"-separated; splitlines would also split on stray
@@ -94,32 +105,34 @@ def parse(text: str) -> tuple[dict, list]:
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("image sha256 "):
-                meta["image_sha256"] = body.split()[-1]
-            elif body.startswith("policy "):
-                parts = body.split()
-                meta["policy"] = SchedulerPolicy(
-                    kind=parts[1], seed=int(parts[3]), quantum=int(parts[5])
+        try:
+            if line.startswith("#"):
+                words = line[1:].split()
+                if words[:2] == ["image", "sha256"]:
+                    if len(words) != 3:
+                        raise ValueError("expected 'image sha256 <hex>'")
+                    meta["image_sha256"] = words[2]
+                elif words[:1] == ["policy"]:
+                    meta["policy"] = _parse_policy(words)
+                continue
+            fields = line.split("\t")
+            if len(fields) != 8:
+                raise ValueError(f"expected 8 fields, got {len(fields)}")
+            rule, checker, step, tid, pc, address, object_id, detail = fields
+            warnings.append(
+                Warning(
+                    checker=checker,
+                    rule=rule,
+                    tid=int(tid),
+                    pc=int(pc, 16),
+                    step=int(step),
+                    address=None if address == "-" else int(address, 16),
+                    object_id=None if object_id == "-" else int(object_id),
+                    detail=_unescape(detail),
                 )
-            continue
-        fields = line.split("\t")
-        if len(fields) != 8:
-            raise ReportError(f"line {lineno}: expected 8 fields, got {len(fields)}")
-        rule, checker, step, tid, pc, address, object_id, detail = fields
-        warnings.append(
-            Warning(
-                checker=checker,
-                rule=rule,
-                tid=int(tid),
-                pc=int(pc, 16),
-                step=int(step),
-                address=None if address == "-" else int(address, 16),
-                object_id=None if object_id == "-" else int(object_id),
-                detail=_unescape(detail),
             )
-        )
+        except ValueError as exc:
+            raise ReportError(f"line {lineno}: {exc}") from None
     return meta, warnings
 
 
@@ -149,14 +162,8 @@ def parse_manifest(text: str, source: str = "<manifest>") -> Manifest:
         if parts[0] == "program" and len(parts) == 2:
             manifest.program = parts[1]
         elif parts[0] == "policy":
-            if len(parts) != 6 or parts[2] != "seed" or parts[4] != "quantum":
-                raise ManifestError(f"{where}: expected 'policy <kind> seed <n> quantum <n>'")
-            if parts[1] not in (ROUND_ROBIN, SEEDED_RANDOM):
-                raise ManifestError(f"{where}: unknown policy kind {parts[1]!r}")
             try:
-                manifest.policy = SchedulerPolicy(
-                    kind=parts[1], seed=int(parts[3]), quantum=int(parts[5])
-                )
+                manifest.policy = _parse_policy(parts)
             except ValueError as exc:
                 raise ManifestError(f"{where}: {exc}") from None
             saw_policy = True

@@ -280,6 +280,16 @@ def test_corpus_empty_directory_passes_vacuously(tmp_path, capsys):
     assert "0 entries" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["no_such_dir", "entry.s"])
+def test_corpus_path_that_is_not_a_directory_is_exit_2(tmp_path, capsys, name):
+    (tmp_path / "entry.s").write_text("HALT\n")
+    path = tmp_path / name
+    assert main(["corpus", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"scvm corpus: {path}: not a directory\n"
+
+
 # -- traces ----------------------------------------------------------------
 
 

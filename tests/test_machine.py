@@ -363,6 +363,49 @@ def test_printf_output_is_capped():
     assert machine.state.output.startswith(text)
 
 
+def test_syscall_names_are_the_sixteen_syscalls():
+    assert SYSCALL_NAMES == {
+        1: "ALLOC", 2: "OPEN", 3: "READ_NET", 4: "PRINTF",
+        16: "KCALL", 17: "KRET", 18: "SET_TRAP",
+        32: "CHECK_USER_READ", 33: "CHECK_USER_WRITE", 34: "TAG_TAINT",
+        35: "TAG_UNTRUSTED_SOURCE",
+        48: "SPAWN", 49: "LOCK", 50: "UNLOCK", 51: "YIELD", 52: "EXIT_THREAD",
+    }
+
+
+# Each syscall fault, and whether the faulting step emitted its
+# `syscall` event: the argument checks stop a call before it, a guest
+# address past the end of memory only after it.
+@pytest.mark.parametrize(
+    "src, fault, emitted",
+    [
+        ("SYS 5\nHALT", GuestFault("unknown syscall 5", 0, 0x00, 0), False),
+        ("SYS 99\nHALT", GuestFault("unknown syscall 99", 0, 0x00, 0), False),
+        ("MOVI r0, 1\nSYS 49\nSYS 49\nHALT", GuestFault("recursive LOCK of 1", 0, 0x10, 2), False),
+        ("MOVI r0, 5\nSYS 50\nHALT",
+         GuestFault("UNLOCK of lock 5 not held by tid 0", 0, 0x08, 1), False),
+        ("start: MOVI r0, h\nSYS 18\nSYS 16\nHALT\nh: SYS 16",
+         GuestFault("nested KCALL", 0, 0x20, 3), False),
+        ("SYS 16\nHALT", GuestFault("KCALL with no trap entry set", 0, 0x00, 0), False),
+        ("SYS 17\nHALT", GuestFault("KRET outside a KCALL", 0, 0x00, 0), False),
+        ("MOVI r0, 0x10000\nSYS 2\nHALT",
+         GuestFault("unmapped address 0x00010000", 0, 0x08, 1), True),
+        ("MOVI r0, 0x10000\nSYS 4\nHALT",
+         GuestFault("unmapped address 0x00010000", 0, 0x08, 1), True),
+        ("MOVI r0, 0xFFFF\nMOVI r1, 2\nSYS 3\nHALT",
+         GuestFault("unmapped address 0x0000FFFF", 0, 0x10, 2), True),
+    ],
+    ids=["unknown-5", "unknown-99", "recursive-lock", "unlock-not-held", "nested-kcall",
+         "kcall-no-trap", "kret-outside-kcall", "open-past-end", "printf-past-end",
+         "read-net-past-end"],
+)
+def test_syscall_fault_and_its_event(src, fault, emitted):
+    got, lines = fault_trace(src)
+    assert got == fault
+    last_step = [line.split("\t")[3] for line in lines if line.startswith(f"{fault.step}\t")]
+    assert last_step == (["fetch", "syscall"] if emitted else ["fetch"])
+
+
 @pytest.mark.parametrize("number", [5, 6, 99])
 def test_unknown_syscall_faults(number):
     _, result = run_source(f"SYS {number}\nHALT")

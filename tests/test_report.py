@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from scvm.checkers import ALL_RULES, Warning
 from scvm.machine import SchedulerPolicy
 from scvm.report import (
+    REPORT_VERSION,
     Expectation,
     Manifest,
     ManifestError,
@@ -86,6 +87,34 @@ def test_parse_rejects_bad_rows():
         parse(good + "only\tthree\tfields\n")
     with pytest.raises(ReportError):
         parse(good.replace("ALLOC", "bad \\x escape"))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("# image sha256", "expected 'image sha256 <hex>'"),
+        (f"# image sha256 {SHA} {SHA}", "expected 'image sha256 <hex>'"),
+        ("# policy", "expected 'policy <kind> seed <n> quantum <n>'"),
+        ("# policy round-robin", "expected 'policy <kind> seed <n> quantum <n>'"),
+        ("# policy round-robin seed 0 quantum", "expected 'policy <kind> seed <n> quantum <n>'"),
+        ("# policy fifo seed 0 quantum 1", "unknown policy kind 'fifo'"),
+        ("# policy round-robin seed x quantum 1", "invalid literal for int()"),
+        ("# policy round-robin seed 0 quantum 0", "quantum must be >= 1"),
+        ("NULL_DEREF_UNCHECKED\tnull\tfive\t0\t0x0028\t-\t-\td", "invalid literal for int()"),
+        ("NULL_DEREF_UNCHECKED\tnull\t5\t0\tpc\t-\t-\td", "invalid literal for int()"),
+        ("NULL_DEREF_UNCHECKED\tnull\t5\t0\t0x0028\t0xZZ\t-\td", "invalid literal for int()"),
+        ("NULL_DEREF_UNCHECKED\tnull\t5\t0\t0x0028\t-\t-\tbad \\x", "bad escape \\x"),
+        ("only\tthree\tfields", "expected 8 fields, got 3"),
+    ],
+    ids=["bare-image", "long-image", "bare-policy", "truncated-policy", "policy-no-quantum",
+         "policy-kind", "policy-seed", "policy-quantum", "step", "pc", "address", "escape",
+         "field-count"],
+)
+def test_parse_names_the_malformed_line(line, message):
+    text = f"# {REPORT_VERSION}\n# image sha256 {SHA}\n{line}\n"
+    with pytest.raises(ReportError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(f"line 3: {message}")
 
 
 detail_text = st.text(
