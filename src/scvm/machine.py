@@ -10,12 +10,12 @@ may name the kinds it reads in a `kinds` attribute (see EVENT_KINDS);
 an event reaches only the observers that read its kind, and a kind that
 no observer reads builds no Event at all.
 
-Each code word is compiled once into a handler closed over its operands
-and memoized on the word's 8 bytes, so code the guest writes at run time
-needs no invalidation.  A handler has two forms, chosen when run()
-starts: observed, handed the emit function, when an observer is
-registered, and bare, handed None, when none is.  The bare form builds
-no event and evaluates no event argument.
+Each code word is decoded once and compiled once per read set, the set
+of kinds the run's observers read, into a handler closed over its
+operands and memoized on the word's 8 bytes, so code the guest writes
+at run time needs no invalidation.  Each emit site tests a flag fixed
+at compile time, so a kind outside the read set builds no event and
+evaluates no event argument.  A bare run is the empty read set.
 
 `Event` is slotted but not frozen, since freezing makes it several times
 dearer to build.  Every observer shares one event object, so observers
@@ -317,10 +317,10 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # A handler, handler(m, t, pc, emit), executes one instruction for thread
 # t of machine m at pc and sets t.pc (a blocked LOCK leaves it as it is),
 # or raises _Fault.  It emits the instruction's operand events in
-# operand-evaluation order; run() emits the `fetch` before it.  Every
-# emit sits behind `if emit:`, so the bare form (emit None) evaluates no
-# emit argument.  The rarer opcodes share one body, _general; SYS runs
-# _syscall, bound to its number.
+# operand-evaluation order; run() emits the `fetch` before it.  It is
+# compiled for one read set: each emit site tests a flag fixed then
+# (`rr = "reg-read" in reads`), so an unread kind costs no call.  The
+# rarer opcodes share one body, _general; SYS runs _syscall.
 
 _IMM_SRC = ("imm",)
 _ALU = {
@@ -339,64 +339,68 @@ def _access_fault(addr: int, width: int) -> _Fault:
     return _Fault(f"unaligned word access at 0x{addr:04X}")
 
 
-def _movi(i: Instruction):
+def _movi(i: Instruction, reads):
     rd, value = i.rd, i.imm & M32
+    rw = "reg-write" in reads
 
     def movi(m, t, pc, emit):
         t.regs[rd] = value
-        if emit:
+        if rw:
             emit("reg-write", reg=rd, value=value, src=_IMM_SRC)
         t.pc = pc + INSTR_SIZE
 
     return movi
 
 
-def _mov(i: Instruction):
+def _mov(i: Instruction, reads):
     rd, rs, src = i.rd, i.rs, ("reg", i.rs)
+    rr, rw = "reg-read" in reads, "reg-write" in reads
 
     def mov(m, t, pc, emit):
         value = t.regs[rs]
-        if emit:
+        if rr:
             emit("reg-read", reg=rs, value=value)
         t.regs[rd] = value
-        if emit:
+        if rw:
             emit("reg-write", reg=rd, value=value, src=src)
         t.pc = pc + INSTR_SIZE
 
     return mov
 
 
-def _load(i: Instruction):
+def _load(i: Instruction, reads):
     rd, rs, imm = i.rd, i.rs, i.imm & M32
     width = 4 if i.opcode == Opcode.LD else 1
     last, align = MEMORY_SIZE - width, width - 1
+    rr, mr, rw = "reg-read" in reads, "mem-read" in reads, "reg-write" in reads
 
     def load(m, t, pc, emit):
         regs = t.regs
-        if emit:
+        if rr:
             emit("reg-read", reg=rs, value=regs[rs])
         addr = (regs[rs] + imm) & M32
         if addr > last or addr & align:
             raise _access_fault(addr, width)
         value = int.from_bytes(m.state.memory[addr : addr + width], "little")
-        if emit:
+        if mr:
             emit("mem-read", addr=addr, width=width, value=value, base_reg=rs)
         regs[rd] = value
-        if emit:
+        if rw:
             emit("reg-write", reg=rd, value=value, src=("mem", addr, width))
         t.pc = pc + INSTR_SIZE
 
     return load
 
 
-def _store(i: Instruction):
+def _store(i: Instruction, reads):
     rs, rt, imm, src = i.rs, i.rt, i.imm & M32, ("reg", i.rt)
     width = 4 if i.opcode == Opcode.ST else 1
     last, align, mask = MEMORY_SIZE - width, width - 1, (1 << 8 * width) - 1
+    rr, mw = "reg-read" in reads, "mem-write" in reads
 
     def store(m, t, pc, emit):
         regs = t.regs
-        if emit:
+        if rr:
             emit("reg-read", reg=rs, value=regs[rs])
             emit("reg-read", reg=rt, value=regs[rt])
         addr = (regs[rs] + imm) & M32
@@ -404,111 +408,117 @@ def _store(i: Instruction):
             raise _access_fault(addr, width)
         value = regs[rt] & mask
         m.state.memory[addr : addr + width] = value.to_bytes(width, "little")
-        if emit:
+        if mw:
             emit("mem-write", addr=addr, width=width, value=value, base_reg=rs, src=src)
         t.pc = pc + INSTR_SIZE
 
     return store
 
 
-def _alu(i: Instruction):
+def _alu(i: Instruction, reads):
     rd, rs, rt, name, fn = i.rd, i.rs, i.rt, i.opcode.name, _ALU[i.opcode]
     src = ("binop", name, rs, rt)
+    rr, bo, rw = "reg-read" in reads, "binop" in reads, "reg-write" in reads
 
     def alu(m, t, pc, emit):
         regs = t.regs
         a, b = regs[rs], regs[rt]
         value = fn(a, b) & M32
-        if emit:
+        if rr:
             emit("reg-read", reg=rs, value=a)
             emit("reg-read", reg=rt, value=b)
+        if bo:
             emit("binop", op=name, reg=rd, rs=rs, rt=rt, value=value)
         regs[rd] = value
-        if emit:
+        if rw:
             emit("reg-write", reg=rd, value=value, src=src)
         t.pc = pc + INSTR_SIZE
 
     return alu
 
 
-def _cmp(i: Instruction):
+def _cmp(i: Instruction, reads):
     rs, rt = i.rs, i.rt
+    rr, cp = "reg-read" in reads, "compare" in reads
 
     def cmp(m, t, pc, emit):
         a, b = t.regs[rs], t.regs[rt]
-        if emit:
+        if rr:
             emit("reg-read", reg=rs, value=a)
             emit("reg-read", reg=rt, value=b)
         t.zflag = a == b
-        if emit:
+        if cp:
             emit("compare", rs=rs, rt=rt, value=b)
         t.pc = pc + INSTR_SIZE
 
     return cmp
 
 
-def _cmpi(i: Instruction):
+def _cmpi(i: Instruction, reads):
     rs, rhs = i.rs, i.imm & M32
+    rr, cp = "reg-read" in reads, "compare" in reads
 
     def cmpi(m, t, pc, emit):
         a = t.regs[rs]
-        if emit:
+        if rr:
             emit("reg-read", reg=rs, value=a)
         t.zflag = a == rhs
-        if emit:
+        if cp:
             emit("compare", rs=rs, value=rhs)
         t.pc = pc + INSTR_SIZE
 
     return cmpi
 
 
-def _branch(i: Instruction):
+def _branch(i: Instruction, reads):
     target, on = i.imm & M32, i.opcode == Opcode.BEQ
+    br = "branch" in reads
 
     def branch(m, t, pc, emit):
         taken = t.zflag == on
-        if emit:
+        if br:
             emit("branch", addr=target, taken=taken)
         t.pc = target if taken else pc + INSTR_SIZE
 
     return branch
 
 
-def _general(op: Opcode, imm: int, m, t, pc, emit):
+def _general(op: Opcode, imm: int, reads, m, t, pc, emit):
     """JMP, CALL, RET, CLI, STI and HALT share this one body."""
     regs = t.regs
     next_pc = pc + INSTR_SIZE
     if op == Opcode.JMP or op == Opcode.CALL:
         if op == Opcode.CALL:
             regs[7] = next_pc
-            if emit:
+            if "reg-write" in reads:
                 emit("reg-write", reg=7, value=next_pc, src=_IMM_SRC)
         next_pc = imm & M32
-        if emit:
+        if "branch" in reads:
             emit("branch", addr=next_pc, taken=True)
     elif op == Opcode.RET:
         next_pc = regs[7]
-        if emit:
+        if "reg-read" in reads:
             emit("reg-read", reg=7, value=next_pc)
+        if "branch" in reads:
             emit("branch", addr=next_pc, taken=True)
     elif op == Opcode.CLI or op == Opcode.STI:
         if t.mode != MODE_KERNEL:
             raise _Fault(f"{op.name} in user mode")
         m.state.iflag = op == Opcode.STI
-        if emit:
+        if "iflag-change" in reads:
             emit("iflag-change")
     else:  # HALT
         if t.tid == 0:
             m.state.halted = True
         else:
             t.alive = False
-            if emit:
+            if "thread-exit" in reads:
                 emit("thread-exit")
         return
     t.pc = next_pc
 
 
-def _syscall(number: int, m, t, pc, emit):
+def _syscall(number: int, reads, m, t, pc, emit):
     """SYS number, in four steps: the faults that stop the call before
     its `syscall` event, the event, the effect (whose end-of-memory
     faults come after the event), and the r0 result with its
@@ -532,7 +542,7 @@ def _syscall(number: int, m, t, pc, emit):
             raise _Fault("KRET outside a KCALL")
     elif number not in SYSCALL_NAMES:
         raise _Fault(f"unknown syscall {number}")
-    if emit:
+    if "syscall" in reads:
         emit("syscall", sysno=number, args=tuple(regs[:4]))
 
     next_pc, result = pc + INSTR_SIZE, None
@@ -542,12 +552,12 @@ def _syscall(number: int, m, t, pc, emit):
             return
         st.locks[r0] = t.tid
         t.locks_held = t.locks_held | {r0}
-        if emit:
+        if "lock" in reads:
             emit("lock", lock=r0)
     elif number == SYS_UNLOCK:
         del st.locks[r0]
         t.locks_held = t.locks_held - {r0}
-        if emit:
+        if "unlock" in reads:
             emit("unlock", lock=r0)
         for other in st.threads.values():
             if other.blocked_on == r0:
@@ -575,7 +585,7 @@ def _syscall(number: int, m, t, pc, emit):
             seed = m.policy.seed  # the pattern's offset
             for i in range(r1):
                 st.memory[r0 + i] = (seed + i) & 0xFF
-            if emit:
+            if "mem-write" in reads:
                 emit("mem-write", addr=r0, width=r1, src=("syscall", number))
     elif number == SYS_PRINTF:
         if r0 >= MEMORY_SIZE:
@@ -586,30 +596,30 @@ def _syscall(number: int, m, t, pc, emit):
         t.trap_return = next_pc
         t.mode = MODE_KERNEL
         next_pc = st.trap_entry
-        if emit:
+        if "mode-change" in reads:
             emit("mode-change")
     elif number == SYS_KRET:
         next_pc = t.trap_return
         t.trap_return = None
         t.mode = MODE_USER
-        if emit:
+        if "mode-change" in reads:
             emit("mode-change")
     elif number == SYS_SET_TRAP:
         st.trap_entry = r0
     elif number == SYS_SPAWN:
         result = len(st.threads)  # tids count up and no thread is removed
         st.threads[result] = _new_thread(result, pc=r0, stack_top=r1)
-        if emit:
+        if "spawn" in reads:
             emit("spawn", new_tid=result)
     elif number == SYS_YIELD:
         m.scheduler.expire_slice()
     elif number == SYS_EXIT_THREAD:
         t.alive = False
-        if emit:
+        if "thread-exit" in reads:
             emit("thread-exit")
     if result is not None:
         regs[0] = result
-        if emit:
+        if "reg-write" in reads:
             emit("reg-write", reg=0, value=result, src=("syscall", number))
     t.pc = next_pc
 
@@ -628,9 +638,9 @@ _COMPILERS = {
     Opcode.BNE: _branch,
     **dict.fromkeys(
         (Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.CLI, Opcode.STI, Opcode.HALT),
-        lambda i: functools.partial(_general, i.opcode, i.imm),
+        lambda i, reads: functools.partial(_general, i.opcode, i.imm, reads),
     ),
-    Opcode.SYS: lambda i: functools.partial(_syscall, i.imm),
+    Opcode.SYS: lambda i, reads: functools.partial(_syscall, i.imm, reads),
 }
 
 
@@ -638,16 +648,28 @@ _code_word = struct.Struct("<Q").unpack_from  # (the 8 code bytes at pc as one i
 
 
 @functools.lru_cache(maxsize=8192)
-def _compile(word: int) -> tuple:
-    """(opcode name, handler) of one code word, memoized on its 8 bytes
-    (read by _code_word as one little-endian int, which costs less than
-    slicing out a bytes object), so a store or READ_NET over code needs
-    no invalidation.  A DecodeError is raised again on every call:
-    lru_cache does not cache exceptions.  One cache serves every
-    machine, which is safe because decode is pure and a handler holds
-    no machine state."""
-    i = decode(word.to_bytes(INSTR_SIZE, "little"))
-    return i.opcode.name, _COMPILERS[i.opcode](i)
+def _decode(word: int) -> Instruction:
+    """decode of one code word, shared by every read set's cache, so a
+    word is decoded once however many read sets it is compiled for."""
+    return decode(word.to_bytes(INSTR_SIZE, "little"))
+
+
+def _compile(word: int, reads: frozenset) -> tuple:
+    """(opcode name, handler) of one code word for one read set."""
+    i = _decode(word)
+    return i.opcode.name, _COMPILERS[i.opcode](i, reads)
+
+
+@functools.lru_cache(maxsize=16)
+def _compiler(reads: frozenset):
+    """_compile for one read set, memoized on the word's 8 bytes (read
+    by _code_word as one int, cheaper than slicing out bytes), so a
+    store or READ_NET over code needs no invalidation.  A DecodeError
+    is raised again on every call: lru_cache does not cache exceptions.
+    One cache per read set serves every machine, since decode is pure
+    and a handler holds no machine state; one cache keyed on (word,
+    reads) would cost every step a tuple and its hash."""
+    return functools.lru_cache(maxsize=8192)(functools.partial(_compile, reads=reads))
 
 
 def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
@@ -686,8 +708,9 @@ class Machine:
         of it, until thread 0 HALTs, all threads die, a fault, or the
         step limit; see RunResult.outcome.
 
-        Each code word runs through its compiled handler (_compile), in
-        the form chosen here, once: bare (emit None) with no observers.
+        Each code word runs through its handler compiled for this run's
+        read set, the kinds some observer reads (_compiler); with no
+        observers that set is empty and the run builds no event.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -695,25 +718,27 @@ class Machine:
         """
         st = self.state
         threads = st.threads
-        observers = self.observers
 
-        if observers:
-            # Each kind's readers, in registration order.
-            by_kind = {kind: [] for kind in EVENT_KINDS}
-            for fn in observers:
-                kinds = getattr(fn, "kinds", None)
-                for kind in EVENT_KINDS if kinds is None else kinds:
-                    by_kind[kind].append(fn)
+        # Each kind's readers, in registration order.
+        by_kind = {kind: [] for kind in EVENT_KINDS}
+        for fn in self.observers:
+            kinds = getattr(fn, "kinds", None)
+            for kind in EVENT_KINDS if kinds is None else kinds:
+                by_kind[kind].append(fn)
+        reads = frozenset(kind for kind, readers in by_kind.items() if readers)
+        compile_, fetch = _compiler(reads), "fetch" in reads
 
-            # Reads the loop's current t, tid, step_no and pc.
-            def emit(kind, **kw):
-                readers = by_kind[kind]
-                if readers:
-                    e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, **kw)
-                    for fn in readers:
-                        fn(e)
-        else:
-            emit = None
+        # Called only for a kind in reads; reads the loop's current t,
+        # tid, step_no and pc.  Its parameters are Event's fields after
+        # the stamp, in order.
+        def emit(kind, reg=None, value=None, addr=None, width=None, src=None, op=None,
+                 rs=None, rt=None, sysno=None, args=None, lock=None, new_tid=None,
+                 taken=None, base_reg=None):
+            e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, reg, value,
+                      addr, width, src, op, rs, rt, sysno, args, lock, new_tid, taken, base_reg)
+            for fn in by_kind[kind]:
+                fn(e)
+
         memory = st.memory
         while not st.halted and st.step_count < step_limit:
             tid = self.scheduler.pick(st)
@@ -736,8 +761,8 @@ class Machine:
                     raise _Fault(f"misaligned pc 0x{pc:04X}")
                 if pc > MEMORY_SIZE - INSTR_SIZE:
                     raise _Fault(f"pc 0x{pc:04X} out of range")
-                name, handler = _compile(_code_word(memory, pc)[0])
-                if emit:
+                name, handler = compile_(_code_word(memory, pc)[0])
+                if fetch:
                     emit("fetch", op=name)
                 handler(self, t, pc, emit)
             except (_Fault, DecodeError) as f:

@@ -97,12 +97,17 @@ def _parse_policy(parts: list) -> SchedulerPolicy:
 
 def parse(text: str) -> tuple[dict, list]:
     """Inverse of serialize: (metadata dict, Warning list).  A malformed
-    line raises ReportError("line N: ...")."""
+    line, or a first non-blank line other than `# scvm-report v1`,
+    raises ReportError("line N: ..."); so does a missing header."""
     meta: dict = {}
     warnings: list = []
     # rows are "\n"-separated; splitlines would also split on stray
     # unicode separators inside detail text
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines = text.split("\n")
+    first = next((n for n, line in enumerate(lines) if line.strip()), len(lines) - 1)
+    if lines[first] != f"# {REPORT_VERSION}":
+        raise ReportError(f"line {first + 1}: expected '# {REPORT_VERSION}'")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -133,6 +138,9 @@ def parse(text: str) -> tuple[dict, list]:
             )
         except ValueError as exc:
             raise ReportError(f"line {lineno}: {exc}") from None
+    for key, header in (("image_sha256", "image sha256"), ("policy", "policy")):
+        if key not in meta:
+            raise ReportError(f"missing '# {header}' header")
     return meta, warnings
 
 

@@ -202,7 +202,6 @@ class ShadowState:
                 return self.fresh(
                     {TagKind.TAINTED}, origin, f"network read of {e.width} bytes"
                 )
-            return self.untagged
         return self.untagged
 
     def _on_mem_write(self, e: Event) -> None:

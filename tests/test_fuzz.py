@@ -6,14 +6,26 @@ body of validly encoded instructions whose immediates fit their opcode
 (code addresses for branches, syscall numbers for SYS), and ends in
 HALT.  That gets many runs past their first few steps and into spawned
 threads and locks, under both schedulers.
+
+Observers reading random sets of event kinds, over these images and the
+shipped corpus, each receive exactly the full stream filtered to their
+kinds.
 """
 
+import contextlib
+import dataclasses
+import functools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import scvm.machine
 from scvm import RunConfig, analyze
-from scvm.asm import ProgramImage
+from scvm.asm import ProgramImage, assemble
+from scvm.corpus import REQUIRED_ENTRIES
 from scvm.isa import IMM_MAX, IMM_MIN, INSTR_SIZE, Instruction, Opcode, encode
 from scvm.machine import (
+    EVENT_KINDS,
     HEAP_BASE,
     ROUND_ROBIN,
     SEEDED_RANDOM,
@@ -29,7 +41,7 @@ from scvm.machine import (
     load,
 )
 
-from helpers import analysis_outputs, full_delivery
+from helpers import analysis_outputs, corpus_source, full_delivery
 
 BODY_LEN = 16
 N_INSTRS = 8 + BODY_LEN + 1  # register prelude, body, final HALT
@@ -128,3 +140,74 @@ def test_random_images_analyze_alike_with_full_delivery(prelude, body, quantum, 
         with full_delivery():
             full = analysis_outputs(image, config)
         assert filtered == full, kind
+
+
+_read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)
+
+
+def _stream(image, policy, kinds=None):
+    """(final state, the events an observer reading `kinds` received,
+    each as a tuple of its fields); kinds None reads every kind, and an
+    empty `kinds` leaves the run bare."""
+    machine = load(image, policy)
+    got = []
+
+    def observe(e):
+        got.append(dataclasses.astuple(e))
+
+    if kinds is not None:
+        observe.kinds = tuple(kinds)
+    machine.add_observer(observe)
+    return machine.run(STEP_LIMIT).state, got
+
+
+@contextlib.contextmanager
+def _handlers_compiled_afresh():
+    """Runs compile every code word anew for their read set, through no
+    handler cache: the reference the cached runs must match."""
+    compiler = scvm.machine._compiler
+    scvm.machine._compiler = lambda reads: functools.partial(scvm.machine._compile, reads=reads)
+    try:
+        yield
+    finally:
+        scvm.machine._compiler = compiler
+
+
+def _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets):
+    """Bare, subset and full runs interleaved in one process, through
+    the shared handler caches: each observer gets exactly the stream of
+    a run compiled afresh, filtered to the kinds it reads, and every
+    run ends in the same state."""
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = dataclasses.replace(policy, kind=kind)
+        with _handlers_compiled_afresh():
+            state, full = _stream(image, policy)
+        for kinds in read_sets:
+            assert load(image, policy).run(STEP_LIMIT).state == state, kind
+            filtered = [e for e in full if e[0] in kinds]
+            assert _stream(image, policy, kinds) == (state, filtered), (kind, sorted(kinds))
+            assert _stream(image, policy) == (state, full), kind
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    prelude=_prelude,
+    body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+    quantum=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    read_sets=_read_sets,
+)
+def test_random_images_deliver_each_read_set_its_filtered_stream(
+    prelude, body, quantum, seed, read_sets
+):
+    policy = SchedulerPolicy(ROUND_ROBIN, quantum, seed)
+    _assert_each_read_set_sees_the_filtered_stream(_image(prelude, body), policy, read_sets)
+
+
+@pytest.mark.parametrize("name", REQUIRED_ENTRIES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), read_sets=_read_sets)
+def test_corpus_entries_deliver_each_read_set_its_filtered_stream(name, seed, read_sets):
+    image = assemble(corpus_source(name))
+    policy = SchedulerPolicy(ROUND_ROBIN, 1, seed)
+    _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets)

@@ -4,6 +4,7 @@ The seeded scheduler is checked against an independent xorshift64*
 reimplementation rather than against the machine's own generator.
 """
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -943,6 +944,41 @@ def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
     machine.run(step_limit=200)
     assert len(got) > 2
     assert built == ["mem-write"] * len(got)
+
+
+def test_handler_caches_stay_bounded_across_many_read_sets():
+    """Each read set gets its own handler cache; cycling through more
+    read sets than the bound keeps at most the bound, and every run
+    ends where a bare run does."""
+    image = assemble(OBSERVED_SRC)
+    bare = load(image).run(step_limit=200)
+    bound = scvm.machine._compiler.cache_info().maxsize
+    assert bound is not None and bound <= 16
+    read_sets = list(itertools.combinations(EVENT_KINDS, 2))[:40]
+    assert len(set(read_sets)) == 40 > bound
+    for kinds in read_sets:
+        machine = load(image)
+        machine.add_observer(_reader(kinds)[0])
+        result = machine.run(step_limit=200)
+        assert scvm.machine._compiler.cache_info().currsize <= bound
+        assert result.state == bare.state, kinds
+        assert (result.outcome, result.steps) == (bare.outcome, bare.steps)
+    assert scvm.machine._compiler.cache_info().currsize == bound
+
+
+def test_a_word_is_decoded_once_across_read_sets(monkeypatch):
+    """Compiling a word for a new read set reuses its decoded form, so
+    decode runs once per word, not once per word and read set."""
+    image = assemble(OBSERVED_SRC)
+    scvm.machine._compiler.cache_clear()
+    load(image).run(step_limit=200)
+    calls = []
+    monkeypatch.setattr(scvm.machine, "decode", lambda raw: calls.append(raw))
+    for kinds in (("fetch",), ("reg-read", "mem-write"), EVENT_KINDS):
+        machine = load(image)
+        machine.add_observer(_reader(kinds)[0])
+        machine.run(step_limit=200)
+    assert calls == []
 
 
 # -- format_event ----------------------------------------------------------

@@ -117,6 +117,32 @@ def test_parse_names_the_malformed_line(line, message):
     assert str(exc.value).startswith(f"line 3: {message}")
 
 
+HEADERLESS_ROW = "NULL_DEREF_UNCHECKED\tnull\t5\t0\t0x0028\t-\t-\td\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: expected '# scvm-report v1'"),
+        ("\n\n", "line 3: expected '# scvm-report v1'"),
+        ("# scvm-report v9\n", "line 1: expected '# scvm-report v1'"),
+        (f"\n# image sha256 {SHA}\n", "line 2: expected '# scvm-report v1'"),
+        (HEADERLESS_ROW, "line 1: expected '# scvm-report v1'"),
+        (f"# {REPORT_VERSION}\n", "missing '# image sha256' header"),
+        (f"# {REPORT_VERSION}\n# policy round-robin seed 0 quantum 1\n" + HEADERLESS_ROW,
+         "missing '# image sha256' header"),
+        (f"# {REPORT_VERSION}\n# image sha256 {SHA}\n" + HEADERLESS_ROW,
+         "missing '# policy' header"),
+    ],
+    ids=["empty", "blank", "other-version", "no-version", "headerless-row", "version-only",
+         "no-image", "no-policy"],
+)
+def test_parse_requires_the_version_line_and_both_headers(text, message):
+    with pytest.raises(ReportError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 detail_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=80
 )

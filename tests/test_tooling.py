@@ -5,8 +5,11 @@ every committed benchmark record holds the numbers BENCHMARK.json asks
 for."""
 
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,7 @@ from scvm.checkers import (
     UserChecker,
     make_checkers,
 )
-from scvm.machine import EVENT_KINDS, Machine, Scheduler, load
+from scvm.machine import EVENT_KINDS, Event, Machine, Scheduler, load
 from scvm.shadow import ShadowState
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +76,25 @@ def test_event_kinds_are_exactly_the_emitted_ones():
     emitted = emitted_kinds((ROOT / "src" / "scvm" / "machine.py").read_text())
     assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)  # a repeat would deliver twice
     assert emitted == set(EVENT_KINDS)
+
+
+def test_emit_parameters_are_the_event_fields_after_the_stamp():
+    """emit builds each Event positionally, so a parameter out of
+    Event's field order would put a value in the wrong field."""
+    (code,) = (c for c in Machine.run.__code__.co_consts
+               if getattr(c, "co_name", None) == "emit")
+    params = code.co_varnames[: code.co_argcount]
+    fields = [f.name for f in dataclasses.fields(Event)]
+    assert fields[:7] == ["kind", "step", "tid", "pc", "mode", "iflag", "locks_held"]
+    assert params[0] == "kind"
+    assert list(params[1:]) == fields[7:]
+    assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
+    (emit,) = (n for n in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(Machine.run))))
+               if isinstance(n, ast.FunctionDef) and n.name == "emit")
+    (call,) = (n for n in ast.walk(emit) if isinstance(n, ast.Call)
+               and isinstance(n.func, ast.Name) and n.func.id == "Event")
+    assert [a.id for a in call.args[7:] if isinstance(a, ast.Name)] == fields[7:]
+    assert len(call.args) == len(fields) and not call.keywords
 
 
 def test_observers_read_only_known_kinds():
