@@ -37,6 +37,7 @@ seed, step limit) always reproduces identical event streams.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 import struct
@@ -214,9 +215,7 @@ class ThreadContext:
 @dataclass
 class MachineState:
     memory: bytearray
-    # tid -> ThreadContext, iterated in tid order: SPAWN mints tid
-    # len(threads) and no thread is ever removed.  Scheduler.pick relies
-    # on this order.
+    # tid -> ThreadContext; SPAWN mints tid len(threads), none is removed.
     threads: dict
     current: int
     iflag: bool = True
@@ -230,6 +229,12 @@ class MachineState:
     image_origin: int = 0
     image_end: int = 0
     output: bytearray = field(default_factory=bytearray)  # first OUTPUT_CAP bytes
+    # Tids of the alive, unblocked threads, ascending.  Derived from threads
+    # here, then updated in place by HALT, EXIT_THREAD, LOCK, UNLOCK, SPAWN.
+    runnable: list = field(init=False)
+
+    def __post_init__(self):
+        self.runnable = [t.tid for t in self.threads.values() if t.alive and t.blocked_on is None]
 
 
 @dataclass(frozen=True)
@@ -267,32 +272,21 @@ class Scheduler:
         self._used = self.policy.quantum
 
     def pick(self, state: MachineState) -> int | None:
-        """Next tid to run, or None when no live thread can run."""
-        if len(state.threads) == 1:
-            # The general path with one candidate, minus its list: the
-            # quantum and the generator advance exactly as they would.
-            (t,) = state.threads.values()
-            if not t.alive or t.blocked_on is not None:
-                return None
-            if t.tid == state.current and self._used < self.policy.quantum:
-                self._used += 1
-            else:
-                self._used = 1
-                if self.policy.kind == SEEDED_RANDOM:
-                    self._rng = _xorshift64star(self._rng)[0]
-            return t.tid
-        eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
-        if not eligible:
+        """Next tid from state.runnable (None when empty): the current one
+        until its quantum is used, then the next by round-robin or a draw."""
+        runnable = state.runnable
+        if not runnable:
             return None
         cur = state.current
-        if cur in eligible and self._used < self.policy.quantum:
+        if self._used < self.policy.quantum and cur in runnable:
             self._used += 1
             return cur
         self._used = 1
         if self.policy.kind == ROUND_ROBIN:
-            return next((t for t in eligible if t > cur), eligible[0])
+            i = bisect.bisect_right(runnable, cur)
+            return runnable[i] if i < len(runnable) else runnable[0]
         self._rng, out = _xorshift64star(self._rng)
-        return eligible[out % len(eligible)]
+        return runnable[out % len(runnable)]
 
 
 @dataclass(frozen=True)
@@ -512,6 +506,7 @@ def _general(op: Opcode, imm: int, reads, m, t, pc, emit):
             m.state.halted = True
         else:
             t.alive = False
+            m.state.runnable.remove(t.tid)
             if "thread-exit" in reads:
                 emit("thread-exit")
         return
@@ -549,6 +544,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
     if number == SYS_LOCK:
         if r0 in st.locks:
             t.blocked_on = r0
+            st.runnable.remove(t.tid)
             return
         st.locks[r0] = t.tid
         t.locks_held = t.locks_held | {r0}
@@ -562,6 +558,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
         for other in st.threads.values():
             if other.blocked_on == r0:
                 other.blocked_on = None
+                bisect.insort(st.runnable, other.tid)
     elif number == SYS_ALLOC:
         size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
         if st.heap_next + size > HEAP_LIMIT:
@@ -609,12 +606,14 @@ def _syscall(number: int, reads, m, t, pc, emit):
     elif number == SYS_SPAWN:
         result = len(st.threads)  # tids count up and no thread is removed
         st.threads[result] = _new_thread(result, pc=r0, stack_top=r1)
+        st.runnable.append(result)  # the highest tid yet
         if "spawn" in reads:
             emit("spawn", new_tid=result)
     elif number == SYS_YIELD:
         m.scheduler.expire_slice()
     elif number == SYS_EXIT_THREAD:
         t.alive = False
+        st.runnable.remove(t.tid)
         if "thread-exit" in reads:
             emit("thread-exit")
     if result is not None:

@@ -170,8 +170,14 @@ class ShadowState:
         if src[0] == "reg":
             return regs[src[1]]
         if src[0] == "mem":
-            # word loads adopt the lowest-addressed byte's cell
-            return self.mem_cells.get(src[1], self.untagged)
+            _, addr, width = src
+            get, untagged = self.mem_cells.get, self.untagged
+            first = get(addr, untagged)
+            if width == 1 or (get(addr + 1, untagged) is first
+                              and get(addr + 2, untagged) is first
+                              and get(addr + 3, untagged) is first):
+                return first
+            return self._merge_load(e, addr, width)
         if src[0] == "binop":
             _, opname, rs, rt = src
             if rs == rt and opname in ZEROING_OPS:
@@ -203,6 +209,21 @@ class ShadowState:
                     {TagKind.TAINTED}, origin, f"network read of {e.width} bytes"
                 )
         return self.untagged
+
+    def _merge_load(self, e: Event, addr: int, width: int) -> TypeObject:
+        """A load over differing cells: its one tagged object, else a fresh
+        union of their tags, as Memcheck merges a load's byte shadows.  The
+        union is a new object, so a null check made through it does not
+        flow back to the objects it merged."""
+        objs = []
+        for a in range(addr, addr + width):
+            obj = self.mem_cells.get(a, self.untagged)
+            if obj.tags and obj not in objs:
+                objs.append(obj)
+        if len(objs) < 2:
+            return objs[0] if objs else self.untagged
+        note = "load merge of " + " and ".join(f"#{o.id}" for o in objs)
+        return self.fresh(set().union(*(o.tags for o in objs)), (e.pc, e.tid, e.step), note)
 
     def _on_mem_write(self, e: Event) -> None:
         obj = self._source_object(e)

@@ -1,13 +1,16 @@
-"""Shared test plumbing: assemble-and-run in one call, corpus access."""
+"""Shared test plumbing: assemble-and-run in one call, corpus access,
+and the reference scheduler."""
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 
 from scvm import RunConfig, SchedulerPolicy, analyze, assemble
 from scvm.checkers import CHECKER_ORDER, CheckerRegistry
 from scvm.corpus import shipped_dir
+from scvm.machine import ROUND_ROBIN, load
 from scvm.report import serialize
 from scvm.shadow import ShadowState
 
@@ -39,6 +42,72 @@ def run_program(
         observers=tuple(observers),
     )
     return image, analyze(image, config)
+
+
+M64 = (1 << 64) - 1
+
+
+def ref_xorshift64star(state):
+    """Reference generator, written out from the recurrence."""
+    x = state & M64
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & M64
+    x ^= x >> 27
+    return x, (x * 0x2545F4914F6CDD1D) & M64
+
+
+def general_pick(sched, state):
+    """Scheduler.pick as it was before its single-thread fast path: the
+    eligible list, built on every call."""
+    eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
+    if not eligible:
+        return None
+    cur = state.current
+    if cur in eligible and sched._used < sched.policy.quantum:
+        sched._used += 1
+        return cur
+    sched._used = 1
+    if sched.policy.kind == ROUND_ROBIN:
+        return next((t for t in eligible if t > cur), eligible[0])
+    sched._rng, out = ref_xorshift64star(sched._rng)
+    return eligible[out % len(eligible)]
+
+
+def rebuilt_runnable(state) -> list:
+    """state.runnable as rebuilt from its threads."""
+    return [tid for tid, t in sorted(state.threads.items()) if t.alive and t.blocked_on is None]
+
+
+def _stepped_run(image, policy, step_limit, pick=None):
+    """Run image one step per resumed run() call, asserting after each
+    step that state.runnable equals the list rebuilt from the threads;
+    `pick(scheduler, state)` replaces the scheduler's own pick when
+    given.  Returns (RunResult, every tid picked, None included)."""
+    machine = load(image, policy)
+    sched, picks = machine.scheduler, []
+    choose = sched.pick if pick is None else functools.partial(pick, sched)
+
+    def recording(state):
+        picks.append(choose(state))
+        return picks[-1]
+
+    sched.pick = recording
+    for n in range(1, step_limit + 1):
+        result = machine.run(step_limit=n)
+        assert machine.state.runnable == rebuilt_runnable(machine.state), n
+        if result.outcome != "timeout":
+            break
+    return result, picks
+
+
+def assert_scheduled_like_the_general_pick(image, policy, step_limit):
+    """state.runnable stays what the threads say after every step, and
+    the run picks the tids and ends in the state of a run whose pick is
+    general_pick."""
+    got, picks = _stepped_run(image, policy, step_limit)
+    want, general_picks = _stepped_run(image, policy, step_limit, general_pick)
+    assert picks == general_picks
+    assert (got.state, got.outcome, got.steps) == (want.state, want.outcome, want.steps)
 
 
 def rules_of(result) -> list:

@@ -216,6 +216,31 @@ def test_error_precedence(source, lineno):
     assert exc.value.lineno == lineno
 
 
+@pytest.mark.parametrize(
+    "source, lineno, message",
+    [
+        ("HALT\n.asciiz abc", 2, "expected quoted string, got 'abc'"),
+        ('HALT\n.asciiz "ab\\"', 2, "dangling escape in string"),
+        ('HALT\n.asciiz "a\\qb"', 2, "unknown string escape \\q"),
+        ("HALT\nMOVI r0, '\\q'", 2, "unknown character escape '\\\\q'"),
+        ("HALT\nMOVI r0, 'ab'", 2, "malformed character literal \"'ab'\""),
+        ("HALT\nMOVI 5, 1", 2, "expected register, got '5'"),
+        ("HALT\nLD r1, r2", 2, "expected [rN+imm] operand, got 'r2'"),
+        ("HALT\n.org 0x10000", 2, ".org 0x10000 outside memory"),
+        ("HALT\n.org -8", 2, ".org 0xfffffff8 outside memory"),
+        (".org 0xFFF8\nHALT\nHALT", 3, "program exceeds guest memory"),
+    ],
+    ids=["unquoted-string", "dangling-escape", "string-escape", "char-escape",
+         "char-literal", "register", "mem-operand", "org-past-end", "org-negative",
+         "past-end-of-memory"],
+)
+def test_error_names_line_and_message(source, lineno, message):
+    with pytest.raises(AsmError) as exc:
+        assemble(source)
+    assert exc.value.lineno == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
 def test_negated_offset_is_normalised_first():
     # 0xFFFFFFFF spells -1, so [r1-0xFFFFFFFF] is [r1+1].
     assert decode_all(assemble("LD r1, [r1-0xFFFFFFFF]\nHALT"))[0].imm == 1

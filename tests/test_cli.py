@@ -101,6 +101,24 @@ def test_asm_missing_source_is_exit_2(tmp_path, capsys):
     assert "scvm asm:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["asm", "check"])
+def test_unwritable_output_is_exit_2(build, tmp_path, capsys, command):
+    target = tmp_path / "no_such_dir" / "out"
+    if command == "asm":
+        src = tmp_path / "p.s"
+        src.write_text(CLEAN)
+        argv, prefix = ["asm", str(src), "-o", str(target)], "scvm asm: "
+    else:
+        img = build(CLEAN)
+        argv = ["check", str(img), "--report", str(target)]
+        prefix = "scvm check: cannot write report: "
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix) and str(target) in err
+    assert not target.exists()
+
+
 # -- run -----------------------------------------------------------------
 
 

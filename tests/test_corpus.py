@@ -132,6 +132,15 @@ def test_failing_expectation_shows_in_the_table(tmp_path):
     assert "missing FMT_TAINTED@0x0000" in line
 
 
+def test_entry_that_does_not_halt_names_its_outcome(tmp_path):
+    (tmp_path / "f.s").write_text("site: CLI\nHALT\n")
+    (tmp_path / "f.manifest").write_text("policy round-robin seed 0 quantum 1\n")
+    result = run_corpus(tmp_path)
+    assert not result.all_passed
+    line = result.results[0].status_line()
+    assert line == f"FAIL  {'f':<24} outcome=fault; {result.results[0].verdict}"
+
+
 def test_seeded_sources_label_their_sites():
     # every expectation label must appear as a label in its source
     for entry in discover(shipped_dir()):

@@ -7,6 +7,9 @@ body of validly encoded instructions whose immediates fit their opcode
 HALT.  That gets many runs past their first few steps and into spawned
 threads and locks, under both schedulers.
 
+The scheduler's runnable list stays what the threads say, and it picks
+as the reference general pick does.
+
 Observers reading random sets of event kinds, over these images and the
 shipped corpus, each receive exactly the full stream filtered to their
 kinds.
@@ -41,7 +44,12 @@ from scvm.machine import (
     load,
 )
 
-from helpers import analysis_outputs, corpus_source, full_delivery
+from helpers import (
+    analysis_outputs,
+    assert_scheduled_like_the_general_pick,
+    corpus_source,
+    full_delivery,
+)
 
 BODY_LEN = 16
 N_INSTRS = 8 + BODY_LEN + 1  # register prelude, body, final HALT
@@ -140,6 +148,14 @@ def test_random_images_analyze_alike_with_full_delivery(prelude, body, quantum, 
         with full_delivery():
             full = analysis_outputs(image, config)
         assert filtered == full, kind
+
+
+@_random_images
+def test_random_images_keep_runnable_and_pick_like_the_general_path(prelude, body, quantum, seed):
+    image = _image(prelude, body)
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        assert_scheduled_like_the_general_pick(image, policy, STEP_LIMIT)
 
 
 _read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)

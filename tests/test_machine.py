@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import scvm.machine
 from scvm.asm import assemble
+from scvm.corpus import REQUIRED_ENTRIES
 from scvm.isa import Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
@@ -34,16 +35,13 @@ from scvm.machine import (
     load,
 )
 
-M64 = (1 << 64) - 1
-
-
-def _ref_xorshift64star(state):
-    """Reference generator, written out from the recurrence."""
-    x = state & M64
-    x ^= x >> 12
-    x = (x ^ (x << 25)) & M64
-    x ^= x >> 27
-    return x, (x * 0x2545F4914F6CDD1D) & M64
+from helpers import (
+    assert_scheduled_like_the_general_pick,
+    corpus_source,
+    general_pick,
+    rebuilt_runnable,
+    ref_xorshift64star,
+)
 
 
 def run_source(src, policy=None, step_limit=10_000):
@@ -381,6 +379,7 @@ def test_syscall_names_are_the_sixteen_syscalls():
     "src, fault, emitted",
     [
         ("SYS 5\nHALT", GuestFault("unknown syscall 5", 0, 0x00, 0), False),
+        ("SYS 6\nHALT", GuestFault("unknown syscall 6", 0, 0x00, 0), False),
         ("SYS 99\nHALT", GuestFault("unknown syscall 99", 0, 0x00, 0), False),
         ("MOVI r0, 1\nSYS 49\nSYS 49\nHALT", GuestFault("recursive LOCK of 1", 0, 0x10, 2), False),
         ("MOVI r0, 5\nSYS 50\nHALT",
@@ -396,9 +395,9 @@ def test_syscall_names_are_the_sixteen_syscalls():
         ("MOVI r0, 0xFFFF\nMOVI r1, 2\nSYS 3\nHALT",
          GuestFault("unmapped address 0x0000FFFF", 0, 0x10, 2), True),
     ],
-    ids=["unknown-5", "unknown-99", "recursive-lock", "unlock-not-held", "nested-kcall",
-         "kcall-no-trap", "kret-outside-kcall", "open-past-end", "printf-past-end",
-         "read-net-past-end"],
+    ids=["unknown-5", "unknown-6", "unknown-99", "recursive-lock", "unlock-not-held",
+         "nested-kcall", "kcall-no-trap", "kret-outside-kcall", "open-past-end",
+         "printf-past-end", "read-net-past-end"],
 )
 def test_syscall_fault_and_its_event(src, fault, emitted):
     got, lines = fault_trace(src)
@@ -511,7 +510,7 @@ def test_seeded_schedule_matches_reference_generator():
     expect = []
     for step in range(60):
         eligible = [0] if step < 3 else [0, 1]
-        state, out = _ref_xorshift64star(state)
+        state, out = ref_xorshift64star(state)
         expect.append(eligible[out % len(eligible)])
     assert tids == expect
 
@@ -544,27 +543,18 @@ def test_yield_rotates_early():
     assert tids[yield_step + 1] == 1
 
 
-def _general_pick(sched, state):
-    """Scheduler.pick as it was before its single-thread fast path: the
-    eligible list, built on every call."""
-    eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
-    if not eligible:
-        return None
-    cur = state.current
-    if cur in eligible and sched._used < sched.policy.quantum:
-        sched._used += 1
-        return cur
-    sched._used = 1
-    if sched.policy.kind == ROUND_ROBIN:
-        return next((t for t in eligible if t > cur), eligible[0])
-    sched._rng, out = _ref_xorshift64star(sched._rng)
-    return eligible[out % len(eligible)]
+def test_scheduler_policy_rejects_an_unknown_kind():
+    # The CLI and the manifests reject it first; the API still must.
+    with pytest.raises(ValueError) as exc:
+        SchedulerPolicy(kind="bogus")
+    assert str(exc.value) == "unknown scheduler kind 'bogus'"
 
 
 @pytest.mark.parametrize("quantum", [1, 2, 3])
 @pytest.mark.parametrize("kind", [ROUND_ROBIN, SEEDED_RANDOM])
 def test_pick_matches_the_general_path(kind, quantum):
-    """Random thread sets that spend long stretches with one thread:
+    """Random thread sets that spend long stretches with one thread,
+    mutated by hand (so state.runnable is rebuilt after each mutation):
     pick gives the general path's tids and leaves its quantum count and
     generator where the general path would."""
     for seed in range(40):
@@ -584,11 +574,67 @@ def test_pick_matches_the_general_path(kind, quantum):
             elif roll < 0.15:
                 fast.expire_slice()
                 general.expire_slice()
+            state.runnable = rebuilt_runnable(state)
             tid = fast.pick(state)
-            assert tid == _general_pick(general, state), seed
+            assert tid == general_pick(general, state), seed
             assert (fast._used, fast._rng) == (general._used, general._rng), seed
             if tid is not None:
                 state.current = tid
+
+
+def _threads_and_locks_source(rng):
+    """A random guest of straight-line threads.  Each SPAWNs only
+    higher-numbered workers, takes and releases two lock ids (never
+    one it holds, and releases only what it holds), YIELDs, and ends in
+    HALT or EXIT_THREAD, sometimes still holding a lock; so threads
+    block, wake, deadlock and die in many orders."""
+    n_workers = rng.randint(1, 3)
+    lines = []
+    for me in range(n_workers + 1):
+        lines.append("start:" if me == 0 else f"w{me}:")
+        held = set()
+        for _ in range(rng.randint(3, 10)):
+            roll = rng.random()
+            if roll < 0.25 and me < n_workers:
+                lines += [f"MOVI r0, w{rng.randint(me + 1, n_workers)}",
+                          f"MOVI r1, {0xF000 - 0x400 * me}", "SYS 48"]
+            elif roll < 0.5:
+                lock = rng.choice([1, 2])
+                if lock in held:
+                    lines += [f"MOVI r0, {lock}", "SYS 50"]
+                    held.discard(lock)
+                else:
+                    lines += [f"MOVI r0, {lock}", "SYS 49"]
+                    held.add(lock)
+            elif roll < 0.65:
+                lines.append("SYS 51")
+            else:
+                lines.append(f"MOVI r2, {rng.randint(0, 9)}")
+        for lock in sorted(held):
+            if rng.random() < 0.8:
+                lines += [f"MOVI r0, {lock}", "SYS 50"]
+        lines.append(rng.choice(["HALT", "SYS 52"]))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("quantum", [1, 2, 3])
+@pytest.mark.parametrize("kind", [ROUND_ROBIN, SEEDED_RANDOM])
+def test_random_thread_images_keep_runnable_and_pick_like_the_general_path(kind, quantum):
+    outcomes = set()
+    for seed in range(30):
+        image = assemble(_threads_and_locks_source(random.Random(seed)))
+        policy = SchedulerPolicy(kind, quantum, seed)
+        assert_scheduled_like_the_general_pick(image, policy, step_limit=400)
+        outcomes.add(load(image, policy).run(400).outcome)
+    assert outcomes >= {"halt", "fault"}
+
+
+@pytest.mark.parametrize("quantum", [1, 2, 3])
+@pytest.mark.parametrize("kind", [ROUND_ROBIN, SEEDED_RANDOM])
+def test_corpus_entries_keep_runnable_and_pick_like_the_general_path(kind, quantum):
+    policy = SchedulerPolicy(kind, quantum, 11)
+    for name in REQUIRED_ENTRIES:
+        assert_scheduled_like_the_general_pick(assemble(corpus_source(name)), policy, 2_000)
 
 
 CONTENDED_LOCK_SRC = """

@@ -9,7 +9,7 @@ import tracemalloc
 
 from hypothesis import given, strategies as st
 
-from scvm.machine import Event
+from scvm.machine import Event, SchedulerPolicy
 from scvm.shadow import ShadowState, TagKind
 
 from helpers import run_program
@@ -162,6 +162,76 @@ def test_word_load_adopts_lowest_byte_cell():
     assert sh.reg_object(0, 2) is tagged
     sh.on_event(ev("reg-write", reg=3, value=0, src=("mem", 0x4001, 4)))
     assert sh.reg_object(0, 3) is sh.untagged
+
+
+# Network bytes land in bytes 1..3 of a word, and the word is copied by
+# one LD/ST into the string PRINTF reads.
+WORD_COPY_SRC = """
+start: MOVI r0, 8
+       SYS 1             ; ALLOC the word the network partly fills
+       CMPI r0, 0
+       BEQ out
+       MOV r4, r0
+       MOVI r0, 8
+       SYS 1             ; ALLOC the copy
+       CMPI r0, 0
+       BEQ out
+       MOV r5, r0
+       MOVI r2, 0x41414141
+       ST [r4], r2
+       MOVI r0, 1
+       ADD r0, r4, r0
+       MOVI r1, 3
+       SYS 3             ; READ_NET over bytes 1..3 of the word
+       LD r3, [r4]       ; byte 0 untagged, bytes 1..3 tainted
+       ST [r5], r3
+       MOVI r6, 0
+       ST [r5+4], r6     ; NUL-terminate the copy
+       MOV r0, r5
+       SYS 4             ; PRINTF the copy
+out:   HALT
+"""
+
+
+def test_word_copy_of_network_bytes_reaches_printf_tainted():
+    _, result = run_program(WORD_COPY_SRC, policy=SchedulerPolicy(seed=0x42))
+    assert result.outcome == "halt"
+    assert result.state.output == b"ABCD"
+    got = [(w.rule, w.step, w.address) for w in result.warnings]
+    assert got == [
+        ("RACE_EMPTY_LOCKSET", 11, 0x8000),
+        ("RACE_EMPTY_LOCKSET", 17, 0x8008),
+        ("RACE_EMPTY_LOCKSET", 19, 0x800C),
+        ("FMT_TAINTED", 21, 0x8008),
+    ]
+    assert "network read of 3 bytes" in result.warnings[-1].detail
+
+
+def test_load_of_one_tagged_object_mints_nothing():
+    sh = ShadowState()
+    tagged = alloc_into(sh, reg=0)
+    sh.on_event(ev("mem-write", addr=0x4000, width=4, src=("reg", 0)))
+    minted = next(sh._ids)
+    sh.on_event(ev("reg-write", reg=2, value=0, src=("mem", 0x4000, 4)))
+    assert sh.reg_object(0, 2) is tagged
+    assert next(sh._ids) == minted + 1
+
+
+def test_load_over_two_tagged_objects_merges_their_tags():
+    sh = ShadowState()
+    sh.on_event(ev("mem-write", addr=0x4000, width=2, src=("syscall", 3)))  # READ_NET
+    first = sh.mem_object(0x4000)
+    alloc = alloc_into(sh, reg=1)
+    sh.on_event(ev("mem-write", addr=0x4002, width=1, src=("reg", 1)))
+    sh.on_event(ev("reg-write", reg=2, value=0, src=("mem", 0x4000, 4)))
+    merged = sh.reg_object(0, 2)
+    assert merged is not first and merged is not alloc
+    assert merged.tags == {TagKind.TAINTED, TagKind.ALLOC_UNCHECKED}
+    assert merged.note == f"load merge of #{first.id} and #{alloc.id}"
+    assert first.tags == {TagKind.TAINTED} and alloc.tags == {TagKind.ALLOC_UNCHECKED}
+    sh.on_event(ev("compare", rs=2, value=0))  # a null check through the merge
+    assert TagKind.NULL_CHECKED in merged.tags
+    assert TagKind.NULL_CHECKED not in alloc.tags
 
 
 # -- syscall boundary and hypercalls --------------------------------------
