@@ -7,6 +7,10 @@ Plugins never mutate an event or either view, so enabling or disabling
 checkers cannot change a run.  A plugin serves one run: `make_checkers`
 builds fresh ones for each.
 
+Adding a checker means adding one class to the plugin table, `PLUGINS`:
+its `name` joins CHECKER_ORDER and its `kinds` join what the registry
+reads.
+
 Shipped checkers:
     null     NULL_DEREF_UNCHECKED   allocation/descriptor dereferenced
                                     with no null compare on record
@@ -93,8 +97,6 @@ class CheckerRegistry:
                 if key not in self._seen:
                     self._seen.add(key)
                     self.warnings.append(w)
-
-    dispatch.kinds = (*_MEM_KINDS, "syscall")  # what the shipped plugins read
 
 
 def run_checkers(plugins, events) -> list:
@@ -280,7 +282,10 @@ class LocksetChecker:
                 )
 
 
-CHECKER_ORDER = ("null", "user", "fmt", "lockset")
+# The plugin table, in canonical order: a checker is one class here.
+PLUGINS = (NullChecker, UserChecker, FmtChecker, LocksetChecker)
+CHECKER_ORDER = tuple(cls.name for cls in PLUGINS)
+CheckerRegistry.dispatch.kinds = tuple(dict.fromkeys(k for cls in PLUGINS for k in cls.kinds))
 
 
 def make_checkers(names, machine: Machine, shadow: ShadowState, options: dict | None = None):
@@ -299,23 +304,6 @@ def make_checkers(names, machine: Machine, shadow: ShadowState, options: dict | 
     grace_text = options.get("lockset.grace", "off")
     if grace_text not in ("on", "off"):
         raise ValueError("lockset.grace must be on or off")
-    plugins = []
-    for name in CHECKER_ORDER:
-        if name not in names:
-            continue
-        if name == "null":
-            plugins.append(NullChecker(machine, shadow))
-        elif name == "user":
-            plugins.append(UserChecker(machine, shadow))
-        elif name == "fmt":
-            plugins.append(FmtChecker(machine, shadow))
-        else:
-            plugins.append(
-                LocksetChecker(
-                    machine,
-                    shadow,
-                    tracked=options.get("lockset.tracked", "heap"),
-                    grace=grace_text == "on",
-                )
-            )
-    return plugins
+    lockset = {"tracked": options.get("lockset.tracked", "heap"), "grace": grace_text == "on"}
+    return [cls(machine, shadow, **(lockset if cls is LocksetChecker else {}))
+            for cls in PLUGINS if cls.name in names]

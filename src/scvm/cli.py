@@ -30,7 +30,7 @@ from .driver import RunConfig, analyze
 from .machine import (
     DEFAULT_STEP_LIMIT,
     ROUND_ROBIN,
-    SEEDED_RANDOM,
+    SCHEDULER_KINDS,
     SchedulerPolicy,
     format_event,
     load,
@@ -44,7 +44,7 @@ class _ConfigError(Exception):
 
 def _add_run_flags(p: argparse.ArgumentParser, traces):
     p.add_argument("image", help="image file produced by `scvm asm`")
-    p.add_argument("--sched", choices=[ROUND_ROBIN, SEEDED_RANDOM], default=ROUND_ROBIN)
+    p.add_argument("--sched", default=ROUND_ROBIN, help=" or ".join(SCHEDULER_KINDS))
     p.add_argument("--seed", type=int, default=0, help="scheduler / input seed")
     p.add_argument("--quantum", type=int, default=1, help="instructions per scheduler slice")
     p.add_argument("--steps", type=int, default=DEFAULT_STEP_LIMIT, help="step limit")

@@ -103,6 +103,7 @@ EVENT_KINDS = (
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "seeded-random"
+SCHEDULER_KINDS = (ROUND_ROBIN, SEEDED_RANDOM)
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ class SchedulerPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (ROUND_ROBIN, SEEDED_RANDOM):
+        if self.kind not in SCHEDULER_KINDS:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
         if self.quantum < 1:
             raise ValueError("quantum must be >= 1")

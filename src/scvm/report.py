@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .checkers import ALL_RULES, Warning
-from .machine import ROUND_ROBIN, SEEDED_RANDOM, SchedulerPolicy
+from .machine import SchedulerPolicy
 
 REPORT_VERSION = "scvm-report v1"
 
@@ -40,16 +40,17 @@ class ManifestError(ValueError):
     """Malformed manifest text or unresolvable site label."""
 
 
+# One table both ways: each escaped character and its escape.  _escape
+# replaces in table order, backslash first, so no escape is escaped again
+# (str.translate to two-character escapes is ~7x slower).
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {escape[1]: char for char, escape in _ESCAPES.items()}
+
+
 def _escape(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
-
-
-_UNESCAPES = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}
+    for char, escape in _ESCAPES.items():
+        text = text.replace(char, escape)
+    return text
 
 
 def _unescape_one(m: re.Match) -> str:
@@ -90,8 +91,6 @@ def _parse_policy(parts: list) -> SchedulerPolicy:
     ValueError naming what is wrong."""
     if len(parts) != 6 or parts[2] != "seed" or parts[4] != "quantum":
         raise ValueError("expected 'policy <kind> seed <n> quantum <n>'")
-    if parts[1] not in (ROUND_ROBIN, SEEDED_RANDOM):
-        raise ValueError(f"unknown policy kind {parts[1]!r}")
     return SchedulerPolicy(kind=parts[1], seed=int(parts[3]), quantum=int(parts[5]))
 
 

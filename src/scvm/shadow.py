@@ -43,9 +43,6 @@ class TagKind(enum.Enum):
     TAINTED = "TAINTED"
     FD_UNCHECKED = "FD_UNCHECKED"
 
-    def __str__(self):
-        return self.value
-
 
 # Tags that make a pointer "nullable": NULL_CHECKED only ever rides
 # along with one of these.
@@ -62,7 +59,6 @@ class TypeObject:
 
     id: int
     tags: set
-    origin: tuple | None = None  # (pc, tid, step) where created
     note: str = ""
 
     def __repr__(self):
@@ -88,7 +84,7 @@ class ShadowState:
 
     def __init__(self, trace: Callable[[str], None] | None = None):
         self._ids = itertools.count(1)
-        self.untagged = TypeObject(0, set(), None, "untagged")
+        self.untagged = TypeObject(0, set(), "untagged")
         self.mem_cells: dict = {}
         self.reg_cells: dict = {}
         self.taint_sources: set = set()  # (lo, hi) half-open ranges
@@ -96,8 +92,8 @@ class ShadowState:
 
     # -- cell plumbing ----------------------------------------------
 
-    def fresh(self, tags, origin=None, note="") -> TypeObject:
-        return TypeObject(next(self._ids), set(tags), origin, note)
+    def fresh(self, tags, note="") -> TypeObject:
+        return TypeObject(next(self._ids), set(tags), note)
 
     def _regs(self, tid: int) -> list:
         cells = self.reg_cells.get(tid)
@@ -148,11 +144,7 @@ class ShadowState:
             if self.taint_sources:
                 for a in range(e.addr, e.addr + e.width):
                     if self._in_taint_source(a):
-                        obj = self.fresh(
-                            {TagKind.TAINTED},
-                            origin=(e.pc, e.tid, e.step),
-                            note="read from untrusted source range",
-                        )
+                        obj = self.fresh({TagKind.TAINTED}, "read from untrusted source range")
                         self._set_mem(a, obj)
         elif kind == "compare":
             self._on_compare(e)
@@ -177,40 +169,29 @@ class ShadowState:
                               and get(addr + 2, untagged) is first
                               and get(addr + 3, untagged) is first):
                 return first
-            return self._merge_load(e, addr, width)
+            return self._merge_load(addr, width)
         if src[0] == "binop":
             _, opname, rs, rt = src
             if rs == rt and opname in ZEROING_OPS:
                 return self.untagged
             a, b = regs[rs], regs[rt]
             if a.tags and b.tags:
-                return self.fresh(
-                    a.tags | b.tags,
-                    origin=(e.pc, e.tid, e.step),
-                    note=f"{opname} merge of #{a.id} and #{b.id}",
-                )
+                return self.fresh(a.tags | b.tags, f"{opname} merge of #{a.id} and #{b.id}")
             if a.tags:
                 return a
             if b.tags:
                 return b
             return self.untagged
         if src[0] == "syscall":
-            origin = (e.pc, e.tid, e.step)
             if src[1] == SYS_ALLOC:
-                return self.fresh(
-                    {TagKind.ALLOC_UNCHECKED}, origin, f"ALLOC at step {e.step}"
-                )
+                return self.fresh({TagKind.ALLOC_UNCHECKED}, f"ALLOC at step {e.step}")
             if src[1] == SYS_OPEN:
-                return self.fresh(
-                    {TagKind.FD_UNCHECKED}, origin, f"OPEN at step {e.step}"
-                )
+                return self.fresh({TagKind.FD_UNCHECKED}, f"OPEN at step {e.step}")
             if src[1] == SYS_READ_NET:
-                return self.fresh(
-                    {TagKind.TAINTED}, origin, f"network read of {e.width} bytes"
-                )
+                return self.fresh({TagKind.TAINTED}, f"network read of {e.width} bytes")
         return self.untagged
 
-    def _merge_load(self, e: Event, addr: int, width: int) -> TypeObject:
+    def _merge_load(self, addr: int, width: int) -> TypeObject:
         """A load over differing cells: its one tagged object, else a fresh
         union of their tags, as Memcheck merges a load's byte shadows.  The
         union is a new object, so a null check made through it does not
@@ -223,7 +204,7 @@ class ShadowState:
         if len(objs) < 2:
             return objs[0] if objs else self.untagged
         note = "load merge of " + " and ".join(f"#{o.id}" for o in objs)
-        return self.fresh(set().union(*(o.tags for o in objs)), (e.pc, e.tid, e.step), note)
+        return self.fresh(set().union(*(o.tags for o in objs)), note)
 
     def _on_mem_write(self, e: Event) -> None:
         obj = self._source_object(e)
@@ -244,13 +225,8 @@ class ShadowState:
         if n == SYS_KCALL:
             # Everything userland hands across the boundary is an
             # unchecked user value until proven otherwise.
-            origin = (e.pc, e.tid, e.step)
             for i in range(4):
-                self._set_reg(
-                    e.tid,
-                    i,
-                    self.fresh({TagKind.USER_UNCHECKED}, origin, "syscall boundary"),
-                )
+                self._set_reg(e.tid, i, self.fresh({TagKind.USER_UNCHECKED}, "syscall boundary"))
         elif n in (SYS_CHECK_USER_READ, SYS_CHECK_USER_WRITE):
             obj = self._regs(e.tid)[0]
             if TagKind.USER_UNCHECKED in obj.tags:
@@ -264,13 +240,7 @@ class ShadowState:
         elif n == SYS_TAG_TAINT:
             obj = self._regs(e.tid)[0]
             if obj is self.untagged:
-                self._set_reg(
-                    e.tid,
-                    0,
-                    self.fresh(
-                        {TagKind.TAINTED}, (e.pc, e.tid, e.step), "tagged by hypercall"
-                    ),
-                )
+                self._set_reg(e.tid, 0, self.fresh({TagKind.TAINTED}, "tagged by hypercall"))
             else:
                 self._add_tag(obj, TagKind.TAINTED)
         elif n == SYS_TAG_UNTRUSTED_SOURCE:

@@ -349,6 +349,47 @@ def test_tracked_all_covers_everything():
     assert any(w.address == 0x4000 for w in result.warnings)
 
 
+# The child's stack is the first ALLOC and the shared word the second,
+# so the child reaches both from r6: its stack top is the shared word.
+HEAP_STACK_CHILD = """
+start:   MOVI r0, 1024
+         SYS 1             ; the child's stack, [HEAP_BASE, HEAP_BASE+1024)
+         MOVI r0, 8
+         SYS 1             ; the shared word, at HEAP_BASE+1024
+         MOV r4, r0
+         MOV r1, r0        ; SPAWN r0=pc, r1=stack top
+         MOVI r0, child
+         SYS 48
+         MOVI r2, 7
+psite:   ST [r4], r2
+         SYS 51
+         SYS 51
+         SYS 51
+         HALT
+child:   MOVI r2, 9
+cstack:  ST [r6-4], r2
+cshared: ST [r6], r2
+         SYS 52
+"""
+
+
+@pytest.mark.parametrize("tracked, words", [
+    ("heap", [HEAP_BASE + 1024]),
+    ("all", [HEAP_BASE + 1024 - 4, HEAP_BASE + 1024]),
+])
+def test_tracked_heap_skips_a_thread_stack_inside_the_heap(tracked, words):
+    """A stack ALLOCed in the heap is not tracked by default: only the
+    shared word warns, though both are written with no lock held."""
+    image, result = run_program(
+        HEAP_STACK_CHILD, checkers=("lockset",), options={"lockset.tracked": tracked}
+    )
+    assert result.outcome == "halt"
+    assert result.state.threads[1].stack_base == HEAP_BASE
+    assert not result.state.threads[1].alive  # the child ran to its exit
+    assert sorted(w.address for w in result.warnings) == words
+    assert rules_of(result) == [RULE_RACE] * len(words)
+
+
 def test_heap_word_under_lock_is_quiet():
     src = """
 start: MOVI r0, 8

@@ -157,6 +157,23 @@ def test_run_bad_quantum_is_exit_2(build, capsys):
     assert main(["run", str(img), "--steps", "0"]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_unknown_scheduler_kind_is_exit_2(build, capsys, command):
+    """SchedulerPolicy is the one judge of a kind: the CLI has no list
+    of its own and surfaces the policy's message."""
+    img = build(CLEAN)
+    assert main([command, str(img), "--sched", "fifo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"scvm {command}: unknown scheduler kind 'fifo'\n"
+    assert captured.out == ""
+
+
+def test_sched_help_lists_the_scheduler_kinds(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "round-robin or seeded-random" in " ".join(capsys.readouterr().out.split())
+
+
 def test_run_event_trace_prints_steps(build, capsys):
     img = build(CLEAN)
     assert main(["run", str(img), "--trace", "events"]) == 0

@@ -97,7 +97,7 @@ def test_parse_rejects_bad_rows():
         ("# policy", "expected 'policy <kind> seed <n> quantum <n>'"),
         ("# policy round-robin", "expected 'policy <kind> seed <n> quantum <n>'"),
         ("# policy round-robin seed 0 quantum", "expected 'policy <kind> seed <n> quantum <n>'"),
-        ("# policy fifo seed 0 quantum 1", "unknown policy kind 'fifo'"),
+        ("# policy fifo seed 0 quantum 1", "unknown scheduler kind 'fifo'"),
         ("# policy round-robin seed x quantum 1", "invalid literal for int()"),
         ("# policy round-robin seed 0 quantum 0", "quantum must be >= 1"),
         ("NULL_DEREF_UNCHECKED\tnull\tfive\t0\t0x0028\t-\t-\td", "invalid literal for int()"),
@@ -198,7 +198,7 @@ def test_manifest_policy_is_required():
 @pytest.mark.parametrize(
     "line,fragment",
     [
-        ("policy fifo seed 0 quantum 1", "unknown policy kind"),
+        ("policy fifo seed 0 quantum 1", "unknown scheduler kind 'fifo'"),
         ("policy round-robin seed 0", "expected 'policy"),
         ("policy round-robin seed 0 quantum 0", "quantum"),
         ("expect NO_SUCH_RULE at x", "unknown rule"),

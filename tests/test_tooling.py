@@ -97,6 +97,34 @@ def test_emit_parameters_are_the_event_fields_after_the_stamp():
     assert len(call.args) == len(fields) and not call.keywords
 
 
+def string_literals(source: str) -> set:
+    """Every str constant of a module, f-string pieces included."""
+    return {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_string_literals_are_found():
+    assert string_literals('x = "a"\ny = f"b{x}"\nz = 3\n"""doc"""') == {"a", "b", "doc"}
+
+
+def test_scheduler_kinds_are_listed_only_in_machine():
+    """SchedulerPolicy owns the kinds: any other module that spells one
+    out, or names SEEDED_RANDOM (a list of kinds needs it; a default
+    needs only ROUND_ROBIN), keeps a second list that can drift."""
+    kinds = set(scvm.machine.SCHEDULER_KINDS)
+    assert kinds == {"round-robin", "seeded-random"}
+    listed = set()
+    for path in sorted((ROOT / "src" / "scvm").glob("*.py")):
+        source = path.read_text()
+        names = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+        if kinds & string_literals(source) or "SEEDED_RANDOM" in names:
+            listed.add(path.name)
+    assert listed == {"machine.py"}
+
+
 def test_observers_read_only_known_kinds():
     assert set(ShadowState.on_event.kinds) <= set(EVENT_KINDS)
     assert set(CheckerRegistry.dispatch.kinds) <= set(EVENT_KINDS)
