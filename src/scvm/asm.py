@@ -38,8 +38,10 @@ from .isa import (
 IMAGE_MAGIC = b"SCVM"
 IMAGE_VERSION = 1
 
-_LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_MEM_RE = re.compile(r"^\[\s*[rR]([0-7])\s*(?:([+-])\s*(.+?)\s*)?\]$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_LABEL_RE = re.compile(rf"^{_NAME}$")
+_LABEL_DEF_RE = re.compile(rf"^({_NAME})\s*:\s*")
+_MEM_RE = re.compile(r"^\[\s*(\w+)\s*(?:([+-])\s*(.+?)\s*)?\]$")
 
 # One line's tokens: a string literal (an unterminated one runs to the
 # end of the line), a char literal, a comment, a comma, a bracketed
@@ -197,7 +199,7 @@ def _parse_lines(source: str) -> list[_Line]:
         text = "".join(tokens).strip()
         labels = []
         while True:
-            m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*", text)
+            m = _LABEL_DEF_RE.match(text)
             if not m:
                 break
             labels.append(m.group(1))
@@ -283,7 +285,7 @@ def _parse_mem(lineno: int, token: str, labels: list) -> tuple[int, int]:
     m = _MEM_RE.match(token.strip())
     if not m:
         raise AsmError(lineno, f"expected [rN+imm] operand, got {token!r}")
-    base = int(m.group(1))
+    base = _parse_reg(lineno, m.group(1))
     offset = 0
     if m.group(3) is not None:
         sign = -1 if m.group(2) == "-" else 1

@@ -48,7 +48,8 @@ class TagKind(enum.Enum):
 # along with one of these.
 NULLABLE_TAGS = frozenset({TagKind.ALLOC_UNCHECKED, TagKind.FD_UNCHECKED})
 
-# Ops where `op rd, rs, rs` is an idiomatic zeroing of rd.
+# Ops whose result over one object (`op rd, rs, rs`, or two aliases) is an
+# integer: zero, or the offset between two copies of a pointer.
 ZEROING_OPS = frozenset({"XOR", "SUB"})
 
 
@@ -60,10 +61,6 @@ class TypeObject:
     id: int
     tags: set
     note: str = ""
-
-    def __repr__(self):
-        tags = ",".join(sorted(t.name for t in self.tags))
-        return f"TypeObject(#{self.id} {{{tags}}})"
 
 
 def _fmt_tags(tags) -> str:
@@ -140,10 +137,13 @@ class ShadowState:
             self._on_mem_write(e)
         elif kind == "mem-read":
             # Reads from a registered untrusted range materialize taint
-            # before the load's reg-write picks the cell up.
+            # before the load's reg-write picks the cell up.  A byte that
+            # already holds a tainted object keeps it, so every value
+            # loaded from it aliases one object.
             if self.taint_sources:
                 for a in range(e.addr, e.addr + e.width):
-                    if self._in_taint_source(a):
+                    if (self._in_taint_source(a)
+                            and TagKind.TAINTED not in self.mem_object(a).tags):
                         obj = self.fresh({TagKind.TAINTED}, "read from untrusted source range")
                         self._set_mem(a, obj)
         elif kind == "compare":
@@ -169,19 +169,17 @@ class ShadowState:
                               and get(addr + 2, untagged) is first
                               and get(addr + 3, untagged) is first):
                 return first
-            return self._merge_load(addr, width)
+            return self._merge([get(a, untagged) for a in range(addr, addr + width)], "load")
         if src[0] == "binop":
             _, opname, rs, rt = src
-            if rs == rt and opname in ZEROING_OPS:
-                return self.untagged
             a, b = regs[rs], regs[rt]
-            if a.tags and b.tags:
-                return self.fresh(a.tags | b.tags, f"{opname} merge of #{a.id} and #{b.id}")
-            if a.tags:
+            if a is b:  # SUB/XOR of one object is an integer, not a copy
+                return self.untagged if opname in ZEROING_OPS else a
+            if not b.tags:
                 return a
-            if b.tags:
+            if not a.tags:
                 return b
-            return self.untagged
+            return self._merge((a, b), opname)
         if src[0] == "syscall":
             if src[1] == SYS_ALLOC:
                 return self.fresh({TagKind.ALLOC_UNCHECKED}, f"ALLOC at step {e.step}")
@@ -191,20 +189,17 @@ class ShadowState:
                 return self.fresh({TagKind.TAINTED}, f"network read of {e.width} bytes")
         return self.untagged
 
-    def _merge_load(self, addr: int, width: int) -> TypeObject:
-        """A load over differing cells: its one tagged object, else a fresh
-        union of their tags, as Memcheck merges a load's byte shadows.  The
-        union is a new object, so a null check made through it does not
-        flow back to the objects it merged."""
-        objs = []
-        for a in range(addr, addr + width):
-            obj = self.mem_cells.get(a, self.untagged)
-            if obj.tags and obj not in objs:
-                objs.append(obj)
-        if len(objs) < 2:
-            return objs[0] if objs else self.untagged
-        note = "load merge of " + " and ".join(f"#{o.id}" for o in objs)
-        return self.fresh(set().union(*(o.tags for o in objs)), note)
+    def _merge(self, objs, what: str) -> TypeObject:
+        """A load's differing bytes, or a binop's two distinct tagged
+        operands (binop tests identity inline): their one tagged object,
+        else a fresh union of their tags, as Memcheck merges a load's
+        byte shadows.  The union is new, so a null check made through it
+        does not flow back to the objects it merged."""
+        tagged = list(dict.fromkeys(o for o in objs if o.tags))
+        if len(tagged) < 2:
+            return tagged[0] if tagged else self.untagged
+        note = f"{what} merge of " + " and ".join(f"#{o.id}" for o in tagged)
+        return self.fresh(set().union(*(o.tags for o in tagged)), note)
 
     def _on_mem_write(self, e: Event) -> None:
         obj = self._source_object(e)

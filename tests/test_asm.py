@@ -226,13 +226,14 @@ def test_error_precedence(source, lineno):
         ("HALT\nMOVI r0, 'ab'", 2, "malformed character literal \"'ab'\""),
         ("HALT\nMOVI 5, 1", 2, "expected register, got '5'"),
         ("HALT\nLD r1, r2", 2, "expected [rN+imm] operand, got 'r2'"),
+        ("HALT\nLD r1, [r9]", 2, "register r9 out of range 0..7"),
         ("HALT\n.org 0x10000", 2, ".org 0x10000 outside memory"),
         ("HALT\n.org -8", 2, ".org 0xfffffff8 outside memory"),
         (".org 0xFFF8\nHALT\nHALT", 3, "program exceeds guest memory"),
     ],
     ids=["unquoted-string", "dangling-escape", "string-escape", "char-escape",
-         "char-literal", "register", "mem-operand", "org-past-end", "org-negative",
-         "past-end-of-memory"],
+         "char-literal", "register", "mem-operand", "mem-base-register", "org-past-end",
+         "org-negative", "past-end-of-memory"],
 )
 def test_error_names_line_and_message(source, lineno, message):
     with pytest.raises(AsmError) as exc:

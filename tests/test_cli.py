@@ -1,12 +1,17 @@
-"""Exit codes and outputs of the command-line front end, in process."""
+"""Exit codes and outputs of the command-line front end, in process,
+and once as `python -m scvm` to see the code reach the shell."""
 
 import contextlib
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import scvm
 from scvm import RunConfig, analyze
 from scvm.asm import read_image
 from scvm.cli import main
@@ -155,6 +160,15 @@ def test_run_bad_quantum_is_exit_2(build, capsys):
     img = build(CLEAN)
     assert main(["run", str(img), "--quantum", "0"]) == 2
     assert main(["run", str(img), "--steps", "0"]) == 2
+
+
+@pytest.mark.parametrize("flags, code", [((), 0), (("--steps", "1"), 4)],
+                         ids=["halt", "timeout"])
+def test_exit_code_reaches_the_shell(build, flags, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(scvm.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "scvm", "run", str(build(CLEAN)), *flags],
+                          env=env, capture_output=True, timeout=30)
+    assert done.returncode == code, done.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

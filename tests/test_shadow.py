@@ -7,8 +7,10 @@ which pins down propagation rules one event at a time.
 
 import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
+from scvm.checkers import RULE_NULL_DEREF
 from scvm.machine import Event, SchedulerPolicy
 from scvm.shadow import ShadowState, TagKind
 
@@ -104,6 +106,41 @@ def test_merging_two_tagged_values_makes_a_fresh_union():
     assert f"#{a.id}" in merged.note and f"#{b.id}" in merged.note
     # the merge never mutates its operands
     assert a.tags == {TagKind.ALLOC_UNCHECKED}
+
+
+@pytest.mark.parametrize("alias", ["", "MOV r3, r0\n"], ids=["self", "alias"])
+@pytest.mark.parametrize("op", ["ADD", "OR", "AND", "MUL"])
+def test_null_check_through_a_binop_of_one_object_reaches_it(op, alias):
+    rt = "r3" if alias else "r0"
+    _, result = run_program(
+        f"MOVI r0, 16\nSYS 1\n{alias}{op} r1, r0, {rt}\nCMPI r1, 0\nLDB r2, [r0]\nHALT",
+        checkers=("null",),
+    )
+    sh = result.shadow
+    assert sh.reg_object(0, 1) is sh.reg_object(0, 0)
+    assert TagKind.NULL_CHECKED in sh.reg_object(0, 0).tags
+    assert result.warnings == []
+
+
+@pytest.mark.parametrize("op", ["SUB", "XOR"])
+def test_zeroing_op_over_two_aliases_is_untagged(op):
+    _, result = run_program(
+        f"MOVI r0, 16\nSYS 1\nMOV r3, r0\n{op} r1, r0, r3\nHALT", checkers=()
+    )
+    assert result.shadow.reg_object(0, 1) is result.shadow.untagged
+
+
+def test_null_check_of_a_pointer_difference_does_not_check_the_pointer():
+    # end = p + 4 keeps p's object; end - p is a length, not a copy of p.
+    image, result = run_program(
+        "MOVI r0, 16\nSYS 1\nMOVI r6, 4\nADD r1, r0, r6\nSUB r2, r1, r0\n"
+        "CMPI r2, 0\nsite: LDB r3, [r0]\nHALT",
+        checkers=("null",),
+    )
+    assert [(w.rule, w.pc) for w in result.warnings] == [
+        (RULE_NULL_DEREF, image.symbols["site"])
+    ]
+    assert TagKind.NULL_CHECKED not in result.shadow.reg_object(0, 0).tags
 
 
 def test_xor_self_zeroing_clears_tags():
@@ -305,6 +342,42 @@ def test_untrusted_source_range_materializes_on_read():
     assert TagKind.TAINTED in sh.mem_object(0x5000).tags
     # one byte past the range stays clean
     assert sh.reg_object(0, 4) is sh.untagged
+
+
+def test_reading_a_source_byte_again_keeps_its_object():
+    _, result = run_program(
+        "MOVI r0, 0x5000\nMOVI r1, 8\nSYS 35\n"
+        "MOVI r3, 0x5000\nLDB r2, [r3]\nLDB r4, [r3]\nHALT",
+        checkers=(),
+    )
+    sh = result.shadow
+    assert sh.reg_object(0, 2) is sh.reg_object(0, 4) is sh.mem_object(0x5000)
+    assert sh.mem_object(0x5000).tags == {TagKind.TAINTED}
+
+
+def test_rereading_a_source_buffer_mints_one_object_per_byte():
+    _, result = run_program(
+        "MOVI r0, 0x5000\nMOVI r1, 8\nSYS 35\nMOVI r5, 3\nMOVI r6, 1\n"
+        "pass:  MOVI r3, 0x5000\n"
+        "byte:  LDB r2, [r3]\nADD r3, r3, r6\nCMPI r3, 0x5008\nBNE byte\n"
+        "       SUB r5, r5, r6\nCMPI r5, 0\nBNE pass\nHALT",
+        checkers=(),
+    )
+    sh = result.shadow
+    assert next(sh._ids) == 1 + 8  # not 1 + 3 * 8
+    assert len({id(sh.mem_object(0x5000 + i)) for i in range(8)}) == 8
+
+
+def test_source_byte_overwritten_untainted_mints_on_its_next_read():
+    _, result = run_program(
+        "MOVI r0, 0x5000\nMOVI r1, 8\nSYS 35\nMOVI r3, 0x5000\nLDB r2, [r3]\n"
+        "MOVI r7, 0\nSTB [r3], r7\nLDB r4, [r3]\nHALT",
+        checkers=(),
+    )
+    sh = result.shadow
+    first, second = sh.reg_object(0, 2), sh.reg_object(0, 4)
+    assert second is not first and second is sh.mem_object(0x5000)
+    assert first.tags == second.tags == {TagKind.TAINTED}
 
 
 def test_untrusted_source_with_zero_length_is_ignored():

@@ -4,7 +4,12 @@ The model keeps no objects.  Each register and memory byte holds an
 alias-class id, each class holds a tag set, and a tag added to a class
 is seen by every cell that holds it.  Class 0 is the untagged class.
 The rules are written from the shadow's documented semantics, one byte
-at a time and with no fast paths.
+at a time and with no fast paths.  One `merge` serves binops and loads:
+cells that share a class are one value, so a binop over two aliases
+keeps their class (but `XOR`/`SUB` of one class is an integer, class 0),
+and a source byte that is read again keeps its tainted class.  The
+shadow gets the same results from an inline identity test for binops
+and `_merge` for the rest.
 
 Both are fed the events of one recorded run.  After every event each
 cell must have the same tag set on both sides, and two cells must share
@@ -61,6 +66,14 @@ class ShadowModel:
     def reg(self, tid, reg) -> int:
         return self.regs.get((tid, reg), 0)
 
+    def merge(self, classes) -> int:
+        """Combined cells: their one tagged class, else a new class
+        holding the union of their tags."""
+        tagged = list(dict.fromkeys(c for c in classes if self.tags[c]))
+        if len(tagged) > 1:
+            return self.new(set().union(*(self.tags[c] for c in tagged)))
+        return tagged[0] if tagged else 0
+
     def value_class(self, e) -> int:
         """The class of the value a reg-write or mem-write carries."""
         kind, *arg = e.src
@@ -68,21 +81,13 @@ class ShadowModel:
             return self.reg(e.tid, arg[0])
         if kind == "mem":
             addr, width = arg
-            classes = [self.mem.get(a, 0) for a in range(addr, addr + width)]
-            if len(set(classes)) == 1:
-                return classes[0]
-            tagged = list(dict.fromkeys(c for c in classes if self.tags[c]))
-            if len(tagged) > 1:
-                return self.new(set().union(*(self.tags[c] for c in tagged)))
-            return tagged[0] if tagged else 0
+            return self.merge(self.mem.get(a, 0) for a in range(addr, addr + width))
         if kind == "binop":
             op, rs, rt = arg
-            if rs == rt and op in ("XOR", "SUB"):
-                return 0
             a, b = self.reg(e.tid, rs), self.reg(e.tid, rt)
-            if self.tags[a] and self.tags[b]:
-                return self.new(self.tags[a] | self.tags[b])
-            return a if self.tags[a] else b if self.tags[b] else 0
+            if a == b and op in ("XOR", "SUB"):
+                return 0
+            return self.merge((a, b))
         if kind == "syscall" and arg[0] in MINTED_BY:
             return self.new({MINTED_BY[arg[0]]})
         return 0
@@ -96,7 +101,8 @@ class ShadowModel:
                 self.mem[a] = c
         elif e.kind == "mem-read":
             for a in range(e.addr, e.addr + e.width):
-                if any(lo <= a < hi for lo, hi in self.sources):
+                if (any(lo <= a < hi for lo, hi in self.sources)
+                        and TagKind.TAINTED not in self.tags[self.mem.get(a, 0)]):
                     self.mem[a] = self.new({TagKind.TAINTED})
         elif e.kind == "compare":
             tags = self.tags[self.reg(e.tid, e.rs)]
@@ -178,6 +184,8 @@ _item = st.one_of(
     st.tuples(_reg, st.integers(0, 11), _reg).map(lambda a: "STB [r%d+%d], r%d" % a),
     st.tuples(_alu, _reg, _reg, _reg).map(lambda a: "%s r%d, r%d, r%d" % a),
     st.tuples(st.sampled_from(["XOR", "SUB"]), _reg, _reg).map(lambda a: "%s r%d, r%d, r%d" % (*a, a[2])),
+    st.tuples(_alu, _reg, _reg, _reg).map(
+        lambda a: "MOV r%d, r%d\n%s r%d, r%d, r%d" % (a[1], a[2], a[0], a[3], a[2], a[1])),
     st.tuples(_reg, st.sampled_from([0, 0, 1])).map(lambda a: "CMPI r%d, %d" % a),
     st.integers(1, 16).map(lambda n: f"MOVI r0, {n}\nSYS {SYS_ALLOC}"),
     st.just(f"SYS {SYS_OPEN}"),

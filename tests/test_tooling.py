@@ -125,6 +125,40 @@ def test_scheduler_kinds_are_listed_only_in_machine():
     assert listed == {"machine.py"}
 
 
+def call_sites(source: str, callee: str) -> list:
+    """The dotted class/function scope of every call of `callee`, by
+    bare name or as an attribute ("<module>" at the top level)."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_call_sites_are_found():
+    src = "T()\nclass A:\n    def f(self):\n        return m.T(lambda: T())\ndef g(): U()"
+    assert call_sites(src, "T") == ["<module>", "A.f", "A.f"]
+
+
+def test_type_objects_are_minted_only_by_fresh():
+    """Every tagged object comes from ShadowState.fresh, which the
+    benchmark's mint counter patches; only the untagged singleton is
+    built directly."""
+    sites = [(path.name, site) for path in sorted((ROOT / "src" / "scvm").glob("*.py"))
+             for site in call_sites(path.read_text(), "TypeObject")]
+    assert sorted(sites) == [("shadow.py", "ShadowState.__init__"), ("shadow.py", "ShadowState.fresh")]
+
+
 def test_observers_read_only_known_kinds():
     assert set(ShadowState.on_event.kinds) <= set(EVENT_KINDS)
     assert set(CheckerRegistry.dispatch.kinds) <= set(EVENT_KINDS)
