@@ -15,13 +15,17 @@ Exit statuses
 --trace events writes its lines to stdout in blocks of at most 32 lines,
 one write per block, so memory stays bounded and the bytes are those of
 one line per write; the last block goes out when the run ends, however
-it ends.  Shadow lines are one write each.
+it ends.  Shadow lines are one write each.  With both traces they follow
+every event line: each full block of 256 goes in one write to a temp
+file, and when the run returns the spilled lines, then the rest, are
+copied to stdout, so the bytes are those of holding every line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 
 from .asm import AsmError, ImageError, assemble, read_image, write_image
 from .checkers import CHECKER_ORDER
@@ -152,6 +156,45 @@ def _write_line(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
+_SPILL_LINES = 256  # held shadow lines per write to the spill file
+
+
+class _HeldLines:
+    """Shadow lines of the combined trace, held until the run ends: a
+    block of _SPILL_LINES in memory; each full block goes in one write
+    to a temp file, made when the first block fills."""
+
+    __slots__ = ("block", "spill")  # one is made per check call: no instance dict
+
+    def __init__(self):
+        self.block, self.spill = [], None
+
+    def append(self, line: str) -> None:
+        self.block.append(line)
+        if len(self.block) < _SPILL_LINES:
+            return
+        try:
+            if self.spill is None:
+                self.spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+            self.spill.write("\n".join(self.block) + "\n")
+        except OSError as exc:
+            raise _ConfigError(f"cannot spill the shadow trace: {exc}") from None
+        self.block.clear()
+
+    def write_out(self) -> None:
+        """Every held line to stdout, in order, one write per line."""
+        if self.spill is not None:
+            self.spill.seek(0)
+            for line in self.spill:
+                sys.stdout.write(line)
+        for line in self.block:
+            _write_line(line)
+
+    def close(self) -> None:
+        if self.spill is not None:
+            self.spill.close()
+
+
 def _outcome_status(result) -> int:
     if result.outcome != "halt":
         print(f"scvm: {result.outcome}: {result.state.fault or 'step limit reached'}",
@@ -183,28 +226,30 @@ def _cmd_check(args) -> int:
             raise _ConfigError(f"--opt expects KEY=VALUE, got {pair!r}")
         options[key] = value
     args_trace = tuple(args.trace or ())
-    held = []  # shadow lines wait for the run's end when event lines print too
+    held = _HeldLines()  # shadow lines wait for the run's end when event lines print too
     shadow_trace = None
     if "shadow" in args_trace:
         shadow_trace = held.append if "events" in args_trace else _write_line
     image, policy = _image_and_policy(args)
     observe, flush = _event_trace()
     try:
-        config = RunConfig(
-            checkers=names,
-            policy=policy,
-            step_limit=args.steps,
-            checker_options=options,
-            observers=(observe,) if "events" in args_trace else (),
-            shadow_trace=shadow_trace,
-        )
-        result = analyze(image, config)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+        try:
+            config = RunConfig(
+                checkers=names,
+                policy=policy,
+                step_limit=args.steps,
+                checker_options=options,
+                observers=(observe,) if "events" in args_trace else (),
+                shadow_trace=shadow_trace,
+            )
+            result = analyze(image, config)
+        except ValueError as exc:
+            raise _ConfigError(str(exc)) from None
+        finally:
+            flush()
+        held.write_out()
     finally:
-        flush()
-    for line in held:
-        _write_line(line)
+        held.close()
     report = serialize(result.warnings, result.image_sha256, config.policy)
     if args.report:
         try:

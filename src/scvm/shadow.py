@@ -137,14 +137,17 @@ class ShadowState:
             self._on_mem_write(e)
         elif kind == "mem-read":
             # Reads from a registered untrusted range materialize taint
-            # before the load's reg-write picks the cell up.  A byte that
+            # before the load's reg-write picks the cell up: one object
+            # for all the bytes the read finds untainted.  A byte that
             # already holds a tainted object keeps it, so every value
-            # loaded from it aliases one object.
+            # loaded from it, by byte or by word, aliases one object.
             if self.taint_sources:
-                for a in range(e.addr, e.addr + e.width):
-                    if (self._in_taint_source(a)
-                            and TagKind.TAINTED not in self.mem_object(a).tags):
-                        obj = self.fresh({TagKind.TAINTED}, "read from untrusted source range")
+                untainted = [a for a in range(e.addr, e.addr + e.width)
+                             if self._in_taint_source(a)
+                             and TagKind.TAINTED not in self.mem_object(a).tags]
+                if untainted:
+                    obj = self.fresh({TagKind.TAINTED}, "read from untrusted source range")
+                    for a in untainted:
                         self._set_mem(a, obj)
         elif kind == "compare":
             self._on_compare(e)

@@ -2,9 +2,11 @@
 and once as `python -m scvm` to see the code reach the shell."""
 
 import contextlib
+import errno
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,7 +16,7 @@ import pytest
 import scvm
 from scvm import RunConfig, analyze
 from scvm.asm import read_image
-from scvm.cli import main
+from scvm.cli import _SPILL_LINES, main
 from scvm.corpus import shipped_dir
 from scvm.machine import format_event, load
 from scvm.report import parse
@@ -50,7 +52,7 @@ start: MOVI r0, 16
        CMPI r0, 0
        MOV r4, r0
        MOVI r2, 1
-       MOVI r3, 40
+       MOVI r3, 100
 loop:  LD r1, [r4]
        ADD r1, r1, r2
        ST [r4], r1
@@ -342,14 +344,16 @@ def test_corpus_path_that_is_not_a_directory_is_exit_2(tmp_path, capsys, name):
 # -- traces ----------------------------------------------------------------
 
 
-def _trace_peak(img, steps, trace="events"):
-    """tracemalloc peak, in bytes, of one `check --trace <trace>` call
+def _trace_peak(img, steps, traces=("events",)):
+    """tracemalloc peak, in bytes, of one `check --trace <trace>...` call
     whose stdout goes to a sink that keeps nothing."""
+    argv = ["check", str(img), "--steps", str(steps)]
+    for trace in traces:
+        argv += ["--trace", trace]
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            assert main(["check", str(img), "--trace", trace,
-                         "--steps", str(steps)]) == 4
+            assert main(argv) == 4
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,17 +369,34 @@ def test_event_trace_memory_does_not_grow_with_steps(build):
     assert time.monotonic() - started < 2
 
 
-def test_shadow_trace_memory_does_not_grow_with_steps(build):
-    # Alone, shadow lines stream to stdout as they are made; none is kept.
+@pytest.mark.parametrize("traces", [("shadow",), ("events", "shadow")],
+                         ids=["shadow", "events-shadow"])
+def test_shadow_trace_memory_does_not_grow_with_steps(build, traces):
+    # Alone, shadow lines stream to stdout as they are made; with event
+    # lines, all but one block of them wait in a temp file.
     img = build(HEAP_LOOP)
     started = time.monotonic()
-    short = _trace_peak(img, 200, "shadow")
-    long = _trace_peak(img, 4000, "shadow")
+    short = _trace_peak(img, 200, traces)
+    long = _trace_peak(img, 4000, traces)
     assert long - short < 256 * 1024
     assert time.monotonic() - started < 2
 
 
-def test_check_trace_prints_events_then_shadow_then_report(build, capsys):
+@pytest.fixture
+def spills(monkeypatch):
+    """The temp files `scvm check` makes, in order."""
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def recorded(*args, **kwargs):
+        made.append(temporary_file(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return made
+
+
+def test_check_trace_prints_events_then_shadow_then_report(build, capsys, spills):
     img = build(NULL_BUG)
     assert main(["check", str(img), "--trace", "events", "--trace", "shadow"]) == 3
     sections = []
@@ -389,6 +410,7 @@ def test_check_trace_prints_events_then_shadow_then_report(build, capsys):
         if not sections or sections[-1] != section:
             sections.append(section)
     assert sections == ["events", "shadow", "report"]
+    assert spills == []  # fewer shadow lines than a block never touch the disk
 
 
 class CountingStdout:
@@ -449,13 +471,13 @@ def test_event_trace_is_the_recorded_events_in_blocks(build, tmp_path, command):
 @pytest.mark.parametrize("traces", [["shadow"], ["events", "shadow"]])
 def test_each_shadow_line_is_one_write(build, tmp_path, traces):
     img = build(HEAP_LOOP)
-    argv = ["check", str(img), "--steps", "300", "--report", str(tmp_path / "r.tsv")]
+    argv = ["check", str(img), "--steps", "700", "--report", str(tmp_path / "r.tsv")]
     for trace in traces:
         argv += ["--trace", trace]
     code, out = _cli(argv)
     assert code == 4
-    _, want = _recorded(img, "check", 300)
-    assert len(want) > 100
+    _, want = _recorded(img, "check", 700)
+    assert len(want) > 2 * _SPILL_LINES and len(want) % _SPILL_LINES  # a partial last block
     shadow_writes = [w for w in out.writes if not w.split("\t")[0].isdigit()]
     assert shadow_writes == [line + "\n" for line in want]
 
@@ -467,23 +489,29 @@ def test_event_lines_precede_the_report_on_a_guest_fault(build, capsys):
     assert "fault" in capsys.readouterr().err
     lines = out.lines()
     want_events, want_shadow = _recorded(img, "check", 100_000)
+    assert len(want_shadow) > _SPILL_LINES
     n_events = len(want_events)
     assert lines[:n_events] == want_events
     assert lines[n_events:n_events + len(want_shadow)] == want_shadow
     assert lines[n_events + len(want_shadow)].startswith("# scvm-report v1")
 
 
-def test_event_lines_emitted_before_an_observer_raises_reach_stdout(build, monkeypatch):
-    img = build(HEAP_LOOP)
-    want, _ = _recorded(img, "check", 300)
+def _shadow_raises_from(monkeypatch, step):
+    """Make the shadow observer raise on every event from `step` on."""
     on_event = ShadowState.on_event
 
     def failing_on_event(shadow, e):
-        if e.step >= 50:
+        if e.step >= step:
             raise RuntimeError("observer failed")
         on_event(shadow, e)
 
     monkeypatch.setattr(ShadowState, "on_event", failing_on_event)
+
+
+def test_event_lines_emitted_before_an_observer_raises_reach_stdout(build, monkeypatch):
+    img = build(HEAP_LOOP)
+    want, _ = _recorded(img, "check", 300)
+    _shadow_raises_from(monkeypatch, 50)
     out = CountingStdout()
     with contextlib.redirect_stdout(out), pytest.raises(RuntimeError):
         main(["check", str(img), "--trace", "events", "--steps", "300"])
@@ -491,3 +519,57 @@ def test_event_lines_emitted_before_an_observer_raises_reach_stdout(build, monke
     early = [line for line in want if int(line.split("\t")[0]) < 50]
     assert lines[:len(early)] == early  # the part-filled block is flushed too
     assert lines == want[:len(lines)]
+
+
+@pytest.mark.parametrize("end", ["timeout", "fault", "observer-raises"])
+def test_the_spill_file_is_closed_however_the_run_ends(build, monkeypatch, spills, end):
+    img = build(FAULT_LOOP if end == "fault" else HEAP_LOOP)
+    argv = ["check", str(img), "--trace", "events", "--trace", "shadow", "--steps", "700"]
+    if end == "observer-raises":
+        _shadow_raises_from(monkeypatch, 600)
+        with pytest.raises(RuntimeError):
+            _cli(argv)
+    else:
+        assert _cli(argv)[0] == 4
+    assert len(spills) == 1 and spills[0].closed
+
+
+class FullDisk:
+    """A spill file whose every write fails."""
+
+    closed = False
+
+    def write(self, s):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("fails", ["make", "write"])
+def test_a_spill_that_fails_is_exit_2_after_the_event_lines(build, monkeypatch, capsys,
+                                                            fails):
+    img = build(HEAP_LOOP)
+    files = []
+
+    def temporary_file(*args, **kwargs):
+        if fails == "make":
+            raise FileNotFoundError(errno.ENOENT, "No usable temporary directory found")
+        files.append(FullDisk())
+        return files[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    code, out = _cli(["check", str(img), "--trace", "events", "--trace", "shadow",
+                      "--steps", "700"])
+    assert code == 2
+    reason = (f"[Errno {errno.ENOENT}] No usable temporary directory found" if fails == "make"
+              else f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+    assert capsys.readouterr().err == f"scvm check: cannot spill the shadow trace: {reason}\n"
+    # Every event the events trace saw before the failing shadow line is
+    # flushed: those after which fewer than a block of shadow lines exist.
+    shadow, seen = [], []
+    analyze(read_image(img), RunConfig(
+        step_limit=700, shadow_trace=shadow.append,
+        observers=(lambda e: seen.append((format_event(e), len(shadow))),)))
+    assert out.lines() == [line for line, n in seen if n < _SPILL_LINES]
+    assert [f.closed for f in files] == ([True] if fails == "write" else [])

@@ -368,6 +368,20 @@ def test_rereading_a_source_buffer_mints_one_object_per_byte():
     assert len({id(sh.mem_object(0x5000 + i)) for i in range(8)}) == 8
 
 
+def test_word_loads_of_a_source_buffer_alias_one_object_per_read():
+    _, result = run_program(
+        "MOVI r0, 0x5000\nMOVI r1, 8\nSYS 35\nMOVI r5, 3\nMOVI r6, 1\nMOVI r3, 0x5000\n"
+        "pass:  LD r2, [r3]\nMOV r7, r2\nLD r2, [r3+4]\nLD r4, [r3]\n"
+        "       SUB r5, r5, r6\nCMPI r5, 0\nBNE pass\nHALT",
+        checkers=(),
+    )
+    sh = result.shadow
+    assert next(sh._ids) == 1 + 2  # one per word's first read, no union per load
+    assert sh.reg_object(0, 7) is sh.reg_object(0, 4) is sh.mem_object(0x5000)
+    assert sh.reg_object(0, 2) is sh.mem_object(0x5004) is not sh.mem_object(0x5000)
+    assert sh.reg_object(0, 4).tags == {TagKind.TAINTED}
+
+
 def test_source_byte_overwritten_untainted_mints_on_its_next_read():
     _, result = run_program(
         "MOVI r0, 0x5000\nMOVI r1, 8\nSYS 35\nMOVI r3, 0x5000\nLDB r2, [r3]\n"

@@ -6,10 +6,12 @@ is seen by every cell that holds it.  Class 0 is the untagged class.
 The rules are written from the shadow's documented semantics, one byte
 at a time and with no fast paths.  One `merge` serves binops and loads:
 cells that share a class are one value, so a binop over two aliases
-keeps their class (but `XOR`/`SUB` of one class is an integer, class 0),
-and a source byte that is read again keeps its tainted class.  The
-shadow gets the same results from an inline identity test for binops
-and `_merge` for the rest.
+keeps their class (but `XOR`/`SUB` of one class is an integer, class 0).
+One read of an untrusted source gives all the bytes it finds untainted
+one new tainted class, so a word loaded from them is that class, and a
+source byte that is read again keeps its tainted class.  The shadow
+gets the same results from an inline identity test for binops and
+`_merge` for the rest.
 
 Both are fed the events of one recorded run.  After every event each
 cell must have the same tag set on both sides, and two cells must share
@@ -100,10 +102,13 @@ class ShadowModel:
             for a in range(e.addr, e.addr + e.width):
                 self.mem[a] = c
         elif e.kind == "mem-read":
-            for a in range(e.addr, e.addr + e.width):
-                if (any(lo <= a < hi for lo, hi in self.sources)
-                        and TagKind.TAINTED not in self.tags[self.mem.get(a, 0)]):
-                    self.mem[a] = self.new({TagKind.TAINTED})
+            untainted = [a for a in range(e.addr, e.addr + e.width)
+                         if any(lo <= a < hi for lo, hi in self.sources)
+                         and TagKind.TAINTED not in self.tags[self.mem.get(a, 0)]]
+            if untainted:
+                c = self.new({TagKind.TAINTED})
+                for a in untainted:
+                    self.mem[a] = c
         elif e.kind == "compare":
             tags = self.tags[self.reg(e.tid, e.rs)]
             if e.value == 0 and tags & {TagKind.ALLOC_UNCHECKED, TagKind.FD_UNCHECKED}:
@@ -194,6 +199,8 @@ _item = st.one_of(
     st.just(f"SYS {SYS_KCALL}"),
     st.sampled_from([f"SYS {SYS_CHECK_USER_READ}", f"SYS {SYS_CHECK_USER_WRITE}"]),
     _len.map(lambda n: f"MOVI r1, {n}\nSYS {SYS_TAG_UNTRUSTED_SOURCE}"),
+    st.tuples(_len, _reg).map(
+        lambda a: f"MOVI r1, {a[0]}\nSYS {SYS_TAG_UNTRUSTED_SOURCE}\nLD r{a[1]}, [r0]"),
 )
 
 
