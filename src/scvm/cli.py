@@ -12,20 +12,19 @@ Exit statuses
             4 guest fault or timeout (report still written)
     corpus: 0 all entries PASS, 1 some FAIL, 2 malformed manifest
 
---trace events writes its lines to stdout in blocks of at most 32 lines,
-one write per block, so memory stays bounded and the bytes are those of
-one line per write; the last block goes out when the run ends, however
-it ends.  Shadow lines are one write each.  With both traces they follow
-every event line: each full block of 256 goes in one write to a temp
-file, and when the run returns the spilled lines, then the rest, are
-copied to stdout, so the bytes are those of holding every line.
+--trace events and --trace shadow share one stream on stdout, in the
+order the lines are made: each event's line, then the shadow lines its
+processing emits.  Event lines go out in blocks of at most 32 lines,
+one write per block; a shadow line starts a new write, so no write
+holds two of them.  Memory stays bounded and the bytes are those of one
+line per write; the last block goes out when the run ends, however it
+ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 
 from .asm import AsmError, ImageError, assemble, read_image, write_image
 from .checkers import CHECKER_ORDER
@@ -129,13 +128,16 @@ def _cmd_asm(args) -> int:
     return 0
 
 
-_BLOCK_LINES = 32  # event lines per write to stdout: few writes, a few KB held
+_BLOCK_LINES = 32  # lines per write to stdout: few writes, a few KB held
 
 
-def _event_trace():
-    """Observer for --trace events and its flush: each event's line is
-    held until _BLOCK_LINES of them go to stdout in one write.  The
-    caller flushes when the run ends, however it ends."""
+def _trace_out():
+    """Observer for --trace events, sink for --trace shadow, and their
+    flush, sharing one block of lines in the order they are made.  Event
+    lines wait until _BLOCK_LINES of them go to stdout in one write; a
+    shadow line flushes the block and starts the next, so each write
+    holds at most one shadow line, at its head.  The caller flushes when
+    the run ends, however it ends."""
     block = []
 
     def flush():
@@ -148,51 +150,11 @@ def _event_trace():
         if len(block) >= _BLOCK_LINES:
             flush()
 
-    return observe, flush
+    def shadow_line(line: str) -> None:
+        flush()
+        block.append(line)
 
-
-def _write_line(line: str) -> None:
-    """One shadow line, one write to stdout."""
-    sys.stdout.write(line + "\n")
-
-
-_SPILL_LINES = 256  # held shadow lines per write to the spill file
-
-
-class _HeldLines:
-    """Shadow lines of the combined trace, held until the run ends: a
-    block of _SPILL_LINES in memory; each full block goes in one write
-    to a temp file, made when the first block fills."""
-
-    __slots__ = ("block", "spill")  # one is made per check call: no instance dict
-
-    def __init__(self):
-        self.block, self.spill = [], None
-
-    def append(self, line: str) -> None:
-        self.block.append(line)
-        if len(self.block) < _SPILL_LINES:
-            return
-        try:
-            if self.spill is None:
-                self.spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
-            self.spill.write("\n".join(self.block) + "\n")
-        except OSError as exc:
-            raise _ConfigError(f"cannot spill the shadow trace: {exc}") from None
-        self.block.clear()
-
-    def write_out(self) -> None:
-        """Every held line to stdout, in order, one write per line."""
-        if self.spill is not None:
-            self.spill.seek(0)
-            for line in self.spill:
-                sys.stdout.write(line)
-        for line in self.block:
-            _write_line(line)
-
-    def close(self) -> None:
-        if self.spill is not None:
-            self.spill.close()
+    return observe, shadow_line, flush
 
 
 def _outcome_status(result) -> int:
@@ -207,7 +169,7 @@ def _cmd_run(args) -> int:
     """Bare run: no shadow state, no checkers, events built only for --trace."""
     image, policy = _image_and_policy(args)
     machine = load(image, policy)
-    observe, flush = _event_trace()
+    observe, _, flush = _trace_out()
     if args.trace:
         machine.add_observer(observe)
     try:
@@ -226,30 +188,22 @@ def _cmd_check(args) -> int:
             raise _ConfigError(f"--opt expects KEY=VALUE, got {pair!r}")
         options[key] = value
     args_trace = tuple(args.trace or ())
-    held = _HeldLines()  # shadow lines wait for the run's end when event lines print too
-    shadow_trace = None
-    if "shadow" in args_trace:
-        shadow_trace = held.append if "events" in args_trace else _write_line
     image, policy = _image_and_policy(args)
-    observe, flush = _event_trace()
+    observe, shadow_line, flush = _trace_out()
     try:
-        try:
-            config = RunConfig(
-                checkers=names,
-                policy=policy,
-                step_limit=args.steps,
-                checker_options=options,
-                observers=(observe,) if "events" in args_trace else (),
-                shadow_trace=shadow_trace,
-            )
-            result = analyze(image, config)
-        except ValueError as exc:
-            raise _ConfigError(str(exc)) from None
-        finally:
-            flush()
-        held.write_out()
+        config = RunConfig(
+            checkers=names,
+            policy=policy,
+            step_limit=args.steps,
+            checker_options=options,
+            observers=(observe,) if "events" in args_trace else (),
+            shadow_trace=shadow_line if "shadow" in args_trace else None,
+        )
+        result = analyze(image, config)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
     finally:
-        held.close()
+        flush()
     report = serialize(result.warnings, result.image_sha256, config.policy)
     if args.report:
         try:

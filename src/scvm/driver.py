@@ -5,7 +5,8 @@ each event before the checkers do, so metadata updates (boundary
 tagging, check marking, taint materialization) are never seen late.
 Checker rules only ever consult state established by *earlier* events,
 which is what makes the ordering safe.  The config's own observers come
-last, so they see each event after the analysis has.
+first, so they see each event before the analysis does: an event
+trace prints each event's line ahead of the shadow lines it causes.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ def analyze(image: ProgramImage, config: RunConfig | None = None) -> AnalysisRes
     shadow = ShadowState(trace=config.shadow_trace)
     plugins = make_checkers(config.checkers, machine, shadow, config.checker_options)
     registry = CheckerRegistry(plugins)
-    machine.add_observer(shadow.on_event)
-    machine.add_observer(registry.dispatch)
     for fn in config.observers:
         machine.add_observer(fn)
+    machine.add_observer(shadow.on_event)
+    machine.add_observer(registry.dispatch)
     result = machine.run(config.step_limit)
     return AnalysisResult(
         image=image,

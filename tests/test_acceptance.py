@@ -30,7 +30,7 @@ from scvm.cli import main
 from scvm.corpus import REQUIRED_ENTRIES, discover, run_corpus, run_entry, shipped_dir
 from scvm.driver import RunConfig, analyze
 from scvm.machine import ROUND_ROBIN, SEEDED_RANDOM, Event, format_event, load
-from scvm.report import serialize
+from scvm.report import REPORT_VERSION, serialize
 
 from helpers import analysis_outputs, full_delivery
 
@@ -238,24 +238,31 @@ def test_non_interference():
 
 
 # sha256 of every golden_traces() record, taken before the interpreter
-# compiled code words into handlers.  A refactor of the machine must
-# not change a byte of what the CLI prints.
+# compiled code words into handlers and before the combined trace
+# interleaved its lines, so that trace is hashed through
+# _events_then_shadow.  A refactor of the machine must not change a
+# byte of what the CLI prints.
 GOLDEN_TRACES_SHA256 = "7a087659bfcbe29217fd422c028cb29a9ce1b5d375b765ba8ba69000ab72dd5d"
+# sha256 of the same records as printed, each event line followed by the
+# shadow lines its processing emitted.
+GOLDEN_INTERLEAVED_SHA256 = "add972442523501fa5177019498ba74a064566b975550fa9d6f1e5c9e8f89603"
 
 GOLDEN_POLICIES = (
     ("--sched", ROUND_ROBIN),
     ("--sched", SEEDED_RANDOM, "--seed", "5", "--quantum", "2"),
 )
+COMBINED_TRACE = ("check", "--trace", "events", "--trace", "shadow")
 GOLDEN_COMMANDS = (
     ("run", "--trace", "events"),
-    ("check", "--trace", "events", "--trace", "shadow"),
+    COMBINED_TRACE,
     ("check",),
 )
 
 
 def golden_traces():
-    """Exit status and stdout of each GOLDEN_COMMANDS line on every
-    corpus entry under each of GOLDEN_POLICIES: (label, code, stdout)."""
+    """Command, exit status and stdout of each GOLDEN_COMMANDS line on
+    every corpus entry under each of GOLDEN_POLICIES: (command, label,
+    code, stdout)."""
     with tempfile.TemporaryDirectory() as tmp:
         for e in discover(shipped_dir()):
             path = os.path.join(tmp, f"{e.name}.img")
@@ -264,18 +271,30 @@ def golden_traces():
                 for command, *extra in GOLDEN_COMMANDS:
                     argv = [command, path, *flags, *extra]
                     code, out = _cli_stdout(argv)
-                    yield " ".join([e.name, command, *flags, *extra]), code, out
+                    yield (command, *extra), " ".join([e.name, command, *flags, *extra]), code, out
+
+
+def _events_then_shadow(out: str) -> str:
+    """A combined trace's stdout as a stable partition: its event lines in
+    order, then its shadow lines in order, then the report."""
+    lines = out.splitlines(keepends=True)
+    head = lines.index(f"# {REPORT_VERSION}\n")
+    trace = sorted(lines[:head], key=lambda line: line.startswith(("cell ", "object ")))
+    return "".join(trace + lines[head:])
 
 
 @criterion("golden traces: CLI traces and reports match the pinned bytes")
 def test_golden_traces():
-    digest = hashlib.sha256()
+    digest, interleaved = hashlib.sha256(), hashlib.sha256()
     n = 0
-    for label, code, out in golden_traces():
-        digest.update(f"{label}\n{code}\n{len(out)}\n{out}".encode())
+    for command, label, code, out in golden_traces():
+        parent_order = _events_then_shadow(out) if command == COMBINED_TRACE else out
+        digest.update(f"{label}\n{code}\n{len(parent_order)}\n{parent_order}".encode())
+        interleaved.update(f"{label}\n{code}\n{len(out)}\n{out}".encode())
         n += 1
     assert n == len(REQUIRED_ENTRIES) * len(GOLDEN_POLICIES) * len(GOLDEN_COMMANDS)
     assert digest.hexdigest() == GOLDEN_TRACES_SHA256
+    assert interleaved.hexdigest() == GOLDEN_INTERLEAVED_SHA256
 
 
 @criterion("filtered delivery: observers that read only their kinds analyze alike")

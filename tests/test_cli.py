@@ -2,7 +2,6 @@
 and once as `python -m scvm` to see the code reach the shell."""
 
 import contextlib
-import errno
 import os
 import subprocess
 import sys
@@ -16,10 +15,10 @@ import pytest
 import scvm
 from scvm import RunConfig, analyze
 from scvm.asm import read_image
-from scvm.cli import _SPILL_LINES, main
+from scvm.cli import _BLOCK_LINES, main
 from scvm.corpus import shipped_dir
 from scvm.machine import format_event, load
-from scvm.report import parse
+from scvm.report import parse, serialize
 from scvm.shadow import ShadowState
 
 NULL_BUG = """
@@ -372,8 +371,8 @@ def test_event_trace_memory_does_not_grow_with_steps(build):
 @pytest.mark.parametrize("traces", [("shadow",), ("events", "shadow")],
                          ids=["shadow", "events-shadow"])
 def test_shadow_trace_memory_does_not_grow_with_steps(build, traces):
-    # Alone, shadow lines stream to stdout as they are made; with event
-    # lines, all but one block of them wait in a temp file.
+    # Shadow lines stream to stdout as they are made, alone or between
+    # the event lines; at most one block of lines is held.
     img = build(HEAP_LOOP)
     started = time.monotonic()
     short = _trace_peak(img, 200, traces)
@@ -396,21 +395,12 @@ def spills(monkeypatch):
     return made
 
 
-def test_check_trace_prints_events_then_shadow_then_report(build, capsys, spills):
-    img = build(NULL_BUG)
-    assert main(["check", str(img), "--trace", "events", "--trace", "shadow"]) == 3
-    sections = []
-    for line in capsys.readouterr().out.splitlines():
-        if line.startswith(("cell ", "object ")):
-            section = "shadow"
-        elif line.split("\t")[0].isdigit():
-            section = "events"
-        else:
-            section = "report"
-        if not sections or sections[-1] != section:
-            sections.append(section)
-    assert sections == ["events", "shadow", "report"]
-    assert spills == []  # fewer shadow lines than a block never touch the disk
+def test_the_combined_trace_makes_no_temp_file(build, tmp_path, spills):
+    img = build(HEAP_LOOP)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["check", str(img), "--trace", "events", "--trace", "shadow",
+                     "--steps", "4000", "--report", str(tmp_path / "r.tsv")]) == 4
+    assert spills == []
 
 
 class CountingStdout:
@@ -468,6 +458,10 @@ def test_event_trace_is_the_recorded_events_in_blocks(build, tmp_path, command):
     assert len(out.writes) * 8 <= len(want)
 
 
+def _is_shadow(line: str) -> bool:
+    return line.startswith(("cell ", "object "))
+
+
 @pytest.mark.parametrize("traces", [["shadow"], ["events", "shadow"]])
 def test_each_shadow_line_is_one_write(build, tmp_path, traces):
     img = build(HEAP_LOOP)
@@ -477,23 +471,54 @@ def test_each_shadow_line_is_one_write(build, tmp_path, traces):
     code, out = _cli(argv)
     assert code == 4
     _, want = _recorded(img, "check", 700)
-    assert len(want) > 2 * _SPILL_LINES and len(want) % _SPILL_LINES  # a partial last block
-    shadow_writes = [w for w in out.writes if not w.split("\t")[0].isdigit()]
-    assert shadow_writes == [line + "\n" for line in want]
+    assert len(want) > 2 * _BLOCK_LINES
+    if traces == ["shadow"]:
+        shadow_writes = [w for w in out.writes if not w.split("\t")[0].isdigit()]
+        assert shadow_writes == [line + "\n" for line in want]
+        return
+    # A shadow line only ever heads a write, so a count of the writes that
+    # start with one counts the shadow lines.
+    writes = [w.splitlines() for w in out.writes]
+    assert [lines[0] for lines in writes if _is_shadow(lines[0])] == want
+    assert not any(_is_shadow(line) for lines in writes for line in lines[1:])
+    assert max(map(len, writes)) <= _BLOCK_LINES == 32
 
 
-def test_event_lines_precede_the_report_on_a_guest_fault(build, capsys):
-    img = build(FAULT_LOOP)
-    code, out = _cli(["check", str(img), "--trace", "events", "--trace", "shadow"])
-    assert code == 4
-    assert "fault" in capsys.readouterr().err
-    lines = out.lines()
-    want_events, want_shadow = _recorded(img, "check", 100_000)
-    assert len(want_shadow) > _SPILL_LINES
-    n_events = len(want_events)
-    assert lines[:n_events] == want_events
-    assert lines[n_events:n_events + len(want_shadow)] == want_shadow
-    assert lines[n_events + len(want_shadow)].startswith("# scvm-report v1")
+def _interleaved(img, steps):
+    """One recorded analysis of the image, as groups of lines in the
+    order they were made: each event's line, then the shadow lines
+    emitted while it was processed; and the report."""
+    shadow, seen = [], []
+    config = RunConfig(step_limit=steps, shadow_trace=shadow.append,
+                       observers=(lambda e: seen.append((format_event(e), len(shadow))),))
+    result = analyze(read_image(img), config)
+    assert seen[0][1] == 0  # no shadow line comes before the first event
+    ends = [n for _, n in seen[1:]] + [len(shadow)]
+    groups = [[line, *shadow[start:end]] for (line, start), end in zip(seen, ends)]
+    # Checked apart from the wiring: a register's cell is written in the
+    # group of the reg-write to that register.
+    for event, *lines in groups:
+        _, tid, _, kind, fields = event.split("\t")
+        for line in lines:
+            if line.startswith("cell r"):
+                assert kind == "reg-write", (event, line)
+                assert line.split()[1] == f"{fields.split()[0][len('reg='):]}@t{tid}"
+    return groups, serialize(result.warnings, result.image_sha256, config.policy)
+
+
+@pytest.mark.parametrize("source, steps, code", [
+    (NULL_BUG, 100_000, 3),
+    (FAULT_LOOP, 100_000, 4),
+    (HEAP_LOOP, 700, 4),
+], ids=["halt", "fault", "timeout"])
+def test_combined_trace_prints_each_event_then_its_shadow_lines(build, source, steps, code):
+    img = build(source)
+    got, out = _cli(["check", str(img), "--trace", "events", "--trace", "shadow",
+                     "--steps", str(steps)])
+    assert got == code
+    groups, report = _interleaved(img, steps)
+    assert sum(len(g) > 1 for g in groups[:-1]) > 1  # shadow lines fall between the events
+    assert "".join(out.writes) == "".join(line + "\n" for g in groups for line in g) + report
 
 
 def _shadow_raises_from(monkeypatch, step):
@@ -521,55 +546,14 @@ def test_event_lines_emitted_before_an_observer_raises_reach_stdout(build, monke
     assert lines == want[:len(lines)]
 
 
-@pytest.mark.parametrize("end", ["timeout", "fault", "observer-raises"])
-def test_the_spill_file_is_closed_however_the_run_ends(build, monkeypatch, spills, end):
-    img = build(FAULT_LOOP if end == "fault" else HEAP_LOOP)
-    argv = ["check", str(img), "--trace", "events", "--trace", "shadow", "--steps", "700"]
-    if end == "observer-raises":
-        _shadow_raises_from(monkeypatch, 600)
-        with pytest.raises(RuntimeError):
-            _cli(argv)
-    else:
-        assert _cli(argv)[0] == 4
-    assert len(spills) == 1 and spills[0].closed
-
-
-class FullDisk:
-    """A spill file whose every write fails."""
-
-    closed = False
-
-    def write(self, s):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def close(self):
-        self.closed = True
-
-
-@pytest.mark.parametrize("fails", ["make", "write"])
-def test_a_spill_that_fails_is_exit_2_after_the_event_lines(build, monkeypatch, capsys,
-                                                            fails):
+def test_a_crash_keeps_the_shadow_lines_emitted_before_it(build, monkeypatch):
     img = build(HEAP_LOOP)
-    files = []
-
-    def temporary_file(*args, **kwargs):
-        if fails == "make":
-            raise FileNotFoundError(errno.ENOENT, "No usable temporary directory found")
-        files.append(FullDisk())
-        return files[-1]
-
-    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
-    code, out = _cli(["check", str(img), "--trace", "events", "--trace", "shadow",
-                      "--steps", "700"])
-    assert code == 2
-    reason = (f"[Errno {errno.ENOENT}] No usable temporary directory found" if fails == "make"
-              else f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
-    assert capsys.readouterr().err == f"scvm check: cannot spill the shadow trace: {reason}\n"
-    # Every event the events trace saw before the failing shadow line is
-    # flushed: those after which fewer than a block of shadow lines exist.
-    shadow, seen = [], []
-    analyze(read_image(img), RunConfig(
-        step_limit=700, shadow_trace=shadow.append,
-        observers=(lambda e: seen.append((format_event(e), len(shadow))),)))
-    assert out.lines() == [line for line, n in seen if n < _SPILL_LINES]
-    assert [f.closed for f in files] == ([True] if fails == "write" else [])
+    groups, _ = _interleaved(img, 300)
+    _shadow_raises_from(monkeypatch, 50)
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out), pytest.raises(RuntimeError):
+        main(["check", str(img), "--trace", "events", "--trace", "shadow", "--steps", "300"])
+    early = [g for g in groups if int(g[0].split("\t")[0]) < 50]
+    assert sum(len(g) - 1 for g in early) > 50
+    # The event the shadow failed on is printed too: its observer runs first.
+    assert out.lines() == [line for g in early for line in g] + [groups[len(early)][0]]

@@ -56,6 +56,28 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a module imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    src = "import os.path, sys as s\nfrom tempfile import mkstemp\nfrom .cli import main"
+    assert imported_modules(src) == {"os", "sys", "tempfile"}
+
+
+def test_no_module_imports_tempfile():
+    # Every trace goes to stdout as it is made; nothing waits on disk.
+    for path in (ROOT / "src" / "scvm").glob("*.py"):
+        assert "tempfile" not in imported_modules(path.read_text()), path.name
+
+
 def emitted_kinds(source: str) -> set:
     """The kinds in every `emit("<kind>", ...)` call of a module."""
     return {
