@@ -114,6 +114,15 @@ def read_image(path) -> ProgramImage:
         return ProgramImage.from_bytes(fh.read())
 
 
+def read_utf8(path) -> str:
+    """A source or manifest file's text; one not in UTF-8 is an OSError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 # Operand slot kinds per mnemonic, in source order.
 _SIGNATURES: dict[Opcode, tuple[str, ...]] = {
     Opcode.MOVI: ("rd", "imm"),

@@ -1,8 +1,8 @@
 """Checker plugins: rule violations observed over the event stream.
 
-Each plugin lists the event kinds it reads in `kinds` (it yields
-nothing for any other kind) and is handed only those events, with
-read-only views of the machine and shadow state; it yields Warnings.
+Each plugin lists the event kinds it reads in `kinds` and is handed
+only events of those kinds, with read-only views of the machine and
+shadow state; it yields Warnings.
 Plugins never mutate an event or either view, so enabling or disabling
 checkers cannot change a run.  A plugin serves one run: `make_checkers`
 builds fresh ones for each.
@@ -82,11 +82,10 @@ class CheckerRegistry:
     of an already-seen dedup key."""
 
     def __init__(self, plugins):
-        self.plugins = list(plugins)
         self.warnings: list = []
         self._seen: set = set()
         self._by_kind: dict = {}
-        for plugin in self.plugins:
+        for plugin in plugins:
             for kind in plugin.kinds:
                 self._by_kind.setdefault(kind, []).append(plugin)
 
@@ -118,7 +117,7 @@ class NullChecker:
         self.shadow = shadow
 
     def on_event(self, e: Event):
-        if e.kind not in _MEM_KINDS or e.base_reg is None:
+        if e.base_reg is None:
             return
         obj = self.shadow.reg_object(e.tid, e.base_reg)
         if obj.tags & NULLABLE_TAGS and TagKind.NULL_CHECKED not in obj.tags:
@@ -141,39 +140,32 @@ class UserChecker:
     allowed while interrupts are disabled (checked or not)."""
 
     name = "user"
-    kinds = _MEM_KINDS
+    # kind -> the check that licenses the access, and the rule it breaks
+    _ACCESS = {
+        "mem-read": (TagKind.USER_READ_CHECKED, RULE_USER_READ,
+                     "user address read in kernel without read check"),
+        "mem-write": (TagKind.USER_WRITE_CHECKED, RULE_USER_WRITE,
+                      "user address written in kernel without write check"),
+    }
+    kinds = tuple(_ACCESS)
 
     def __init__(self, machine: Machine | None, shadow: ShadowState):
         self.shadow = shadow
 
     def on_event(self, e: Event):
-        if e.kind not in _MEM_KINDS or e.base_reg is None or e.mode != MODE_KERNEL:
+        if e.base_reg is None or e.mode != MODE_KERNEL:
             return
         obj = self.shadow.reg_object(e.tid, e.base_reg)
         if TagKind.USER_UNCHECKED not in obj.tags:
             return
-        common = dict(
-            checker=self.name, tid=e.tid, pc=e.pc, step=e.step,
-            address=e.addr, object_id=obj.id,
-        )
+        common = dict(checker=self.name, tid=e.tid, pc=e.pc, step=e.step,
+                      address=e.addr, object_id=obj.id)
         if not e.iflag:
-            yield Warning(
-                rule=RULE_USER_IRQOFF,
-                detail="user address dereferenced with interrupts disabled",
-                **common,
-            )
-        if e.kind == "mem-read" and TagKind.USER_READ_CHECKED not in obj.tags:
-            yield Warning(
-                rule=RULE_USER_READ,
-                detail="user address read in kernel without read check",
-                **common,
-            )
-        elif e.kind == "mem-write" and TagKind.USER_WRITE_CHECKED not in obj.tags:
-            yield Warning(
-                rule=RULE_USER_WRITE,
-                detail="user address written in kernel without write check",
-                **common,
-            )
+            yield Warning(rule=RULE_USER_IRQOFF,
+                          detail="user address dereferenced with interrupts disabled", **common)
+        checked, rule, detail = self._ACCESS[e.kind]
+        if checked not in obj.tags:
+            yield Warning(rule=rule, detail=detail, **common)
 
 
 class FmtChecker:
@@ -188,7 +180,7 @@ class FmtChecker:
         self.shadow = shadow
 
     def on_event(self, e: Event):
-        if e.kind != "syscall" or e.sysno != SYS_PRINTF:
+        if e.sysno != SYS_PRINTF:
             return
         addr = e.args[0]
         data, terminated = read_cstr(self.machine.state.memory, addr, CSTR_CAP)
@@ -218,8 +210,12 @@ class LocksetChecker:
 
     tracked="heap" (default) confines tracking to the image and heap
     segments, minus every thread's stack range; tracked="all" applies
-    the raw algorithm to every address.  grace=True exempts words while
-    a single thread has been their only accessor.
+    the raw algorithm to every address.
+
+    `words` holds one state per word: missing while unseen; under
+    grace=True, the tid of the one thread that has touched it; then its
+    candidate lockset, the locks held at every access since.  An empty
+    lockset was reported, and intersection keeps it empty.
     """
 
     name = "lockset"
@@ -234,12 +230,7 @@ class LocksetChecker:
         self.machine = machine
         self.tracked = tracked
         self.grace = grace
-        # word -> the locks held at every access so far; a missing word
-        # has seen no access yet, so its lockset is still "all locks".
-        self.locksets: dict = {}
-        self.reported: set = set()  # words already warned about
-        self._first_tid: dict = {}
-        self._shared: set = set()
+        self.words: dict = {}
 
     def _is_tracked(self, word: int) -> bool:
         if self.tracked == "all":
@@ -255,22 +246,21 @@ class LocksetChecker:
         return True
 
     def on_event(self, e: Event):
-        if e.kind not in _MEM_KINDS:
-            return
-        first_word = e.addr & ~3
-        for word in range(first_word, e.addr + e.width, 4):
+        for word in range(e.addr & ~3, e.addr + e.width, 4):
             if not self._is_tracked(word):
                 continue
-            if self.grace and word not in self._shared:
-                owner = self._first_tid.setdefault(word, e.tid)
-                if owner == e.tid:
-                    continue  # still exclusive to its first thread
-                self._shared.add(word)
-            cur = self.locksets.get(word)
-            held = e.locks_held if cur is None else cur & e.locks_held
-            self.locksets[word] = held
-            if not held and word not in self.reported:
-                self.reported.add(word)
+            state = self.words.get(word)
+            if self.grace and state in (None, e.tid):
+                self.words[word] = e.tid  # still exclusive to its first thread
+                continue
+            if state is None or isinstance(state, int):
+                held = e.locks_held  # the first access, or the one that shares the word
+            elif state:
+                held = state & e.locks_held
+            else:
+                continue  # reported already
+            self.words[word] = held
+            if not held:
                 yield Warning(
                     checker=self.name,
                     rule=RULE_RACE,

@@ -6,11 +6,11 @@
     scvm corpus [dir]                run every corpus entry, diff, tally
 
 Exit statuses
-    asm:    0 ok, 1 assembly error, 2 I/O failure
+    asm:    0 ok, 1 assembly error, 2 I/O failure or a non-UTF-8 source
     run:    0 clean halt, 2 bad config, 4 guest fault or timeout
     check:  0 no warnings, 2 bad config, 3 warnings written,
             4 guest fault or timeout (report still written)
-    corpus: 0 all entries PASS, 1 some FAIL, 2 malformed manifest
+    corpus: 0 all entries PASS, 1 some FAIL, 2 malformed or unreadable entry
 
 --trace events and --trace shadow share one stream on stdout, in the
 order the lines are made: each event's line, then the shadow lines its
@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .asm import AsmError, ImageError, assemble, read_image, write_image
+from .asm import AsmError, ImageError, assemble, read_image, read_utf8, write_image
 from .checkers import CHECKER_ORDER
 from .corpus import run_corpus
 from .driver import RunConfig, analyze
@@ -111,7 +111,7 @@ def _image_and_policy(args):
 
 def _cmd_asm(args) -> int:
     try:
-        source = open(args.source, encoding="utf-8").read()
+        source = read_utf8(args.source)
     except OSError as exc:
         print(f"scvm asm: {exc}", file=sys.stderr)
         return 2
@@ -222,7 +222,7 @@ def _cmd_check(args) -> int:
 def _cmd_corpus(args) -> int:
     try:
         result = run_corpus(args.directory)
-    except (ManifestError, AsmError) as exc:
+    except (ManifestError, AsmError, OSError) as exc:
         print(f"scvm corpus: {exc}", file=sys.stderr)
         return 2
     print(result.format_table())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .asm import assemble
+from .asm import assemble, read_utf8
 from .driver import RunConfig, analyze
 from .report import Manifest, ManifestError, Verdict, diff, parse_manifest
 
@@ -86,9 +86,9 @@ def discover(directory) -> list:
         raise ManifestError(f"{directory}: not a directory")
     sources = {p.stem: p for p in sorted(directory.glob("*.s"))}
     manifests = {p.stem: p for p in sorted(directory.glob("*.manifest"))}
-    for stem in sources.keys() - manifests.keys():
+    for stem in sorted(sources.keys() - manifests.keys()):
         raise ManifestError(f"{sources[stem]}: no matching .manifest")
-    for stem in manifests.keys() - sources.keys():
+    for stem in sorted(manifests.keys() - sources.keys()):
         raise ManifestError(f"{manifests[stem]}: no matching .s source")
     return [
         CorpusEntry(name=stem, source=sources[stem], manifest=manifests[stem])
@@ -97,8 +97,8 @@ def discover(directory) -> list:
 
 
 def run_entry(entry: CorpusEntry) -> EntryResult:
-    image = assemble(entry.source.read_text())
-    manifest = parse_manifest(entry.manifest.read_text(), source=str(entry.manifest))
+    image = assemble(read_utf8(entry.source))
+    manifest = parse_manifest(read_utf8(entry.manifest), source=str(entry.manifest))
     result = analyze(image, RunConfig(policy=manifest.policy))
     verdict = diff(result.warnings, manifest, image.symbols)
     return EntryResult(

@@ -1,5 +1,5 @@
 """Shared test plumbing: assemble-and-run in one call, corpus access,
-and the reference scheduler."""
+the reference scheduler, and the happens-before race oracle."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import dataclasses
 import functools
 
 from scvm import RunConfig, SchedulerPolicy, analyze, assemble
-from scvm.checkers import CHECKER_ORDER, CheckerRegistry
+from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checkers
 from scvm.corpus import shipped_dir
 from scvm.machine import ROUND_ROBIN, load
 from scvm.report import serialize
@@ -142,3 +142,82 @@ def full_delivery():
         yield seen
     finally:
         ShadowState.on_event, CheckerRegistry.dispatch = on_event, dispatch
+
+
+def _join(clock: dict, other: dict) -> None:
+    for tid, n in other.items():
+        if n > clock.get(tid, 0):
+            clock[tid] = n
+
+
+class HappensBefore:
+    """Vector-clock race detector, the oracle for the lockset checker
+    (Djit+, Pozniansky & Schuster, PPoPP 2003; FastTrack, Flanagan &
+    Freund, PLDI 2009).
+
+    Its only edges are UNLOCK -> LOCK of the same lock and SPAWN ->
+    child.  A race is two accesses to one 4-byte word from different
+    threads, at least one a write, with neither ordered before the
+    other; `races` collects those words.  `tracked(word)`, asked at
+    each access, picks the words it watches.
+    """
+
+    def __init__(self, tracked=lambda word: True):
+        self.tracked = tracked
+        self.clocks: dict = {}  # tid -> its vector clock, {tid: count}
+        self.lock_clocks: dict = {}  # lock -> clock of its last UNLOCK
+        # word -> tid -> that thread's own count at its last read / write
+        self.reads: dict = {}
+        self.writes: dict = {}
+        self.races: set = set()
+
+    def on_event(self, e) -> None:
+        clock = self.clocks.setdefault(e.tid, {e.tid: 1})
+        if e.kind == "lock":
+            _join(clock, self.lock_clocks.get(e.lock, {}))
+        elif e.kind == "unlock":
+            self.lock_clocks[e.lock] = dict(clock)
+            clock[e.tid] += 1
+        elif e.kind == "spawn":
+            self.clocks[e.new_tid] = {**clock, e.new_tid: 1}
+            clock[e.tid] += 1
+        else:
+            write = e.kind == "mem-write"
+            for word in range(e.addr & ~3, e.addr + e.width, 4):
+                if not self.tracked(word):
+                    continue
+                earlier = [self.writes.get(word, {})]
+                if write:
+                    earlier.append(self.reads.get(word, {}))
+                if any(tid != e.tid and n > clock.get(tid, 0)
+                       for last in earlier for tid, n in last.items()):
+                    self.races.add(word)
+                (self.writes if write else self.reads).setdefault(word, {})[e.tid] = clock[e.tid]
+
+    on_event.kinds = ("mem-read", "mem-write", "lock", "unlock", "spawn")
+
+
+def happens_before_races(events, tracked=lambda word: True) -> set:
+    """The words that race in a complete event stream."""
+    oracle = HappensBefore(tracked)
+    for e in events:
+        if e.kind in oracle.on_event.kinds:
+            oracle.on_event(e)
+    return oracle.races
+
+
+def races_and_lockset_warnings(image, policy: SchedulerPolicy, step_limit: int = 100_000):
+    """One run under every checker with default options, watched by the
+    happens-before oracle on the words the lockset tracks at each access.
+    Returns (racing words, words the lockset warns about, outcome)."""
+    machine = load(image, policy)
+    shadow = ShadowState()
+    plugins = make_checkers(CHECKER_ORDER, machine, shadow)
+    (lockset,) = (p for p in plugins if p.name == "lockset")
+    oracle = HappensBefore(lockset._is_tracked)
+    registry = CheckerRegistry(plugins)
+    for fn in (oracle.on_event, shadow.on_event, registry.dispatch):
+        machine.add_observer(fn)
+    outcome = machine.run(step_limit).outcome
+    warned = {w.address for w in registry.warnings if w.rule == RULE_RACE}
+    return oracle.races, warned, outcome

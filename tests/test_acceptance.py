@@ -29,22 +29,32 @@ from scvm.checkers import (
 from scvm.cli import main
 from scvm.corpus import REQUIRED_ENTRIES, discover, run_corpus, run_entry, shipped_dir
 from scvm.driver import RunConfig, analyze
-from scvm.machine import ROUND_ROBIN, SEEDED_RANDOM, Event, format_event, load
+from scvm.machine import (
+    HEAP_BASE,
+    ROUND_ROBIN,
+    SEEDED_RANDOM,
+    Event,
+    SchedulerPolicy,
+    format_event,
+    load,
+)
 from scvm.report import REPORT_VERSION, serialize
 
-from helpers import analysis_outputs, full_delivery
+from helpers import analysis_outputs, corpus_source, full_delivery, races_and_lockset_warnings
 
 
 def criterion(label):
+    """Print the criterion's ACCEPTANCE line; a test may return a note,
+    which the PASS line carries in parentheses."""
     def deco(fn):
         @functools.wraps(fn)
         def wrapper():
             try:
-                fn()
+                note = fn()
             except BaseException:
                 print(f"ACCEPTANCE FAIL: {label}")
                 raise
-            print(f"ACCEPTANCE PASS: {label}")
+            print(f"ACCEPTANCE PASS: {label}" + (f" ({note})" if note else ""))
 
         return wrapper
 
@@ -115,23 +125,32 @@ def test_taint_flow():
     assert copied.warnings[0].pc == symbols["psite"]  # fires on the copy
 
 
-def _brute_force_first_empty(trace):
+def _brute_force_first_empty(trace, grace=False):
     """word -> index where the intersection of every held-set observed
-    at that word first becomes empty; recomputed from scratch per access."""
+    at that word first becomes empty; recomputed from scratch per access
+    of a (word, tid, held) trace.  Under grace a word is exclusive to
+    the first tid that touches it until a second tid does, and its
+    lockset starts at that access."""
     history = {}
     warned = {}
-    for idx, (word, held) in enumerate(trace):
-        history.setdefault(word, []).append(held)
-        sets = history[word]
-        inter = set(sets[0])
-        for s in sets[1:]:
+    for idx, (word, tid, held) in enumerate(trace):
+        history.setdefault(word, []).append((tid, held))
+        accesses = history[word]
+        if grace:
+            owner = accesses[0][0]
+            shared = [i for i, (t, _) in enumerate(accesses) if t != owner]
+            if not shared:
+                continue
+            accesses = accesses[shared[0]:]
+        inter = set(accesses[0][1])
+        for _, s in accesses[1:]:
             inter &= s
         if not inter and word not in warned:
             warned[word] = idx
     return warned
 
 
-@criterion("lockset equals brute-force reference on 1000 random traces")
+@criterion("lockset equals brute-force reference on 1000 random traces, with and without grace")
 def test_lockset_oracle_equivalence():
     started = time.monotonic()
     rng = random.Random(0xACCE97)
@@ -147,12 +166,13 @@ def test_lockset_oracle_equivalence():
             held = frozenset(
                 l for l in range(1, n_locks + 1) if rng.random() < 0.5
             )
-            trace.append((word, held))
+            tid = rng.randrange(n_threads)
+            trace.append((word, tid, held))
             events.append(
                 Event(
                     kind=rng.choice(["mem-read", "mem-write"]),
                     step=idx,
-                    tid=rng.randrange(n_threads),
+                    tid=tid,
                     pc=8 * idx,
                     mode="user",
                     iflag=True,
@@ -161,10 +181,11 @@ def test_lockset_oracle_equivalence():
                     width=4,
                 )
             )
-        expect = _brute_force_first_empty(trace)
-        got = run_checkers([LocksetChecker(None, tracked="all")], events)
-        assert {w.address for w in got} == set(expect)
-        assert {w.address: w.step for w in got} == expect
+        for grace in (False, True):
+            expect = _brute_force_first_empty(trace, grace)
+            got = run_checkers([LocksetChecker(None, tracked="all", grace=grace)], events)
+            assert {w.address for w in got} == set(expect), grace
+            assert {w.address: w.step for w in got} == expect, grace
     assert time.monotonic() - started < 30
 
 
@@ -178,6 +199,86 @@ def test_race_corpus():
 
     clean, _ = entry("race_clean")
     assert clean.warnings == []
+
+
+# Two workers write one heap word under disjoint locks.  Main ALLOCs the
+# word before it spawns them and neither worker syncs with the other, so
+# no lock or spawn edge orders the two stores under any schedule.  Each
+# worker raises a done flag at 0x4000 or 0x4004, outside every tracked
+# segment, and main spins until both are up.
+RACE_CONCURRENT = """
+start:   MOVI r0, 4
+         SYS 1               ; ALLOC: the shared word, at HEAP_BASE
+         MOVI r0, worker_a
+         MOVI r1, 0xF000
+         SYS 48              ; SPAWN worker A
+         MOVI r0, worker_b
+         MOVI r1, 0xF400
+         SYS 48              ; SPAWN worker B
+         MOVI r3, 0x4000
+wait_a:  LD r2, [r3+0]
+         CMPI r2, 0
+         BEQ wait_a
+wait_b:  LD r2, [r3+4]
+         CMPI r2, 0
+         BEQ wait_b
+         HALT
+
+worker_a: MOVI r0, 1
+         SYS 49              ; LOCK 1
+         MOVI r1, 0x8000
+         MOVI r2, 7
+         ST [r1+0], r2
+         MOVI r0, 1
+         SYS 50              ; UNLOCK 1
+         MOVI r3, 0x4000
+         MOVI r2, 1
+         ST [r3+0], r2
+         SYS 52
+
+worker_b: MOVI r0, 2
+         SYS 49              ; LOCK 2: disjoint from lock 1
+         MOVI r1, 0x8000
+         MOVI r2, 9
+         ST [r1+0], r2
+         MOVI r0, 2
+         SYS 50              ; UNLOCK 2
+         MOVI r3, 0x4004
+         MOVI r2, 1
+         ST [r3+0], r2
+         SYS 52
+"""
+
+RACE_SWEEP_GUESTS = ("race_clean", "race_seeded", "single_thread_lockless")
+RACE_SWEEP_POLICIES = tuple(SchedulerPolicy(SEEDED_RANDOM, quantum, seed)
+                            for seed in range(4) for quantum in range(1, 4))
+
+
+@criterion("happens-before: every racing tracked word is a lockset warning")
+def test_happens_before_races_are_lockset_warnings():
+    """Two unordered accesses share no lock, since a shared lock's
+    UNLOCK -> LOCK edge would order them (Eraser's argument), so each
+    race empties the lockset of its word.  Runs: the corpus under its
+    manifests' policies, and a seeded-random sweep of the race guests.
+    The fuzz images run the same check in test_fuzz.py.  Warnings that
+    are not races are counted, not gated."""
+    runs = [(e.name, assemble(e.source.read_text()), run_entry(e).manifest.policy)
+            for e in discover(shipped_dir())]
+    guests = {name: assemble(corpus_source(name)) for name in RACE_SWEEP_GUESTS}
+    guests["race_concurrent"] = assemble(RACE_CONCURRENT)
+    runs += [(name, image, policy) for name, image in guests.items()
+             for policy in RACE_SWEEP_POLICIES]
+    warnings = not_races = 0
+    for name, image, policy in runs:
+        races, warned, outcome = races_and_lockset_warnings(image, policy)
+        assert outcome == "halt", (name, policy)
+        assert races <= warned, (name, policy)
+        if name == "race_concurrent":
+            assert races == warned == {HEAP_BASE}, policy
+        warnings += len(warned)
+        not_races += len(warned - races)
+    assert len(runs) == len(REQUIRED_ENTRIES) + 4 * len(RACE_SWEEP_POLICIES)
+    return f"{not_races} of {warnings} lockset warnings over {len(runs)} runs are not races"
 
 
 @criterion("determinism: repeated runs give byte-identical reports and traces")

@@ -107,6 +107,20 @@ def test_asm_missing_source_is_exit_2(tmp_path, capsys):
     assert "scvm asm:" in capsys.readouterr().err
 
 
+LATIN1_SOURCE = "; caf\u00e9\nHALT\n".encode("latin-1")  # byte 0xE9 is not UTF-8
+LATIN1_MANIFEST = "# caf\u00e9\npolicy round-robin seed 0 quantum 1\n".encode("latin-1")
+
+
+def test_asm_non_utf8_source_is_exit_2(tmp_path, capsys):
+    src = tmp_path / "latin.s"
+    src.write_bytes(LATIN1_SOURCE)
+    out = tmp_path / "latin.img"
+    assert main(["asm", str(src), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"scvm asm: {src}: not UTF-8 (invalid continuation byte at byte 5)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["asm", "check"])
 def test_unwritable_output_is_exit_2(build, tmp_path, capsys, command):
     target = tmp_path / "no_such_dir" / "out"
@@ -323,6 +337,33 @@ def test_corpus_bad_assembly_is_exit_2(tmp_path, capsys):
     (tmp_path / "t.s").write_text("WAT r9\n")
     (tmp_path / "t.manifest").write_text("policy round-robin seed 0 quantum 1\n")
     assert main(["corpus", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("name, latin1", [("t.s", LATIN1_SOURCE), ("t.manifest", LATIN1_MANIFEST)])
+def test_corpus_non_utf8_entry_is_exit_2(tmp_path, capsys, name, latin1):
+    (tmp_path / "t.s").write_text("HALT\n")
+    (tmp_path / "t.manifest").write_text("policy round-robin seed 0 quantum 1\n")
+    (tmp_path / name).write_bytes(latin1)
+    assert main(["corpus", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"scvm corpus: {tmp_path / name}: "
+                   "not UTF-8 (invalid continuation byte at byte 5)\n")
+
+
+@pytest.mark.parametrize("suffix, missing", [(".s", ".manifest"), (".manifest", ".s source")])
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_corpus_names_the_first_orphan_by_name(tmp_path, suffix, missing, hash_seed):
+    """Whatever the string hash seed, the error names the orphan that
+    sorts first."""
+    for name in ("alpha", "beta", "gamma", "delta"):
+        (tmp_path / f"{name}{suffix}").write_text("HALT\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(scvm.__file__).parents[1]),
+           "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run([sys.executable, "-m", "scvm", "corpus", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stderr == f"scvm corpus: {tmp_path / ('alpha' + suffix)}: no matching {missing}\n"
 
 
 def test_corpus_empty_directory_passes_vacuously(tmp_path, capsys):

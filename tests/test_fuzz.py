@@ -8,7 +8,8 @@ HALT.  That gets many runs past their first few steps and into spawned
 threads and locks, under both schedulers.
 
 The scheduler's runnable list stays what the threads say, and it picks
-as the reference general pick does.
+as the reference general pick does.  Every word the happens-before
+oracle finds racing is one the lockset warns about.
 
 Observers reading random sets of event kinds, over these images and the
 shipped corpus, each receive exactly the full stream filtered to their
@@ -49,6 +50,7 @@ from helpers import (
     assert_scheduled_like_the_general_pick,
     corpus_source,
     full_delivery,
+    races_and_lockset_warnings,
 )
 
 BODY_LEN = 16
@@ -156,6 +158,16 @@ def test_random_images_keep_runnable_and_pick_like_the_general_path(prelude, bod
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         assert_scheduled_like_the_general_pick(image, policy, STEP_LIMIT)
+
+
+@_random_images
+def test_random_images_race_only_on_words_the_lockset_warns_about(prelude, body, quantum, seed):
+    """The fuzz leg of the acceptance gate's happens-before criterion."""
+    image = _image(prelude, body)
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        races, warned, _ = races_and_lockset_warnings(image, policy, STEP_LIMIT)
+        assert races <= warned, kind
 
 
 _read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)

@@ -406,13 +406,6 @@ def test_syscall_fault_and_its_event(src, fault, emitted):
     assert last_step == (["fetch", "syscall"] if emitted else ["fetch"])
 
 
-@pytest.mark.parametrize("number", [5, 6, 99])
-def test_unknown_syscall_faults(number):
-    _, result = run_source(f"SYS {number}\nHALT")
-    assert result.outcome == "fault"
-    assert "syscall" in result.state.fault.reason
-
-
 # -- kernel mode -------------------------------------------------------
 
 KCALL_SRC = """
@@ -447,24 +440,6 @@ def test_iflag_window_is_visible_in_events():
     ][0]
     assert sti_fetch.iflag is False  # CLI already took effect
     assert result.state.iflag is True  # STI restored it
-
-
-def test_kcall_without_trap_entry_faults():
-    _, result = run_source("SYS 16\nHALT")
-    assert result.outcome == "fault"
-    assert "trap entry" in result.state.fault.reason
-
-
-def test_nested_kcall_faults():
-    src = "start: MOVI r0, h\nSYS 18\nSYS 16\nHALT\nh: SYS 16"
-    _, result = run_source(src)
-    assert result.outcome == "fault"
-    assert "nested" in result.state.fault.reason
-
-
-def test_kret_in_user_mode_faults():
-    _, result = run_source("SYS 17\nHALT")
-    assert result.outcome == "fault"
 
 
 # -- threads, locks and scheduling --------------------------------------
@@ -690,18 +665,6 @@ def test_lock_held_appears_in_event_stamp():
     assert frozenset({3}) in held
     sys50 = [e for e in result.events if e.kind == "syscall" and e.sysno == 50][0]
     assert sys50.locks_held == frozenset({3})
-
-
-def test_recursive_lock_faults():
-    _, result = run_source("MOVI r0, 1\nSYS 49\nSYS 49\nHALT")
-    assert result.outcome == "fault"
-    assert "recursive" in result.state.fault.reason
-
-
-def test_unlock_not_held_faults():
-    _, result = run_source("MOVI r0, 5\nSYS 50\nHALT")
-    assert result.outcome == "fault"
-    assert "not held" in result.state.fault.reason
 
 
 def test_abba_deadlock_is_reported():

@@ -10,10 +10,13 @@ import importlib.util
 import inspect
 import json
 import textwrap
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
 
+import scvm.cli
+import scvm.driver
 import scvm.machine
 from scvm.asm import assemble
 from scvm.checkers import (
@@ -25,7 +28,7 @@ from scvm.checkers import (
     UserChecker,
     make_checkers,
 )
-from scvm.machine import EVENT_KINDS, Event, Machine, Scheduler, load
+from scvm.machine import EVENT_KINDS, HEAP_BASE, SYS_LOCK, Event, Machine, Scheduler, load
 from scvm.shadow import ShadowState
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -212,12 +215,22 @@ def test_benchmark_patched_names_exist():
         (Machine, "run"), (Scheduler, "pick"), (scvm.machine, "decode"),
         (ShadowState, "on_event"), (ShadowState, "fresh"), (CheckerRegistry, "dispatch"),
         *((cls, "on_event") for cls in (NullChecker, UserChecker, FmtChecker, LocksetChecker)),
+        (scvm.cli, "analyze"), (scvm.driver, "load"), (scvm.cli, "serialize"),
     ]
     for owner, attr in patched:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
     machine = load(assemble("HALT"))
-    (fmt,) = (p for p in make_checkers(CHECKER_ORDER, machine, ShadowState()) if p.name == "fmt")
+    plugins = make_checkers(CHECKER_ORDER, machine, ShadowState())
+    (fmt,) = (p for p in plugins if p.name == "fmt")
     assert fmt.machine.state.memory is machine.state.memory  # its bytes-scanned counter
+    # The plugin wrapper takes list(...) of what on_event returns, so an
+    # event that raises no warning must still give an iterable.
+    quiet = dict(step=0, tid=0, pc=0, mode="user", iflag=True, locks_held=frozenset({1}),
+                 addr=HEAP_BASE, width=4, sysno=SYS_LOCK, args=(1, 0, 0, 0))
+    for plugin in plugins:
+        for kind in plugin.kinds:
+            out = plugin.on_event(Event(kind=kind, **quiet))
+            assert isinstance(out, Iterable) and list(out) == [], (plugin.name, kind)
 
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
