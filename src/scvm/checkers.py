@@ -8,8 +8,8 @@ checkers cannot change a run.  A plugin serves one run: `make_checkers`
 builds fresh ones for each.
 
 Adding a checker means adding one class to the plugin table, `PLUGINS`:
-its `name` joins CHECKER_ORDER and its `kinds` join what the registry
-reads.
+its `name` joins CHECKER_ORDER, its `kinds` join what the registry
+reads, and its `options` table, if any, declares its `--opt` keys.
 
 Shipped checkers:
     null     NULL_DEREF_UNCHECKED   allocation/descriptor dereferenced
@@ -26,10 +26,12 @@ Shipped checkers:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .machine import (
     CSTR_CAP,
+    DEFAULT_STACK_SIZE,
     HEAP_BASE,
     HEAP_LIMIT,
     MODE_KERNEL,
@@ -47,14 +49,7 @@ RULE_USER_IRQOFF = "USER_DEREF_IRQOFF"
 RULE_FMT_TAINTED = "FMT_TAINTED"
 RULE_RACE = "RACE_EMPTY_LOCKSET"
 
-ALL_RULES = (
-    RULE_NULL_DEREF,
-    RULE_USER_READ,
-    RULE_USER_WRITE,
-    RULE_USER_IRQOFF,
-    RULE_FMT_TAINTED,
-    RULE_RACE,
-)
+ALL_RULES = tuple(rule for name, rule in dict(globals()).items() if name.startswith("RULE_"))
 
 _MEM_KINDS = ("mem-read", "mem-write")
 
@@ -69,6 +64,11 @@ class Warning:
     address: int | None = None
     object_id: int | None = None
     detail: str = ""
+
+    @staticmethod
+    def at(e: Event, checker: str, rule: str, detail: str, address=None, object_id=None):
+        """The warning `checker` raises at event e, stamped with its tid, pc and step."""
+        return Warning(checker, rule, e.tid, e.pc, e.step, address, object_id, detail)
 
     @property
     def dedup_key(self):
@@ -122,16 +122,9 @@ class NullChecker:
         obj = self.shadow.reg_object(e.tid, e.base_reg)
         if obj.tags & NULLABLE_TAGS and TagKind.NULL_CHECKED not in obj.tags:
             kind = "ALLOC" if TagKind.ALLOC_UNCHECKED in obj.tags else "OPEN"
-            yield Warning(
-                checker=self.name,
-                rule=RULE_NULL_DEREF,
-                tid=e.tid,
-                pc=e.pc,
-                step=e.step,
-                address=e.addr,
-                object_id=obj.id,
-                detail=f"{kind} result dereferenced without null check ({obj.note})",
-            )
+            yield Warning.at(e, self.name, RULE_NULL_DEREF,
+                             f"{kind} result dereferenced without null check ({obj.note})",
+                             e.addr, obj.id)
 
 
 class UserChecker:
@@ -158,14 +151,12 @@ class UserChecker:
         obj = self.shadow.reg_object(e.tid, e.base_reg)
         if TagKind.USER_UNCHECKED not in obj.tags:
             return
-        common = dict(checker=self.name, tid=e.tid, pc=e.pc, step=e.step,
-                      address=e.addr, object_id=obj.id)
         if not e.iflag:
-            yield Warning(rule=RULE_USER_IRQOFF,
-                          detail="user address dereferenced with interrupts disabled", **common)
+            yield Warning.at(e, self.name, RULE_USER_IRQOFF,
+                             "user address dereferenced with interrupts disabled", e.addr, obj.id)
         checked, rule, detail = self._ACCESS[e.kind]
         if checked not in obj.tags:
-            yield Warning(rule=rule, detail=detail, **common)
+            yield Warning.at(e, self.name, rule, detail, e.addr, obj.id)
 
 
 class FmtChecker:
@@ -193,16 +184,7 @@ class FmtChecker:
         detail = f"tainted byte at format offset {a - addr} ({obj.note})"
         if not terminated:
             detail += f"; no NUL within {CSTR_CAP} bytes, scan truncated"
-        yield Warning(
-            checker=self.name,
-            rule=RULE_FMT_TAINTED,
-            tid=e.tid,
-            pc=e.pc,
-            step=e.step,
-            address=a,
-            object_id=obj.id,
-            detail=detail,
-        )
+        yield Warning.at(e, self.name, RULE_FMT_TAINTED, detail, a, obj.id)
 
 
 class LocksetChecker:
@@ -220,10 +202,12 @@ class LocksetChecker:
 
     name = "lockset"
     kinds = _MEM_KINDS
+    # --opt key -> {accepted text: the value passed for it}, default first
+    options = {"tracked": {"heap": "heap", "all": "all"}, "grace": {"off": False, "on": True}}
 
     def __init__(self, machine: Machine | None, shadow=None,
                  tracked: str = "heap", grace: bool = False):
-        if tracked not in ("heap", "all"):
+        if tracked not in self.options["tracked"]:
             raise ValueError(f"unknown tracked policy {tracked!r}")
         if tracked == "heap" and machine is None:
             raise ValueError("tracked='heap' needs a machine for segment bounds")
@@ -231,19 +215,26 @@ class LocksetChecker:
         self.tracked = tracked
         self.grace = grace
         self.words: dict = {}
+        self._tops: list = []  # the distinct stack tops of the first _folded tids, sorted
+        self._folded = 0
 
     def _is_tracked(self, word: int) -> bool:
         if self.tracked == "all":
             return True
         st = self.machine.state
-        in_image = st.image_origin <= word < st.image_end
-        in_heap = HEAP_BASE <= word < HEAP_LIMIT
-        if not (in_image or in_heap):
+        if not (st.image_origin <= word < st.image_end or HEAP_BASE <= word < HEAP_LIMIT):
             return False
-        for t in st.threads.values():
-            if t.stack_base <= word < t.stack_top:
-                return False
-        return True
+        tops, threads = self._tops, st.threads
+        if len(threads) > self._folded:  # fold in the threads spawned since the last call
+            for top in (threads[tid].stack_top for tid in range(self._folded, len(threads))):
+                i = bisect.bisect_left(tops, top)
+                if tops[i:i + 1] != [top]:  # distinct tops only
+                    tops.insert(i, top)
+            self._folded = len(threads)
+        # Every stack is the DEFAULT_STACK_SIZE bytes below its top, clamped
+        # at 0, so only the first top above the word can hold it.
+        i = bisect.bisect_right(tops, word)
+        return i == len(tops) or word < tops[i] - DEFAULT_STACK_SIZE
 
     def on_event(self, e: Event):
         for word in range(e.addr & ~3, e.addr + e.width, 4):
@@ -261,39 +252,36 @@ class LocksetChecker:
                 continue  # reported already
             self.words[word] = held
             if not held:
-                yield Warning(
-                    checker=self.name,
-                    rule=RULE_RACE,
-                    tid=e.tid,
-                    pc=e.pc,
-                    step=e.step,
-                    address=word,
-                    detail="no common lock protects this word across accesses",
-                )
+                yield Warning.at(e, self.name, RULE_RACE,
+                                 "no common lock protects this word across accesses", word)
 
 
 # The plugin table, in canonical order: a checker is one class here.
 PLUGINS = (NullChecker, UserChecker, FmtChecker, LocksetChecker)
 CHECKER_ORDER = tuple(cls.name for cls in PLUGINS)
 CheckerRegistry.dispatch.kinds = tuple(dict.fromkeys(k for cls in PLUGINS for k in cls.kinds))
+# "checker.key" -> {accepted text: value}, from every plugin's `options` table
+OPTIONS = {f"{cls.name}.{key}": table
+           for cls in PLUGINS for key, table in getattr(cls, "options", {}).items()}
 
 
 def make_checkers(names, machine: Machine, shadow: ShadowState, options: dict | None = None):
-    """Build the named plugins in canonical order.
-
-    Options are flat "checker.key=value" pairs, currently
-    lockset.tracked=heap|all and lockset.grace=on|off.
-    """
-    options = dict(options or {})
+    """Build the named plugins in canonical order, each given a value for
+    every key of its `options` table: the one for the text `options` maps
+    "checker.key" to, else the table's first.  Every given pair is checked
+    against OPTIONS, whether or not its plugin is built."""
+    options = options or {}
     unknown = set(names) - set(CHECKER_ORDER)
     if unknown:
         raise ValueError(f"unknown checkers: {', '.join(sorted(unknown))}")
     for key in options:
-        if key not in ("lockset.tracked", "lockset.grace"):
+        if key not in OPTIONS:
             raise ValueError(f"unknown checker option {key!r}")
-    grace_text = options.get("lockset.grace", "off")
-    if grace_text not in ("on", "off"):
-        raise ValueError("lockset.grace must be on or off")
-    lockset = {"tracked": options.get("lockset.tracked", "heap"), "grace": grace_text == "on"}
-    return [cls(machine, shadow, **(lockset if cls is LocksetChecker else {}))
-            for cls in PLUGINS if cls.name in names]
+    values = {name: {} for name in CHECKER_ORDER}
+    for key, table in OPTIONS.items():
+        text = options.get(key, next(iter(table)))
+        if text not in table:
+            raise ValueError(f"{key} must be {' or '.join(table)}, got {text!r}")
+        name, _, field = key.partition(".")
+        values[name][field] = table[text]
+    return [cls(machine, shadow, **values[cls.name]) for cls in PLUGINS if cls.name in names]

@@ -27,7 +27,7 @@ import argparse
 import sys
 
 from .asm import AsmError, ImageError, assemble, read_image, read_utf8, write_image
-from .checkers import CHECKER_ORDER
+from .checkers import CHECKER_ORDER, OPTIONS
 from .corpus import run_corpus
 from .driver import RunConfig, analyze
 from .machine import (
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="checker option, e.g. lockset.tracked=all",
+        help="checker option: " + ", ".join(f"{k}={'|'.join(t)}" for k, t in OPTIONS.items()),
     )
 
     p_corpus = sub.add_parser("corpus", help="assemble, check and diff corpus entries")

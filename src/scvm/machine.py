@@ -233,9 +233,16 @@ class MachineState:
     # Tids of the alive, unblocked threads, ascending.  Derived from threads
     # here, then updated in place by HALT, EXIT_THREAD, LOCK, UNLOCK, SPAWN.
     runnable: list = field(init=False)
+    # lock -> the tids blocked on it, in blocking order; derived likewise,
+    # then kept by LOCK and UNLOCK, so a wake never walks every thread.
+    blocked: dict = field(init=False)
 
     def __post_init__(self):
         self.runnable = [t.tid for t in self.threads.values() if t.alive and t.blocked_on is None]
+        self.blocked = {}
+        for t in self.threads.values():
+            if t.blocked_on is not None:
+                self.blocked.setdefault(t.blocked_on, []).append(t.tid)
 
 
 @dataclass(frozen=True)
@@ -545,6 +552,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
     if number == SYS_LOCK:
         if r0 in st.locks:
             t.blocked_on = r0
+            st.blocked.setdefault(r0, []).append(t.tid)
             st.runnable.remove(t.tid)
             return
         st.locks[r0] = t.tid
@@ -556,10 +564,9 @@ def _syscall(number: int, reads, m, t, pc, emit):
         t.locks_held = t.locks_held - {r0}
         if "unlock" in reads:
             emit("unlock", lock=r0)
-        for other in st.threads.values():
-            if other.blocked_on == r0:
-                other.blocked_on = None
-                bisect.insort(st.runnable, other.tid)
+        for tid in st.blocked.pop(r0, ()):
+            st.threads[tid].blocked_on = None
+            bisect.insort(st.runnable, tid)
     elif number == SYS_ALLOC:
         size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
         if st.heap_next + size > HEAP_LIMIT:

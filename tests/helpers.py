@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import timeit
 
 from scvm import RunConfig, SchedulerPolicy, analyze, assemble
 from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checkers
@@ -78,11 +79,22 @@ def rebuilt_runnable(state) -> list:
     return [tid for tid, t in sorted(state.threads.items()) if t.alive and t.blocked_on is None]
 
 
+def rebuilt_blocked(state) -> dict:
+    """state.blocked as rebuilt from its threads, each lock's tids in
+    ascending order (state.blocked holds them in the order they blocked)."""
+    blocked = {}
+    for tid, t in sorted(state.threads.items()):
+        if t.blocked_on is not None:
+            blocked.setdefault(t.blocked_on, []).append(tid)
+    return blocked
+
+
 def _stepped_run(image, policy, step_limit, pick=None):
     """Run image one step per resumed run() call, asserting after each
-    step that state.runnable equals the list rebuilt from the threads;
-    `pick(scheduler, state)` replaces the scheduler's own pick when
-    given.  Returns (RunResult, every tid picked, None included)."""
+    step that state.runnable and state.blocked equal those rebuilt from
+    the threads; `pick(scheduler, state)` replaces the scheduler's own
+    pick when given.  Returns (RunResult, every tid picked, None
+    included)."""
     machine = load(image, policy)
     sched, picks = machine.scheduler, []
     choose = sched.pick if pick is None else functools.partial(pick, sched)
@@ -95,19 +107,39 @@ def _stepped_run(image, policy, step_limit, pick=None):
     for n in range(1, step_limit + 1):
         result = machine.run(step_limit=n)
         assert machine.state.runnable == rebuilt_runnable(machine.state), n
+        blocked = {lock: sorted(tids) for lock, tids in machine.state.blocked.items()}
+        assert blocked == rebuilt_blocked(machine.state), n
         if result.outcome != "timeout":
             break
     return result, picks
 
 
 def assert_scheduled_like_the_general_pick(image, policy, step_limit):
-    """state.runnable stays what the threads say after every step, and
-    the run picks the tids and ends in the state of a run whose pick is
-    general_pick."""
+    """state.runnable and state.blocked stay what the threads say after
+    every step, and the run picks the tids and ends in the state of a
+    run whose pick is general_pick."""
     got, picks = _stepped_run(image, policy, step_limit)
     want, general_picks = _stepped_run(image, policy, step_limit, general_pick)
     assert picks == general_picks
     assert (got.state, got.outcome, got.steps) == (want.state, want.outcome, want.steps)
+
+
+def spawn_loop(body: str, spawn: bool = True) -> str:
+    """A guest that loops forever: SPAWN a child that HALTs at once, then
+    run `body`.  With spawn False a MOV stands in for the SPAWN, so the
+    loop runs the same steps but leaves no dead thread behind."""
+    return (f"main: MOVI r0, child\nMOVI r1, 0xF000\n{'SYS 48' if spawn else 'MOV r0, r0'}\n"
+            f"{body}\nJMP main\nchild: HALT\n")
+
+
+def spawn_slowdown(body: str, run) -> float:
+    """Best-of-two wall time of run(image) on spawn_loop(body) over that
+    on its twin that spawns nothing: near 1 when a step's cost does not
+    grow with the dead threads, and large when it does."""
+    def best(image):
+        return min(timeit.repeat(lambda: run(image), number=1, repeat=2))
+
+    return best(assemble(spawn_loop(body))) / best(assemble(spawn_loop(body, spawn=False)))
 
 
 def rules_of(result) -> list:

@@ -23,13 +23,16 @@ from scvm.checkers import (
     LocksetChecker,
     NullChecker,
     CHECKER_ORDER,
+    OPTIONS,
     CheckerRegistry,
     UserChecker,
     make_checkers,
     run_checkers,
 )
+from scvm.driver import RunConfig, analyze
 from scvm.machine import (
     HEAP_BASE,
+    HEAP_LIMIT,
     SYS_ALLOC,
     SYS_CHECK_USER_READ,
     SYS_CHECK_USER_WRITE,
@@ -46,7 +49,7 @@ from scvm.machine import (
 )
 from scvm.shadow import ShadowState, TagKind
 
-from helpers import happens_before_races, run_program, rules_of
+from helpers import happens_before_races, run_program, rules_of, spawn_slowdown
 
 
 def ev(kind, **kw):
@@ -455,6 +458,10 @@ def test_make_checkers_validation():
         make_checkers(("lockset",), machine, sh, {"lockset.colour": "red"})
     with pytest.raises(ValueError):
         make_checkers(("lockset",), machine, sh, {"lockset.grace": "maybe"})
+    # an option is checked whether or not its plugin is built
+    for key, text in (("lockset.tracked", "bogus"), ("lockset.grace", "maybe")):
+        with pytest.raises(ValueError, match=rf"^{key} must be \w+ or \w+, got '{text}'$"):
+            make_checkers(("null",), machine, sh, {key: text})
     with pytest.raises(ValueError):
         LocksetChecker(machine, tracked="stack")
     with pytest.raises(ValueError):
@@ -466,6 +473,55 @@ def test_make_checkers_canonical_order():
     sh = ShadowState()
     plugins = make_checkers(("lockset", "null"), machine, sh)
     assert [p.name for p in plugins] == ["null", "lockset"]
+
+
+def test_each_option_text_passes_its_value_and_the_first_is_the_default():
+    machine = load(assemble("HALT"))
+    for key, table in OPTIONS.items():
+        name, _, field = key.partition(".")
+        for text, value in table.items():
+            (plugin,) = make_checkers((name,), machine, ShadowState(), {key: text})
+            assert getattr(plugin, field) == value, (key, text)
+        (plugin,) = make_checkers((name,), machine, ShadowState())
+        assert getattr(plugin, field) == next(iter(table.values())), key
+    assert list(OPTIONS) == ["lockset.tracked", "lockset.grace"]
+
+
+def test_a_spawn_loop_checks_in_time_linear_in_its_steps():
+    """The lockset tests a word against the distinct stack tops, not
+    against every thread ever spawned, so a step's cost does not grow
+    with the dead threads a spawn loop leaves behind."""
+    slowdown = spawn_slowdown("MOVI r3, 0x8000\nST [r3], r0",
+                              lambda image: analyze(image, RunConfig(step_limit=60_000)))
+    assert slowdown < 4
+
+
+# Stack tops with duplicates, overlapping ranges, one clamped at 0 over
+# the image, one straddling the heap's end and one past memory's end.
+SPAWN_TOPS = (HEAP_BASE + 0x800, HEAP_BASE + 0x800, HEAP_BASE + 0x600, 0x300,
+              HEAP_LIMIT + 0x100, HEAP_BASE + 0x2000, 0x20000, HEAP_BASE + 0x404)
+
+
+def test_tracked_words_skip_every_stack_when_each_thread_has_its_own_top():
+    """At each SPAWN, the lockset's tracking of every word agrees with a
+    scan of the image and heap bounds and every thread's stack range."""
+    spawns = "".join(f"MOVI r0, child\nMOVI r1, {top}\nSYS 48\n" for top in SPAWN_TOPS)
+    machine = load(assemble(spawns + "HALT\nchild: HALT\n"))
+    (lockset,) = make_checkers(("lockset",), machine, ShadowState())
+    st = machine.state
+    checked = []
+
+    def on_spawn(e):
+        for word in range(0, 0x10000, 4):
+            in_segment = st.image_origin <= word < st.image_end or HEAP_BASE <= word < HEAP_LIMIT
+            in_stack = any(t.stack_base <= word < t.stack_top for t in st.threads.values())
+            assert lockset._is_tracked(word) == (in_segment and not in_stack), (e.step, hex(word))
+        checked.append(len(st.threads))
+
+    on_spawn.kinds = ("spawn",)
+    machine.add_observer(on_spawn)
+    assert machine.run().outcome == "halt"
+    assert checked == list(range(2, len(SPAWN_TOPS) + 2))
 
 
 # -- lockset against a quadratic reference ---------------------------------

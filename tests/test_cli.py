@@ -261,6 +261,19 @@ def test_check_bad_option_is_exit_2(build, capsys):
     assert main(["check", str(img), "--opt", "lockset.grace"]) == 2
     assert main(["check", str(img), "--opt", "lockset.grace=sometimes"]) == 2
     assert main(["check", str(img), "--opt", "fmt.depth=3"]) == 2
+    capsys.readouterr()
+    # an option is checked whether or not its checker is selected
+    assert main(["check", str(img), "--checkers", "null", "--opt", "lockset.tracked=bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "scvm check: lockset.tracked must be heap or all, got 'bogus'\n"
+    assert captured.out == ""
+
+
+def test_opt_help_lists_every_option_and_its_values(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "lockset.tracked=heap|all, lockset.grace=off|on" in help_text
 
 
 def test_check_with_no_checkers_matches_run(build, capsys):

@@ -9,7 +9,10 @@ threads and locks, under both schedulers.
 
 The scheduler's runnable list stays what the threads say, and it picks
 as the reference general pick does.  Every word the happens-before
-oracle finds racing is one the lockset warns about.
+oracle finds racing is one the lockset warns about.  Random images
+seldom share a heap word between threads, so both checks also run over
+sharing images: threads that each load the same few heap words into
+registers and touch them, with or without a lock.
 
 Observers reading random sets of event kinds, over these images and the
 shipped corpus, each receive exactly the full stream filtered to their
@@ -56,6 +59,7 @@ from helpers import (
 BODY_LEN = 16
 N_INSTRS = 8 + BODY_LEN + 1  # register prelude, body, final HALT
 STEP_LIMIT = 150
+SHARING_STEP_LIMIT = 400
 
 _reg = st.integers(0, 7)
 _code_addr = st.integers(0, N_INSTRS - 1).map(lambda i: i * INSTR_SIZE)
@@ -104,6 +108,65 @@ def _random_images(test):
     return settings(max_examples=50, deadline=None)(given(
         prelude=_prelude,
         body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+        quantum=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )(test))
+
+
+# Sharing images: a thread's code at 0, then main's.  Each starts by
+# loading four of the shared words into r2..r5, then runs chunks that
+# touch them through those registers (loads land in r1 or r7), alone or
+# between a LOCK and UNLOCK of lock 1 or 2, or YIELD; main's chunks also
+# SPAWN a thread at 0, first thing and at random, with a stack top that
+# lies outside the shared words.
+_SHARED_REGS = (2, 3, 4, 5)
+_SHARED_WORDS = [HEAP_BASE + 4 * i for i in range(4)]
+_STACK_TOPS = (0xF000, 0xE800, HEAP_BASE + 0x1000)
+_sharing_prelude = st.lists(st.sampled_from(_SHARED_WORDS), min_size=4, max_size=4).map(
+    lambda words: [Instruction(Opcode.MOVI, rd=r, imm=w) for r, w in zip(_SHARED_REGS, words)]
+)
+_access = st.builds(
+    lambda op, base, offset, data: Instruction(op, rd=data, rs=base, rt=data, imm=4 * offset),
+    st.sampled_from((Opcode.LD, Opcode.ST, Opcode.LDB, Opcode.STB)),
+    st.sampled_from(_SHARED_REGS), st.integers(-1, 1), st.sampled_from((1, 7)),
+)
+
+
+def _locked(lock, accesses):
+    return [Instruction(Opcode.MOVI, imm=lock), Instruction(Opcode.SYS, imm=SYS_LOCK),
+            *accesses,
+            Instruction(Opcode.MOVI, imm=lock), Instruction(Opcode.SYS, imm=SYS_UNLOCK)]
+
+
+def _spawn(stack_top):
+    return [Instruction(Opcode.MOVI, rd=0, imm=0), Instruction(Opcode.MOVI, rd=1, imm=stack_top),
+            Instruction(Opcode.SYS, imm=SYS_SPAWN)]
+
+
+_chunk = st.one_of(
+    _access.map(lambda i: [i]),
+    st.builds(_locked, st.integers(1, 2), st.lists(_access, min_size=1, max_size=2)),
+    st.just([Instruction(Opcode.SYS, imm=SYS_YIELD)]),
+)
+_chunks = st.lists(_chunk, min_size=2, max_size=6).map(lambda cs: [i for c in cs for i in c])
+_main_chunks = st.lists(
+    st.one_of(_chunk, st.sampled_from(_STACK_TOPS).map(_spawn)), min_size=3, max_size=8
+).map(lambda cs: [i for c in cs for i in c])
+
+
+def _sharing_image(thread, main, first_top):
+    """thread and main are (prelude, chunks); each ends in HALT."""
+    code = [*thread[0], *thread[1], Instruction(Opcode.HALT)]
+    entry = len(code) * INSTR_SIZE
+    code += [*main[0], *_spawn(first_top), *main[1], Instruction(Opcode.HALT)]
+    return ProgramImage(origin=0, payload=b"".join(map(encode, code)), entry=entry)
+
+
+def _sharing_images(test):
+    """Runs test over 50 sharing images, each with a quantum and a seed."""
+    return settings(max_examples=50, deadline=None)(given(
+        image=st.builds(_sharing_image, st.tuples(_sharing_prelude, _chunks),
+                        st.tuples(_sharing_prelude, _main_chunks), st.sampled_from(_STACK_TOPS)),
         quantum=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )(test))
@@ -167,6 +230,22 @@ def test_random_images_race_only_on_words_the_lockset_warns_about(prelude, body,
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         races, warned, _ = races_and_lockset_warnings(image, policy, STEP_LIMIT)
+        assert races <= warned, kind
+
+
+@_sharing_images
+def test_sharing_images_keep_runnable_and_pick_like_the_general_path(image, quantum, seed):
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        assert_scheduled_like_the_general_pick(image, policy, SHARING_STEP_LIMIT)
+
+
+@_sharing_images
+def test_sharing_images_race_only_on_words_the_lockset_warns_about(image, quantum, seed):
+    """The happens-before criterion where threads do share words."""
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        races, warned, _ = races_and_lockset_warnings(image, policy, SHARING_STEP_LIMIT)
         assert races <= warned, kind
 
 

@@ -41,6 +41,7 @@ from helpers import (
     general_pick,
     rebuilt_runnable,
     ref_xorshift64star,
+    spawn_slowdown,
 )
 
 
@@ -665,6 +666,54 @@ def test_lock_held_appears_in_event_stamp():
     assert frozenset({3}) in held
     sys50 = [e for e in result.events if e.kind == "syscall" and e.sysno == 50][0]
     assert sys50.locks_held == frozenset({3})
+
+
+def test_a_spawn_loop_runs_in_time_linear_in_its_steps():
+    """UNLOCK wakes the tids blocked on its lock, kept per lock, so a
+    step's cost does not grow with the dead threads a spawn loop leaves."""
+    slowdown = spawn_slowdown("MOVI r0, 1\nSYS 49\nSYS 50", lambda image: load(image).run(60_000))
+    assert slowdown < 4
+
+
+def test_unlock_wakes_every_thread_blocked_on_its_lock_and_no_other():
+    src = """
+start:  MOVI r0, 1
+        SYS 49
+        MOVI r0, 2
+        SYS 49
+        MOVI r1, 0xF000
+        MOVI r0, on1
+        SYS 48
+        MOVI r0, on2
+        SYS 48
+        MOVI r0, on1
+        SYS 48
+        SYS 51
+        SYS 51
+        SYS 51
+        MOVI r0, 1
+        SYS 50
+        HALT
+on1:    MOVI r0, 1
+        SYS 49
+        HALT
+on2:    MOVI r0, 2
+        SYS 49
+        HALT
+"""
+    machine = load(assemble(src))
+    seen = []
+
+    def watch(e):
+        if e.kind == "unlock" or seen and len(seen) < 2:  # the UNLOCK and the step after it
+            seen.append((e.kind, dict(machine.state.blocked), list(machine.state.runnable)))
+
+    watch.kinds = ("unlock", "fetch")
+    machine.add_observer(watch)
+    assert machine.run().outcome == "halt"
+    # At the UNLOCK of lock 1, tids 1 and 3 wait on it and tid 2 on lock 2;
+    # after it, only lock 2's waiter is left blocked.
+    assert seen == [("unlock", {1: [1, 3], 2: [2]}, [0]), ("fetch", {2: [2]}, [0, 1, 3])]
 
 
 def test_abba_deadlock_is_reported():

@@ -184,6 +184,14 @@ def test_type_objects_are_minted_only_by_fresh():
     assert sorted(sites) == [("shadow.py", "ShadowState.__init__"), ("shadow.py", "ShadowState.fresh")]
 
 
+def test_warnings_are_stamped_only_by_warning_at():
+    """A checker's warning carries its event's tid, pc and step because
+    Warning.at stamps every one; only report.parse builds one directly."""
+    sites = [(path.name, site) for path in sorted((ROOT / "src" / "scvm").glob("*.py"))
+             for site in call_sites(path.read_text(), "Warning")]
+    assert sorted(sites) == [("checkers.py", "Warning.at"), ("report.py", "parse")]
+
+
 def test_observers_read_only_known_kinds():
     assert set(ShadowState.on_event.kinds) <= set(EVENT_KINDS)
     assert set(CheckerRegistry.dispatch.kinds) <= set(EVENT_KINDS)
