@@ -149,10 +149,28 @@ class Event:
     base_reg: int | None = None
 
 
-def _fmt_src(src: tuple) -> str:
-    if src[0] == "mem":
-        return f"mem:0x{src[1]:04X}:{src[2]}"
-    return ":".join(map(str, src))
+@functools.lru_cache(maxsize=8192)
+def _fmt_head(pc: int, kind: str, op, reg, rs, rt) -> str:
+    """`\\t0x{pc}\\t{kind}\\t` and the op=, reg=, rs=, rt= fields: the code
+    word at pc fixes them, so each emit site renders them once.  Keyed on
+    the values, not the pc, so code written at run time renders right."""
+    s = f"\t0x{pc:04X}\t{kind}\t"
+    if op is not None:
+        s += f"op={op} "
+    if reg is not None:
+        s += f"reg=r{reg} "
+    if rs is not None:
+        s += f"rs=r{rs} "
+    if rt is not None:
+        s += f"rt=r{rt} "
+    return s
+
+
+@functools.lru_cache(maxsize=1024)
+def _fmt_code_src(src: tuple) -> str:
+    """`src=` of an imm, reg:N, binop:OP:A:B or syscall:N source, which
+    the code word fixes; a mem source is formatted per event."""
+    return f"src={':'.join(map(str, src))} "
 
 
 @functools.lru_cache(maxsize=256)
@@ -164,38 +182,31 @@ def _fmt_stamp(mode: str, iflag: bool, locks_held: frozenset) -> str:
 
 
 def format_event(e: Event) -> str:
-    """Stable one-line rendering: step, tid, pc, kind, operands."""
-    ops = []
-    if e.op is not None:
-        ops.append(f"op={e.op}")
-    if e.reg is not None:
-        ops.append(f"reg=r{e.reg}")
-    if e.rs is not None:
-        ops.append(f"rs=r{e.rs}")
-    if e.rt is not None:
-        ops.append(f"rt=r{e.rt}")
+    """Stable one-line rendering: step, tid, pc, kind, operands.  Only
+    the fields the run decides are formatted here, per event; the rest
+    come from the caches above."""
+    s = f"{e.step}\t{e.tid}" + _fmt_head(e.pc, e.kind, e.op, e.reg, e.rs, e.rt)
     if e.addr is not None:
-        ops.append(f"addr=0x{e.addr:04X}")
+        s += f"addr=0x{e.addr:04X} "
     if e.width is not None:
-        ops.append(f"width={e.width}")
+        s += f"width={e.width} "
     if e.value is not None:
-        ops.append(f"value=0x{e.value & M32:08X}")
+        s += f"value=0x{e.value & M32:08X} "
     if e.base_reg is not None:
-        ops.append(f"base=r{e.base_reg}")
-    if e.src is not None:
-        ops.append(f"src={_fmt_src(e.src)}")
+        s += f"base=r{e.base_reg} "
+    if (src := e.src) is not None:
+        s += f"src=mem:0x{src[1]:04X}:{src[2]} " if src[0] == "mem" else _fmt_code_src(src)
     if e.sysno is not None:
-        ops.append(f"sys={SYSCALL_NAMES.get(e.sysno, e.sysno)}")
+        s += f"sys={SYSCALL_NAMES.get(e.sysno, e.sysno)} "
     if e.args is not None:
-        ops.append("args=" + ",".join(f"0x{a:08X}" for a in e.args))
+        s += f"args={','.join(f'0x{a:08X}' for a in e.args)} "
     if e.lock is not None:
-        ops.append(f"lock={e.lock}")
+        s += f"lock={e.lock} "
     if e.new_tid is not None:
-        ops.append(f"new_tid={e.new_tid}")
+        s += f"new_tid={e.new_tid} "
     if e.taken is not None:
-        ops.append(f"taken={int(e.taken)}")
-    ops.append(_fmt_stamp(e.mode, e.iflag, e.locks_held))
-    return f"{e.step}\t{e.tid}\t0x{e.pc:04X}\t{e.kind}\t{' '.join(ops)}"
+        s += f"taken={int(e.taken)} "
+    return s + _fmt_stamp(e.mode, e.iflag, e.locks_held)
 
 
 @dataclass

@@ -844,6 +844,39 @@ done:  HALT
     assert result.state.threads[0].regs[0] == 2
 
 
+def test_traced_run_over_rewritten_code_prints_the_new_operands():
+    """A trace line's head is rendered once per code site and reused, so
+    it must be keyed on the operands, not the pc: once `site` turns from
+    MOVI r0, 1 into MOVI r4, 2, its reg-write line names r4."""
+    lo, hi = _words(Instruction(Opcode.MOVI, rd=4, imm=2))
+    image = assemble(f"""
+start: MOVI r5, 0
+       MOVI r1, site
+       MOVI r2, {lo}
+       MOVI r3, {hi}
+site:  MOVI r0, 1
+       CMPI r5, 1
+       BEQ done
+       MOVI r5, 1
+       ST [r1+0], r2
+       ST [r1+4], r3
+       JMP site
+done:  HALT
+""")
+    machine = load(image)
+    events = []
+    machine.add_observer(events.append)
+    assert machine.run().outcome == "halt"
+    lines = [format_event(e) for e in events]
+    assert lines == [reference_format_event(e) for e in events]
+    site = image.symbols["site"]
+    writes = [line for e, line in zip(events, lines) if e.pc == site and e.kind == "reg-write"]
+    assert [w.split("\t")[4].split()[:2] for w in writes] == [
+        ["reg=r0", "value=0x00000001"],
+        ["reg=r4", "value=0x00000002"],
+    ]
+
+
 def test_read_net_over_executed_code_takes_effect():
     image = assemble("""
 start: MOVI r5, 0

@@ -6,6 +6,7 @@ for."""
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -79,6 +80,41 @@ def test_no_module_imports_tempfile():
     # Every trace goes to stdout as it is made; nothing waits on disk.
     for path in (ROOT / "src" / "scvm").glob("*.py"):
         assert "tempfile" not in imported_modules(path.read_text()), path.name
+
+
+def memos(namespace: dict) -> dict:
+    """name -> each functools LRU wrapper in a namespace or in a class
+    defined there."""
+    found = {}
+    for name, obj in namespace.items():
+        if isinstance(obj, type):
+            found.update(memos({f"{name}.{k}": v for k, v in vars(obj).items()}))
+        elif isinstance(obj, functools._lru_cache_wrapper):
+            found[name] = obj
+    return found
+
+
+def test_memos_are_found():
+    class C:
+        m = functools.cache(abs)
+
+    ns = {"f": functools.lru_cache(maxsize=4)(abs), "C": C, "g": abs, "n": 1}
+    assert set(memos(ns)) == {"f", "C.m"}
+
+
+def test_every_memo_is_bounded():
+    """No guest can exhaust host memory through a memo: every functools
+    cache in scvm, and each per-read-set compile cache that _compiler
+    returns, has a finite maxsize."""
+    found = {}
+    for path in MODULES:
+        if path.stem != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"scvm.{path.stem}")
+            found.update({f"{path.stem}.{n}": f for n, f in memos(vars(module)).items()})
+    for reads in (frozenset(), frozenset(EVENT_KINDS)):
+        found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
+    assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src"} <= set(found)
+    assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
 
 
 def emitted_kinds(source: str) -> set:
