@@ -6,9 +6,9 @@ comment, `label:` prefixes a line.  Directives: `.org N`, `.word N`,
 0x-hex, a 'c' character literal (any one character, `;` `,` `"` and
 brackets included, or a backslash escape), or a label name.
 
-The assembler walks the parsed lines once: the walk binds each label
-and writes each instruction and datum at its address, and an immediate
-that names a label leaves a fixup, patched once every label is bound.
+The parse gives each line a `.org` target or a builder of its bytes.
+One walk moves the location counter or places the bytes each builder
+makes; a label immediate leaves a fixup, patched once labels are bound.
 
 Layout rules the loader and interpreter rely on:
   * instructions are padded to 8-byte offsets from the image origin
@@ -19,6 +19,7 @@ Layout rules the loader and interpreter rely on:
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass, field
@@ -151,17 +152,6 @@ _MNEMONICS = {op.name: op for op in Opcode}
 _CHAR_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39, '"': 34}
 
 
-@dataclass
-class _Line:
-    lineno: int
-    labels: list[str]
-    kind: str  # "instr", "org", "word", "asciiz" or "empty"
-    mnemonic: Opcode | None = None
-    operands: list[str] = field(default_factory=list)
-    data: bytes = b""
-    value: str = ""
-
-
 def _split_operands(text: str) -> list[str]:
     """Split on the commas that sit outside literals and brackets."""
     parts = [""]
@@ -199,7 +189,8 @@ def _parse_string(lineno: int, text: str) -> bytes:
     return bytes(out)
 
 
-def _parse_lines(source: str) -> list[_Line]:
+def _parse_lines(source: str) -> list[tuple]:
+    """(lineno, labels, org, build) per line; `org` is a .org's value text."""
     lines = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         tokens = _TOKEN_RE.findall(raw)
@@ -213,27 +204,25 @@ def _parse_lines(source: str) -> list[_Line]:
                 break
             labels.append(m.group(1))
             text = text[m.end() :]
-        if not text:
-            lines.append(_Line(lineno, labels, "empty"))
-            continue
-        parts = text.split(None, 1)
-        head = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
-        if head.startswith("."):
+        org = build = None
+        if text:
+            parts = text.split(None, 1)
+            head = parts[0]
+            rest = parts[1] if len(parts) > 1 else ""
             directive = head.lower()
-            if directive in (".org", ".word"):
-                lines.append(_Line(lineno, labels, directive[1:], value=rest.strip()))
+            if directive == ".org":
+                org = rest
+            elif directive == ".word":
+                build = functools.partial(_word, lineno, rest)
             elif directive == ".asciiz":
-                data = _parse_string(lineno, rest) + b"\x00"
-                lines.append(_Line(lineno, labels, "asciiz", data=data))
-            else:
+                build = functools.partial(_bytes, _parse_string(lineno, rest) + b"\x00")
+            elif head.startswith("."):
                 raise AsmError(lineno, f"unknown directive {head}")
-            continue
-        mnemonic = _MNEMONICS.get(head.upper())
-        if mnemonic is None:
-            raise AsmError(lineno, f"unknown mnemonic {head!r}")
-        operands = _split_operands(rest)
-        lines.append(_Line(lineno, labels, "instr", mnemonic=mnemonic, operands=operands))
+            elif head.upper() in _MNEMONICS:
+                build = functools.partial(_instruction, lineno, _MNEMONICS[head.upper()], rest)
+            else:
+                raise AsmError(lineno, f"unknown mnemonic {head!r}")
+        lines.append((lineno, labels, org, build))
     return lines
 
 
@@ -269,12 +258,12 @@ def _check_imm_range(lineno: int, value: int) -> int:
     return value
 
 
-def _resolve_imm(lineno: int, token: str, labels: list, sign: int = 1) -> int:
-    """The immediate's value.  A label reads 0 here and goes on `labels`
+def _resolve_imm(lineno: int, token: str, refs: list, sign: int = 1) -> int:
+    """The immediate's value.  A label reads 0 here and goes on `refs`
     with its sign, to be patched in once the walk has bound every label."""
     token = token.strip()
     if _LABEL_RE.match(token) and token.upper() not in _MNEMONICS:
-        labels.append((token, sign))
+        refs.append((token, sign))
         return 0
     return _check_imm_range(lineno, _parse_numeric(lineno, token))
 
@@ -290,7 +279,7 @@ def _parse_reg(lineno: int, token: str) -> int:
     return idx
 
 
-def _parse_mem(lineno: int, token: str, labels: list) -> tuple[int, int]:
+def _parse_mem(lineno: int, token: str, refs: list) -> tuple[int, int]:
     m = _MEM_RE.match(token.strip())
     if not m:
         raise AsmError(lineno, f"expected [rN+imm] operand, got {token!r}")
@@ -298,28 +287,36 @@ def _parse_mem(lineno: int, token: str, labels: list) -> tuple[int, int]:
     offset = 0
     if m.group(3) is not None:
         sign = -1 if m.group(2) == "-" else 1
-        offset = sign * _resolve_imm(lineno, m.group(3), labels, sign)
+        offset = sign * _resolve_imm(lineno, m.group(3), refs, sign)
     return base, _check_imm_range(lineno, offset)
 
 
-def _build_instruction(line: _Line, labels: list) -> Instruction:
-    sig = _SIGNATURES[line.mnemonic]
-    if len(line.operands) != len(sig):
-        raise AsmError(
-            line.lineno,
-            f"{line.mnemonic.name} takes {len(sig)} operand(s), got {len(line.operands)}",
-        )
+# A line's builder, build(refs), parses its operands, puts each label they
+# name on refs as (label, sign) and returns (data, alignment, offset of
+# the immediate in data).
+def _word(lineno: int, text: str, refs: list) -> tuple[bytes, int, int]:
+    value = _resolve_imm(lineno, text, refs)
+    return struct.pack("<I", value & 0xFFFFFFFF), 4, 0
+
+
+def _bytes(data: bytes, refs: list) -> tuple[bytes, int, int]:
+    return data, 1, 0
+
+
+def _instruction(lineno: int, op: Opcode, text: str, refs: list) -> tuple[bytes, int, int]:
+    sig, operands = _SIGNATURES[op], _split_operands(text)
+    if len(operands) != len(sig):
+        raise AsmError(lineno, f"{op.name} takes {len(sig)} operand(s), got {len(operands)}")
     fields = {"rd": 0, "rs": 0, "rt": 0, "imm": 0}
-    for slot, token in zip(sig, line.operands):
+    for slot, token in zip(sig, operands):
         if slot in ("rd", "rs", "rt"):
-            fields[slot] = _parse_reg(line.lineno, token)
+            fields[slot] = _parse_reg(lineno, token)
         elif slot == "imm":
-            fields["imm"] = _resolve_imm(line.lineno, token, labels)
+            fields["imm"] = _resolve_imm(lineno, token, refs)
         elif slot == "mem":
-            base, offset = _parse_mem(line.lineno, token, labels)
-            fields["rs"] = base
-            fields["imm"] = offset
-    return Instruction(line.mnemonic, **fields)
+            fields["rs"], fields["imm"] = _parse_mem(lineno, token, refs)
+    # The origin is 8-byte aligned, so this is an 8-byte offset from it.
+    return encode(Instruction(op, **fields)), INSTR_SIZE, 4
 
 
 def _align_up(value: int, align: int) -> int:
@@ -348,54 +345,42 @@ def assemble(source: str) -> ProgramImage:
             symbols[name] = addr
         pending.clear()
 
-    for line in lines:
-        pending += [(line.lineno, name) for name in line.labels]
-        if line.kind == "empty":
-            continue
-        if line.kind == "org":
-            target = _check_imm_range(line.lineno, _parse_numeric(line.lineno, line.value))
+    for lineno, labels, org, build in lines:
+        pending += [(lineno, name) for name in labels]
+        if org is not None:
+            target = _check_imm_range(lineno, _parse_numeric(lineno, org))
             if target < 0 or target >= MEMORY_SIZE:
-                raise AsmError(line.lineno, f".org 0x{target & 0xFFFFFFFF:x} outside memory")
+                raise AsmError(lineno, f".org 0x{target & 0xFFFFFFFF:x} outside memory")
             if origin is None:
                 if target % INSTR_SIZE != 0:
-                    raise AsmError(line.lineno, ".org origin must be 8-byte aligned")
+                    raise AsmError(lineno, ".org origin must be 8-byte aligned")
                 origin = target
             elif target < loc:
-                raise AsmError(line.lineno, ".org cannot move backwards")
+                raise AsmError(lineno, ".org cannot move backwards")
             loc = target
-            continue
-        # (label, sign) of an immediate that names a label, and the
-        # immediate's offset in the data
-        labels, field_at = [], 0
-        if line.kind == "word":
-            value = _resolve_imm(line.lineno, line.value, labels)
-            data, align = struct.pack("<I", value & 0xFFFFFFFF), 4
-        elif line.kind == "asciiz":
-            data, align = line.data, 1
-        else:
-            instr = _build_instruction(line, labels)
-            # The origin is 8-byte aligned, so this is an 8-byte offset from it.
-            data, align, field_at = encode(instr), INSTR_SIZE, 4
-        if origin is None:
-            origin = 0
-        addr = _align_up(loc, align)
-        if addr + len(data) > MEMORY_SIZE:
-            raise AsmError(line.lineno, "program exceeds guest memory")
-        bind(addr)
-        memory[addr : addr + len(data)] = data
-        loc = addr + len(data)
-        fixups += [(line.lineno, name, sign, addr + field_at) for name, sign in labels]
-        if entry is None and line.kind == "instr":
-            entry = addr
+        elif build is not None:
+            refs = []
+            data, align, field_at = build(refs)
+            if origin is None:
+                origin = 0
+            addr = _align_up(loc, align)
+            if addr + len(data) > MEMORY_SIZE:
+                raise AsmError(lineno, "program exceeds guest memory")
+            bind(addr)
+            memory[addr : addr + len(data)] = data
+            loc = addr + len(data)
+            fixups += [(lineno, name, sign, addr + field_at) for name, sign in refs]
+            if entry is None and align == INSTR_SIZE:  # only instructions align so
+                entry = addr
     bind(loc)  # trailing labels land on the current location counter
     if origin is None or loc == origin:
-        raise AsmError(len(source.splitlines()) or 1, "program assembles to no bytes")
+        raise AsmError(len(lines) or 1, "program assembles to no bytes")
     for lineno, name, sign, at in fixups:
         if name not in symbols:
             raise AsmError(lineno, f"undefined label {name!r}")
         struct.pack_into("<I", memory, at, sign * symbols[name] & 0xFFFFFFFF)
     if entry is None:
-        raise AsmError(lines[-1].lineno, "program contains no instructions")
+        raise AsmError(len(lines), "program contains no instructions")
     return ProgramImage(
         origin=origin,
         payload=bytes(memory[origin:loc]),

@@ -520,16 +520,21 @@ def _general(op: Opcode, imm: int, reads, m, t, pc, emit):
         m.state.iflag = op == Opcode.STI
         if "iflag-change" in reads:
             emit("iflag-change")
-    else:  # HALT
+    else:  # HALT; the pc stays on it
         if t.tid == 0:
             m.state.halted = True
         else:
-            t.alive = False
-            m.state.runnable.remove(t.tid)
-            if "thread-exit" in reads:
-                emit("thread-exit")
+            _end_thread(m.state, t, reads, emit)
         return
     t.pc = next_pc
+
+
+def _end_thread(st, t, reads, emit):
+    """Thread t ends: HALT off thread 0, or EXIT_THREAD."""
+    t.alive = False
+    st.runnable.remove(t.tid)
+    if "thread-exit" in reads:
+        emit("thread-exit")
 
 
 def _syscall(number: int, reads, m, t, pc, emit):
@@ -631,10 +636,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
     elif number == SYS_YIELD:
         m.scheduler.expire_slice()
     elif number == SYS_EXIT_THREAD:
-        t.alive = False
-        st.runnable.remove(t.tid)
-        if "thread-exit" in reads:
-            emit("thread-exit")
+        _end_thread(st, t, reads, emit)
     if result is not None:
         regs[0] = result
         if "reg-write" in reads:
@@ -761,7 +763,7 @@ class Machine:
         while not st.halted and st.step_count < step_limit:
             tid = self.scheduler.pick(st)
             if tid is None:
-                if any(x.alive for x in threads.values()):
+                if st.blocked:  # a live thread waits on a lock
                     st.fault = GuestFault(
                         "deadlock: all live threads blocked",
                         st.current,

@@ -1,5 +1,6 @@
 """Shared test plumbing: assemble-and-run in one call, corpus access,
-the reference scheduler, and the happens-before race oracle."""
+the reference scheduler, the brute-force lockset and the happens-before
+race oracle."""
 
 from __future__ import annotations
 
@@ -174,6 +175,31 @@ def full_delivery():
         yield seen
     finally:
         ShadowState.on_event, CheckerRegistry.dispatch = on_event, dispatch
+
+
+def brute_force_first_empty(trace, grace=False):
+    """word -> index where the intersection of every held-set observed
+    at that word first becomes empty; recomputed from scratch per access
+    of a (word, tid, held) trace.  Under grace a word is exclusive to
+    the first tid that touches it until a second tid does, and its
+    lockset starts at that access."""
+    history = {}
+    warned = {}
+    for idx, (word, tid, held) in enumerate(trace):
+        history.setdefault(word, []).append((tid, held))
+        accesses = history[word]
+        if grace:
+            owner = accesses[0][0]
+            shared = [i for i, (t, _) in enumerate(accesses) if t != owner]
+            if not shared:
+                continue
+            accesses = accesses[shared[0]:]
+        inter = set(accesses[0][1])
+        for _, s in accesses[1:]:
+            inter &= s
+        if not inter and word not in warned:
+            warned[word] = idx
+    return warned
 
 
 def _join(clock: dict, other: dict) -> None:

@@ -40,7 +40,13 @@ from scvm.machine import (
 )
 from scvm.report import REPORT_VERSION, serialize
 
-from helpers import analysis_outputs, corpus_source, full_delivery, races_and_lockset_warnings
+from helpers import (
+    analysis_outputs,
+    brute_force_first_empty,
+    corpus_source,
+    full_delivery,
+    races_and_lockset_warnings,
+)
 
 
 def criterion(label):
@@ -125,31 +131,6 @@ def test_taint_flow():
     assert copied.warnings[0].pc == symbols["psite"]  # fires on the copy
 
 
-def _brute_force_first_empty(trace, grace=False):
-    """word -> index where the intersection of every held-set observed
-    at that word first becomes empty; recomputed from scratch per access
-    of a (word, tid, held) trace.  Under grace a word is exclusive to
-    the first tid that touches it until a second tid does, and its
-    lockset starts at that access."""
-    history = {}
-    warned = {}
-    for idx, (word, tid, held) in enumerate(trace):
-        history.setdefault(word, []).append((tid, held))
-        accesses = history[word]
-        if grace:
-            owner = accesses[0][0]
-            shared = [i for i, (t, _) in enumerate(accesses) if t != owner]
-            if not shared:
-                continue
-            accesses = accesses[shared[0]:]
-        inter = set(accesses[0][1])
-        for _, s in accesses[1:]:
-            inter &= s
-        if not inter and word not in warned:
-            warned[word] = idx
-    return warned
-
-
 @criterion("lockset equals brute-force reference on 1000 random traces, with and without grace")
 def test_lockset_oracle_equivalence():
     started = time.monotonic()
@@ -182,7 +163,7 @@ def test_lockset_oracle_equivalence():
                 )
             )
         for grace in (False, True):
-            expect = _brute_force_first_empty(trace, grace)
+            expect = brute_force_first_empty(trace, grace)
             got = run_checkers([LocksetChecker(None, tracked="all", grace=grace)], events)
             assert {w.address for w in got} == set(expect), grace
             assert {w.address: w.step for w in got} == expect, grace

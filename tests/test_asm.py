@@ -180,6 +180,51 @@ def test_trailing_label_binds_to_end():
     assert image.symbols["end"] == 8
 
 
+# (label, mnemonic or directive, operands) of each line of one program
+# that uses every directive, a label immediate and a memory operand.
+_FIELDS = [
+    ("", ".org", "0x100"),
+    ("start:", "MOVI", "r1, val"),
+    ("", "LD", "r2, [r1+4]"),
+    ("loop:", "ADD", "r3, r2, r1"),
+    ("", "BNE", "loop"),
+    ("", ".org", "0x140"),
+    ("val:", ".word", "start"),
+    ("msg:", ".asciiz", '"a b"'),
+    ("", "HALT", ""),
+]
+
+
+def _spelled(sep, directives=None):
+    """The program with `sep` between its fields and each directive
+    renamed as `directives` says."""
+    rename = directives or {}
+    return "\n".join(
+        sep.join(f for f in (label, rename.get(head, head), ops) if f)
+        for label, head, ops in _FIELDS
+    )
+
+
+@pytest.mark.parametrize(
+    "sep, directives",
+    [
+        ("\t", None),
+        ("   ", None),
+        (" \t ", None),
+        ("\t\t", None),
+        (" ", {".org": ".ORG", ".word": ".Word", ".asciiz": ".AsciiZ"}),
+        ("\t", {".org": ".Org", ".word": ".WORD", ".asciiz": ".ASCIIZ"}),
+    ],
+    ids=["tab", "spaces", "space-tab-space", "two-tabs", "mixed-case", "tab-mixed-case"],
+)
+def test_whitespace_and_directive_case_do_not_change_the_image(sep, directives):
+    want = assemble(_spelled(" "))
+    assert sorted(want.symbols) == ["loop", "msg", "start", "val"]
+    got = assemble(_spelled(sep, directives))
+    assert got.to_bytes() == want.to_bytes()
+    assert got.symbols == want.symbols
+
+
 def test_comments_and_blank_lines_ignored():
     image = assemble("; leading comment\n\nstart: HALT ; trailing\n")
     assert decode_all(image) == [Instruction(Opcode.HALT)]

@@ -1,9 +1,9 @@
 """Checker rules, in isolation and against reference computations.
 
-The lockset section checks the incremental algorithm against a
-quadratic reference that recomputes each word's lockset from the full
-access history on every event.  The happens-before race oracle, which
-the acceptance gate holds the lockset to, is pinned on hand-built
+The lockset's brute-force reference, which recomputes each word's
+lockset from the full access history on every event, is held to it in
+tests/test_acceptance.py.  The happens-before race oracle, which the
+acceptance gate holds the lockset to, is pinned here on hand-built
 event streams.
 """
 
@@ -522,57 +522,6 @@ def test_tracked_words_skip_every_stack_when_each_thread_has_its_own_top():
     machine.add_observer(on_spawn)
     assert machine.run().outcome == "halt"
     assert checked == list(range(2, len(SPAWN_TOPS) + 2))
-
-
-# -- lockset against a quadratic reference ---------------------------------
-
-
-def _reference_first_empty(trace):
-    """word -> index of the access where its lockset first empties.
-
-    Recomputes the intersection of every held-set seen so far from
-    scratch at each access, no incremental state.
-    """
-    history: dict = {}
-    warned: dict = {}
-    for idx, (word, held) in enumerate(trace):
-        history.setdefault(word, []).append(held)
-        sets = history[word]
-        inter = set(sets[0])
-        for s in sets[1:]:
-            inter &= s
-        if not inter and word not in warned:
-            warned[word] = idx
-    return warned
-
-
-def test_lockset_matches_reference_on_random_traces():
-    rng = random.Random(0xD1CE)
-    for _ in range(1000):
-        n_locks = rng.randint(1, 4)
-        n_words = rng.randint(1, 8)
-        n_events = rng.randint(1, 200)
-        locks = range(1, n_locks + 1)
-        trace = []
-        events = []
-        for idx in range(n_events):
-            word = 0x100 + 4 * rng.randrange(n_words)
-            held = frozenset(l for l in locks if rng.random() < 0.5)
-            tid = rng.randrange(3)
-            trace.append((word, held))
-            events.append(
-                ev(
-                    rng.choice(["mem-read", "mem-write"]),
-                    step=idx,
-                    tid=tid,
-                    addr=word,
-                    width=4,
-                    locks_held=held,
-                )
-            )
-        expect = _reference_first_empty(trace)
-        got = run_checkers([LocksetChecker(None, tracked="all")], events)
-        assert {w.address: w.step for w in got} == expect
 
 
 def test_checker_replay_is_deterministic():

@@ -27,6 +27,7 @@ from scvm.machine import (
     GuestFault,
     MODE_KERNEL,
     MODE_USER,
+    Machine,
     MachineState,
     Scheduler,
     SchedulerPolicy,
@@ -39,6 +40,7 @@ from helpers import (
     assert_scheduled_like_the_general_pick,
     corpus_source,
     general_pick,
+    rebuilt_blocked,
     rebuilt_runnable,
     ref_xorshift64star,
     spawn_slowdown,
@@ -556,6 +558,31 @@ def test_pick_matches_the_general_path(kind, quantum):
             assert (fast._used, fast._rng) == (general._used, general._rng), seed
             if tid is not None:
                 state.current = tid
+
+
+def test_a_state_built_with_a_blocked_thread_derives_its_lists_and_wakes_it():
+    """Thread 1 waits on lock 5, held by thread 0, in a state built by
+    hand: runnable and blocked start as the threads say, and thread 0's
+    UNLOCK wakes thread 1, which then takes the lock."""
+    image = assemble("MOVI r0, 5\nSYS 50\nHALT\nwaiter: SYS 49\nHALT")
+    main = _new_thread(0, pc=image.entry, stack_top=DEFAULT_STACK_TOP)
+    main.locks_held = frozenset({5})
+    waiter = _new_thread(1, pc=image.symbols["waiter"], stack_top=0xE000)
+    waiter.regs[0] = waiter.blocked_on = 5
+    state = MachineState(memory=load(image).state.memory, threads={0: main, 1: waiter},
+                         current=0, locks={5: 0})
+    assert state.runnable == [0] == rebuilt_runnable(state)
+    assert state.blocked == {5: [1]} == rebuilt_blocked(state)
+    machine = Machine(state)
+    events = []
+    machine.add_observer(events.append)
+    assert machine.run(step_limit=2).outcome == "timeout"  # MOVI, then the UNLOCK
+    assert state.runnable == [0, 1] == rebuilt_runnable(state)
+    assert state.blocked == {} == rebuilt_blocked(state)
+    assert machine.run().outcome == "halt"
+    locking = [(e.tid, e.kind, e.lock) for e in events if e.kind in ("lock", "unlock")]
+    assert locking == [(0, "unlock", 5), (1, "lock", 5)]
+    assert state.locks == {5: 1}
 
 
 def _threads_and_locks_source(rng):
