@@ -2,13 +2,18 @@
 
 Source format: one instruction or directive per line, `;` starts a
 comment, `label:` prefixes a line.  Directives: `.org N`, `.word N`,
-`.asciiz "s"` (appends the terminating NUL).  Immediates may be decimal,
-0x-hex, a 'c' character literal (any one character, `;` `,` `"` and
-brackets included, or a backslash escape), or a label name.
+`.asciiz "s"` (appends the terminating NUL).  Immediates may be decimal
+or 0x-hex digits after an optional `-`, a 'c' character literal (any
+one character, `;` `,` `"` and brackets included, or a backslash
+escape), or a label name.
 
 The parse gives each line a `.org` target or a builder of its bytes.
 One walk moves the location counter or places the bytes each builder
 makes; a label immediate leaves a fixup, patched once labels are bound.
+A plain instruction line (no literal, registers r0-r7, decimal, hex or
+label immediates) is read through its signature's compiled pattern;
+lines with literals, and every error, go through the tokenizer and the
+general operand parser.
 
 Layout rules the loader and interpreter rely on:
   * instructions are padded to 8-byte offsets from the image origin
@@ -31,16 +36,18 @@ from .isa import (
     INSTR_SIZE,
     MEMORY_SIZE,
     NUM_REGS,
-    Instruction,
     Opcode,
-    encode,
+    pack_instruction,
 )
 
 IMAGE_MAGIC = b"SCVM"
 IMAGE_VERSION = 1
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"0[xX][0-9A-Fa-f]+|[0-9]+"  # an immediate's magnitude
 _LABEL_RE = re.compile(rf"^{_NAME}$")
+_NUMBER_RE = re.compile(_NUMBER)
+_REG_RE = re.compile(r"^[rR]([0-9]+)$")
 _LABEL_DEF_RE = re.compile(rf"^({_NAME})\s*:\s*")
 _MEM_RE = re.compile(r"^\[\s*(\w+)\s*(?:([+-])\s*(.+?)\s*)?\]$")
 
@@ -147,6 +154,19 @@ _SIGNATURES: dict[Opcode, tuple[str, ...]] = {
 for _op in ALU_OPS:
     _SIGNATURES[_op] = ("rd", "rs", "rt")
 
+# Each signature's plain spelling, one named group per field: an operand
+# that fits these reads the same as through the general parser.
+_IMM = rf"-?(?:{_NUMBER})|{_NAME}"
+_PLAIN_SLOTS = {
+    **{reg: rf"[rR](?P<{reg}>[0-7])" for reg in ("rd", "rs", "rt")},
+    "imm": rf"(?P<imm>{_IMM})",
+    "mem": rf"\[\s*[rR](?P<rs>[0-7])\s*(?:(?P<sign>[+-])\s*(?P<imm>{_IMM})\s*)?\]",
+}
+_PLAIN = {
+    sig: re.compile(r"\s*,\s*".join(_PLAIN_SLOTS[slot] for slot in sig))
+    for sig in set(_SIGNATURES.values())
+}
+
 _MNEMONICS = {op.name: op for op in Opcode}
 
 _CHAR_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39, '"': 34}
@@ -190,19 +210,23 @@ def _parse_string(lineno: int, text: str) -> bytes:
 
 
 def _parse_lines(source: str) -> list[tuple]:
-    """(lineno, labels, org, build) per line; `org` is a .org's value text."""
+    """(lineno, labels, org, build) per line: (lineno, name) labels, a .org's text."""
     lines = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        tokens = _TOKEN_RE.findall(raw)
-        if tokens and tokens[-1][0] == ";":
-            tokens.pop()  # the comment
-        text = "".join(tokens).strip()
+        if '"' in raw or "'" in raw:
+            tokens = _TOKEN_RE.findall(raw)
+            if tokens and tokens[-1][0] == ";":
+                tokens.pop()  # the comment
+            raw = "".join(tokens)
+        else:  # only a literal can hold a `;` that starts no comment
+            raw = raw.split(";", 1)[0]
+        text = raw.strip()
         labels = []
         while True:
             m = _LABEL_DEF_RE.match(text)
             if not m:
                 break
-            labels.append(m.group(1))
+            labels.append((lineno, m.group(1)))
             text = text[m.end() :]
         org = build = None
         if text:
@@ -239,13 +263,9 @@ def _parse_numeric(lineno: int, token: str) -> int:
         raise AsmError(lineno, f"malformed character literal {token!r}")
     neg = token.startswith("-")
     mag = token[1:] if neg else token
-    try:
-        if mag.lower().startswith("0x"):
-            value = int(mag, 16)
-        else:
-            value = int(mag, 10)
-    except ValueError:
-        raise AsmError(lineno, f"malformed operand {token!r}") from None
+    if not _NUMBER_RE.fullmatch(mag):
+        raise AsmError(lineno, f"malformed operand {token!r}")
+    value = int(mag, 16) if mag[:2] in ("0x", "0X") else int(mag, 10)
     return -value if neg else value
 
 
@@ -270,7 +290,7 @@ def _resolve_imm(lineno: int, token: str, refs: list, sign: int = 1) -> int:
 
 def _parse_reg(lineno: int, token: str) -> int:
     token = token.strip()
-    m = re.match(r"^[rR]([0-9]+)$", token)
+    m = _REG_RE.match(token)
     if not m:
         raise AsmError(lineno, f"expected register, got {token!r}")
     idx = int(m.group(1))
@@ -283,12 +303,15 @@ def _parse_mem(lineno: int, token: str, refs: list) -> tuple[int, int]:
     m = _MEM_RE.match(token.strip())
     if not m:
         raise AsmError(lineno, f"expected [rN+imm] operand, got {token!r}")
-    base = _parse_reg(lineno, m.group(1))
-    offset = 0
-    if m.group(3) is not None:
-        sign = -1 if m.group(2) == "-" else 1
-        offset = sign * _resolve_imm(lineno, m.group(3), refs, sign)
-    return base, _check_imm_range(lineno, offset)
+    return _parse_reg(lineno, m.group(1)), _offset(lineno, m.group(2), m.group(3), refs)
+
+
+def _offset(lineno: int, sign: str | None, token: str | None, refs: list) -> int:
+    """`token`'s value, negated when `sign` is "-"; no token is 0."""
+    if token is None:
+        return 0
+    factor = -1 if sign == "-" else 1
+    return _check_imm_range(lineno, factor * _resolve_imm(lineno, token, refs, factor))
 
 
 # A line's builder, build(refs), parses its operands, puts each label they
@@ -304,6 +327,19 @@ def _bytes(data: bytes, refs: list) -> tuple[bytes, int, int]:
 
 
 def _instruction(lineno: int, op: Opcode, text: str, refs: list) -> tuple[bytes, int, int]:
+    m = _PLAIN[_SIGNATURES[op]].fullmatch(text)
+    if m is None:
+        fields = _parse_operands(lineno, op, text, refs)
+    else:
+        g = m.groupdict()
+        fields = (int(g.get("rd", 0)), int(g.get("rs", 0)), int(g.get("rt", 0)),
+                  _offset(lineno, g.get("sign"), g.get("imm"), refs))
+    # The origin is 8-byte aligned, so this is an 8-byte offset from it.
+    return pack_instruction(op, *fields), INSTR_SIZE, 4
+
+
+def _parse_operands(lineno: int, op: Opcode, text: str, refs: list) -> tuple[int, ...]:
+    """(rd, rs, rt, imm) of any spelling of `op`'s operands, or the AsmError."""
     sig, operands = _SIGNATURES[op], _split_operands(text)
     if len(operands) != len(sig):
         raise AsmError(lineno, f"{op.name} takes {len(sig)} operand(s), got {len(operands)}")
@@ -315,12 +351,7 @@ def _instruction(lineno: int, op: Opcode, text: str, refs: list) -> tuple[bytes,
             fields["imm"] = _resolve_imm(lineno, token, refs)
         elif slot == "mem":
             fields["rs"], fields["imm"] = _parse_mem(lineno, token, refs)
-    # The origin is 8-byte aligned, so this is an 8-byte offset from it.
-    return encode(Instruction(op, **fields)), INSTR_SIZE, 4
-
-
-def _align_up(value: int, align: int) -> int:
-    return (value + align - 1) & ~(align - 1)
+    return tuple(fields.values())
 
 
 def assemble(source: str) -> ProgramImage:
@@ -346,7 +377,7 @@ def assemble(source: str) -> ProgramImage:
         pending.clear()
 
     for lineno, labels, org, build in lines:
-        pending += [(lineno, name) for name in labels]
+        pending += labels
         if org is not None:
             target = _check_imm_range(lineno, _parse_numeric(lineno, org))
             if target < 0 or target >= MEMORY_SIZE:
@@ -363,13 +394,15 @@ def assemble(source: str) -> ProgramImage:
             data, align, field_at = build(refs)
             if origin is None:
                 origin = 0
-            addr = _align_up(loc, align)
+            addr = (loc + align - 1) & -align
             if addr + len(data) > MEMORY_SIZE:
                 raise AsmError(lineno, "program exceeds guest memory")
-            bind(addr)
+            if pending:
+                bind(addr)
             memory[addr : addr + len(data)] = data
             loc = addr + len(data)
-            fixups += [(lineno, name, sign, addr + field_at) for name, sign in refs]
+            for name, sign in refs:
+                fixups.append((lineno, name, sign, addr + field_at))
             if entry is None and align == INSTR_SIZE:  # only instructions align so
                 entry = addr
     bind(loc)  # trailing labels land on the current location counter

@@ -71,16 +71,17 @@ class Instruction:
     imm: int = 0
 
 
+_WORD = struct.Struct("<BBBBi")
+
+
+def pack_instruction(opcode: int, rd: int, rs: int, rt: int, imm: int) -> bytes:
+    """The 8-byte form of an instruction's fields."""
+    return _WORD.pack(opcode, (rs << 4) | rd, rt, 0, imm)
+
+
 def encode(instr: Instruction) -> bytes:
     """Encode a well-formed instruction into its 8-byte form."""
-    return struct.pack(
-        "<BBBBi",
-        instr.opcode.value,
-        (instr.rs << 4) | instr.rd,
-        instr.rt,
-        0,
-        instr.imm,
-    )
+    return pack_instruction(instr.opcode, instr.rd, instr.rs, instr.rt, instr.imm)
 
 
 def decode(raw: bytes) -> Instruction:
@@ -91,7 +92,7 @@ def decode(raw: bytes) -> Instruction:
     """
     if len(raw) < INSTR_SIZE:
         raise DecodeError(f"need {INSTR_SIZE} bytes, got {len(raw)}")
-    opbyte, regpack, rt, _reserved, imm = struct.unpack("<BBBBi", raw[:INSTR_SIZE])
+    opbyte, regpack, rt, _reserved, imm = _WORD.unpack(raw[:INSTR_SIZE])
     if opbyte not in _OPCODE_VALUES:
         raise DecodeError(f"unknown opcode byte 0x{opbyte:02x}")
     rd = regpack & 0x0F

@@ -1,15 +1,21 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scvm.asm import (
     AsmError,
     ImageError,
     ProgramImage,
+    _PLAIN,
+    _SIGNATURES,
+    _instruction,
+    _parse_lines,
+    _parse_operands,
     assemble,
     read_image,
     write_image,
 )
-from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode
+from scvm.corpus import discover, shipped_dir
+from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode, pack_instruction
 
 
 def decode_all(image: ProgramImage):
@@ -292,6 +298,28 @@ def test_negated_offset_is_normalised_first():
     assert decode_all(assemble("LD r1, [r1-0xFFFFFFFF]\nHALT"))[0].imm == 1
 
 
+@pytest.mark.parametrize(
+    "source, token",
+    [
+        ("MOVI r1, 1_000", "1_000"),
+        ("MOVI r1, +5", "+5"),
+        ("MOVI r1, 0x_FF", "0x_FF"),
+        ("MOVI r1, \u0661\u0662", "\u0661\u0662"),  # Arabic-Indic digits
+        ("MOVI r1, - 5", "- 5"),
+        ("MOVI r1, --5", "--5"),
+        ("LD r1, [r2+1_0]", "1_0"),
+        (".word +5", "+5"),
+        (".org 1_0", "1_0"),
+    ],
+)
+def test_only_ascii_decimal_and_hex_digits_spell_a_number(source, token):
+    # A number is an optional `-`, then decimal or 0x-hex ASCII digits;
+    # int()'s other spellings are not the assembler's.
+    with pytest.raises(AsmError) as exc:
+        assemble("HALT\n" + source)
+    assert str(exc.value) == f"line 2: malformed operand {token!r}"
+
+
 def test_assembly_is_deterministic():
     src = (
         '.org 0x200\nstart: MOVI r1, 10\nloop: SUB r1, r1, r2\nBNE loop\n'
@@ -446,3 +474,109 @@ def test_assembled_image_matches_the_model(program):
             assert decode(image.payload[off : off + INSTR_SIZE]) == expected, hex(addr)
         else:
             assert image.payload[off : off + len(expected)] == expected, hex(addr)
+
+
+# -- plain lines against the general parser ---------------------------------
+
+_REG_TEXTS = ["r0", "r7", "R3", "r8", "r07", "r", "x1", "5"]
+_IMM_TEXTS = ["0", "42", "-7", "007", "0x1F", "0XfF", "-0x10", "0x", "2147483647",
+              "-2147483648", "0xFFFFFFFF", "4294967296", "-2147483649", "-0x80000001", "'A'", "'\\n'",
+              "';'", "','", "start", "_x9", "HALT", "movi", "1_000", "+5", "- 5", "5abc"]
+
+
+@st.composite
+def _mem_texts(draw):
+    """A memory operand, plain or nearly so."""
+    pad = st.sampled_from(["", " ", "\t"])
+    base = draw(st.sampled_from(_REG_TEXTS))
+    offset = ""
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from(["+", "-", "+-", ",", " "]))
+        offset = draw(pad) + sign + draw(pad) + draw(st.sampled_from(_IMM_TEXTS))
+    return "[" + draw(pad) + base + offset + draw(pad) + draw(st.sampled_from(["]", ""]))
+
+
+_OPERAND = {
+    "rd": st.sampled_from(_REG_TEXTS),
+    "rs": st.sampled_from(_REG_TEXTS),
+    "rt": st.sampled_from(_REG_TEXTS),
+    "imm": st.sampled_from(_IMM_TEXTS),
+    "mem": _mem_texts(),
+}
+
+
+@st.composite
+def _operand_texts(draw):
+    """An opcode and an operand text: mostly the slots its signature asks
+    for, sometimes one too few or too many, or one of another kind."""
+    op = draw(st.sampled_from(list(Opcode)))
+    slots = list(_SIGNATURES[op])
+    count = max(0, len(slots) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    kinds = (slots + ["imm"])[:count]
+    texts = [draw(_OPERAND[draw(st.sampled_from(sorted(_OPERAND)))
+                           if draw(st.integers(0, 5)) == 0 else kind]) for kind in kinds]
+    sep = st.sampled_from([",", ", ", " ,", " , ", "\t,"])
+    text = texts[0] if texts else ""
+    for more in texts[1:]:
+        text += draw(sep) + more
+    return op, text
+
+
+def _outcome(build):
+    refs = []
+    try:
+        return build(refs), refs
+    except AsmError as exc:
+        return exc.lineno, exc.message
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operand_texts())
+@example((Opcode.LD, "r1, [r2-4]"))
+@example((Opcode.ST, "[ R1 - start ] , r8"))
+@example((Opcode.JMP, "HALT"))
+@example((Opcode.LD, "r1, [r2--2147483648]"))
+def test_plain_operands_read_as_the_general_parser_reads_them(case):
+    # _instruction reads an operand text that fits its signature's compiled
+    # pattern without the tokenizer; the bytes, label refs or error must be
+    # the general parser's.
+    op, text = case
+    fast = _outcome(lambda refs: _instruction(7, op, text, refs)[0])
+    general = _outcome(lambda refs: pack_instruction(op, *_parse_operands(7, op, text, refs)))
+    assert fast == general
+
+
+def _assembled(source):
+    try:
+        image = assemble(source)
+        return image.to_bytes(), image.symbols
+    except AsmError as exc:
+        return exc.lineno, exc.message
+
+
+_LINE_PIECES = ["MOVI", "LD", "HALT", "r1", "r2", ",", " ", "\t", ";", "[", "]", "+4", "c",
+                "label:", "x", "0x10", "-3", ".word", ".org", "8"]
+
+
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=10).map("".join))
+@example("LD r1, [r2+4 ; c")
+@example("label:;c")
+@example("HALT ; LD r1, [r2]")
+def test_quote_free_lines_drop_the_comment_as_the_tokenizer_does(line):
+    # A trailing `;"` makes the line go through the tokenizer, and adds
+    # only to its comment.
+    program = "start: HALT\n{}\nMOVI r3, 1"
+    assert _assembled(program.format(line)) == _assembled(program.format(line + ';"'))
+
+
+def test_every_corpus_instruction_line_is_plain():
+    # The assembler's speed on the shipped corpus rests on each instruction
+    # line matching its compiled pattern, not the general parser.
+    lines = 0
+    for entry in discover(shipped_dir()):
+        for _, _, _, build in _parse_lines(entry.source.read_text()):
+            if build is not None and build.func is _instruction:
+                lineno, op, text = build.args
+                assert _PLAIN[_SIGNATURES[op]].fullmatch(text), f"{entry.name}:{lineno}"
+                lines += 1
+    assert lines > 200

@@ -21,11 +21,9 @@ from scvm.checkers import (
     RULE_USER_WRITE,
     FmtChecker,
     LocksetChecker,
-    NullChecker,
     CHECKER_ORDER,
     OPTIONS,
     CheckerRegistry,
-    UserChecker,
     make_checkers,
     run_checkers,
 )
@@ -47,7 +45,7 @@ from scvm.machine import (
     SchedulerPolicy,
     load,
 )
-from scvm.shadow import ShadowState, TagKind
+from scvm.shadow import ShadowState
 
 from helpers import happens_before_races, run_program, rules_of, spawn_slowdown
 
