@@ -1,9 +1,9 @@
 """Checker plugins: rule violations observed over the event stream.
 
 Each plugin lists the event kinds it reads in `kinds` and is handed
-only events of those kinds, with read-only views of the machine and
-shadow state; it yields Warnings.
-Plugins never mutate an event or either view, so enabling or disabling
+only events of those kinds, with a read-only view of the shadow state;
+it yields Warnings.  Only fmt reads the machine during a run: its memory.
+Plugins never mutate an event or either state, so enabling or disabling
 checkers cannot change a run.  A plugin serves one run: `make_checkers`
 builds fresh ones for each.
 
@@ -36,6 +36,7 @@ from .machine import (
     HEAP_LIMIT,
     MODE_KERNEL,
     SYS_PRINTF,
+    SYS_SPAWN,
     Event,
     Machine,
     read_cstr,
@@ -191,8 +192,8 @@ class LocksetChecker:
     """Empty-lockset race detection over 4-byte-aligned words.
 
     tracked="heap" (default) confines tracking to the image and heap
-    segments, minus every thread's stack range; tracked="all" applies
-    the raw algorithm to every address.
+    segments, minus the stacks of the threads at construction and of
+    each SPAWN (r1 its top); tracked="all" tracks every address.
 
     `words` holds one state per word: missing while unseen; under
     grace=True, the tid of the one thread that has touched it; then its
@@ -201,7 +202,7 @@ class LocksetChecker:
     """
 
     name = "lockset"
-    kinds = _MEM_KINDS
+    kinds = (*_MEM_KINDS, "syscall")
     # --opt key -> {accepted text: the value passed for it}, default first
     options = {"tracked": {"heap": "heap", "all": "all"}, "grace": {"off": False, "on": True}}
 
@@ -211,32 +212,31 @@ class LocksetChecker:
             raise ValueError(f"unknown tracked policy {tracked!r}")
         if tracked == "heap" and machine is None:
             raise ValueError("tracked='heap' needs a machine for segment bounds")
-        self.machine = machine
         self.tracked = tracked
         self.grace = grace
         self.words: dict = {}
-        self._tops: list = []  # the distinct stack tops of the first _folded tids, sorted
-        self._folded = 0
+        if tracked == "heap":  # read once: the image bounds and the stack tops so far
+            st = machine.state
+            self._image = range(st.image_origin, st.image_end)
+            self._tops = sorted({t.stack_top for t in st.threads.values()})  # distinct
 
     def _is_tracked(self, word: int) -> bool:
         if self.tracked == "all":
             return True
-        st = self.machine.state
-        if not (st.image_origin <= word < st.image_end or HEAP_BASE <= word < HEAP_LIMIT):
+        if not (word in self._image or HEAP_BASE <= word < HEAP_LIMIT):
             return False
-        tops, threads = self._tops, st.threads
-        if len(threads) > self._folded:  # fold in the threads spawned since the last call
-            for top in (threads[tid].stack_top for tid in range(self._folded, len(threads))):
-                i = bisect.bisect_left(tops, top)
-                if tops[i:i + 1] != [top]:  # distinct tops only
-                    tops.insert(i, top)
-            self._folded = len(threads)
         # Every stack is the DEFAULT_STACK_SIZE bytes below its top, clamped
         # at 0, so only the first top above the word can hold it.
-        i = bisect.bisect_right(tops, word)
-        return i == len(tops) or word < tops[i] - DEFAULT_STACK_SIZE
+        i = bisect.bisect_right(self._tops, word)
+        return i == len(self._tops) or word < self._tops[i] - DEFAULT_STACK_SIZE
 
     def on_event(self, e: Event):
+        if e.kind == "syscall":
+            if e.sysno == SYS_SPAWN and self.tracked == "heap":  # r1: the new stack's top
+                i = bisect.bisect_left(self._tops, e.args[1])
+                if self._tops[i:i + 1] != [e.args[1]]:  # distinct tops only
+                    self._tops.insert(i, e.args[1])
+            return
         for word in range(e.addr & ~3, e.addr + e.width, 4):
             if not self._is_tracked(word):
                 continue

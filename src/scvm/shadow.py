@@ -20,7 +20,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .isa import NUM_REGS
+from .isa import MEMORY_SIZE, NUM_REGS
 from .machine import (
     SYS_ALLOC,
     SYS_CHECK_USER_READ,
@@ -51,6 +51,9 @@ NULLABLE_TAGS = frozenset({TagKind.ALLOC_UNCHECKED, TagKind.FD_UNCHECKED})
 # Ops whose result over one object (`op rd, rs, rs`, or two aliases) is an
 # integer: zero, or the offset between two copies of a pointer.
 ZEROING_OPS = frozenset({"XOR", "SUB"})
+
+# Past this length a note records no more access checks, so each check costs the same.
+NOTE_CAP = 1024
 
 
 @dataclass(eq=False)
@@ -84,7 +87,7 @@ class ShadowState:
         self.untagged = TypeObject(0, set(), "untagged")
         self.mem_cells: dict = {}
         self.reg_cells: dict = {}
-        self.taint_sources: set = set()  # (lo, hi) half-open ranges
+        self.taint_sources: bytearray | None = None  # per byte: in a SYS 35 range?
         self.trace = trace
 
     # -- cell plumbing ----------------------------------------------
@@ -124,9 +127,6 @@ class ShadowState:
         if self.trace is not None:
             self.trace(f"object {obj.id} tags {_fmt_tags(obj.tags)}")
 
-    def _in_taint_source(self, addr: int) -> bool:
-        return any(lo <= addr < hi for lo, hi in self.taint_sources)
-
     # -- event propagation ------------------------------------------
 
     def on_event(self, e: Event) -> None:
@@ -141,10 +141,10 @@ class ShadowState:
             # for all the bytes the read finds untainted.  A byte that
             # already holds a tainted object keeps it, so every value
             # loaded from it, by byte or by word, aliases one object.
-            if self.taint_sources:
-                untainted = [a for a in range(e.addr, e.addr + e.width)
-                             if self._in_taint_source(a)
-                             and TagKind.TAINTED not in self.mem_object(a).tags]
+            if self.taint_sources is not None:
+                flags = enumerate(self.taint_sources[e.addr : e.addr + e.width], e.addr)
+                untainted = [a for a, flag in flags
+                             if flag and TagKind.TAINTED not in self.mem_object(a).tags]
                 if untainted:
                     obj = self.fresh({TagKind.TAINTED}, "read from untrusted source range")
                     for a in untainted:
@@ -228,13 +228,11 @@ class ShadowState:
         elif n in (SYS_CHECK_USER_READ, SYS_CHECK_USER_WRITE):
             obj = self._regs(e.tid)[0]
             if TagKind.USER_UNCHECKED in obj.tags:
-                tag = (
-                    TagKind.USER_READ_CHECKED
-                    if n == SYS_CHECK_USER_READ
-                    else TagKind.USER_WRITE_CHECKED
-                )
+                tag = (TagKind.USER_READ_CHECKED if n == SYS_CHECK_USER_READ
+                       else TagKind.USER_WRITE_CHECKED)
                 self._add_tag(obj, tag)
-                obj.note += f"; checked len={e.args[1]} at pc 0x{e.pc:04X}"
+                if len(obj.note) < NOTE_CAP:
+                    obj.note += f"; checked len={e.args[1]} at pc 0x{e.pc:04X}"
         elif n == SYS_TAG_TAINT:
             obj = self._regs(e.tid)[0]
             if obj is self.untagged:
@@ -242,6 +240,8 @@ class ShadowState:
             else:
                 self._add_tag(obj, TagKind.TAINTED)
         elif n == SYS_TAG_UNTRUSTED_SOURCE:
-            lo, length = e.args[0], e.args[1]
-            if length > 0:
-                self.taint_sources.add((lo, lo + length))
+            lo, hi = e.args[0], min(e.args[0] + e.args[1], MEMORY_SIZE)  # clamped to memory
+            if lo < hi:
+                if self.taint_sources is None:
+                    self.taint_sources = bytearray(MEMORY_SIZE)
+                self.taint_sources[lo:hi] = b"\1" * (hi - lo)

@@ -8,6 +8,7 @@ import contextlib
 import dataclasses
 import functools
 import timeit
+import tracemalloc
 
 from scvm import RunConfig, SchedulerPolicy, analyze, assemble
 from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checkers
@@ -143,6 +144,24 @@ def spawn_slowdown(body: str, run) -> float:
     return best(assemble(spawn_loop(body))) / best(assemble(spawn_loop(body, spawn=False)))
 
 
+def steps_growth(run, n: int) -> tuple:
+    """How run(steps) grows from n steps to 4n: the ratios of its
+    best-of-two wall times and of its tracemalloc peaks.  About 4 and 1
+    when every step costs the same time and keeps no memory."""
+    def best(steps):
+        return min(timeit.repeat(lambda: run(steps), number=1, repeat=2))
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            run(steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return best(4 * n) / best(n), peak(4 * n) / peak(n)
+
+
 def rules_of(result) -> list:
     return [w.rule for w in result.warnings]
 
@@ -155,6 +174,25 @@ def analysis_outputs(image, config: RunConfig) -> tuple:
     r = analyze(image, config)
     report = serialize(r.warnings, r.image_sha256, config.policy)
     return report, lines, r.state, r.outcome, events
+
+
+# fmt is left out of replay: it reads the machine's memory at PRINTF.
+REPLAYED_CHECKERS = ("null", "user", "lockset")
+
+
+def live_and_replayed(image, policy: SchedulerPolicy, step_limit: int = 100_000) -> tuple:
+    """One run under REPLAYED_CHECKERS, and the warnings of replaying its
+    recorded event stream through a fresh shadow and fresh plugins built
+    on a freshly loaded machine: (AnalysisResult, replayed warnings)."""
+    events = []
+    live = analyze(image, RunConfig(checkers=REPLAYED_CHECKERS, policy=policy,
+                                    step_limit=step_limit, observers=(events.append,)))
+    shadow = ShadowState()
+    registry = CheckerRegistry(make_checkers(REPLAYED_CHECKERS, load(image, policy), shadow))
+    for e in events:
+        shadow.on_event(e)
+        registry.dispatch(e)
+    return live, registry.warnings
 
 
 @contextlib.contextmanager

@@ -45,6 +45,7 @@ from helpers import (
     brute_force_first_empty,
     corpus_source,
     full_delivery,
+    live_and_replayed,
     races_and_lockset_warnings,
 )
 
@@ -260,6 +261,45 @@ def test_happens_before_races_are_lockset_warnings():
         not_races += len(warned - races)
     assert len(runs) == len(REQUIRED_ENTRIES) + 4 * len(RACE_SWEEP_POLICIES)
     return f"{not_races} of {warnings} lockset warnings over {len(runs)} runs are not races"
+
+
+# main SPAWNs a child whose stack lies in the heap, below 0x8400, and
+# the child writes the word just under its stack top.
+HEAP_STACK = """
+main:  MOVI r0, child
+       MOVI r1, 0x8400
+       SYS 48
+       MOVI r2, 1
+       MOVI r2, 2
+       MOVI r2, 3
+       HALT
+child: ST [r6-4], r0
+       SYS 52
+"""
+
+
+@criterion("replay: a recorded event stream replays to the live run's warnings")
+def test_replayed_streams_give_the_live_warnings():
+    """The shadow and the null, user and lockset checkers read only
+    events once built, so replaying a run's stream through fresh ones
+    gives its warnings.  Runs: the corpus under its manifests' policies
+    and under seeded-random quantum 2 seed 7, and a child whose stack is
+    in the heap.  The sharing fuzz images run the same check in
+    test_fuzz.py."""
+    runs = [(e.name, assemble(e.source.read_text()), policy)
+            for e in discover(shipped_dir())
+            for policy in (run_entry(e).manifest.policy, SchedulerPolicy(SEEDED_RANDOM, 2, 7))]
+    runs.append(("heap_stack", assemble(HEAP_STACK), SchedulerPolicy()))
+    warnings = 0
+    for name, image, policy in runs:
+        live, replayed = live_and_replayed(image, policy)
+        assert replayed == live.warnings, (name, policy)
+        warnings += len(replayed)
+    # The child ran its write to 0x83FC, on its own stack, so no warning.
+    assert not live.state.threads[1].alive
+    assert live.warnings == []
+    assert len(runs) == 2 * len(REQUIRED_ENTRIES) + 1
+    return f"{warnings} warnings over {len(runs)} runs"
 
 
 @criterion("determinism: repeated runs give byte-identical reports and traces")

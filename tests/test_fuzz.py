@@ -53,6 +53,7 @@ from helpers import (
     assert_scheduled_like_the_general_pick,
     corpus_source,
     full_delivery,
+    live_and_replayed,
     races_and_lockset_warnings,
 )
 
@@ -247,6 +248,15 @@ def test_sharing_images_race_only_on_words_the_lockset_warns_about(image, quantu
         policy = SchedulerPolicy(kind, quantum, seed)
         races, warned, _ = races_and_lockset_warnings(image, policy, SHARING_STEP_LIMIT)
         assert races <= warned, kind
+
+
+@_sharing_images
+def test_sharing_images_replay_to_the_live_warnings(image, quantum, seed):
+    """The fuzz leg of the acceptance gate's replay criterion."""
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        live, replayed = live_and_replayed(image, policy, SHARING_STEP_LIMIT)
+        assert replayed == live.warnings, kind
 
 
 _read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)

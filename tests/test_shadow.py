@@ -10,11 +10,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from scvm.checkers import RULE_NULL_DEREF
+from scvm import RunConfig, analyze, assemble
+from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
+from scvm.isa import MEMORY_SIZE
 from scvm.machine import Event, SchedulerPolicy
-from scvm.shadow import ShadowState, TagKind
+from scvm.shadow import NOTE_CAP, ShadowState, TagKind
 
-from helpers import run_program
+from helpers import run_program, steps_growth
 
 
 def ev(kind, **kw):
@@ -298,6 +300,45 @@ def test_check_user_read_adds_tag_and_note():
     assert "checked len=64" in obj.note
 
 
+# The trap checks the one object KCALL tagged in r0, in a loop.
+CHECK_LOOP = "MOVI r0, trap\nSYS 18\nSYS 16\nHALT\ntrap: MOVI r1, 64\nloop: SYS 32\nJMP loop\n"
+
+
+@pytest.mark.parametrize("checks", [1, 30, 34, 35, 36, 1000])
+def test_a_note_records_checks_until_it_reaches_the_cap(checks):
+    """Every note below NOTE_CAP is what it would be with no cap; the
+    first check that finds the note at the cap, and every later one, is
+    left out."""
+    _, result = run_program(CHECK_LOOP, checkers=(), step_limit=4 + 2 * checks)
+    note = result.shadow.reg_object(0, 0).note
+    piece = "; checked len=64 at pc 0x0028"
+    unbounded = "syscall boundary" + piece * checks
+    if len(unbounded) - len(piece) < NOTE_CAP:
+        assert note == unbounded
+    else:
+        assert unbounded.startswith(note) and note.endswith(piece)
+        assert NOTE_CAP <= len(note) < NOTE_CAP + len(piece)
+
+
+# One more untrusted range per pass, and a read outside all of them.
+SOURCE_LOOP = ("MOVI r0, 0x8000\nMOVI r1, 1\nMOVI r2, 1\nMOVI r4, 0x7000\n"
+               "loop: SYS 35\nLDB r3, [r4]\nADD r1, r1, r2\nJMP loop\n")
+
+
+@pytest.mark.parametrize("source, checkers", [
+    (CHECK_LOOP, CHECKER_ORDER),
+    (SOURCE_LOOP, ()),
+], ids=["check-note", "taint-sources"])
+def test_a_shadow_loop_runs_in_linear_time_and_bounded_memory(source, checkers):
+    """A step costs the same however many came before it: a note stops
+    growing at NOTE_CAP, and the untrusted ranges are one flag per guest
+    byte, not a list that each read scans."""
+    image = assemble(source)
+    time, memory = steps_growth(
+        lambda steps: analyze(image, RunConfig(checkers=checkers, step_limit=steps)), 10_000)
+    assert time < 8 and memory < 1.5, (time, memory)
+
+
 def test_check_user_write_is_independent_of_read():
     _, result = run_program(
         "start: MOVI r0, h\nSYS 18\nSYS 16\nHALT\nh: SYS 33\nSYS 17",
@@ -337,7 +378,7 @@ def test_untrusted_source_range_materializes_on_read():
         checkers=(),
     )
     sh = result.shadow
-    assert (0x5000, 0x5008) in sh.taint_sources
+    assert sh.taint_sources[0x4FFF:0x5009] == b"\0" + b"\1" * 8 + b"\0"  # [0x5000, 0x5008)
     assert TagKind.TAINTED in sh.reg_object(0, 2).tags
     assert TagKind.TAINTED in sh.mem_object(0x5000).tags
     # one byte past the range stays clean
@@ -396,7 +437,17 @@ def test_source_byte_overwritten_untainted_mints_on_its_next_read():
 
 def test_untrusted_source_with_zero_length_is_ignored():
     _, result = run_program("MOVI r0, 0x5000\nMOVI r1, 0\nSYS 35\nHALT", checkers=())
-    assert result.shadow.taint_sources == set()
+    assert result.shadow.taint_sources is None
+
+
+def test_untrusted_source_range_is_clamped_to_memory():
+    """A range running past the end of memory flags only the bytes that
+    exist, and one that starts past it registers nothing."""
+    _, result = run_program("MOVI r0, 0xFFFC\nMOVI r1, 0x100\nSYS 35\nHALT", checkers=())
+    flags = result.shadow.taint_sources
+    assert len(flags) == MEMORY_SIZE and flags[-5:] == b"\0\1\1\1\1"
+    _, result = run_program("MOVI r0, 0x10000\nMOVI r1, 8\nSYS 35\nHALT", checkers=())
+    assert result.shadow.taint_sources is None
 
 
 def test_network_read_taints_the_buffer_with_one_object():

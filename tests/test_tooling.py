@@ -186,9 +186,9 @@ def test_scheduler_kinds_are_listed_only_in_machine():
     assert listed == {"machine.py"}
 
 
-def call_sites(source: str, callee: str) -> list:
-    """The dotted class/function scope of every call of `callee`, by
-    bare name or as an attribute ("<module>" at the top level)."""
+def scopes_of(source: str, match) -> list:
+    """The dotted class/function scope of every node `match` accepts
+    ("<module>" at the top level)."""
     sites = []
 
     def visit(node, scope):
@@ -196,19 +196,55 @@ def call_sites(source: str, callee: str) -> list:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
-                    sites.append(".".join(scope) or "<module>")
+            if match(child):
+                sites.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return sites
 
 
+def call_sites(source: str, callee: str) -> list:
+    """The scope of every call of `callee`, by bare name or as an attribute."""
+    return scopes_of(source, lambda node: isinstance(node, ast.Call) and callee in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def machine_state_reads(source: str) -> list:
+    """The scope of every `<x>.state.threads`, and of every `state` read
+    off a name or attribute called `machine`."""
+    def reads(node):
+        if not isinstance(node, ast.Attribute):
+            return False
+        owner = node.value
+        if node.attr == "threads":
+            return isinstance(owner, ast.Attribute) and owner.attr == "state"
+        return node.attr == "state" and "machine" in (getattr(owner, "id", None),
+                                                      getattr(owner, "attr", None))
+
+    return scopes_of(source, reads)
+
+
 def test_call_sites_are_found():
     src = "T()\nclass A:\n    def f(self):\n        return m.T(lambda: T())\ndef g(): U()"
     assert call_sites(src, "T") == ["<module>", "A.f", "A.f"]
+
+
+def test_machine_state_reads_are_found():
+    src = ("def f(m, machine):\n    return m.state.threads, machine.state, m.state\n"
+           "class A:\n    def g(self):\n        st = self.machine.state\n        return st.threads")
+    assert machine_state_reads(src) == ["f", "f", "A.g"]
+
+
+def test_only_the_lockset_build_and_fmt_read_machine_state_outside_machine():
+    """Only machine.py knows the thread table.  The lockset reads the
+    image bounds and the stack tops once, when built, and learns every
+    later stack from its SPAWN event; fmt scans guest memory at PRINTF
+    (the benchmark's bytes-scanned counter reads the same memory)."""
+    sites = {(path.name, site) for path in sorted((ROOT / "src" / "scvm").glob("*.py"))
+             if path.name != "machine.py" for site in machine_state_reads(path.read_text())}
+    assert sites == {("checkers.py", "LocksetChecker.__init__"),
+                     ("checkers.py", "FmtChecker.on_event")}
 
 
 def test_type_objects_are_minted_only_by_fresh():
