@@ -195,6 +195,10 @@ class LocksetChecker:
     segments, minus the stacks of the threads at construction and of
     each SPAWN (r1 its top); tracked="all" tracks every address.
 
+    The tracked addresses are one sorted interval set, `_edges`: an address
+    is tracked when an odd number of edges lie at or below it.  Every gap a
+    stack cuts inside memory spans >= 1 KiB, so `_edges` never exceeds 132.
+
     `words` holds one state per word: missing while unseen; under
     grace=True, the tid of the one thread that has touched it; then its
     candidate lockset, the locks held at every access since.  An empty
@@ -215,27 +219,26 @@ class LocksetChecker:
         self.tracked = tracked
         self.grace = grace
         self.words: dict = {}
-        if tracked == "heap":  # read once: the image bounds and the stack tops so far
-            st = machine.state
-            self._image = range(st.image_origin, st.image_end)
-            self._tops = sorted({t.stack_top for t in st.threads.values()})  # distinct
+        self._edges = [0] if tracked == "all" else []  # every address, or none yet
+        if tracked == "heap":  # read once: the segments and the stacks so far
+            self._mark(machine.state.image_origin, machine.state.image_end, True)
+            self._mark(HEAP_BASE, HEAP_LIMIT, True)
+            for t in machine.state.threads.values():
+                self._mark(t.stack_base, t.stack_top, False)
+
+    def _mark(self, lo: int, hi: int, tracked: bool) -> None:
+        """Make [lo, hi) tracked or not: edges at lo and hi where the state changes."""
+        if lo < hi:
+            i, j = bisect.bisect_left(self._edges, lo), bisect.bisect_right(self._edges, hi)
+            self._edges[i:j] = [lo] * (i % 2 != tracked) + [hi] * (tracked != j % 2)
 
     def _is_tracked(self, word: int) -> bool:
-        if self.tracked == "all":
-            return True
-        if not (word in self._image or HEAP_BASE <= word < HEAP_LIMIT):
-            return False
-        # Every stack is the DEFAULT_STACK_SIZE bytes below its top, clamped
-        # at 0, so only the first top above the word can hold it.
-        i = bisect.bisect_right(self._tops, word)
-        return i == len(self._tops) or word < self._tops[i] - DEFAULT_STACK_SIZE
+        return bisect.bisect_right(self._edges, word) % 2 == 1
 
     def on_event(self, e: Event):
         if e.kind == "syscall":
             if e.sysno == SYS_SPAWN and self.tracked == "heap":  # r1: the new stack's top
-                i = bisect.bisect_left(self._tops, e.args[1])
-                if self._tops[i:i + 1] != [e.args[1]]:  # distinct tops only
-                    self._tops.insert(i, e.args[1])
+                self._mark(max(0, e.args[1] - DEFAULT_STACK_SIZE), e.args[1], False)
             return
         for word in range(e.addr & ~3, e.addr + e.width, 4):
             if not self._is_tracked(word):

@@ -763,13 +763,10 @@ class Machine:
         while not st.halted and st.step_count < step_limit:
             tid = self.scheduler.pick(st)
             if tid is None:
-                if st.blocked:  # a live thread waits on a lock
-                    st.fault = GuestFault(
-                        "deadlock: all live threads blocked",
-                        st.current,
-                        threads[st.current].pc,
-                        st.step_count,
-                    )
+                if st.blocked:  # a live thread waits on a lock: name the lowest waiter
+                    tid = min(min(tids) for tids in st.blocked.values())
+                    st.fault = GuestFault("deadlock: all live threads blocked",
+                                          tid, threads[tid].pc, st.step_count)
                 st.halted = True
                 break
             st.current = tid

@@ -29,8 +29,10 @@ from scvm.checkers import (
 )
 from scvm.driver import RunConfig, analyze
 from scvm.machine import (
+    DEFAULT_STACK_SIZE,
     HEAP_BASE,
     HEAP_LIMIT,
+    MEMORY_SIZE,
     SYS_ALLOC,
     SYS_CHECK_USER_READ,
     SYS_CHECK_USER_WRITE,
@@ -48,7 +50,7 @@ from scvm.machine import (
 )
 from scvm.shadow import ShadowState
 
-from helpers import happens_before_races, run_program, rules_of, spawn_slowdown
+from helpers import happens_before_races, run_program, rules_of, spawn_slowdown, steps_growth
 
 
 def ev(kind, **kw):
@@ -487,42 +489,100 @@ def test_each_option_text_passes_its_value_and_the_first_is_the_default():
 
 
 def test_a_spawn_loop_checks_in_time_linear_in_its_steps():
-    """The lockset tests a word against the distinct stack tops, not
-    against every thread ever spawned, so a step's cost does not grow
-    with the dead threads a spawn loop leaves behind."""
+    """The lockset tests a word against its interval set of tracked
+    addresses, not against every thread ever spawned, so a step's cost
+    does not grow with the dead threads a spawn loop leaves behind."""
     slowdown = spawn_slowdown("MOVI r3, 0x8000\nST [r3], r0",
                               lambda image: analyze(image, RunConfig(step_limit=60_000)))
     assert slowdown < 4
 
 
+def test_a_falling_top_spawn_loop_checks_in_linear_time_and_bounded_memory():
+    """SPAWNs whose stack top falls by 4 each pass, each followed by a
+    tracked heap write, handed straight to the lockset: a SPAWN costs the
+    same however many came before it, since the tracked addresses are an
+    interval set bounded by guest memory, not a list of every top.  The
+    same loop run as a guest cannot join
+    test_a_shadow_loop_runs_in_linear_time_and_bounded_memory yet: the
+    machine keeps each dead thread's context, about 380 B apiece."""
+    machine = load(assemble("HALT"))
+
+    def run(steps):
+        (lockset,) = make_checkers(("lockset",), machine, ShadowState())
+        for i in range(steps):
+            list(lockset.on_event(ev("syscall", sysno=SYS_SPAWN, args=(0, 0x100000 - 4 * i, 0, 0))))
+            list(lockset.on_event(ev("mem-write", addr=HEAP_BASE, width=4,
+                                     locks_held=frozenset({1}))))
+        assert lockset._is_tracked(HEAP_BASE) and len(lockset._edges) <= 132
+
+    time, memory = steps_growth(run, 10_000)
+    assert time < 8 and memory < 1.5, (time, memory)
+
+
 # Stack tops with duplicates, overlapping ranges, one clamped at 0 over
-# the image, one straddling the heap's end and one past memory's end.
-SPAWN_TOPS = (HEAP_BASE + 0x800, HEAP_BASE + 0x800, HEAP_BASE + 0x600, 0x300,
-              HEAP_LIMIT + 0x100, HEAP_BASE + 0x2000, 0x20000, HEAP_BASE + 0x404)
+# the image, one that cuts the image in two, one whose stack ends at the
+# heap's end, one straddling it, one whose stack starts there, two whose
+# stacks merge, one at 0 and two past memory's end.
+SPAWN_TOPS = (HEAP_BASE + 0x800, HEAP_BASE + 0x800, HEAP_BASE + 0x600, 0x300, 0x1000,
+              HEAP_LIMIT, HEAP_LIMIT + 0x100, HEAP_BASE + 0x2000, HEAP_LIMIT + DEFAULT_STACK_SIZE,
+              HEAP_BASE + 0x1800, HEAP_BASE + 0x1804, 0, 0x20000, 0xFFFFFFFC,
+              HEAP_BASE + 0x404)
+# A seeded sweep of random tops, repeats included, on a lattice one word
+# wider than a stack: once each point is hit, a tracked word lies between
+# every two stacks, the most edges that memory allows.
+_sweep = random.Random(22)
+_lattice = range(_sweep.randrange(0, 0x400, 4), MEMORY_SIZE + 0x1000, DEFAULT_STACK_SIZE + 4)
+SWEEP_TOPS = tuple(_sweep.choice(_lattice) for _ in range(5000))
+
+
+def _tracked_by_scan(st) -> list:
+    """Each word of memory, in order: whether it lies in the image or the
+    heap and in no thread's stack."""
+    in_stack = bytearray(MEMORY_SIZE)
+    for t in st.threads.values():
+        lo, hi = min(t.stack_base, MEMORY_SIZE), min(t.stack_top, MEMORY_SIZE)
+        in_stack[lo:hi] = b"\1" * (hi - lo)
+    return [(st.image_origin <= word < st.image_end or HEAP_BASE <= word < HEAP_LIMIT)
+            and not in_stack[word] for word in range(0, MEMORY_SIZE, 4)]
 
 
 def test_tracked_words_skip_every_stack_when_each_thread_has_its_own_top():
-    """At each SPAWN, the lockset, handed the run's events through a
-    registry, tracks every word as a scan of the image and heap bounds
-    and every thread's stack range does."""
-    spawns = "".join(f"MOVI r0, child\nMOVI r1, {top}\nSYS 48\n" for top in SPAWN_TOPS)
-    machine = load(assemble(spawns + "HALT\nchild: HALT\n"))
+    """At each SPAWN of SPAWN_TOPS, every 100th of the sweep and at the
+    end, the lockset, handed the run's events through a registry, tracks
+    every word as a scan of the image and heap bounds and every thread's
+    stack range does; its interval set holds no edge twice and never more
+    than 132."""
+    tops = SPAWN_TOPS + SWEEP_TOPS
+    machine = load(assemble(
+        f"MOVI r3, tops\nMOVI r4, {len(tops)}\nMOVI r2, 1\nMOVI r5, 4\n"
+        "next: MOVI r0, child\nLD r1, [r3]\nSYS 48\nADD r3, r3, r5\nSUB r4, r4, r2\n"
+        "CMPI r4, 0\nBNE next\nHALT\n"
+        "child: HALT\ntops:\n" + "".join(f".word {top}\n" for top in tops)))
     (lockset,) = make_checkers(("lockset",), machine, ShadowState())
     machine.add_observer(CheckerRegistry([lockset]).dispatch)
     st = machine.state
     checked = []
 
-    def on_spawn(e):
-        for word in range(0, 0x10000, 4):
-            in_segment = st.image_origin <= word < st.image_end or HEAP_BASE <= word < HEAP_LIMIT
-            in_stack = any(t.stack_base <= word < t.stack_top for t in st.threads.values())
-            assert lockset._is_tracked(word) == (in_segment and not in_stack), (e.step, hex(word))
+    def check():
+        got = [lockset._is_tracked(word) for word in range(0, MEMORY_SIZE, 4)]
+        want = _tracked_by_scan(st)
+        assert got == want, (len(st.threads), hex(4 * next(
+            i for i, (g, w) in enumerate(zip(got, want)) if g != w)))
         checked.append(len(st.threads))
+
+    def on_spawn(e):
+        edges = lockset._edges
+        assert len(edges) <= 132 and edges == sorted(set(edges)), e.step  # no edge twice
+        if len(st.threads) <= len(SPAWN_TOPS) + 1 or len(st.threads) % 100 == 1:
+            check()
 
     on_spawn.kinds = ("spawn",)
     machine.add_observer(on_spawn)
     assert machine.run().outcome == "halt"
-    assert checked == list(range(2, len(SPAWN_TOPS) + 2))
+    check()
+    assert st.image_origin < 0xC00 and st.image_end > 0x1000  # so 0x1000's stack cuts it in two
+    assert checked == [*range(2, len(SPAWN_TOPS) + 2), *range(101, len(tops) + 1, 100),
+                       len(tops) + 1]
 
 
 def test_checker_replay_is_deterministic():

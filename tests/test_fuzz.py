@@ -12,7 +12,8 @@ as the reference general pick does.  Every word the happens-before
 oracle finds racing is one the lockset warns about.  Random images
 seldom share a heap word between threads, so both checks also run over
 sharing images: threads that each load the same few heap words into
-registers and touch them, with or without a lock.
+registers and touch them, with or without a lock.  Waiting images queue
+several threads on one lock, which its UNLOCK must all wake.
 
 Observers reading random sets of event kinds, over these images and the
 shipped corpus, each receive exactly the full stream filtered to their
@@ -257,6 +258,52 @@ def test_sharing_images_replay_to_the_live_warnings(image, quantum, seed):
         policy = SchedulerPolicy(kind, quantum, seed)
         live, replayed = live_and_replayed(image, policy, SHARING_STEP_LIMIT)
         assert replayed == live.warnings, kind
+
+
+# Waiting images: main takes lock 1 and SPAWNs 2-4 workers that each
+# LOCK 1, bump a shared counter and UNLOCK 1; it YIELDs, so the workers
+# queue on the lock, before its own UNLOCK 1, then spins until the counter
+# equals the number of workers.  Every waiter must be woken for it to end.
+WAITING_STEP_LIMIT = 1000
+
+
+def _waiting_image(workers):
+    spawns = "".join(f"MOVI r0, worker\nMOVI r1, {0xF000 - 0x400 * k}\nSYS 48\n"
+                     for k in range(workers))
+    return assemble(f"""MOVI r0, 1
+SYS 49
+{spawns}SYS 51
+MOVI r0, 1
+SYS 50
+MOVI r3, {HEAP_BASE}
+MOVI r4, {workers}
+spin: LD r5, [r3]
+CMP r5, r4
+BNE spin
+HALT
+worker: MOVI r0, 1
+SYS 49
+MOVI r2, 1
+MOVI r3, {HEAP_BASE}
+LD r5, [r3]
+ADD r5, r5, r2
+ST [r3], r5
+MOVI r0, 1
+SYS 50
+SYS 52
+""")
+
+
+@settings(max_examples=30, deadline=None)
+@given(workers=st.integers(2, 4), quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_waiting_images_wake_every_waiter_and_pick_like_the_general_path(workers, quantum, seed):
+    image = _waiting_image(workers)
+    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        assert_scheduled_like_the_general_pick(image, policy, WAITING_STEP_LIMIT)
+        result = load(image, policy).run(WAITING_STEP_LIMIT)
+        assert result.outcome == "halt", kind
+        assert int.from_bytes(result.state.memory[HEAP_BASE:HEAP_BASE + 4], "little") == workers
 
 
 _read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)

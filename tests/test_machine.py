@@ -791,6 +791,31 @@ worker: MOVI r0, 2
     assert result.steps == 13
 
 
+def test_deadlock_fault_names_a_waiting_thread_not_the_one_that_ended():
+    """The worker ends holding lock 1, then main blocks on it: the fault
+    names main, the lowest waiting tid, at its LOCK, not the worker that
+    ran last."""
+    src = """
+start:  MOVI r0, worker
+        MOVI r1, 0xF000
+        SYS 48
+        SYS 51
+        MOVI r0, 1
+        SYS 49
+        HALT
+worker: MOVI r0, 1
+        SYS 49
+        MOVI r2, 0
+        MOVI r2, 0
+        SYS 52
+"""
+    machine, result = run_source(src)
+    assert machine.state.fault == GuestFault(
+        "deadlock: all live threads blocked", tid=0, pc=0x28, step=11
+    )
+    assert result.outcome == "fault"
+
+
 def test_exit_thread_alone_is_a_clean_halt():
     machine, result = run_source("SYS 52")
     assert result.outcome == "halt"
