@@ -33,6 +33,9 @@ field), which the shadow engine keys on:
 The interpreter itself is single-threaded; guest threads are simulated
 and interleaved by a deterministic scheduler.  Identical (image, policy,
 seed, step limit) always reproduces identical event streams.
+
+A thread's context is in `MachineState.threads` from its SPAWN to its
+end, and tids are never reused; `MachineState.blocked` alone says who waits.
 """
 
 from __future__ import annotations
@@ -217,8 +220,7 @@ class ThreadContext:
     zflag: bool = False
     mode: str = MODE_USER
     locks_held: frozenset = frozenset()  # replaced, never mutated: events share it
-    alive: bool = True
-    blocked_on: int | None = None
+    alive: bool = True  # always True; only the benchmark's state digest reads it
     trap_return: int | None = None
     stack_base: int = 0
     stack_top: int = 0
@@ -227,7 +229,7 @@ class ThreadContext:
 @dataclass
 class MachineState:
     memory: bytearray
-    # tid -> ThreadContext; SPAWN mints tid len(threads), none is removed.
+    # tid -> ThreadContext of each live thread; thread 0 stays after HALT.
     threads: dict
     current: int
     iflag: bool = True
@@ -241,19 +243,16 @@ class MachineState:
     image_origin: int = 0
     image_end: int = 0
     output: bytearray = field(default_factory=bytearray)  # first OUTPUT_CAP bytes
-    # Tids of the alive, unblocked threads, ascending.  Derived from threads
-    # here, then updated in place by HALT, EXIT_THREAD, LOCK, UNLOCK, SPAWN.
+    # lock -> its waiting tids in blocking order, the one record of who waits.
+    blocked: dict = field(default_factory=dict)
+    # Live tids that wait on no lock, ascending: derived, then kept in place.
     runnable: list = field(init=False)
-    # lock -> the tids blocked on it, in blocking order; derived likewise,
-    # then kept by LOCK and UNLOCK, so a wake never walks every thread.
-    blocked: dict = field(init=False)
+    next_tid: int = field(init=False)  # SPAWN's next tid: one past the highest yet
 
     def __post_init__(self):
-        self.runnable = [t.tid for t in self.threads.values() if t.alive and t.blocked_on is None]
-        self.blocked = {}
-        for t in self.threads.values():
-            if t.blocked_on is not None:
-                self.blocked.setdefault(t.blocked_on, []).append(t.tid)
+        waiting = {tid for tids in self.blocked.values() for tid in tids}
+        self.runnable = [tid for tid in sorted(self.threads) if tid not in waiting]
+        self.next_tid = max(self.threads, default=-1) + 1
 
 
 @dataclass(frozen=True)
@@ -530,11 +529,11 @@ def _general(op: Opcode, imm: int, reads, m, t, pc, emit):
 
 
 def _end_thread(st, t, reads, emit):
-    """Thread t ends: HALT off thread 0, or EXIT_THREAD."""
-    t.alive = False
+    """Thread t (HALT off thread 0, or EXIT_THREAD) ends and leaves the table."""
     st.runnable.remove(t.tid)
     if "thread-exit" in reads:
         emit("thread-exit")
+    del st.threads[t.tid]
 
 
 def _syscall(number: int, reads, m, t, pc, emit):
@@ -567,7 +566,6 @@ def _syscall(number: int, reads, m, t, pc, emit):
     next_pc, result = pc + INSTR_SIZE, None
     if number == SYS_LOCK:
         if r0 in st.locks:
-            t.blocked_on = r0
             st.blocked.setdefault(r0, []).append(t.tid)
             st.runnable.remove(t.tid)
             return
@@ -581,7 +579,6 @@ def _syscall(number: int, reads, m, t, pc, emit):
         if "unlock" in reads:
             emit("unlock", lock=r0)
         for tid in st.blocked.pop(r0, ()):
-            st.threads[tid].blocked_on = None
             bisect.insort(st.runnable, tid)
     elif number == SYS_ALLOC:
         size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
@@ -628,7 +625,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
     elif number == SYS_SET_TRAP:
         st.trap_entry = r0
     elif number == SYS_SPAWN:
-        result = len(st.threads)  # tids count up and no thread is removed
+        result, st.next_tid = st.next_tid, st.next_tid + 1  # no tid is reused
         st.threads[result] = _new_thread(result, pc=r0, stack_top=r1)
         st.runnable.append(result)  # the highest tid yet
         if "spawn" in reads:
@@ -725,7 +722,7 @@ class Machine:
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
         """Pick a thread, then fetch, execute and count one instruction
-        of it, until thread 0 HALTs, all threads die, a fault, or the
+        of it, until thread 0 HALTs, all threads end, a fault, or the
         step limit; see RunResult.outcome.
 
         Each code word runs through its handler compiled for this run's

@@ -73,7 +73,7 @@ def _fmt_tags(tags) -> str:
 
 
 class ShadowState:
-    """One cell per register per thread, one per guest memory byte.
+    """One cell per register per live thread, one per guest memory byte.
 
     Memory cells are sparse: a byte with no entry in `mem_cells` holds
     the shared untagged object, so untouched memory costs nothing.
@@ -153,9 +153,11 @@ class ShadowState:
             self._on_compare(e)
         elif kind == "syscall":
             self._on_syscall(e)
+        elif kind == "thread-exit":  # tids are never reused, so no later event names it
+            self.reg_cells.pop(e.tid, None)
         # every other kind carries no shadow semantics
 
-    on_event.kinds = ("reg-write", "mem-write", "mem-read", "compare", "syscall")
+    on_event.kinds = ("reg-write", "mem-write", "mem-read", "compare", "syscall", "thread-exit")
 
     def _source_object(self, e: Event) -> TypeObject:
         src = e.src

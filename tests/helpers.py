@@ -13,7 +13,8 @@ import tracemalloc
 from scvm import RunConfig, SchedulerPolicy, analyze, assemble
 from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checkers
 from scvm.corpus import shipped_dir
-from scvm.machine import ROUND_ROBIN, load
+from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode
+from scvm.machine import ROUND_ROBIN, SYS_LOCK, load
 from scvm.report import serialize
 from scvm.shadow import ShadowState
 
@@ -62,7 +63,7 @@ def ref_xorshift64star(state):
 def general_pick(sched, state):
     """Scheduler.pick as it was before its single-thread fast path: the
     eligible list, built on every call."""
-    eligible = [t.tid for t in state.threads.values() if t.alive and t.blocked_on is None]
+    eligible = rebuilt_runnable(state)
     if not eligible:
         return None
     cur = state.current
@@ -77,40 +78,52 @@ def general_pick(sched, state):
 
 
 def rebuilt_runnable(state) -> list:
-    """state.runnable as rebuilt from its threads."""
-    return [tid for tid, t in sorted(state.threads.items()) if t.alive and t.blocked_on is None]
+    """state.runnable as rebuilt from the live threads less the waiting ones."""
+    waiting = {tid for tids in state.blocked.values() for tid in tids}
+    return [tid for tid in sorted(state.threads) if tid not in waiting]
 
 
-def rebuilt_blocked(state) -> dict:
-    """state.blocked as rebuilt from its threads, each lock's tids in
-    ascending order (state.blocked holds them in the order they blocked)."""
-    blocked = {}
-    for tid, t in sorted(state.threads.items()):
-        if t.blocked_on is not None:
-            blocked.setdefault(t.blocked_on, []).append(tid)
-    return blocked
+_LOCK_CALL = Instruction(Opcode.SYS, imm=SYS_LOCK)
+
+
+def assert_waiters_wait(state) -> None:
+    """Each tid in state.blocked is a live thread that waits on that one
+    lock only: its pc is on a `SYS 49` whose r0 is the lock, and another
+    tid holds the lock."""
+    waiters = [(lock, tid) for lock, tids in state.blocked.items() for tid in tids]
+    assert len({tid for _, tid in waiters}) == len(waiters), state.blocked
+    for lock, tid in waiters:
+        t = state.threads[tid]
+        assert decode(bytes(state.memory[t.pc : t.pc + INSTR_SIZE])) == _LOCK_CALL, tid
+        assert t.regs[0] == lock and state.locks.get(lock, tid) != tid, (tid, lock)
 
 
 def _stepped_run(image, policy, step_limit, pick=None):
     """Run image one step per resumed run() call, asserting after each
-    step that state.runnable and state.blocked equal those rebuilt from
-    the threads; `pick(scheduler, state)` replaces the scheduler's own
-    pick when given.  Returns (RunResult, every tid picked, None
-    included)."""
+    step that state.runnable is what the threads and state.blocked say,
+    that every waiter waits (assert_waiters_wait) and that no ended
+    thread is left in state.threads; `pick(scheduler, state)` replaces
+    the scheduler's own pick when given.  Returns (RunResult, every tid
+    picked, None included)."""
     machine = load(image, policy)
-    sched, picks = machine.scheduler, []
+    sched, picks, ended = machine.scheduler, [], set()
     choose = sched.pick if pick is None else functools.partial(pick, sched)
 
     def recording(state):
         picks.append(choose(state))
         return picks[-1]
 
+    def on_exit(e):
+        ended.add(e.tid)
+
+    on_exit.kinds = ("thread-exit",)
     sched.pick = recording
+    machine.add_observer(on_exit)
     for n in range(1, step_limit + 1):
         result = machine.run(step_limit=n)
         assert machine.state.runnable == rebuilt_runnable(machine.state), n
-        blocked = {lock: sorted(tids) for lock, tids in machine.state.blocked.items()}
-        assert blocked == rebuilt_blocked(machine.state), n
+        assert_waiters_wait(machine.state)
+        assert not ended & machine.state.threads.keys(), n
         if result.outcome != "timeout":
             break
     return result, picks
@@ -118,8 +131,8 @@ def _stepped_run(image, policy, step_limit, pick=None):
 
 def assert_scheduled_like_the_general_pick(image, policy, step_limit):
     """state.runnable and state.blocked stay what the threads say after
-    every step, and the run picks the tids and ends in the state of a
-    run whose pick is general_pick."""
+    every step, no ended thread stays in state.threads, and the run picks
+    the tids and ends in the state of a run whose pick is general_pick."""
     got, picks = _stepped_run(image, policy, step_limit)
     want, general_picks = _stepped_run(image, policy, step_limit, general_pick)
     assert picks == general_picks

@@ -296,7 +296,7 @@ def test_replayed_streams_give_the_live_warnings():
         assert replayed == live.warnings, (name, policy)
         warnings += len(replayed)
     # The child ran its write to 0x83FC, on its own stack, so no warning.
-    assert not live.state.threads[1].alive
+    assert 1 not in live.state.threads and live.state.next_tid == 2
     assert live.warnings == []
     assert len(runs) == 2 * len(REQUIRED_ENTRIES) + 1
     return f"{warnings} warnings over {len(runs)} runs"

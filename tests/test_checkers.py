@@ -386,12 +386,18 @@ cshared: ST [r6], r2
 def test_tracked_heap_skips_a_thread_stack_inside_the_heap(tracked, words):
     """A stack ALLOCed in the heap is not tracked by default: only the
     shared word warns, though both are written with no lock held."""
-    image, result = run_program(
-        HEAP_STACK_CHILD, checkers=("lockset",), options={"lockset.tracked": tracked}
-    )
+    tops = []
+
+    def on_syscall(e):
+        if e.sysno == SYS_SPAWN:
+            tops.append(e.args[1])
+
+    on_syscall.kinds = ("syscall",)
+    image, result = run_program(HEAP_STACK_CHILD, checkers=("lockset",),
+                                options={"lockset.tracked": tracked}, observers=(on_syscall,))
     assert result.outcome == "halt"
-    assert result.state.threads[1].stack_base == HEAP_BASE
-    assert not result.state.threads[1].alive  # the child ran to its exit
+    assert [top - DEFAULT_STACK_SIZE for top in tops] == [HEAP_BASE]  # the child's stack base
+    assert 1 not in result.state.threads  # the child ran to its exit
     assert sorted(w.address for w in result.warnings) == words
     assert rules_of(result) == [RULE_RACE] * len(words)
 
@@ -502,9 +508,8 @@ def test_a_falling_top_spawn_loop_checks_in_linear_time_and_bounded_memory():
     tracked heap write, handed straight to the lockset: a SPAWN costs the
     same however many came before it, since the tracked addresses are an
     interval set bounded by guest memory, not a list of every top.  The
-    same loop run as a guest cannot join
-    test_a_shadow_loop_runs_in_linear_time_and_bounded_memory yet: the
-    machine keeps each dead thread's context, about 380 B apiece."""
+    same loop run as a guest is a case of
+    test_a_guest_loop_runs_in_linear_time_and_bounded_memory."""
     machine = load(assemble("HALT"))
 
     def run(steps):
@@ -535,12 +540,12 @@ _lattice = range(_sweep.randrange(0, 0x400, 4), MEMORY_SIZE + 0x1000, DEFAULT_ST
 SWEEP_TOPS = tuple(_sweep.choice(_lattice) for _ in range(5000))
 
 
-def _tracked_by_scan(st) -> list:
+def _tracked_by_scan(st, stacks) -> list:
     """Each word of memory, in order: whether it lies in the image or the
-    heap and in no thread's stack."""
+    heap and in none of `stacks`, each a (stack_base, stack_top)."""
     in_stack = bytearray(MEMORY_SIZE)
-    for t in st.threads.values():
-        lo, hi = min(t.stack_base, MEMORY_SIZE), min(t.stack_top, MEMORY_SIZE)
+    for base, top in stacks:
+        lo, hi = min(base, MEMORY_SIZE), min(top, MEMORY_SIZE)
         in_stack[lo:hi] = b"\1" * (hi - lo)
     return [(st.image_origin <= word < st.image_end or HEAP_BASE <= word < HEAP_LIMIT)
             and not in_stack[word] for word in range(0, MEMORY_SIZE, 4)]
@@ -551,7 +556,8 @@ def test_tracked_words_skip_every_stack_when_each_thread_has_its_own_top():
     end, the lockset, handed the run's events through a registry, tracks
     every word as a scan of the image and heap bounds and every thread's
     stack range does; its interval set holds no edge twice and never more
-    than 132."""
+    than 132.  Each child HALTs and leaves the thread table, so its stack
+    is recorded at its SPAWN."""
     tops = SPAWN_TOPS + SWEEP_TOPS
     machine = load(assemble(
         f"MOVI r3, tops\nMOVI r4, {len(tops)}\nMOVI r2, 1\nMOVI r5, 4\n"
@@ -561,19 +567,22 @@ def test_tracked_words_skip_every_stack_when_each_thread_has_its_own_top():
     (lockset,) = make_checkers(("lockset",), machine, ShadowState())
     machine.add_observer(CheckerRegistry([lockset]).dispatch)
     st = machine.state
+    stacks = [(st.threads[0].stack_base, st.threads[0].stack_top)]
     checked = []
 
     def check():
         got = [lockset._is_tracked(word) for word in range(0, MEMORY_SIZE, 4)]
-        want = _tracked_by_scan(st)
-        assert got == want, (len(st.threads), hex(4 * next(
+        want = _tracked_by_scan(st, stacks)
+        assert got == want, (len(stacks), hex(4 * next(
             i for i, (g, w) in enumerate(zip(got, want)) if g != w)))
-        checked.append(len(st.threads))
+        checked.append(len(stacks))
 
     def on_spawn(e):
+        child = st.threads[e.new_tid]  # live at its own spawn event
+        stacks.append((child.stack_base, child.stack_top))
         edges = lockset._edges
         assert len(edges) <= 132 and edges == sorted(set(edges)), e.step  # no edge twice
-        if len(st.threads) <= len(SPAWN_TOPS) + 1 or len(st.threads) % 100 == 1:
+        if len(stacks) <= len(SPAWN_TOPS) + 1 or len(stacks) % 100 == 1:
             check()
 
     on_spawn.kinds = ("spawn",)

@@ -38,9 +38,9 @@ from scvm.machine import (
 
 from helpers import (
     assert_scheduled_like_the_general_pick,
+    assert_waiters_wait,
     corpus_source,
     general_pick,
-    rebuilt_blocked,
     rebuilt_runnable,
     ref_xorshift64star,
     spawn_slowdown,
@@ -449,14 +449,12 @@ def test_iflag_window_is_visible_in_events():
 
 
 def test_spawn_initializes_child():
-    machine, _ = run_source(
-        "start: MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nMOV r5, r0\nHALT\nworker: HALT"
-    )
-    image = assemble(
-        "start: MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nMOV r5, r0\nHALT\nworker: HALT"
-    )
+    """Stopped right after the SPAWN, while the child is live."""
+    src = "start: MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nMOV r5, r0\nHALT\nworker: HALT"
+    machine, _ = run_source(src, step_limit=3)
+    image = assemble(src)
     st = machine.state
-    assert st.threads[0].regs[5] == 1  # spawn returns the new tid
+    assert st.threads[0].regs[0] == 1  # spawn returns the new tid
     child = st.threads[1]
     assert child.pc == image.symbols["worker"]
     assert child.regs[6] == 0xF000
@@ -541,14 +539,19 @@ def test_pick_matches_the_general_path(kind, quantum):
         fast, general = Scheduler(policy), Scheduler(policy)
         state = MachineState(memory=bytearray(), threads={0: _new_thread(0, 0, 0)}, current=0)
         for _ in range(200):
-            threads = list(state.threads.values())
+            tids = sorted(state.threads)
             roll = rng.random()
             if roll < 0.03:
-                state.threads[len(threads)] = _new_thread(len(threads), 0, 0)
-            elif roll < 0.08:
-                rng.choice(threads).blocked_on = rng.choice([None, None, 1])
-            elif roll < 0.10:
-                rng.choice(threads).alive = False
+                state.threads[state.next_tid] = _new_thread(state.next_tid, 0, 0)
+                state.next_tid += 1
+            elif roll < 0.10 and tids:  # wake one thread, then block it or end it
+                tid = rng.choice(tids)
+                state.blocked = {lock: [t for t in waiters if t != tid]
+                                 for lock, waiters in state.blocked.items()}
+                if roll >= 0.08:
+                    del state.threads[tid]
+                elif rng.choice([None, None, 1]):
+                    state.blocked.setdefault(1, []).append(tid)
             elif roll < 0.15:
                 fast.expire_slice()
                 general.expire_slice()
@@ -562,27 +565,85 @@ def test_pick_matches_the_general_path(kind, quantum):
 
 def test_a_state_built_with_a_blocked_thread_derives_its_lists_and_wakes_it():
     """Thread 1 waits on lock 5, held by thread 0, in a state built by
-    hand: runnable and blocked start as the threads say, and thread 0's
+    hand: runnable starts as the threads and blocked say, and thread 0's
     UNLOCK wakes thread 1, which then takes the lock."""
     image = assemble("MOVI r0, 5\nSYS 50\nHALT\nwaiter: SYS 49\nHALT")
     main = _new_thread(0, pc=image.entry, stack_top=DEFAULT_STACK_TOP)
     main.locks_held = frozenset({5})
     waiter = _new_thread(1, pc=image.symbols["waiter"], stack_top=0xE000)
-    waiter.regs[0] = waiter.blocked_on = 5
+    waiter.regs[0] = 5
     state = MachineState(memory=load(image).state.memory, threads={0: main, 1: waiter},
-                         current=0, locks={5: 0})
+                         current=0, locks={5: 0}, blocked={5: [1]})
     assert state.runnable == [0] == rebuilt_runnable(state)
-    assert state.blocked == {5: [1]} == rebuilt_blocked(state)
+    assert_waiters_wait(state)
     machine = Machine(state)
     events = []
     machine.add_observer(events.append)
     assert machine.run(step_limit=2).outcome == "timeout"  # MOVI, then the UNLOCK
     assert state.runnable == [0, 1] == rebuilt_runnable(state)
-    assert state.blocked == {} == rebuilt_blocked(state)
+    assert state.blocked == {}
     assert machine.run().outcome == "halt"
     locking = [(e.tid, e.kind, e.lock) for e in events if e.kind in ("lock", "unlock")]
     assert locking == [(0, "unlock", 5), (1, "lock", 5)]
     assert state.locks == {5: 1}
+
+
+def _lifetimes(events) -> list:
+    """("spawn", new tid) and ("thread-exit", tid), in emission order."""
+    return [(e.kind, e.new_tid if e.kind == "spawn" else e.tid)
+            for e in events if e.kind in ("spawn", "thread-exit")]
+
+
+def test_a_spawn_after_a_thread_ends_mints_the_next_tid():
+    """Tids count up: the child spawned after tid 1 ends is tid 2, not 1,
+    and each child leaves the thread table when it ends."""
+    machine, result = run_source("MOVI r1, 0xF000\nMOVI r0, child\nSYS 48\nMOV r4, r0\n"
+                                 "MOVI r0, child\nSYS 48\nMOV r5, r0\nHALT\nchild: HALT")
+    assert _lifetimes(result.events) == [("spawn", 1), ("thread-exit", 1), ("spawn", 2),
+                                         ("thread-exit", 2)]
+    st = machine.state
+    assert (st.threads[0].regs[4], st.threads[0].regs[5]) == (1, 2)
+    assert list(st.threads) == [0] and st.next_tid == 3
+
+
+def test_a_thread_spawned_after_a_lock_holder_ends_does_not_hold_its_lock():
+    """Tid 1 ends holding lock 9; the thread spawned next is tid 2, so its
+    UNLOCK of 9 faults under its own tid."""
+    src = """
+start:  MOVI r1, 0xF000
+        MOVI r0, taker
+        SYS 48
+        SYS 51
+        SYS 51
+        SYS 51
+        MOVI r0, freer
+        SYS 48
+spin:   JMP spin
+taker:  MOVI r0, 9
+        SYS 49
+        SYS 52
+freer:  MOVI r0, 9
+unlock: SYS 50
+"""
+    machine, result = run_source(src)
+    assert _lifetimes(result.events) == [("spawn", 1), ("thread-exit", 1), ("spawn", 2)]
+    fault = machine.state.fault
+    assert (fault.reason, fault.tid) == ("UNLOCK of lock 9 not held by tid 2", 2)
+    assert fault.pc == assemble(src).symbols["unlock"]
+    assert machine.state.locks == {9: 1}
+
+
+def test_a_state_built_by_hand_mints_the_tid_after_its_highest():
+    image = assemble("MOVI r0, child\nMOVI r1, 0xF000\nSYS 48\nHALT\nchild: JMP child")
+    threads = {0: _new_thread(0, pc=image.entry, stack_top=DEFAULT_STACK_TOP),
+               1: _new_thread(1, pc=image.symbols["child"], stack_top=0xF000)}
+    state = MachineState(memory=load(image).state.memory, threads=threads, current=0)
+    assert state.next_tid == 2
+    assert Machine(state).run().outcome == "halt"
+    assert state.threads[0].regs[0] == 2 and list(state.threads) == [0, 1, 2]
+    # With a gap, not len(threads), which tid 2 already holds.
+    gapped = {tid: _new_thread(tid, 0, 0) for tid in (0, 2)}
+    assert MachineState(memory=bytearray(), threads=gapped, current=0).next_tid == 3
 
 
 def _threads_and_locks_source(rng):
@@ -702,7 +763,7 @@ def test_a_spawn_loop_runs_in_time_linear_in_its_steps():
     assert slowdown < 4
 
 
-def test_unlock_wakes_every_thread_blocked_on_its_lock_and_no_other():
+def test_unlock_wakes_every_thread_waiting_on_its_lock_and_no_other():
     src = """
 start:  MOVI r0, 1
         SYS 49

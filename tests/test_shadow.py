@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from scvm import RunConfig, analyze, assemble
 from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
 from scvm.isa import MEMORY_SIZE
-from scvm.machine import Event, SchedulerPolicy
+from scvm.machine import Event, SchedulerPolicy, load
 from scvm.shadow import NOTE_CAP, ShadowState, TagKind
 
 from helpers import run_program, steps_growth
@@ -325,18 +325,82 @@ SOURCE_LOOP = ("MOVI r0, 0x8000\nMOVI r1, 1\nMOVI r2, 1\nMOVI r4, 0x7000\n"
                "loop: SYS 35\nLDB r3, [r4]\nADD r1, r1, r2\nJMP loop\n")
 
 
-@pytest.mark.parametrize("source, checkers", [
-    (CHECK_LOOP, CHECKER_ORDER),
-    (SOURCE_LOOP, ()),
-], ids=["check-note", "taint-sources"])
-def test_a_shadow_loop_runs_in_linear_time_and_bounded_memory(source, checkers):
+# A child that HALTs at once, spawned in a loop: each pass leaves an ended thread.
+SPAWN_HALT_LOOP = "MOVI r1, 0xF000\nmain: MOVI r0, child\nSYS 48\nJMP main\nchild: MOVI r2, 7\nHALT\n"
+# The same with a stack top that falls by 4 each pass, down through the heap.
+FALLING_TOP_LOOP = ("MOVI r1, 0xE000\nMOVI r2, -4\nmain: MOVI r0, child\nADD r1, r1, r2\n"
+                    "SYS 48\nJMP main\nchild: HALT\n")
+
+
+def _bare(image, steps):
+    return load(image).run(steps)
+
+
+def _checked(*checkers):
+    return lambda image, steps: analyze(image, RunConfig(checkers=checkers, step_limit=steps))
+
+
+@pytest.mark.parametrize("source, run", [
+    (CHECK_LOOP, _checked(*CHECKER_ORDER)),
+    (SOURCE_LOOP, _checked()),
+    (SPAWN_HALT_LOOP, _bare),
+    (SPAWN_HALT_LOOP, _checked(*CHECKER_ORDER)),
+    (FALLING_TOP_LOOP, _checked("lockset")),
+], ids=["check-note", "taint-sources", "dead-threads-bare", "dead-threads-checked",
+        "falling-top-spawns"])
+def test_a_guest_loop_runs_in_linear_time_and_bounded_memory(source, run):
     """A step costs the same however many came before it: a note stops
-    growing at NOTE_CAP, and the untrusted ranges are one flag per guest
-    byte, not a list that each read scans."""
+    growing at NOTE_CAP, the untrusted ranges are one flag per guest
+    byte, not a list that each read scans, and an ended thread leaves
+    the machine's thread table and the shadow's register cells."""
     image = assemble(source)
-    time, memory = steps_growth(
-        lambda steps: analyze(image, RunConfig(checkers=checkers, step_limit=steps)), 10_000)
+    time, memory = steps_growth(lambda steps: run(image, steps), 10_000)
     assert time < 8 and memory < 1.5, (time, memory)
+
+
+# Tid 1 ALLOCs into r0, dereferences it unchecked and ends; tid 2,
+# spawned after it, dereferences its own r0, which holds no object.
+ENDED_THEN_SPAWNED = """
+start:  MOVI r1, 0xF000
+        MOVI r0, first
+        SYS 48
+        SYS 51
+        SYS 51
+        SYS 51
+        SYS 51
+        MOVI r0, second
+        SYS 48
+        SYS 51
+        SYS 51
+        HALT
+first:  MOVI r0, 4
+        SYS 1
+fload:  LDB r2, [r0]
+        SYS 52
+second: MOVI r3, 1
+sload:  LDB r2, [r0]
+spin:   JMP spin
+"""
+
+
+def test_a_thread_spawned_after_one_ends_starts_with_untagged_registers():
+    """An ended thread's register cells go at its `thread-exit`, and the
+    next thread gets a new tid, so it inherits none of them."""
+    seen = []
+
+    def watch(e):
+        seen.append((e.kind, e.new_tid if e.kind == "spawn" else e.tid, e.pc))
+
+    watch.kinds = ("spawn", "thread-exit", "mem-read")
+    image, result = run_program(ENDED_THEN_SPAWNED, checkers=("null",), observers=(watch,))
+    sym = image.symbols
+    assert [(kind, tid) for kind, tid, _ in seen] == [
+        ("spawn", 1), ("mem-read", 1), ("thread-exit", 1), ("spawn", 2), ("mem-read", 2)]
+    assert [pc for kind, _, pc in seen if kind == "mem-read"] == [sym["fload"], sym["sload"]]
+    assert [(w.rule, w.tid, w.pc) for w in result.warnings] == [(RULE_NULL_DEREF, 1, sym["fload"])]
+    sh = result.shadow
+    assert 1 not in sh.reg_cells
+    assert all(obj is sh.untagged for obj in sh.reg_cells[2])
 
 
 def test_check_user_write_is_independent_of_read():

@@ -29,7 +29,17 @@ from scvm.checkers import (
     UserChecker,
     make_checkers,
 )
-from scvm.machine import EVENT_KINDS, HEAP_BASE, SYS_LOCK, Event, Machine, Scheduler, load
+from scvm.machine import (
+    EVENT_KINDS,
+    HEAP_BASE,
+    SYS_LOCK,
+    Event,
+    Machine,
+    MachineState,
+    Scheduler,
+    ThreadContext,
+    load,
+)
 from scvm.shadow import ShadowState
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -311,6 +321,24 @@ def test_benchmark_patched_names_exist():
         for kind in plugin.kinds:
             out = plugin.on_event(Event(kind=kind, **quiet))
             assert isinstance(out, Iterable) and list(out) == [], (plugin.name, kind)
+
+
+# The state fields the benchmark reads: `state_digest` and the
+# guests' `state_failures` (bench/harness.py, bench/guests.py), the
+# traced pass's pick wrapper and `_words_tracked` (bench/layers.py).
+BENCH_READS = {
+    ThreadContext: ("regs", "pc", "zflag", "mode", "alive", "stack_base", "stack_top"),
+    MachineState: ("memory", "output", "step_count", "halted", "fault", "threads", "current",
+                   "image_origin", "image_end"),
+}
+
+
+def test_benchmark_read_state_fields_exist():
+    """A state field the benchmark reads is gone only with a crash of the
+    benchmark, which the tests here would not see."""
+    for cls, names in BENCH_READS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(names) <= fields, (cls.__name__, sorted(set(names) - fields))
 
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
