@@ -13,9 +13,10 @@ no observer reads builds no Event at all.
 Each code word is decoded once and compiled once per read set, the set
 of kinds the run's observers read, into a handler closed over its
 operands and memoized on the word's 8 bytes, so code the guest writes
-at run time needs no invalidation.  Each emit site tests a flag fixed
-at compile time, so a kind outside the read set builds no event and
-evaluates no event argument.  A bare run is the empty read set.
+at run time needs no invalidation.  The common opcodes' handlers test a
+flag fixed at compile time at each emit site, so an unread kind costs
+them no call; the rarer opcodes call the run's emit, which builds no
+event for a kind nobody reads.  A bare run is the empty read set.
 
 `Event` is slotted but not frozen, since freezing makes it several times
 dearer to build.  Every observer shares one event object, so observers
@@ -70,6 +71,7 @@ DEFAULT_STACK_SIZE = 1024
 DEFAULT_STEP_LIMIT = 1_000_000
 
 FIRST_FD = 3
+MAX_LOCKS_HELD = 48  # per thread, as Linux lockdep's MAX_LOCK_DEPTH
 CSTR_CAP = 4096
 NAME_CAP = 256
 OUTPUT_CAP = 1 << 20  # PRINTF bytes a run keeps, so a print loop cannot exhaust the host
@@ -329,10 +331,11 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # A handler, handler(m, t, pc, emit), executes one instruction for thread
 # t of machine m at pc and sets t.pc (a blocked LOCK leaves it as it is),
 # or raises _Fault.  It emits the instruction's operand events in
-# operand-evaluation order; run() emits the `fetch` before it.  It is
-# compiled for one read set: each emit site tests a flag fixed then
-# (`rr = "reg-read" in reads`), so an unread kind costs no call.  The
-# rarer opcodes share one body, _general; SYS runs _syscall.
+# operand-evaluation order; run() emits the `fetch` before it.  The
+# common opcodes' handlers are compiled for one read set: each emit site
+# tests a flag fixed then (`rr = "reg-read" in reads`), so an unread kind
+# costs no call.  The rarer opcodes share one body, _general, and SYS
+# runs _syscall; they call emit, which drops an unread kind itself.
 
 _IMM_SRC = ("imm",)
 _ALU = {
@@ -495,58 +498,55 @@ def _branch(i: Instruction, reads):
     return branch
 
 
-def _general(op: Opcode, imm: int, reads, m, t, pc, emit):
+def _general(op: Opcode, imm: int, m, t, pc, emit):
     """JMP, CALL, RET, CLI, STI and HALT share this one body."""
     regs = t.regs
     next_pc = pc + INSTR_SIZE
     if op == Opcode.JMP or op == Opcode.CALL:
         if op == Opcode.CALL:
             regs[7] = next_pc
-            if "reg-write" in reads:
-                emit("reg-write", reg=7, value=next_pc, src=_IMM_SRC)
+            emit("reg-write", reg=7, value=next_pc, src=_IMM_SRC)
         next_pc = imm & M32
-        if "branch" in reads:
-            emit("branch", addr=next_pc, taken=True)
+        emit("branch", addr=next_pc, taken=True)
     elif op == Opcode.RET:
         next_pc = regs[7]
-        if "reg-read" in reads:
-            emit("reg-read", reg=7, value=next_pc)
-        if "branch" in reads:
-            emit("branch", addr=next_pc, taken=True)
+        emit("reg-read", reg=7, value=next_pc)
+        emit("branch", addr=next_pc, taken=True)
     elif op == Opcode.CLI or op == Opcode.STI:
         if t.mode != MODE_KERNEL:
             raise _Fault(f"{op.name} in user mode")
         m.state.iflag = op == Opcode.STI
-        if "iflag-change" in reads:
-            emit("iflag-change")
+        emit("iflag-change")
     else:  # HALT; the pc stays on it
         if t.tid == 0:
             m.state.halted = True
         else:
-            _end_thread(m.state, t, reads, emit)
+            _end_thread(m.state, t, emit)
         return
     t.pc = next_pc
 
 
-def _end_thread(st, t, reads, emit):
+def _end_thread(st, t, emit):
     """Thread t (HALT off thread 0, or EXIT_THREAD) ends and leaves the table."""
     st.runnable.remove(t.tid)
-    if "thread-exit" in reads:
-        emit("thread-exit")
+    emit("thread-exit")
     del st.threads[t.tid]
 
 
-def _syscall(number: int, reads, m, t, pc, emit):
+def _syscall(number: int, sc: bool, m, t, pc, emit):
     """SYS number, in four steps: the faults that stop the call before
-    its `syscall` event, the event, the effect (whose end-of-memory
-    faults come after the event), and the r0 result with its
-    `reg-write`.  A blocked LOCK leaves t.pc unchanged, so the
-    instruction runs again (fetch and syscall events too) once woken."""
+    its `syscall` event, the event (if sc: some observer reads it, so its
+    args are worth building), the effect (whose end-of-memory faults
+    come after the event), and the r0 result with its `reg-write`.  A
+    blocked LOCK leaves t.pc unchanged, so the instruction runs again
+    (fetch and syscall events too) once woken."""
     st, regs = m.state, t.regs
     r0, r1 = regs[0], regs[1]
     if number == SYS_LOCK:
         if st.locks.get(r0) == t.tid:
             raise _Fault(f"recursive LOCK of {r0}")
+        if len(t.locks_held) >= MAX_LOCKS_HELD:
+            raise _Fault(f"LOCK of {r0} past the cap of {MAX_LOCKS_HELD} locks held")
     elif number == SYS_UNLOCK:
         if st.locks.get(r0) != t.tid:
             raise _Fault(f"UNLOCK of lock {r0} not held by tid {t.tid}")
@@ -560,7 +560,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
             raise _Fault("KRET outside a KCALL")
     elif number not in SYSCALL_NAMES:
         raise _Fault(f"unknown syscall {number}")
-    if "syscall" in reads:
+    if sc:
         emit("syscall", sysno=number, args=tuple(regs[:4]))
 
     next_pc, result = pc + INSTR_SIZE, None
@@ -571,13 +571,11 @@ def _syscall(number: int, reads, m, t, pc, emit):
             return
         st.locks[r0] = t.tid
         t.locks_held = t.locks_held | {r0}
-        if "lock" in reads:
-            emit("lock", lock=r0)
+        emit("lock", lock=r0)
     elif number == SYS_UNLOCK:
         del st.locks[r0]
         t.locks_held = t.locks_held - {r0}
-        if "unlock" in reads:
-            emit("unlock", lock=r0)
+        emit("unlock", lock=r0)
         for tid in st.blocked.pop(r0, ()):
             bisect.insort(st.runnable, tid)
     elif number == SYS_ALLOC:
@@ -603,8 +601,7 @@ def _syscall(number: int, reads, m, t, pc, emit):
             seed = m.policy.seed  # the pattern's offset
             for i in range(r1):
                 st.memory[r0 + i] = (seed + i) & 0xFF
-            if "mem-write" in reads:
-                emit("mem-write", addr=r0, width=r1, src=("syscall", number))
+            emit("mem-write", addr=r0, width=r1, src=("syscall", number))
     elif number == SYS_PRINTF:
         if r0 >= MEMORY_SIZE:
             raise _Fault(f"unmapped address 0x{r0:08X}")
@@ -614,30 +611,26 @@ def _syscall(number: int, reads, m, t, pc, emit):
         t.trap_return = next_pc
         t.mode = MODE_KERNEL
         next_pc = st.trap_entry
-        if "mode-change" in reads:
-            emit("mode-change")
+        emit("mode-change")
     elif number == SYS_KRET:
         next_pc = t.trap_return
         t.trap_return = None
         t.mode = MODE_USER
-        if "mode-change" in reads:
-            emit("mode-change")
+        emit("mode-change")
     elif number == SYS_SET_TRAP:
         st.trap_entry = r0
     elif number == SYS_SPAWN:
         result, st.next_tid = st.next_tid, st.next_tid + 1  # no tid is reused
         st.threads[result] = _new_thread(result, pc=r0, stack_top=r1)
         st.runnable.append(result)  # the highest tid yet
-        if "spawn" in reads:
-            emit("spawn", new_tid=result)
+        emit("spawn", new_tid=result)
     elif number == SYS_YIELD:
         m.scheduler.expire_slice()
     elif number == SYS_EXIT_THREAD:
-        _end_thread(st, t, reads, emit)
+        _end_thread(st, t, emit)
     if result is not None:
         regs[0] = result
-        if "reg-write" in reads:
-            emit("reg-write", reg=0, value=result, src=("syscall", number))
+        emit("reg-write", reg=0, value=result, src=("syscall", number))
     t.pc = next_pc
 
 
@@ -655,9 +648,9 @@ _COMPILERS = {
     Opcode.BNE: _branch,
     **dict.fromkeys(
         (Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.CLI, Opcode.STI, Opcode.HALT),
-        lambda i, reads: functools.partial(_general, i.opcode, i.imm, reads),
+        lambda i, reads: functools.partial(_general, i.opcode, i.imm),
     ),
-    Opcode.SYS: lambda i, reads: functools.partial(_syscall, i.imm, reads),
+    Opcode.SYS: lambda i, reads: functools.partial(_syscall, i.imm, "syscall" in reads),
 }
 
 
@@ -745,16 +738,18 @@ class Machine:
         reads = frozenset(kind for kind, readers in by_kind.items() if readers)
         compile_, fetch = _compiler(reads), "fetch" in reads
 
-        # Called only for a kind in reads; reads the loop's current t,
-        # tid, step_no and pc.  Its parameters are Event's fields after
-        # the stamp, in order.
+        # Builds no Event for a kind nobody reads (beside the compiled flags
+        # and fetch, the one place that drops one).  Reads the loop's current
+        # t, tid, step_no and pc; its parameters are Event's fields after the stamp.
         def emit(kind, reg=None, value=None, addr=None, width=None, src=None, op=None,
                  rs=None, rt=None, sysno=None, args=None, lock=None, new_tid=None,
                  taken=None, base_reg=None):
-            e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, reg, value,
-                      addr, width, src, op, rs, rt, sysno, args, lock, new_tid, taken, base_reg)
-            for fn in by_kind[kind]:
-                fn(e)
+            if readers := by_kind[kind]:
+                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, reg, value,
+                          addr, width, src, op, rs, rt, sysno, args, lock, new_tid, taken,
+                          base_reg)
+                for fn in readers:
+                    fn(e)
 
         memory = st.memory
         while not st.halted and st.step_count < step_limit:

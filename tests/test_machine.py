@@ -20,6 +20,7 @@ from scvm.machine import (
     DEFAULT_STACK_TOP,
     EVENT_KINDS,
     HEAP_BASE,
+    MAX_LOCKS_HELD,
     ROUND_ROBIN,
     SEEDED_RANDOM,
     SYSCALL_NAMES,
@@ -385,6 +386,8 @@ def test_syscall_names_are_the_sixteen_syscalls():
         ("SYS 6\nHALT", GuestFault("unknown syscall 6", 0, 0x00, 0), False),
         ("SYS 99\nHALT", GuestFault("unknown syscall 99", 0, 0x00, 0), False),
         ("MOVI r0, 1\nSYS 49\nSYS 49\nHALT", GuestFault("recursive LOCK of 1", 0, 0x10, 2), False),
+        ("MOVI r0, 1\nMOVI r1, 1\nloop: SYS 49\nADD r0, r0, r1\nJMP loop",
+         GuestFault("LOCK of 49 past the cap of 48 locks held", 0, 0x10, 146), False),
         ("MOVI r0, 5\nSYS 50\nHALT",
          GuestFault("UNLOCK of lock 5 not held by tid 0", 0, 0x08, 1), False),
         ("start: MOVI r0, h\nSYS 18\nSYS 16\nHALT\nh: SYS 16",
@@ -398,9 +401,9 @@ def test_syscall_names_are_the_sixteen_syscalls():
         ("MOVI r0, 0xFFFF\nMOVI r1, 2\nSYS 3\nHALT",
          GuestFault("unmapped address 0x0000FFFF", 0, 0x10, 2), True),
     ],
-    ids=["unknown-5", "unknown-6", "unknown-99", "recursive-lock", "unlock-not-held",
-         "nested-kcall", "kcall-no-trap", "kret-outside-kcall", "open-past-end",
-         "printf-past-end", "read-net-past-end"],
+    ids=["unknown-5", "unknown-6", "unknown-99", "recursive-lock", "lock-past-cap",
+         "unlock-not-held", "nested-kcall", "kcall-no-trap", "kret-outside-kcall",
+         "open-past-end", "printf-past-end", "read-net-past-end"],
 )
 def test_syscall_fault_and_its_event(src, fault, emitted):
     got, lines = fault_trace(src)
@@ -754,6 +757,37 @@ def test_lock_held_appears_in_event_stamp():
     assert frozenset({3}) in held
     sys50 = [e for e in result.events if e.kind == "syscall" and e.sysno == 50][0]
     assert sys50.locks_held == frozenset({3})
+
+
+def test_a_thread_at_the_lock_cap_runs_on_and_locks_again_after_an_unlock():
+    """A thread may hold MAX_LOCKS_HELD locks; one UNLOCK makes room
+    for the next LOCK.  Each `lock` event's stamp is the held set as it
+    was then, not as it ends up."""
+    src = f"""
+        MOVI r0, 1
+        MOVI r1, 1
+        MOVI r2, {MAX_LOCKS_HELD + 1}
+loop:   SYS 49
+        ADD r0, r0, r1
+        CMP r0, r2
+        BNE loop
+        MOVI r0, {MAX_LOCKS_HELD}
+        SYS 50
+        MOVI r0, 100
+        SYS 49
+        MOVI r3, 7
+        HALT
+"""
+    machine, result = run_source(src)
+    assert MAX_LOCKS_HELD == 48
+    assert (result.outcome, machine.state.fault) == ("halt", None)
+    assert machine.state.threads[0].regs[3] == 7
+    held = frozenset(range(1, MAX_LOCKS_HELD)) | {100}
+    assert machine.state.threads[0].locks_held == held
+    assert machine.state.locks == dict.fromkeys(held, 0)
+    stamps = [e.locks_held for e in result.events if e.kind == "lock"]
+    assert [len(s) for s in stamps] == [*range(1, MAX_LOCKS_HELD + 1), MAX_LOCKS_HELD]
+    assert stamps[-2] == frozenset(range(1, MAX_LOCKS_HELD + 1)) and stamps[-1] == held
 
 
 def test_a_spawn_loop_runs_in_time_linear_in_its_steps():
@@ -1133,21 +1167,98 @@ def test_observer_receives_only_the_kinds_it_reads():
     assert full == alone.events
 
 
+# Reaches every emit site of the rarer opcodes and the syscalls: CALL,
+# JMP and RET; CLI and STI inside a KCALL, then KRET; SET_TRAP, ALLOC,
+# READ_NET, OPEN, LOCK, UNLOCK and SPAWN; a HALT and an EXIT_THREAD off
+# thread 0.  The LD, ADD, CMPI and BNE give the hot opcodes' kinds.
+EVERY_EMIT_SRC = """
+start:  MOVI r0, trap
+        SYS 18
+        SYS 16
+        CALL callee
+        MOVI r0, 16
+        SYS 1
+        MOVI r1, 8
+        SYS 3
+        LD r2, [r0]
+        MOVI r0, 0x9000
+        SYS 2
+        MOVI r0, 5
+        SYS 49
+        SYS 50
+        MOVI r1, 0xF000
+        MOVI r0, halter
+        SYS 48
+        MOVI r0, exiter
+        SYS 48
+        JMP wait
+wait:   MOVI r3, 1
+        ADD r4, r4, r3
+        CMPI r4, 4
+        BNE wait
+        HALT
+callee: RET
+trap:   CLI
+        STI
+        SYS 17
+halter: HALT
+exiter: SYS 52
+"""
+
+# Each (instruction, kind) whose Event only emit's own test drops when unread.
+EVERY_EMIT_SITE = {
+    ("CALL", "reg-write"), ("CALL", "branch"), ("JMP", "branch"), ("RET", "reg-read"),
+    ("RET", "branch"), ("CLI", "iflag-change"), ("STI", "iflag-change"),
+    ("HALT", "thread-exit"), ("SET_TRAP", "syscall"), ("KCALL", "mode-change"),
+    ("KRET", "mode-change"), ("ALLOC", "reg-write"), ("READ_NET", "mem-write"),
+    ("OPEN", "reg-write"), ("LOCK", "lock"), ("UNLOCK", "unlock"), ("SPAWN", "spawn"),
+    ("SPAWN", "reg-write"), ("EXIT_THREAD", "thread-exit"),
+}
+
+
+# Each guest above, with the (instruction, kind) pairs it reaches, a SYS
+# named by its call.
+EMIT_GUESTS = (
+    (OBSERVED_SRC, {("SPAWN", "spawn"), ("SPAWN", "reg-write"), ("HALT", "thread-exit")}),
+    (EVERY_EMIT_SRC, EVERY_EMIT_SITE),
+)
+
+
 def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
+    """For each guest and kind, a run whose one observer reads only that
+    kind builds exactly the Events it delivers, and a run with no
+    observer builds none: the compiled handlers' flags and emit drop the
+    rest."""
     built = []
 
     class CountingEvent(Event):
         def __init__(self, kind, *args, **kw):
-            built.append(kind)
+            built.append(self)
             super().__init__(kind, *args, **kw)
 
     monkeypatch.setattr(scvm.machine, "Event", CountingEvent)
-    machine = load(assemble(OBSERVED_SRC))
-    writes, got = _reader(("mem-write",))
-    machine.add_observer(writes)
-    machine.run(step_limit=200)
-    assert len(got) > 2
-    assert built == ["mem-write"] * len(got)
+    for src, sites in EMIT_GUESTS:
+        image = assemble(src)
+        whole = []
+        machine = load(image)
+        machine.add_observer(whole.append)
+        machine.run(step_limit=200)
+        name = {}  # step -> its instruction
+        for e in whole:
+            if e.kind in ("fetch", "syscall"):
+                name[e.step] = e.op if e.kind == "fetch" else SYSCALL_NAMES[e.sysno]
+        assert {(name[e.step], e.kind) for e in whole} >= sites
+        for kind in EVENT_KINDS:
+            built.clear()
+            machine = load(image)
+            reader, got = _reader((kind,))
+            machine.add_observer(reader)
+            machine.run(step_limit=200)
+            assert got == [e for e in whole if e.kind == kind], kind
+            assert len(built) == len(got) and all(a is b for a, b in zip(built, got)), kind
+        built.clear()
+        load(image).run(step_limit=200)
+        assert built == []
 
 
 def test_handler_caches_stay_bounded_across_many_read_sets():

@@ -331,6 +331,11 @@ SPAWN_HALT_LOOP = "MOVI r1, 0xF000\nmain: MOVI r0, child\nSYS 48\nJMP main\nchil
 FALLING_TOP_LOOP = ("MOVI r1, 0xE000\nMOVI r2, -4\nmain: MOVI r0, child\nADD r1, r1, r2\n"
                     "SYS 48\nJMP main\nchild: HALT\n")
 
+# Each pass LOCKs one more lock, until the thread holds MAX_LOCKS_HELD.
+LOCK_LOOP = "MOVI r0, 1\nMOVI r1, 1\nloop: SYS 49\nADD r0, r0, r1\nJMP loop\n"
+# Each pass ALLOCs a new object and reads it unchecked: one more warning.
+WARNING_FLOOD = "loop: MOVI r0, 4\nSYS 1\nLDB r1, [r0]\nJMP loop\n"
+
 
 def _bare(image, steps):
     return load(image).run(steps)
@@ -346,13 +351,21 @@ def _checked(*checkers):
     (SPAWN_HALT_LOOP, _bare),
     (SPAWN_HALT_LOOP, _checked(*CHECKER_ORDER)),
     (FALLING_TOP_LOOP, _checked("lockset")),
+    (LOCK_LOOP, _bare),
+    (LOCK_LOOP, _checked(*CHECKER_ORDER)),
+    pytest.param(WARNING_FLOOD, _checked("null"), marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 12: one warning per ALLOC keeps memory growing; "
+        "one entry per site changes the report format, and bench/guests.py::taint_copy "
+        "expects two FMT_TAINTED at one pc, so a benchmark change comes first")),
 ], ids=["check-note", "taint-sources", "dead-threads-bare", "dead-threads-checked",
-        "falling-top-spawns"])
+        "falling-top-spawns", "lock-loop-bare", "lock-loop-checked", "warning-flood"])
 def test_a_guest_loop_runs_in_linear_time_and_bounded_memory(source, run):
     """A step costs the same however many came before it: a note stops
     growing at NOTE_CAP, the untrusted ranges are one flag per guest
-    byte, not a list that each read scans, and an ended thread leaves
-    the machine's thread table and the shadow's register cells."""
+    byte, not a list that each read scans, an ended thread leaves the
+    machine's thread table and the shadow's register cells, and a
+    thread's held-lock set, copied at each LOCK, stops at
+    MAX_LOCKS_HELD."""
     image = assemble(source)
     time, memory = steps_growth(lambda steps: run(image, steps), 10_000)
     assert time < 8 and memory < 1.5, (time, memory)
