@@ -18,8 +18,8 @@ Shipped checkers:
                                     user-supplied addresses touched in
                                     kernel mode without the matching
                                     check, or with interrupts disabled
-    fmt      FMT_TAINTED            network-derived bytes reaching a
-                                    format-string argument
+    fmt      FMT_TAINTED            untrusted bytes (network, SYS 34/35)
+                                    reaching a format-string argument
     lockset  RACE_EMPTY_LOCKSET     no single lock protects a shared
                                     word across all observed accesses
 """
@@ -162,7 +162,7 @@ class UserChecker:
 
 class FmtChecker:
     """Format strings must not contain bytes derived from an untrusted
-    source.  Scans the guest string at each PRINTF."""
+    source, TAINTED or in a SYS 35 range.  Scans each PRINTF's string."""
 
     name = "fmt"
     kinds = ("syscall",)
@@ -176,16 +176,18 @@ class FmtChecker:
             return
         addr = e.args[0]
         data, terminated = read_cstr(self.machine.state.memory, addr, CSTR_CAP)
+        sources = self.shadow.taint_sources  # a SYS 35 byte no load read holds no tag
         for a in range(addr, addr + len(data)):
             obj = self.shadow.mem_object(a)
-            if TagKind.TAINTED in obj.tags:
+            if (tagged := TagKind.TAINTED in obj.tags) or sources is not None and sources[a]:
                 break
         else:
             return
-        detail = f"tainted byte at format offset {a - addr} ({obj.note})"
+        note, ident = (obj.note, obj.id) if tagged else ("untrusted source range", None)
+        detail = f"tainted byte at format offset {a - addr} ({note})"
         if not terminated:
             detail += f"; no NUL within {CSTR_CAP} bytes, scan truncated"
-        yield Warning.at(e, self.name, RULE_FMT_TAINTED, detail, a, obj.id)
+        yield Warning.at(e, self.name, RULE_FMT_TAINTED, detail, a, ident)
 
 
 class LocksetChecker:

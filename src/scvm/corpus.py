@@ -1,11 +1,11 @@
 """Corpus plumbing: discover entries, run them, diff against manifests.
 
-An entry is a <name>.s / <name>.manifest pair in one directory.  Every
-entry runs with all checkers enabled under the policy its manifest
-pins.  Seeded entries expect specific warnings at labeled sites; clean
-twins expect none.  Expectations marked false-positive count separately
-in the tally: they are warnings the analysis is known to emit on code
-that is actually fine.
+An entry is a <name>.s / <name>.manifest pair in one directory; the
+shipped directory is the entry list.  Every entry runs with all
+checkers enabled under the policy its manifest pins.  Seeded entries
+expect specific warnings at labeled sites; clean twins expect none.
+Expectations marked false-positive count separately in the tally: they
+are warnings the analysis is known to emit on code that is actually fine.
 """
 
 from __future__ import annotations
@@ -16,28 +16,6 @@ from pathlib import Path
 from .asm import assemble, read_utf8
 from .driver import RunConfig, analyze
 from .report import Manifest, ManifestError, Verdict, diff, parse_manifest
-
-#: Scenario coverage the shipped corpus must keep: one entry per rule
-#: demonstration plus its clean twin where bounding false positives
-#: needs one.
-REQUIRED_ENTRIES = (
-    "null_deref",
-    "null_deref_clean",
-    "null_alias_clean",
-    "fd_null",
-    "fd_null_clean",
-    "aliased_check",
-    "aliased_check_bug",
-    "poll_bug",
-    "irq_off",
-    "fmt_taint",
-    "fmt_clean",
-    "fmt_copy",
-    "fmt_sanitized",
-    "race_seeded",
-    "race_clean",
-    "single_thread_lockless",
-)
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,6 @@ class Scheduler:
 class RunResult:
     state: MachineState
     outcome: str  # "halt", "fault" or "timeout"
-    steps: int
 
 
 def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
@@ -598,7 +597,7 @@ def _syscall(number: int, sc: bool, m, t, pc, emit):
         if r1 > 0:
             if r0 + r1 > MEMORY_SIZE:
                 raise _Fault(f"unmapped address 0x{r0:08X}")
-            seed = m.policy.seed  # the pattern's offset
+            seed = m.scheduler.policy.seed  # the pattern's offset
             for i in range(r1):
                 st.memory[r0 + i] = (seed + i) & 0xFF
             emit("mem-write", addr=r0, width=r1, src=("syscall", number))
@@ -706,8 +705,7 @@ class Machine:
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
         self.state = state
-        self.policy = policy or SchedulerPolicy()
-        self.scheduler = Scheduler(self.policy)
+        self.scheduler = Scheduler(policy or SchedulerPolicy())
         self.observers: list = []
 
     def add_observer(self, fn) -> None:
@@ -779,7 +777,7 @@ class Machine:
                 st.halted = True
             st.step_count = step_no + 1
         outcome = "fault" if st.fault is not None else "halt" if st.halted else "timeout"
-        return RunResult(state=st, outcome=outcome, steps=st.step_count)
+        return RunResult(state=st, outcome=outcome)
 
 
 def load(image: ProgramImage, policy: SchedulerPolicy | None = None) -> Machine:

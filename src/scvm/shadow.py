@@ -15,6 +15,7 @@ observing a live run.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 from collections.abc import Callable
@@ -77,6 +78,7 @@ class ShadowState:
 
     Memory cells are sparse: a byte with no entry in `mem_cells` holds
     the shared untagged object, so untouched memory costs nothing.
+    `reg_cells[tid]`, a thread's registers, starts untagged on first use.
 
     `trace`, when set to a callable, is handed a line per cell/tag
     update ("cell r0@t1 -> object 3 tags {USER_UNCHECKED}").
@@ -86,7 +88,8 @@ class ShadowState:
         self._ids = itertools.count(1)
         self.untagged = TypeObject(0, set(), "untagged")
         self.mem_cells: dict = {}
-        self.reg_cells: dict = {}
+        # The default binds the untagged object, not the shadow.
+        self.reg_cells = collections.defaultdict(lambda u=self.untagged: [u] * NUM_REGS)
         self.taint_sources: bytearray | None = None  # per byte: in a SYS 35 range?
         self.trace = trace
 
@@ -95,21 +98,14 @@ class ShadowState:
     def fresh(self, tags, note="") -> TypeObject:
         return TypeObject(next(self._ids), set(tags), note)
 
-    def _regs(self, tid: int) -> list:
-        cells = self.reg_cells.get(tid)
-        if cells is None:
-            cells = [self.untagged] * NUM_REGS
-            self.reg_cells[tid] = cells
-        return cells
-
     def reg_object(self, tid: int, reg: int) -> TypeObject:
-        return self._regs(tid)[reg]
+        return self.reg_cells[tid][reg]
 
     def mem_object(self, addr: int) -> TypeObject:
         return self.mem_cells.get(addr, self.untagged)
 
     def _set_reg(self, tid: int, reg: int, obj: TypeObject):
-        self._regs(tid)[reg] = obj
+        self.reg_cells[tid][reg] = obj
         if self.trace is not None:
             self.trace(
                 f"cell r{reg}@t{tid} -> object {obj.id} tags {_fmt_tags(obj.tags)}"
@@ -161,7 +157,7 @@ class ShadowState:
 
     def _source_object(self, e: Event) -> TypeObject:
         src = e.src
-        regs = self._regs(e.tid)
+        regs = self.reg_cells[e.tid]
         if src[0] == "imm":
             return self.untagged
         if src[0] == "reg":
@@ -216,7 +212,7 @@ class ShadowState:
         # allocation/descriptor object the left register aliases.
         if e.value != 0:
             return
-        obj = self._regs(e.tid)[e.rs]
+        obj = self.reg_cells[e.tid][e.rs]
         if obj.tags & NULLABLE_TAGS and TagKind.NULL_CHECKED not in obj.tags:
             self._add_tag(obj, TagKind.NULL_CHECKED)
 
@@ -228,7 +224,7 @@ class ShadowState:
             for i in range(4):
                 self._set_reg(e.tid, i, self.fresh({TagKind.USER_UNCHECKED}, "syscall boundary"))
         elif n in (SYS_CHECK_USER_READ, SYS_CHECK_USER_WRITE):
-            obj = self._regs(e.tid)[0]
+            obj = self.reg_cells[e.tid][0]
             if TagKind.USER_UNCHECKED in obj.tags:
                 tag = (TagKind.USER_READ_CHECKED if n == SYS_CHECK_USER_READ
                        else TagKind.USER_WRITE_CHECKED)
@@ -236,7 +232,7 @@ class ShadowState:
                 if len(obj.note) < NOTE_CAP:
                     obj.note += f"; checked len={e.args[1]} at pc 0x{e.pc:04X}"
         elif n == SYS_TAG_TAINT:
-            obj = self._regs(e.tid)[0]
+            obj = self.reg_cells[e.tid][0]
             if obj is self.untagged:
                 self._set_reg(e.tid, 0, self.fresh({TagKind.TAINTED}, "tagged by hypercall"))
             else:

@@ -27,7 +27,7 @@ from scvm.checkers import (
     run_checkers,
 )
 from scvm.cli import main
-from scvm.corpus import REQUIRED_ENTRIES, discover, run_corpus, run_entry, shipped_dir
+from scvm.corpus import discover, run_corpus, run_entry, shipped_dir
 from scvm.driver import RunConfig, analyze
 from scvm.machine import (
     HEAP_BASE,
@@ -43,6 +43,7 @@ from scvm.report import REPORT_VERSION, serialize
 from helpers import (
     analysis_outputs,
     brute_force_first_empty,
+    corpus_names,
     corpus_source,
     full_delivery,
     live_and_replayed,
@@ -259,7 +260,7 @@ def test_happens_before_races_are_lockset_warnings():
             assert races == warned == {HEAP_BASE}, policy
         warnings += len(warned)
         not_races += len(warned - races)
-    assert len(runs) == len(REQUIRED_ENTRIES) + 4 * len(RACE_SWEEP_POLICIES)
+    assert len(runs) == len(corpus_names()) + 4 * len(RACE_SWEEP_POLICIES)
     return f"{not_races} of {warnings} lockset warnings over {len(runs)} runs are not races"
 
 
@@ -298,7 +299,7 @@ def test_replayed_streams_give_the_live_warnings():
     # The child ran its write to 0x83FC, on its own stack, so no warning.
     assert 1 not in live.state.threads and live.state.next_tid == 2
     assert live.warnings == []
-    assert len(runs) == 2 * len(REQUIRED_ENTRIES) + 1
+    assert len(runs) == 2 * len(corpus_names()) + 1
     return f"{warnings} warnings over {len(runs)} runs"
 
 
@@ -414,7 +415,7 @@ def test_golden_traces():
         digest.update(f"{label}\n{code}\n{len(parent_order)}\n{parent_order}".encode())
         interleaved.update(f"{label}\n{code}\n{len(out)}\n{out}".encode())
         n += 1
-    assert n == len(REQUIRED_ENTRIES) * len(GOLDEN_POLICIES) * len(GOLDEN_COMMANDS)
+    assert n == len(corpus_names()) * len(GOLDEN_POLICIES) * len(GOLDEN_COMMANDS)
     assert digest.hexdigest() == GOLDEN_TRACES_SHA256
     assert interleaved.hexdigest() == GOLDEN_INTERLEAVED_SHA256
 

@@ -302,6 +302,32 @@ start: MOVI r0, 0x51
     assert rules_of(result) == [RULE_FMT_TAINTED]
 
 
+UNTRUSTED_FORMAT = """
+start: MOVI r0, buf
+       MOVI r1, 8
+       SYS 35            ; buf is an untrusted source range
+       MOVI r0, buf
+{load}psite: SYS 4
+       HALT
+buf:   .asciiz "%s%s%s"
+"""
+
+
+@pytest.mark.parametrize("load, object_id, note", [
+    ("", None, "untrusted source range"),
+    ("LDB r2, [r0]\n", 1, "read from untrusted source range"),
+])
+def test_untrusted_source_range_reaches_printf_read_or_not(load, object_id, note):
+    """A format string straight from a SYS 35 range warns at its first
+    byte.  Unread, that byte holds no object (the shadow mints one only
+    at a load), so the warning carries its address and no object id."""
+    image, result = run_program(UNTRUSTED_FORMAT.format(load=load), checkers=("fmt",))
+    (w,) = result.warnings
+    assert (w.rule, w.pc, w.address) == (RULE_FMT_TAINTED, image.symbols["psite"],
+                                         image.symbols["buf"])
+    assert (w.object_id, w.detail) == (object_id, f"tainted byte at format offset 0 ({note})")
+
+
 # -- lockset unit behavior -------------------------------------------------
 
 

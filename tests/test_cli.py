@@ -15,8 +15,8 @@ import pytest
 import scvm
 from scvm import RunConfig, analyze
 from scvm.asm import read_image
-from scvm.cli import _BLOCK_LINES, main
-from scvm.corpus import shipped_dir
+from scvm.cli import _BLOCK_LINES, entry, main
+from scvm.corpus import run_corpus, shipped_dir
 from scvm.machine import format_event, load
 from scvm.report import parse, serialize
 from scvm.shadow import ShadowState
@@ -324,6 +324,27 @@ def test_corpus_shipped_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 16
     assert "16 entries:" in out
+
+
+def test_module_entry_point_runs_the_corpus_and_rejects_an_unknown_command(monkeypatch, capsys):
+    """`python -m scvm`, run from the checkout's src: the corpus exits 0
+    and prints the tally line last, and an unknown subcommand exits 2.
+    cli.entry, called in process, gives the same codes and output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def shell(*argv):
+        return subprocess.run([sys.executable, "-m", "scvm", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    corpus, unknown = shell("corpus"), shell("frob")
+    assert corpus.returncode == 0, corpus.stderr
+    assert corpus.stdout.splitlines()[-1] == run_corpus().format_table().splitlines()[-1]
+    assert unknown.returncode == 2 and "invalid choice: 'frob'" in unknown.stderr
+    for argv, done in ((["corpus"], corpus), (["frob"], unknown)):
+        monkeypatch.setattr(sys, "argv", ["scvm", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            entry()
+        assert (exit_.value.code, capsys.readouterr().out) == (done.returncode, done.stdout)
 
 
 def test_corpus_explicit_directory(capsys):

@@ -3,7 +3,6 @@
 import pytest
 
 from scvm.corpus import (
-    REQUIRED_ENTRIES,
     discover,
     run_corpus,
     run_entry,
@@ -19,11 +18,6 @@ from helpers import corpus_source
 @pytest.fixture(scope="module")
 def corpus_result():
     return run_corpus()
-
-
-def test_every_required_entry_ships():
-    names = {e.name for e in discover(shipped_dir())}
-    assert names == set(REQUIRED_ENTRIES)
 
 
 def test_all_entries_pass(corpus_result):

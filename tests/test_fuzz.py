@@ -30,7 +30,6 @@ from hypothesis import given, settings, strategies as st
 import scvm.machine
 from scvm import RunConfig, analyze
 from scvm.asm import ProgramImage, assemble
-from scvm.corpus import REQUIRED_ENTRIES
 from scvm.isa import IMM_MAX, IMM_MIN, INSTR_SIZE, Instruction, Opcode, encode
 from scvm.machine import (
     EVENT_KINDS,
@@ -52,6 +51,7 @@ from scvm.machine import (
 from helpers import (
     analysis_outputs,
     assert_scheduled_like_the_general_pick,
+    corpus_names,
     corpus_source,
     full_delivery,
     live_and_replayed,
@@ -368,7 +368,7 @@ def test_random_images_deliver_each_read_set_its_filtered_stream(
     _assert_each_read_set_sees_the_filtered_stream(_image(prelude, body), policy, read_sets)
 
 
-@pytest.mark.parametrize("name", REQUIRED_ENTRIES)
+@pytest.mark.parametrize("name", corpus_names())
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32), read_sets=_read_sets)
 def test_corpus_entries_deliver_each_read_set_its_filtered_stream(name, seed, read_sets):

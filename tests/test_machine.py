@@ -13,7 +13,6 @@ from hypothesis import example, given, strategies as st
 
 import scvm.machine
 from scvm.asm import assemble
-from scvm.corpus import REQUIRED_ENTRIES
 from scvm.isa import Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
@@ -40,6 +39,7 @@ from scvm.machine import (
 from helpers import (
     assert_scheduled_like_the_general_pick,
     assert_waiters_wait,
+    corpus_names,
     corpus_source,
     general_pick,
     rebuilt_runnable,
@@ -301,7 +301,7 @@ def test_load_places_image_and_inits_thread_zero():
 def test_timeout_runs_exactly_the_limit():
     _, result = run_source("spin: JMP spin", step_limit=57)
     assert result.outcome == "timeout"
-    assert result.steps == 57
+    assert result.state.step_count == 57
 
 
 # -- syscalls ----------------------------------------------------------
@@ -700,7 +700,7 @@ def test_random_thread_images_keep_runnable_and_pick_like_the_general_path(kind,
 @pytest.mark.parametrize("kind", [ROUND_ROBIN, SEEDED_RANDOM])
 def test_corpus_entries_keep_runnable_and_pick_like_the_general_path(kind, quantum):
     policy = SchedulerPolicy(kind, quantum, 11)
-    for name in REQUIRED_ENTRIES:
+    for name in corpus_names():
         assert_scheduled_like_the_general_pick(assemble(corpus_source(name)), policy, 2_000)
 
 
@@ -883,7 +883,7 @@ worker: MOVI r0, 2
     assert machine.state.fault == GuestFault(
         "deadlock: all live threads blocked", tid=0, pc=0x40, step=13
     )
-    assert result.steps == 13
+    assert result.state.step_count == 13
 
 
 def test_deadlock_fault_names_a_waiting_thread_not_the_one_that_ended():
@@ -915,7 +915,7 @@ def test_exit_thread_alone_is_a_clean_halt():
     machine, result = run_source("SYS 52")
     assert result.outcome == "halt"
     assert machine.state.fault is None
-    assert result.steps == 1
+    assert result.state.step_count == 1
 
 
 def test_worker_outlives_thread_zero():
@@ -935,7 +935,7 @@ worker: MOVI r2, 0x4000
     assert machine.state.memory[0x4000] == 7
     exits = [(e.tid, e.step) for e in result.events if e.kind == "thread-exit"]
     assert [tid for tid, _ in exits] == [0, 1]
-    assert result.steps == exits[-1][1] + 1
+    assert result.state.step_count == exits[-1][1] + 1
 
 
 def test_exit_thread_keeps_locks():
@@ -1088,7 +1088,6 @@ def test_repeated_runs_are_identical(policy):
     (first, first_trace), (second, second_trace) = traced_run(), traced_run()
     assert first_trace == second_trace
     assert first.state == second.state
-    assert first.steps == second.steps
 
 
 @pytest.mark.parametrize(
@@ -1111,12 +1110,12 @@ def test_run_resumes_where_it_stopped(policy):
 
     whole, _ = recorded(10_000)
     assert whole.outcome == "halt"
-    for n in (whole.steps // 2, 10_000):
+    for n in (whole.state.step_count // 2, 10_000):
         one, one_events = recorded(n)
-        for k in range(1, min(n, whole.steps)):
+        for k in range(1, min(n, whole.state.step_count)):
             split, split_events = recorded(k, n)
             assert split.state == one.state
-            assert (split.outcome, split.steps) == (one.outcome, one.steps)
+            assert split.outcome == one.outcome
             assert split_events == one_events
 
 
@@ -1277,7 +1276,7 @@ def test_handler_caches_stay_bounded_across_many_read_sets():
         result = machine.run(step_limit=200)
         assert scvm.machine._compiler.cache_info().currsize <= bound
         assert result.state == bare.state, kinds
-        assert (result.outcome, result.steps) == (bare.outcome, bare.steps)
+        assert result.outcome == bare.outcome
     assert scvm.machine._compiler.cache_info().currsize == bound
 
 

@@ -23,7 +23,6 @@ here with its reason; none has turned up, so none is listed.
 from hypothesis import given, settings, strategies as st
 
 from scvm.asm import assemble
-from scvm.corpus import REQUIRED_ENTRIES
 from scvm.isa import NUM_REGS
 from scvm.machine import (
     HEAP_BASE,
@@ -41,7 +40,7 @@ from scvm.machine import (
 from scvm.report import parse_manifest
 from scvm.shadow import ShadowState, TagKind
 
-from helpers import corpus_manifest_text, corpus_source
+from helpers import corpus_manifest_text, corpus_names, corpus_source
 
 MINTED_BY = {
     SYS_ALLOC: TagKind.ALLOC_UNCHECKED,
@@ -222,6 +221,6 @@ def test_shadow_follows_the_byte_model_on_random_programs(prelude, body):
 
 def test_shadow_follows_the_byte_model_on_the_corpus():
     """Threads, PRINTF and the shipped guests' own idioms."""
-    for name in REQUIRED_ENTRIES:
+    for name in corpus_names():
         policy = parse_manifest(corpus_manifest_text(name)).policy
         assert assert_shadow_follows_the_model(assemble(corpus_source(name)), policy, 10_000)
