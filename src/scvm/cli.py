@@ -18,8 +18,8 @@ processing emits.  Event lines go out in blocks of at most 32 lines,
 one write per block; a shadow line starts a new write, so no write
 holds two of them.  Memory stays bounded and the bytes are those of one
 line per write; the last block goes out when the run ends, however it
-ends.  An event line's pc, kind and register operands are rendered once
-per code site (machine.format_event).
+ends.  Each kind's event line is one f-string compiled from its
+machine.EVENT_FIELDS; a shadow line renders each distinct tag set once.
 """
 
 from __future__ import annotations

@@ -98,13 +98,20 @@ SYS_EXIT_THREAD = 52
 # Each syscall named once, by its constant: {1: "ALLOC", ...}.
 SYSCALL_NAMES = {n: name[4:] for name, n in dict(globals()).items() if name.startswith("SYS_")}
 
-# Every kind of event the machine emits, the reading list of an
-# observer that declares no `kinds`.
-EVENT_KINDS = (
-    "fetch", "reg-read", "reg-write", "mem-read", "mem-write", "binop", "compare",
-    "branch", "syscall", "lock", "unlock", "spawn", "thread-exit", "mode-change",
-    "iflag-change",
-)
+# Each kind of event the machine emits (EVENT_KINDS, what an observer with
+# no `kinds` reads) and its operand fields, in trace order.  A field marked
+# "?" may be None (READ_NET's mem-write has no value or base register, CMPI
+# no rt); a field its kind does not list is None.
+EVENT_FIELDS = {
+    "fetch": ("op",), "reg-read": ("reg", "value"), "reg-write": ("reg", "value", "src"),
+    "mem-read": ("addr", "width", "value", "base_reg"),
+    "mem-write": ("addr", "width", "value?", "base_reg?", "src"),
+    "binop": ("op", "reg", "rs", "rt", "value"), "compare": ("rs", "rt?", "value"),
+    "branch": ("addr", "taken"), "syscall": ("sysno", "args"),
+    "lock": ("lock",), "unlock": ("lock",), "spawn": ("new_tid",),
+    "thread-exit": (), "mode-change": (), "iflag-change": (),
+}
+EVENT_KINDS = tuple(EVENT_FIELDS)
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "seeded-random"
@@ -128,8 +135,8 @@ class _Fault(Exception):
 
 @dataclass(slots=True)
 class Event:
-    """One observable machine action.  Unused operand fields stay None.
-    Slotted, not frozen: observers must not mutate an event."""
+    """One observable machine action, its operand fields set as its kind's
+    EVENT_FIELDS say.  Slotted, not frozen: observers must not mutate an event."""
 
     kind: str
     step: int
@@ -154,21 +161,24 @@ class Event:
     base_reg: int | None = None
 
 
+# Each operand field's trace text, `@` standing for its value.  The code
+# word fixes op, reg, rs and rt, which lead every kind's fields.
+_FIELD_TEXT = {
+    "op": "op={@} ", "reg": "reg=r{@} ", "rs": "rs=r{@} ", "rt": "rt=r{@} ",
+    "addr": "addr=0x{@:04X} ", "width": "width={@} ", "value": "value=0x{@ & M32:08X} ",
+    "base_reg": "base=r{@} ",
+    "src": '{f"src=mem:0x{@[1]:04X}:{@[2]} " if @[0] == "mem" else _fmt_code_src(@)}',
+    "sysno": "sys={SYSCALL_NAMES.get(@, @)} ",
+    "args": 'args={",".join(map("0x{:08X}".format, @))} ',
+    "lock": "lock={@} ", "new_tid": "new_tid={@} ", "taken": "taken={int(@)} ",
+}
+
+
 @functools.lru_cache(maxsize=8192)
-def _fmt_head(pc: int, kind: str, op, reg, rs, rt) -> str:
-    """`\\t0x{pc}\\t{kind}\\t` and the op=, reg=, rs=, rt= fields: the code
-    word at pc fixes them, so each emit site renders them once.  Keyed on
-    the values, not the pc, so code written at run time renders right."""
-    s = f"\t0x{pc:04X}\t{kind}\t"
-    if op is not None:
-        s += f"op={op} "
-    if reg is not None:
-        s += f"reg=r{reg} "
-    if rs is not None:
-        s += f"rs=r{rs} "
-    if rt is not None:
-        s += f"rt=r{rt} "
-    return s
+def _fmt_head(pc: int, kind: str, *site) -> str:
+    """`\\t0x{pc}\\t{kind}\\t` and the site fields, once per emit site: keyed
+    on their values, not on the pc alone, so code written at run time renders right."""
+    return _RENDERERS[kind].head(pc, *site)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -186,32 +196,36 @@ def _fmt_stamp(mode: str, iflag: bool, locks_held: frozenset) -> str:
     return f"mode={mode} iflag={int(iflag)} locks={{{locks}}}"
 
 
+def _text(field: str, expr: str) -> str:
+    """f-string text of one EVENT_FIELDS entry whose value is expr."""
+    name = field.rstrip("?")
+    text = _FIELD_TEXT[name].replace("@", expr)
+    return text if field == name else f'{{"" if {expr} is None else f"{text}"}}'
+
+
+def _renderer(kind: str, fields: tuple):
+    """kind's trace line as one f-string compiled from its EVENT_FIELDS, which
+    tests only optional fields for None; `head` renders the leading site fields."""
+    site = [f.rstrip("?") for f in fields if f.rstrip("?") in ("op", "reg", "rs", "rt")]
+    head = "".join(_text(f, f.rstrip("?")) for f in fields[: len(site)])
+    tail = "".join(_text(f, "e." + f.rstrip("?")) for f in fields[len(site) :])
+    args = "".join(f", e.{f}" for f in site)
+    scope = {}
+    exec(f"def head(pc, {', '.join(site)}):\n"
+         f"    return f'\\t0x{{pc:04X}}\\t{kind}\\t{head}'\n"
+         f"def render(e):\n"
+         f"    return f'{{e.step}}\\t{{e.tid}}{{_fmt_head(e.pc, \"{kind}\"{args})}}{tail}"
+         f"{{_fmt_stamp(e.mode, e.iflag, e.locks_held)}}'\n", globals(), scope)
+    scope["render"].head = scope["head"]
+    return scope["render"]
+
+
+_RENDERERS = {kind: _renderer(kind, fields) for kind, fields in EVENT_FIELDS.items()}
+
+
 def format_event(e: Event) -> str:
-    """Stable one-line rendering: step, tid, pc, kind, operands.  Only
-    the fields the run decides are formatted here, per event; the rest
-    come from the caches above."""
-    s = f"{e.step}\t{e.tid}" + _fmt_head(e.pc, e.kind, e.op, e.reg, e.rs, e.rt)
-    if e.addr is not None:
-        s += f"addr=0x{e.addr:04X} "
-    if e.width is not None:
-        s += f"width={e.width} "
-    if e.value is not None:
-        s += f"value=0x{e.value & M32:08X} "
-    if e.base_reg is not None:
-        s += f"base=r{e.base_reg} "
-    if (src := e.src) is not None:
-        s += f"src=mem:0x{src[1]:04X}:{src[2]} " if src[0] == "mem" else _fmt_code_src(src)
-    if e.sysno is not None:
-        s += f"sys={SYSCALL_NAMES.get(e.sysno, e.sysno)} "
-    if e.args is not None:
-        s += f"args={','.join(f'0x{a:08X}' for a in e.args)} "
-    if e.lock is not None:
-        s += f"lock={e.lock} "
-    if e.new_tid is not None:
-        s += f"new_tid={e.new_tid} "
-    if e.taken is not None:
-        s += f"taken={int(e.taken)} "
-    return s + _fmt_stamp(e.mode, e.iflag, e.locks_held)
+    """Stable one-line rendering: step, tid, pc, kind, operands, stamp."""
+    return _RENDERERS[e.kind](e)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -67,9 +68,9 @@ class TypeObject:
     note: str = ""
 
 
-def _fmt_tags(tags) -> str:
-    if not tags:
-        return "{}"
+@functools.lru_cache(maxsize=2 ** len(TagKind))
+def _fmt_tags(tags: frozenset) -> str:
+    """Trace text, once per distinct tag set: keyed on contents, as tags change."""
     return "{%s}" % ",".join(sorted(t.name for t in tags))
 
 
@@ -108,20 +109,20 @@ class ShadowState:
         self.reg_cells[tid][reg] = obj
         if self.trace is not None:
             self.trace(
-                f"cell r{reg}@t{tid} -> object {obj.id} tags {_fmt_tags(obj.tags)}"
+                f"cell r{reg}@t{tid} -> object {obj.id} tags {_fmt_tags(frozenset(obj.tags))}"
             )
 
     def _set_mem(self, addr: int, obj: TypeObject):
         self.mem_cells[addr] = obj
         if self.trace is not None:
             self.trace(
-                f"cell 0x{addr:04X} -> object {obj.id} tags {_fmt_tags(obj.tags)}"
+                f"cell 0x{addr:04X} -> object {obj.id} tags {_fmt_tags(frozenset(obj.tags))}"
             )
 
     def _add_tag(self, obj: TypeObject, tag: TagKind):
         obj.tags.add(tag)
         if self.trace is not None:
-            self.trace(f"object {obj.id} tags {_fmt_tags(obj.tags)}")
+            self.trace(f"object {obj.id} tags {_fmt_tags(frozenset(obj.tags))}")
 
     # -- event propagation ------------------------------------------
 

@@ -30,6 +30,7 @@ from scvm.checkers import (
 from scvm.driver import RunConfig, analyze
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
+    EVENT_KINDS,
     HEAP_BASE,
     HEAP_LIMIT,
     MEMORY_SIZE,
@@ -699,11 +700,6 @@ def test_happens_before_oracle_splits_wide_accesses_and_asks_tracked():
 
 # -- per-kind dispatch -------------------------------------------------------
 
-EVENT_KINDS = (
-    "fetch", "reg-read", "reg-write", "mem-read", "mem-write", "binop", "compare",
-    "branch", "syscall", "lock", "unlock", "spawn", "thread-exit", "mode-change",
-    "iflag-change",
-)
 SYSCALLS = (SYS_ALLOC, SYS_OPEN, SYS_READ_NET, SYS_PRINTF, SYS_KCALL, SYS_CHECK_USER_READ,
             SYS_CHECK_USER_WRITE, SYS_TAG_TAINT, SYS_TAG_UNTRUSTED_SOURCE, SYS_LOCK, SYS_SPAWN)
 BUF = HEAP_BASE  # every address and PRINTF string lies in these 32 bytes

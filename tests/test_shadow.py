@@ -5,6 +5,7 @@ machine) and synthetic event streams fed straight into ShadowState,
 which pins down propagation rules one event at a time.
 """
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from scvm import RunConfig, analyze, assemble
 from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
 from scvm.isa import MEMORY_SIZE
 from scvm.machine import Event, SchedulerPolicy, load
-from scvm.shadow import NOTE_CAP, ShadowState, TagKind
+from scvm.shadow import NOTE_CAP, ShadowState, TagKind, _fmt_tags
 
 from helpers import run_program, steps_growth
 
@@ -550,6 +551,33 @@ def test_trace_records_cell_updates():
     assert trace == ["cell r0@t1 -> object 1 tags {ALLOC_UNCHECKED}"]
     sh.on_event(ev("compare", tid=1, rs=0, value=0))
     assert trace[-1] == "object 1 tags {ALLOC_UNCHECKED,NULL_CHECKED}"
+
+
+def test_every_tag_set_renders_as_its_sorted_names():
+    """All 2**7 subsets of TagKind, twice: the second pass reads the cache."""
+    subsets = [set(c) for n in range(len(TagKind) + 1)
+               for c in itertools.combinations(TagKind, n)]
+    assert len(subsets) == 128
+    for _ in range(2):
+        for tags in subsets:
+            names = sorted(t.name for t in tags)
+            assert _fmt_tags(frozenset(tags)) == "{" + ",".join(names) + "}"
+
+
+def test_a_tag_added_after_a_line_shows_in_the_next_line():
+    """Tag text is keyed on the tags an object holds, not on the object."""
+    trace = []
+    sh = ShadowState(trace=trace.append)
+    alloc_into(sh, reg=0)
+    sh.on_event(ev("reg-write", reg=4, value=0x8000, src=("reg", 0)))
+    sh.on_event(ev("compare", rs=4, value=0))
+    sh.on_event(ev("reg-write", reg=5, value=0x8000, src=("reg", 0)))
+    assert trace == [
+        "cell r0@t0 -> object 1 tags {ALLOC_UNCHECKED}",
+        "cell r4@t0 -> object 1 tags {ALLOC_UNCHECKED}",
+        "object 1 tags {ALLOC_UNCHECKED,NULL_CHECKED}",
+        "cell r5@t0 -> object 1 tags {ALLOC_UNCHECKED,NULL_CHECKED}",
+    ]
 
 
 def test_a_fresh_shadow_state_is_small():

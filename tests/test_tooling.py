@@ -30,6 +30,7 @@ from scvm.checkers import (
     make_checkers,
 )
 from scvm.machine import (
+    EVENT_FIELDS,
     EVENT_KINDS,
     HEAP_BASE,
     SYS_LOCK,
@@ -123,30 +124,54 @@ def test_every_memo_is_bounded():
             found.update({f"{path.stem}.{n}": f for n, f in memos(vars(module)).items()})
     for reads in (frozenset(), frozenset(EVENT_KINDS)):
         found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
-    assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src"} <= set(found)
+    assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src",
+            "machine._fmt_stamp", "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
+    # The compiled trace renderers keep no memo of their own: each one
+    # they call is a module global of machine, so the scan above found it.
+    renderers = [f for r in scvm.machine._RENDERERS.values() for f in (r, r.head)]
+    assert all(f.__closure__ is None for f in renderers)
+    called = {n for f in renderers for n in f.__code__.co_names}
+    assert {n for n in called if isinstance(getattr(scvm.machine, n, None),
+                                            functools._lru_cache_wrapper)} == {
+        "_fmt_head", "_fmt_code_src", "_fmt_stamp"}
 
 
-def emitted_kinds(source: str) -> set:
-    """The kinds in every `emit("<kind>", ...)` call of a module."""
-    return {
-        node.args[0].value
+def emit_calls(source: str) -> list:
+    """(kind, keyword names) of every `emit("<kind>", ...)` call of a module."""
+    return [
+        (node.args[0].value, {k.arg for k in node.keywords})
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "emit"
         and isinstance(node.args[0], ast.Constant)
-    }
+    ]
+
+
+def emitted_kinds(source: str) -> set:
+    """The kinds in every `emit("<kind>", ...)` call of a module."""
+    return {kind for kind, _ in emit_calls(source)}
 
 
 def test_emitted_kinds_are_found():
     assert emitted_kinds('emit("a", x=1)\nother("b")\nemit("c")') == {"a", "c"}
+    assert emit_calls('emit("a", x=1, y=2)\nemit("c")') == [("a", {"x", "y"}), ("c", set())]
 
 
 def test_event_kinds_are_exactly_the_emitted_ones():
     emitted = emitted_kinds((ROOT / "src" / "scvm" / "machine.py").read_text())
     assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)  # a repeat would deliver twice
     assert emitted == set(EVENT_KINDS)
+
+
+def test_each_emit_call_passes_its_kinds_fields():
+    """Each call passes every field its kind's EVENT_FIELDS lists, bar
+    the optional ones, and no other: the trace renders only those."""
+    for kind, keywords in emit_calls((ROOT / "src" / "scvm" / "machine.py").read_text()):
+        fields = EVENT_FIELDS[kind]
+        assert {f for f in fields if not f.endswith("?")} <= keywords, kind
+        assert keywords <= {f.rstrip("?") for f in fields}, kind
 
 
 def test_emit_parameters_are_the_event_fields_after_the_stamp():
