@@ -18,9 +18,10 @@ flag fixed at compile time at each emit site, so an unread kind costs
 them no call; the rarer opcodes call the run's emit, which builds no
 event for a kind nobody reads.  A bare run is the empty read set.
 
-`Event` is slotted but not frozen, since freezing makes it several times
-dearer to build.  Every observer shares one event object, so observers
-must not mutate it.
+`Event` is built from EVENT_FIELDS: the stamp, then every operand field
+the table lists.  It is slotted but not frozen, since freezing makes it
+several times dearer to build.  Every observer shares one event object,
+so observers must not mutate it.
 
 Provenance convention for `reg-write` / `mem-write` events (the `src`
 field), which the shadow engine keys on:
@@ -45,7 +46,7 @@ import bisect
 import functools
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 from .asm import ProgramImage
 from .isa import (
@@ -133,32 +134,14 @@ class _Fault(Exception):
     """Internal: raised mid-step, recorded as a GuestFault by run()."""
 
 
-@dataclass(slots=True)
-class Event:
-    """One observable machine action, its operand fields set as its kind's
-    EVENT_FIELDS say.  Slotted, not frozen: observers must not mutate an event."""
-
-    kind: str
-    step: int
-    tid: int
-    pc: int
-    mode: str
-    iflag: bool
-    locks_held: frozenset
-    reg: int | None = None
-    value: int | None = None
-    addr: int | None = None
-    width: int | None = None
-    src: tuple | None = None
-    op: str | None = None
-    rs: int | None = None
-    rt: int | None = None
-    sysno: int | None = None
-    args: tuple | None = None
-    lock: int | None = None
-    new_tid: int | None = None
-    taken: bool | None = None
-    base_reg: int | None = None
+# The stamp, then each operand field in the order EVENT_FIELDS first lists
+# it, "?" stripped and None unless its kind sets it: the table, not a copy.
+Event = make_dataclass("Event", [
+    ("kind", str), ("step", int), ("tid", int), ("pc", int), ("mode", str), ("iflag", bool),
+    ("locks_held", frozenset), *((name, object, None) for name in dict.fromkeys(
+        f.rstrip("?") for fields in EVENT_FIELDS.values() for f in fields)),
+], slots=True, namespace={"__module__": __name__, "__doc__": "One observable machine action, "
+                          "its operand fields set as its kind's EVENT_FIELDS say."})
 
 
 # Each operand field's trace text, `@` standing for its value.  The code
@@ -753,13 +736,12 @@ class Machine:
         # Builds no Event for a kind nobody reads (beside the compiled flags
         # and fetch, the one place that drops one).  Reads the loop's current
         # t, tid, step_no and pc; its parameters are Event's fields after the stamp.
-        def emit(kind, reg=None, value=None, addr=None, width=None, src=None, op=None,
-                 rs=None, rt=None, sysno=None, args=None, lock=None, new_tid=None,
-                 taken=None, base_reg=None):
+        def emit(kind, op=None, reg=None, value=None, src=None, addr=None, width=None,
+                 base_reg=None, rs=None, rt=None, taken=None, sysno=None, args=None, lock=None,
+                 new_tid=None):
             if readers := by_kind[kind]:
-                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, reg, value,
-                          addr, width, src, op, rs, rt, sysno, args, lock, new_tid, taken,
-                          base_reg)
+                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, op, reg, value,
+                          src, addr, width, base_reg, rs, rt, taken, sysno, args, lock, new_tid)
                 for fn in readers:
                     fn(e)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .checkers import ALL_RULES, Warning
 from .machine import SchedulerPolicy
@@ -143,8 +144,7 @@ def parse(text: str) -> tuple[dict, list]:
     return meta, warnings
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):  # cheaper to build than a frozen dataclass
     rule: str
     label: str
     false_positive: bool = False
@@ -157,35 +157,33 @@ class Manifest:
     expects: list = field(default_factory=list)
 
 
+_RULES = frozenset(ALL_RULES)
+
+
 def parse_manifest(text: str, source: str = "<manifest>") -> Manifest:
     manifest = Manifest()
     saw_policy = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        where = f"{source}:{lineno}"
-        parts = line.split()
-        if parts[0] == "program" and len(parts) == 2:
+        if parts[0] == "expect":
+            fp = parts[-1] == "false-positive"
+            if len(parts) != 4 + fp or parts[2] != "at":
+                raise ManifestError(f"{source}:{lineno}: expected 'expect <RULE> at <label>'")
+            if parts[1] not in _RULES:
+                raise ManifestError(f"{source}:{lineno}: unknown rule {parts[1]!r}")
+            manifest.expects.append(Expectation(parts[1], parts[3], fp))
+        elif parts[0] == "program" and len(parts) == 2:
             manifest.program = parts[1]
         elif parts[0] == "policy":
             try:
                 manifest.policy = _parse_policy(parts)
             except ValueError as exc:
-                raise ManifestError(f"{where}: {exc}") from None
+                raise ManifestError(f"{source}:{lineno}: {exc}") from None
             saw_policy = True
-        elif parts[0] == "expect":
-            fp = False
-            if parts[-1] == "false-positive":
-                fp = True
-                parts = parts[:-1]
-            if len(parts) != 4 or parts[2] != "at":
-                raise ManifestError(f"{where}: expected 'expect <RULE> at <label>'")
-            if parts[1] not in ALL_RULES:
-                raise ManifestError(f"{where}: unknown rule {parts[1]!r}")
-            manifest.expects.append(Expectation(parts[1], parts[3], fp))
         else:
-            raise ManifestError(f"{where}: unrecognized directive {parts[0]!r}")
+            raise ManifestError(f"{source}:{lineno}: unrecognized directive {parts[0]!r}")
     if not saw_policy:
         raise ManifestError(f"{source}: missing 'policy' line")
     return manifest

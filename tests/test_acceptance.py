@@ -12,8 +12,13 @@ import hashlib
 import io
 import os
 import random
+import re
 import tempfile
 import time
+from collections import Counter
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from scvm.asm import assemble, write_image
 from scvm.checkers import (
@@ -29,10 +34,13 @@ from scvm.checkers import (
 from scvm.cli import main
 from scvm.corpus import discover, run_corpus, run_entry, shipped_dir
 from scvm.driver import RunConfig, analyze
+from scvm.isa import Opcode
 from scvm.machine import (
+    EVENT_KINDS,
     HEAP_BASE,
     ROUND_ROBIN,
     SEEDED_RANDOM,
+    SYSCALL_NAMES,
     Event,
     SchedulerPolicy,
     format_event,
@@ -49,20 +57,30 @@ from helpers import (
     live_and_replayed,
     races_and_lockset_warnings,
 )
+from test_fuzz import (
+    SHARING_STEP_LIMIT,
+    STEP_LIMIT,
+    WAITING_STEP_LIMIT,
+    _waiting_image,
+    random_images,
+    sharing_images,
+)
+from test_reference import rewriting_images
 
 
 def criterion(label):
-    """Print the criterion's ACCEPTANCE line; a test may return a note,
-    which the PASS line carries in parentheses."""
+    """Print the criterion's ACCEPTANCE line, its label formatted with the
+    test's parameters; a test may return a note, which the PASS line
+    carries in parentheses."""
     def deco(fn):
         @functools.wraps(fn)
-        def wrapper():
+        def wrapper(**params):
             try:
-                note = fn()
+                note = fn(**params)
             except BaseException:
-                print(f"ACCEPTANCE FAIL: {label}")
+                print(f"ACCEPTANCE FAIL: {label.format(**params)}")
                 raise
-            print(f"ACCEPTANCE PASS: {label}" + (f" ({note})" if note else ""))
+            print(f"ACCEPTANCE PASS: {label.format(**params)}" + (f" ({note})" if note else ""))
 
         return wrapper
 
@@ -262,6 +280,56 @@ def test_happens_before_races_are_lockset_warnings():
         not_races += len(warned - races)
     assert len(runs) == len(corpus_names()) + 4 * len(RACE_SWEEP_POLICIES)
     return f"{not_races} of {warnings} lockset warnings over {len(runs)} runs are not races"
+
+
+# Each fuzz family: its images, each with a quantum and a seed, and its
+# step limit, as tests/test_fuzz.py and tests/test_reference.py run them.
+_QUANTUM_SEED = (st.integers(1, 3), st.integers(0, 2**32))
+FUZZ_FAMILIES = {
+    "random": (st.tuples(random_images, *_QUANTUM_SEED), STEP_LIMIT),
+    "sharing": (st.tuples(sharing_images, *_QUANTUM_SEED), SHARING_STEP_LIMIT),
+    "waiting": (st.tuples(st.builds(_waiting_image, st.integers(2, 4)), *_QUANTUM_SEED),
+                WAITING_STEP_LIMIT),
+    "self-rewriting": (st.tuples(rewriting_images, st.integers(1, 3), st.integers(0, 255)),
+                       STEP_LIMIT),
+}
+
+
+@pytest.mark.parametrize("family", FUZZ_FAMILIES)
+@criterion("fuzz coverage: what the {family} images reach (counted, not gated)")
+def test_fuzz_family_coverage(family):
+    """Over 40 images of the family drawn without randomness, so the
+    counts repeat, each run under both schedulers: run length, fault
+    reasons (numbers elided) by count, and the opcodes, syscalls and
+    event kinds that no run reached."""
+    images, step_limit = FUZZ_FAMILIES[family]
+    steps, faults, seen = [], Counter(), set()
+
+    def observe(e):  # a fetch's op names its opcode, a syscall's sysno its number
+        seen.update((e.kind, e.op, e.sysno))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate])
+    @given(images)
+    def run(drawn):
+        image, quantum, seed = drawn
+        for kind in (ROUND_ROBIN, SEEDED_RANDOM):
+            machine = load(image, SchedulerPolicy(kind, quantum, seed))
+            machine.add_observer(observe)
+            state = machine.run(step_limit).state
+            steps.append(state.step_count)
+            if state.fault:
+                faults[re.sub(r"0x[0-9A-F]+|\d+", "N", state.fault.reason)] += 1
+
+    run()
+    steps.sort()
+    unreached = [op.name for op in Opcode if op.name not in seen]
+    unreached += [f"SYS {name}" for n, name in SYSCALL_NAMES.items() if n not in seen]
+    unreached += [kind for kind in EVENT_KINDS if kind not in seen]
+    reasons = ", ".join(f"{n} {reason}" for reason, n in faults.most_common())
+    return (f"{len(steps)} runs, steps median {steps[len(steps) // 2]} "
+            f"p90 {steps[len(steps) * 9 // 10]}; {sum(faults.values())} faults: {reasons or '-'}; "
+            f"never reached: {', '.join(unreached) or '-'}")
 
 
 # main SPAWNs a child whose stack lies in the heap, below 0x8400, and

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from scvm.asm import assemble
 from scvm.machine import (
+    _FIELD_TEXT,
     EVENT_FIELDS,
     ROUND_ROBIN,
     SEEDED_RANDOM,
@@ -27,25 +28,32 @@ from scvm.report import parse_manifest
 
 from helpers import corpus_manifest_text, corpus_names, corpus_source
 from test_fuzz import (
-    _STACK_TOPS,
-    BODY_LEN,
     SHARING_STEP_LIMIT,
     STEP_LIMIT,
     WAITING_STEP_LIMIT,
-    _chunks,
-    _image,
-    _instr,
-    _main_chunks,
-    _prelude,
-    _sharing_image,
-    _sharing_prelude,
     _waiting_image,
+    random_images,
+    sharing_images,
 )
-from test_reference import _rewrite, _rewriting_image, _slot_instr
+from test_reference import rewriting_images
 
 OPERANDS = [f.name for f in dataclasses.fields(Event)][7:]
 OPTIONAL = {(kind, f[:-1]) for kind, fields in EVENT_FIELDS.items() for f in fields
             if f.endswith("?")}
+
+
+def test_event_is_the_stamp_then_every_listed_field():
+    """Event's fields, emit's parameters and the field texts are read off
+    EVENT_FIELDS: each operand name once, in the order the table first
+    lists it, None by default, and a trace text for each and no other."""
+    fields = dataclasses.fields(Event)
+    assert [f.name for f in fields[:7]] == ["kind", "step", "tid", "pc", "mode", "iflag",
+                                            "locks_held"]
+    listed = list(dict.fromkeys(f.rstrip("?") for names in EVENT_FIELDS.values() for f in names))
+    assert OPERANDS == listed
+    assert all(f.default is None for f in fields[7:])
+    assert set(_FIELD_TEXT) == set(listed)
+    assert not hasattr(Event("thread-exit", 0, 0, 0, "user", True, frozenset()), "__dict__")
 
 
 def schema_faults(e: Event) -> list:
@@ -106,16 +114,13 @@ def test_every_optional_field_is_left_none_by_some_event():
 
 
 @settings(max_examples=40, deadline=None)
-@given(prelude=_prelude, body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
-       quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
-def test_random_image_events_conform(prelude, body, quantum, seed):
-    assert_conforms(_image(prelude, body), quantum, seed, STEP_LIMIT)
+@given(image=random_images, quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_random_image_events_conform(image, quantum, seed):
+    assert_conforms(image, quantum, seed, STEP_LIMIT)
 
 
 @settings(max_examples=30, deadline=None)
-@given(image=st.builds(_sharing_image, st.tuples(_sharing_prelude, _chunks),
-                       st.tuples(_sharing_prelude, _main_chunks), st.sampled_from(_STACK_TOPS)),
-       quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
+@given(image=sharing_images, quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
 def test_sharing_image_events_conform(image, quantum, seed):
     assert_conforms(image, quantum, seed, SHARING_STEP_LIMIT)
 
@@ -127,7 +132,6 @@ def test_waiting_image_events_conform(workers, quantum, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(prelude=_prelude, first=_slot_instr, rewrites=st.lists(_rewrite, min_size=2, max_size=6),
-       quantum=st.integers(1, 3), seed=st.integers(0, 255))
-def test_rewriting_image_events_conform(prelude, first, rewrites, quantum, seed):
-    assert_conforms(_rewriting_image(prelude, first, rewrites), quantum, seed, STEP_LIMIT)
+@given(image=rewriting_images, quantum=st.integers(1, 3), seed=st.integers(0, 255))
+def test_rewriting_image_events_conform(image, quantum, seed):
+    assert_conforms(image, quantum, seed, STEP_LIMIT)

@@ -1,11 +1,14 @@
 """Random well-formed images: no host exception, and every way of
 running one ends in the same place.
 
-Each image sets every register to a random useful value, then runs a
-body of validly encoded instructions whose immediates fit their opcode
-(code addresses for branches, syscall numbers for SYS), and ends in
-HALT.  That gets many runs past their first few steps and into spawned
-threads and locks, under both schedulers.
+Each image sets its trap entry and every register to a random useful
+value, then runs a body of validly encoded instructions whose
+immediates fit their opcode (code addresses for branches, syscall
+numbers for SYS), and ends in HALT.  CLI and STI run in kernel mode, in
+a trap body after the HALT that a KCALL enters and a KRET leaves; the
+body draws CLI seldom, so its user-mode fault stays covered.  That gets
+many runs past their first few steps and into spawned threads and
+locks, under both schedulers.
 
 The scheduler's runnable list stays what the threads say, and it picks
 as the reference general pick does.  Every word the happens-before
@@ -59,7 +62,8 @@ from helpers import (
 )
 
 BODY_LEN = 16
-N_INSTRS = 8 + BODY_LEN + 1  # register prelude, body, final HALT
+N_INSTRS = 2 + 8 + BODY_LEN + 1  # SET_TRAP, register prelude, body, final HALT
+TRAP = N_INSTRS * INSTR_SIZE  # the trap body follows the HALT
 STEP_LIMIT = 150
 SHARING_STEP_LIMIT = 400
 
@@ -73,8 +77,10 @@ _value = st.one_of(
 )
 
 # SYS is weighted up, and so are the syscalls for threads, locks and
-# kernel mode; the body has no HALT, since the image ends in one.
-_BODY_OPS = [op for op in Opcode if op != Opcode.HALT] + [Opcode.SYS] * 8
+# kernel mode; the body has no HALT, since the image ends in one, and
+# draws CLI once in 85 and STI never: they belong in the trap body.
+_BODY_OPS = [op for op in Opcode if op not in (Opcode.HALT, Opcode.CLI, Opcode.STI)] * 3 + [
+    Opcode.SYS] * 24 + [Opcode.CLI]
 _SYSNOS = sorted(SYSCALL_NAMES) + [
     SYS_SPAWN, SYS_LOCK, SYS_UNLOCK, SYS_YIELD, SYS_SET_TRAP, SYS_KCALL, SYS_KRET
 ] * 3
@@ -105,11 +111,26 @@ _prelude = st.lists(_value, min_size=8, max_size=8).map(
 )
 
 
-def _random_images(test):
+_trap = st.lists(st.sampled_from((Opcode.CLI, Opcode.STI)), min_size=1, max_size=3).map(
+    lambda ops: [Instruction(op) for op in ops]
+)
+
+
+def _image(prelude, body, trap):
+    instrs = [Instruction(Opcode.MOVI, rd=0, imm=TRAP), Instruction(Opcode.SYS, imm=SYS_SET_TRAP),
+              *prelude, *body, Instruction(Opcode.HALT),
+              *trap, Instruction(Opcode.SYS, imm=SYS_KRET)]
+    return ProgramImage(origin=0, payload=b"".join(map(encode, instrs)), entry=0)
+
+
+random_images = st.builds(_image, _prelude, st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+                          _trap)
+
+
+def _over_random_images(test):
     """Runs test over 50 images, each with a quantum and a seed."""
     return settings(max_examples=50, deadline=None)(given(
-        prelude=_prelude,
-        body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+        image=random_images,
         quantum=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )(test))
@@ -164,19 +185,17 @@ def _sharing_image(thread, main, first_top):
     return ProgramImage(origin=0, payload=b"".join(map(encode, code)), entry=entry)
 
 
-def _sharing_images(test):
+sharing_images = st.builds(_sharing_image, st.tuples(_sharing_prelude, _chunks),
+                           st.tuples(_sharing_prelude, _main_chunks), st.sampled_from(_STACK_TOPS))
+
+
+def _over_sharing_images(test):
     """Runs test over 50 sharing images, each with a quantum and a seed."""
     return settings(max_examples=50, deadline=None)(given(
-        image=st.builds(_sharing_image, st.tuples(_sharing_prelude, _chunks),
-                        st.tuples(_sharing_prelude, _main_chunks), st.sampled_from(_STACK_TOPS)),
+        image=sharing_images,
         quantum=st.integers(1, 3),
         seed=st.integers(0, 2**32),
     )(test))
-
-
-def _image(prelude, body):
-    instrs = prelude + body + [Instruction(Opcode.HALT)]
-    return ProgramImage(origin=0, payload=b"".join(map(encode, instrs)), entry=0)
 
 
 def _recorded_run(image, policy):
@@ -186,9 +205,8 @@ def _recorded_run(image, policy):
     return machine.run(STEP_LIMIT), events
 
 
-@_random_images
-def test_random_images_run_alike_every_way(prelude, body, quantum, seed):
-    image = _image(prelude, body)
+@_over_random_images
+def test_random_images_run_alike_every_way(image, quantum, seed):
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         bare = load(image, policy).run(STEP_LIMIT)
@@ -204,11 +222,10 @@ def test_random_images_run_alike_every_way(prelude, body, quantum, seed):
         assert events == analyzed_events, kind
 
 
-@_random_images
-def test_random_images_analyze_alike_with_full_delivery(prelude, body, quantum, seed):
+@_over_random_images
+def test_random_images_analyze_alike_with_full_delivery(image, quantum, seed):
     """Shadow and checkers handed only the kinds they read give the same
     report, shadow trace, state and outcome as when handed every event."""
-    image = _image(prelude, body)
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         config = RunConfig(policy=SchedulerPolicy(kind, quantum, seed), step_limit=STEP_LIMIT)
         filtered = analysis_outputs(image, config)
@@ -217,32 +234,30 @@ def test_random_images_analyze_alike_with_full_delivery(prelude, body, quantum, 
         assert filtered == full, kind
 
 
-@_random_images
-def test_random_images_keep_runnable_and_pick_like_the_general_path(prelude, body, quantum, seed):
-    image = _image(prelude, body)
+@_over_random_images
+def test_random_images_keep_runnable_and_pick_like_the_general_path(image, quantum, seed):
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         assert_scheduled_like_the_general_pick(image, policy, STEP_LIMIT)
 
 
-@_random_images
-def test_random_images_race_only_on_words_the_lockset_warns_about(prelude, body, quantum, seed):
+@_over_random_images
+def test_random_images_race_only_on_words_the_lockset_warns_about(image, quantum, seed):
     """The fuzz leg of the acceptance gate's happens-before criterion."""
-    image = _image(prelude, body)
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         races, warned, _ = races_and_lockset_warnings(image, policy, STEP_LIMIT)
         assert races <= warned, kind
 
 
-@_sharing_images
+@_over_sharing_images
 def test_sharing_images_keep_runnable_and_pick_like_the_general_path(image, quantum, seed):
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = SchedulerPolicy(kind, quantum, seed)
         assert_scheduled_like_the_general_pick(image, policy, SHARING_STEP_LIMIT)
 
 
-@_sharing_images
+@_over_sharing_images
 def test_sharing_images_race_only_on_words_the_lockset_warns_about(image, quantum, seed):
     """The happens-before criterion where threads do share words."""
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
@@ -251,7 +266,7 @@ def test_sharing_images_race_only_on_words_the_lockset_warns_about(image, quantu
         assert races <= warned, kind
 
 
-@_sharing_images
+@_over_sharing_images
 def test_sharing_images_replay_to_the_live_warnings(image, quantum, seed):
     """The fuzz leg of the acceptance gate's replay criterion."""
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
@@ -355,17 +370,14 @@ def _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    prelude=_prelude,
-    body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
+    image=random_images,
     quantum=st.integers(1, 3),
     seed=st.integers(0, 2**32),
     read_sets=_read_sets,
 )
-def test_random_images_deliver_each_read_set_its_filtered_stream(
-    prelude, body, quantum, seed, read_sets
-):
+def test_random_images_deliver_each_read_set_its_filtered_stream(image, quantum, seed, read_sets):
     policy = SchedulerPolicy(ROUND_ROBIN, quantum, seed)
-    _assert_each_read_set_sees_the_filtered_stream(_image(prelude, body), policy, read_sets)
+    _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets)
 
 
 @pytest.mark.parametrize("name", corpus_names())

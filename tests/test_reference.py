@@ -30,20 +30,14 @@ from scvm.shadow import ShadowState
 from helpers import corpus_manifest_text, corpus_names, corpus_source
 from ref_machine import machine_view, run_reference
 from test_fuzz import (
-    _STACK_TOPS,
-    BODY_LEN,
     SHARING_STEP_LIMIT,
     STEP_LIMIT,
     WAITING_STEP_LIMIT,
-    _chunks,
-    _image,
-    _instr,
-    _main_chunks,
     _prelude,
-    _sharing_image,
-    _sharing_prelude,
     _value,
     _waiting_image,
+    random_images,
+    sharing_images,
 )
 
 # Each distinct read set once, bare first and every kind last.
@@ -89,16 +83,13 @@ def test_corpus_entries_run_like_the_reference(name):
 
 
 @settings(max_examples=100, deadline=None)
-@given(prelude=_prelude, body=st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
-       quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
-def test_random_images_run_like_the_reference(prelude, body, quantum, seed):
-    _both_schedulers(_image(prelude, body), quantum, seed, STEP_LIMIT)
+@given(image=random_images, quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
+def test_random_images_run_like_the_reference(image, quantum, seed):
+    _both_schedulers(image, quantum, seed, STEP_LIMIT)
 
 
 @settings(max_examples=100, deadline=None)
-@given(image=st.builds(_sharing_image, st.tuples(_sharing_prelude, _chunks),
-                       st.tuples(_sharing_prelude, _main_chunks), st.sampled_from(_STACK_TOPS)),
-       quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
+@given(image=sharing_images, quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
 def test_sharing_images_run_like_the_reference(image, quantum, seed):
     _both_schedulers(image, quantum, seed, SHARING_STEP_LIMIT)
 
@@ -158,10 +149,11 @@ def _rewriting_image(prelude, first, rewrites):
     return ProgramImage(origin=0, payload=b"".join(map(encode, code)), entry=2 * INSTR_SIZE)
 
 
+rewriting_images = st.builds(_rewriting_image, _prelude, _slot_instr,
+                             st.lists(_rewrite, min_size=2, max_size=6))
+
+
 @settings(max_examples=100, deadline=None)
-@given(prelude=_prelude, first=_slot_instr, rewrites=st.lists(_rewrite, min_size=2, max_size=6),
-       quantum=st.integers(1, 3), seed=st.integers(0, 255))
-def test_images_that_rewrite_their_code_run_like_the_reference(
-    prelude, first, rewrites, quantum, seed
-):
-    _both_schedulers(_rewriting_image(prelude, first, rewrites), quantum, seed, STEP_LIMIT)
+@given(image=rewriting_images, quantum=st.integers(1, 3), seed=st.integers(0, 255))
+def test_images_that_rewrite_their_code_run_like_the_reference(image, quantum, seed):
+    _both_schedulers(image, quantum, seed, STEP_LIMIT)

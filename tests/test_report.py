@@ -214,6 +214,31 @@ def test_manifest_error_lines(line, fragment):
     assert "bad.manifest:2" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("expect false-positive", "expected 'expect <RULE> at <label>'"),
+        ("expect FMT_TAINTED at false-positive", "expected 'expect <RULE> at <label>'"),
+        ("expect NOPE at x false-positive", "unknown rule 'NOPE'"),
+        ("program a b", "unrecognized directive 'program'"),
+        ("policy", "expected 'policy <kind> seed <n> quantum <n>'"),
+    ],
+)
+def test_manifest_error_text(line, message):
+    """The whole message, where the false-positive marker and the word
+    count meet."""
+    with pytest.raises(ManifestError) as exc:
+        parse_manifest("policy round-robin seed 0 quantum 1\n" + line, source="bad.manifest")
+    assert str(exc.value) == f"bad.manifest:2: {message}"
+
+
+def test_a_false_positive_label_is_a_label():
+    m = parse_manifest("policy round-robin seed 0 quantum 1\n"
+                       "expect FMT_TAINTED at false-positive false-positive  # note")
+    assert m.expects == [Expectation("FMT_TAINTED", "false-positive", True)]
+    assert m.expects[0].false_positive is True
+
+
 # -- diffing -------------------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Repository hygiene: every import in the package is used, the event
 kinds the machine emits and the kinds its observers read agree, the
-committed script still runs, every name the benchmark wraps exists, and
-every committed benchmark record holds the numbers BENCHMARK.json asks
-for."""
+committed script still runs, every name the benchmark wraps exists, the
+benchmark's own copies of the event kinds and plugins match the
+package's, and every committed benchmark record holds the numbers
+BENCHMARK.json asks for."""
 
 import ast
 import dataclasses
@@ -22,6 +23,7 @@ import scvm.machine
 from scvm.asm import assemble
 from scvm.checkers import (
     CHECKER_ORDER,
+    PLUGINS,
     CheckerRegistry,
     FmtChecker,
     LocksetChecker,
@@ -346,6 +348,32 @@ def test_benchmark_patched_names_exist():
         for kind in plugin.kinds:
             out = plugin.on_event(Event(kind=kind, **quiet))
             assert isinstance(out, Iterable) and list(out) == [], (plugin.name, kind)
+
+
+def top_level_value(source: str, name: str) -> ast.expr:
+    """The expression a module assigns to `name` at its top level."""
+    (value,) = (node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
+    return value
+
+
+def test_top_level_values_are_found():
+    src = "A = (1, 2)\nB, C = 3, 4\ndef f():\n    A = 5\nD = {'x': f}"
+    assert ast.literal_eval(top_level_value(src, "A")) == (1, 2)
+    assert ast.dump(top_level_value(src, "D")) == ast.dump(ast.parse("{'x': f}").body[0].value)
+
+
+def test_the_benchmarks_copies_of_the_kinds_and_plugins_match():
+    """bench/layers.py keeps its own EVENT_KINDS, which its per-kind event
+    counters and events_per_step sum, and its own PLUGINS, whose on_event
+    the traced pass wraps: a kind or a checker added here alone would be
+    left out of both without a failure.  Read from the file, not
+    imported, since the tests import nothing from bench/."""
+    source = (ROOT / "bench" / "layers.py").read_text()
+    assert ast.literal_eval(top_level_value(source, "EVENT_KINDS")) == EVENT_KINDS
+    plugins = top_level_value(source, "PLUGINS")
+    assert [ast.literal_eval(k) for k in plugins.keys] == list(CHECKER_ORDER)
+    assert [v.id for v in plugins.values] == [cls.__name__ for cls in PLUGINS]
 
 
 # The state fields the benchmark reads: `state_digest` and the
