@@ -1,33 +1,3 @@
 """scvm: a deterministic toy-ISA simulator with shadow type/taint state
 and pluggable rule checkers (null-check, user-address discipline,
 format-string taint, lockset race detection)."""
-
-from .asm import AsmError, ProgramImage, assemble, read_image, write_image
-from .checkers import (
-    CHECKER_ORDER,
-    CheckerRegistry,
-    FmtChecker,
-    LocksetChecker,
-    NullChecker,
-    UserChecker,
-    Warning,
-    make_checkers,
-    run_checkers,
-)
-from .driver import AnalysisResult, RunConfig, analyze
-from .isa import Instruction, Opcode, decode, encode
-from .machine import (
-    Event,
-    GuestFault,
-    Machine,
-    MachineState,
-    RunResult,
-    SchedulerPolicy,
-    ThreadContext,
-    format_event,
-    load,
-)
-from .report import Manifest, ManifestError, Verdict, diff, parse, parse_manifest, serialize
-from .shadow import ShadowState, TagKind, TypeObject
-
-__version__ = "0.1.0"

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 from .machine import (
     CSTR_CAP,
-    DEFAULT_STACK_SIZE,
     HEAP_BASE,
     HEAP_LIMIT,
     MODE_KERNEL,
@@ -40,6 +39,7 @@ from .machine import (
     Event,
     Machine,
     read_cstr,
+    stack_base,
 )
 from .shadow import NULLABLE_TAGS, ShadowState, TagKind
 
@@ -79,32 +79,25 @@ class Warning:
 
 class CheckerRegistry:
     """Fans each event out, in registration order, to the plugins whose
-    `kinds` include its kind, and collects warnings, dropping any repeat
-    of an already-seen dedup key."""
+    `kinds` include its kind, and keeps the first warning reported under
+    each dedup key."""
 
     def __init__(self, plugins):
-        self.warnings: list = []
-        self._seen: set = set()
+        self._reported: dict = {}  # dedup key -> its first warning, in report order
         self._by_kind: dict = {}
         for plugin in plugins:
             for kind in plugin.kinds:
                 self._by_kind.setdefault(kind, []).append(plugin)
 
+    @property
+    def warnings(self) -> list:
+        """The reported warnings in first-report order, as a fresh list."""
+        return list(self._reported.values())
+
     def dispatch(self, event: Event) -> None:
         for plugin in self._by_kind.get(event.kind, ()):
             for w in plugin.on_event(event):
-                key = w.dedup_key
-                if key not in self._seen:
-                    self._seen.add(key)
-                    self.warnings.append(w)
-
-
-def run_checkers(plugins, events) -> list:
-    """Deliver a complete event stream through a fresh registry."""
-    registry = CheckerRegistry(plugins)
-    for e in events:
-        registry.dispatch(e)
-    return registry.warnings
+                self._reported.setdefault(w.dedup_key, w)
 
 
 class NullChecker:
@@ -240,7 +233,7 @@ class LocksetChecker:
     def on_event(self, e: Event):
         if e.kind == "syscall":
             if e.sysno == SYS_SPAWN and self.tracked == "heap":  # r1: the new stack's top
-                self._mark(max(0, e.args[1] - DEFAULT_STACK_SIZE), e.args[1], False)
+                self._mark(stack_base(e.args[1]), e.args[1], False)
             return
         for word in range(e.addr & ~3, e.addr + e.width, 4):
             if not self._is_tracked(word):

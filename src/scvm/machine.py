@@ -678,6 +678,11 @@ def _compiler(reads: frozenset):
     return functools.lru_cache(maxsize=8192)(functools.partial(_compile, reads=reads))
 
 
+def stack_base(stack_top: int) -> int:
+    """The low end of the stack of a thread whose stack tops out at stack_top."""
+    return max(0, stack_top - DEFAULT_STACK_SIZE)
+
+
 def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
     regs = [0] * NUM_REGS
     regs[6] = stack_top  # convention only: r6 as stack register
@@ -685,7 +690,7 @@ def _new_thread(tid: int, pc: int, stack_top: int) -> ThreadContext:
         tid=tid,
         regs=regs,
         pc=pc,
-        stack_base=max(0, stack_top - DEFAULT_STACK_SIZE),
+        stack_base=stack_base(stack_top),
         stack_top=stack_top,
     )
 

@@ -1,6 +1,6 @@
 """Shared test plumbing: assemble-and-run in one call, corpus access,
-the reference scheduler, the brute-force lockset and the happens-before
-race oracle."""
+events fed straight to the checkers, the reference scheduler, the
+brute-force lockset and the happens-before race oracle."""
 
 from __future__ import annotations
 
@@ -10,11 +10,12 @@ import functools
 import timeit
 import tracemalloc
 
-from scvm import RunConfig, SchedulerPolicy, analyze, assemble
+from scvm.asm import assemble
 from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checkers
 from scvm.corpus import discover, shipped_dir
+from scvm.driver import RunConfig, analyze
 from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode
-from scvm.machine import ROUND_ROBIN, SYS_LOCK, load
+from scvm.machine import ROUND_ROBIN, SYS_LOCK, SchedulerPolicy, load
 from scvm.report import serialize
 from scvm.shadow import ShadowState
 
@@ -182,6 +183,14 @@ def steps_growth(run, n: int) -> tuple:
 
 def rules_of(result) -> list:
     return [w.rule for w in result.warnings]
+
+
+def registry_warnings(plugins, events) -> list:
+    """The warnings a fresh CheckerRegistry keeps when handed `events`."""
+    registry = CheckerRegistry(plugins)
+    for e in events:
+        registry.dispatch(e)
+    return registry.warnings
 
 
 def analysis_outputs(image, config: RunConfig) -> tuple:

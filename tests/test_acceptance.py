@@ -29,7 +29,6 @@ from scvm.checkers import (
     RULE_USER_READ,
     RULE_USER_WRITE,
     LocksetChecker,
-    run_checkers,
 )
 from scvm.cli import main
 from scvm.corpus import discover, run_corpus, run_entry, shipped_dir
@@ -56,6 +55,7 @@ from helpers import (
     full_delivery,
     live_and_replayed,
     races_and_lockset_warnings,
+    registry_warnings,
 )
 from test_fuzz import (
     SHARING_STEP_LIMIT,
@@ -184,7 +184,7 @@ def test_lockset_oracle_equivalence():
             )
         for grace in (False, True):
             expect = brute_force_first_empty(trace, grace)
-            got = run_checkers([LocksetChecker(None, tracked="all", grace=grace)], events)
+            got = registry_warnings([LocksetChecker(None, tracked="all", grace=grace)], events)
             assert {w.address for w in got} == set(expect), grace
             assert {w.address: w.step for w in got} == expect, grace
     assert time.monotonic() - started < 30

@@ -25,7 +25,6 @@ from scvm.checkers import (
     OPTIONS,
     CheckerRegistry,
     make_checkers,
-    run_checkers,
 )
 from scvm.driver import RunConfig, analyze
 from scvm.machine import (
@@ -51,7 +50,14 @@ from scvm.machine import (
 )
 from scvm.shadow import ShadowState
 
-from helpers import happens_before_races, run_program, rules_of, spawn_slowdown, steps_growth
+from helpers import (
+    happens_before_races,
+    registry_warnings,
+    rules_of,
+    run_program,
+    spawn_slowdown,
+    steps_growth,
+)
 
 
 def ev(kind, **kw):
@@ -339,7 +345,7 @@ def _race_steps(*held_sets):
         ev("mem-write", step=i, addr=0x100, width=4, locks_held=frozenset(held))
         for i, held in enumerate(held_sets)
     ]
-    return [w.step for w in run_checkers([LocksetChecker(None, tracked="all")], events)]
+    return [w.step for w in registry_warnings([LocksetChecker(None, tracked="all")], events)]
 
 
 def test_universal_intersects_to_the_other_side():
@@ -429,6 +435,34 @@ def test_tracked_heap_skips_a_thread_stack_inside_the_heap(tracked, words):
     assert rules_of(result) == [RULE_RACE] * len(words)
 
 
+def test_a_spawn_below_one_stack_size_untracks_exactly_the_childs_stack():
+    """A SPAWN whose stack top lies below DEFAULT_STACK_SIZE clips its
+    stack at 0: the lockset stops tracking the child's [stack_base,
+    stack_top), as the machine records it, and nothing else."""
+    top = 0x300
+    machine = load(assemble(f"MOVI r0, child\nMOVI r1, {top}\nSYS 48\nHALT\n"
+                            "child: HALT\n.org 0x800\n.word 0\n"))
+    (lockset,) = make_checkers(("lockset",), machine, ShadowState())
+    machine.add_observer(CheckerRegistry([lockset]).dispatch)
+    children = []
+
+    def on_spawn(e):
+        children.append(machine.state.threads[e.new_tid])
+
+    on_spawn.kinds = ("spawn",)
+    machine.add_observer(on_spawn)
+
+    def tracked():
+        return {word for word in range(0, MEMORY_SIZE, 4) if lockset._is_tracked(word)}
+
+    before = tracked()
+    assert machine.run().outcome == "halt"
+    (child,) = children
+    assert (child.stack_base, child.stack_top) == (0, top)
+    assert set(range(0, top, 4)) <= before  # the image covers the whole stack
+    assert tracked() == before - set(range(child.stack_base, child.stack_top, 4))
+
+
 def test_heap_word_under_lock_is_quiet():
     src = """
 start: MOVI r0, 8
@@ -454,10 +488,10 @@ def test_grace_exempts_single_owner_until_shared():
         ev("mem-read", step=1, tid=0, addr=0x100, width=4),
         ev("mem-write", step=2, tid=0, addr=0x100, width=4),
     ]
-    assert run_checkers([LocksetChecker(None, tracked="all", grace=True)], events) == []
+    assert registry_warnings([LocksetChecker(None, tracked="all", grace=True)], events) == []
 
     shared = events + [ev("mem-read", step=3, tid=1, addr=0x100, width=4)]
-    got = run_checkers([LocksetChecker(None, tracked="all", grace=True)], shared)
+    got = registry_warnings([LocksetChecker(None, tracked="all", grace=True)], shared)
     assert [w.step for w in got] == [3]
 
 
@@ -471,13 +505,13 @@ def test_grace_starts_the_lockset_at_the_sharing_access():
            locks_held=frozenset({1})),  # still {1}
         ev("mem-write", step=3, tid=0, addr=0x100, width=4),  # empties
     ]
-    got = run_checkers([checker], events)
+    got = registry_warnings([checker], events)
     assert [w.step for w in got] == [3]
 
 
 def test_wide_access_touches_every_overlapped_word():
     checker = LocksetChecker(None, tracked="all")
-    got = run_checkers(
+    got = registry_warnings(
         [checker], [ev("mem-write", addr=0x102, width=8, src=("syscall", 3))]
     )
     assert sorted(w.address for w in got) == [0x100, 0x104, 0x108]
@@ -634,8 +668,8 @@ def test_checker_replay_is_deterministic():
         )
         for i in range(100)
     ]
-    first = run_checkers([LocksetChecker(None, tracked="all")], events)
-    second = run_checkers([LocksetChecker(None, tracked="all")], events)
+    first = registry_warnings([LocksetChecker(None, tracked="all")], events)
+    second = registry_warnings([LocksetChecker(None, tracked="all")], events)
     assert first == second
 
 

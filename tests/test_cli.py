@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import scvm
-from scvm import RunConfig, analyze
 from scvm.asm import read_image
 from scvm.cli import _BLOCK_LINES, entry, main
 from scvm.corpus import run_corpus, shipped_dir
+from scvm.driver import RunConfig, analyze
 from scvm.machine import format_event, load
 from scvm.report import parse, serialize
 from scvm.shadow import ShadowState

@@ -6,9 +6,10 @@ value, then runs a body of validly encoded instructions whose
 immediates fit their opcode (code addresses for branches, syscall
 numbers for SYS), and ends in HALT.  CLI and STI run in kernel mode, in
 a trap body after the HALT that a KCALL enters and a KRET leaves; the
-body draws CLI seldom, so its user-mode fault stays covered.  That gets
-many runs past their first few steps and into spawned threads and
-locks, under both schedulers.
+body draws CLI and KRET seldom, so their user-mode faults stay covered.
+Some of the body's draws are locked sections, so an UNLOCK often
+releases a lock its thread holds.  That gets many runs past their first
+few steps and into spawned threads and locks, under both schedulers.
 
 The scheduler's runnable list stays what the threads say, and it picks
 as the reference general pick does.  Every word the happens-before
@@ -31,8 +32,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scvm.machine
-from scvm import RunConfig, analyze
 from scvm.asm import ProgramImage, assemble
+from scvm.driver import RunConfig, analyze
 from scvm.isa import IMM_MAX, IMM_MIN, INSTR_SIZE, Instruction, Opcode, encode
 from scvm.machine import (
     EVENT_KINDS,
@@ -77,13 +78,15 @@ _value = st.one_of(
 )
 
 # SYS is weighted up, and so are the syscalls for threads, locks and
-# kernel mode; the body has no HALT, since the image ends in one, and
-# draws CLI once in 85 and STI never: they belong in the trap body.
+# kernel mode; the body has no HALT, since the image ends in one.  CLI,
+# STI and KRET belong in the trap body: the body draws CLI once in 82,
+# STI never and KRET once in 28 syscalls, so their user-mode faults stay
+# covered.
 _BODY_OPS = [op for op in Opcode if op not in (Opcode.HALT, Opcode.CLI, Opcode.STI)] * 3 + [
     Opcode.SYS] * 24 + [Opcode.CLI]
-_SYSNOS = sorted(SYSCALL_NAMES) + [
-    SYS_SPAWN, SYS_LOCK, SYS_UNLOCK, SYS_YIELD, SYS_SET_TRAP, SYS_KCALL, SYS_KRET
-] * 3
+_SYSNOS = [n for n in sorted(SYSCALL_NAMES) if n != SYS_KRET] + [
+    SYS_SPAWN, SYS_YIELD, SYS_SET_TRAP, SYS_KCALL
+] * 3 + [SYS_KRET]
 
 
 def _instruction(op, rd, rs, rt, target, offset, value, sysno):
@@ -111,6 +114,22 @@ _prelude = st.lists(_value, min_size=8, max_size=8).map(
 )
 
 
+def _locked(lock, instrs):
+    return [Instruction(Opcode.MOVI, imm=lock), Instruction(Opcode.SYS, imm=SYS_LOCK),
+            *instrs,
+            Instruction(Opcode.MOVI, imm=lock), Instruction(Opcode.SYS, imm=SYS_UNLOCK)]
+
+
+# The body: BODY_LEN instructions, drawn one at a time or, one draw in
+# four, as a locked section (LOCK, one or two drawn instructions, UNLOCK
+# of the same lock), so some UNLOCKs release a lock the thread holds.
+_body = st.lists(
+    st.sampled_from((_instr.map(lambda i: [i]),) * 3 + (
+        st.builds(_locked, st.integers(1, 2), st.lists(_instr, min_size=1, max_size=2)),
+    )).flatmap(lambda chunk: chunk),
+    min_size=BODY_LEN, max_size=BODY_LEN,
+).map(lambda chunks: [i for chunk in chunks for i in chunk][:BODY_LEN])
+
 _trap = st.lists(st.sampled_from((Opcode.CLI, Opcode.STI)), min_size=1, max_size=3).map(
     lambda ops: [Instruction(op) for op in ops]
 )
@@ -123,8 +142,7 @@ def _image(prelude, body, trap):
     return ProgramImage(origin=0, payload=b"".join(map(encode, instrs)), entry=0)
 
 
-random_images = st.builds(_image, _prelude, st.lists(_instr, min_size=BODY_LEN, max_size=BODY_LEN),
-                          _trap)
+random_images = st.builds(_image, _prelude, _body, _trap)
 
 
 def _over_random_images(test):
@@ -153,12 +171,6 @@ _access = st.builds(
     st.sampled_from((Opcode.LD, Opcode.ST, Opcode.LDB, Opcode.STB)),
     st.sampled_from(_SHARED_REGS), st.integers(-1, 1), st.sampled_from((1, 7)),
 )
-
-
-def _locked(lock, accesses):
-    return [Instruction(Opcode.MOVI, imm=lock), Instruction(Opcode.SYS, imm=SYS_LOCK),
-            *accesses,
-            Instruction(Opcode.MOVI, imm=lock), Instruction(Opcode.SYS, imm=SYS_UNLOCK)]
 
 
 def _spawn(stack_top):

@@ -101,10 +101,12 @@ def test_waiting_images_run_like_the_reference(workers, quantum, seed):
 
 
 # Rewriting images: a slot instruction at 0 and a RET after it, then
-# main at 16.  Main rewrites part of the slot and CALLs it, a few times
-# over, then HALTs.  A rewrite is a word STORE of half a new instruction,
-# a byte STORE, or a READ_NET of a few bytes (the seed's pattern).  The
-# slot's instructions leave r7, the RET's target, alone.
+# main at 16.  Main rewrites the slot or part of it and CALLs it, a few
+# times over, then HALTs.  A rewrite is, five draws in eight, a new
+# instruction stored whole (two word STOREs), else a word STORE of half
+# a new instruction, a byte STORE, or a READ_NET of a few bytes (the
+# seed's pattern); the last two often leave a word that does not decode.
+# The slot's instructions leave r7, the RET's target, alone.
 SLOT = 0
 _SLOT_OPS = (Opcode.MOVI, Opcode.MOV, Opcode.LD, Opcode.LDB, Opcode.ADD, Opcode.SUB,
              Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.CMP, Opcode.CMPI)
@@ -135,11 +137,15 @@ def _read_net(offset, length):
             Instruction(Opcode.SYS, imm=3)]
 
 
-_rewrite = st.one_of(
+def _store_whole(instr):
+    return _store_half(instr, 0) + _store_half(instr, 4)
+
+
+_rewrite = st.sampled_from((st.builds(_store_whole, _slot_instr),) * 5 + (
     st.builds(_store_half, _slot_instr, st.sampled_from((0, 4))),
     st.builds(_store_byte, st.integers(0, 7), st.integers(0, 255)),
     st.builds(_read_net, st.integers(0, 7), st.integers(1, 8)),
-)
+)).flatmap(lambda rewrite: rewrite)
 
 
 def _rewriting_image(prelude, first, rewrites):

@@ -11,8 +11,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from scvm import RunConfig, analyze, assemble
+from scvm.asm import assemble
 from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
+from scvm.driver import RunConfig, analyze
 from scvm.isa import MEMORY_SIZE
 from scvm.machine import Event, SchedulerPolicy, load
 from scvm.shadow import NOTE_CAP, ShadowState, TagKind, _fmt_tags

@@ -46,8 +46,7 @@ from scvm.machine import (
 from scvm.shadow import ShadowState
 
 ROOT = Path(__file__).resolve().parent.parent
-# __init__.py is exempt: its imports are the package's re-exports.
-MODULES = sorted(p for p in (ROOT / "src" / "scvm").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted((ROOT / "src" / "scvm").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
