@@ -42,6 +42,8 @@ from .isa import (
 
 IMAGE_MAGIC = b"SCVM"
 IMAGE_VERSION = 1
+# magic, version, origin, entry, payload length; the payload follows
+_HEADER = struct.Struct("<4sBIII")
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"0[xX][0-9A-Fa-f]+|[0-9]+"  # an immediate's magnitude
@@ -93,20 +95,19 @@ class ProgramImage:
         return self.origin + len(self.payload)
 
     def to_bytes(self) -> bytes:
-        header = IMAGE_MAGIC + bytes([IMAGE_VERSION])
-        header += struct.pack("<III", self.origin, self.entry, len(self.payload))
+        header = _HEADER.pack(IMAGE_MAGIC, IMAGE_VERSION, self.origin, self.entry, len(self.payload))
         return header + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProgramImage":
         if data[:4] != IMAGE_MAGIC:
             raise ImageError("bad magic, not an SCVM image")
-        if len(data) < 17:
+        if len(data) < _HEADER.size:
             raise ImageError("truncated image header")
-        if data[4] != IMAGE_VERSION:
-            raise ImageError(f"unsupported image version {data[4]}")
-        origin, entry, length = struct.unpack("<III", data[5:17])
-        payload = data[17 : 17 + length]
+        _, version, origin, entry, length = _HEADER.unpack_from(data)
+        if version != IMAGE_VERSION:
+            raise ImageError(f"unsupported image version {version}")
+        payload = data[_HEADER.size : _HEADER.size + length]
         if len(payload) != length:
             raise ImageError("truncated image payload")
         return cls(origin=origin, payload=payload, entry=entry)

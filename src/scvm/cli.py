@@ -68,9 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asm = sub.add_parser("asm", help="assemble source to an image")
     p_asm.add_argument("source")
     p_asm.add_argument("-o", "--output", required=True)
+    p_asm.set_defaults(handler=_cmd_asm)
 
     p_run = sub.add_parser("run", help="run an image without analysis")
     _add_run_flags(p_run, ["events"])
+    p_run.set_defaults(handler=_cmd_run)
 
     p_check = sub.add_parser("check", help="run an image with checkers")
     _add_run_flags(p_check, ["events", "shadow"])
@@ -87,11 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="checker option: " + ", ".join(f"{k}={'|'.join(t)}" for k, t in OPTIONS.items()),
     )
+    p_check.set_defaults(handler=_cmd_check)
 
     p_corpus = sub.add_parser("corpus", help="assemble, check and diff corpus entries")
     p_corpus.add_argument(
         "directory", nargs="?", default=None, help="corpus directory (default: shipped)"
     )
+    p_corpus.set_defaults(handler=_cmd_corpus)
     return parser
 
 
@@ -232,14 +236,8 @@ def _cmd_corpus(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "asm": _cmd_asm,
-        "run": _cmd_run,
-        "check": _cmd_check,
-        "corpus": _cmd_corpus,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except _ConfigError as exc:
         print(f"scvm {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ produce.
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -50,7 +51,15 @@ class Opcode(enum.IntEnum):
     HALT = 0x7F
 
 
-ALU_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR})
+# Each ALU opcode and the operation it applies to its two register operands.
+ALU_OPS = {
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+}
 
 _OPCODE_VALUES = {op.value for op in Opcode}
 

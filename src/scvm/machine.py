@@ -44,12 +44,12 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
 import struct
 from dataclasses import dataclass, field, make_dataclass
 
 from .asm import ProgramImage
 from .isa import (
+    ALU_OPS,
     INSTR_SIZE,
     MEMORY_SIZE,
     NUM_REGS,
@@ -334,14 +334,6 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # runs _syscall; they call emit, which drops an unread kind itself.
 
 _IMM_SRC = ("imm",)
-_ALU = {
-    Opcode.ADD: operator.add,
-    Opcode.SUB: operator.sub,
-    Opcode.MUL: operator.mul,
-    Opcode.AND: operator.and_,
-    Opcode.OR: operator.or_,
-    Opcode.XOR: operator.xor,
-}
 
 
 def _access_fault(addr: int, width: int) -> _Fault:
@@ -427,7 +419,7 @@ def _store(i: Instruction, reads):
 
 
 def _alu(i: Instruction, reads):
-    rd, rs, rt, name, fn = i.rd, i.rs, i.rt, i.opcode.name, _ALU[i.opcode]
+    rd, rs, rt, name, fn = i.rd, i.rs, i.rt, i.opcode.name, ALU_OPS[i.opcode]
     src = ("binop", name, rs, rt)
     rr, bo, rw = "reg-read" in reads, "binop" in reads, "reg-write" in reads
 
@@ -637,7 +629,7 @@ _COMPILERS = {
     Opcode.LDB: _load,
     Opcode.ST: _store,
     Opcode.STB: _store,
-    **dict.fromkeys(_ALU, _alu),
+    **dict.fromkeys(ALU_OPS, _alu),
     Opcode.CMP: _cmp,
     Opcode.CMPI: _cmpi,
     Opcode.BEQ: _branch,

@@ -1,5 +1,5 @@
-"""Shared test plumbing: assemble-and-run in one call, corpus access,
-events fed straight to the checkers, the reference scheduler, the
+"""Shared test plumbing: assemble-and-run in one call, a recorded run,
+synthetic events, corpus access, events fed straight to the checkers, the reference scheduler, the
 brute-force lockset and the happens-before race oracle."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checke
 from scvm.corpus import discover, shipped_dir
 from scvm.driver import RunConfig, analyze
 from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode
-from scvm.machine import ROUND_ROBIN, SYS_LOCK, SchedulerPolicy, load
+from scvm.machine import ROUND_ROBIN, SYS_LOCK, Event, SchedulerPolicy, load
 from scvm.report import serialize
 from scvm.shadow import ShadowState
 
@@ -52,6 +52,21 @@ def run_program(
         observers=tuple(observers),
     )
     return image, analyze(image, config)
+
+
+def recorded_run(image, policy: SchedulerPolicy, step_limit: int) -> tuple:
+    """(RunResult, every event) of one run of image."""
+    machine = load(image, policy)
+    events = []
+    machine.add_observer(events.append)
+    return machine.run(step_limit), events
+
+
+def ev(kind, **kw) -> Event:
+    """An event of `kind` with kw's fields; the stamp defaults to step 0,
+    tid 0, pc 0, user mode, interrupts on and no locks held."""
+    stamp = dict(step=0, tid=0, pc=0, mode="user", iflag=True, locks_held=frozenset())
+    return Event(kind=kind, **{**stamp, **kw})
 
 
 M64 = (1 << 64) - 1

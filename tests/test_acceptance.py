@@ -18,7 +18,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase
 
 from scvm.asm import assemble, write_image
 from scvm.checkers import (
@@ -47,6 +47,7 @@ from scvm.machine import (
 )
 from scvm.report import REPORT_VERSION, serialize
 
+from families import FAMILIES, run_family
 from helpers import (
     analysis_outputs,
     brute_force_first_empty,
@@ -57,15 +58,6 @@ from helpers import (
     races_and_lockset_warnings,
     registry_warnings,
 )
-from test_fuzz import (
-    SHARING_STEP_LIMIT,
-    STEP_LIMIT,
-    WAITING_STEP_LIMIT,
-    _waiting_image,
-    random_images,
-    sharing_images,
-)
-from test_reference import rewriting_images
 
 
 def criterion(label):
@@ -282,46 +274,27 @@ def test_happens_before_races_are_lockset_warnings():
     return f"{not_races} of {warnings} lockset warnings over {len(runs)} runs are not races"
 
 
-# Each fuzz family: its images, each with a quantum and a seed, and its
-# step limit, as tests/test_fuzz.py and tests/test_reference.py run them.
-_QUANTUM_SEED = (st.integers(1, 3), st.integers(0, 2**32))
-FUZZ_FAMILIES = {
-    "random": (st.tuples(random_images, *_QUANTUM_SEED), STEP_LIMIT),
-    "sharing": (st.tuples(sharing_images, *_QUANTUM_SEED), SHARING_STEP_LIMIT),
-    "waiting": (st.tuples(st.builds(_waiting_image, st.integers(2, 4)), *_QUANTUM_SEED),
-                WAITING_STEP_LIMIT),
-    "self-rewriting": (st.tuples(rewriting_images, st.integers(1, 3), st.integers(0, 255)),
-                       STEP_LIMIT),
-}
-
-
-@pytest.mark.parametrize("family", FUZZ_FAMILIES)
+@pytest.mark.parametrize("family", FAMILIES)
 @criterion("fuzz coverage: what the {family} images reach (counted, not gated)")
 def test_fuzz_family_coverage(family):
     """Over 40 images of the family drawn without randomness, so the
     counts repeat, each run under both schedulers: run length, fault
     reasons (numbers elided) by count, and the opcodes, syscalls and
     event kinds that no run reached."""
-    images, step_limit = FUZZ_FAMILIES[family]
     steps, faults, seen = [], Counter(), set()
 
     def observe(e):  # a fetch's op names its opcode, a syscall's sysno its number
         seen.update((e.kind, e.op, e.sysno))
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
-              phases=[Phase.generate])
-    @given(images)
-    def run(drawn):
-        image, quantum, seed = drawn
-        for kind in (ROUND_ROBIN, SEEDED_RANDOM):
-            machine = load(image, SchedulerPolicy(kind, quantum, seed))
-            machine.add_observer(observe)
-            state = machine.run(step_limit).state
-            steps.append(state.step_count)
-            if state.fault:
-                faults[re.sub(r"0x[0-9A-F]+|\d+", "N", state.fault.reason)] += 1
+    def run(image, policy, step_limit):
+        machine = load(image, policy)
+        machine.add_observer(observe)
+        state = machine.run(step_limit).state
+        steps.append(state.step_count)
+        if state.fault:
+            faults[re.sub(r"0x[0-9A-F]+|\d+", "N", state.fault.reason)] += 1
 
-    run()
+    run_family(family, 40, run, derandomize=True, database=None, phases=[Phase.generate])
     steps.sort()
     unreached = [op.name for op in Opcode if op.name not in seen]
     unreached += [f"SYS {name}" for n, name in SYSCALL_NAMES.items() if n not in seen]

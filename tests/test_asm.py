@@ -344,6 +344,8 @@ def test_image_container_rejects_garbage():
     good = assemble("HALT").to_bytes()
     with pytest.raises(ImageError):
         ProgramImage.from_bytes(good[:10])  # truncated header
+    with pytest.raises(ImageError, match="truncated image header"):
+        ProgramImage.from_bytes(good[:16])  # one byte short of the header
     with pytest.raises(ImageError):
         ProgramImage.from_bytes(good[:-2])  # truncated payload
     versioned = bytearray(good)

@@ -44,13 +44,13 @@ from scvm.machine import (
     SYS_SPAWN,
     SYS_TAG_TAINT,
     SYS_TAG_UNTRUSTED_SOURCE,
-    Event,
     SchedulerPolicy,
     load,
 )
 from scvm.shadow import ShadowState
 
 from helpers import (
+    ev,
     happens_before_races,
     registry_warnings,
     rules_of,
@@ -58,18 +58,6 @@ from helpers import (
     spawn_slowdown,
     steps_growth,
 )
-
-
-def ev(kind, **kw):
-    meta = {
-        "step": kw.pop("step", 0),
-        "tid": kw.pop("tid", 0),
-        "pc": kw.pop("pc", 0),
-        "mode": kw.pop("mode", "user"),
-        "iflag": kw.pop("iflag", True),
-        "locks_held": kw.pop("locks_held", frozenset()),
-    }
-    return Event(kind=kind, **meta, **kw)
 
 
 # -- null checker --------------------------------------------------------

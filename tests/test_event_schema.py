@@ -4,38 +4,21 @@ Each event sets exactly its kind's operand fields: a field the table
 lists is set, unless the table marks it optional ("?"), and every other
 operand field is None.  The trace renderers are compiled from the same
 table, so an event that set a field its kind does not list would lose
-it from the trace.  The families are those of tests/test_fuzz.py and
-tests/test_reference.py: the shipped corpus, random, sharing, waiting
-and self-rewriting images, under both schedulers.
+it from the trace.  The families are the shipped corpus and those of
+tests/families.py: random, sharing, waiting and self-rewriting images,
+under both schedulers.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from scvm.asm import assemble
-from scvm.machine import (
-    _FIELD_TEXT,
-    EVENT_FIELDS,
-    ROUND_ROBIN,
-    SEEDED_RANDOM,
-    Event,
-    SchedulerPolicy,
-    load,
-)
+from scvm.machine import _FIELD_TEXT, EVENT_FIELDS, Event
 from scvm.report import parse_manifest
 
-from helpers import corpus_manifest_text, corpus_names, corpus_source
-from test_fuzz import (
-    SHARING_STEP_LIMIT,
-    STEP_LIMIT,
-    WAITING_STEP_LIMIT,
-    _waiting_image,
-    random_images,
-    sharing_images,
-)
-from test_reference import rewriting_images
+from families import run_family
+from helpers import corpus_manifest_text, corpus_names, corpus_source, recorded_run
 
 OPERANDS = [f.name for f in dataclasses.fields(Event)][7:]
 OPTIONAL = {(kind, f[:-1]) for kind, fields in EVENT_FIELDS.items() for f in fields
@@ -75,31 +58,20 @@ def test_schema_faults_are_found():
     assert schema_faults(Event("fetch", op="HALT", reg=0, **stamp)) == ["reg"]
 
 
-def events_of(image, policy, step_limit) -> list:
-    machine = load(image, policy)
-    events = []
-    machine.add_observer(events.append)
-    machine.run(step_limit)
-    return events
-
-
-def assert_conforms(image, quantum, seed, step_limit):
-    for kind in (ROUND_ROBIN, SEEDED_RANDOM):
-        for e in events_of(image, SchedulerPolicy(kind, quantum, seed), step_limit):
-            assert schema_faults(e) == [], e
+def assert_conforms(image, policy, step_limit):
+    for e in recorded_run(image, policy, step_limit)[1]:
+        assert schema_faults(e) == [], e
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_corpus_events_conform(name):
     image = assemble(corpus_source(name))
-    policy = parse_manifest(corpus_manifest_text(name)).policy
-    for e in events_of(image, policy, 100_000):
-        assert schema_faults(e) == [], e
+    assert_conforms(image, parse_manifest(corpus_manifest_text(name)).policy, 100_000)
 
 
 def test_every_optional_field_is_left_none_by_some_event():
     """A "?" that no emitted event needs would let a missing field pass."""
-    events = events_of(assemble("""
+    _, events = recorded_run(assemble("""
         MOVI r0, 0x8000
         MOVI r1, 4
         SYS 3
@@ -108,30 +80,22 @@ def test_every_optional_field_is_left_none_by_some_event():
     """), None, 100)
     for name in corpus_names():
         policy = parse_manifest(corpus_manifest_text(name)).policy
-        events += events_of(assemble(corpus_source(name)), policy, 100_000)
+        events += recorded_run(assemble(corpus_source(name)), policy, 100_000)[1]
     left_none = {(e.kind, f) for e in events for f in OPERANDS if getattr(e, f) is None}
     assert OPTIONAL <= left_none
 
 
-@settings(max_examples=40, deadline=None)
-@given(image=random_images, quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
-def test_random_image_events_conform(image, quantum, seed):
-    assert_conforms(image, quantum, seed, STEP_LIMIT)
+def test_random_image_events_conform():
+    run_family("random", 40, assert_conforms)
 
 
-@settings(max_examples=30, deadline=None)
-@given(image=sharing_images, quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
-def test_sharing_image_events_conform(image, quantum, seed):
-    assert_conforms(image, quantum, seed, SHARING_STEP_LIMIT)
+def test_sharing_image_events_conform():
+    run_family("sharing", 30, assert_conforms)
 
 
-@settings(max_examples=10, deadline=None)
-@given(workers=st.integers(2, 4), quantum=st.integers(1, 3), seed=st.integers(0, 2**32))
-def test_waiting_image_events_conform(workers, quantum, seed):
-    assert_conforms(_waiting_image(workers), quantum, seed, WAITING_STEP_LIMIT)
+def test_waiting_image_events_conform():
+    run_family("waiting", 10, assert_conforms)
 
 
-@settings(max_examples=30, deadline=None)
-@given(image=rewriting_images, quantum=st.integers(1, 3), seed=st.integers(0, 255))
-def test_rewriting_image_events_conform(image, quantum, seed):
-    assert_conforms(image, quantum, seed, STEP_LIMIT)
+def test_rewriting_image_events_conform():
+    run_family("self-rewriting", 30, assert_conforms)

@@ -15,22 +15,10 @@ from scvm.asm import assemble
 from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
 from scvm.driver import RunConfig, analyze
 from scvm.isa import MEMORY_SIZE
-from scvm.machine import Event, SchedulerPolicy, load
+from scvm.machine import SchedulerPolicy, load
 from scvm.shadow import NOTE_CAP, ShadowState, TagKind, _fmt_tags
 
-from helpers import run_program, steps_growth
-
-
-def ev(kind, **kw):
-    meta = {
-        "step": kw.pop("step", 0),
-        "tid": kw.pop("tid", 0),
-        "pc": kw.pop("pc", 0),
-        "mode": kw.pop("mode", "user"),
-        "iflag": kw.pop("iflag", True),
-        "locks_held": kw.pop("locks_held", frozenset()),
-    }
-    return Event(kind=kind, **meta, **kw)
+from helpers import ev, run_program, steps_growth
 
 
 def alloc_into(sh, reg=0, tid=0):

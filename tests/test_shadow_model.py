@@ -35,12 +35,11 @@ from scvm.machine import (
     SYS_TAG_TAINT,
     SYS_TAG_UNTRUSTED_SOURCE,
     SchedulerPolicy,
-    load,
 )
 from scvm.report import parse_manifest
 from scvm.shadow import ShadowState, TagKind
 
-from helpers import corpus_manifest_text, corpus_names, corpus_source
+from helpers import corpus_manifest_text, corpus_names, corpus_source, recorded_run
 
 MINTED_BY = {
     SYS_ALLOC: TagKind.ALLOC_UNCHECKED,
@@ -149,10 +148,7 @@ def assert_agree(shadow: ShadowState, model: ShadowModel, where: str) -> None:
 
 def assert_shadow_follows_the_model(image, policy, step_limit) -> int:
     """Replay one recorded run into both; returns the number of events."""
-    machine = load(image, policy)
-    events = []
-    machine.add_observer(events.append)
-    machine.run(step_limit)
+    _, events = recorded_run(image, policy, step_limit)
     shadow, model = ShadowState(), ShadowModel()
     for n, e in enumerate(events):
         shadow.on_event(e)

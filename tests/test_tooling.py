@@ -1,4 +1,5 @@
-"""Repository hygiene: every import in the package is used, the event
+"""Repository hygiene: every import in the package is used, test
+modules share code only through the shared test modules, the event
 kinds the machine emits and the kinds its observers read agree, the
 committed script still runs, every name the benchmark wraps exists, the
 benchmark's own copies of the event kinds and plugins match the
@@ -86,6 +87,23 @@ def imported_modules(source: str) -> set:
 def test_imported_modules_are_found():
     src = "import os.path, sys as s\nfrom tempfile import mkstemp\nfrom .cli import main"
     assert imported_modules(src) == {"os", "sys", "tempfile"}
+
+
+def test_test_modules_share_code_only_through_shared_modules():
+    """A test module imports no other test module, and no module under
+    tests/ imports a _private name from another: what two modules share
+    lives in helpers.py, families.py or ref_machine.py."""
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")}
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name, None) for a in node.names if a.name in local]
+            elif isinstance(node, ast.ImportFrom) and node.module in local:
+                found += [(path.stem, node.module, a.name) for a in node.names]
+    shared = {"helpers", "families", "ref_machine"}
+    assert [(importer, module, name) for importer, module, name in found
+            if module not in shared or (name or "").startswith("_")] == []
 
 
 def test_no_module_imports_tempfile():
