@@ -1,17 +1,15 @@
-"""The fuzz families: one table, FAMILIES, and one runner, run_family.
+"""The fuzz families: one table, FAMILIES, and one decorator, over_family.
 
-Each family is an image strategy, a quantum strategy, a seed strategy
-and a step limit.  run_family draws each image with a quantum and a
-seed and hands it to a check under both schedulers, so the reference
-differential, the event-schema check, the fuzz gates and the coverage
-line all run the same families.
+Each family is an image strategy, a seed strategy and a step limit.
+over_family makes a check into a hypothesis test that draws each image
+with a quantum and a seed and runs the check under both schedulers, so
+the reference differential, the event-schema check, the fuzz gates and
+the coverage line all run the same families.
 
 Random images set their trap entry and every register to a useful
 value, then run a body of validly encoded instructions whose
 immediates fit their opcode (code addresses for branches, syscall
-numbers for SYS), and end in HALT.  r0 and r7 start at code addresses,
-since SPAWN and SET_TRAP take their entry from r0 and RET returns to
-r7.  CLI and STI run in kernel mode, in a trap body after the HALT that
+numbers for SYS), and end in HALT.  CLI and STI run in kernel mode, in a trap body after the HALT that
 a KCALL enters and a KRET leaves; the body draws CLI and KRET seldom,
 so their user-mode faults stay covered.  Some of the body's draws are
 locked sections, so an UNLOCK often releases a lock its thread holds.
@@ -24,6 +22,8 @@ between calls to it, since the interpreter's handler caches are keyed
 on a code word's bytes.
 """
 
+import functools
+import inspect
 from typing import NamedTuple
 
 from hypothesis import given, settings, strategies as st
@@ -94,11 +94,10 @@ def _movis(values):
 
 
 # Each register starts at a random useful value, so the body's loads,
-# syscalls and branches get operands worth having.
-_prelude = st.lists(_value, min_size=8, max_size=8).map(_movis)
-# The random images' r0 and r7 start at code addresses: SPAWN and
-# SET_TRAP's entry, and RET's target.
-_random_prelude = st.tuples(_code_addr, *[_value] * 6, _code_addr).map(_movis)
+# syscalls and branches get operands worth having; r0 and r7 start at
+# code addresses, since SPAWN and SET_TRAP take their entry from r0 and
+# RET returns to r7.
+_prelude = st.tuples(_code_addr, *[_value] * 6, _code_addr).map(_movis)
 
 
 def _locked(lock, instrs):
@@ -260,36 +259,42 @@ def _rewriting_image(prelude, first, rewrites):
 
 class Family(NamedTuple):
     images: st.SearchStrategy
-    quantum: st.SearchStrategy
     seed: st.SearchStrategy
     step_limit: int
 
 
-_QUANTUM = st.integers(1, 3)
 _SEED = st.integers(0, 2**32)
 
 FAMILIES = {
-    "random": Family(st.builds(_image, _random_prelude, _body, _trap), _QUANTUM, _SEED, 150),
+    "random": Family(st.builds(_image, _prelude, _body, _trap), _SEED, 150),
     "sharing": Family(st.builds(_sharing_image, st.tuples(_sharing_prelude, _chunks),
                                 st.tuples(_sharing_prelude, _main_chunks),
-                                st.sampled_from(_STACK_TOPS)), _QUANTUM, _SEED, 400),
-    "waiting": Family(st.builds(_waiting_image, st.integers(2, 4)), _QUANTUM, _SEED, 1000),
+                                st.sampled_from(_STACK_TOPS)), _SEED, 400),
+    "waiting": Family(st.builds(_waiting_image, st.integers(2, 4)), _SEED, 1000),
     "self-rewriting": Family(st.builds(_rewriting_image, _prelude, _slot_instr,
                                        st.lists(_rewrite, min_size=2, max_size=6)),
-                             _QUANTUM, st.integers(0, 255), 150),
+                             st.integers(0, 255), 150),
 }
 
 
-def run_family(family: str, examples: int, check, **options) -> None:
-    """Call check(image, policy, step_limit) on `examples` images of the
-    family, each drawn with a quantum and a seed and run under every
-    scheduler kind; `options` are further hypothesis settings."""
+def over_family(family: str, examples: int, **options):
+    """Make test(image, policy, step_limit) a hypothesis test over
+    `examples` images of the family, each drawn with a quantum of 1-3
+    and a seed and run under every scheduler kind; `options` are further
+    hypothesis settings.  The test keeps its name, and its own source
+    keys its entry in hypothesis's example database."""
     f = FAMILIES[family]
 
-    @settings(max_examples=examples, deadline=None, **options)
-    @given(image=f.images, quantum=f.quantum, seed=f.seed)
-    def run(image, quantum, seed):
-        for kind in SCHEDULER_KINDS:
-            check(image, SchedulerPolicy(kind, quantum, seed), f.step_limit)
+    def decorate(test):
+        def run(image, quantum, seed):
+            for kind in SCHEDULER_KINDS:
+                test(image, SchedulerPolicy(kind, quantum, seed), f.step_limit)
 
-    run()
+        # wraps lends run the test's name and, through __wrapped__, its
+        # source, which keys the database; given still reads run's arguments.
+        run.__signature__ = inspect.signature(run)
+        run = functools.wraps(test)(run)
+        given_ = given(image=f.images, quantum=st.integers(1, 3), seed=f.seed)
+        return settings(max_examples=examples, deadline=None, **options)(given_(run))
+
+    return decorate

@@ -47,7 +47,7 @@ from scvm.machine import (
 )
 from scvm.report import REPORT_VERSION, serialize
 
-from families import FAMILIES, run_family
+from families import FAMILIES, over_family
 from helpers import (
     analysis_outputs,
     brute_force_first_empty,
@@ -286,6 +286,7 @@ def test_fuzz_family_coverage(family):
     def observe(e):  # a fetch's op names its opcode, a syscall's sysno its number
         seen.update((e.kind, e.op, e.sysno))
 
+    @over_family(family, 40, derandomize=True, database=None, phases=[Phase.generate])
     def run(image, policy, step_limit):
         machine = load(image, policy)
         machine.add_observer(observe)
@@ -294,7 +295,7 @@ def test_fuzz_family_coverage(family):
         if state.fault:
             faults[re.sub(r"0x[0-9A-F]+|\d+", "N", state.fault.reason)] += 1
 
-    run_family(family, 40, run, derandomize=True, database=None, phases=[Phase.generate])
+    run()
     steps.sort()
     unreached = [op.name for op in Opcode if op.name not in seen]
     unreached += [f"SYS {name}" for n, name in SYSCALL_NAMES.items() if n not in seen]

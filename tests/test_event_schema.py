@@ -17,7 +17,7 @@ from scvm.asm import assemble
 from scvm.machine import _FIELD_TEXT, EVENT_FIELDS, Event
 from scvm.report import parse_manifest
 
-from families import run_family
+from families import over_family
 from helpers import corpus_manifest_text, corpus_names, corpus_source, recorded_run
 
 OPERANDS = [f.name for f in dataclasses.fields(Event)][7:]
@@ -85,17 +85,21 @@ def test_every_optional_field_is_left_none_by_some_event():
     assert OPTIONAL <= left_none
 
 
-def test_random_image_events_conform():
-    run_family("random", 40, assert_conforms)
+@over_family("random", 40)
+def test_random_image_events_conform(image, policy, step_limit):
+    assert_conforms(image, policy, step_limit)
 
 
-def test_sharing_image_events_conform():
-    run_family("sharing", 30, assert_conforms)
+@over_family("sharing", 30)
+def test_sharing_image_events_conform(image, policy, step_limit):
+    assert_conforms(image, policy, step_limit)
 
 
-def test_waiting_image_events_conform():
-    run_family("waiting", 10, assert_conforms)
+@over_family("waiting", 10)
+def test_waiting_image_events_conform(image, policy, step_limit):
+    assert_conforms(image, policy, step_limit)
 
 
-def test_rewriting_image_events_conform():
-    run_family("self-rewriting", 30, assert_conforms)
+@over_family("self-rewriting", 30)
+def test_rewriting_image_events_conform(image, policy, step_limit):
+    assert_conforms(image, policy, step_limit)

@@ -27,7 +27,7 @@ from scvm.asm import assemble
 from scvm.driver import RunConfig, analyze
 from scvm.machine import EVENT_KINDS, HEAP_BASE, ROUND_ROBIN, SEEDED_RANDOM, SchedulerPolicy, load
 
-from families import FAMILIES, run_family
+from families import FAMILIES, over_family
 from helpers import (
     analysis_outputs,
     assert_scheduled_like_the_general_pick,
@@ -47,69 +47,65 @@ def assert_races_are_lockset_warnings(image, policy, step_limit):
     assert races <= warned, policy
 
 
-def test_random_images_run_alike_every_way():
-    def check(image, policy, step_limit):
-        bare = load(image, policy).run(step_limit)
-        recorded, events = recorded_run(image, policy, step_limit)
-        analyzed_events = []
-        analyzed = analyze(image, RunConfig(policy=policy, step_limit=step_limit,
-                                            observers=(analyzed_events.append,)))
-        assert bare.state == recorded.state == analyzed.state, policy
-        assert bare.outcome == recorded.outcome == analyzed.outcome, policy
-        assert events == analyzed_events, policy
-
-    run_family("random", 50, check)
+@over_family("random", 50)
+def test_random_images_run_alike_every_way(image, policy, step_limit):
+    bare = load(image, policy).run(step_limit)
+    recorded, events = recorded_run(image, policy, step_limit)
+    analyzed_events = []
+    analyzed = analyze(image, RunConfig(policy=policy, step_limit=step_limit,
+                                        observers=(analyzed_events.append,)))
+    assert bare.state == recorded.state == analyzed.state, policy
+    assert bare.outcome == recorded.outcome == analyzed.outcome, policy
+    assert events == analyzed_events, policy
 
 
-def test_random_images_analyze_alike_with_full_delivery():
+@over_family("random", 50)
+def test_random_images_analyze_alike_with_full_delivery(image, policy, step_limit):
     """Shadow and checkers handed only the kinds they read give the same
     report, shadow trace, state and outcome as when handed every event."""
-    def check(image, policy, step_limit):
-        config = RunConfig(policy=policy, step_limit=step_limit)
-        filtered = analysis_outputs(image, config)
-        with full_delivery():
-            full = analysis_outputs(image, config)
-        assert filtered == full, policy
-
-    run_family("random", 50, check)
+    config = RunConfig(policy=policy, step_limit=step_limit)
+    filtered = analysis_outputs(image, config)
+    with full_delivery():
+        full = analysis_outputs(image, config)
+    assert filtered == full, policy
 
 
-def test_random_images_keep_runnable_and_pick_like_the_general_path():
-    run_family("random", 50, assert_scheduled_like_the_general_pick)
+@over_family("random", 50)
+def test_random_images_keep_runnable_and_pick_like_the_general_path(image, policy, step_limit):
+    assert_scheduled_like_the_general_pick(image, policy, step_limit)
 
 
-def test_random_images_race_only_on_words_the_lockset_warns_about():
+@over_family("random", 50)
+def test_random_images_race_only_on_words_the_lockset_warns_about(image, policy, step_limit):
     """The fuzz leg of the acceptance gate's happens-before criterion."""
-    run_family("random", 50, assert_races_are_lockset_warnings)
+    assert_races_are_lockset_warnings(image, policy, step_limit)
 
 
-def test_sharing_images_keep_runnable_and_pick_like_the_general_path():
-    run_family("sharing", 50, assert_scheduled_like_the_general_pick)
+@over_family("sharing", 50)
+def test_sharing_images_keep_runnable_and_pick_like_the_general_path(image, policy, step_limit):
+    assert_scheduled_like_the_general_pick(image, policy, step_limit)
 
 
-def test_sharing_images_race_only_on_words_the_lockset_warns_about():
+@over_family("sharing", 50)
+def test_sharing_images_race_only_on_words_the_lockset_warns_about(image, policy, step_limit):
     """The happens-before criterion where threads do share words."""
-    run_family("sharing", 50, assert_races_are_lockset_warnings)
+    assert_races_are_lockset_warnings(image, policy, step_limit)
 
 
-def test_sharing_images_replay_to_the_live_warnings():
+@over_family("sharing", 50)
+def test_sharing_images_replay_to_the_live_warnings(image, policy, step_limit):
     """The fuzz leg of the acceptance gate's replay criterion."""
-    def check(image, policy, step_limit):
-        live, replayed = live_and_replayed(image, policy, step_limit)
-        assert replayed == live.warnings, policy
-
-    run_family("sharing", 50, check)
+    live, replayed = live_and_replayed(image, policy, step_limit)
+    assert replayed == live.warnings, policy
 
 
-def test_waiting_images_wake_every_waiter_and_pick_like_the_general_path():
-    def check(image, policy, step_limit):
-        assert_scheduled_like_the_general_pick(image, policy, step_limit)
-        result = load(image, policy).run(step_limit)
-        assert result.outcome == "halt", policy
-        workers = result.state.next_tid - 1  # tids 1.., one per SPAWN
-        assert int.from_bytes(result.state.memory[HEAP_BASE:HEAP_BASE + 4], "little") == workers
-
-    run_family("waiting", 30, check)
+@over_family("waiting", 30)
+def test_waiting_images_wake_every_waiter_and_pick_like_the_general_path(image, policy, step_limit):
+    assert_scheduled_like_the_general_pick(image, policy, step_limit)
+    result = load(image, policy).run(step_limit)
+    assert result.outcome == "halt", policy
+    workers = result.state.next_tid - 1  # tids 1.., one per SPAWN
+    assert int.from_bytes(result.state.memory[HEAP_BASE:HEAP_BASE + 4], "little") == workers
 
 
 _read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)
@@ -160,7 +156,7 @@ def _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets):
 
 
 @settings(max_examples=50, deadline=None)
-@given(image=RANDOM.images, quantum=RANDOM.quantum, seed=RANDOM.seed, read_sets=_read_sets)
+@given(image=RANDOM.images, quantum=st.integers(1, 3), seed=RANDOM.seed, read_sets=_read_sets)
 def test_random_images_deliver_each_read_set_its_filtered_stream(image, quantum, seed, read_sets):
     policy = SchedulerPolicy(ROUND_ROBIN, quantum, seed)
     _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets)

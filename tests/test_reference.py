@@ -23,7 +23,7 @@ from scvm.machine import EVENT_KINDS, SEEDED_RANDOM, SchedulerPolicy, load
 from scvm.report import parse_manifest
 from scvm.shadow import ShadowState
 
-from families import run_family
+from families import over_family
 from helpers import corpus_manifest_text, corpus_names, corpus_source
 from ref_machine import machine_view, run_reference
 
@@ -64,17 +64,21 @@ def test_corpus_entries_run_like_the_reference(name):
         assert_runs_like_the_reference(image, policy, 100_000)
 
 
-def test_random_images_run_like_the_reference():
-    run_family("random", 100, assert_runs_like_the_reference)
+@over_family("random", 100)
+def test_random_images_run_like_the_reference(image, policy, step_limit):
+    assert_runs_like_the_reference(image, policy, step_limit)
 
 
-def test_sharing_images_run_like_the_reference():
-    run_family("sharing", 100, assert_runs_like_the_reference)
+@over_family("sharing", 100)
+def test_sharing_images_run_like_the_reference(image, policy, step_limit):
+    assert_runs_like_the_reference(image, policy, step_limit)
 
 
-def test_waiting_images_run_like_the_reference():
-    run_family("waiting", 30, assert_runs_like_the_reference)
+@over_family("waiting", 30)
+def test_waiting_images_run_like_the_reference(image, policy, step_limit):
+    assert_runs_like_the_reference(image, policy, step_limit)
 
 
-def test_images_that_rewrite_their_code_run_like_the_reference():
-    run_family("self-rewriting", 100, assert_runs_like_the_reference)
+@over_family("self-rewriting", 100)
+def test_images_that_rewrite_their_code_run_like_the_reference(image, policy, step_limit):
+    assert_runs_like_the_reference(image, policy, step_limit)

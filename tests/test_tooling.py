@@ -332,13 +332,21 @@ def test_registry_reads_every_kind_a_shipped_plugin_reads():
         assert set(plugin.kinds) <= set(CheckerRegistry.dispatch.kinds), plugin.name
 
 
-def test_demo_aliasing_script_succeeds(capsys):
-    path = ROOT / "scripts" / "demo_aliasing.py"
-    spec = importlib.util.spec_from_file_location("demo_aliasing", path)
+def script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main() == 0
+    return module
+
+
+def test_demo_aliasing_script_succeeds(capsys):
+    assert script("demo_aliasing").main() == 0
     assert "checked twin: 0 warning(s); unchecked twin: 1 warning(s)" in capsys.readouterr().out
+
+
+def test_fuzz_counts_script_counts_a_family():
+    line = script("fuzz_counts").count("waiting", seeds=[0], examples=2)
+    assert line.startswith("waiting: 4 runs, steps median "), line
 
 
 def test_benchmark_patched_names_exist():
