@@ -33,8 +33,9 @@ field), which the shadow engine keys on:
     ('syscall', n)          produced by syscall n
 
 The interpreter itself is single-threaded; guest threads are simulated
-and interleaved by a deterministic scheduler.  Identical (image, policy,
-seed, step limit) always reproduces identical event streams.
+and interleaved by a deterministic scheduler, which picks once per slice
+(see Machine.run) as if once per step.  Identical (image, policy, seed,
+step limit) always reproduces identical event streams.
 
 A thread's context is in `MachineState.threads` from its SPAWN to its
 end, and tids are never reused; `MachineState.blocked` alone says who waits.
@@ -267,43 +268,43 @@ class SchedulerPolicy:
             raise ValueError("quantum must be >= 1")
 
 
-def _xorshift64star(state: int) -> tuple[int, int]:
-    """One step of the xorshift64* generator: (new state, output)."""
-    x = state & M64
-    x ^= x >> 12
-    x ^= (x << 25) & M64
-    x ^= x >> 27
-    return x, (x * 0x2545F4914F6CDD1D) & M64
-
-
 class Scheduler:
-    """Deterministic thread picker.  Owns quantum accounting."""
+    """Deterministic thread picker.  Owns quantum accounting: _used is the
+    steps the current thread has had of its quantum, which Machine.run,
+    picking once per slice, sets before a slice's last step as a pick per
+    step would, so a YIELD's expire_slice in that step stands."""
 
     def __init__(self, policy: SchedulerPolicy):
         self.policy = policy
+        self.kind, self.quantum = policy.kind, policy.quantum
         self._used = policy.quantum  # force a slice boundary on first pick
         # A zero xorshift state is a fixed point; remap seed 0.
         self._rng = policy.seed & M64 or 0x9E3779B97F4A7C15
 
     def expire_slice(self):
-        self._used = self.policy.quantum
+        self._used = self.quantum
 
     def pick(self, state: MachineState) -> int | None:
         """Next tid from state.runnable (None when empty): the current one
-        until its quantum is used, then the next by round-robin or a draw."""
+        until its quantum is used, then the next by round-robin or an
+        xorshift64* draw."""
         runnable = state.runnable
         if not runnable:
             return None
         cur = state.current
-        if self._used < self.policy.quantum and cur in runnable:
+        if self._used < self.quantum and cur in runnable:
             self._used += 1
             return cur
         self._used = 1
-        if self.policy.kind == ROUND_ROBIN:
+        if self.kind == ROUND_ROBIN:
             i = bisect.bisect_right(runnable, cur)
             return runnable[i] if i < len(runnable) else runnable[0]
-        self._rng, out = _xorshift64star(self._rng)
-        return runnable[out % len(runnable)]
+        x = self._rng
+        x ^= x >> 12
+        x ^= (x << 25) & M64
+        x ^= x >> 27
+        self._rng = x
+        return runnable[(x * 0x2545F4914F6CDD1D & M64) % len(runnable)]
 
 
 @dataclass(frozen=True)
@@ -653,9 +654,10 @@ def _decode(word: int) -> Instruction:
 
 
 def _compile(word: int, reads: frozenset) -> tuple:
-    """(opcode name, handler) of one code word for one read set."""
+    """(opcode name, handler, ends_slice) of one code word for one read
+    set; SYS and HALT end a slice, as only they change who can run."""
     i = _decode(word)
-    return i.opcode.name, _COMPILERS[i.opcode](i, reads)
+    return i.opcode.name, _COMPILERS[i.opcode](i, reads), i.opcode in (Opcode.SYS, Opcode.HALT)
 
 
 @functools.lru_cache(maxsize=16)
@@ -706,8 +708,10 @@ class Machine:
         self.observers.append(fn)
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
-        """Pick a thread, then fetch, execute and count one instruction
-        of it, until thread 0 HALTs, all threads end, a fault, or the
+        """Pick a thread and run a slice of it: fetch, execute and count
+        its instructions to the end of its quantum (unbounded under
+        round-robin with no other thread runnable) or a SYS or HALT; then
+        pick again, until thread 0 HALTs, all threads end, a fault, or the
         step limit; see RunResult.outcome.
 
         Each code word runs through its handler compiled for this run's
@@ -742,33 +746,49 @@ class Machine:
                 for fn in readers:
                     fn(e)
 
-        memory = st.memory
-        while not st.halted and st.step_count < step_limit:
-            tid = self.scheduler.pick(st)
+        sched, memory = self.scheduler, st.memory
+        quantum, solo = sched.quantum, sched.kind == ROUND_ROBIN
+        step_no = st.step_count
+        while not st.halted and step_no < step_limit:
+            tid = sched.pick(st)
             if tid is None:
                 if st.blocked:  # a live thread waits on a lock: name the lowest waiter
                     tid = min(min(tids) for tids in st.blocked.values())
                     st.fault = GuestFault("deadlock: all live threads blocked",
-                                          tid, threads[tid].pc, st.step_count)
+                                          tid, threads[tid].pc, step_no)
                 st.halted = True
                 break
             st.current = tid
             t = threads[tid]
-            step_no = st.step_count
-            pc = t.pc
+            # The slice's last step: the quantum's, or the step limit's when
+            # round-robin would pick this thread again at every boundary.
+            first, used = step_no, sched._used
+            last = first + quantum - used
+            if last >= step_limit or solo and len(st.runnable) == 1:
+                last = step_limit - 1
             try:
-                if pc % INSTR_SIZE:
-                    raise _Fault(f"misaligned pc 0x{pc:04X}")
-                if pc > MEMORY_SIZE - INSTR_SIZE:
-                    raise _Fault(f"pc 0x{pc:04X} out of range")
-                name, handler = compile_(_code_word(memory, pc)[0])
-                if fetch:
-                    emit("fetch", op=name)
-                handler(self, t, pc, emit)
+                while True:
+                    pc = t.pc
+                    if pc % INSTR_SIZE:
+                        raise _Fault(f"misaligned pc 0x{pc:04X}")
+                    if pc > MEMORY_SIZE - INSTR_SIZE:
+                        raise _Fault(f"pc 0x{pc:04X} out of range")
+                    name, handler, ends = compile_(_code_word(memory, pc)[0])
+                    if fetch:
+                        emit("fetch", op=name)
+                    end = ends or step_no == last
+                    if end and step_no > first:  # a pick per step's count, before a YIELD
+                        sched._used = (used + step_no - first - 1) % quantum + 1
+                    handler(self, t, pc, emit)
+                    step_no += 1
+                    if end:
+                        break
             except (_Fault, DecodeError) as f:
                 st.fault = GuestFault(str(f), tid, pc, step_no)
                 st.halted = True
-            st.step_count = step_no + 1
+                step_no += 1
+            finally:
+                st.step_count = step_no
         outcome = "fault" if st.fault is not None else "halt" if st.halted else "timeout"
         return RunResult(state=st, outcome=outcome)
 

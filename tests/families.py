@@ -11,8 +11,9 @@ value, then run a body of validly encoded instructions whose
 immediates fit their opcode (code addresses for branches, syscall
 numbers for SYS), and end in HALT.  CLI and STI run in kernel mode, in a trap body after the HALT that
 a KCALL enters and a KRET leaves; the body draws CLI and KRET seldom,
-so their user-mode faults stay covered.  Some of the body's draws are
-locked sections, so an UNLOCK often releases a lock its thread holds.
+so their user-mode faults stay covered.  The body draws LOCK and UNLOCK
+only as locked sections, so an UNLOCK often releases a lock its thread
+holds; a branch into or back over a section still faults on one.
 
 Sharing images run threads that each load the same few heap words into
 registers and touch them, with or without a lock.  Waiting images queue
@@ -57,14 +58,14 @@ _value = st.one_of(
     st.integers(IMM_MIN, IMM_MAX),
 )
 
-# SYS is weighted up, and so are the syscalls for threads, locks and
-# kernel mode; the body has no HALT, since the image ends in one.  CLI,
-# STI and KRET belong in the trap body: the body draws CLI once in 82,
-# STI never and KRET once in 28 syscalls, so their user-mode faults stay
-# covered.
+# SYS is weighted up, and so are the syscalls for threads, traps and
+# kernel mode; LOCK and UNLOCK come only from _locked, and the body has no
+# HALT, since the image ends in one.  CLI, STI and KRET belong in the trap
+# body: the body draws CLI once in 85, STI never and KRET once in 26
+# syscalls, so their user-mode faults stay covered.
 _BODY_OPS = [op for op in Opcode if op not in (Opcode.HALT, Opcode.CLI, Opcode.STI)] * 3 + [
     Opcode.SYS] * 24 + [Opcode.CLI]
-_SYSNOS = [n for n in sorted(SYSCALL_NAMES) if n != SYS_KRET] + [
+_SYSNOS = [n for n in sorted(SYSCALL_NAMES) if n not in (SYS_KRET, SYS_LOCK, SYS_UNLOCK)] + [
     SYS_SPAWN, SYS_YIELD, SYS_SET_TRAP, SYS_KCALL
 ] * 3 + [SYS_KRET]
 

@@ -1109,7 +1109,7 @@ def test_run_resumes_where_it_stopped(policy):
             result = machine.run(step_limit=limit)
         return result, events
 
-    whole, _ = recorded(10_000)
+    whole, whole_events = recorded(10_000)
     assert whole.outcome == "halt"
     for n in (whole.state.step_count // 2, 10_000):
         one, one_events = recorded(n)
@@ -1118,6 +1118,39 @@ def test_run_resumes_where_it_stopped(policy):
             assert split.state == one.state
             assert split.outcome == one.outcome
             assert split_events == one_events
+    # Resumed at every step, so every slice is cut at its first step.
+    stepped, stepped_events = recorded(*range(1, whole.state.step_count + 1))
+    assert (stepped.state, stepped.outcome) == (whole.state, whole.outcome)
+    assert stepped_events == whole_events
+
+
+def _counted_picks(source, policy, step_limit):
+    """(RunResult, calls of the scheduler's pick) of one run of source."""
+    machine = load(assemble(source), policy)
+    pick, calls = machine.scheduler.pick, []
+
+    def counted(state):
+        calls.append(state.step_count)
+        return pick(state)
+
+    machine.scheduler.pick = counted
+    return machine.run(step_limit), len(calls)
+
+
+def test_run_picks_once_per_slice():
+    """A one-thread round-robin loop with no SYS is one slice, whatever
+    its quantum, so the run picks once; four threads under seeded-random
+    quantum 1 make every step a slice, so the run picks once per step."""
+    loop = "MOVI r1, 1\nloop: ADD r2, r2, r1\nJMP loop\n"
+    for quantum in (1, 2, 3):
+        result, picks = _counted_picks(loop, SchedulerPolicy(ROUND_ROBIN, quantum), 1_000)
+        assert (result.outcome, result.state.step_count, picks) == ("timeout", 1_000, 1)
+    spawns = "MOVI r0, loop\nMOVI r1, 0xF000\nSYS 48\n" * 3
+    for seed in (1, 2, 3):
+        policy = SchedulerPolicy(SEEDED_RANDOM, 1, seed)
+        result, picks = _counted_picks(spawns + loop, policy, 1_000)
+        assert len(result.state.runnable) == 4
+        assert (result.outcome, result.state.step_count, picks) == ("timeout", 1_000, 1_000)
 
 
 # -- observers ---------------------------------------------------------

@@ -349,6 +349,22 @@ def test_fuzz_counts_script_counts_a_family():
     assert line.startswith("waiting: 4 runs, steps median "), line
 
 
+def test_bench_pairs_script_judges_a_claim():
+    """A claim holds at its ratio of the parent's median, with at least 9
+    of 10 pairs won (ties count for neither side) and a median gap wider
+    than the parent's interquartile range."""
+    judge = script("bench_pairs").judge
+    pairs = [{"parent": 100 + i, "change": 120 + i} for i in range(10)]
+    verdict = judge(pairs, "higher", 1.15)
+    assert (verdict["met"], verdict["won"], verdict["parent_iqr"]) == (True, 10, 4.5)
+    assert not judge(pairs, "higher", 1.25)["met"]
+    assert not judge([{**p, "change": p["parent"]} if i < 2 else p
+                      for i, p in enumerate(pairs)], "higher", 1.0)["met"]
+    swapped = [{"parent": p["change"], "change": p["parent"]} for p in pairs]
+    assert judge(swapped, "lower", 0.85)["met"]
+    assert not judge(swapped, "higher", 0.85)["met"]
+
+
 def test_benchmark_patched_names_exist():
     """The benchmark's traced pass wraps these by name and skips any
     that is missing, so a rename would read 0 in a per-layer metric
