@@ -60,6 +60,8 @@ def analyze(image: ProgramImage, config: RunConfig | None = None) -> AnalysisRes
     for fn in config.observers:
         machine.add_observer(fn)
     machine.add_observer(shadow.on_event)
+    if config.shadow_trace is not None:  # every reg-write prints a line
+        machine.woken.add(shadow.on_event)
     machine.add_observer(registry.dispatch)
     result = machine.run(config.step_limit)
     return AnalysisResult(

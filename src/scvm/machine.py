@@ -6,12 +6,12 @@ events for its operand traffic, in operand-evaluation order.  Events
 are stamped with the thread, pc, privilege mode, interrupt flag, and the
 thread's held-lock set at emission time, so observers never have to
 reach back into mutable machine state to interpret them.  An observer
-may name the kinds it reads in a `kinds` attribute (see EVENT_KINDS);
-an event reaches only the observers that read its kind, and a kind that
-no observer reads builds no Event at all.
+may name the kinds it reads in `kinds`, and those it reads until it wakes
+in `idle_kinds` (see EVENT_KINDS, Machine); an event reaches only the
+observers that read its kind, and a kind nobody reads builds no Event.
 
 Each code word is decoded once and compiled once per read set, the set
-of kinds the run's observers read, into a handler closed over its
+of kinds the observers read, into a handler closed over its
 operands and memoized on the word's 8 bytes, so code the guest writes
 at run time needs no invalidation.  The common opcodes' handlers test a
 flag fixed at compile time at each emit site, so an unread kind costs
@@ -694,15 +694,18 @@ class Machine:
 
     Observers registered with add_observer receive, synchronously and
     in emission order during run(), every Event of the kinds they read:
-    those in their `kinds` attribute (read when run() starts), or all
-    of EVENT_KINDS when they have none.  They are the only way to see
-    the event stream.
+    those in their `kinds` attribute, or all of EVENT_KINDS when they
+    have none.  They are the only way to see the event stream.  One with
+    `idle_kinds` reads only those until it joins `woken`, as it does when
+    a call of it returns true or a caller adds it before run(); then it
+    reads its `kinds`, in resumed runs too.
     """
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
         self.state = state
         self.scheduler = Scheduler(policy or SchedulerPolicy())
         self.observers: list = []
+        self.woken: set = set()  # observers that left their idle_kinds for good
 
     def add_observer(self, fn) -> None:
         self.observers.append(fn)
@@ -714,9 +717,10 @@ class Machine:
         pick again, until thread 0 HALTs, all threads end, a fault, or the
         step limit; see RunResult.outcome.
 
-        Each code word runs through its handler compiled for this run's
-        read set, the kinds some observer reads (_compiler); with no
-        observers that set is empty and the run builds no event.
+        Each code word runs through its handler compiled for the read
+        set, the kinds some observer reads (_compiler); with no
+        observers that set is empty and the run builds no event.  A wake
+        reaches the same step's next emit and the next step's handler.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -725,14 +729,21 @@ class Machine:
         st = self.state
         threads = st.threads
 
-        # Each kind's readers, in registration order.
-        by_kind = {kind: [] for kind in EVENT_KINDS}
-        for fn in self.observers:
-            kinds = getattr(fn, "kinds", None)
-            for kind in EVENT_KINDS if kinds is None else kinds:
-                by_kind[kind].append(fn)
-        reads = frozenset(kind for kind, readers in by_kind.items() if readers)
-        compile_, fetch = _compiler(reads), "fetch" in reads
+        def read():
+            """Each kind's readers, fresh tuples (an emit's loop keeps its own), and handlers."""
+            nonlocal by_kind, compile_, fetch
+            by_kind = dict.fromkeys(EVENT_KINDS, ())
+            for fn in self.observers:
+                kinds = getattr(fn, "kinds", None)
+                if hasattr(fn, "idle_kinds") and fn not in self.woken:
+                    kinds = fn.idle_kinds
+                for kind in EVENT_KINDS if kinds is None else kinds:
+                    by_kind[kind] += (fn,)
+            reads = frozenset(kind for kind, readers in by_kind.items() if readers)
+            compile_, fetch = _compiler(reads), "fetch" in reads
+
+        by_kind = compile_ = fetch = None
+        read()
 
         # Builds no Event for a kind nobody reads (beside the compiled flags
         # and fetch, the one place that drops one).  Reads the loop's current
@@ -744,7 +755,9 @@ class Machine:
                 e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, op, reg, value,
                           src, addr, width, base_reg, rs, rt, taken, sysno, args, lock, new_tid)
                 for fn in readers:
-                    fn(e)
+                    if fn(e) and hasattr(fn, "idle_kinds") and fn not in self.woken:
+                        self.woken.add(fn)
+                        read()
 
         sched, memory = self.scheduler, st.memory
         quantum, solo = sched.quantum, sched.kind == ROUND_ROBIN

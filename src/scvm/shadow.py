@@ -11,6 +11,9 @@ The engine is driven purely by machine events (see machine.Event and
 its `src` provenance convention).  It never reads machine registers or
 memory directly, which keeps replaying a recorded stream equivalent to
 observing a live run.
+
+Only the SYSes in MINTING_SYSES mint an object.  Until one runs every
+cell is untagged, so on_event reads only its `idle_kinds` (machine.Machine).
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ NULLABLE_TAGS = frozenset({TagKind.ALLOC_UNCHECKED, TagKind.FD_UNCHECKED})
 # Ops whose result over one object (`op rd, rs, rs`, or two aliases) is an
 # integer: zero, or the offset between two copies of a pointer.
 ZEROING_OPS = frozenset({"XOR", "SUB"})
+
+# The SYSes that can mint an object: SYS 35 through the loads from its range.
+MINTING_SYSES = frozenset({SYS_ALLOC, SYS_OPEN, SYS_READ_NET, SYS_KCALL, SYS_TAG_TAINT,
+                           SYS_TAG_UNTRUSTED_SOURCE})
 
 # Past this length a note records no more access checks, so each check costs the same.
 NOTE_CAP = 1024
@@ -126,7 +133,7 @@ class ShadowState:
 
     # -- event propagation ------------------------------------------
 
-    def on_event(self, e: Event) -> None:
+    def on_event(self, e: Event) -> bool | None:
         kind = e.kind
         if kind == "reg-write":
             self._set_reg(e.tid, e.reg, self._source_object(e))
@@ -150,11 +157,14 @@ class ShadowState:
             self._on_compare(e)
         elif kind == "syscall":
             self._on_syscall(e)
+            return e.sysno in MINTING_SYSES  # true wakes the shadow to its kinds
         elif kind == "thread-exit":  # tids are never reused, so no later event names it
             self.reg_cells.pop(e.tid, None)
         # every other kind carries no shadow semantics
 
     on_event.kinds = ("reg-write", "mem-write", "mem-read", "compare", "syscall", "thread-exit")
+    # thread-exit drops the register cells a CHECK_USER made before any mint.
+    on_event.idle_kinds = ("syscall", "thread-exit")
 
     def _source_object(self, e: Event) -> TypeObject:
         src = e.src

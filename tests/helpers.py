@@ -14,7 +14,7 @@ from scvm.asm import assemble
 from scvm.checkers import CHECKER_ORDER, RULE_RACE, CheckerRegistry, make_checkers
 from scvm.corpus import discover, shipped_dir
 from scvm.driver import RunConfig, analyze
-from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode
+from scvm.isa import INSTR_SIZE, NUM_REGS, Instruction, Opcode, decode
 from scvm.machine import ROUND_ROBIN, SYS_LOCK, Event, SchedulerPolicy, load
 from scvm.report import serialize
 from scvm.shadow import ShadowState
@@ -194,6 +194,18 @@ def steps_growth(run, n: int) -> tuple:
             tracemalloc.stop()
 
     return best(4 * n) / best(n), peak(4 * n) / peak(n)
+
+
+def shadow_cells(shadow: ShadowState, tids, addrs) -> dict:
+    """Each register of each of tids, and each of addrs, mapped to its
+    object's id, tags and note: what two shadows that should agree
+    compare by, as their objects are never the same ones."""
+    def view(obj):
+        return obj.id, frozenset(obj.tags), obj.note
+
+    cells = {(tid, reg): view(shadow.reg_object(tid, reg))
+             for tid in tids for reg in range(NUM_REGS)}
+    return cells | {addr: view(shadow.mem_object(addr)) for addr in addrs}
 
 
 def rules_of(result) -> list:

@@ -316,6 +316,39 @@ def test_check_shadow_trace_prints_cell_updates(build, capsys):
     assert "cell r0@t0 -> object 1 tags {ALLOC_UNCHECKED}" in out
 
 
+# MOVI, MOV and ST before the first ALLOC, and the shadow trace of the
+# run: the untagged cells of those early steps, then the ALLOC's object.
+EARLY_UNTAGGED = """
+start: MOVI r2, 0xE000
+       MOV r3, r2
+       ST [r2], r3
+       MOVI r0, 16
+       SYS 1
+       HALT
+"""
+EARLY_UNTAGGED_SHADOW = """\
+cell r2@t0 -> object 0 tags {}
+cell r3@t0 -> object 0 tags {}
+cell 0xE000 -> object 0 tags {}
+cell 0xE001 -> object 0 tags {}
+cell 0xE002 -> object 0 tags {}
+cell 0xE003 -> object 0 tags {}
+cell r0@t0 -> object 0 tags {}
+cell r0@t0 -> object 1 tags {ALLOC_UNCHECKED}
+"""
+
+
+def test_shadow_trace_prints_the_untagged_cells_before_the_first_mint(build, capsys):
+    """A shadow trace wakes the shadow before the run, so the steps
+    before any object is minted print their cell lines too."""
+    img = build(EARLY_UNTAGGED)
+    assert main(["check", str(img), "--trace", "shadow", "--report", "/dev/null"]) == 0
+    assert capsys.readouterr().out == EARLY_UNTAGGED_SHADOW
+    lines = []
+    analyze(read_image(img), RunConfig(shadow_trace=lines.append))
+    assert "".join(line + "\n" for line in lines) == EARLY_UNTAGGED_SHADOW
+
+
 # -- corpus ----------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ the live warnings.  Waiting images must wake every waiter.
 
 Observers reading random sets of event kinds, over random images and
 the shipped corpus, each receive exactly the full stream filtered to
-their kinds.
+their kinds, or to their idle kinds until they wake.
 """
 
 import contextlib
@@ -111,18 +111,22 @@ def test_waiting_images_wake_every_waiter_and_pick_like_the_general_path(image, 
 _read_sets = st.lists(st.frozensets(st.sampled_from(EVENT_KINDS)), min_size=1, max_size=3)
 
 
-def _stream(image, policy, kinds=None):
+def _stream(image, policy, kinds=None, idle_kinds=None):
     """(final state, the events an observer reading `kinds` received,
     each as a tuple of its fields); kinds None reads every kind, and an
-    empty `kinds` leaves the run bare."""
+    empty `kinds` leaves the run bare.  Given `idle_kinds`, it reads
+    those until its first `syscall` event wakes it."""
     machine = load(image, policy)
     got = []
 
     def observe(e):
         got.append(dataclasses.astuple(e))
+        return e.kind == "syscall"
 
     if kinds is not None:
         observe.kinds = tuple(kinds)
+    if idle_kinds is not None:
+        observe.idle_kinds = tuple(idle_kinds)
     machine.add_observer(observe)
     return machine.run(RANDOM.step_limit).state, got
 
@@ -143,16 +147,24 @@ def _assert_each_read_set_sees_the_filtered_stream(image, policy, read_sets):
     """Bare, subset and full runs interleaved in one process, through
     the shared handler caches: each observer gets exactly the stream of
     a run compiled afresh, filtered to the kinds it reads, and every
-    run ends in the same state."""
+    run ends in the same state.  One whose read set grows, idle on the
+    previous read set and `syscall` until the first `syscall` event
+    wakes it, gets the stream filtered to those kinds up to and
+    including that event, and to its `kinds` after it."""
     for kind in (ROUND_ROBIN, SEEDED_RANDOM):
         policy = dataclasses.replace(policy, kind=kind)
         with _handlers_compiled_afresh():
             state, full = _stream(image, policy)
-        for kinds in read_sets:
+        woke = next((n + 1 for n, e in enumerate(full) if e[0] == "syscall"), len(full))
+        for kinds, before in zip(read_sets, read_sets[-1:] + read_sets[:-1]):
             assert load(image, policy).run(RANDOM.step_limit).state == state, kind
             filtered = [e for e in full if e[0] in kinds]
             assert _stream(image, policy, kinds) == (state, filtered), (kind, sorted(kinds))
             assert _stream(image, policy) == (state, full), kind
+            idle = before | {"syscall"}
+            grown = ([e for e in full[:woke] if e[0] in idle]
+                     + [e for e in full[woke:] if e[0] in kinds])
+            assert _stream(image, policy, kinds, idle) == (state, grown), (kind, sorted(idle))
 
 
 @settings(max_examples=50, deadline=None)

@@ -13,7 +13,8 @@ from hypothesis import example, given, strategies as st
 
 import scvm.machine
 from scvm.asm import assemble
-from scvm.isa import Instruction, Opcode, decode, encode
+from scvm.checkers import RULE_NULL_DEREF, CheckerRegistry, make_checkers
+from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
     DEFAULT_STACK_TOP,
@@ -36,6 +37,7 @@ from scvm.machine import (
     format_event,
     load,
 )
+from scvm.shadow import ShadowState
 
 from helpers import (
     assert_scheduled_like_the_general_pick,
@@ -45,6 +47,7 @@ from helpers import (
     general_pick,
     rebuilt_runnable,
     ref_xorshift64star,
+    shadow_cells,
     spawn_slowdown,
 )
 
@@ -1122,6 +1125,68 @@ def test_run_resumes_where_it_stopped(policy):
     stepped, stepped_events = recorded(*range(1, whole.state.step_count + 1))
     assert (stepped.state, stepped.outcome) == (whole.state, whole.outcome)
     assert stepped_events == whole_events
+
+
+# An untagged ST before the ALLOC the shadow wakes at, then the object
+# copied to a register, stored, loaded back and dereferenced unchecked:
+# each link needs a kind only the woken shadow reads.
+WAKE_SRC = """
+        MOVI r2, 0xE000
+        ST [r2], r2
+        MOVI r0, 16
+wake:   SYS 1
+        MOV r4, r0
+        ST [r2], r4
+        LD r3, [r2]
+site:   LDB r1, [r3]
+        HALT
+"""
+
+
+class _RecordingShadow(ShadowState):
+    """A shadow that keeps each event it is handed, idle as the real one."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_event(self, e):
+        self.events.append(e)
+        return super().on_event(e)
+
+    on_event.kinds = ShadowState.on_event.kinds
+    on_event.idle_kinds = ShadowState.on_event.idle_kinds
+
+
+def _checked(image, *limits):
+    """A run of image under the null checker, resumed at each step limit:
+    its state, outcome, the shadow's events, the warnings and every shadow cell."""
+    machine = load(image)
+    shadow = _RecordingShadow()
+    registry = CheckerRegistry(make_checkers(("null",), machine, shadow))
+    machine.add_observer(shadow.on_event)
+    machine.add_observer(registry.dispatch)
+    for limit in limits:
+        result = machine.run(step_limit=limit)
+    cells = shadow_cells(shadow, result.state.threads, shadow.mem_cells)
+    return result.state, result.outcome, shadow.events, registry.warnings, cells
+
+
+def test_a_checked_run_resumes_across_the_shadow_waking():
+    """Stopped by its step limit before the waking SYS, right after it
+    or one step on, then resumed, a checked run ends as one whole run
+    does: the woken set is the machine's, not one run's, and the next
+    step's handler is compiled for the grown read set."""
+    image = assemble(WAKE_SRC)
+    wake = image.symbols["wake"] // INSTR_SIZE  # its step: one thread, no branch before it
+    whole = _checked(image, 100)
+    state, outcome, events, warnings, cells = whole
+    assert outcome == "halt"
+    assert [(w.rule, w.pc) for w in warnings] == [(RULE_NULL_DEREF, image.symbols["site"])]
+    assert {e.kind for e in events if e.step < wake} == set()  # the ST went unseen
+    assert [e.kind for e in events if e.step == wake] == ["syscall", "reg-write"]
+    for stop in (wake, wake + 1, wake + 2):
+        assert _checked(image, stop, 100) == whole, stop
 
 
 def _counted_picks(source, policy, step_limit):

@@ -2,9 +2,11 @@
 
 Two styles here: whole-program runs (the shadow layer observing a real
 machine) and synthetic event streams fed straight into ShadowState,
-which pins down propagation rules one event at a time.
+which pins down propagation rules one event at a time.  The fuzz
+families and the corpus hold the idle shadow to one woken before the run.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -15,10 +17,20 @@ from scvm.asm import assemble
 from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
 from scvm.driver import RunConfig, analyze
 from scvm.isa import MEMORY_SIZE
-from scvm.machine import SchedulerPolicy, load
-from scvm.shadow import NOTE_CAP, ShadowState, TagKind, _fmt_tags
+from scvm.machine import SCHEDULER_KINDS, SchedulerPolicy, load
+from scvm.report import parse_manifest
+from scvm.shadow import MINTING_SYSES, NOTE_CAP, ShadowState, TagKind, _fmt_tags
 
-from helpers import ev, run_program, steps_growth
+from families import over_family
+from helpers import (
+    corpus_manifest_text,
+    corpus_names,
+    corpus_source,
+    ev,
+    run_program,
+    shadow_cells,
+    steps_growth,
+)
 
 
 def alloc_into(sh, reg=0, tid=0):
@@ -317,6 +329,8 @@ SOURCE_LOOP = ("MOVI r0, 0x8000\nMOVI r1, 1\nMOVI r2, 1\nMOVI r4, 0x7000\n"
 
 # A child that HALTs at once, spawned in a loop: each pass leaves an ended thread.
 SPAWN_HALT_LOOP = "MOVI r1, 0xF000\nmain: MOVI r0, child\nSYS 48\nJMP main\nchild: MOVI r2, 7\nHALT\n"
+# The same with a child that runs a CHECK_USER before any object is minted.
+SPAWN_CHECK_LOOP = SPAWN_HALT_LOOP.replace("MOVI r2, 7", "SYS 32")
 # The same with a stack top that falls by 4 each pass, down through the heap.
 FALLING_TOP_LOOP = ("MOVI r1, 0xE000\nMOVI r2, -4\nmain: MOVI r0, child\nADD r1, r1, r2\n"
                     "SYS 48\nJMP main\nchild: HALT\n")
@@ -340,6 +354,7 @@ def _checked(*checkers):
     (SOURCE_LOOP, _checked()),
     (SPAWN_HALT_LOOP, _bare),
     (SPAWN_HALT_LOOP, _checked(*CHECKER_ORDER)),
+    (SPAWN_CHECK_LOOP, _checked(*CHECKER_ORDER)),
     (FALLING_TOP_LOOP, _checked("lockset")),
     (LOCK_LOOP, _bare),
     (LOCK_LOOP, _checked(*CHECKER_ORDER)),
@@ -348,12 +363,14 @@ def _checked(*checkers):
         "one entry per site changes the report format, and bench/guests.py::taint_copy "
         "expects two FMT_TAINTED at one pc, so a benchmark change comes first")),
 ], ids=["check-note", "taint-sources", "dead-threads-bare", "dead-threads-checked",
-        "falling-top-spawns", "lock-loop-bare", "lock-loop-checked", "warning-flood"])
+        "dead-threads-checked-before-a-mint", "falling-top-spawns", "lock-loop-bare",
+        "lock-loop-checked", "warning-flood"])
 def test_a_guest_loop_runs_in_linear_time_and_bounded_memory(source, run):
     """A step costs the same however many came before it: a note stops
     growing at NOTE_CAP, the untrusted ranges are one flag per guest
     byte, not a list that each read scans, an ended thread leaves the
-    machine's thread table and the shadow's register cells, and a
+    machine's thread table and the shadow's register cells (the idle
+    shadow's too, which reads `thread-exit` for that), and a
     thread's held-lock set, copied at each LOCK, stops at
     MAX_LOCKS_HELD."""
     image = assemble(source)
@@ -528,6 +545,104 @@ def test_network_read_taints_the_buffer_with_one_object():
     assert "network read of 8 bytes" in cells[0].note
     assert sh.reg_object(0, 2) is cells[0]
     assert sh.mem_object(0x4008) is sh.untagged
+
+
+# -- demand-driven propagation -------------------------------------------
+
+
+class MintWatch(ShadowState):
+    """A shadow that reads its full kinds from the start and keeps the
+    note of each object it mints before any minting SYS's `syscall` event."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = False
+        self.early = []
+
+    def on_event(self, e):
+        self.armed = self.armed or e.kind == "syscall" and e.sysno in MINTING_SYSES
+        return super().on_event(e)
+
+    on_event.kinds = ShadowState.on_event.kinds
+
+    def fresh(self, tags, note=""):
+        if not self.armed:
+            self.early.append(note)
+        return super().fresh(tags, note)
+
+
+def assert_demand_driven_shadow_is_sound(image, policy, step_limit):
+    """The idle shadow's premise: in a full-kinds run nothing is minted
+    before the first minting SYS, and a demand-driven analyze reports
+    what one does whose shadow is woken before the run (as a shadow
+    trace wakes it), with the same object in every cell.  Returns the
+    demand-driven AnalysisResult."""
+    machine = load(image, policy)
+    watch = MintWatch()
+    machine.add_observer(watch.on_event)
+    machine.run(step_limit)
+    assert watch.early == [], policy
+    config = RunConfig(policy=policy, step_limit=step_limit)
+    idle = analyze(image, config)
+    woken = analyze(image, dataclasses.replace(config, shadow_trace=lambda line: None))
+    assert idle.warnings == woken.warnings, policy
+    tids = idle.state.threads
+    addrs = idle.shadow.mem_cells.keys() | woken.shadow.mem_cells.keys()
+    assert shadow_cells(idle.shadow, tids, addrs) == shadow_cells(woken.shadow, tids, addrs), policy
+    return idle
+
+
+# Each minting SYS with its set-up, run as the first after a prefix that
+# touches only untagged cells and before a suffix that copies, stores,
+# reloads, null-checks and dereferences what it left in r0.
+MINTING_CALLS = {
+    "ALLOC": "MOVI r0, 16\nSYS 1",
+    "OPEN": "MOVI r0, 0xE100\nSYS 2",
+    "READ_NET": "MOVI r0, 0xE100\nMOVI r1, 8\nSYS 3\nLDB r0, [r0]",
+    "KCALL": "MOVI r0, trap\nSYS 18\nSYS 16",
+    "TAG_TAINT": "MOVI r0, 0xE100\nSYS 34",
+    "TAG_UNTRUSTED_SOURCE": "MOVI r0, 0xE100\nMOVI r1, 8\nSYS 35\nLD r0, [r0]",
+}
+CLEAN_PREFIX = "MOVI r2, 0xE000\nMOV r3, r2\nST [r2], r3\nLD r4, [r2]\nCMPI r4, 0\n"
+TAGGED_SUFFIX = ("\nMOV r4, r0\nST [r2], r4\nLD r3, [r2]\nCMPI r3, 0\nLDB r1, [r3]\nHALT\n"
+                 "trap: SYS 17\n")
+
+
+@pytest.mark.parametrize("call", MINTING_CALLS)
+def test_each_minting_sys_after_a_clean_prefix_wakes_the_shadow_in_time(call):
+    image = assemble(CLEAN_PREFIX + MINTING_CALLS[call] + TAGGED_SUFFIX)
+    for kind in SCHEDULER_KINDS:
+        result = assert_demand_driven_shadow_is_sound(image, SchedulerPolicy(kind), 1000)
+        assert result.shadow.reg_object(0, 4).tags, kind
+
+
+@over_family("random", 50)
+def test_random_images_mint_only_after_a_minting_sys(image, policy, step_limit):
+    assert_demand_driven_shadow_is_sound(image, policy, step_limit)
+
+
+@over_family("sharing", 30)
+def test_sharing_images_mint_only_after_a_minting_sys(image, policy, step_limit):
+    assert_demand_driven_shadow_is_sound(image, policy, step_limit)
+
+
+@over_family("waiting", 10)
+def test_waiting_images_mint_only_after_a_minting_sys(image, policy, step_limit):
+    assert_demand_driven_shadow_is_sound(image, policy, step_limit)
+
+
+@over_family("self-rewriting", 50)
+def test_rewriting_images_mint_only_after_a_minting_sys(image, policy, step_limit):
+    assert_demand_driven_shadow_is_sound(image, policy, step_limit)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_entries_mint_only_after_a_minting_sys(name):
+    image = assemble(corpus_source(name))
+    policy = parse_manifest(corpus_manifest_text(name)).policy
+    for kind in SCHEDULER_KINDS:
+        assert_demand_driven_shadow_is_sound(image, dataclasses.replace(policy, kind=kind),
+                                             100_000)
 
 
 # -- synthetic streams ----------------------------------------------------
