@@ -18,6 +18,19 @@ flag fixed at compile time at each emit site, so an unread kind costs
 them no call; the rarer opcodes call the run's emit, which builds no
 event for a kind nobody reads.  A bare run is the empty read set.
 
+A bare run, and only a bare run, also runs straight-line code in
+blocks, as Bochs's trace cache and QEMU's translation blocks do.  A
+block is the words from a pc up to and including the first BEQ, BNE or
+JMP, ending before any other opcode than MOVI, MOV, the loads and
+stores, the ALU ops and the compares, or before a word that does not
+decode, and at most _BLOCK_WORDS long.  It is compiled with `exec` into
+one function, once a pc has been dispatched _HOT times in a run, and
+cached for the whole process (_BLOCKS), bounded, on its exact bytes.
+A block stops, with the thread's pc at the next word, before a load or
+store that would fault and after a store into its own bytes; the
+per-word path then runs that word, so faults and rewritten code take
+the one path they always took.
+
 `Event` is built from EVENT_FIELDS: the stamp, then every operand field
 the table lists.  It is slotted but not frozen, since freezing makes it
 several times dearer to build.  Every observer shares one event object,
@@ -672,6 +685,105 @@ def _compiler(reads: frozenset):
     return functools.lru_cache(maxsize=8192)(functools.partial(_compile, reads=reads))
 
 
+# -- blocks -----------------------------------------------------------------
+#
+# A bare run dispatches straight-line code a block at a time: block(t, m, n)
+# runs up to n of the words from its pc for thread t over memory m, as
+# their handlers would, and returns how many ran, with t.pc at the next
+# word to run.  It stops early, raising nothing, before a load or store
+# that would fault, after a store into its own bytes and before its n+1th
+# word, so the per-word path runs the faulting word, the rewritten code
+# and the slice's last step.  In the templates {k} is the word's index in
+# the block and {done} one more, {pc} and {next} its address and the next
+# word's; a store's {lo} and {hi} bound the addresses at which it lands in
+# the block's bytes.  The blocks share one scope, _BLOCK_SCOPE.
+
+_BLOCK_WORDS = 32  # the most words one block holds
+_HOT = 16  # the dispatch of a pc in a run at which its block is built
+_BLOCK_PCS = 256  # pcs with blocks cached; one more flushes them all
+_BLOCK_VARIANTS = 4  # blocks cached at one pc, for different code there
+
+_FAULTS_AT = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
+              "if a > {last} or a & {align}: t.pc = {pc}; return {k}\n")
+_LANDS_IN = "\nif {lo} < a < {hi}: t.pc = {next}; return {done}"
+_BLOCK_TEXT = {
+    Opcode.MOVI: "r[{rd}] = {imm}",
+    Opcode.MOV: "r[{rd}] = r[{rs}]",
+    Opcode.LD: _FAULTS_AT + "r[{rd}] = load32(m, a)[0]",
+    Opcode.LDB: _FAULTS_AT + "r[{rd}] = m[a]",
+    Opcode.ST: _FAULTS_AT + "store32(m, a, r[{rt}] & 0xFFFFFFFF)" + _LANDS_IN,
+    Opcode.STB: _FAULTS_AT + "m[a] = r[{rt}] & 0xFF" + _LANDS_IN,
+    **{op: f"r[{{rd}}] = {fn.__name__}(r[{{rs}}], r[{{rt}}]) & 0xFFFFFFFF"
+       for op, fn in ALU_OPS.items()},
+    Opcode.CMP: "t.zflag = r[{rs}] == r[{rt}]",
+    Opcode.CMPI: "t.zflag = r[{rs}] == {imm}",
+    Opcode.BEQ: "t.pc = {imm} if t.zflag else {next}",
+    Opcode.BNE: "t.pc = {next} if t.zflag else {imm}",
+    Opcode.JMP: "t.pc = {imm}",
+}
+_BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP)
+_U32 = struct.Struct("<I")
+_BLOCK_SCOPE = {fn.__name__: fn for fn in ALU_OPS.values()} | {
+    "load32": _U32.unpack_from, "store32": _U32.pack_into}
+
+# pc -> [(code bytes, block)], newest first: a block serves only while its
+# bytes are in memory, and images that share a pc keep a block each.
+_BLOCKS: dict = {}
+
+
+def _build_block(memory: bytearray, pc: int):
+    """The block of the straight-line words at pc, compiled and cached, or
+    None if the word at pc cannot start one."""
+    words = []
+    for at in range(pc, min(pc + _BLOCK_WORDS * INSTR_SIZE, MEMORY_SIZE - INSTR_SIZE + 1),
+                    INSTR_SIZE):
+        try:
+            i = _decode(_code_word(memory, at)[0])
+        except DecodeError:
+            break
+        if i.opcode not in _BLOCK_TEXT:
+            break
+        words.append(i)
+        if i.opcode in _BLOCK_ENDS:
+            break
+    if not words:
+        return None
+    hi = pc + len(words) * INSTR_SIZE
+    lines = ["def block(t, m, n):", "    r = t.regs"]
+    for k, i in enumerate(words):
+        at = pc + k * INSTR_SIZE
+        if k:
+            lines.append(f"    if n == {k}: t.pc = {at}; return {k}")
+        width = 4 if i.opcode in (Opcode.LD, Opcode.ST) else 1
+        text = _BLOCK_TEXT[i.opcode].format(
+            rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, done=k + 1, pc=at,
+            next=at + INSTR_SIZE, last=MEMORY_SIZE - width, align=width - 1, lo=pc - width, hi=hi)
+        lines += ("    " + line for line in text.split("\n"))
+    if words[-1].opcode not in _BLOCK_ENDS:
+        lines.append(f"    t.pc = {hi}")
+    lines.append(f"    return {len(words)}")
+    exec("\n".join(lines), _BLOCK_SCOPE)
+    block = _BLOCK_SCOPE.pop("block")
+    if pc not in _BLOCKS and len(_BLOCKS) >= _BLOCK_PCS:
+        _BLOCKS.clear()
+    variants = _BLOCKS.setdefault(pc, [])
+    variants.insert(0, (bytes(memory[pc:hi]), block))
+    del variants[_BLOCK_VARIANTS:]
+    return block
+
+
+def _block_at(memory: bytearray, pc: int, hot: dict):
+    """The cached block whose bytes are at pc; else one built now, if this
+    is the run's _HOT-th miss at pc (counted in hot); else None.  A pc
+    gets one build a run, so code rewritten on every pass runs word by
+    word after its block goes stale, and does not build a block a pass."""
+    for code, block in _BLOCKS.get(pc, ()):
+        if memory.startswith(code, pc):
+            return block
+    hot[pc] = misses = hot.get(pc, 0) + 1
+    return _build_block(memory, pc) if misses == _HOT else None
+
+
 def stack_base(stack_top: int) -> int:
     """The low end of the stack of a thread whose stack tops out at stack_top."""
     return max(0, stack_top - DEFAULT_STACK_SIZE)
@@ -721,6 +833,10 @@ class Machine:
         set, the kinds some observer reads (_compiler); with no
         observers that set is empty and the run builds no event.  A wake
         reaches the same step's next emit and the next step's handler.
+        With the empty read set, a slice with room for two more steps
+        runs a block (_block_at) where one is cached or pc is hot; the
+        block never runs the slice's last step, which, like a SYS or
+        HALT, goes through its handler and so settles the quantum.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -731,7 +847,7 @@ class Machine:
 
         def read():
             """Each kind's readers, fresh tuples (an emit's loop keeps its own), and handlers."""
-            nonlocal by_kind, compile_, fetch
+            nonlocal by_kind, compile_, fetch, bare
             by_kind = dict.fromkeys(EVENT_KINDS, ())
             for fn in self.observers:
                 kinds = getattr(fn, "kinds", None)
@@ -740,9 +856,9 @@ class Machine:
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
             reads = frozenset(kind for kind, readers in by_kind.items() if readers)
-            compile_, fetch = _compiler(reads), "fetch" in reads
+            compile_, fetch, bare = _compiler(reads), "fetch" in reads, not reads
 
-        by_kind = compile_ = fetch = None
+        by_kind = compile_ = fetch = bare = None
         read()
 
         # Builds no Event for a kind nobody reads (beside the compiled flags
@@ -762,6 +878,7 @@ class Machine:
         sched, memory = self.scheduler, st.memory
         quantum, solo = sched.quantum, sched.kind == ROUND_ROBIN
         step_no = st.step_count
+        hot = {}  # pc -> this run's dispatches there that found no block
         while not st.halted and step_no < step_limit:
             tid = sched.pick(st)
             if tid is None:
@@ -786,6 +903,12 @@ class Machine:
                         raise _Fault(f"misaligned pc 0x{pc:04X}")
                     if pc > MEMORY_SIZE - INSTR_SIZE:
                         raise _Fault(f"pc 0x{pc:04X} out of range")
+                    # A block, while the slice has room for two steps; one
+                    # that ran no word leaves that word to the handler below.
+                    if bare and step_no < last and (block := _block_at(memory, pc, hot)) and (
+                            ran := block(t, memory, last - step_no)):
+                        step_no += ran
+                        continue
                     name, handler, ends = compile_(_code_word(memory, pc)[0])
                     if fetch:
                         emit("fetch", op=name)

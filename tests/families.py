@@ -205,11 +205,14 @@ SYS 52
 
 # Rewriting images: a slot instruction at 0 and a RET after it, then
 # main at 16.  Main rewrites the slot or part of it and CALLs it, a few
-# times over, then HALTs.  A rewrite is, five draws in eight, a new
+# times over, then HALTs.  A rewrite is, five draws in nine, a new
 # instruction stored whole (two word STOREs), else a word STORE of half
-# a new instruction, a byte STORE, or a READ_NET of a few bytes (the
-# seed's pattern); the last two often leave a word that does not decode.
-# The slot's instructions leave r7, the RET's target, alone.
+# a new instruction, a byte STORE, a READ_NET of a few bytes (the seed's
+# pattern), or a new instruction stored whole over the word of main's
+# that follows the two STOREs, in their own straight-line run, so a
+# block of that run must see its next word change; READ_NET and a byte
+# STORE often leave a word that does not decode.  The slot's
+# instructions, and main's own, leave r7, the RET's target, alone.
 SLOT = 0
 _SLOT_OPS = (Opcode.MOVI, Opcode.MOV, Opcode.LD, Opcode.LDB, Opcode.ADD, Opcode.SUB,
              Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.CMP, Opcode.CMPI)
@@ -221,9 +224,9 @@ def _signed(word):
     return word - (1 << 32) if word >= 1 << 31 else word
 
 
-def _store_half(instr, half):
+def _store_half(instr, half, at=SLOT):
     word = int.from_bytes(encode(instr)[half : half + 4], "little")
-    return [Instruction(Opcode.MOVI, rd=3, imm=SLOT + half),
+    return [Instruction(Opcode.MOVI, rd=3, imm=at + half),
             Instruction(Opcode.MOVI, rd=4, imm=_signed(word)),
             Instruction(Opcode.ST, rs=3, rt=4)]
 
@@ -240,20 +243,32 @@ def _read_net(offset, length):
             Instruction(Opcode.SYS, imm=3)]
 
 
-def _store_whole(instr):
-    return _store_half(instr, 0) + _store_half(instr, 4)
+def _store_whole(instr, at=SLOT):
+    return _store_half(instr, 0, at) + _store_half(instr, 4, at)
+
+
+def _store_ahead(instr, old, at):
+    """Main's own next word, old, stored over whole with instr by a
+    rewrite that starts at `at`: bound to all but `at`, which
+    _rewriting_image passes once main's layout places the rewrite."""
+    return [*_store_whole(instr, at + 6 * INSTR_SIZE), old]
 
 
 _rewrite = st.sampled_from((st.builds(_store_whole, _slot_instr),) * 5 + (
     st.builds(_store_half, _slot_instr, st.sampled_from((0, 4))),
     st.builds(_store_byte, st.integers(0, 7), st.integers(0, 255)),
     st.builds(_read_net, st.integers(0, 7), st.integers(1, 8)),
+    st.builds(functools.partial, st.just(_store_ahead), _slot_instr, _slot_instr),
 )).flatmap(lambda rewrite: rewrite)
 
 
 def _rewriting_image(prelude, first, rewrites):
     call = Instruction(Opcode.CALL, imm=SLOT)
-    main = [*prelude, *(i for r in rewrites for i in (*r, call)), Instruction(Opcode.HALT)]
+    main = [*prelude]
+    for rewrite in rewrites:
+        at = (2 + len(main)) * INSTR_SIZE  # main follows the slot and the RET
+        main += [*(rewrite(at) if callable(rewrite) else rewrite), call]
+    main.append(Instruction(Opcode.HALT))
     code = [first, Instruction(Opcode.RET), *main]
     return ProgramImage(origin=0, payload=b"".join(map(encode, code)), entry=2 * INSTR_SIZE)
 

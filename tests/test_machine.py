@@ -1394,6 +1394,96 @@ def test_a_word_is_decoded_once_across_read_sets(monkeypatch):
     assert calls == []
 
 
+# -- the block cache -------------------------------------------------------
+
+
+def _count_builds(monkeypatch, hot):
+    """A fresh, empty block cache, blocks built at a pc's hot-th dispatch,
+    and the list of pcs a block was built at, in order."""
+    monkeypatch.setattr(scvm.machine, "_BLOCKS", {})
+    monkeypatch.setattr(scvm.machine, "_HOT", hot)
+    built, build = [], scvm.machine._build_block
+
+    def counted(memory, pc):
+        block = build(memory, pc)
+        if block is not None:
+            built.append(pc)
+        return block
+
+    monkeypatch.setattr(scvm.machine, "_build_block", counted)
+    return built
+
+
+def _within_bound():
+    blocks = scvm.machine._BLOCKS
+    return len(blocks) <= scvm.machine._BLOCK_PCS and all(
+        len(variants) <= scvm.machine._BLOCK_VARIANTS for variants in blocks.values())
+
+
+# Each pass stores the pass number into the immediate of the MOVI at slot,
+# so the code at slot is new on every pass.
+REWRITE_EVERY_PASS = """
+        MOVI r0, 1
+        MOVI r2, 300
+        MOVI r4, slot
+loop:   ADD r7, r7, r0
+        ST [r4+4], r7
+slot:   MOVI r3, 0
+        ADD r5, r5, r3
+        SUB r2, r2, r0
+        CMPI r2, 0
+        BNE loop
+        HALT
+"""
+
+
+@pytest.mark.parametrize("hot", [1, scvm.machine._HOT])
+def test_code_rewritten_on_every_pass_keeps_the_block_cache_bounded(monkeypatch, hot):
+    """Each run builds at most one block at a pc, though the code at slot
+    is new on every pass, and ten runs keep no more than the bound."""
+    built = _count_builds(monkeypatch, hot)
+    image = assemble(REWRITE_EVERY_PASS)
+    slot = image.payload.index(bytes([Opcode.MOVI, 3]), 16)
+    for _ in range(10):
+        start = len(built)
+        result = load(image).run()
+        assert result.outcome == "halt"
+        assert result.state.threads[0].regs[5] == 300 * 301 // 2
+        assert built[start:].count(slot) == 1
+        assert len(set(built[start:])) == len(built[start:])
+    assert _within_bound()
+
+
+def test_more_hot_pcs_than_the_bound_flush_the_block_cache(monkeypatch):
+    """Twenty two-word blocks, each one word and a JMP to the next, each
+    built at its first dispatch: with room for 8 pcs the cache never
+    holds more, and the run ends as one without blocks does."""
+    built = _count_builds(monkeypatch, hot=1)
+    monkeypatch.setattr(scvm.machine, "_BLOCK_PCS", 8)
+    image = assemble("".join(f"ADD r1, r1, r0\nJMP b{k}\nb{k}: " for k in range(20)) + "HALT\n")
+    result = load(image).run()
+    per_word = load(image)
+    per_word.add_observer(_reader(["fetch"])[0])
+    assert result.state == per_word.run().state
+    assert len(built) == 20 and _within_bound()
+
+
+def test_images_that_share_an_origin_keep_their_blocks_apart(monkeypatch):
+    """Two corpus images at origin 0, run in turn: each builds its blocks
+    on its first run and none after, though they share pcs."""
+    built = _count_builds(monkeypatch, hot=1)
+    images = [assemble(corpus_source(name)) for name in ("fmt_copy", "fmt_sanitized")]
+    assert {image.origin for image in images} == {0}
+    rounds = []
+    for image in images * 2:
+        start = len(built)
+        assert load(image).run().outcome == "halt"
+        rounds.append(built[start:])
+    assert rounds[0] and rounds[1] and rounds[2:] == [[], []]
+    assert set(rounds[0]) & set(rounds[1])  # a pc with a block of each image
+    assert _within_bound()
+
+
 # -- format_event ----------------------------------------------------------
 
 

@@ -7,21 +7,38 @@ then through `Machine.run` once per read set: bare, the shadow's
 kinds, the checker registry's, each plugin's, and every kind.  Each run
 must end in the reference's outcome and architectural state, and its
 observer must receive exactly the reference's events of the kinds it
-reads.  The runs share the interpreter's per-read-set handler caches,
-as the runs of one process do.
+reads.  The runs share the interpreter's per-read-set handler caches
+and its block cache, as the runs of one process do.  A bare run runs
+straight-line code in blocks once a pc is hot, which the short fuzz
+runs seldom make one; so each image runs bare once more with a block
+built at a pc's first dispatch, and a one-thread round-robin run that
+starts at a block opcode must have run a block.
 
 Families: the shipped corpus under its manifest policies and under
 seeded-random quantum 2 seed 7, the random, sharing, waiting and
 self-rewriting families of tests/families.py under both schedulers,
 and directed guests that put each instruction that ends a slice at
-every phase of one.
+every phase of one, and a fault, a step limit, a slice's end and a
+store into its own code inside a block.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 
+import scvm.machine
 from scvm.asm import assemble
 from scvm.checkers import PLUGINS, CheckerRegistry
-from scvm.machine import EVENT_KINDS, SCHEDULER_KINDS, SEEDED_RANDOM, SchedulerPolicy, load
+from scvm.machine import (
+    EVENT_KINDS,
+    HEAP_BASE,
+    ROUND_ROBIN,
+    SCHEDULER_KINDS,
+    SEEDED_RANDOM,
+    SchedulerPolicy,
+    load,
+)
 from scvm.report import parse_manifest
 from scvm.shadow import ShadowState
 
@@ -37,6 +54,35 @@ READ_SETS = tuple(dict.fromkeys([
     *(frozenset(cls.kinds) for cls in PLUGINS),
     frozenset(EVENT_KINDS),
 ]))
+
+
+# The opcodes a block may hold, by the names fetch events carry.
+BLOCK_OPS = {"MOVI", "MOV", "LD", "LDB", "ST", "STB", "ADD", "SUB", "MUL", "AND", "OR", "XOR",
+             "CMP", "CMPI", "BEQ", "BNE", "JMP"}
+
+
+@contextlib.contextmanager
+def blocks_counted(hot):
+    """Bare runs that build a block at a pc's hot-th dispatch; yields a
+    list whose one item counts the steps that blocks ran."""
+    ran = [0]
+    block_at = scvm.machine._block_at
+
+    def counted(memory, pc, counts):
+        block = block_at(memory, pc, counts)
+        if block is None:
+            return None
+
+        def run(t, m, n):
+            steps = block(t, m, n)
+            ran[0] += steps
+            return steps
+
+        return run
+
+    with mock.patch.object(scvm.machine, "_HOT", hot), \
+            mock.patch.object(scvm.machine, "_block_at", counted):
+        yield ran
 
 
 def assert_runs_like_the_reference(image, policy, step_limit):
@@ -56,6 +102,18 @@ def assert_runs_like_the_reference(image, policy, step_limit):
         assert result.outcome == outcome, sorted(kinds)
         assert machine_view(result.state) == want, sorted(kinds)
         assert got == [e for e in ref.events if e.kind in kinds], sorted(kinds)
+    with blocks_counted(hot=1) as ran:
+        result = load(image, policy).run(step_limit)
+    assert result.outcome == outcome, "blocks"
+    assert machine_view(result.state) == want, "blocks"
+    # One thread under round-robin has a slice with room for two steps at
+    # every step but the last, so a block opcode at the first dispatch of
+    # the entry must start a block.
+    first = next((e.op for e in ref.events if e.kind == "fetch"), None)
+    if policy.kind == ROUND_ROBIN and first in BLOCK_OPS and ref.step_count > 1 and not any(
+            e.kind == "spawn" for e in ref.events):
+        assert ran[0], "no block ran"
+    return ran[0]
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -147,3 +205,131 @@ def test_slice_ending_instructions_run_like_the_reference_at_every_phase(slot):
                         policy = SchedulerPolicy(kind, quantum, seed)
                         assert load(image, policy).run(2_000).outcome == "halt", policy
                         assert_runs_like_the_reference(image, policy, 2_000)
+
+
+# -- blocks ------------------------------------------------------------------
+#
+# The guests below loop, most of them past the hot threshold, so their
+# blocks run in the default bare run too, and assert_runs_like_the_reference
+# runs each once more with a block built at a pc's first dispatch.
+
+# A loop whose ST gives the next word, slot, the immediate 99 and whose
+# second ST puts back 1 after the ADD has read it, so every pass rewrites
+# code inside the block that holds the loop: only a block that stops
+# after a store into its own bytes adds 99 on every pass.
+REWRITE_AHEAD = """
+        MOVI r1, 0
+        MOVI r2, {passes}
+        MOVI r4, slot
+        MOVI r5, 99
+        MOVI r6, 1
+loop:   ST [r4+4], r5
+slot:   MOVI r3, 1
+        ADD r1, r1, r3
+        ST [r4+4], r6
+        SUB r2, r2, r6
+        CMPI r2, 0
+        BNE loop
+        HALT
+"""
+
+
+def test_a_store_over_the_next_word_of_its_own_block_takes_effect():
+    image = assemble(REWRITE_AHEAD.format(passes=40))
+    policy = SchedulerPolicy()
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        result = load(image, policy).run(10_000)
+    assert ran[0] > 0
+    assert result.state.threads[0].regs[1] == 99 * 40
+    assert assert_runs_like_the_reference(image, policy, 10_000) > 0
+
+
+# Each pass loads its address from the next table entry, then from that
+# address: the kth entry is bad, so the load in the middle of the loop's
+# block faults on the kth pass.
+WALK = """
+        MOVI r3, table
+        MOVI r4, 4
+loop:   LD r2, [r3]
+        ADD r3, r3, r4
+        LD r1, [r2]
+        ADD r5, r5, r1
+        CMPI r1, 7
+        BNE loop
+        HALT
+table:  {entries}
+"""
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (0x10000, "unmapped address 0x00010000"), (0xFFFE, "unmapped address 0x0000FFFE"),
+    (HEAP_BASE + 2, "unaligned word access at 0x8002")])
+@pytest.mark.parametrize("k", [1, 2, 17, 40])
+def test_a_load_that_faults_in_a_block_records_the_reference_fault(k, bad, reason):
+    image = assemble(WALK.format(entries="\n".join([f".word {HEAP_BASE}"] * (k - 1)
+                                                   + [f".word {bad}"])))
+    policy = SchedulerPolicy()
+    result = load(image, policy).run(10_000)
+    assert result.outcome == "fault" and result.state.fault.reason == reason
+    assert result.state.fault.step == 2 + 6 * (k - 1) + 2
+    assert_runs_like_the_reference(image, policy, 10_000)
+
+
+# A six-word block that bumps each word of a buffer.
+BUMP = """
+        MOVI r2, {buf}
+        MOVI r4, 4
+        MOVI r5, {end}
+loop:   LD r1, [r2]
+        ADD r1, r1, r4
+        ST [r2], r1
+        ADD r2, r2, r4
+        CMP r2, r5
+        BNE loop
+"""
+
+
+def test_a_step_limit_inside_a_block_stops_where_the_reference_does(monkeypatch):
+    """The loop's block is cached by a first run, so for every step limit
+    across its first two passes a block stops before the limit's step,
+    and a run resumed from there ends as the reference's whole run."""
+    monkeypatch.setattr(scvm.machine, "_BLOCKS", {})  # no block at the prelude
+    image = assemble(BUMP.format(buf=HEAP_BASE, end=HEAP_BASE + 4 * 30) + "HALT\n")
+    policy = SchedulerPolicy()
+    outcome, ref = run_reference(image, policy, 10_000)
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        assert load(image, policy).run(10_000).outcome == outcome == "halt"
+    assert ran[0] > 0
+    for limit in range(1, 3 + 2 * 6 + 2):
+        want_outcome, want = run_reference(image, policy, limit)
+        machine = load(image, policy)
+        with blocks_counted(hot=scvm.machine._HOT) as ran:
+            assert machine.run(limit).outcome == want_outcome, limit
+        assert machine_view(machine.state) == want.view(), limit
+        assert ran[0] == max(0, limit - 4), limit  # all but the prelude and the last step
+        assert machine.run(10_000).outcome == outcome, limit
+        assert machine_view(machine.state) == ref.view(), limit
+
+
+# Main SPAWNs a worker, and each bumps its own buffer in a six-word block
+# that a slice of quantum 2 or 3 cuts short.
+TWO_BUMPS = ("""
+        MOVI r0, worker
+        MOVI r1, 0xF000
+        SYS 48
+""" + BUMP.format(buf=HEAP_BASE, end=HEAP_BASE + 4 * 20) + """
+        HALT
+worker:
+""" + BUMP.format(buf=HEAP_BASE + 0x400, end=HEAP_BASE + 0x400 + 4 * 20).replace("loop", "wloop")
+             + """
+        SYS 52
+""")
+
+
+@pytest.mark.parametrize("quantum", [2, 3])
+@pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+def test_blocks_longer_than_the_quantum_run_like_the_reference(kind, quantum):
+    image = assemble(TWO_BUMPS)
+    for seed in (1, 2, 3):
+        policy = SchedulerPolicy(kind, quantum, seed)
+        assert assert_runs_like_the_reference(image, policy, 10_000) > 0, policy

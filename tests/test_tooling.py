@@ -135,7 +135,7 @@ def test_memos_are_found():
 def test_every_memo_is_bounded():
     """No guest can exhaust host memory through a memo: every functools
     cache in scvm, and each per-read-set compile cache that _compiler
-    returns, has a finite maxsize."""
+    returns, has a finite maxsize, and so does the block cache."""
     found = {}
     for path in MODULES:
         if path.stem != "__main__":  # importing it runs the CLI
@@ -146,6 +146,11 @@ def test_every_memo_is_bounded():
     assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src",
             "machine._fmt_stamp", "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
+    # The block cache is a plain dict with its own bound: at most
+    # _BLOCK_PCS pcs, each with at most _BLOCK_VARIANTS blocks
+    # (tests/test_machine.py holds guests to it).
+    assert isinstance(scvm.machine._BLOCKS, dict)
+    assert 0 < scvm.machine._BLOCK_PCS * scvm.machine._BLOCK_VARIANTS <= 1024
     # The compiled trace renderers keep no memo of their own: each one
     # they call is a module global of machine, so the scan above found it.
     renderers = [f for r in scvm.machine._RENDERERS.values() for f in (r, r.head)]
