@@ -18,18 +18,19 @@ flag fixed at compile time at each emit site, so an unread kind costs
 them no call; the rarer opcodes call the run's emit, which builds no
 event for a kind nobody reads.  A bare run is the empty read set.
 
-A bare run, and only a bare run, also runs straight-line code in
-blocks, as Bochs's trace cache and QEMU's translation blocks do.  A
-block is the words from a pc up to and including the first BEQ, BNE or
-JMP, ending before any other opcode than MOVI, MOV, the loads and
-stores, the ALU ops and the compares, or before a word that does not
-decode, and at most _BLOCK_WORDS long.  It is compiled with `exec` into
-one function, once a pc has been dispatched _HOT times in a run, and
-cached for the whole process (_BLOCKS), bounded, on its exact bytes.
-A block stops, with the thread's pc at the next word, before a load or
-store that would fault and after a store into its own bytes; the
-per-word path then runs that word, so faults and rewritten code take
-the one path they always took.
+Straight-line code also runs in blocks, as Bochs's trace cache and
+QEMU's translation blocks do, under any read set.  A block is the words
+from a pc up to and including the first BEQ, BNE or JMP, ending before
+any other opcode than MOVI, MOV, the loads and stores, the ALU ops and
+the compares, or before a word that does not decode, and at most
+_BLOCK_WORDS long.  It is compiled with `exec` into one function for
+the run's read set, which builds each word's events of that set inline
+(as libdft inlines its analysis), once a pc has been dispatched _HOT
+times in a run, and cached for the whole process (_BLOCKS), bounded, on
+its exact bytes and read set.  A block stops, with the thread's pc at
+the next word, before a load or store that would fault and after a
+store into its own bytes; the per-word path then runs that word, so
+faults and rewritten code take the one path they always took.
 
 `Event` is built from EVENT_FIELDS: the stamp, then every operand field
 the table lists.  It is slotted but not frozen, since freezing makes it
@@ -56,10 +57,11 @@ end, and tids are never reused; `MachineState.blocked` alone says who waits.
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import struct
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from .asm import ProgramImage
 from .isa import (
@@ -348,6 +350,7 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # runs _syscall; they call emit, which drops an unread kind itself.
 
 _IMM_SRC = ("imm",)
+_U32 = struct.Struct("<I")  # a word in memory
 
 
 def _access_fault(addr: int, width: int) -> _Fault:
@@ -390,6 +393,7 @@ def _load(i: Instruction, reads):
     width = 4 if i.opcode == Opcode.LD else 1
     last, align = MEMORY_SIZE - width, width - 1
     rr, mr, rw = "reg-read" in reads, "mem-read" in reads, "reg-write" in reads
+    load32 = _U32.unpack_from
 
     def load(m, t, pc, emit):
         regs = t.regs
@@ -398,7 +402,7 @@ def _load(i: Instruction, reads):
         addr = (regs[rs] + imm) & M32
         if addr > last or addr & align:
             raise _access_fault(addr, width)
-        value = int.from_bytes(m.state.memory[addr : addr + width], "little")
+        value = load32(m.state.memory, addr)[0] if align else m.state.memory[addr]
         if mr:
             emit("mem-read", addr=addr, width=width, value=value, base_reg=rs)
         regs[rd] = value
@@ -414,6 +418,7 @@ def _store(i: Instruction, reads):
     width = 4 if i.opcode == Opcode.ST else 1
     last, align, mask = MEMORY_SIZE - width, width - 1, (1 << 8 * width) - 1
     rr, mw = "reg-read" in reads, "mem-write" in reads
+    store32 = _U32.pack_into
 
     def store(m, t, pc, emit):
         regs = t.regs
@@ -424,7 +429,10 @@ def _store(i: Instruction, reads):
         if addr > last or addr & align:
             raise _access_fault(addr, width)
         value = regs[rt] & mask
-        m.state.memory[addr : addr + width] = value.to_bytes(width, "little")
+        if align:
+            store32(m.state.memory, addr, value)
+        else:
+            m.state.memory[addr] = value
         if mw:
             emit("mem-write", addr=addr, width=width, value=value, base_reg=rs, src=src)
         t.pc = pc + INSTR_SIZE
@@ -687,53 +695,96 @@ def _compiler(reads: frozenset):
 
 # -- blocks -----------------------------------------------------------------
 #
-# A bare run dispatches straight-line code a block at a time: block(t, m, n)
-# runs up to n of the words from its pc for thread t over memory m, as
-# their handlers would, and returns how many ran, with t.pc at the next
-# word to run.  It stops early, raising nothing, before a load or store
-# that would fault, after a store into its own bytes and before its n+1th
-# word, so the per-word path runs the faulting word, the rewritten code
-# and the slice's last step.  In the templates {k} is the word's index in
-# the block and {done} one more, {pc} and {next} its address and the next
-# word's; a store's {lo} and {hi} bound the addresses at which it lands in
-# the block's bytes.  The blocks share one scope, _BLOCK_SCOPE.
+# block(t, m, n, s, st, by_kind) runs up to n of the straight-line words
+# from its pc for thread t over memory m, as their handlers would, and
+# returns how many ran, with t.pc at the next word to run.  Each word
+# hands its events of the block's read set, as its handler and the run's
+# `fetch` would, to by_kind's readers, stamped with step s plus its index,
+# its pc, and the tid, mode, locks held and st.iflag read once (a block
+# holds no SYS, CLI or STI).  It stops early, raising nothing, before the
+# `fetch` of a load or store that would fault, after a store into its own
+# bytes and before its n+1th word, so the per-word path runs the faulting
+# word, the rewritten code and the slice's last step.  A _BLOCK_TEXT
+# entry is its word's code and, as (kind, keyword text), the events its
+# handler emits, in its order.  In the templates {k} is the word's index
+# in the block and {done} one more, {pc} and {next} its address and the
+# next word's, {op} its opcode's name, {width} and {mask} its access's; a
+# store's {lo} and {hi} bound the addresses at which it lands in the
+# block's bytes.  The blocks share one scope, _BLOCK_SCOPE.
 
 _BLOCK_WORDS = 32  # the most words one block holds
-_HOT = 16  # the dispatch of a pc in a run at which its block is built
-_BLOCK_PCS = 256  # pcs with blocks cached; one more flushes them all
-_BLOCK_VARIANTS = 4  # blocks cached at one pc, for different code there
+_HOT = 16  # the dispatch of a pc, in a run under one read set, at which its block is built
+_BLOCK_PCS = 128  # pcs with blocks cached; one more flushes them all
+_BLOCK_VARIANTS = 8  # blocks cached at one pc, for other code or read sets there
 
 _FAULTS_AT = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
-              "if a > {last} or a & {align}: t.pc = {pc}; return {k}\n")
-_LANDS_IN = "\nif {lo} < a < {hi}: t.pc = {next}; return {done}"
+              "if a > {last} or a & {align}: t.pc = {pc}; return {k}")
+_LANDS_IN = "if {lo} < a < {hi}: t.pc = {next}; return {done}"
+_FETCH = ("fetch", "op='{op}'")
+_READ_RS = ("reg-read", "reg={rs}, value=r[{rs}]")
+_READ_RT = ("reg-read", "reg={rt}, value=r[{rt}]")
 _BLOCK_TEXT = {
-    Opcode.MOVI: "r[{rd}] = {imm}",
-    Opcode.MOV: "r[{rd}] = r[{rs}]",
-    Opcode.LD: _FAULTS_AT + "r[{rd}] = load32(m, a)[0]",
-    Opcode.LDB: _FAULTS_AT + "r[{rd}] = m[a]",
-    Opcode.ST: _FAULTS_AT + "store32(m, a, r[{rt}] & 0xFFFFFFFF)" + _LANDS_IN,
-    Opcode.STB: _FAULTS_AT + "m[a] = r[{rt}] & 0xFF" + _LANDS_IN,
-    **{op: f"r[{{rd}}] = {fn.__name__}(r[{{rs}}], r[{{rt}}]) & 0xFFFFFFFF"
+    Opcode.MOVI: (_FETCH, "r[{rd}] = {imm}", ("reg-write", "reg={rd}, value={imm}, src=('imm',)")),
+    Opcode.MOV: (_FETCH, _READ_RS, "r[{rd}] = r[{rs}]",
+                 ("reg-write", "reg={rd}, value=r[{rd}], src=('reg', {rs})")),
+    **{op: (_FAULTS_AT, _FETCH, _READ_RS, "r[{rd}] = " + load,
+            ("mem-read", "addr=a, width={width}, value=r[{rd}], base_reg={rs}"),
+            ("reg-write", "reg={rd}, value=r[{rd}], src=('mem', a, {width})"))
+       for op, load in ((Opcode.LD, "load32(m, a)[0]"), (Opcode.LDB, "m[a]"))},
+    **{op: (_FAULTS_AT, _FETCH, _READ_RS, _READ_RT, store,
+            ("mem-write", "addr=a, width={width}, value=r[{rt}] & {mask}, base_reg={rs}, "
+                          "src=('reg', {rt})"),
+            _LANDS_IN)
+       for op, store in ((Opcode.ST, "store32(m, a, r[{rt}] & 0xFFFFFFFF)"),
+                         (Opcode.STB, "m[a] = r[{rt}] & 0xFF"))},
+    **{op: (_FETCH, _READ_RS, _READ_RT,
+            f"r[{{rd}}] = {fn.__name__}(r[{{rs}}], r[{{rt}}]) & 0xFFFFFFFF",
+            ("binop", "op='{op}', reg={rd}, rs={rs}, rt={rt}, value=r[{rd}]"),
+            ("reg-write", "reg={rd}, value=r[{rd}], src=('binop', '{op}', {rs}, {rt})"))
        for op, fn in ALU_OPS.items()},
-    Opcode.CMP: "t.zflag = r[{rs}] == r[{rt}]",
-    Opcode.CMPI: "t.zflag = r[{rs}] == {imm}",
-    Opcode.BEQ: "t.pc = {imm} if t.zflag else {next}",
-    Opcode.BNE: "t.pc = {next} if t.zflag else {imm}",
-    Opcode.JMP: "t.pc = {imm}",
+    Opcode.CMP: (_FETCH, _READ_RS, _READ_RT, "t.zflag = r[{rs}] == r[{rt}]",
+                 ("compare", "rs={rs}, rt={rt}, value=r[{rt}]")),
+    Opcode.CMPI: (_FETCH, _READ_RS, "t.zflag = r[{rs}] == {imm}",
+                  ("compare", "rs={rs}, value={imm}")),
+    Opcode.BEQ: (_FETCH, ("branch", "addr={imm}, taken=t.zflag"),
+                 "t.pc = {imm} if t.zflag else {next}"),
+    Opcode.BNE: (_FETCH, ("branch", "addr={imm}, taken=not t.zflag"),
+                 "t.pc = {next} if t.zflag else {imm}"),
+    Opcode.JMP: (_FETCH, ("branch", "addr={imm}, taken=True"), "t.pc = {imm}"),
 }
 _BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP)
-_U32 = struct.Struct("<I")
+# The kinds some block word emits: an observer that can wake on one stops blocks.
+_BLOCK_KINDS = frozenset(part[0] for parts in _BLOCK_TEXT.values() for part in parts
+                         if isinstance(part, tuple))
 _BLOCK_SCOPE = {fn.__name__: fn for fn in ALU_OPS.values()} | {
-    "load32": _U32.unpack_from, "store32": _U32.pack_into}
+    "load32": _U32.unpack_from, "store32": _U32.pack_into, "Event": Event}
 
-# pc -> [(code bytes, block)], newest first: a block serves only while its
-# bytes are in memory, and images that share a pc keep a block each.
+# pc -> [(code bytes, read set, block)], newest first: a block serves only
+# its read set while its bytes are in memory, and images that share a pc
+# keep a block each.
 _BLOCKS: dict = {}
 
 
-def _build_block(memory: bytearray, pc: int):
-    """The block of the straight-line words at pc, compiled and cached, or
-    None if the word at pc cannot start one."""
+@functools.lru_cache(maxsize=64)
+def _event_text(kind: str, keywords: str) -> str:
+    """The `Event(...)` template of one event a block word emits: the
+    stamp, then the fields of kind's EVENT_FIELDS that keywords gives,
+    in Event's order."""
+    given = {kw.arg: ast.unparse(kw.value)
+             for kw in ast.parse(f"f({keywords})", mode="eval").body.keywords}
+    if not set(given) <= {f.rstrip("?") for f in EVENT_FIELDS[kind]}:
+        raise ValueError(f"{kind} has no field among {sorted(given)}")
+    given |= {"kind": repr(kind), "step": "s + {k}", "tid": "tid", "pc": "{pc}", "mode": "mode",
+              "iflag": "iflag", "locks_held": "held"}
+    args = [given.get(f.name, "None") for f in fields(Event)]
+    while args[-1] == "None":  # the fields past the last one given default to None
+        args.pop()
+    return f"Event({', '.join(args)})"
+
+
+def _build_block(memory: bytearray, pc: int, reads: frozenset):
+    """The block of the straight-line words at pc for the read set reads,
+    compiled and cached, or None if the word at pc cannot start one."""
     words = []
     for at in range(pc, min(pc + _BLOCK_WORDS * INSTR_SIZE, MEMORY_SIZE - INSTR_SIZE + 1),
                     INSTR_SIZE):
@@ -749,39 +800,55 @@ def _build_block(memory: bytearray, pc: int):
     if not words:
         return None
     hi = pc + len(words) * INSTR_SIZE
-    lines = ["def block(t, m, n):", "    r = t.regs"]
+    lines, readers = [], {}
     for k, i in enumerate(words):
         at = pc + k * INSTR_SIZE
         if k:
-            lines.append(f"    if n == {k}: t.pc = {at}; return {k}")
+            lines.append(f"if n == {k}: t.pc = {at}; return {k}")
         width = 4 if i.opcode in (Opcode.LD, Opcode.ST) else 1
-        text = _BLOCK_TEXT[i.opcode].format(
-            rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, done=k + 1, pc=at,
-            next=at + INSTR_SIZE, last=MEMORY_SIZE - width, align=width - 1, lo=pc - width, hi=hi)
-        lines += ("    " + line for line in text.split("\n"))
+        slots = dict(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, op=i.opcode.name, k=k, done=k + 1,
+                     pc=at, next=at + INSTR_SIZE, width=width, mask=(1 << 8 * width) - 1,
+                     last=MEMORY_SIZE - width, align=width - 1, lo=pc - width, hi=hi)
+        for part in _BLOCK_TEXT[i.opcode]:
+            if isinstance(part, str):
+                lines += part.format(**slots).split("\n")
+            elif part[0] in reads:
+                kind = part[0]
+                readers[kind] = name = "to_" + kind.replace("-", "_")
+                lines += [f"e = {_event_text(*part).format(**slots)}", f"for f in {name}: f(e)"]
     if words[-1].opcode not in _BLOCK_ENDS:
-        lines.append(f"    t.pc = {hi}")
-    lines.append(f"    return {len(words)}")
-    exec("\n".join(lines), _BLOCK_SCOPE)
+        lines.append(f"t.pc = {hi}")
+    lines.append(f"return {len(words)}")
+    if readers:
+        lines[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
+                     *(f"{name} = by_kind[{kind!r}]" for kind, name in readers.items())]
+    exec("def block(t, m, n, s, st, by_kind):\n    r = t.regs\n"
+         + "".join(f"    {line}\n" for line in lines), _BLOCK_SCOPE)
     block = _BLOCK_SCOPE.pop("block")
     if pc not in _BLOCKS and len(_BLOCKS) >= _BLOCK_PCS:
         _BLOCKS.clear()
     variants = _BLOCKS.setdefault(pc, [])
-    variants.insert(0, (bytes(memory[pc:hi]), block))
+    variants.insert(0, (bytes(memory[pc:hi]), reads, block))
     del variants[_BLOCK_VARIANTS:]
     return block
 
 
-def _block_at(memory: bytearray, pc: int, hot: dict):
-    """The cached block whose bytes are at pc; else one built now, if this
-    is the run's _HOT-th miss at pc (counted in hot); else None.  A pc
-    gets one build a run, so code rewritten on every pass runs word by
-    word after its block goes stale, and does not build a block a pass."""
-    for code, block in _BLOCKS.get(pc, ()):
-        if memory.startswith(code, pc):
+def _block_at(memory: bytearray, pc: int, hot: dict, reads: frozenset):
+    """The cached block for reads whose bytes are at pc; else one built
+    now, if this is the _HOT-th miss at pc counted in hot; else None.  A
+    pc gets one build for each hot (the run's, emptied when its read set
+    changes): a miss after it drops the pc's blocks, so code rewritten on
+    every pass runs word by word, with no scan and no build a pass."""
+    variants = _BLOCKS.get(pc, ())
+    for code, key, block in variants:
+        if key == reads and memory.startswith(code, pc):
             return block
     hot[pc] = misses = hot.get(pc, 0) + 1
-    return _build_block(memory, pc) if misses == _HOT else None
+    if misses == _HOT:
+        return _build_block(memory, pc, reads)
+    if misses > _HOT and variants:
+        del _BLOCKS[pc]
+    return None
 
 
 def stack_base(stack_top: int) -> int:
@@ -833,10 +900,13 @@ class Machine:
         set, the kinds some observer reads (_compiler); with no
         observers that set is empty and the run builds no event.  A wake
         reaches the same step's next emit and the next step's handler.
-        With the empty read set, a slice with room for two more steps
-        runs a block (_block_at) where one is cached or pc is hot; the
-        block never runs the slice's last step, which, like a SYS or
-        HALT, goes through its handler and so settles the quantum.
+        A slice with room for two more steps runs a block (_block_at)
+        where one is cached for the read set or pc is hot, and runs it
+        again while it branches back to its own pc; the block never runs
+        the slice's last step, which, like a SYS or HALT, goes through
+        its handler and so settles the quantum.  No block runs while an
+        observer that can still wake idles on a kind a block emits, so
+        no wake falls inside one.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -846,19 +916,22 @@ class Machine:
         threads = st.threads
 
         def read():
-            """Each kind's readers, fresh tuples (an emit's loop keeps its own), and handlers."""
-            nonlocal by_kind, compile_, fetch, bare
-            by_kind = dict.fromkeys(EVENT_KINDS, ())
+            """Each kind's readers, fresh tuples (an emit's loop keeps its own),
+            handlers, and whether blocks run: not while a kind one emits could wake an observer."""
+            nonlocal by_kind, reads, compile_, fetch, blocks, hot
+            by_kind, wakes = dict.fromkeys(EVENT_KINDS, ()), set()
             for fn in self.observers:
                 kinds = getattr(fn, "kinds", None)
                 if hasattr(fn, "idle_kinds") and fn not in self.woken:
                     kinds = fn.idle_kinds
+                    wakes.update(kinds)
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
             reads = frozenset(kind for kind, readers in by_kind.items() if readers)
-            compile_, fetch, bare = _compiler(reads), "fetch" in reads, not reads
+            compile_, fetch = _compiler(reads), "fetch" in reads
+            blocks, hot = _BLOCK_KINDS.isdisjoint(wakes), {}  # hot: pc -> misses there
 
-        by_kind = compile_ = fetch = bare = None
+        by_kind = reads = compile_ = fetch = blocks = hot = None
         read()
 
         # Builds no Event for a kind nobody reads (beside the compiled flags
@@ -877,8 +950,7 @@ class Machine:
 
         sched, memory = self.scheduler, st.memory
         quantum, solo = sched.quantum, sched.kind == ROUND_ROBIN
-        step_no = st.step_count
-        hot = {}  # pc -> this run's dispatches there that found no block
+        step_no, top = st.step_count, MEMORY_SIZE - INSTR_SIZE
         while not st.halted and step_no < step_limit:
             tid = sched.pick(st)
             if tid is None:
@@ -899,16 +971,20 @@ class Machine:
             try:
                 while True:
                     pc = t.pc
-                    if pc % INSTR_SIZE:
-                        raise _Fault(f"misaligned pc 0x{pc:04X}")
-                    if pc > MEMORY_SIZE - INSTR_SIZE:
-                        raise _Fault(f"pc 0x{pc:04X} out of range")
-                    # A block, while the slice has room for two steps; one
-                    # that ran no word leaves that word to the handler below.
-                    if bare and step_no < last and (block := _block_at(memory, pc, hot)) and (
-                            ran := block(t, memory, last - step_no)):
-                        step_no += ran
-                        continue
+                    if pc % INSTR_SIZE or pc > top:
+                        raise _Fault(f"misaligned pc 0x{pc:04X}" if pc % INSTR_SIZE
+                                     else f"pc 0x{pc:04X} out of range")
+                    # A block, while the slice has room for two steps, again
+                    # while it branches back to its pc (so it ran whole, storing
+                    # nothing into its bytes); one that ran no word leaves that
+                    # word to the handler below.
+                    if blocks and step_no < last and (block := _block_at(memory, pc, hot, reads)):
+                        while ran := block(t, memory, last - step_no, step_no, st, by_kind):
+                            step_no += ran
+                            if t.pc != pc or step_no >= last:
+                                break
+                        if ran:
+                            continue
                     name, handler, ends = compile_(_code_word(memory, pc)[0])
                     if fetch:
                         emit("fetch", op=name)

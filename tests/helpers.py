@@ -162,9 +162,10 @@ def assert_scheduled_like_the_general_pick(image, policy, step_limit):
 
 def spawn_loop(body: str, spawn: bool = True) -> str:
     """A guest that loops forever: SPAWN a child that HALTs at once, then
-    run `body`.  With spawn False a MOV stands in for the SPAWN, so the
-    loop runs the same steps but leaves no dead thread behind."""
-    return (f"main: MOVI r0, child\nMOVI r1, 0xF000\n{'SYS 48' if spawn else 'MOV r0, r0'}\n"
+    run `body`.  With spawn False a YIELD stands in for the SPAWN, so the
+    loop runs the same steps, a syscall among them and in blocks as much
+    as the other, but leaves no dead thread behind."""
+    return (f"main: MOVI r0, child\nMOVI r1, 0xF000\n{'SYS 48' if spawn else 'SYS 51'}\n"
             f"{body}\nJMP main\nchild: HALT\n")
 
 

@@ -1404,8 +1404,8 @@ def _count_builds(monkeypatch, hot):
     monkeypatch.setattr(scvm.machine, "_HOT", hot)
     built, build = [], scvm.machine._build_block
 
-    def counted(memory, pc):
-        block = build(memory, pc)
+    def counted(memory, pc, reads):
+        block = build(memory, pc, reads)
         if block is not None:
             built.append(pc)
         return block
@@ -1454,6 +1454,60 @@ def test_code_rewritten_on_every_pass_keeps_the_block_cache_bounded(monkeypatch,
     assert _within_bound()
 
 
+class _LookedUpMemory(bytearray):
+    """Guest memory that records the start of each startswith call: each
+    is one cached block's bytes compared with the code at a pc."""
+
+    def __init__(self, memory):
+        super().__init__(memory)
+        self.looked = []
+
+    def startswith(self, prefix, start=0):
+        self.looked.append(start)
+        return super().startswith(prefix, start)
+
+
+@pytest.mark.parametrize("kinds", [None, ("mem-write", "syscall")])
+def test_a_pc_rewritten_on_every_pass_is_not_scanned_after_its_build(monkeypatch, kinds):
+    """The code at slot, and so the bytes of the block at loop, change on
+    every pass: once each pc has had its one build in a run, no block's
+    bytes are compared there again, however many passes run, bare or not."""
+    _count_builds(monkeypatch, scvm.machine._HOT)
+    image = assemble(REWRITE_EVERY_PASS.replace("MOVI r2, 300", "MOVI r2, 3000"))
+    for _ in range(3):
+        machine = load(image)
+        if kinds:
+            machine.add_observer(_reader(kinds)[0])
+        machine.state.memory = memory = _LookedUpMemory(machine.state.memory)
+        result = machine.run()
+        assert result.outcome == "halt"
+        assert result.state.threads[0].regs[5] == 3000 * 3001 // 2
+        for label in ("loop", "slot"):
+            assert memory.looked.count(image.symbols[label]) <= scvm.machine._BLOCK_VARIANTS
+
+
+def test_hot_loops_under_more_read_sets_than_a_pc_holds_keep_one_bound(monkeypatch):
+    """A hot loop run under more read sets than _BLOCK_VARIANTS: every
+    read set builds a block at the loop's pc, and the cache holds no
+    more than its one bound across them, its newest at that pc."""
+    built = _count_builds(monkeypatch, hot=1)
+    image = assemble(OBSERVED_SRC)
+    bare = load(image).run(step_limit=200)
+    kinds = ("fetch", "reg-read", "mem-read", "binop", "branch")
+    read_sets = list(itertools.combinations(kinds, 2))
+    assert len(read_sets) > scvm.machine._BLOCK_VARIANTS
+    loop = image.symbols["loop"]
+    for kinds in read_sets:
+        start = len(built)
+        machine = load(image)
+        machine.add_observer(_reader(kinds)[0])
+        result = machine.run(step_limit=200)
+        assert result.state == bare.state and result.outcome == bare.outcome
+        assert loop in built[start:] and _within_bound(), kinds
+    held = [reads for _, reads, _ in scvm.machine._BLOCKS[loop]]
+    assert held == [frozenset(k) for k in read_sets[::-1][: scvm.machine._BLOCK_VARIANTS]]
+
+
 def test_more_hot_pcs_than_the_bound_flush_the_block_cache(monkeypatch):
     """Twenty two-word blocks, each one word and a JMP to the next, each
     built at its first dispatch: with room for 8 pcs the cache never
@@ -1462,10 +1516,9 @@ def test_more_hot_pcs_than_the_bound_flush_the_block_cache(monkeypatch):
     monkeypatch.setattr(scvm.machine, "_BLOCK_PCS", 8)
     image = assemble("".join(f"ADD r1, r1, r0\nJMP b{k}\nb{k}: " for k in range(20)) + "HALT\n")
     result = load(image).run()
-    per_word = load(image)
-    per_word.add_observer(_reader(["fetch"])[0])
-    assert result.state == per_word.run().state
     assert len(built) == 20 and _within_bound()
+    monkeypatch.setattr(scvm.machine, "_block_at", lambda *args: None)
+    assert result.state == load(image).run().state
 
 
 def test_images_that_share_an_origin_keep_their_blocks_apart(monkeypatch):

@@ -8,21 +8,26 @@ kinds, the checker registry's, each plugin's, and every kind.  Each run
 must end in the reference's outcome and architectural state, and its
 observer must receive exactly the reference's events of the kinds it
 reads.  The runs share the interpreter's per-read-set handler caches
-and its block cache, as the runs of one process do.  A bare run runs
+and its block cache, as the runs of one process do.  Every run runs
 straight-line code in blocks once a pc is hot, which the short fuzz
-runs seldom make one; so each image runs bare once more with a block
-built at a pc's first dispatch, and a one-thread round-robin run that
-starts at a block opcode must have run a block.
+runs seldom make one; so each image runs once more under each read set
+with a block built at a pc's first dispatch, and a one-thread
+round-robin run that starts at a block opcode must have run a block
+under each.
 
 Families: the shipped corpus under its manifest policies and under
 seeded-random quantum 2 seed 7, the random, sharing, waiting and
 self-rewriting families of tests/families.py under both schedulers,
 and directed guests that put each instruction that ends a slice at
 every phase of one, and a fault, a step limit, a slice's end and a
-store into its own code inside a block.
+store into its own code inside a block; and blocks under a read set
+against runs without blocks: a wake in a hot loop, `analyze` and a
+traced `check`.
 """
 
 import contextlib
+import hashlib
+import io
 from unittest import mock
 
 import pytest
@@ -30,6 +35,8 @@ import pytest
 import scvm.machine
 from scvm.asm import assemble
 from scvm.checkers import PLUGINS, CheckerRegistry
+from scvm.cli import main
+from scvm.driver import analyze
 from scvm.machine import (
     EVENT_KINDS,
     HEAP_BASE,
@@ -63,18 +70,18 @@ BLOCK_OPS = {"MOVI", "MOV", "LD", "LDB", "ST", "STB", "ADD", "SUB", "MUL", "AND"
 
 @contextlib.contextmanager
 def blocks_counted(hot):
-    """Bare runs that build a block at a pc's hot-th dispatch; yields a
-    list whose one item counts the steps that blocks ran."""
+    """Runs that build a block at a pc's hot-th dispatch; yields a list
+    whose one item counts the steps that blocks ran."""
     ran = [0]
     block_at = scvm.machine._block_at
 
-    def counted(memory, pc, counts):
-        block = block_at(memory, pc, counts)
+    def counted(*args):
+        block = block_at(*args)
         if block is None:
             return None
 
-        def run(t, m, n):
-            steps = block(t, m, n)
+        def run(*args):
+            steps = block(*args)
             ran[0] += steps
             return steps
 
@@ -86,34 +93,39 @@ def blocks_counted(hot):
 
 
 def assert_runs_like_the_reference(image, policy, step_limit):
+    """Each read set's run, with blocks built at the hot threshold and
+    then at a pc's first dispatch, against the reference; returns the
+    fewest steps that blocks ran in a run of the second kind."""
     outcome, ref = run_reference(image, policy, step_limit)
     want = ref.view()
-    for kinds in READ_SETS:
-        machine = load(image, policy)
-        got = []
-        if kinds:
-            def observe(e):
-                got.append(e)
+    ran = []
+    for hot in (scvm.machine._HOT, 1):
+        for kinds in READ_SETS:
+            machine = load(image, policy)
+            got = []
+            if kinds:
+                def observe(e):
+                    got.append(e)
 
-            if kinds != frozenset(EVENT_KINDS):  # every kind: an observer that names none
-                observe.kinds = tuple(kinds)
-            machine.add_observer(observe)
-        result = machine.run(step_limit)
-        assert result.outcome == outcome, sorted(kinds)
-        assert machine_view(result.state) == want, sorted(kinds)
-        assert got == [e for e in ref.events if e.kind in kinds], sorted(kinds)
-    with blocks_counted(hot=1) as ran:
-        result = load(image, policy).run(step_limit)
-    assert result.outcome == outcome, "blocks"
-    assert machine_view(result.state) == want, "blocks"
+                if kinds != frozenset(EVENT_KINDS):  # every kind: an observer that names none
+                    observe.kinds = tuple(kinds)
+                machine.add_observer(observe)
+            with blocks_counted(hot) as steps:
+                result = machine.run(step_limit)
+            where = (hot, sorted(kinds))
+            assert result.outcome == outcome, where
+            assert machine_view(result.state) == want, where
+            assert got == [e for e in ref.events if e.kind in kinds], where
+            if hot == 1:
+                ran.append(steps[0])
     # One thread under round-robin has a slice with room for two steps at
     # every step but the last, so a block opcode at the first dispatch of
-    # the entry must start a block.
+    # the entry must start a block, under every read set.
     first = next((e.op for e in ref.events if e.kind == "fetch"), None)
     if policy.kind == ROUND_ROBIN and first in BLOCK_OPS and ref.step_count > 1 and not any(
             e.kind == "spawn" for e in ref.events):
-        assert ran[0], "no block ran"
-    return ran[0]
+        assert min(ran), "no block ran"
+    return min(ran)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -333,3 +345,107 @@ def test_blocks_longer_than_the_quantum_run_like_the_reference(kind, quantum):
     for seed in (1, 2, 3):
         policy = SchedulerPolicy(kind, quantum, seed)
         assert assert_runs_like_the_reference(image, policy, 10_000) > 0, policy
+
+
+# -- blocks under a read set ---------------------------------------------
+
+
+@contextlib.contextmanager
+def no_blocks():
+    """Runs that dispatch every word through its handler."""
+    with mock.patch.object(scvm.machine, "_block_at", lambda *args: None):
+        yield
+
+
+def test_an_observer_that_wakes_in_a_hot_loop_gets_the_events_of_a_run_without_blocks():
+    """An observer idle on mem-read, so that blocks wait while it can
+    wake, wakes at the mem-read of the loop's 31st pass, long after the
+    loop went hot; then it reads every kind, and blocks run again."""
+    image = assemble(BUMP.format(buf=HEAP_BASE, end=HEAP_BASE + 4 * 80) + "HALT\n")
+    wake_at = HEAP_BASE + 4 * 30
+
+    def run():
+        got = []
+
+        def observe(e):
+            got.append(e)
+            return e.kind == "mem-read" and e.addr == wake_at
+
+        observe.idle_kinds = ("mem-read",)
+        machine = load(image)
+        machine.add_observer(observe)
+        assert machine.run(10_000).outcome == "halt"
+        assert observe in machine.woken
+        return got, machine.state
+
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        got, state = run()
+    with no_blocks():
+        want, want_state = run()
+    assert ran[0] > 0
+    assert got == want and machine_view(state) == machine_view(want_state)
+    woke = next(n for n, e in enumerate(want) if e.kind == "mem-read" and e.addr == wake_at)
+    assert {e.kind for e in want[:woke + 1]} == {"mem-read"}
+    assert {e.kind for e in want[woke + 1:]} >= {"fetch", "reg-read", "mem-write", "branch"}
+
+
+# A hot loop over heap bytes that READ_NET tainted: every pass loads,
+# stores, and adds tainted values, so the woken shadow prints lines
+# inside the loop's block.
+TAINTED_LOOP = """
+        MOVI r0, 256
+        SYS 1
+        MOV r4, r0
+        MOVI r1, 128
+        SYS 3
+        MOV r2, r4
+        MOVI r5, 128
+        ADD r5, r5, r4
+        MOVI r6, 4
+loop:   LD r1, [r2]
+        ST [r2+128], r1
+        LDB r3, [r2+1]
+        ADD r3, r3, r1
+        STB [r2+130], r3
+        ADD r2, r2, r6
+        CMP r2, r5
+        BNE loop
+        HALT
+"""
+
+
+def test_analyze_of_a_hot_loop_runs_a_block():
+    """The mechanism the check rate rests on: analyze, shadow idle and
+    the checkers reading memory events, runs the hot loop in blocks."""
+    image = assemble(BUMP.format(buf=0xA000, end=0xA000 + 4 * 64) + "HALT\n")
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        result = analyze(image)
+    assert ran[0] > 32 * 6
+    with no_blocks():
+        want = analyze(image)
+    assert result.outcome == want.outcome == "halt"
+    assert result.warnings == want.warnings and result.state == want.state
+
+
+def test_a_traced_check_of_a_hot_loop_prints_what_it_printed_word_by_word(tmp_path):
+    """`check --trace events --trace shadow` over a tainted hot loop: the
+    same bytes, report too, as before blocks ran under a read set (the
+    hashes), and as a run with no blocks."""
+    (tmp_path / "loop.s").write_text(TAINTED_LOOP)
+    assert main(["asm", str(tmp_path / "loop.s"), "-o", str(tmp_path / "loop.img")]) == 0
+
+    def check():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check", str(tmp_path / "loop.img"), "--trace", "events",
+                         "--trace", "shadow", "--report", str(tmp_path / "r.tsv")]) == 3
+        return out.getvalue(), (tmp_path / "r.tsv").read_bytes()
+
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        trace, report = check()
+    assert ran[0] > 0
+    assert (hashlib.sha256(trace.encode()).hexdigest(), hashlib.sha256(report).hexdigest()) == (
+        "44f5d2f229fde287103e3fe57c5211e1d235c97c547a51c4b4ac22414d49d6f1",
+        "f53530f132ffc54843c6c049808678c7e0198ec71fb161a7326ec248131a7691")
+    with no_blocks():
+        assert check() == (trace, report)

@@ -144,11 +144,13 @@ def test_every_memo_is_bounded():
     for reads in (frozenset(), frozenset(EVENT_KINDS)):
         found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
     assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src",
-            "machine._fmt_stamp", "shadow._fmt_tags"} <= set(found)
+            "machine._fmt_stamp", "machine._event_text",
+            "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
-    # The block cache is a plain dict with its own bound: at most
-    # _BLOCK_PCS pcs, each with at most _BLOCK_VARIANTS blocks
-    # (tests/test_machine.py holds guests to it).
+    # The block cache, machine._BLOCKS, is a plain dict with one bound
+    # across all read sets: at most _BLOCK_PCS pcs, each with at most
+    # _BLOCK_VARIANTS blocks of any read sets (tests/test_machine.py holds
+    # guests to it).
     assert isinstance(scvm.machine._BLOCKS, dict)
     assert 0 < scvm.machine._BLOCK_PCS * scvm.machine._BLOCK_VARIANTS <= 1024
     # The compiled trace renderers keep no memo of their own: each one
