@@ -11,26 +11,30 @@ in `idle_kinds` (see EVENT_KINDS, Machine); an event reaches only the
 observers that read its kind, and a kind nobody reads builds no Event.
 
 Each code word is decoded once and compiled once per read set, the set
-of kinds the observers read, into a handler closed over its
-operands and memoized on the word's 8 bytes, so code the guest writes
-at run time needs no invalidation.  The common opcodes' handlers test a
-flag fixed at compile time at each emit site, so an unread kind costs
-them no call; the rarer opcodes call the run's emit, which builds no
-event for a kind nobody reads.  A bare run is the empty read set.
+of kinds the observers read, into a handler closed over its operands
+and memoized on the word's 8 bytes, so code the guest writes at run
+time needs no invalidation.  One table, _CODE_TEXT, defines the
+straight-line opcodes (MOVI, MOV, the loads and stores, the ALU ops, the
+compares, BEQ, BNE and JMP): each one's code and events, in order.  The
+word compiler builds each such word's handler from it, through a
+factory compiled once per opcode and read set that emits only the kinds
+of that set, so an unread kind costs no call; the rarer opcodes call
+the run's emit, which builds no event for a kind nobody reads.  A bare
+run is the empty read set.
 
 Straight-line code also runs in blocks, as Bochs's trace cache and
 QEMU's translation blocks do, under any read set.  A block is the words
 from a pc up to and including the first BEQ, BNE or JMP, ending before
-any other opcode than MOVI, MOV, the loads and stores, the ALU ops and
-the compares, or before a word that does not decode, and at most
-_BLOCK_WORDS long.  It is compiled with `exec` into one function for
-the run's read set, which builds each word's events of that set inline
-(as libdft inlines its analysis), once a pc has been dispatched _HOT
-times in a run, and cached for the whole process (_BLOCKS), bounded, on
-its exact bytes and read set.  A block stops, with the thread's pc at
-the next word, before a load or store that would fault and after a
-store into its own bytes; the per-word path then runs that word, so
-faults and rewritten code take the one path they always took.
+any opcode _CODE_TEXT lacks or a word that does not decode, and at most
+_BLOCK_WORDS long.  The block compiler inlines the same table into one
+function for the run's read set, which builds each word's events of
+that set inline (as libdft inlines its analysis), once a pc has been
+dispatched _HOT times in a run, and caches it for the whole process
+(_BLOCKS), bounded, on its exact bytes and read set.  A block stops,
+with the thread's pc at the next word, before a load or store that
+would fault and after a store into its own bytes; the per-word path
+then runs that word, so faults and rewritten code take the one path
+they always took.
 
 `Event` is built from EVENT_FIELDS: the stamp, then every operand field
 the table lists.  It is slotted but not frozen, since freezing makes it
@@ -343,13 +347,19 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # A handler, handler(m, t, pc, emit), executes one instruction for thread
 # t of machine m at pc and sets t.pc (a blocked LOCK leaves it as it is),
 # or raises _Fault.  It emits the instruction's operand events in
-# operand-evaluation order; run() emits the `fetch` before it.  The
-# common opcodes' handlers are compiled for one read set: each emit site
-# tests a flag fixed then (`rr = "reg-read" in reads`), so an unread kind
-# costs no call.  The rarer opcodes share one body, _general, and SYS
-# runs _syscall; they call emit, which drops an unread kind itself.
+# operand-evaluation order; run() emits the `fetch` before it.
+#
+# _CODE_TEXT is the one definition of the straight-line opcodes, which
+# the word compiler (_handler_factory) and the block compiler
+# (_build_block) both read.  An entry lists its word's parts in event
+# order: code, as text, and events, as (kind, keyword text).  In the
+# templates {rd}, {rs}, {rt} and {imm} are the word's fields, {next} the
+# next word's address, {op} its opcode's name as a literal, {width},
+# {mask}, {last} and {align} its access's, and {fault} what a load or
+# store that would fault does: a handler raises, a block stops before
+# the word.  The rarer opcodes share one body, _general, and SYS runs
+# _syscall; they call emit, which drops an unread kind itself.
 
-_IMM_SRC = ("imm",)
 _U32 = struct.Struct("<I")  # a word in memory
 
 
@@ -359,163 +369,90 @@ def _access_fault(addr: int, width: int) -> _Fault:
     return _Fault(f"unaligned word access at 0x{addr:04X}")
 
 
-def _movi(i: Instruction, reads):
-    rd, value = i.rd, i.imm & M32
-    rw = "reg-write" in reads
-
-    def movi(m, t, pc, emit):
-        t.regs[rd] = value
-        if rw:
-            emit("reg-write", reg=rd, value=value, src=_IMM_SRC)
-        t.pc = pc + INSTR_SIZE
-
-    return movi
-
-
-def _mov(i: Instruction, reads):
-    rd, rs, src = i.rd, i.rs, ("reg", i.rs)
-    rr, rw = "reg-read" in reads, "reg-write" in reads
-
-    def mov(m, t, pc, emit):
-        value = t.regs[rs]
-        if rr:
-            emit("reg-read", reg=rs, value=value)
-        t.regs[rd] = value
-        if rw:
-            emit("reg-write", reg=rd, value=value, src=src)
-        t.pc = pc + INSTR_SIZE
-
-    return mov
-
-
-def _load(i: Instruction, reads):
-    rd, rs, imm = i.rd, i.rs, i.imm & M32
-    width = 4 if i.opcode == Opcode.LD else 1
-    last, align = MEMORY_SIZE - width, width - 1
-    rr, mr, rw = "reg-read" in reads, "mem-read" in reads, "reg-write" in reads
-    load32 = _U32.unpack_from
-
-    def load(m, t, pc, emit):
-        regs = t.regs
-        if rr:
-            emit("reg-read", reg=rs, value=regs[rs])
-        addr = (regs[rs] + imm) & M32
-        if addr > last or addr & align:
-            raise _access_fault(addr, width)
-        value = load32(m.state.memory, addr)[0] if align else m.state.memory[addr]
-        if mr:
-            emit("mem-read", addr=addr, width=width, value=value, base_reg=rs)
-        regs[rd] = value
-        if rw:
-            emit("reg-write", reg=rd, value=value, src=("mem", addr, width))
-        t.pc = pc + INSTR_SIZE
-
-    return load
+_FAULTS = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
+           "if a > {last} or a & {align}: {fault}")
+_LANDS_IN = "if {lo} < a < {hi}: t.pc = {next}; return {done}"  # blocks only
+_FETCH = ("fetch", "op={op}")
+_READ_RS = ("reg-read", "reg={rs}, value=r[{rs}]")
+_READ_RT = ("reg-read", "reg={rt}, value=r[{rt}]")
+_CODE_TEXT = {
+    Opcode.MOVI: (_FETCH, "r[{rd}] = {imm}", ("reg-write", "reg={rd}, value={imm}, src=('imm',)")),
+    Opcode.MOV: (_FETCH, _READ_RS, "r[{rd}] = r[{rs}]",
+                 ("reg-write", "reg={rd}, value=r[{rd}], src=('reg', {rs})")),
+    **{op: (_FETCH, _READ_RS, _FAULTS, "r[{rd}] = " + load,
+            ("mem-read", "addr=a, width={width}, value=r[{rd}], base_reg={rs}"),
+            ("reg-write", "reg={rd}, value=r[{rd}], src=('mem', a, {width})"))
+       for op, load in ((Opcode.LD, "load32(m, a)[0]"), (Opcode.LDB, "m[a]"))},
+    **{op: (_FETCH, _READ_RS, _READ_RT, _FAULTS, store,
+            ("mem-write", "addr=a, width={width}, value=r[{rt}] & {mask}, base_reg={rs}, "
+                          "src=('reg', {rt})"),
+            _LANDS_IN)
+       for op, store in ((Opcode.ST, "store32(m, a, r[{rt}] & 0xFFFFFFFF)"),
+                         (Opcode.STB, "m[a] = r[{rt}] & 0xFF"))},
+    **{op: (_FETCH, _READ_RS, _READ_RT,
+            f"r[{{rd}}] = {fn.__name__}(r[{{rs}}], r[{{rt}}]) & 0xFFFFFFFF",
+            ("binop", "op={op}, reg={rd}, rs={rs}, rt={rt}, value=r[{rd}]"),
+            ("reg-write", "reg={rd}, value=r[{rd}], src=('binop', {op}, {rs}, {rt})"))
+       for op, fn in ALU_OPS.items()},
+    Opcode.CMP: (_FETCH, _READ_RS, _READ_RT, "t.zflag = r[{rs}] == r[{rt}]",
+                 ("compare", "rs={rs}, rt={rt}, value=r[{rt}]")),
+    Opcode.CMPI: (_FETCH, _READ_RS, "t.zflag = r[{rs}] == {imm}",
+                  ("compare", "rs={rs}, value={imm}")),
+    Opcode.BEQ: (_FETCH, ("branch", "addr={imm}, taken=t.zflag"),
+                 "t.pc = {imm} if t.zflag else {next}"),
+    Opcode.BNE: (_FETCH, ("branch", "addr={imm}, taken=not t.zflag"),
+                 "t.pc = {next} if t.zflag else {imm}"),
+    Opcode.JMP: (_FETCH, ("branch", "addr={imm}, taken=True"), "t.pc = {imm}"),
+}
+_BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP)  # the entries that set t.pc
+# The kinds each entry's handler may emit, so read sets that differ only
+# in other kinds share its factory: 92 (opcode, kinds) pairs in all.
+_HANDLER_KINDS = {op: frozenset(part[0] for part in parts if isinstance(part, tuple)) - {"fetch"}
+                  for op, parts in _CODE_TEXT.items()}
+_CODE_SCOPE = {fn.__name__: fn for fn in ALU_OPS.values()} | {
+    "load32": _U32.unpack_from, "store32": _U32.pack_into, "Event": Event,
+    "_access_fault": _access_fault}
 
 
-def _store(i: Instruction, reads):
-    rs, rt, imm, src = i.rs, i.rt, i.imm & M32, ("reg", i.rt)
-    width = 4 if i.opcode == Opcode.ST else 1
-    last, align, mask = MEMORY_SIZE - width, width - 1, (1 << 8 * width) - 1
-    rr, mw = "reg-read" in reads, "mem-write" in reads
-    store32 = _U32.pack_into
-
-    def store(m, t, pc, emit):
-        regs = t.regs
-        if rr:
-            emit("reg-read", reg=rs, value=regs[rs])
-            emit("reg-read", reg=rt, value=regs[rt])
-        addr = (regs[rs] + imm) & M32
-        if addr > last or addr & align:
-            raise _access_fault(addr, width)
-        value = regs[rt] & mask
-        if align:
-            store32(m.state.memory, addr, value)
-        else:
-            m.state.memory[addr] = value
-        if mw:
-            emit("mem-write", addr=addr, width=width, value=value, base_reg=rs, src=src)
-        t.pc = pc + INSTR_SIZE
-
-    return store
+def _opcode_slots(op: Opcode) -> dict:
+    """The template slots that op alone fixes."""
+    width = 4 if op in (Opcode.LD, Opcode.ST) else 1
+    return dict(op=repr(op.name), width=width, mask=(1 << 8 * width) - 1,
+                last=MEMORY_SIZE - width, align=width - 1)
 
 
-def _alu(i: Instruction, reads):
-    rd, rs, rt, name, fn = i.rd, i.rs, i.rt, i.opcode.name, ALU_OPS[i.opcode]
-    src = ("binop", name, rs, rt)
-    rr, bo, rw = "reg-read" in reads, "binop" in reads, "reg-write" in reads
-
-    def alu(m, t, pc, emit):
-        regs = t.regs
-        a, b = regs[rs], regs[rt]
-        value = fn(a, b) & M32
-        if rr:
-            emit("reg-read", reg=rs, value=a)
-            emit("reg-read", reg=rt, value=b)
-        if bo:
-            emit("binop", op=name, reg=rd, rs=rs, rt=rt, value=value)
-        regs[rd] = value
-        if rw:
-            emit("reg-write", reg=rd, value=value, src=src)
-        t.pc = pc + INSTR_SIZE
-
-    return alu
-
-
-def _cmp(i: Instruction, reads):
-    rs, rt = i.rs, i.rt
-    rr, cp = "reg-read" in reads, "compare" in reads
-
-    def cmp(m, t, pc, emit):
-        a, b = t.regs[rs], t.regs[rt]
-        if rr:
-            emit("reg-read", reg=rs, value=a)
-            emit("reg-read", reg=rt, value=b)
-        t.zflag = a == b
-        if cp:
-            emit("compare", rs=rs, rt=rt, value=b)
-        t.pc = pc + INSTR_SIZE
-
-    return cmp
-
-
-def _cmpi(i: Instruction, reads):
-    rs, rhs = i.rs, i.imm & M32
-    rr, cp = "reg-read" in reads, "compare" in reads
-
-    def cmpi(m, t, pc, emit):
-        a = t.regs[rs]
-        if rr:
-            emit("reg-read", reg=rs, value=a)
-        t.zflag = a == rhs
-        if cp:
-            emit("compare", rs=rs, value=rhs)
-        t.pc = pc + INSTR_SIZE
-
-    return cmpi
-
-
-def _branch(i: Instruction, reads):
-    target, on = i.imm & M32, i.opcode == Opcode.BEQ
-    br = "branch" in reads
-
-    def branch(m, t, pc, emit):
-        taken = t.zflag == on
-        if br:
-            emit("branch", addr=target, taken=taken)
-        t.pc = target if taken else pc + INSTR_SIZE
-
-    return branch
+@functools.lru_cache(maxsize=128)
+def _handler_factory(op: Opcode, reads: frozenset):
+    """factory(rd, rs, rt, imm), which returns the handler of a word of
+    the _CODE_TEXT opcode op, closed over the word's fields, for the read
+    set reads (of op's _HANDLER_KINDS): it calls emit for each event of a
+    kind in reads and no other, so an unread kind costs no call.
+    Compiled with `exec` once per opcode and kinds read, so a word costs
+    one closure."""
+    slots = _opcode_slots(op) | dict(rd="rd", rs="rs", rt="rt", imm="imm",
+                                     next=f"pc + {INSTR_SIZE}")
+    slots["fault"] = f"raise _access_fault(a, {slots['width']})"
+    lines = ["m = m.state.memory"] if _FAULTS in _CODE_TEXT[op] else []
+    for part in _CODE_TEXT[op]:
+        if isinstance(part, str):
+            if part is not _LANDS_IN:
+                lines += part.format(**slots).split("\n")
+        elif part[0] in reads and part[0] != "fetch":  # run() emits the fetch
+            lines.append(f"emit({part[0]!r}, {part[1].format(**slots)})")
+    if op not in _BLOCK_ENDS:
+        lines.append(f"t.pc = {slots['next']}")
+    exec("def factory(rd, rs, rt, imm):\n    def handler(m, t, pc, emit):\n        r = t.regs\n"
+         + "".join(f"        {line}\n" for line in lines) + "    return handler\n", _CODE_SCOPE)
+    return _CODE_SCOPE.pop("factory")
 
 
 def _general(op: Opcode, imm: int, m, t, pc, emit):
-    """JMP, CALL, RET, CLI, STI and HALT share this one body."""
+    """CALL, RET, CLI, STI and HALT share this one body."""
     regs = t.regs
     next_pc = pc + INSTR_SIZE
-    if op == Opcode.JMP or op == Opcode.CALL:
-        if op == Opcode.CALL:
-            regs[7] = next_pc
-            emit("reg-write", reg=7, value=next_pc, src=_IMM_SRC)
+    if op == Opcode.CALL:
+        regs[7] = next_pc
+        emit("reg-write", reg=7, value=next_pc, src=("imm",))
         next_pc = imm & M32
         emit("branch", addr=next_pc, taken=True)
     elif op == Opcode.RET:
@@ -644,26 +581,6 @@ def _syscall(number: int, sc: bool, m, t, pc, emit):
     t.pc = next_pc
 
 
-_COMPILERS = {
-    Opcode.MOVI: _movi,
-    Opcode.MOV: _mov,
-    Opcode.LD: _load,
-    Opcode.LDB: _load,
-    Opcode.ST: _store,
-    Opcode.STB: _store,
-    **dict.fromkeys(ALU_OPS, _alu),
-    Opcode.CMP: _cmp,
-    Opcode.CMPI: _cmpi,
-    Opcode.BEQ: _branch,
-    Opcode.BNE: _branch,
-    **dict.fromkeys(
-        (Opcode.JMP, Opcode.CALL, Opcode.RET, Opcode.CLI, Opcode.STI, Opcode.HALT),
-        lambda i, reads: functools.partial(_general, i.opcode, i.imm),
-    ),
-    Opcode.SYS: lambda i, reads: functools.partial(_syscall, i.imm, "syscall" in reads),
-}
-
-
 _code_word = struct.Struct("<Q").unpack_from  # (the 8 code bytes at pc as one int,)
 
 
@@ -678,7 +595,14 @@ def _compile(word: int, reads: frozenset) -> tuple:
     """(opcode name, handler, ends_slice) of one code word for one read
     set; SYS and HALT end a slice, as only they change who can run."""
     i = _decode(word)
-    return i.opcode.name, _COMPILERS[i.opcode](i, reads), i.opcode in (Opcode.SYS, Opcode.HALT)
+    op = i.opcode
+    if op in _CODE_TEXT:
+        handler = _handler_factory(op, reads & _HANDLER_KINDS[op])(i.rd, i.rs, i.rt, i.imm & M32)
+    elif op == Opcode.SYS:
+        handler = functools.partial(_syscall, i.imm, "syscall" in reads)
+    else:
+        handler = functools.partial(_general, op, i.imm)
+    return op.name, handler, op in (Opcode.SYS, Opcode.HALT)
 
 
 @functools.lru_cache(maxsize=16)
@@ -702,62 +626,22 @@ def _compiler(reads: frozenset):
 # `fetch` would, to by_kind's readers, stamped with step s plus its index,
 # its pc, and the tid, mode, locks held and st.iflag read once (a block
 # holds no SYS, CLI or STI).  It stops early, raising nothing, before the
-# `fetch` of a load or store that would fault, after a store into its own
-# bytes and before its n+1th word, so the per-word path runs the faulting
-# word, the rewritten code and the slice's last step.  A _BLOCK_TEXT
-# entry is its word's code and, as (kind, keyword text), the events its
-# handler emits, in its order.  In the templates {k} is the word's index
-# in the block and {done} one more, {pc} and {next} its address and the
-# next word's, {op} its opcode's name, {width} and {mask} its access's; a
-# store's {lo} and {hi} bound the addresses at which it lands in the
-# block's bytes.  The blocks share one scope, _BLOCK_SCOPE.
+# `fetch` of a load or store that would fault (the fault test, free of
+# side effects, is hoisted ahead of the word's parts), after a store into
+# its own bytes and before its n+1th word, so the per-word path runs the
+# faulting word, the rewritten code and the slice's last step.  A block
+# inlines its words' _CODE_TEXT entries with every slot a constant; in
+# the block-only slots {k} is the word's index in the block and {done}
+# one more, and a store's {lo} and {hi} bound the addresses at which it
+# lands in the block's bytes.
 
 _BLOCK_WORDS = 32  # the most words one block holds
 _HOT = 16  # the dispatch of a pc, in a run under one read set, at which its block is built
 _BLOCK_PCS = 128  # pcs with blocks cached; one more flushes them all
 _BLOCK_VARIANTS = 8  # blocks cached at one pc, for other code or read sets there
 
-_FAULTS_AT = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
-              "if a > {last} or a & {align}: t.pc = {pc}; return {k}")
-_LANDS_IN = "if {lo} < a < {hi}: t.pc = {next}; return {done}"
-_FETCH = ("fetch", "op='{op}'")
-_READ_RS = ("reg-read", "reg={rs}, value=r[{rs}]")
-_READ_RT = ("reg-read", "reg={rt}, value=r[{rt}]")
-_BLOCK_TEXT = {
-    Opcode.MOVI: (_FETCH, "r[{rd}] = {imm}", ("reg-write", "reg={rd}, value={imm}, src=('imm',)")),
-    Opcode.MOV: (_FETCH, _READ_RS, "r[{rd}] = r[{rs}]",
-                 ("reg-write", "reg={rd}, value=r[{rd}], src=('reg', {rs})")),
-    **{op: (_FAULTS_AT, _FETCH, _READ_RS, "r[{rd}] = " + load,
-            ("mem-read", "addr=a, width={width}, value=r[{rd}], base_reg={rs}"),
-            ("reg-write", "reg={rd}, value=r[{rd}], src=('mem', a, {width})"))
-       for op, load in ((Opcode.LD, "load32(m, a)[0]"), (Opcode.LDB, "m[a]"))},
-    **{op: (_FAULTS_AT, _FETCH, _READ_RS, _READ_RT, store,
-            ("mem-write", "addr=a, width={width}, value=r[{rt}] & {mask}, base_reg={rs}, "
-                          "src=('reg', {rt})"),
-            _LANDS_IN)
-       for op, store in ((Opcode.ST, "store32(m, a, r[{rt}] & 0xFFFFFFFF)"),
-                         (Opcode.STB, "m[a] = r[{rt}] & 0xFF"))},
-    **{op: (_FETCH, _READ_RS, _READ_RT,
-            f"r[{{rd}}] = {fn.__name__}(r[{{rs}}], r[{{rt}}]) & 0xFFFFFFFF",
-            ("binop", "op='{op}', reg={rd}, rs={rs}, rt={rt}, value=r[{rd}]"),
-            ("reg-write", "reg={rd}, value=r[{rd}], src=('binop', '{op}', {rs}, {rt})"))
-       for op, fn in ALU_OPS.items()},
-    Opcode.CMP: (_FETCH, _READ_RS, _READ_RT, "t.zflag = r[{rs}] == r[{rt}]",
-                 ("compare", "rs={rs}, rt={rt}, value=r[{rt}]")),
-    Opcode.CMPI: (_FETCH, _READ_RS, "t.zflag = r[{rs}] == {imm}",
-                  ("compare", "rs={rs}, value={imm}")),
-    Opcode.BEQ: (_FETCH, ("branch", "addr={imm}, taken=t.zflag"),
-                 "t.pc = {imm} if t.zflag else {next}"),
-    Opcode.BNE: (_FETCH, ("branch", "addr={imm}, taken=not t.zflag"),
-                 "t.pc = {next} if t.zflag else {imm}"),
-    Opcode.JMP: (_FETCH, ("branch", "addr={imm}, taken=True"), "t.pc = {imm}"),
-}
-_BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP)
 # The kinds some block word emits: an observer that can wake on one stops blocks.
-_BLOCK_KINDS = frozenset(part[0] for parts in _BLOCK_TEXT.values() for part in parts
-                         if isinstance(part, tuple))
-_BLOCK_SCOPE = {fn.__name__: fn for fn in ALU_OPS.values()} | {
-    "load32": _U32.unpack_from, "store32": _U32.pack_into, "Event": Event}
+_BLOCK_KINDS = frozenset({"fetch"}.union(*_HANDLER_KINDS.values()))
 
 # pc -> [(code bytes, read set, block)], newest first: a block serves only
 # its read set while its bytes are in memory, and images that share a pc
@@ -792,7 +676,7 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
             i = _decode(_code_word(memory, at)[0])
         except DecodeError:
             break
-        if i.opcode not in _BLOCK_TEXT:
+        if i.opcode not in _CODE_TEXT:
             break
         words.append(i)
         if i.opcode in _BLOCK_ENDS:
@@ -805,11 +689,11 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
         at = pc + k * INSTR_SIZE
         if k:
             lines.append(f"if n == {k}: t.pc = {at}; return {k}")
-        width = 4 if i.opcode in (Opcode.LD, Opcode.ST) else 1
-        slots = dict(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, op=i.opcode.name, k=k, done=k + 1,
-                     pc=at, next=at + INSTR_SIZE, width=width, mask=(1 << 8 * width) - 1,
-                     last=MEMORY_SIZE - width, align=width - 1, lo=pc - width, hi=hi)
-        for part in _BLOCK_TEXT[i.opcode]:
+        slots = _opcode_slots(i.opcode)
+        slots.update(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, done=k + 1, pc=at,
+                     next=at + INSTR_SIZE, lo=pc - slots["width"], hi=hi,
+                     fault=f"t.pc = {at}; return {k}")
+        for part in sorted(_CODE_TEXT[i.opcode], key=lambda part: part is not _FAULTS):
             if isinstance(part, str):
                 lines += part.format(**slots).split("\n")
             elif part[0] in reads:
@@ -823,8 +707,8 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
         lines[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
                      *(f"{name} = by_kind[{kind!r}]" for kind, name in readers.items())]
     exec("def block(t, m, n, s, st, by_kind):\n    r = t.regs\n"
-         + "".join(f"    {line}\n" for line in lines), _BLOCK_SCOPE)
-    block = _BLOCK_SCOPE.pop("block")
+         + "".join(f"    {line}\n" for line in lines), _CODE_SCOPE)
+    block = _CODE_SCOPE.pop("block")
     if pc not in _BLOCKS and len(_BLOCKS) >= _BLOCK_PCS:
         _BLOCKS.clear()
     variants = _BLOCKS.setdefault(pc, [])
@@ -899,7 +783,11 @@ class Machine:
         Each code word runs through its handler compiled for the read
         set, the kinds some observer reads (_compiler); with no
         observers that set is empty and the run builds no event.  A wake
-        reaches the same step's next emit and the next step's handler.
+        takes effect from the next step's handler, compiled for the new
+        read set.  Of its own step's later events the woken observer
+        gets only those that still go through emit: all of a SYS's or a
+        rarer opcode's, but of a _CODE_TEXT opcode's only the kinds its
+        handler was compiled to emit.
         A slice with room for two more steps runs a block (_block_at)
         where one is cached for the read set or pc is hot, and runs it
         again while it branches back to its own pc; the block never runs
@@ -934,8 +822,9 @@ class Machine:
         by_kind = reads = compile_ = fetch = blocks = hot = None
         read()
 
-        # Builds no Event for a kind nobody reads (beside the compiled flags
-        # and fetch, the one place that drops one).  Reads the loop's current
+        # Builds no Event for a kind nobody reads (beside the compiled code,
+        # which leaves such kinds out, and fetch, the one place that drops
+        # one).  Reads the loop's current
         # t, tid, step_no and pc; its parameters are Event's fields after the stamp.
         def emit(kind, op=None, reg=None, value=None, src=None, addr=None, width=None,
                  base_reg=None, rs=None, rt=None, taken=None, sysno=None, args=None, lock=None,

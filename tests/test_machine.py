@@ -1189,6 +1189,27 @@ def test_a_checked_run_resumes_across_the_shadow_waking():
         assert _checked(image, stop, 100) == whole, stop
 
 
+def test_a_wake_at_a_table_opcodes_event_takes_effect_from_the_next_step():
+    """The LD's handler was compiled for the idle read set, so it emits
+    no reg-write: an observer that wakes at the LD's mem-read gets none
+    of the LD's later events, and every event of the next step on.  (A
+    SYS calls emit for every event, so a wake there reaches the same
+    step's later events, as the shadow's above does.)"""
+    got = []
+
+    def observe(e):
+        got.append((e.step, e.kind))
+        return e.kind == "mem-read"
+
+    observe.kinds = ("fetch", "reg-read", "reg-write", "mem-read")
+    observe.idle_kinds = ("mem-read",)
+    machine = load(assemble("MOVI r2, 0x9000\nLD r1, [r2]\nMOV r3, r1\nHALT"))
+    machine.add_observer(observe)
+    assert machine.run(step_limit=100).outcome == "halt"
+    assert got == [(1, "mem-read"), (2, "fetch"), (2, "reg-read"), (2, "reg-write"),
+                   (3, "fetch")]
+
+
 def _counted_picks(source, policy, step_limit):
     """(RunResult, calls of the scheduler's pick) of one run of source."""
     machine = load(assemble(source), policy)

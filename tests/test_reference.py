@@ -18,8 +18,9 @@ under each.
 Families: the shipped corpus under its manifest policies and under
 seeded-random quantum 2 seed 7, the random, sharing, waiting and
 self-rewriting families of tests/families.py under both schedulers,
-and directed guests that put each instruction that ends a slice at
-every phase of one, and a fault, a step limit, a slice's end and a
+and directed guests: each opcode of the code table word by word, up to
+a load's or store's fault too; each instruction that ends a slice at
+every phase of one; and a fault, a step limit, a slice's end and a
 store into its own code inside a block; and blocks under a read set
 against runs without blocks: a wake in a hot loop, `analyze` and a
 traced `check`.
@@ -63,7 +64,8 @@ READ_SETS = tuple(dict.fromkeys([
 ]))
 
 
-# The opcodes a block may hold, by the names fetch events carry.
+# The opcodes of the code table, which a block may hold, by the names
+# fetch events carry.
 BLOCK_OPS = {"MOVI", "MOV", "LD", "LDB", "ST", "STB", "ADD", "SUB", "MUL", "AND", "OR", "XOR",
              "CMP", "CMPI", "BEQ", "BNE", "JMP"}
 
@@ -92,6 +94,29 @@ def blocks_counted(hot):
         yield ran
 
 
+@contextlib.contextmanager
+def no_blocks():
+    """Runs that dispatch every word through its handler."""
+    with mock.patch.object(scvm.machine, "_block_at", lambda *args: None):
+        yield
+
+
+def run_reading(image, policy, kinds, step_limit):
+    """(outcome, architectural state, events got) of a run of image whose
+    one observer reads kinds, with no observer for no kinds."""
+    machine = load(image, policy)
+    got = []
+    if kinds:
+        def observe(e):
+            got.append(e)
+
+        if kinds != frozenset(EVENT_KINDS):  # every kind: an observer that names none
+            observe.kinds = tuple(kinds)
+        machine.add_observer(observe)
+    result = machine.run(step_limit)
+    return result.outcome, machine_view(result.state), got
+
+
 def assert_runs_like_the_reference(image, policy, step_limit):
     """Each read set's run, with blocks built at the hot threshold and
     then at a pc's first dispatch, against the reference; returns the
@@ -101,20 +126,11 @@ def assert_runs_like_the_reference(image, policy, step_limit):
     ran = []
     for hot in (scvm.machine._HOT, 1):
         for kinds in READ_SETS:
-            machine = load(image, policy)
-            got = []
-            if kinds:
-                def observe(e):
-                    got.append(e)
-
-                if kinds != frozenset(EVENT_KINDS):  # every kind: an observer that names none
-                    observe.kinds = tuple(kinds)
-                machine.add_observer(observe)
             with blocks_counted(hot) as steps:
-                result = machine.run(step_limit)
+                got_outcome, view, got = run_reading(image, policy, kinds, step_limit)
             where = (hot, sorted(kinds))
-            assert result.outcome == outcome, where
-            assert machine_view(result.state) == want, where
+            assert got_outcome == outcome, where
+            assert view == want, where
             assert got == [e for e in ref.events if e.kind in kinds], where
             if hot == 1:
                 ran.append(steps[0])
@@ -154,6 +170,51 @@ def test_waiting_images_run_like_the_reference(image, policy, step_limit):
 @over_family("self-rewriting", 100)
 def test_images_that_rewrite_their_code_run_like_the_reference(image, policy, step_limit):
     assert_runs_like_the_reference(image, policy, step_limit)
+
+
+# Each opcode of the code table run word by word, after a prelude that
+# puts a heap address in r2 and values in r3 and r4: a case named for its
+# opcode alone halts, and the load and store cases named for a fault
+# fault at their last word (a byte access is never unaligned).
+WORD_PRELUDE = f"MOVI r2, {HEAP_BASE}\nMOVI r3, 0x12345678\nMOVI r4, 3\n"
+WORD_CASES = {
+    "MOVI": "MOVI r1, -5",
+    "MOV": "MOV r1, r3\nMOV r3, r3",
+    "LD": "ST [r2+4], r3\nLD r1, [r2+4]\nLD r2, [r2+4]",
+    "LDB": "ST [r2], r3\nLDB r1, [r2+3]\nLDB r2, [r2]",
+    "ST": "ST [r2+8], r3\nST [r2-4], r2",
+    "STB": "STB [r2+9], r3\nSTB [r2+9], r2",
+    **{op: f"{op} r1, r3, r4\n{op} r3, r3, r3" for op in ("ADD", "SUB", "MUL", "AND", "OR", "XOR")},
+    "CMP": "CMP r3, r4\nCMP r3, r3",
+    "CMPI": "CMPI r4, 3\nCMPI r4, -3",
+    "BEQ": "CMP r3, r4\nBEQ end\nCMP r3, r3\nBEQ end\nMOVI r1, 1",
+    "BNE": "CMP r3, r3\nBNE end\nCMP r3, r4\nBNE end\nMOVI r1, 1",
+    "JMP": "JMP end\nMOVI r1, 1",
+    "LD unmapped": "LD r1, [r2+0x7FFE]",
+    "LD unmapped, wrapped": "LD r1, [r2-0x8004]",
+    "LD unaligned": "MOVI r1, 7\nLD r1, [r2+2]",
+    "LDB unmapped": "LDB r1, [r2+0x8000]",
+    "ST unmapped": "ST [r2+0x7FFD], r3",
+    "ST unaligned": "ST [r2+1], r3",
+    "STB unmapped": "STB [r2+0x8000], r3",
+}
+
+
+@pytest.mark.parametrize("case", WORD_CASES)
+def test_each_table_opcode_runs_like_the_reference_word_by_word(case):
+    """Each read set's run with no block, so every word goes through
+    the handler its opcode's factory built, against the reference:
+    effects, events and their order, up to a fault too."""
+    assert {name.split()[0] for name in WORD_CASES} == BLOCK_OPS
+    image = assemble(WORD_PRELUDE + WORD_CASES[case] + "\nend: HALT\n")
+    policy = SchedulerPolicy()
+    outcome, ref = run_reference(image, policy, 100)
+    assert outcome == ("fault" if " " in case else "halt")
+    assert case.split()[0] in {e.op for e in ref.events if e.kind == "fetch"}
+    for kinds in READ_SETS:
+        with no_blocks():
+            got = run_reading(image, policy, kinds, 100)
+        assert got == (outcome, ref.view(), [e for e in ref.events if e.kind in kinds]), kinds
 
 
 # Main YIELDs alone, takes lock 1, SPAWNs two workers and a child, YIELDs,
@@ -348,13 +409,6 @@ def test_blocks_longer_than_the_quantum_run_like_the_reference(kind, quantum):
 
 
 # -- blocks under a read set ---------------------------------------------
-
-
-@contextlib.contextmanager
-def no_blocks():
-    """Runs that dispatch every word through its handler."""
-    with mock.patch.object(scvm.machine, "_block_at", lambda *args: None):
-        yield
 
 
 def test_an_observer_that_wakes_in_a_hot_loop_gets_the_events_of_a_run_without_blocks():

@@ -134,8 +134,9 @@ def test_memos_are_found():
 
 def test_every_memo_is_bounded():
     """No guest can exhaust host memory through a memo: every functools
-    cache in scvm, and each per-read-set compile cache that _compiler
-    returns, has a finite maxsize, and so does the block cache."""
+    cache in scvm (the per-opcode-and-read-set handler factories among
+    them), and each per-read-set compile cache that _compiler returns,
+    has a finite maxsize, and so does the block cache."""
     found = {}
     for path in MODULES:
         if path.stem != "__main__":  # importing it runs the CLI
@@ -144,7 +145,7 @@ def test_every_memo_is_bounded():
     for reads in (frozenset(), frozenset(EVENT_KINDS)):
         found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
     assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src",
-            "machine._fmt_stamp", "machine._event_text",
+            "machine._fmt_stamp", "machine._event_text", "machine._handler_factory",
             "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
     # The block cache, machine._BLOCKS, is a plain dict with one bound
@@ -163,15 +164,21 @@ def test_every_memo_is_bounded():
         "_fmt_head", "_fmt_code_src", "_fmt_stamp"}
 
 
-def emit_calls(source: str) -> list:
-    """(kind, keyword names) of every `emit("<kind>", ...)` call of a module."""
-    return [
+def emit_calls(source: str, table: dict | None = None) -> list:
+    """(kind, keyword names) of every `emit("<kind>", ...)` call of a
+    module, then of every (kind, keyword text) part of a table of code
+    templates, as machine._CODE_TEXT, whose compilers emit those events."""
+    calls = [
         (node.args[0].value, {k.arg for k in node.keywords})
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "emit"
         and isinstance(node.args[0], ast.Constant)
+    ]
+    return calls + [
+        (part[0], {k.arg for k in ast.parse(f"f({part[1]})", mode="eval").body.keywords})
+        for parts in (table or {}).values() for part in parts if isinstance(part, tuple)
     ]
 
 
@@ -180,21 +187,30 @@ def emitted_kinds(source: str) -> set:
     return {kind for kind, _ in emit_calls(source)}
 
 
+def machine_emit_calls() -> list:
+    """Every emit site of machine.py: its emit calls and its code table."""
+    return emit_calls((ROOT / "src" / "scvm" / "machine.py").read_text(),
+                      scvm.machine._CODE_TEXT)
+
+
 def test_emitted_kinds_are_found():
     assert emitted_kinds('emit("a", x=1)\nother("b")\nemit("c")') == {"a", "c"}
     assert emit_calls('emit("a", x=1, y=2)\nemit("c")') == [("a", {"x", "y"}), ("c", set())]
+    table = {"OP": (("d", "x={rd}, y=r[{rs}] & 3"), "r[{rd}] = 0", ("e", ""))}
+    assert emit_calls('emit("a")', table) == [("a", set()), ("d", {"x", "y"}), ("e", set())]
 
 
 def test_event_kinds_are_exactly_the_emitted_ones():
-    emitted = emitted_kinds((ROOT / "src" / "scvm" / "machine.py").read_text())
+    emitted = {kind for kind, _ in machine_emit_calls()}
     assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)  # a repeat would deliver twice
     assert emitted == set(EVENT_KINDS)
 
 
 def test_each_emit_call_passes_its_kinds_fields():
-    """Each call passes every field its kind's EVENT_FIELDS lists, bar
-    the optional ones, and no other: the trace renders only those."""
-    for kind, keywords in emit_calls((ROOT / "src" / "scvm" / "machine.py").read_text()):
+    """Each call or table event passes every field its kind's
+    EVENT_FIELDS lists, bar the optional ones, and no other: the trace
+    renders only those."""
+    for kind, keywords in machine_emit_calls():
         fields = EVENT_FIELDS[kind]
         assert {f for f in fields if not f.endswith("?")} <= keywords, kind
         assert keywords <= {f.rstrip("?") for f in fields}, kind
