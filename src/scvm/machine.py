@@ -13,28 +13,27 @@ observers that read its kind, and a kind nobody reads builds no Event.
 Each code word is decoded once and compiled once per read set, the set
 of kinds the observers read, into a handler closed over its operands
 and memoized on the word's 8 bytes, so code the guest writes at run
-time needs no invalidation.  One table, _CODE_TEXT, defines the
-straight-line opcodes (MOVI, MOV, the loads and stores, the ALU ops, the
-compares, BEQ, BNE and JMP): each one's code and events, in order.  The
-word compiler builds each such word's handler from it, through a
-factory compiled once per opcode and read set that emits only the kinds
-of that set, so an unread kind costs no call; the rarer opcodes call
-the run's emit, which builds no event for a kind nobody reads.  A bare
-run is the empty read set.
+time needs no invalidation.  One table, _CODE_TEXT, defines every
+opcode but SYS: each one's code and events, its `fetch` first, in
+order.  The word compiler builds each such word's handler from it,
+through a factory compiled once per opcode and read set that emits only
+the kinds of that set, so an unread kind costs no call; SYS's handler
+calls the run's emit, which builds no event for a kind nobody reads.  A
+bare run is the empty read set.
 
 Straight-line code also runs in blocks, as Bochs's trace cache and
 QEMU's translation blocks do, under any read set.  A block is the words
-from a pc up to and including the first BEQ, BNE or JMP, ending before
-any opcode _CODE_TEXT lacks or a word that does not decode, and at most
-_BLOCK_WORDS long.  The block compiler inlines the same table into one
-function for the run's read set, which builds each word's events of
-that set inline (as libdft inlines its analysis), once a pc has been
-dispatched _HOT times in a run, and caches it for the whole process
-(_BLOCKS), bounded, on its exact bytes and read set.  A block stops,
-with the thread's pc at the next word, before a load or store that
-would fault and after a store into its own bytes; the per-word path
-then runs that word, so faults and rewritten code take the one path
-they always took.
+from a pc up to and including the first BEQ, BNE, JMP, CALL or RET,
+ending before a SYS, CLI, STI or HALT or a word that does not decode,
+and at most _BLOCK_WORDS long.  The block compiler inlines the same
+table into one function for the run's read set, which builds each
+word's events of that set inline (as libdft inlines its analysis), once
+a pc has been dispatched _HOT times in a run, and caches it for the
+whole process (_BLOCKS), bounded, on its exact bytes and read set.  A
+block stops, with the thread's pc at the next word, before a load or
+store that would fault and after a store into its own bytes; the
+per-word path then runs that word, so faults and rewritten code take
+the one path they always took.
 
 `Event` is built from EVENT_FIELDS: the stamp, then every operand field
 the table lists.  It is slotted but not frozen, since freezing makes it
@@ -345,20 +344,21 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # -- compiled code words --------------------------------------------------
 #
 # A handler, handler(m, t, pc, emit), executes one instruction for thread
-# t of machine m at pc and sets t.pc (a blocked LOCK leaves it as it is),
-# or raises _Fault.  It emits the instruction's operand events in
-# operand-evaluation order; run() emits the `fetch` before it.
+# t of machine m at pc and sets t.pc (a blocked LOCK and a HALT leave it
+# as it is), or raises _Fault.  It emits the instruction's `fetch`, then
+# its operand events in operand-evaluation order.
 #
-# _CODE_TEXT is the one definition of the straight-line opcodes, which
-# the word compiler (_handler_factory) and the block compiler
-# (_build_block) both read.  An entry lists its word's parts in event
-# order: code, as text, and events, as (kind, keyword text).  In the
-# templates {rd}, {rs}, {rt} and {imm} are the word's fields, {next} the
-# next word's address, {op} its opcode's name as a literal, {width},
-# {mask}, {last} and {align} its access's, and {fault} what a load or
-# store that would fault does: a handler raises, a block stops before
-# the word.  The rarer opcodes share one body, _general, and SYS runs
-# _syscall; they call emit, which drops an unread kind itself.
+# _CODE_TEXT is the one definition of every opcode but SYS, which the
+# word compiler (_handler_factory) and the block compiler (_build_block)
+# both read.  An entry lists its word's parts in event order: code, as
+# text, and events, as (kind, keyword text).  In the templates {rd},
+# {rs}, {rt} and {imm} are the word's fields, {next} the next word's
+# address, {op} its opcode's name as a literal, {width}, {mask}, {last}
+# and {align} its access's, and {fault} what a load or store that would
+# fault does: a handler raises, a block stops before the word.  In the
+# code r is the thread's registers and m the memory, or the machine in
+# CLI, STI and HALT, which no block holds.  SYS runs _syscall, which
+# calls emit for each of its events; emit drops an unread kind itself.
 
 _U32 = struct.Struct("<I")  # a word in memory
 
@@ -367,6 +367,13 @@ def _access_fault(addr: int, width: int) -> _Fault:
     if addr + width > MEMORY_SIZE:
         return _Fault(f"unmapped address 0x{addr:08X}")
     return _Fault(f"unaligned word access at 0x{addr:04X}")
+
+
+def _end_thread(st, t, emit):
+    """Thread t (HALT off thread 0, or EXIT_THREAD) ends and leaves the table."""
+    st.runnable.remove(t.tid)
+    emit("thread-exit")
+    del st.threads[t.tid]
 
 
 _FAULTS = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
@@ -403,15 +410,27 @@ _CODE_TEXT = {
     Opcode.BNE: (_FETCH, ("branch", "addr={imm}, taken=not t.zflag"),
                  "t.pc = {next} if t.zflag else {imm}"),
     Opcode.JMP: (_FETCH, ("branch", "addr={imm}, taken=True"), "t.pc = {imm}"),
+    Opcode.CALL: (_FETCH, "r[7] = {next}", ("reg-write", "reg=7, value={next}, src=('imm',)"),
+                  ("branch", "addr={imm}, taken=True"), "t.pc = {imm}"),
+    Opcode.RET: (_FETCH, ("reg-read", "reg=7, value=r[7]"), ("branch", "addr=r[7], taken=True"),
+                 "t.pc = r[7]"),
+    **{op: (_FETCH, "if t.mode != MODE_KERNEL: raise _Fault({op} + ' in user mode')",
+            f"m.state.iflag = {op == Opcode.STI}", ("iflag-change", ""))
+       for op in (Opcode.CLI, Opcode.STI)},
+    Opcode.HALT: (_FETCH, "if t.tid == 0: m.state.halted = True\n"
+                          "else: _end_thread(m.state, t, emit)"),  # the pc stays on it
 }
-_BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP)  # the entries that set t.pc
+_BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL, Opcode.RET)  # they set t.pc
+# A block reads iflag once and never ends a thread.
+_BLOCK_OPS = _CODE_TEXT.keys() - {Opcode.CLI, Opcode.STI, Opcode.HALT}
 # The kinds each entry's handler may emit, so read sets that differ only
-# in other kinds share its factory: 92 (opcode, kinds) pairs in all.
-_HANDLER_KINDS = {op: frozenset(part[0] for part in parts if isinstance(part, tuple)) - {"fetch"}
+# in other kinds share its factory.
+_HANDLER_KINDS = {op: frozenset(part[0] for part in parts if isinstance(part, tuple))
                   for op, parts in _CODE_TEXT.items()}
 _CODE_SCOPE = {fn.__name__: fn for fn in ALU_OPS.values()} | {
     "load32": _U32.unpack_from, "store32": _U32.pack_into, "Event": Event,
-    "_access_fault": _access_fault}
+    "_access_fault": _access_fault, "_Fault": _Fault, "MODE_KERNEL": MODE_KERNEL,
+    "_end_thread": _end_thread}
 
 
 def _opcode_slots(op: Opcode) -> dict:
@@ -421,7 +440,7 @@ def _opcode_slots(op: Opcode) -> dict:
                 last=MEMORY_SIZE - width, align=width - 1)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=sum(2 ** len(kinds) for kinds in _HANDLER_KINDS.values()))
 def _handler_factory(op: Opcode, reads: frozenset):
     """factory(rd, rs, rt, imm), which returns the handler of a word of
     the _CODE_TEXT opcode op, closed over the word's fields, for the read
@@ -437,56 +456,24 @@ def _handler_factory(op: Opcode, reads: frozenset):
         if isinstance(part, str):
             if part is not _LANDS_IN:
                 lines += part.format(**slots).split("\n")
-        elif part[0] in reads and part[0] != "fetch":  # run() emits the fetch
+        elif part[0] in reads:
             lines.append(f"emit({part[0]!r}, {part[1].format(**slots)})")
-    if op not in _BLOCK_ENDS:
+    if op not in (*_BLOCK_ENDS, Opcode.HALT):
         lines.append(f"t.pc = {slots['next']}")
     exec("def factory(rd, rs, rt, imm):\n    def handler(m, t, pc, emit):\n        r = t.regs\n"
          + "".join(f"        {line}\n" for line in lines) + "    return handler\n", _CODE_SCOPE)
     return _CODE_SCOPE.pop("factory")
 
 
-def _general(op: Opcode, imm: int, m, t, pc, emit):
-    """CALL, RET, CLI, STI and HALT share this one body."""
-    regs = t.regs
-    next_pc = pc + INSTR_SIZE
-    if op == Opcode.CALL:
-        regs[7] = next_pc
-        emit("reg-write", reg=7, value=next_pc, src=("imm",))
-        next_pc = imm & M32
-        emit("branch", addr=next_pc, taken=True)
-    elif op == Opcode.RET:
-        next_pc = regs[7]
-        emit("reg-read", reg=7, value=next_pc)
-        emit("branch", addr=next_pc, taken=True)
-    elif op == Opcode.CLI or op == Opcode.STI:
-        if t.mode != MODE_KERNEL:
-            raise _Fault(f"{op.name} in user mode")
-        m.state.iflag = op == Opcode.STI
-        emit("iflag-change")
-    else:  # HALT; the pc stays on it
-        if t.tid == 0:
-            m.state.halted = True
-        else:
-            _end_thread(m.state, t, emit)
-        return
-    t.pc = next_pc
-
-
-def _end_thread(st, t, emit):
-    """Thread t (HALT off thread 0, or EXIT_THREAD) ends and leaves the table."""
-    st.runnable.remove(t.tid)
-    emit("thread-exit")
-    del st.threads[t.tid]
-
-
-def _syscall(number: int, sc: bool, m, t, pc, emit):
-    """SYS number, in four steps: the faults that stop the call before
-    its `syscall` event, the event (if sc: some observer reads it, so its
-    args are worth building), the effect (whose end-of-memory faults
+def _syscall(number: int, reads: frozenset, m, t, pc, emit):
+    """SYS number, in four steps after its `fetch`: the faults that stop
+    the call before its `syscall` event, the event (if reads has its
+    kind, so its args are worth building), the effect (whose end-of-memory faults
     come after the event), and the r0 result with its `reg-write`.  A
     blocked LOCK leaves t.pc unchanged, so the instruction runs again
     (fetch and syscall events too) once woken."""
+    if "fetch" in reads:
+        emit("fetch", op="SYS")
     st, regs = m.state, t.regs
     r0, r1 = regs[0], regs[1]
     if number == SYS_LOCK:
@@ -507,7 +494,7 @@ def _syscall(number: int, sc: bool, m, t, pc, emit):
             raise _Fault("KRET outside a KCALL")
     elif number not in SYSCALL_NAMES:
         raise _Fault(f"unknown syscall {number}")
-    if sc:
+    if "syscall" in reads:
         emit("syscall", sysno=number, args=tuple(regs[:4]))
 
     next_pc, result = pc + INSTR_SIZE, None
@@ -592,17 +579,15 @@ def _decode(word: int) -> Instruction:
 
 
 def _compile(word: int, reads: frozenset) -> tuple:
-    """(opcode name, handler, ends_slice) of one code word for one read
-    set; SYS and HALT end a slice, as only they change who can run."""
+    """(handler, ends_slice) of one code word for one read set; SYS and
+    HALT end a slice, as only they change who can run."""
     i = _decode(word)
     op = i.opcode
-    if op in _CODE_TEXT:
-        handler = _handler_factory(op, reads & _HANDLER_KINDS[op])(i.rd, i.rs, i.rt, i.imm & M32)
-    elif op == Opcode.SYS:
-        handler = functools.partial(_syscall, i.imm, "syscall" in reads)
+    if op == Opcode.SYS:
+        handler = functools.partial(_syscall, i.imm, reads)
     else:
-        handler = functools.partial(_general, op, i.imm)
-    return op.name, handler, op in (Opcode.SYS, Opcode.HALT)
+        handler = _handler_factory(op, reads & _HANDLER_KINDS[op])(i.rd, i.rs, i.rt, i.imm & M32)
+    return handler, op in (Opcode.SYS, Opcode.HALT)
 
 
 @functools.lru_cache(maxsize=16)
@@ -622,18 +607,18 @@ def _compiler(reads: frozenset):
 # block(t, m, n, s, st, by_kind) runs up to n of the straight-line words
 # from its pc for thread t over memory m, as their handlers would, and
 # returns how many ran, with t.pc at the next word to run.  Each word
-# hands its events of the block's read set, as its handler and the run's
-# `fetch` would, to by_kind's readers, stamped with step s plus its index,
-# its pc, and the tid, mode, locks held and st.iflag read once (a block
-# holds no SYS, CLI or STI).  It stops early, raising nothing, before the
-# `fetch` of a load or store that would fault (the fault test, free of
-# side effects, is hoisted ahead of the word's parts), after a store into
-# its own bytes and before its n+1th word, so the per-word path runs the
-# faulting word, the rewritten code and the slice's last step.  A block
-# inlines its words' _CODE_TEXT entries with every slot a constant; in
-# the block-only slots {k} is the word's index in the block and {done}
-# one more, and a store's {lo} and {hi} bound the addresses at which it
-# lands in the block's bytes.
+# hands its events of the block's read set, as its handler would, to
+# by_kind's readers, stamped with step s plus its index, its pc, and the
+# tid, mode, locks held and st.iflag read once (a block holds no SYS, CLI,
+# STI or HALT).  It stops early, raising nothing, before the `fetch` of a
+# load or store that would fault (the fault test, free of side effects,
+# is hoisted ahead of the word's parts), after a store into its own bytes
+# and before its n+1th word, so the per-word path runs the faulting word,
+# the rewritten code and the slice's last step.  A block inlines its
+# words' _CODE_TEXT entries with every slot a constant; in the block-only
+# slots {k} is the word's index in the block and {done} one more, and a
+# store's {lo} and {hi} bound the addresses at which it lands in the
+# block's bytes.
 
 _BLOCK_WORDS = 32  # the most words one block holds
 _HOT = 16  # the dispatch of a pc, in a run under one read set, at which its block is built
@@ -641,7 +626,7 @@ _BLOCK_PCS = 128  # pcs with blocks cached; one more flushes them all
 _BLOCK_VARIANTS = 8  # blocks cached at one pc, for other code or read sets there
 
 # The kinds some block word emits: an observer that can wake on one stops blocks.
-_BLOCK_KINDS = frozenset({"fetch"}.union(*_HANDLER_KINDS.values()))
+_BLOCK_KINDS = frozenset().union(*(_HANDLER_KINDS[op] for op in _BLOCK_OPS))
 
 # pc -> [(code bytes, read set, block)], newest first: a block serves only
 # its read set while its bytes are in memory, and images that share a pc
@@ -676,7 +661,7 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
             i = _decode(_code_word(memory, at)[0])
         except DecodeError:
             break
-        if i.opcode not in _CODE_TEXT:
+        if i.opcode not in _BLOCK_OPS:
             break
         words.append(i)
         if i.opcode in _BLOCK_ENDS:
@@ -785,9 +770,9 @@ class Machine:
         observers that set is empty and the run builds no event.  A wake
         takes effect from the next step's handler, compiled for the new
         read set.  Of its own step's later events the woken observer
-        gets only those that still go through emit: all of a SYS's or a
-        rarer opcode's, but of a _CODE_TEXT opcode's only the kinds its
-        handler was compiled to emit.
+        gets only those that still go through emit: all of a SYS's and
+        a HALT's `thread-exit`, but of any other opcode's only the kinds
+        its handler was compiled to emit.
         A slice with room for two more steps runs a block (_block_at)
         where one is cached for the read set or pc is hot, and runs it
         again while it branches back to its own pc; the block never runs
@@ -806,7 +791,7 @@ class Machine:
         def read():
             """Each kind's readers, fresh tuples (an emit's loop keeps its own),
             handlers, and whether blocks run: not while a kind one emits could wake an observer."""
-            nonlocal by_kind, reads, compile_, fetch, blocks, hot
+            nonlocal by_kind, reads, compile_, blocks, hot
             by_kind, wakes = dict.fromkeys(EVENT_KINDS, ()), set()
             for fn in self.observers:
                 kinds = getattr(fn, "kinds", None)
@@ -816,16 +801,16 @@ class Machine:
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
             reads = frozenset(kind for kind, readers in by_kind.items() if readers)
-            compile_, fetch = _compiler(reads), "fetch" in reads
+            compile_ = _compiler(reads)
             blocks, hot = _BLOCK_KINDS.isdisjoint(wakes), {}  # hot: pc -> misses there
 
-        by_kind = reads = compile_ = fetch = blocks = hot = None
+        by_kind = reads = compile_ = blocks = hot = None
         read()
 
-        # Builds no Event for a kind nobody reads (beside the compiled code,
-        # which leaves such kinds out, and fetch, the one place that drops
-        # one).  Reads the loop's current
-        # t, tid, step_no and pc; its parameters are Event's fields after the stamp.
+        # What the handlers call to hand out an event; builds none of a kind
+        # nobody reads (only SYS's handler and _end_thread call it for such a
+        # kind).  Reads the loop's current t, tid, step_no and pc; its
+        # parameters are Event's fields after the stamp.
         def emit(kind, op=None, reg=None, value=None, src=None, addr=None, width=None,
                  base_reg=None, rs=None, rt=None, taken=None, sysno=None, args=None, lock=None,
                  new_tid=None):
@@ -874,9 +859,7 @@ class Machine:
                                 break
                         if ran:
                             continue
-                    name, handler, ends = compile_(_code_word(memory, pc)[0])
-                    if fetch:
-                        emit("fetch", op=name)
+                    handler, ends = compile_(_code_word(memory, pc)[0])
                     end = ends or step_no == last
                     if end and step_no > first:  # a pick per step's count, before a YIELD
                         sched._used = (used + step_no - first - 1) % quantum + 1

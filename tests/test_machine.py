@@ -1286,10 +1286,10 @@ def test_observer_receives_only_the_kinds_it_reads():
     assert full == alone.events
 
 
-# Reaches every emit site of the rarer opcodes and the syscalls: CALL,
-# JMP and RET; CLI and STI inside a KCALL, then KRET; SET_TRAP, ALLOC,
-# READ_NET, OPEN, LOCK, UNLOCK and SPAWN; a HALT and an EXIT_THREAD off
-# thread 0.  The LD, ADD, CMPI and BNE give the hot opcodes' kinds.
+# Reaches every event kind of CALL, JMP and RET; of CLI and STI inside a
+# KCALL, then KRET; of SET_TRAP, ALLOC, READ_NET, OPEN, LOCK, UNLOCK and
+# SPAWN; and of a HALT and an EXIT_THREAD off thread 0.  The LD, ADD,
+# CMPI and BNE give the hot opcodes' kinds.
 EVERY_EMIT_SRC = """
 start:  MOVI r0, trap
         SYS 18
@@ -1324,7 +1324,9 @@ halter: HALT
 exiter: SYS 52
 """
 
-# Each (instruction, kind) whose Event only emit's own test drops when unread.
+# Each (instruction, kind) the guest above reaches beside the hot opcodes':
+# a handler's flags drop it when unread, or, for a SYS's events and a
+# HALT's thread-exit, emit's own test.
 EVERY_EMIT_SITE = {
     ("CALL", "reg-write"), ("CALL", "branch"), ("JMP", "branch"), ("RET", "reg-read"),
     ("RET", "branch"), ("CLI", "iflag-change"), ("STI", "iflag-change"),

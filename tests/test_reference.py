@@ -18,12 +18,12 @@ under each.
 Families: the shipped corpus under its manifest policies and under
 seeded-random quantum 2 seed 7, the random, sharing, waiting and
 self-rewriting families of tests/families.py under both schedulers,
-and directed guests: each opcode of the code table word by word, up to
-a load's or store's fault too; each instruction that ends a slice at
-every phase of one; and a fault, a step limit, a slice's end and a
-store into its own code inside a block; and blocks under a read set
-against runs without blocks: a wake in a hot loop, `analyze` and a
-traced `check`.
+and directed guests: each opcode but SYS word by word, up to its
+fault too; each instruction that ends a slice at every phase of one; a
+fault, a step limit, a slice's end and a store into its own code inside
+a block; a hot loop of calls and one that turns interrupts off and on
+in a trap; and blocks under a read set against runs without blocks: a
+wake in a hot loop, `analyze` and a traced `check`.
 """
 
 import contextlib
@@ -38,6 +38,7 @@ from scvm.asm import assemble
 from scvm.checkers import PLUGINS, CheckerRegistry
 from scvm.cli import main
 from scvm.driver import analyze
+from scvm.isa import Opcode
 from scvm.machine import (
     EVENT_KINDS,
     HEAP_BASE,
@@ -64,10 +65,9 @@ READ_SETS = tuple(dict.fromkeys([
 ]))
 
 
-# The opcodes of the code table, which a block may hold, by the names
-# fetch events carry.
+# The opcodes a block may hold, by the names fetch events carry.
 BLOCK_OPS = {"MOVI", "MOV", "LD", "LDB", "ST", "STB", "ADD", "SUB", "MUL", "AND", "OR", "XOR",
-             "CMP", "CMPI", "BEQ", "BNE", "JMP"}
+             "CMP", "CMPI", "BEQ", "BNE", "JMP", "CALL", "RET"}
 
 
 @contextlib.contextmanager
@@ -172,10 +172,11 @@ def test_images_that_rewrite_their_code_run_like_the_reference(image, policy, st
     assert_runs_like_the_reference(image, policy, step_limit)
 
 
-# Each opcode of the code table run word by word, after a prelude that
-# puts a heap address in r2 and values in r3 and r4: a case named for its
-# opcode alone halts, and the load and store cases named for a fault
-# fault at their last word (a byte access is never unaligned).
+# Each opcode of the code table, every one but SYS, run word by word,
+# after a prelude that puts a heap address in r2 and values in r3 and
+# r4: a case named for its opcode alone, or for the trap or worker it
+# runs in, halts, and a case named for a fault faults at its last word
+# (a byte access is never unaligned) or, for a RET, at the next.
 WORD_PRELUDE = f"MOVI r2, {HEAP_BASE}\nMOVI r3, 0x12345678\nMOVI r4, 3\n"
 WORD_CASES = {
     "MOVI": "MOVI r1, -5",
@@ -197,6 +198,15 @@ WORD_CASES = {
     "ST unmapped": "ST [r2+0x7FFD], r3",
     "ST unaligned": "ST [r2+1], r3",
     "STB unmapped": "STB [r2+0x8000], r3",
+    "CALL": "CALL f\nJMP end\nf: MOV r1, r7\nRET",
+    "RET": "MOVI r7, end\nRET\nMOVI r1, 1",
+    "RET to a misaligned r7": "MOVI r7, end\nADD r7, r7, r4\nRET",
+    "CLI in user mode": "CLI",
+    "STI in user mode": "MOVI r0, trap\nSYS 18\nSYS 16\nSTI\ntrap: CLI\nSYS 17",
+    "CLI in a KCALL trap": "MOVI r0, trap\nSYS 18\nSYS 16\nJMP end\ntrap: CLI\nSYS 17",
+    "STI in a KCALL trap": "MOVI r0, trap\nSYS 18\nSYS 16\nJMP end\ntrap: CLI\nSTI\nSYS 17",
+    "HALT in a spawned worker": "MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nJMP end\n"
+                                "worker: HALT",
 }
 
 
@@ -205,12 +215,13 @@ def test_each_table_opcode_runs_like_the_reference_word_by_word(case):
     """Each read set's run with no block, so every word goes through
     the handler its opcode's factory built, against the reference:
     effects, events and their order, up to a fault too."""
-    assert {name.split()[0] for name in WORD_CASES} == BLOCK_OPS
+    assert {name.split()[0] for name in WORD_CASES} == {op.name for op in Opcode} - {"SYS"}
     image = assemble(WORD_PRELUDE + WORD_CASES[case] + "\nend: HALT\n")
     policy = SchedulerPolicy()
     outcome, ref = run_reference(image, policy, 100)
-    assert outcome == ("fault" if " " in case else "halt")
-    assert case.split()[0] in {e.op for e in ref.events if e.kind == "fetch"}
+    op, last = case.split()[0], case.split()[-1]
+    assert outcome == ("halt" if last in (op, "trap", "worker") else "fault")
+    assert op in {e.op for e in ref.events if e.kind == "fetch"}
     for kinds in READ_SETS:
         with no_blocks():
             got = run_reading(image, policy, kinds, 100)
@@ -408,6 +419,61 @@ def test_blocks_longer_than_the_quantum_run_like_the_reference(kind, quantum):
         assert assert_runs_like_the_reference(image, policy, 10_000) > 0, policy
 
 
+# A hot loop of calls: each pass CALLs inc, whose two ADDs end in a RET,
+# then compares, so CALL, RET and BNE end its three blocks.
+CALL_LOOP = """
+        MOVI r2, 1
+        MOVI r3, 60
+loop:   CALL inc
+        CMP r1, r3
+        BNE loop
+        HALT
+inc:    ADD r1, r1, r2
+        ADD r4, r4, r1
+        RET
+"""
+
+
+def test_a_hot_loop_of_calls_runs_in_blocks_like_the_reference_and_word_by_word():
+    image = assemble(CALL_LOOP)
+    policy = SchedulerPolicy()
+    outcome, ref = run_reference(image, policy, 10_000)
+    assert outcome == "halt" and ref.step_count == 2 + 60 * 6 + 1
+    for kinds in READ_SETS:
+        with blocks_counted(1) as ran:
+            got = run_reading(image, policy, kinds, 10_000)
+        with no_blocks():
+            assert run_reading(image, policy, kinds, 10_000) == got, sorted(kinds)
+        want = [e for e in ref.events if e.kind in kinds]
+        assert got == (outcome, ref.view(), want), sorted(kinds)
+        assert ran[0] > 0.9 * ref.step_count, sorted(kinds)
+
+
+# A hot loop in a KCALL trap that turns interrupts off and on around
+# each pass's store: blocks end before the CLI and the STI, and the
+# block between them stamps its events with interrupts off.
+TRAP_LOOP = f"""
+        MOVI r0, trap
+        SYS 18
+        SYS 16
+        HALT
+trap:   MOVI r2, 1
+        MOVI r3, 40
+        MOVI r4, {HEAP_BASE}
+tloop:  CLI
+        ADD r1, r1, r2
+        ST [r4], r1
+        STI
+        CMP r1, r3
+        BNE tloop
+        SYS 17
+"""
+
+
+def test_a_hot_loop_that_turns_interrupts_off_and_on_in_a_trap_runs_like_the_reference():
+    assert assert_runs_like_the_reference(assemble(TRAP_LOOP), SchedulerPolicy(), 10_000) > 0
+
+
 # -- blocks under a read set ---------------------------------------------
 
 
@@ -466,6 +532,20 @@ loop:   LD r1, [r2]
         BNE loop
         HALT
 """
+
+
+def test_an_observer_idle_on_a_kind_no_block_emits_leaves_blocks_on():
+    """A block holds no CLI or STI, so an observer that can still wake
+    on iflag-change keeps no block from running."""
+    def observe(e):
+        return True
+
+    observe.idle_kinds = ("iflag-change",)
+    machine = load(assemble(CALL_LOOP))
+    machine.add_observer(observe)
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        assert machine.run(10_000).outcome == "halt"
+    assert ran[0] > 0 and observe not in machine.woken
 
 
 def test_analyze_of_a_hot_loop_runs_a_block():

@@ -148,6 +148,10 @@ def test_every_memo_is_bounded():
             "machine._fmt_stamp", "machine._event_text", "machine._handler_factory",
             "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
+    # The handler factories' cache holds every (opcode, kinds read) pair,
+    # so no run evicts a factory and compiles it with `exec` again.
+    assert scvm.machine._handler_factory.cache_info().maxsize >= sum(
+        2 ** len(kinds) for kinds in scvm.machine._HANDLER_KINDS.values())
     # The block cache, machine._BLOCKS, is a plain dict with one bound
     # across all read sets: at most _BLOCK_PCS pcs, each with at most
     # _BLOCK_VARIANTS blocks of any read sets (tests/test_machine.py holds
