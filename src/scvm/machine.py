@@ -14,12 +14,12 @@ Each code word is decoded once and compiled once per read set, the set
 of kinds the observers read, into a handler closed over its operands
 and memoized on the word's 8 bytes, so code the guest writes at run
 time needs no invalidation.  One table, _CODE_TEXT, defines every
-opcode but SYS: each one's code and events, its `fetch` first, in
-order.  The word compiler builds each such word's handler from it,
-through a factory compiled once per opcode and read set that emits only
-the kinds of that set, so an unread kind costs no call; SYS's handler
-calls the run's emit, which builds no event for a kind nobody reads.  A
-bare run is the empty read set.
+opcode and every syscall number: each one's code and events, its
+`fetch` first, in order.  The word compiler builds each word's handler
+from it, through a factory compiled once per entry and read set that
+emits only the kinds of that set, so an unread kind costs no call; a
+SYS's events after its `syscall` go through the run's emit, which builds
+no event for a kind nobody reads.  A bare run is the empty read set.
 
 Straight-line code also runs in blocks, as Bochs's trace cache and
 QEMU's translation blocks do, under any read set.  A block is the words
@@ -348,19 +348,24 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # as it is), or raises _Fault.  It emits the instruction's `fetch`, then
 # its operand events in operand-evaluation order.
 #
-# _CODE_TEXT is the one definition of every opcode but SYS, which the
-# word compiler (_handler_factory) and the block compiler (_build_block)
-# both read.  An entry lists its word's parts in event order: code, as
-# text, and events, as (kind, keyword text).  In the templates {rd},
-# {rs}, {rt} and {imm} are the word's fields, {next} the next word's
-# address, {op} its opcode's name as a literal, {width}, {mask}, {last}
-# and {align} its access's, and {fault} what a load or store that would
-# fault does: a handler raises, a block stops before the word.  In the
-# code r is the thread's registers and m the memory, or the machine in
-# CLI, STI and HALT, which no block holds.  SYS runs _syscall, which
-# calls emit for each of its events; emit drops an unread kind itself.
+# _CODE_TEXT is the one definition of every opcode, and of each syscall n
+# under the key (SYS, n); SYS's own entry faults on an unknown number.
+# The word compiler (_handler_factory) and the block compiler
+# (_build_block) both read it.  An entry lists its word's parts in event
+# order: code, as text, and events, as (kind, keyword text).  In the
+# templates {rd}, {rs}, {rt} and {imm} are the word's fields, {next} the
+# next word's address, {op} its opcode's name as a literal, {width},
+# {mask}, {last} and {align} its access's, and {fault} what a load or
+# store that would fault does: a handler raises, a block stops before the
+# word.  In the code r is the thread's registers and m the memory, or the
+# machine in CLI, STI, HALT and SYS, which no block holds.  A handler
+# emits each event up to a SYS's `syscall` only if its kind is read, and
+# every later one through emit, which drops an unread kind itself: the
+# `syscall` event can wake an observer, which then reads the rest of the step.
 
 _U32 = struct.Struct("<I")  # a word in memory
+load32, store32 = _U32.unpack_from, _U32.pack_into
+globals().update((fn.__name__, fn) for fn in ALU_OPS.values())  # add, sub, ... for the table
 
 
 def _access_fault(addr: int, width: int) -> _Fault:
@@ -382,6 +387,9 @@ _LANDS_IN = "if {lo} < a < {hi}: t.pc = {next}; return {done}"  # blocks only
 _FETCH = ("fetch", "op={op}")
 _READ_RS = ("reg-read", "reg={rs}, value=r[{rs}]")
 _READ_RT = ("reg-read", "reg={rt}, value=r[{rt}]")
+_SYSCALL = ("syscall", "sysno={imm}, args=tuple(r[:4])")
+_RESULT = ("reg-write", "reg=0, value=r[0], src=('syscall', {imm})")  # a syscall's r0
+_PAST_END = "if r[0] >= MEMORY_SIZE: raise _access_fault(r[0], 1)"
 _CODE_TEXT = {
     Opcode.MOVI: (_FETCH, "r[{rd}] = {imm}", ("reg-write", "reg={rd}, value={imm}, src=('imm',)")),
     Opcode.MOV: (_FETCH, _READ_RS, "r[{rd}] = r[{rs}]",
@@ -419,18 +427,81 @@ _CODE_TEXT = {
        for op in (Opcode.CLI, Opcode.STI)},
     Opcode.HALT: (_FETCH, "if t.tid == 0: m.state.halted = True\n"
                           "else: _end_thread(m.state, t, emit)"),  # the pc stays on it
+    # A SYS: the faults that stop it before its `syscall` event, the event,
+    # the effect (whose end-of-memory faults come after the event) and its
+    # events, then r0's result; the number as the guest wrote it, signed.
+    Opcode.SYS: (_FETCH, "raise _Fault('unknown syscall %d' % (({imm} ^ 1 << 31) - (1 << 31)))"),
+    (Opcode.SYS, SYS_ALLOC): (_FETCH, _SYSCALL,
+        "st, size = m.state, (r[0] + 3) & ~3 or 4\n"  # round up; size 0 still gets a slot
+        "if st.heap_next + size > HEAP_LIMIT: r[0] = 0\n"
+        "else: r[0] = st.heap_next; st.heap_next += size", _RESULT),
+    (Opcode.SYS, SYS_OPEN): (_FETCH, _SYSCALL, _PAST_END,
+        "name, terminated = read_cstr(m.state.memory, r[0], NAME_CAP)\n"
+        "if not terminated or name.startswith(b'missing'): r[0] = 0\n"
+        "else: r[0] = m.state.next_fd; m.state.next_fd += 1", _RESULT),
+    (Opcode.SYS, SYS_READ_NET): (_FETCH, _SYSCALL,
+        "if r[1] <= 0: t.pc = {next}; return\n"  # no bytes, no mem-write
+        "if r[0] + r[1] > MEMORY_SIZE: raise _access_fault(r[0], r[1])\n"
+        "seed = m.scheduler.policy.seed\n"  # the pattern's offset
+        "for i in range(r[1]): m.state.memory[r[0] + i] = (seed + i) & 0xFF",
+        ("mem-write", "addr=r[0], width=r[1], src=('syscall', {imm})")),
+    (Opcode.SYS, SYS_PRINTF): (_FETCH, _SYSCALL, _PAST_END,
+        "st = m.state\n"
+        "st.output += read_cstr(st.memory, r[0], CSTR_CAP)[0][: OUTPUT_CAP - len(st.output)]"),
+    (Opcode.SYS, SYS_KCALL): (_FETCH,
+        "if t.mode == MODE_KERNEL: raise _Fault('nested KCALL')\n"
+        "if m.state.trap_entry is None: raise _Fault('KCALL with no trap entry set')",
+        _SYSCALL, "t.trap_return, t.mode = {next}, MODE_KERNEL", ("mode-change", ""),
+        "t.pc = m.state.trap_entry; return"),
+    (Opcode.SYS, SYS_KRET): (_FETCH,
+        "if t.mode != MODE_KERNEL or t.trap_return is None: raise _Fault('KRET outside a KCALL')",
+        _SYSCALL, "back, t.trap_return, t.mode = t.trap_return, None, MODE_USER",
+        ("mode-change", ""), "t.pc = back; return"),
+    (Opcode.SYS, SYS_SET_TRAP): (_FETCH, _SYSCALL, "m.state.trap_entry = r[0]"),
+    **{(Opcode.SYS, n): (_FETCH, _SYSCALL)  # hypercalls: the event is all they do
+       for n in range(SYS_CHECK_USER_READ, SYS_TAG_UNTRUSTED_SOURCE + 1)},
+    (Opcode.SYS, SYS_SPAWN): (_FETCH, _SYSCALL,
+        "st = m.state\n"
+        "tid, st.next_tid = st.next_tid, st.next_tid + 1\n"  # no tid is reused
+        "st.threads[tid] = _new_thread(tid, pc=r[0], stack_top=r[1])\n"
+        "st.runnable.append(tid)",  # the highest tid yet
+        ("spawn", "new_tid=tid"), "r[0] = tid", _RESULT),
+    (Opcode.SYS, SYS_LOCK): (_FETCH,
+        "st = m.state\n"
+        "if st.locks.get(r[0]) == t.tid: raise _Fault('recursive LOCK of %d' % r[0])\n"
+        "if len(t.locks_held) >= MAX_LOCKS_HELD:\n"
+        "    raise _Fault('LOCK of %d past the cap of %d locks held' % (r[0], MAX_LOCKS_HELD))",
+        _SYSCALL,
+        "if r[0] in st.locks:\n"  # blocked: the pc stays on it, to run again once woken
+        "    st.blocked.setdefault(r[0], []).append(t.tid)\n"
+        "    st.runnable.remove(t.tid)\n"
+        "    return\n"
+        "st.locks[r[0]] = t.tid\n"
+        "t.locks_held = t.locks_held | {{r[0]}}", ("lock", "lock=r[0]")),
+    (Opcode.SYS, SYS_UNLOCK): (_FETCH,
+        "if m.state.locks.get(r[0]) != t.tid:\n"
+        "    raise _Fault('UNLOCK of lock %d not held by tid %d' % (r[0], t.tid))",
+        _SYSCALL, "del m.state.locks[r[0]]\nt.locks_held = t.locks_held - {{r[0]}}",
+        ("unlock", "lock=r[0]"),
+        "for tid in m.state.blocked.pop(r[0], ()): bisect.insort(m.state.runnable, tid)"),
+    (Opcode.SYS, SYS_YIELD): (_FETCH, _SYSCALL, "m.scheduler.expire_slice()"),
+    (Opcode.SYS, SYS_EXIT_THREAD): (_FETCH, _SYSCALL, "_end_thread(m.state, t, emit)"),
 }
 _BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL, Opcode.RET)  # they set t.pc
-# A block reads iflag once and never ends a thread.
-_BLOCK_OPS = _CODE_TEXT.keys() - {Opcode.CLI, Opcode.STI, Opcode.HALT}
-# The kinds each entry's handler may emit, so read sets that differ only
-# in other kinds share its factory.
-_HANDLER_KINDS = {op: frozenset(part[0] for part in parts if isinstance(part, tuple))
-                  for op, parts in _CODE_TEXT.items()}
-_CODE_SCOPE = {fn.__name__: fn for fn in ALU_OPS.values()} | {
-    "load32": _U32.unpack_from, "store32": _U32.pack_into, "Event": Event,
-    "_access_fault": _access_fault, "_Fault": _Fault, "MODE_KERNEL": MODE_KERNEL,
-    "_end_thread": _end_thread}
+# A block reads iflag once, never ends a thread and holds no SYS.
+_BLOCK_OPS = set(Opcode) - {Opcode.SYS, Opcode.CLI, Opcode.STI, Opcode.HALT}
+
+
+def _flagged(parts: tuple) -> tuple:
+    """The parts of an entry whose events its handler emits only if read:
+    all of them, or a SYS's up to its `syscall`."""
+    return parts[: parts.index(_SYSCALL) + 1] if _SYSCALL in parts else parts
+
+
+# The kinds each entry's handler may emit only if read, so read sets that
+# differ only in other kinds share its factory.
+_HANDLER_KINDS = {key: frozenset(part[0] for part in _flagged(parts) if isinstance(part, tuple))
+                  for key, parts in _CODE_TEXT.items()}
 
 
 def _opcode_slots(op: Opcode) -> dict:
@@ -441,131 +512,32 @@ def _opcode_slots(op: Opcode) -> dict:
 
 
 @functools.lru_cache(maxsize=sum(2 ** len(kinds) for kinds in _HANDLER_KINDS.values()))
-def _handler_factory(op: Opcode, reads: frozenset):
+def _handler_factory(op: Opcode, parts: tuple, reads: frozenset):
     """factory(rd, rs, rt, imm), which returns the handler of a word of
-    the _CODE_TEXT opcode op, closed over the word's fields, for the read
-    set reads (of op's _HANDLER_KINDS): it calls emit for each event of a
-    kind in reads and no other, so an unread kind costs no call.
-    Compiled with `exec` once per opcode and kinds read, so a word costs
-    one closure."""
+    opcode op whose _CODE_TEXT entry is parts, closed over the word's
+    fields, for the read set reads (of the entry's _HANDLER_KINDS): it
+    calls emit for each _flagged event of a kind in reads, so an unread
+    kind costs no call, and for every later event.  Compiled with `exec`
+    once per entry text and kinds read, so a word costs one closure, and
+    entries of one text (the hypercalls') share a factory."""
     slots = _opcode_slots(op) | dict(rd="rd", rs="rs", rt="rt", imm="imm",
                                      next=f"pc + {INSTR_SIZE}")
     slots["fault"] = f"raise _access_fault(a, {slots['width']})"
-    lines = ["m = m.state.memory"] if _FAULTS in _CODE_TEXT[op] else []
-    for part in _CODE_TEXT[op]:
+    lines = ["m = m.state.memory"] if _FAULTS in parts else []
+    flagged = len(_flagged(parts))
+    for k, part in enumerate(parts):
         if isinstance(part, str):
             if part is not _LANDS_IN:
                 lines += part.format(**slots).split("\n")
-        elif part[0] in reads:
+        elif part[0] in reads or k >= flagged:
             lines.append(f"emit({part[0]!r}, {part[1].format(**slots)})")
     if op not in (*_BLOCK_ENDS, Opcode.HALT):
         lines.append(f"t.pc = {slots['next']}")
+    scope = {}
     exec("def factory(rd, rs, rt, imm):\n    def handler(m, t, pc, emit):\n        r = t.regs\n"
-         + "".join(f"        {line}\n" for line in lines) + "    return handler\n", _CODE_SCOPE)
-    return _CODE_SCOPE.pop("factory")
-
-
-def _syscall(number: int, reads: frozenset, m, t, pc, emit):
-    """SYS number, in four steps after its `fetch`: the faults that stop
-    the call before its `syscall` event, the event (if reads has its
-    kind, so its args are worth building), the effect (whose end-of-memory faults
-    come after the event), and the r0 result with its `reg-write`.  A
-    blocked LOCK leaves t.pc unchanged, so the instruction runs again
-    (fetch and syscall events too) once woken."""
-    if "fetch" in reads:
-        emit("fetch", op="SYS")
-    st, regs = m.state, t.regs
-    r0, r1 = regs[0], regs[1]
-    if number == SYS_LOCK:
-        if st.locks.get(r0) == t.tid:
-            raise _Fault(f"recursive LOCK of {r0}")
-        if len(t.locks_held) >= MAX_LOCKS_HELD:
-            raise _Fault(f"LOCK of {r0} past the cap of {MAX_LOCKS_HELD} locks held")
-    elif number == SYS_UNLOCK:
-        if st.locks.get(r0) != t.tid:
-            raise _Fault(f"UNLOCK of lock {r0} not held by tid {t.tid}")
-    elif number == SYS_KCALL:
-        if t.mode == MODE_KERNEL:
-            raise _Fault("nested KCALL")
-        if st.trap_entry is None:
-            raise _Fault("KCALL with no trap entry set")
-    elif number == SYS_KRET:
-        if t.mode != MODE_KERNEL or t.trap_return is None:
-            raise _Fault("KRET outside a KCALL")
-    elif number not in SYSCALL_NAMES:
-        raise _Fault(f"unknown syscall {number}")
-    if "syscall" in reads:
-        emit("syscall", sysno=number, args=tuple(regs[:4]))
-
-    next_pc, result = pc + INSTR_SIZE, None
-    if number == SYS_LOCK:
-        if r0 in st.locks:
-            st.blocked.setdefault(r0, []).append(t.tid)
-            st.runnable.remove(t.tid)
-            return
-        st.locks[r0] = t.tid
-        t.locks_held = t.locks_held | {r0}
-        emit("lock", lock=r0)
-    elif number == SYS_UNLOCK:
-        del st.locks[r0]
-        t.locks_held = t.locks_held - {r0}
-        emit("unlock", lock=r0)
-        for tid in st.blocked.pop(r0, ()):
-            bisect.insort(st.runnable, tid)
-    elif number == SYS_ALLOC:
-        size = (r0 + 3) & ~3 or 4  # round up; size 0 still gets a slot
-        if st.heap_next + size > HEAP_LIMIT:
-            result = 0
-        else:
-            result = st.heap_next
-            st.heap_next += size
-    elif number == SYS_OPEN:
-        if r0 >= MEMORY_SIZE:
-            raise _Fault(f"unmapped address 0x{r0:08X}")
-        name, terminated = read_cstr(st.memory, r0, NAME_CAP)
-        if not terminated or name.startswith(b"missing"):
-            result = 0
-        else:
-            result = st.next_fd
-            st.next_fd += 1
-    elif number == SYS_READ_NET:
-        if r1 > 0:
-            if r0 + r1 > MEMORY_SIZE:
-                raise _Fault(f"unmapped address 0x{r0:08X}")
-            seed = m.scheduler.policy.seed  # the pattern's offset
-            for i in range(r1):
-                st.memory[r0 + i] = (seed + i) & 0xFF
-            emit("mem-write", addr=r0, width=r1, src=("syscall", number))
-    elif number == SYS_PRINTF:
-        if r0 >= MEMORY_SIZE:
-            raise _Fault(f"unmapped address 0x{r0:08X}")
-        data, _ = read_cstr(st.memory, r0, CSTR_CAP)
-        st.output += data[: OUTPUT_CAP - len(st.output)]
-    elif number == SYS_KCALL:
-        t.trap_return = next_pc
-        t.mode = MODE_KERNEL
-        next_pc = st.trap_entry
-        emit("mode-change")
-    elif number == SYS_KRET:
-        next_pc = t.trap_return
-        t.trap_return = None
-        t.mode = MODE_USER
-        emit("mode-change")
-    elif number == SYS_SET_TRAP:
-        st.trap_entry = r0
-    elif number == SYS_SPAWN:
-        result, st.next_tid = st.next_tid, st.next_tid + 1  # no tid is reused
-        st.threads[result] = _new_thread(result, pc=r0, stack_top=r1)
-        st.runnable.append(result)  # the highest tid yet
-        emit("spawn", new_tid=result)
-    elif number == SYS_YIELD:
-        m.scheduler.expire_slice()
-    elif number == SYS_EXIT_THREAD:
-        _end_thread(st, t, emit)
-    if result is not None:
-        regs[0] = result
-        emit("reg-write", reg=0, value=result, src=("syscall", number))
-    t.pc = next_pc
+         + "".join(f"        {line}\n" for line in lines) + "    return handler\n",
+         globals(), scope)
+    return scope["factory"]
 
 
 _code_word = struct.Struct("<Q").unpack_from  # (the 8 code bytes at pc as one int,)
@@ -583,11 +555,9 @@ def _compile(word: int, reads: frozenset) -> tuple:
     HALT end a slice, as only they change who can run."""
     i = _decode(word)
     op = i.opcode
-    if op == Opcode.SYS:
-        handler = functools.partial(_syscall, i.imm, reads)
-    else:
-        handler = _handler_factory(op, reads & _HANDLER_KINDS[op])(i.rd, i.rs, i.rt, i.imm & M32)
-    return handler, op in (Opcode.SYS, Opcode.HALT)
+    key = (op, i.imm) if (op, i.imm) in _CODE_TEXT else op
+    factory = _handler_factory(op, _CODE_TEXT[key], reads & _HANDLER_KINDS[key])
+    return factory(i.rd, i.rs, i.rt, i.imm & M32), op in (Opcode.SYS, Opcode.HALT)
 
 
 @functools.lru_cache(maxsize=16)
@@ -691,9 +661,10 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
     if readers:
         lines[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
                      *(f"{name} = by_kind[{kind!r}]" for kind, name in readers.items())]
+    scope = {}
     exec("def block(t, m, n, s, st, by_kind):\n    r = t.regs\n"
-         + "".join(f"    {line}\n" for line in lines), _CODE_SCOPE)
-    block = _CODE_SCOPE.pop("block")
+         + "".join(f"    {line}\n" for line in lines), globals(), scope)
+    block = scope["block"]
     if pc not in _BLOCKS and len(_BLOCKS) >= _BLOCK_PCS:
         _BLOCKS.clear()
     variants = _BLOCKS.setdefault(pc, [])
@@ -770,9 +741,9 @@ class Machine:
         observers that set is empty and the run builds no event.  A wake
         takes effect from the next step's handler, compiled for the new
         read set.  Of its own step's later events the woken observer
-        gets only those that still go through emit: all of a SYS's and
-        a HALT's `thread-exit`, but of any other opcode's only the kinds
-        its handler was compiled to emit.
+        gets only those that still go through emit: a SYS's after its
+        `syscall` and a HALT's `thread-exit`, but of any other event
+        only the kinds its handler was compiled to emit.
         A slice with room for two more steps runs a block (_block_at)
         where one is cached for the read set or pc is hot, and runs it
         again while it branches back to its own pc; the block never runs
@@ -808,9 +779,9 @@ class Machine:
         read()
 
         # What the handlers call to hand out an event; builds none of a kind
-        # nobody reads (only SYS's handler and _end_thread call it for such a
-        # kind).  Reads the loop's current t, tid, step_no and pc; its
-        # parameters are Event's fields after the stamp.
+        # nobody reads (only a SYS's events after its `syscall` and
+        # _end_thread call it for such a kind).  Reads the loop's current t,
+        # tid, step_no and pc; its parameters are Event's fields after the stamp.
         def emit(kind, op=None, reg=None, value=None, src=None, addr=None, width=None,
                  base_reg=None, rs=None, rt=None, taken=None, sysno=None, args=None, lock=None,
                  new_tid=None):

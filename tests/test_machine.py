@@ -389,6 +389,8 @@ def test_syscall_names_are_the_sixteen_syscalls():
         ("SYS 5\nHALT", GuestFault("unknown syscall 5", 0, 0x00, 0), False),
         ("SYS 6\nHALT", GuestFault("unknown syscall 6", 0, 0x00, 0), False),
         ("SYS 99\nHALT", GuestFault("unknown syscall 99", 0, 0x00, 0), False),
+        ("SYS -1\nHALT", GuestFault("unknown syscall -1", 0, 0x00, 0), False),
+        ("SYS -2147483648\nHALT", GuestFault("unknown syscall -2147483648", 0, 0x00, 0), False),
         ("MOVI r0, 1\nSYS 49\nSYS 49\nHALT", GuestFault("recursive LOCK of 1", 0, 0x10, 2), False),
         ("MOVI r0, 1\nMOVI r1, 1\nloop: SYS 49\nADD r0, r0, r1\nJMP loop",
          GuestFault("LOCK of 49 past the cap of 48 locks held", 0, 0x10, 146), False),
@@ -405,9 +407,9 @@ def test_syscall_names_are_the_sixteen_syscalls():
         ("MOVI r0, 0xFFFF\nMOVI r1, 2\nSYS 3\nHALT",
          GuestFault("unmapped address 0x0000FFFF", 0, 0x10, 2), True),
     ],
-    ids=["unknown-5", "unknown-6", "unknown-99", "recursive-lock", "lock-past-cap",
-         "unlock-not-held", "nested-kcall", "kcall-no-trap", "kret-outside-kcall",
-         "open-past-end", "printf-past-end", "read-net-past-end"],
+    ids=["unknown-5", "unknown-6", "unknown-99", "unknown-minus-1", "unknown-int-min",
+         "recursive-lock", "lock-past-cap", "unlock-not-held", "nested-kcall", "kcall-no-trap",
+         "kret-outside-kcall", "open-past-end", "printf-past-end", "read-net-past-end"],
 )
 def test_syscall_fault_and_its_event(src, fault, emitted):
     got, lines = fault_trace(src)
@@ -1193,8 +1195,8 @@ def test_a_wake_at_a_table_opcodes_event_takes_effect_from_the_next_step():
     """The LD's handler was compiled for the idle read set, so it emits
     no reg-write: an observer that wakes at the LD's mem-read gets none
     of the LD's later events, and every event of the next step on.  (A
-    SYS calls emit for every event, so a wake there reaches the same
-    step's later events, as the shadow's above does.)"""
+    SYS calls emit for every event after its `syscall`, so a wake there
+    reaches the same step's later events, as the shadow's above does.)"""
     got = []
 
     def observe(e):
@@ -1325,8 +1327,8 @@ exiter: SYS 52
 """
 
 # Each (instruction, kind) the guest above reaches beside the hot opcodes':
-# a handler's flags drop it when unread, or, for a SYS's events and a
-# HALT's thread-exit, emit's own test.
+# a handler's flags drop it when unread, or, for a SYS's events after its
+# `syscall` and a HALT's thread-exit, emit's own test.
 EVERY_EMIT_SITE = {
     ("CALL", "reg-write"), ("CALL", "branch"), ("JMP", "branch"), ("RET", "reg-read"),
     ("RET", "branch"), ("CLI", "iflag-change"), ("STI", "iflag-change"),
@@ -1343,6 +1345,45 @@ EMIT_GUESTS = (
     (OBSERVED_SRC, {("SPAWN", "spawn"), ("SPAWN", "reg-write"), ("HALT", "thread-exit")}),
     (EVERY_EMIT_SRC, EVERY_EMIT_SITE),
 )
+
+
+# Each SYS of the guest above with events after its `syscall`, and their kinds.
+LATER_KINDS = {
+    "LOCK": ["lock"], "UNLOCK": ["unlock"], "SPAWN": ["spawn", "reg-write"],
+    "KCALL": ["mode-change"], "KRET": ["mode-change"], "READ_NET": ["mem-write"],
+    "ALLOC": ["reg-write"], "OPEN": ["reg-write"], "EXIT_THREAD": ["thread-exit"],
+}
+
+
+@pytest.mark.parametrize("name", LATER_KINDS)
+def test_an_observer_that_wakes_at_a_syscall_gets_the_rest_of_its_step(name):
+    """An observer idle on `syscall` that wakes at the first SYS of a
+    number gets, at that step, exactly the later events an observer that
+    reads every kind from the start gets, and every event after it: a
+    SYS's handler emits its events after `syscall` through emit, whatever
+    read set it was compiled for."""
+    number = {sys_name: n for n, sys_name in SYSCALL_NAMES.items()}[name]
+    image = assemble(EVERY_EMIT_SRC)
+    whole = []
+    machine = load(image)
+    machine.add_observer(whole.append)
+    assert machine.run(step_limit=200).outcome == "halt"
+    got = []
+
+    def observe(e):
+        got.append(e)
+        return e.kind == "syscall" and e.sysno == number
+
+    observe.idle_kinds = ("syscall",)
+    machine = load(image)
+    machine.add_observer(observe)
+    assert machine.run(step_limit=200).outcome == "halt"
+    step = next(e.step for e in got if e.kind == "syscall" and e.sysno == number)
+    at = [e for e in got if e.step == step]
+    want = [e for e in whole if e.step == step]
+    assert [e.kind for e in want] == ["fetch", "syscall", *LATER_KINDS[name]]
+    assert at == want[1:]
+    assert [e for e in got if e.step > step] == [e for e in whole if e.step > step]
 
 
 def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):

@@ -18,7 +18,7 @@ under each.
 Families: the shipped corpus under its manifest policies and under
 seeded-random quantum 2 seed 7, the random, sharing, waiting and
 self-rewriting families of tests/families.py under both schedulers,
-and directed guests: each opcode but SYS word by word, up to its
+and directed guests: each opcode and syscall word by word, up to its
 fault too; each instruction that ends a slice at every phase of one; a
 fault, a step limit, a slice's end and a store into its own code inside
 a block; a hot loop of calls and one that turns interrupts off and on
@@ -45,6 +45,7 @@ from scvm.machine import (
     ROUND_ROBIN,
     SCHEDULER_KINDS,
     SEEDED_RANDOM,
+    SYSCALL_NAMES,
     SchedulerPolicy,
     load,
 )
@@ -172,11 +173,12 @@ def test_images_that_rewrite_their_code_run_like_the_reference(image, policy, st
     assert_runs_like_the_reference(image, policy, step_limit)
 
 
-# Each opcode of the code table, every one but SYS, run word by word,
-# after a prelude that puts a heap address in r2 and values in r3 and
-# r4: a case named for its opcode alone, or for the trap or worker it
-# runs in, halts, and a case named for a fault faults at its last word
-# (a byte access is never unaligned) or, for a RET, at the next.
+# Each entry of the code table, every opcode and each syscall number,
+# run word by word, after a prelude that puts a heap address in r2 and
+# values in r3 and r4: a case named for its opcode or syscall alone, for
+# the trap or worker it runs in, or for the syscall that ends it, or
+# that says it halts, halts, and a case named for a fault faults at its
+# last word (a byte access is never unaligned) or, for a RET, at the next.
 WORD_PRELUDE = f"MOVI r2, {HEAP_BASE}\nMOVI r3, 0x12345678\nMOVI r4, 3\n"
 WORD_CASES = {
     "MOVI": "MOVI r1, -5",
@@ -207,24 +209,64 @@ WORD_CASES = {
     "STI in a KCALL trap": "MOVI r0, trap\nSYS 18\nSYS 16\nJMP end\ntrap: CLI\nSTI\nSYS 17",
     "HALT in a spawned worker": "MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nJMP end\n"
                                 "worker: HALT",
+    "SYS ALLOC": "MOVI r0, 5\nSYS 1\nMOVI r0, 0\nSYS 1",
+    "SYS ALLOC past HEAP_LIMIT halts": "MOVI r0, 0x6000\nSYS 1\nSYS 1",
+    "SYS OPEN": "MOVI r1, 0x41\nST [r2], r1\nMOV r0, r2\nSYS 2\nMOV r0, r2\nSYS 2",
+    "SYS OPEN of a missing name halts": "MOVI r1, 0x7373696D\nST [r2], r1\nMOVI r1, 0x676E69\n"
+                                        "ST [r2+4], r1\nMOV r0, r2\nSYS 2",
+    "SYS READ_NET": "MOV r0, r2\nMOVI r1, 6\nSYS 3\nLD r1, [r2+4]",
+    "SYS READ_NET of 0 bytes halts": "MOV r0, r2\nMOVI r1, 0\nSYS 3",
+    "SYS PRINTF": "MOVI r1, 0x6968\nST [r2], r1\nMOV r0, r2\nSYS 4\nSYS 4",
+    "SYS KCALL": "MOVI r0, trap\nSYS 18\nSYS 16\nJMP end\ntrap: SYS 17",
+    "SYS KRET": "MOVI r0, trap\nSYS 18\nSYS 16\nMOVI r1, 1\nJMP end\ntrap: MOVI r1, 2\nSYS 17",
+    "SYS SET_TRAP": "MOVI r0, 0x100\nSYS 18\nMOVI r0, 0x200\nSYS 18",
+    **{f"SYS {name}": f"MOV r0, r2\nMOVI r1, 8\nSYS {n}"
+       for n, name in SYSCALL_NAMES.items() if 32 <= n <= 35},
+    "SYS SPAWN": "MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nMOV r5, r0\nSYS 51\nJMP end\n"
+                 "worker: MOVI r1, 7\nHALT",
+    "SYS LOCK": "MOVI r0, 1\nSYS 49\nMOVI r0, 2\nSYS 49",
+    "SYS UNLOCK": "MOVI r0, 1\nSYS 49\nSYS 50\nSYS 49",
+    "SYS YIELD": "MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nSYS 51\nMOVI r1, 1\nJMP end\n"
+                 "worker: MOVI r1, 2\nSYS 51\nMOVI r1, 3\nHALT",
+    "SYS EXIT_THREAD": "MOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nSYS 51\nSYS 51\nJMP end\n"
+                       "worker: SYS 52",
+    "SYS LOCK that blocks, run again once woken by UNLOCK": (
+        "MOVI r0, 1\nSYS 49\nMOVI r0, worker\nMOVI r1, 0xF000\nSYS 48\nSYS 51\nMOVI r0, 1\n"
+        "SYS 50\nSYS 51\nSYS 51\nSYS 51\nJMP end\nworker: MOVI r0, 1\nSYS 49\nSYS 50\nSYS 52"),
+    **{f"SYS unknown {n}": f"SYS {n}" for n in (5, 6, 99, -1, -2147483648)},
+    "SYS LOCK recursive": "MOVI r0, 1\nSYS 49\nSYS 49",
+    "SYS LOCK past the cap": "MOVI r0, 1\nMOVI r1, 1\nloop: SYS 49\nADD r0, r0, r1\nJMP loop",
+    "SYS UNLOCK not held": "MOVI r0, 5\nSYS 50",
+    "SYS KCALL nested": "MOVI r0, trap\nSYS 18\nSYS 16\nJMP end\ntrap: SYS 16",
+    "SYS KCALL with no trap entry": "SYS 16",
+    "SYS KRET in user mode": "SYS 17",
+    "SYS OPEN past the end": "MOVI r0, 0x10000\nSYS 2",
+    "SYS PRINTF past the end": "MOVI r0, 0x10000\nSYS 4",
+    "SYS READ_NET past the end": "MOVI r0, 0xFFFF\nMOVI r1, 2\nSYS 3",
 }
 
 
 @pytest.mark.parametrize("case", WORD_CASES)
 def test_each_table_opcode_runs_like_the_reference_word_by_word(case):
     """Each read set's run with no block, so every word goes through
-    the handler its opcode's factory built, against the reference:
-    effects, events and their order, up to a fault too."""
-    assert {name.split()[0] for name in WORD_CASES} == {op.name for op in Opcode} - {"SYS"}
+    the handler its opcode's or syscall's factory built, against the
+    reference: effects, events and their order, up to a fault too."""
+    assert {name.split()[0] for name in WORD_CASES} == {op.name for op in Opcode}
+    assert {f"SYS {name}" for name in SYSCALL_NAMES.values()} | {
+        "SYS unknown 99", "SYS unknown -1"} <= set(WORD_CASES)
     image = assemble(WORD_PRELUDE + WORD_CASES[case] + "\nend: HALT\n")
     policy = SchedulerPolicy()
-    outcome, ref = run_reference(image, policy, 100)
+    outcome, ref = run_reference(image, policy, 200)
     op, last = case.split()[0], case.split()[-1]
-    assert outcome == ("halt" if last in (op, "trap", "worker") else "fault")
+    halts = last in (op, "trap", "worker", "halts", *SYSCALL_NAMES.values())
+    assert outcome == ("halt" if halts else "fault")
     assert op in {e.op for e in ref.events if e.kind == "fetch"}
+    if op == "SYS" and halts:  # it ran the syscalls its name gives
+        names = {SYSCALL_NAMES[e.sysno] for e in ref.events if e.kind == "syscall"}
+        assert {case.split()[1], last} - {"halts"} <= names
     for kinds in READ_SETS:
         with no_blocks():
-            got = run_reading(image, policy, kinds, 100)
+            got = run_reading(image, policy, kinds, 200)
         assert got == (outcome, ref.view(), [e for e in ref.events if e.kind in kinds]), kinds
 
 

@@ -32,11 +32,13 @@ from scvm.checkers import (
     UserChecker,
     make_checkers,
 )
+from scvm.isa import Opcode
 from scvm.machine import (
     EVENT_FIELDS,
     EVENT_KINDS,
     HEAP_BASE,
     SYS_LOCK,
+    SYSCALL_NAMES,
     Event,
     Machine,
     MachineState,
@@ -166,6 +168,13 @@ def test_every_memo_is_bounded():
     assert {n for n in called if isinstance(getattr(scvm.machine, n, None),
                                             functools._lru_cache_wrapper)} == {
         "_fmt_head", "_fmt_code_src", "_fmt_stamp"}
+
+
+def test_the_code_table_defines_every_opcode_and_every_syscall():
+    """machine._CODE_TEXT has an entry for each opcode and one keyed
+    (SYS, n) for each syscall number n, and no other: a SYS_* constant
+    with no entry would fault as an unknown syscall."""
+    assert set(scvm.machine._CODE_TEXT) == set(Opcode) | {(Opcode.SYS, n) for n in SYSCALL_NAMES}
 
 
 def emit_calls(source: str, table: dict | None = None) -> list:
