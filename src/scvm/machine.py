@@ -17,9 +17,9 @@ time needs no invalidation.  One table, _CODE_TEXT, defines every
 opcode and every syscall number: each one's code and events, its
 `fetch` first, in order.  The word compiler builds each word's handler
 from it, through a factory compiled once per entry and read set that
-emits only the kinds of that set, so an unread kind costs no call; a
-SYS's events after its `syscall` go through the run's emit, which builds
-no event for a kind nobody reads.  A bare run is the empty read set.
+builds only the events of that set, so an unread kind costs no test; a
+SYS's events after its `syscall`, which can wake an observer, are built
+only if their kind has readers then.  A bare run is the empty read set.
 
 Straight-line code also runs in blocks, as Bochs's trace cache and
 QEMU's translation blocks do, under any read set.  A block is the words
@@ -60,9 +60,9 @@ end, and tids are never reused; `MachineState.blocked` alone says who waits.
 
 from __future__ import annotations
 
-import ast
 import bisect
 import functools
+import re
 import struct
 from dataclasses import dataclass, field, fields, make_dataclass
 
@@ -343,10 +343,12 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 
 # -- compiled code words --------------------------------------------------
 #
-# A handler, handler(m, t, pc, emit), executes one instruction for thread
-# t of machine m at pc and sets t.pc (a blocked LOCK and a HALT leave it
-# as it is), or raises _Fault.  It emits the instruction's `fetch`, then
-# its operand events in operand-evaluation order.
+# A handler, handler(m, t, pc, s, st, by_kind, wake), executes step s,
+# one instruction for thread t of machine m, whose state is st, at pc and
+# sets t.pc (a blocked LOCK and a HALT leave it as it is), or raises
+# _Fault.  It hands the instruction's `fetch`, then its operand events in
+# operand-evaluation order, to their kind's readers in by_kind, and each
+# reader that returns true at its `syscall` event to wake.
 #
 # _CODE_TEXT is the one definition of every opcode, and of each syscall n
 # under the key (SYS, n); SYS's own entry faults on an unknown number.
@@ -357,11 +359,11 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # next word's address, {op} its opcode's name as a literal, {width},
 # {mask}, {last} and {align} its access's, and {fault} what a load or
 # store that would fault does: a handler raises, a block stops before the
-# word.  In the code r is the thread's registers and m the memory, or the
-# machine in CLI, STI, HALT and SYS, which no block holds.  A handler
-# emits each event up to a SYS's `syscall` only if its kind is read, and
-# every later one through emit, which drops an unread kind itself: the
-# `syscall` event can wake an observer, which then reads the rest of the step.
+# word.  In the code r is the thread's registers, st the state and m the
+# memory, or the machine in SYS, which no block holds.  A handler builds
+# each event up to a SYS's `syscall` only if its kind is read, and each
+# later one only if its kind has readers then: the `syscall` event can
+# wake an observer, which then reads the rest of the step.
 
 _U32 = struct.Struct("<I")  # a word in memory
 load32, store32 = _U32.unpack_from, _U32.pack_into
@@ -374,13 +376,6 @@ def _access_fault(addr: int, width: int) -> _Fault:
     return _Fault(f"unaligned word access at 0x{addr:04X}")
 
 
-def _end_thread(st, t, emit):
-    """Thread t (HALT off thread 0, or EXIT_THREAD) ends and leaves the table."""
-    st.runnable.remove(t.tid)
-    emit("thread-exit")
-    del st.threads[t.tid]
-
-
 _FAULTS = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
            "if a > {last} or a & {align}: {fault}")
 _LANDS_IN = "if {lo} < a < {hi}: t.pc = {next}; return {done}"  # blocks only
@@ -390,6 +385,8 @@ _READ_RT = ("reg-read", "reg={rt}, value=r[{rt}]")
 _SYSCALL = ("syscall", "sysno={imm}, args=tuple(r[:4])")
 _RESULT = ("reg-write", "reg=0, value=r[0], src=('syscall', {imm})")  # a syscall's r0
 _PAST_END = "if r[0] >= MEMORY_SIZE: raise _access_fault(r[0], 1)"
+# A thread's end, by HALT off thread 0 or EXIT_THREAD: it leaves the table.
+_END_THREAD = ("st.runnable.remove(t.tid)", ("thread-exit", ""), "del st.threads[t.tid]")
 _CODE_TEXT = {
     Opcode.MOVI: (_FETCH, "r[{rd}] = {imm}", ("reg-write", "reg={rd}, value={imm}, src=('imm',)")),
     Opcode.MOV: (_FETCH, _READ_RS, "r[{rd}] = r[{rs}]",
@@ -423,51 +420,48 @@ _CODE_TEXT = {
     Opcode.RET: (_FETCH, ("reg-read", "reg=7, value=r[7]"), ("branch", "addr=r[7], taken=True"),
                  "t.pc = r[7]"),
     **{op: (_FETCH, "if t.mode != MODE_KERNEL: raise _Fault({op} + ' in user mode')",
-            f"m.state.iflag = {op == Opcode.STI}", ("iflag-change", ""))
+            f"st.iflag = {op == Opcode.STI}", ("iflag-change", ""))
        for op in (Opcode.CLI, Opcode.STI)},
-    Opcode.HALT: (_FETCH, "if t.tid == 0: m.state.halted = True\n"
-                          "else: _end_thread(m.state, t, emit)"),  # the pc stays on it
+    Opcode.HALT: (_FETCH, "if t.tid == 0: st.halted = True; return",  # the pc stays on it
+                  *_END_THREAD),
     # A SYS: the faults that stop it before its `syscall` event, the event,
     # the effect (whose end-of-memory faults come after the event) and its
     # events, then r0's result; the number as the guest wrote it, signed.
     Opcode.SYS: (_FETCH, "raise _Fault('unknown syscall %d' % (({imm} ^ 1 << 31) - (1 << 31)))"),
     (Opcode.SYS, SYS_ALLOC): (_FETCH, _SYSCALL,
-        "st, size = m.state, (r[0] + 3) & ~3 or 4\n"  # round up; size 0 still gets a slot
+        "size = (r[0] + 3) & ~3 or 4\n"  # round up; size 0 still gets a slot
         "if st.heap_next + size > HEAP_LIMIT: r[0] = 0\n"
         "else: r[0] = st.heap_next; st.heap_next += size", _RESULT),
     (Opcode.SYS, SYS_OPEN): (_FETCH, _SYSCALL, _PAST_END,
-        "name, terminated = read_cstr(m.state.memory, r[0], NAME_CAP)\n"
+        "name, terminated = read_cstr(st.memory, r[0], NAME_CAP)\n"
         "if not terminated or name.startswith(b'missing'): r[0] = 0\n"
-        "else: r[0] = m.state.next_fd; m.state.next_fd += 1", _RESULT),
+        "else: r[0] = st.next_fd; st.next_fd += 1", _RESULT),
     (Opcode.SYS, SYS_READ_NET): (_FETCH, _SYSCALL,
         "if r[1] <= 0: t.pc = {next}; return\n"  # no bytes, no mem-write
         "if r[0] + r[1] > MEMORY_SIZE: raise _access_fault(r[0], r[1])\n"
         "seed = m.scheduler.policy.seed\n"  # the pattern's offset
-        "for i in range(r[1]): m.state.memory[r[0] + i] = (seed + i) & 0xFF",
+        "for i in range(r[1]): st.memory[r[0] + i] = (seed + i) & 0xFF",
         ("mem-write", "addr=r[0], width=r[1], src=('syscall', {imm})")),
     (Opcode.SYS, SYS_PRINTF): (_FETCH, _SYSCALL, _PAST_END,
-        "st = m.state\n"
         "st.output += read_cstr(st.memory, r[0], CSTR_CAP)[0][: OUTPUT_CAP - len(st.output)]"),
     (Opcode.SYS, SYS_KCALL): (_FETCH,
         "if t.mode == MODE_KERNEL: raise _Fault('nested KCALL')\n"
-        "if m.state.trap_entry is None: raise _Fault('KCALL with no trap entry set')",
+        "if st.trap_entry is None: raise _Fault('KCALL with no trap entry set')",
         _SYSCALL, "t.trap_return, t.mode = {next}, MODE_KERNEL", ("mode-change", ""),
-        "t.pc = m.state.trap_entry; return"),
+        "t.pc = st.trap_entry; return"),
     (Opcode.SYS, SYS_KRET): (_FETCH,
         "if t.mode != MODE_KERNEL or t.trap_return is None: raise _Fault('KRET outside a KCALL')",
         _SYSCALL, "back, t.trap_return, t.mode = t.trap_return, None, MODE_USER",
         ("mode-change", ""), "t.pc = back; return"),
-    (Opcode.SYS, SYS_SET_TRAP): (_FETCH, _SYSCALL, "m.state.trap_entry = r[0]"),
+    (Opcode.SYS, SYS_SET_TRAP): (_FETCH, _SYSCALL, "st.trap_entry = r[0]"),
     **{(Opcode.SYS, n): (_FETCH, _SYSCALL)  # hypercalls: the event is all they do
        for n in range(SYS_CHECK_USER_READ, SYS_TAG_UNTRUSTED_SOURCE + 1)},
     (Opcode.SYS, SYS_SPAWN): (_FETCH, _SYSCALL,
-        "st = m.state\n"
         "tid, st.next_tid = st.next_tid, st.next_tid + 1\n"  # no tid is reused
         "st.threads[tid] = _new_thread(tid, pc=r[0], stack_top=r[1])\n"
         "st.runnable.append(tid)",  # the highest tid yet
         ("spawn", "new_tid=tid"), "r[0] = tid", _RESULT),
     (Opcode.SYS, SYS_LOCK): (_FETCH,
-        "st = m.state\n"
         "if st.locks.get(r[0]) == t.tid: raise _Fault('recursive LOCK of %d' % r[0])\n"
         "if len(t.locks_held) >= MAX_LOCKS_HELD:\n"
         "    raise _Fault('LOCK of %d past the cap of %d locks held' % (r[0], MAX_LOCKS_HELD))",
@@ -479,13 +473,13 @@ _CODE_TEXT = {
         "st.locks[r[0]] = t.tid\n"
         "t.locks_held = t.locks_held | {{r[0]}}", ("lock", "lock=r[0]")),
     (Opcode.SYS, SYS_UNLOCK): (_FETCH,
-        "if m.state.locks.get(r[0]) != t.tid:\n"
+        "if st.locks.get(r[0]) != t.tid:\n"
         "    raise _Fault('UNLOCK of lock %d not held by tid %d' % (r[0], t.tid))",
-        _SYSCALL, "del m.state.locks[r[0]]\nt.locks_held = t.locks_held - {{r[0]}}",
+        _SYSCALL, "del st.locks[r[0]]\nt.locks_held = t.locks_held - {{r[0]}}",
         ("unlock", "lock=r[0]"),
-        "for tid in m.state.blocked.pop(r[0], ()): bisect.insort(m.state.runnable, tid)"),
+        "for tid in st.blocked.pop(r[0], ()): bisect.insort(st.runnable, tid)"),
     (Opcode.SYS, SYS_YIELD): (_FETCH, _SYSCALL, "m.scheduler.expire_slice()"),
-    (Opcode.SYS, SYS_EXIT_THREAD): (_FETCH, _SYSCALL, "_end_thread(m.state, t, emit)"),
+    (Opcode.SYS, SYS_EXIT_THREAD): (_FETCH, _SYSCALL, *_END_THREAD),
 }
 _BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL, Opcode.RET)  # they set t.pc
 # A block reads iflag once, never ends a thread and holds no SYS.
@@ -511,30 +505,57 @@ def _opcode_slots(op: Opcode) -> dict:
                 last=MEMORY_SIZE - width, align=width - 1)
 
 
+# The stamp, {stamp} in an event's template: a handler reads it as each
+# event is built, a block all but the step and pc once, at its start.
+_WORD_STAMP = "s, t.tid, pc, t.mode, st.iflag, t.locks_held"
+_BLOCK_STAMP = "s + {k}, tid, {pc}, mode, iflag, held"
+
+
+@functools.lru_cache(maxsize=64)
+def _event_text(kind: str, keywords: str) -> str:
+    """The `Event(...)` template of one event part of _CODE_TEXT: the
+    stamp, then the fields of kind's EVENT_FIELDS that keywords gives,
+    in Event's order, up to the last one given (the rest default to
+    None), but never 20 arguments: CPython 3.11 keeps every freed
+    20-item tuple on a free list that only gc.collect() empties."""
+    given = dict(kw.split("=", 1) for kw in re.split(r", (?=\w+=)", keywords) if kw)
+    if not set(given) <= {f.rstrip("?") for f in EVENT_FIELDS[kind]}:
+        raise ValueError(f"{kind} has no field among {sorted(given)}")
+    args = [given.get(f.name, "None") for f in fields(Event)[7:]]
+    while args and args[-1] == "None":
+        args.pop()
+    if len(args) == 13:  # with kind and the stamp's six, 20
+        args.append("None")
+    return f"Event({kind!r}, {{stamp}}{''.join(', ' + arg for arg in args)})"
+
+
 @functools.lru_cache(maxsize=sum(2 ** len(kinds) for kinds in _HANDLER_KINDS.values()))
 def _handler_factory(op: Opcode, parts: tuple, reads: frozenset):
     """factory(rd, rs, rt, imm), which returns the handler of a word of
     opcode op whose _CODE_TEXT entry is parts, closed over the word's
     fields, for the read set reads (of the entry's _HANDLER_KINDS): it
-    calls emit for each _flagged event of a kind in reads, so an unread
-    kind costs no call, and for every later event.  Compiled with `exec`
-    once per entry text and kinds read, so a word costs one closure, and
-    entries of one text (the hypercalls') share a factory."""
+    builds each _flagged event of a kind in reads, so an unread kind
+    costs no test, and each later one whose kind has readers.  Compiled
+    with `exec` once per entry text and kinds read, so a word costs one
+    closure, and entries of one text (the hypercalls') share a factory."""
     slots = _opcode_slots(op) | dict(rd="rd", rs="rs", rt="rt", imm="imm",
-                                     next=f"pc + {INSTR_SIZE}")
+                                     next=f"pc + {INSTR_SIZE}", stamp=_WORD_STAMP)
     slots["fault"] = f"raise _access_fault(a, {slots['width']})"
-    lines = ["m = m.state.memory"] if _FAULTS in parts else []
+    lines = ["m = st.memory"] if _FAULTS in parts else []
     flagged = len(_flagged(parts))
     for k, part in enumerate(parts):
         if isinstance(part, str):
             if part is not _LANDS_IN:
                 lines += part.format(**slots).split("\n")
         elif part[0] in reads or k >= flagged:
-            lines.append(f"emit({part[0]!r}, {part[1].format(**slots)})")
+            lines += [f"if readers := by_kind[{part[0]!r}]:",
+                      f"    e = {_event_text(*part).format(**slots)}",
+                      f"    for f in readers: {'f(e) and wake(f)' if part is _SYSCALL else 'f(e)'}"]
     if op not in (*_BLOCK_ENDS, Opcode.HALT):
         lines.append(f"t.pc = {slots['next']}")
     scope = {}
-    exec("def factory(rd, rs, rt, imm):\n    def handler(m, t, pc, emit):\n        r = t.regs\n"
+    exec("def factory(rd, rs, rt, imm):\n"
+         "    def handler(m, t, pc, s, st, by_kind, wake):\n        r = t.regs\n"
          + "".join(f"        {line}\n" for line in lines) + "    return handler\n",
          globals(), scope)
     return scope["factory"]
@@ -595,30 +616,10 @@ _HOT = 16  # the dispatch of a pc, in a run under one read set, at which its blo
 _BLOCK_PCS = 128  # pcs with blocks cached; one more flushes them all
 _BLOCK_VARIANTS = 8  # blocks cached at one pc, for other code or read sets there
 
-# The kinds some block word emits: an observer that can wake on one stops blocks.
-_BLOCK_KINDS = frozenset().union(*(_HANDLER_KINDS[op] for op in _BLOCK_OPS))
-
 # pc -> [(code bytes, read set, block)], newest first: a block serves only
 # its read set while its bytes are in memory, and images that share a pc
 # keep a block each.
 _BLOCKS: dict = {}
-
-
-@functools.lru_cache(maxsize=64)
-def _event_text(kind: str, keywords: str) -> str:
-    """The `Event(...)` template of one event a block word emits: the
-    stamp, then the fields of kind's EVENT_FIELDS that keywords gives,
-    in Event's order."""
-    given = {kw.arg: ast.unparse(kw.value)
-             for kw in ast.parse(f"f({keywords})", mode="eval").body.keywords}
-    if not set(given) <= {f.rstrip("?") for f in EVENT_FIELDS[kind]}:
-        raise ValueError(f"{kind} has no field among {sorted(given)}")
-    given |= {"kind": repr(kind), "step": "s + {k}", "tid": "tid", "pc": "{pc}", "mode": "mode",
-              "iflag": "iflag", "locks_held": "held"}
-    args = [given.get(f.name, "None") for f in fields(Event)]
-    while args[-1] == "None":  # the fields past the last one given default to None
-        args.pop()
-    return f"Event({', '.join(args)})"
 
 
 def _build_block(memory: bytearray, pc: int, reads: frozenset):
@@ -647,7 +648,7 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
         slots = _opcode_slots(i.opcode)
         slots.update(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, done=k + 1, pc=at,
                      next=at + INSTR_SIZE, lo=pc - slots["width"], hi=hi,
-                     fault=f"t.pc = {at}; return {k}")
+                     fault=f"t.pc = {at}; return {k}", stamp=_BLOCK_STAMP.format(k=k, pc=at))
         for part in sorted(_CODE_TEXT[i.opcode], key=lambda part: part is not _FAULTS):
             if isinstance(part, str):
                 lines += part.format(**slots).split("\n")
@@ -716,8 +717,8 @@ class Machine:
     those in their `kinds` attribute, or all of EVENT_KINDS when they
     have none.  They are the only way to see the event stream.  One with
     `idle_kinds` reads only those until it joins `woken`, as it does when
-    a call of it returns true or a caller adds it before run(); then it
-    reads its `kinds`, in resumed runs too.
+    its call at a `syscall` event returns true or a caller adds it before
+    run(); then it reads its `kinds`, in resumed runs too.
     """
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
@@ -738,19 +739,14 @@ class Machine:
 
         Each code word runs through its handler compiled for the read
         set, the kinds some observer reads (_compiler); with no
-        observers that set is empty and the run builds no event.  A wake
-        takes effect from the next step's handler, compiled for the new
-        read set.  Of its own step's later events the woken observer
-        gets only those that still go through emit: a SYS's after its
-        `syscall` and a HALT's `thread-exit`, but of any other event
-        only the kinds its handler was compiled to emit.
-        A slice with room for two more steps runs a block (_block_at)
-        where one is cached for the read set or pc is hot, and runs it
-        again while it branches back to its own pc; the block never runs
-        the slice's last step, which, like a SYS or HALT, goes through
-        its handler and so settles the quantum.  No block runs while an
-        observer that can still wake idles on a kind a block emits, so
-        no wake falls inside one.
+        observers that set is empty and the run builds no event.  An
+        idle observer wakes when its call at a `syscall` event returns
+        true, and every later event reaches it, those of the waking step
+        included.  A slice with room for two more steps runs a block
+        (_block_at) where one is cached for the read set or pc is hot,
+        and runs it again while it branches back to its own pc; the
+        block never runs the slice's last step, which, like a SYS or
+        HALT, goes through its handler and so settles the quantum.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -758,40 +754,30 @@ class Machine:
         """
         st = self.state
         threads = st.threads
+        by_kind = {}  # each kind's readers, kept in place so a handler sees a wake
 
         def read():
-            """Each kind's readers, fresh tuples (an emit's loop keeps its own),
-            handlers, and whether blocks run: not while a kind one emits could wake an observer."""
-            nonlocal by_kind, reads, compile_, blocks, hot
-            by_kind, wakes = dict.fromkeys(EVENT_KINDS, ()), set()
+            """Each kind's readers, as fresh tuples (a loop over the old
+            ones keeps them), and the handlers for the kinds read."""
+            nonlocal reads, compile_, hot
+            by_kind.update(dict.fromkeys(EVENT_KINDS, ()))
             for fn in self.observers:
                 kinds = getattr(fn, "kinds", None)
                 if hasattr(fn, "idle_kinds") and fn not in self.woken:
                     kinds = fn.idle_kinds
-                    wakes.update(kinds)
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
             reads = frozenset(kind for kind, readers in by_kind.items() if readers)
-            compile_ = _compiler(reads)
-            blocks, hot = _BLOCK_KINDS.isdisjoint(wakes), {}  # hot: pc -> misses there
+            compile_, hot = _compiler(reads), {}  # hot: pc -> misses there
 
-        by_kind = reads = compile_ = blocks = hot = None
+        def wake(fn):
+            """fn returned true at a `syscall` event: an idle one wakes."""
+            if hasattr(fn, "idle_kinds") and fn not in self.woken:
+                self.woken.add(fn)
+                read()
+
+        reads = compile_ = hot = None
         read()
-
-        # What the handlers call to hand out an event; builds none of a kind
-        # nobody reads (only a SYS's events after its `syscall` and
-        # _end_thread call it for such a kind).  Reads the loop's current t,
-        # tid, step_no and pc; its parameters are Event's fields after the stamp.
-        def emit(kind, op=None, reg=None, value=None, src=None, addr=None, width=None,
-                 base_reg=None, rs=None, rt=None, taken=None, sysno=None, args=None, lock=None,
-                 new_tid=None):
-            if readers := by_kind[kind]:
-                e = Event(kind, step_no, tid, pc, t.mode, st.iflag, t.locks_held, op, reg, value,
-                          src, addr, width, base_reg, rs, rt, taken, sysno, args, lock, new_tid)
-                for fn in readers:
-                    if fn(e) and hasattr(fn, "idle_kinds") and fn not in self.woken:
-                        self.woken.add(fn)
-                        read()
 
         sched, memory = self.scheduler, st.memory
         quantum, solo = sched.quantum, sched.kind == ROUND_ROBIN
@@ -823,7 +809,7 @@ class Machine:
                     # while it branches back to its pc (so it ran whole, storing
                     # nothing into its bytes); one that ran no word leaves that
                     # word to the handler below.
-                    if blocks and step_no < last and (block := _block_at(memory, pc, hot, reads)):
+                    if step_no < last and (block := _block_at(memory, pc, hot, reads)):
                         while ran := block(t, memory, last - step_no, step_no, st, by_kind):
                             step_no += ran
                             if t.pc != pc or step_no >= last:
@@ -834,7 +820,7 @@ class Machine:
                     end = ends or step_no == last
                     if end and step_no > first:  # a pick per step's count, before a YIELD
                         sched._used = (used + step_no - first - 1) % quantum + 1
-                    handler(self, t, pc, emit)
+                    handler(self, t, pc, step_no, st, by_kind, wake)
                     step_no += 1
                     if end:
                         break

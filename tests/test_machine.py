@@ -1191,12 +1191,11 @@ def test_a_checked_run_resumes_across_the_shadow_waking():
         assert _checked(image, stop, 100) == whole, stop
 
 
-def test_a_wake_at_a_table_opcodes_event_takes_effect_from_the_next_step():
-    """The LD's handler was compiled for the idle read set, so it emits
-    no reg-write: an observer that wakes at the LD's mem-read gets none
-    of the LD's later events, and every event of the next step on.  (A
-    SYS calls emit for every event after its `syscall`, so a wake there
-    reaches the same step's later events, as the shadow's above does.)"""
+def test_a_true_return_at_a_table_opcodes_event_wakes_no_observer():
+    """Only a `syscall` event can wake an observer: one idle on mem-read
+    that returns true at the LD's stays idle, so it gets that mem-read
+    and no other event.  (A wake at a SYS reaches the same step's later
+    events, as the shadow's above does.)"""
     got = []
 
     def observe(e):
@@ -1208,8 +1207,8 @@ def test_a_wake_at_a_table_opcodes_event_takes_effect_from_the_next_step():
     machine = load(assemble("MOVI r2, 0x9000\nLD r1, [r2]\nMOV r3, r1\nHALT"))
     machine.add_observer(observe)
     assert machine.run(step_limit=100).outcome == "halt"
-    assert got == [(1, "mem-read"), (2, "fetch"), (2, "reg-read"), (2, "reg-write"),
-                   (3, "fetch")]
+    assert observe not in machine.woken
+    assert got == [(1, "mem-read")]
 
 
 def _counted_picks(source, policy, step_limit):
@@ -1328,7 +1327,7 @@ exiter: SYS 52
 
 # Each (instruction, kind) the guest above reaches beside the hot opcodes':
 # a handler's flags drop it when unread, or, for a SYS's events after its
-# `syscall` and a HALT's thread-exit, emit's own test.
+# `syscall`, its handler's test of the kind's readers.
 EVERY_EMIT_SITE = {
     ("CALL", "reg-write"), ("CALL", "branch"), ("JMP", "branch"), ("RET", "reg-read"),
     ("RET", "branch"), ("CLI", "iflag-change"), ("STI", "iflag-change"),

@@ -22,8 +22,8 @@ and directed guests: each opcode and syscall word by word, up to its
 fault too; each instruction that ends a slice at every phase of one; a
 fault, a step limit, a slice's end and a store into its own code inside
 a block; a hot loop of calls and one that turns interrupts off and on
-in a trap; and blocks under a read set against runs without blocks: a
-wake in a hot loop, `analyze` and a traced `check`.
+in a trap; and blocks under a read set against runs without blocks: an
+observer idle in a hot loop, `analyze` and a traced `check`.
 """
 
 import contextlib
@@ -519,38 +519,6 @@ def test_a_hot_loop_that_turns_interrupts_off_and_on_in_a_trap_runs_like_the_ref
 # -- blocks under a read set ---------------------------------------------
 
 
-def test_an_observer_that_wakes_in_a_hot_loop_gets_the_events_of_a_run_without_blocks():
-    """An observer idle on mem-read, so that blocks wait while it can
-    wake, wakes at the mem-read of the loop's 31st pass, long after the
-    loop went hot; then it reads every kind, and blocks run again."""
-    image = assemble(BUMP.format(buf=HEAP_BASE, end=HEAP_BASE + 4 * 80) + "HALT\n")
-    wake_at = HEAP_BASE + 4 * 30
-
-    def run():
-        got = []
-
-        def observe(e):
-            got.append(e)
-            return e.kind == "mem-read" and e.addr == wake_at
-
-        observe.idle_kinds = ("mem-read",)
-        machine = load(image)
-        machine.add_observer(observe)
-        assert machine.run(10_000).outcome == "halt"
-        assert observe in machine.woken
-        return got, machine.state
-
-    with blocks_counted(hot=scvm.machine._HOT) as ran:
-        got, state = run()
-    with no_blocks():
-        want, want_state = run()
-    assert ran[0] > 0
-    assert got == want and machine_view(state) == machine_view(want_state)
-    woke = next(n for n, e in enumerate(want) if e.kind == "mem-read" and e.addr == wake_at)
-    assert {e.kind for e in want[:woke + 1]} == {"mem-read"}
-    assert {e.kind for e in want[woke + 1:]} >= {"fetch", "reg-read", "mem-write", "branch"}
-
-
 # A hot loop over heap bytes that READ_NET tainted: every pass loads,
 # stores, and adds tainted values, so the woken shadow prints lines
 # inside the loop's block.
@@ -576,18 +544,36 @@ loop:   LD r1, [r2]
 """
 
 
-def test_an_observer_idle_on_a_kind_no_block_emits_leaves_blocks_on():
-    """A block holds no CLI or STI, so an observer that can still wake
-    on iflag-change keeps no block from running."""
-    def observe(e):
-        return True
+@pytest.mark.parametrize("kind, source", [
+    ("iflag-change", CALL_LOOP),
+    ("mem-read", BUMP.format(buf=HEAP_BASE, end=HEAP_BASE + 4 * 80) + "HALT\n"),
+], ids=["iflag-change", "mem-read"])
+def test_an_observer_that_cannot_wake_leaves_blocks_on(kind, source):
+    """Only a `syscall` event can wake an observer, so one idle on
+    another kind that returns true at each event it gets never wakes,
+    and blocks run, a hot loop's mem-reads among them: it gets the
+    events of a run without blocks."""
+    def run():
+        got = []
 
-    observe.idle_kinds = ("iflag-change",)
-    machine = load(assemble(CALL_LOOP))
-    machine.add_observer(observe)
-    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        def observe(e):
+            got.append(e)
+            return True
+
+        observe.idle_kinds = (kind,)
+        machine = load(assemble(source))
+        machine.add_observer(observe)
         assert machine.run(10_000).outcome == "halt"
-    assert ran[0] > 0 and observe not in machine.woken
+        assert observe not in machine.woken
+        return got, machine.state
+
+    with blocks_counted(hot=scvm.machine._HOT) as ran:
+        got, state = run()
+    with no_blocks():
+        want, want_state = run()
+    assert ran[0] > 0
+    assert got == want and machine_view(state) == machine_view(want_state)
+    assert {e.kind for e in got} <= {kind}
 
 
 def test_analyze_of_a_hot_loop_runs_a_block():

@@ -10,9 +10,7 @@ import ast
 import dataclasses
 import functools
 import importlib.util
-import inspect
 import json
-import textwrap
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -177,75 +175,65 @@ def test_the_code_table_defines_every_opcode_and_every_syscall():
     assert set(scvm.machine._CODE_TEXT) == set(Opcode) | {(Opcode.SYS, n) for n in SYSCALL_NAMES}
 
 
-def emit_calls(source: str, table: dict | None = None) -> list:
-    """(kind, keyword names) of every `emit("<kind>", ...)` call of a
-    module, then of every (kind, keyword text) part of a table of code
-    templates, as machine._CODE_TEXT, whose compilers emit those events."""
-    calls = [
-        (node.args[0].value, {k.arg for k in node.keywords})
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "emit"
-        and isinstance(node.args[0], ast.Constant)
-    ]
-    return calls + [
-        (part[0], {k.arg for k in ast.parse(f"f({part[1]})", mode="eval").body.keywords})
-        for parts in (table or {}).values() for part in parts if isinstance(part, tuple)
-    ]
-
-
-def emitted_kinds(source: str) -> set:
-    """The kinds in every `emit("<kind>", ...)` call of a module."""
-    return {kind for kind, _ in emit_calls(source)}
-
-
-def machine_emit_calls() -> list:
-    """Every emit site of machine.py: its emit calls and its code table."""
-    return emit_calls((ROOT / "src" / "scvm" / "machine.py").read_text(),
-                      scvm.machine._CODE_TEXT)
+def table_events(table: dict = scvm.machine._CODE_TEXT) -> list:
+    """(kind, keyword names) of every (kind, keyword text) event part of
+    a table of code templates, by default machine._CODE_TEXT, from which
+    both compilers build every event the machine emits."""
+    return [(part[0], {k.arg for k in ast.parse(f"f({part[1]})", mode="eval").body.keywords})
+            for parts in table.values() for part in parts if isinstance(part, tuple)]
 
 
 def test_emitted_kinds_are_found():
-    assert emitted_kinds('emit("a", x=1)\nother("b")\nemit("c")') == {"a", "c"}
-    assert emit_calls('emit("a", x=1, y=2)\nemit("c")') == [("a", {"x", "y"}), ("c", set())]
     table = {"OP": (("d", "x={rd}, y=r[{rs}] & 3"), "r[{rd}] = 0", ("e", ""))}
-    assert emit_calls('emit("a")', table) == [("a", set()), ("d", {"x", "y"}), ("e", set())]
+    assert table_events(table) == [("d", {"x", "y"}), ("e", set())]
 
 
 def test_event_kinds_are_exactly_the_emitted_ones():
-    emitted = {kind for kind, _ in machine_emit_calls()}
+    emitted = {kind for kind, _ in table_events()}
     assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)  # a repeat would deliver twice
     assert emitted == set(EVENT_KINDS)
 
 
 def test_each_emit_call_passes_its_kinds_fields():
-    """Each call or table event passes every field its kind's
-    EVENT_FIELDS lists, bar the optional ones, and no other: the trace
-    renders only those."""
-    for kind, keywords in machine_emit_calls():
+    """Each table event passes every field its kind's EVENT_FIELDS
+    lists, bar the optional ones, and no other: the trace renders only
+    those."""
+    for kind, keywords in table_events():
         fields = EVENT_FIELDS[kind]
         assert {f for f in fields if not f.endswith("?")} <= keywords, kind
         assert keywords <= {f.rstrip("?") for f in fields}, kind
 
 
-def test_emit_parameters_are_the_event_fields_after_the_stamp():
-    """emit builds each Event positionally, so a parameter out of
-    Event's field order would put a value in the wrong field."""
-    (code,) = (c for c in Machine.run.__code__.co_consts
-               if getattr(c, "co_name", None) == "emit")
-    params = code.co_varnames[: code.co_argcount]
-    fields = [f.name for f in dataclasses.fields(Event)]
-    assert fields[:7] == ["kind", "step", "tid", "pc", "mode", "iflag", "locks_held"]
-    assert params[0] == "kind"
-    assert list(params[1:]) == fields[7:]
-    assert not code.co_flags & (inspect.CO_VARARGS | inspect.CO_VARKEYWORDS)
-    (emit,) = (n for n in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(Machine.run))))
-               if isinstance(n, ast.FunctionDef) and n.name == "emit")
-    (call,) = (n for n in ast.walk(emit) if isinstance(n, ast.Call)
-               and isinstance(n.func, ast.Name) and n.func.id == "Event")
-    assert [a.id for a in call.args[7:] if isinstance(a, ast.Name)] == fields[7:]
-    assert len(call.args) == len(fields) and not call.keywords
+def test_no_event_is_built_with_20_arguments():
+    """CPython 3.11 keeps every freed 20-item tuple on a free list that
+    only gc.collect() empties, so a call with 20 positional arguments
+    holds on to its tuple's memory.  machine.py calls Event nowhere but
+    in _event_text's templates, and none of them, under the word stamp
+    or the block stamp, passes 20 arguments (LOCK's and UNLOCK's end at
+    the 20th field, `lock`)."""
+    tree = ast.parse((ROOT / "src" / "scvm" / "machine.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "Event"]
+    counts = set()
+    for part in (part for parts in scvm.machine._CODE_TEXT.values() for part in parts
+                 if isinstance(part, tuple)):
+        for stamp in (scvm.machine._WORD_STAMP, scvm.machine._BLOCK_STAMP):
+            text = scvm.machine._event_text(*part).replace("{stamp}", stamp)
+            call = ast.parse(text, mode="eval").body
+            assert call.func.id == "Event" and not call.keywords, text
+            assert len(call.args) != 20, text
+            counts.add(len(call.args))
+    assert 21 in counts  # the lock events, padded
+
+
+def test_every_idle_kinds_includes_syscall():
+    """Only a `syscall` event can wake an observer, so one idle on no
+    `syscall` would never wake: every `idle_kinds` in scvm lists it."""
+    found = [(path.name, ast.literal_eval(node.value)) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assign)
+             and any(getattr(target, "attr", None) == "idle_kinds" for target in node.targets)]
+    assert found
+    assert [(name, kinds) for name, kinds in found if "syscall" not in kinds] == []
 
 
 def string_literals(source: str) -> set:
