@@ -18,8 +18,8 @@ processing emits.  Event lines go out in blocks of at most 32 lines,
 one write per block; a shadow line starts a new write, so no write
 holds two of them.  Memory stays bounded and the bytes are those of one
 line per write; the last block goes out when the run ends, however it
-ends.  Each kind's event line is one f-string compiled from its
-machine.EVENT_FIELDS; a shadow line renders each distinct tag set once.
+ends.  --trace events takes each event's line, compiled into its code
+word from machine.EVENT_FIELDS; a shadow line renders each tag set once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .machine import (
     ROUND_ROBIN,
     SCHEDULER_KINDS,
     SchedulerPolicy,
-    format_event,
     load,
 )
 from .report import ManifestError, serialize
@@ -137,12 +136,12 @@ _BLOCK_LINES = 32  # lines per write to stdout: few writes, a few KB held
 
 
 def _trace_out():
-    """Observer for --trace events, sink for --trace shadow, and their
-    flush, sharing one block of lines in the order they are made.  Event
-    lines wait until _BLOCK_LINES of them go to stdout in one write; a
-    shadow line flushes the block and starts the next, so each write
-    holds at most one shadow line, at its head.  The caller flushes when
-    the run ends, however it ends."""
+    """Observer for --trace events (a line observer), sink for --trace
+    shadow, and their flush, sharing one block of lines in the order they
+    are made.  Event lines wait until _BLOCK_LINES of them go to stdout in
+    one write; a shadow line flushes the block and starts the next, so
+    each write holds at most one shadow line, at its head.  The caller
+    flushes when the run ends, however it ends."""
     block = []
 
     def flush():
@@ -150,10 +149,11 @@ def _trace_out():
             sys.stdout.write("\n".join(block) + "\n")  # looked up now: stdout may be redirected
             block.clear()
 
-    def observe(e):
-        block.append(format_event(e))
+    def observe(line: str) -> None:
+        block.append(line)
         if len(block) >= _BLOCK_LINES:
             flush()
+    observe.lines = True
 
     def shadow_line(line: str) -> None:
         flush()
@@ -171,7 +171,7 @@ def _outcome_status(result) -> int:
 
 
 def _cmd_run(args) -> int:
-    """Bare run: no shadow state, no checkers, events built only for --trace."""
+    """Bare run: no shadow state, no checkers, no Event (--trace events takes lines)."""
     image, policy = _image_and_policy(args)
     machine = load(image, policy)
     observe, _, flush = _trace_out()

@@ -9,6 +9,8 @@ reach back into mutable machine state to interpret them.  An observer
 may name the kinds it reads in `kinds`, and those it reads until it wakes
 in `idle_kinds` (see EVENT_KINDS, Machine); an event reaches only the
 observers that read its kind, and a kind nobody reads builds no Event.
+One whose `lines` is true takes each event's format_event line instead,
+built inline by the code word: a kind only such observers read builds no Event.
 
 Each code word is decoded once and compiled once per read set, the set
 of kinds the observers read, into a handler closed over its operands
@@ -60,6 +62,7 @@ end, and tids are never reused; `MachineState.blocked` alone says who waits.
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import re
@@ -132,6 +135,7 @@ EVENT_FIELDS = {
     "thread-exit": (), "mode-change": (), "iflag-change": (),
 }
 EVENT_KINDS = tuple(EVENT_FIELDS)
+_LINE_KINDS = {kind: kind + "/line" for kind in EVENT_KINDS}  # kind -> its line readers' key
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "seeded-random"
@@ -163,8 +167,7 @@ Event = make_dataclass("Event", [
                           "its operand fields set as its kind's EVENT_FIELDS say."})
 
 
-# Each operand field's trace text, `@` standing for its value.  The code
-# word fixes op, reg, rs and rt, which lead every kind's fields.
+# Each operand field's trace text, `@` standing for its value.
 _FIELD_TEXT = {
     "op": "op={@} ", "reg": "reg=r{@} ", "rs": "rs=r{@} ", "rt": "rt=r{@} ",
     "addr": "addr=0x{@:04X} ", "width": "width={@} ", "value": "value=0x{@ & M32:08X} ",
@@ -174,13 +177,6 @@ _FIELD_TEXT = {
     "args": 'args={",".join(map("0x{:08X}".format, @))} ',
     "lock": "lock={@} ", "new_tid": "new_tid={@} ", "taken": "taken={int(@)} ",
 }
-
-
-@functools.lru_cache(maxsize=8192)
-def _fmt_head(pc: int, kind: str, *site) -> str:
-    """`\\t0x{pc}\\t{kind}\\t` and the site fields, once per emit site: keyed
-    on their values, not on the pc alone, so code written at run time renders right."""
-    return _RENDERERS[kind].head(pc, *site)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -205,21 +201,34 @@ def _text(field: str, expr: str) -> str:
     return text if field == name else f'{{"" if {expr} is None else f"{text}"}}'
 
 
+def _keywords(kind: str, keywords: str) -> dict:
+    """field -> expression of an event part's keywords, each of kind's EVENT_FIELDS."""
+    given = dict(kw.split("=", 1) for kw in re.split(r", (?=\w+=)", keywords) if kw)
+    if not set(given) <= {f.rstrip("?") for f in EVENT_FIELDS[kind]}:
+        raise ValueError(f"{kind} has no field among {sorted(given)}")
+    return given
+
+
+@functools.lru_cache(maxsize=4096)
+def _line_text(kind: str, keywords: str) -> str:
+    """The f-string text of an event's trace line from its kind to its
+    stamp: the kind, then each of its EVENT_FIELDS as the expression that
+    keywords gives it (None if none), a literal one rendered now."""
+    given, text = _keywords(kind, keywords), f"\\t{kind}\\t"
+    for f in EVENT_FIELDS[kind]:
+        expr = given.get(f.rstrip("?"), "None")
+        try:  # a literal's text now, else the text that renders it per line
+            text += eval(f"f'''{_text(f, 'v')}'''", globals(), {"v": ast.literal_eval(expr)})
+        except ValueError:
+            text += _text(f, expr)
+    return text
+
+
 def _renderer(kind: str, fields: tuple):
-    """kind's trace line as one f-string compiled from its EVENT_FIELDS, which
-    tests only optional fields for None; `head` renders the leading site fields."""
-    site = [f.rstrip("?") for f in fields if f.rstrip("?") in ("op", "reg", "rs", "rt")]
-    head = "".join(_text(f, f.rstrip("?")) for f in fields[: len(site)])
-    tail = "".join(_text(f, "e." + f.rstrip("?")) for f in fields[len(site) :])
-    args = "".join(f", e.{f}" for f in site)
-    scope = {}
-    exec(f"def head(pc, {', '.join(site)}):\n"
-         f"    return f'\\t0x{{pc:04X}}\\t{kind}\\t{head}'\n"
-         f"def render(e):\n"
-         f"    return f'{{e.step}}\\t{{e.tid}}{{_fmt_head(e.pc, \"{kind}\"{args})}}{tail}"
-         f"{{_fmt_stamp(e.mode, e.iflag, e.locks_held)}}'\n", globals(), scope)
-    scope["render"].head = scope["head"]
-    return scope["render"]
+    """kind's trace line as one f-string of its _line_text for e's fields."""
+    text = _line_text(kind, ", ".join(f"{f}=e.{f}" for f in (f.rstrip("?") for f in fields)))
+    return eval(f"lambda e: f'''{{e.step}}\\t{{e.tid}}\\t0x{{e.pc:04X}}{text}"
+                "{_fmt_stamp(e.mode, e.iflag, e.locks_held)}'''")
 
 
 _RENDERERS = {kind: _renderer(kind, fields) for kind, fields in EVENT_FIELDS.items()}
@@ -348,7 +357,9 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # sets t.pc (a blocked LOCK and a HALT leave it as it is), or raises
 # _Fault.  It hands the instruction's `fetch`, then its operand events in
 # operand-evaluation order, to their kind's readers in by_kind, and each
-# reader that returns true at its `syscall` event to wake.
+# reader that returns true at its `syscall` event to wake.  First, each
+# event's line goes to its line readers, by_kind[_LINE_KINDS[kind]], whose
+# return is ignored: they wake nothing.
 #
 # _CODE_TEXT is the one definition of every opcode, and of each syscall n
 # under the key (SYS, n); SYS's own entry faults on an unknown number.
@@ -492,9 +503,10 @@ def _flagged(parts: tuple) -> tuple:
     return parts[: parts.index(_SYSCALL) + 1] if _SYSCALL in parts else parts
 
 
-# The kinds each entry's handler may emit only if read, so read sets that
-# differ only in other kinds share its factory.
+# The kinds each entry's handler may emit only if read, and those of its
+# events' lines, so read sets that differ only in other kinds share its factory.
 _HANDLER_KINDS = {key: frozenset(part[0] for part in _flagged(parts) if isinstance(part, tuple))
+                  | {_LINE_KINDS[part[0]] for part in parts if isinstance(part, tuple)}
                   for key, parts in _CODE_TEXT.items()}
 
 
@@ -505,10 +517,13 @@ def _opcode_slots(op: Opcode) -> dict:
                 last=MEMORY_SIZE - width, align=width - 1)
 
 
-# The stamp, {stamp} in an event's template: a handler reads it as each
-# event is built, a block all but the step and pc once, at its start.
+# The stamp, {stamp} in an event's template and around {text} in its line:
+# a handler reads it per event, a block all but the step and pc once.
 _WORD_STAMP = "s, t.tid, pc, t.mode, st.iflag, t.locks_held"
 _BLOCK_STAMP = "s + {k}, tid, {pc}, mode, iflag, held"
+_WORD_LINE = ("f'''{{s}}\\t{{t.tid}}\\t0x{{pc:04X}}{text}"
+              "{{_fmt_stamp(t.mode, st.iflag, t.locks_held)}}'''")
+_BLOCK_LINE = "f'''{{s + {k}}}\\t{{tid}}\\t0x{pc:04X}{text}{{stamp}}'''"
 
 
 @functools.lru_cache(maxsize=64)
@@ -518,9 +533,7 @@ def _event_text(kind: str, keywords: str) -> str:
     in Event's order, up to the last one given (the rest default to
     None), but never 20 arguments: CPython 3.11 keeps every freed
     20-item tuple on a free list that only gc.collect() empties."""
-    given = dict(kw.split("=", 1) for kw in re.split(r", (?=\w+=)", keywords) if kw)
-    if not set(given) <= {f.rstrip("?") for f in EVENT_FIELDS[kind]}:
-        raise ValueError(f"{kind} has no field among {sorted(given)}")
+    given = _keywords(kind, keywords)
     args = [given.get(f.name, "None") for f in fields(Event)[7:]]
     while args and args[-1] == "None":
         args.pop()
@@ -547,7 +560,11 @@ def _handler_factory(op: Opcode, parts: tuple, reads: frozenset):
         if isinstance(part, str):
             if part is not _LANDS_IN:
                 lines += part.format(**slots).split("\n")
-        elif part[0] in reads or k >= flagged:
+            continue
+        if _LINE_KINDS[part[0]] in reads:
+            line = _WORD_LINE.format(text=_line_text(part[0], part[1].format(**slots)))
+            lines += [f"line = {line}", f"for f in by_kind[{_LINE_KINDS[part[0]]!r}]: f(line)"]
+        if part[0] in reads or k >= flagged:
             lines += [f"if readers := by_kind[{part[0]!r}]:",
                       f"    e = {_event_text(*part).format(**slots)}",
                       f"    for f in readers: {'f(e) and wake(f)' if part is _SYSCALL else 'f(e)'}"]
@@ -598,18 +615,19 @@ def _compiler(reads: frozenset):
 # block(t, m, n, s, st, by_kind) runs up to n of the straight-line words
 # from its pc for thread t over memory m, as their handlers would, and
 # returns how many ran, with t.pc at the next word to run.  Each word
-# hands its events of the block's read set, as its handler would, to
-# by_kind's readers, stamped with step s plus its index, its pc, and the
-# tid, mode, locks held and st.iflag read once (a block holds no SYS, CLI,
-# STI or HALT).  It stops early, raising nothing, before the `fetch` of a
-# load or store that would fault (the fault test, free of side effects,
-# is hoisted ahead of the word's parts), after a store into its own bytes
+# hands its events of the block's read set, each one's line first, as its
+# handler would, to by_kind's readers, stamped with step s plus its index,
+# its pc, and the tid, mode, locks held and st.iflag read once, as is the
+# stamp's text in a block with a line (a block holds no SYS, CLI, STI or
+# HALT).  It stops early, raising nothing, before the `fetch` of a load or
+# store that would fault (the fault test, free of side effects, is
+# hoisted ahead of the word's parts), after a store into its own bytes
 # and before its n+1th word, so the per-word path runs the faulting word,
 # the rewritten code and the slice's last step.  A block inlines its
-# words' _CODE_TEXT entries with every slot a constant; in the block-only
-# slots {k} is the word's index in the block and {done} one more, and a
-# store's {lo} and {hi} bound the addresses at which it lands in the
-# block's bytes.
+# words' _CODE_TEXT entries with every slot a constant, and their lines
+# with each field the word fixes rendered; in the block-only slots {k} is
+# the word's index in the block and {done} one more, and a store's {lo}
+# and {hi} bound the addresses at which it lands in the block's bytes.
 
 _BLOCK_WORDS = 32  # the most words one block holds
 _HOT = 16  # the dispatch of a pc, in a run under one read set, at which its block is built
@@ -640,7 +658,7 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
     if not words:
         return None
     hi = pc + len(words) * INSTR_SIZE
-    lines, readers = [], {}
+    lines, head = [], {}  # head: each local the block reads once, at its start
     for k, i in enumerate(words):
         at = pc + k * INSTR_SIZE
         if k:
@@ -652,16 +670,23 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
         for part in sorted(_CODE_TEXT[i.opcode], key=lambda part: part is not _FAULTS):
             if isinstance(part, str):
                 lines += part.format(**slots).split("\n")
-            elif part[0] in reads:
-                kind = part[0]
-                readers[kind] = name = "to_" + kind.replace("-", "_")
-                lines += [f"e = {_event_text(*part).format(**slots)}", f"for f in {name}: f(e)"]
+                continue
+            name = part[0].replace("-", "_")
+            if _LINE_KINDS[part[0]] in reads:
+                head.update({"stamp": "_fmt_stamp(mode, iflag, held)",
+                             f"lines_{name}": f"by_kind[{_LINE_KINDS[part[0]]!r}]"})
+                text = _line_text(part[0], part[1].format(**slots))
+                lines += [f"line = {_BLOCK_LINE.format(text=text, **slots)}",
+                          f"for f in lines_{name}: f(line)"]
+            if part[0] in reads:
+                head[f"to_{name}"] = f"by_kind[{part[0]!r}]"
+                lines += [f"e = {_event_text(*part).format(**slots)}", f"for f in to_{name}: f(e)"]
     if words[-1].opcode not in _BLOCK_ENDS:
         lines.append(f"t.pc = {hi}")
     lines.append(f"return {len(words)}")
-    if readers:
+    if head:
         lines[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
-                     *(f"{name} = by_kind[{kind!r}]" for kind, name in readers.items())]
+                     *(f"{name} = {value}" for name, value in head.items())]
     scope = {}
     exec("def block(t, m, n, s, st, by_kind):\n    r = t.regs\n"
          + "".join(f"    {line}\n" for line in lines), globals(), scope)
@@ -718,7 +743,9 @@ class Machine:
     have none.  They are the only way to see the event stream.  One with
     `idle_kinds` reads only those until it joins `woken`, as it does when
     its call at a `syscall` event returns true or a caller adds it before
-    run(); then it reads its `kinds`, in resumed runs too.
+    run(); then it reads its `kinds`, in resumed runs too.  One whose
+    `lines` is true receives each event's format_event line in its place,
+    before the event's other readers; its return value is ignored.
     """
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
@@ -754,20 +781,24 @@ class Machine:
         """
         st = self.state
         threads = st.threads
-        by_kind = {}  # each kind's readers, kept in place so a handler sees a wake
+        by_kind = {}  # kind or line kind -> readers, kept in place so a handler sees a wake
 
         def read():
             """Each kind's readers, as fresh tuples (a loop over the old
             ones keeps them), and the handlers for the kinds read."""
             nonlocal reads, compile_, hot
-            by_kind.update(dict.fromkeys(EVENT_KINDS, ()))
+            by_kind.update(dict.fromkeys(by_kind or EVENT_KINDS, ()))
             for fn in self.observers:
                 kinds = getattr(fn, "kinds", None)
                 if hasattr(fn, "idle_kinds") and fn not in self.woken:
                     kinds = fn.idle_kinds
+                if getattr(fn, "lines", False):  # filed under each kind's line key
+                    kinds = [_LINE_KINDS[k] for k in (EVENT_KINDS if kinds is None else kinds)]
+                    by_kind.update((kind, by_kind.get(kind, ())) for kind in kinds)
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
-            reads = frozenset(kind for kind, readers in by_kind.items() if readers)
+            # From a set, which sizes the frozenset's table to fit its kinds.
+            reads = frozenset({kind for kind, readers in by_kind.items() if readers})
             compile_, hot = _compiler(reads), {}  # hot: pc -> misses there
 
         def wake(fn):

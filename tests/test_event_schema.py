@@ -26,9 +26,9 @@ OPTIONAL = {(kind, f[:-1]) for kind, fields in EVENT_FIELDS.items() for f in fie
 
 
 def test_event_is_the_stamp_then_every_listed_field():
-    """Event's fields, emit's parameters and the field texts are read off
-    EVENT_FIELDS: each operand name once, in the order the table first
-    lists it, None by default, and a trace text for each and no other."""
+    """Event's fields and the field texts are read off EVENT_FIELDS:
+    each operand name once, in the order the table first lists it, None
+    by default, and a trace text for each and no other."""
     fields = dataclasses.fields(Event)
     assert [f.name for f in fields[:7]] == ["kind", "step", "tid", "pc", "mode", "iflag",
                                             "locks_held"]

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import scvm.machine
-from scvm.asm import assemble
+from scvm.asm import assemble, write_image
 from scvm.checkers import RULE_NULL_DEREF, CheckerRegistry, make_checkers
+from scvm.cli import main
 from scvm.isa import INSTR_SIZE, Instruction, Opcode, decode, encode
 from scvm.machine import (
     DEFAULT_STACK_SIZE,
@@ -1359,8 +1360,8 @@ def test_an_observer_that_wakes_at_a_syscall_gets_the_rest_of_its_step(name):
     """An observer idle on `syscall` that wakes at the first SYS of a
     number gets, at that step, exactly the later events an observer that
     reads every kind from the start gets, and every event after it: a
-    SYS's handler emits its events after `syscall` through emit, whatever
-    read set it was compiled for."""
+    SYS's handler builds each event after its `syscall` if the event's
+    kind has readers then, whatever read set it was compiled for."""
     number = {sys_name: n for n, sys_name in SYSCALL_NAMES.items()}[name]
     image = assemble(EVERY_EMIT_SRC)
     whole = []
@@ -1388,8 +1389,8 @@ def test_an_observer_that_wakes_at_a_syscall_gets_the_rest_of_its_step(name):
 def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
     """For each guest and kind, a run whose one observer reads only that
     kind builds exactly the Events it delivers, and a run with no
-    observer builds none: the compiled handlers' flags and emit drop the
-    rest."""
+    observer builds none: a handler builds no event of a kind its read
+    set lacks, nor one after a SYS's `syscall` whose kind has no readers."""
     built = []
 
     class CountingEvent(Event):
@@ -1420,6 +1421,90 @@ def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
         built.clear()
         load(image).run(step_limit=200)
         assert built == []
+
+
+def _line_reader():
+    """An observer that takes the trace line of every kind, returning
+    true at each, and the lines it got."""
+    got = []
+
+    def take(line):
+        got.append(line)
+        return True
+
+    take.lines = True
+    return take, got
+
+
+@pytest.mark.parametrize("hot", (scvm.machine._HOT, 1))
+def test_an_events_line_reaches_its_line_readers_before_its_event_readers(monkeypatch, hot):
+    """A line observer registered after an observer of Events still gets
+    each event's line before that event's Event, in blocks and word by
+    word: the machine hands a kind's line readers each event first."""
+    monkeypatch.setattr(scvm.machine, "_HOT", hot)
+    machine = load(assemble(OBSERVED_SRC))
+    order = []
+
+    def take(line):
+        order.append(line)
+
+    take.lines = True
+    machine.add_observer(order.append)
+    machine.add_observer(take)
+    machine.run(step_limit=200)
+    events = [e for e in order if isinstance(e, Event)]
+    assert {e.kind for e in events} >= {"fetch", "mem-write", "branch", "spawn", "thread-exit"}
+    assert order == [x for e in events for x in (format_event(e), e)]
+
+
+def test_a_line_observer_wakes_nothing():
+    """A line reader's return value is ignored: one idle on `syscall`
+    lines that returns true at each, a minting SYS's among them, joins
+    no machine.woken.  The idle shadow beside it reads only its idle
+    kinds until its own call at the minting SYS wakes it, as it does
+    with no line observer."""
+    image = assemble("SYS 51\n" + WAKE_SRC)  # a YIELD, which mints nothing, then WAKE_SRC
+    take, got = _line_reader()
+    take.idle_kinds = ("syscall",)
+    runs = []
+    for observers in ((take,), ()):
+        machine = load(image)
+        shadow = _RecordingShadow()
+        for fn in (*observers, shadow.on_event):
+            machine.add_observer(fn)
+        assert machine.run(step_limit=100).outcome == "halt"
+        assert machine.woken == {shadow.on_event}
+        runs.append(shadow.events)
+    assert [line.split("\t")[3] for line in got] == ["syscall", "syscall"]
+    assert runs[0] == runs[1]
+    wake = image.symbols["wake"] // INSTR_SIZE
+    assert [(e.step, e.kind) for e in runs[0] if e.step < wake] == [(0, "syscall")]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_traced_run_builds_no_event_for_a_kind_only_the_trace_reads(
+        monkeypatch, tmp_path, capsys, command):
+    """--trace events takes lines: `scvm run --trace events` builds no
+    Event, and `scvm check --trace events` builds only those of the kinds
+    the shadow and the checkers read, word by word and in blocks."""
+    built = []
+
+    class CountingEvent(Event):
+        def __init__(self, kind, *args, **kw):
+            built.append(kind)
+            super().__init__(kind, *args, **kw)
+
+    monkeypatch.setattr(scvm.machine, "Event", CountingEvent)
+    monkeypatch.setattr(scvm.machine, "_HOT", 1)
+    image = tmp_path / "every.img"
+    write_image(assemble(EVERY_EMIT_SRC), image)
+    argv = [command, str(image), "--trace", "events"]
+    main(argv + ["--report", str(tmp_path / "report")] if command == "check" else argv)
+    traced = {line.split("\t")[3] for line in capsys.readouterr().out.splitlines()}
+    assert traced == set(EVENT_KINDS)
+    analysis = set(ShadowState.on_event.kinds) | set(CheckerRegistry.dispatch.kinds)
+    assert set(built) <= (analysis if command == "check" else set())
+    assert {"fetch", "reg-read", "binop", "branch"}.isdisjoint(analysis)
 
 
 def test_handler_caches_stay_bounded_across_many_read_sets():

@@ -7,23 +7,26 @@ then through `Machine.run` once per read set: bare, the shadow's
 kinds, the checker registry's, each plugin's, and every kind.  Each run
 must end in the reference's outcome and architectural state, and its
 observer must receive exactly the reference's events of the kinds it
-reads.  The runs share the interpreter's per-read-set handler caches
-and its block cache, as the runs of one process do.  Every run runs
-straight-line code in blocks once a pc is hot, which the short fuzz
-runs seldom make one; so each image runs once more under each read set
-with a block built at a pc's first dispatch, and a one-thread
-round-robin run that starts at a block opcode must have run a block
-under each.
+reads.  So must one more run, whose second observer takes the trace
+line of every kind: it must get format_event of each reference event,
+ahead of that event if the first observer reads its kind.  The runs
+share the interpreter's per-read-set handler caches and its block
+cache, as the runs of one process do.  Every run runs straight-line
+code in blocks once a pc is hot, which the short fuzz runs seldom make
+one; so each image runs once more under each read set with a block
+built at a pc's first dispatch, and a one-thread round-robin run that
+starts at a block opcode must have run a block under each.
 
 Families: the shipped corpus under its manifest policies and under
 seeded-random quantum 2 seed 7, the random, sharing, waiting and
 self-rewriting families of tests/families.py under both schedulers,
 and directed guests: each opcode and syscall word by word, up to its
 fault too; each instruction that ends a slice at every phase of one; a
-fault, a step limit, a slice's end and a store into its own code inside
-a block; a hot loop of calls and one that turns interrupts off and on
-in a trap; and blocks under a read set against runs without blocks: an
-observer idle in a hot loop, `analyze` and a traced `check`.
+load's or a store's fault, a step limit, a slice's end and a store into
+its own code inside a block; a hot loop of calls and one that turns
+interrupts off and on in a trap; and blocks under a read set against
+runs without blocks: an observer idle in a hot loop, `analyze` and a
+traced `check`.
 """
 
 import contextlib
@@ -47,6 +50,7 @@ from scvm.machine import (
     SEEDED_RANDOM,
     SYSCALL_NAMES,
     SchedulerPolicy,
+    format_event,
     load,
 )
 from scvm.report import parse_manifest
@@ -118,10 +122,38 @@ def run_reading(image, policy, kinds, step_limit):
     return result.outcome, machine_view(result.state), got
 
 
+def run_with_lines(image, policy, step_limit):
+    """(outcome, architectural state, what its observers got, in order)
+    of a run of image whose observer of Events reads the shadow's kinds
+    and whose observer registered after it takes the line of every kind."""
+    machine = load(image, policy)
+    got = []
+
+    def observe(e):
+        got.append(e)
+
+    def take(line):
+        got.append(line)
+
+    observe.kinds, take.lines = ShadowState.on_event.kinds, True
+    machine.add_observer(observe)
+    machine.add_observer(take)
+    result = machine.run(step_limit)
+    return result.outcome, machine_view(result.state), got
+
+
+def with_lines(events):
+    """What run_with_lines's observers get of events: each one's line,
+    then the event itself if the shadow reads its kind."""
+    kinds = ShadowState.on_event.kinds
+    return [x for e in events for x in (format_event(e), e)[: 2 if e.kind in kinds else 1]]
+
+
 def assert_runs_like_the_reference(image, policy, step_limit):
-    """Each read set's run, with blocks built at the hot threshold and
-    then at a pc's first dispatch, against the reference; returns the
-    fewest steps that blocks ran in a run of the second kind."""
+    """Each read set's run, and a run with a line observer, with blocks
+    built at the hot threshold and then at a pc's first dispatch, against
+    the reference; returns the fewest steps that blocks ran in a run of
+    one read set of the second kind."""
     outcome, ref = run_reference(image, policy, step_limit)
     want = ref.view()
     ran = []
@@ -135,6 +167,9 @@ def assert_runs_like_the_reference(image, policy, step_limit):
             assert got == [e for e in ref.events if e.kind in kinds], where
             if hot == 1:
                 ran.append(steps[0])
+        with blocks_counted(hot):
+            got = run_with_lines(image, policy, step_limit)
+        assert got == (outcome, want, with_lines(ref.events)), (hot, "lines")
     # One thread under round-robin has a slice with room for two steps at
     # every step but the last, so a block opcode at the first dispatch of
     # the entry must start a block, under every read set.
@@ -268,6 +303,8 @@ def test_each_table_opcode_runs_like_the_reference_word_by_word(case):
         with no_blocks():
             got = run_reading(image, policy, kinds, 200)
         assert got == (outcome, ref.view(), [e for e in ref.events if e.kind in kinds]), kinds
+    with no_blocks():
+        assert run_with_lines(image, policy, 200) == (outcome, ref.view(), with_lines(ref.events))
 
 
 # Main YIELDs alone, takes lock 1, SPAWNs two workers and a child, YIELDs,
@@ -371,8 +408,8 @@ def test_a_store_over_the_next_word_of_its_own_block_takes_effect():
 
 
 # Each pass loads its address from the next table entry, then from that
-# address: the kth entry is bad, so the load in the middle of the loop's
-# block faults on the kth pass.
+# address (or stores there): the kth entry is bad, so the access in the
+# middle of the loop's block faults on the kth pass.
 WALK = """
         MOVI r3, table
         MOVI r4, 4
@@ -394,6 +431,19 @@ table:  {entries}
 def test_a_load_that_faults_in_a_block_records_the_reference_fault(k, bad, reason):
     image = assemble(WALK.format(entries="\n".join([f".word {HEAP_BASE}"] * (k - 1)
                                                    + [f".word {bad}"])))
+    policy = SchedulerPolicy()
+    result = load(image, policy).run(10_000)
+    assert result.outcome == "fault" and result.state.fault.reason == reason
+    assert result.state.fault.step == 2 + 6 * (k - 1) + 2
+    assert_runs_like_the_reference(image, policy, 10_000)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (0xFFFE, "unmapped address 0x0000FFFE"), (HEAP_BASE + 2, "unaligned word access at 0x8002")])
+@pytest.mark.parametrize("k", [1, 17])
+def test_a_store_that_faults_in_a_block_records_the_reference_fault(k, bad, reason):
+    image = assemble(WALK.replace("LD r1, [r2]", "ST [r2], r4").format(
+        entries="\n".join([f".word {HEAP_BASE}"] * (k - 1) + [f".word {bad}"])))
     policy = SchedulerPolicy()
     result = load(image, policy).run(10_000)
     assert result.outcome == "fault" and result.state.fault.reason == reason

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import importlib.util
 import json
+import re
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -134,22 +135,28 @@ def test_memos_are_found():
 
 def test_every_memo_is_bounded():
     """No guest can exhaust host memory through a memo: every functools
-    cache in scvm (the per-opcode-and-read-set handler factories among
-    them), and each per-read-set compile cache that _compiler returns,
-    has a finite maxsize, and so does the block cache."""
+    cache in scvm (the per-opcode-and-read-set handler factories and the
+    per-word line templates among them), and each per-read-set compile
+    cache that _compiler returns, a trace's read set with line kinds
+    too, has a finite maxsize, and so does the block cache."""
     found = {}
     for path in MODULES:
         if path.stem != "__main__":  # importing it runs the CLI
             module = importlib.import_module(f"scvm.{path.stem}")
             found.update({f"{path.stem}.{n}": f for n, f in memos(vars(module)).items()})
-    for reads in (frozenset(), frozenset(EVENT_KINDS)):
+    lines = frozenset(scvm.machine._LINE_KINDS.values())
+    for reads in (frozenset(), frozenset(EVENT_KINDS), frozenset(EVENT_KINDS) | lines):
         found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
-    assert {"machine._decode", "machine._fmt_head", "machine._fmt_code_src",
+    assert {"machine._decode", "machine._line_text", "machine._fmt_code_src",
             "machine._fmt_stamp", "machine._event_text", "machine._handler_factory",
             "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
     # The handler factories' cache holds every (opcode, kinds read) pair,
-    # so no run evicts a factory and compiles it with `exec` again.
+    # the line kinds of each entry's events among the kinds, so no run
+    # evicts a factory and compiles it with `exec` again.
+    assert all(scvm.machine._LINE_KINDS[part[0]] in scvm.machine._HANDLER_KINDS[key]
+               for key, parts in scvm.machine._CODE_TEXT.items()
+               for part in parts if isinstance(part, tuple))
     assert scvm.machine._handler_factory.cache_info().maxsize >= sum(
         2 ** len(kinds) for kinds in scvm.machine._HANDLER_KINDS.values())
     # The block cache, machine._BLOCKS, is a plain dict with one bound
@@ -158,14 +165,15 @@ def test_every_memo_is_bounded():
     # guests to it).
     assert isinstance(scvm.machine._BLOCKS, dict)
     assert 0 < scvm.machine._BLOCK_PCS * scvm.machine._BLOCK_VARIANTS <= 1024
-    # The compiled trace renderers keep no memo of their own: each one
-    # they call is a module global of machine, so the scan above found it.
-    renderers = [f for r in scvm.machine._RENDERERS.values() for f in (r, r.head)]
+    # format_event's renderers, compiled from _line_text, keep no memo of
+    # their own: each one they call is a module global of machine, so the
+    # scan above found it.
+    renderers = list(scvm.machine._RENDERERS.values())
     assert all(f.__closure__ is None for f in renderers)
     called = {n for f in renderers for n in f.__code__.co_names}
     assert {n for n in called if isinstance(getattr(scvm.machine, n, None),
                                             functools._lru_cache_wrapper)} == {
-        "_fmt_head", "_fmt_code_src", "_fmt_stamp"}
+        "_fmt_code_src", "_fmt_stamp"}
 
 
 def test_the_code_table_defines_every_opcode_and_every_syscall():
@@ -224,6 +232,29 @@ def test_no_event_is_built_with_20_arguments():
             assert len(call.args) != 20, text
             counts.add(len(call.args))
     assert 21 in counts  # the lock events, padded
+
+
+def test_every_event_part_has_a_line_that_compiles_in_a_word_and_a_block():
+    """Both compilers splice an event's trace line into the code: its
+    _line_text between the word's or the block's stamp.  For every event
+    part of every _CODE_TEXT entry, under a handler's slots and under a
+    block's, that line is one f-string that compiles, and a block's
+    renders each field the code word fixes (a register, the opcode, a
+    literal source) at compile time."""
+    machine = scvm.machine
+    for key, parts in machine._CODE_TEXT.items():
+        op = key[0] if isinstance(key, tuple) else key
+        word = dict(rd="rd", rs="rs", rt="rt", imm="imm", next="pc + 8")
+        block = dict(rd=1, rs=2, rt=3, imm=0x40, next=0x18)
+        for fixed, template in ((word, machine._WORD_LINE), (block, machine._BLOCK_LINE)):
+            slots = machine._opcode_slots(op) | fixed
+            for kind, keywords in (part for part in parts if isinstance(part, tuple)):
+                text = machine._line_text(kind, keywords.format(**slots))
+                line = template.format(text=text, k=1, pc=0x10)
+                assert isinstance(ast.parse(line, mode="eval").body, ast.JoinedStr), line
+                compile(line, "<line>", "eval")
+                if fixed is block:
+                    assert not re.search(r"\{(\d|'|True|None|\('(imm|reg|binop)')", text), text
 
 
 def test_every_idle_kinds_includes_syscall():
