@@ -2,10 +2,10 @@
 
 Each plugin lists the event kinds it reads in `kinds` and is handed
 only events of those kinds, with a read-only view of the shadow state;
-it yields Warnings.  Only fmt reads the machine during a run: its memory.
-Plugins never mutate an event or either state, so enabling or disabling
-checkers cannot change a run.  A plugin serves one run: `make_checkers`
-builds fresh ones for each.
+it returns its Warnings, `()` when quiet.  Only fmt reads the machine
+during a run: its memory.  Plugins never mutate an event or either
+state, so enabling or disabling checkers cannot change a run.  A plugin
+serves one run: `make_checkers` builds fresh ones for each.
 
 Adding a checker means adding one class to the plugin table, `PLUGINS`:
 its `name` joins CHECKER_ORDER, its `kinds` join what the registry
@@ -78,16 +78,18 @@ class Warning:
 
 
 class CheckerRegistry:
-    """Fans each event out, in registration order, to the plugins whose
-    `kinds` include its kind, and keeps the first warning reported under
-    each dedup key."""
+    """Hands each event, in registration order, to the bound `on_event` of
+    every plugin whose `kinds` include its kind, filed per kind when the
+    registry is built, and keeps the first warning reported under each
+    dedup key."""
 
     def __init__(self, plugins):
         self._reported: dict = {}  # dedup key -> its first warning, in report order
-        self._by_kind: dict = {}
+        by_kind: dict = {}
         for plugin in plugins:
             for kind in plugin.kinds:
-                self._by_kind.setdefault(kind, []).append(plugin)
+                by_kind.setdefault(kind, []).append(plugin.on_event)
+        self._by_kind = {kind: tuple(calls) for kind, calls in by_kind.items()}
 
     @property
     def warnings(self) -> list:
@@ -95,9 +97,10 @@ class CheckerRegistry:
         return list(self._reported.values())
 
     def dispatch(self, event: Event) -> None:
-        for plugin in self._by_kind.get(event.kind, ()):
-            for w in plugin.on_event(event):
-                self._reported.setdefault(w.dedup_key, w)
+        for on_event in self._by_kind.get(event.kind, ()):
+            if warnings := on_event(event):
+                for w in warnings:
+                    self._reported.setdefault(w.dedup_key, w)
 
 
 class NullChecker:
@@ -112,13 +115,14 @@ class NullChecker:
 
     def on_event(self, e: Event):
         if e.base_reg is None:
-            return
+            return ()
         obj = self.shadow.reg_object(e.tid, e.base_reg)
-        if obj.tags & NULLABLE_TAGS and TagKind.NULL_CHECKED not in obj.tags:
-            kind = "ALLOC" if TagKind.ALLOC_UNCHECKED in obj.tags else "OPEN"
-            yield Warning.at(e, self.name, RULE_NULL_DEREF,
-                             f"{kind} result dereferenced without null check ({obj.note})",
-                             e.addr, obj.id)
+        if not obj.tags or not obj.tags & NULLABLE_TAGS or TagKind.NULL_CHECKED in obj.tags:
+            return ()  # an untagged register leaves before the set intersection
+        kind = "ALLOC" if TagKind.ALLOC_UNCHECKED in obj.tags else "OPEN"
+        return (Warning.at(e, self.name, RULE_NULL_DEREF,
+                           f"{kind} result dereferenced without null check ({obj.note})",
+                           e.addr, obj.id),)
 
 
 class UserChecker:
@@ -141,16 +145,17 @@ class UserChecker:
 
     def on_event(self, e: Event):
         if e.base_reg is None or e.mode != MODE_KERNEL:
-            return
+            return ()
         obj = self.shadow.reg_object(e.tid, e.base_reg)
         if TagKind.USER_UNCHECKED not in obj.tags:
-            return
-        if not e.iflag:
-            yield Warning.at(e, self.name, RULE_USER_IRQOFF,
-                             "user address dereferenced with interrupts disabled", e.addr, obj.id)
+            return ()
+        warnings = [] if e.iflag else [Warning.at(
+            e, self.name, RULE_USER_IRQOFF,
+            "user address dereferenced with interrupts disabled", e.addr, obj.id)]
         checked, rule, detail = self._ACCESS[e.kind]
         if checked not in obj.tags:
-            yield Warning.at(e, self.name, rule, detail, e.addr, obj.id)
+            warnings.append(Warning.at(e, self.name, rule, detail, e.addr, obj.id))
+        return warnings
 
 
 class FmtChecker:
@@ -166,7 +171,7 @@ class FmtChecker:
 
     def on_event(self, e: Event):
         if e.sysno != SYS_PRINTF:
-            return
+            return ()
         addr = e.args[0]
         data, terminated = read_cstr(self.machine.state.memory, addr, CSTR_CAP)
         sources = self.shadow.taint_sources  # a SYS 35 byte no load read holds no tag
@@ -175,12 +180,12 @@ class FmtChecker:
             if (tagged := TagKind.TAINTED in obj.tags) or sources is not None and sources[a]:
                 break
         else:
-            return
+            return ()
         note, ident = (obj.note, obj.id) if tagged else ("untrusted source range", None)
         detail = f"tainted byte at format offset {a - addr} ({note})"
         if not terminated:
             detail += f"; no NUL within {CSTR_CAP} bytes, scan truncated"
-        yield Warning.at(e, self.name, RULE_FMT_TAINTED, detail, a, ident)
+        return (Warning.at(e, self.name, RULE_FMT_TAINTED, detail, a, ident),)
 
 
 class LocksetChecker:
@@ -234,8 +239,12 @@ class LocksetChecker:
         if e.kind == "syscall":
             if e.sysno == SYS_SPAWN and self.tracked == "heap":  # r1: the new stack's top
                 self._mark(stack_base(e.args[1]), e.args[1], False)
-            return
-        for word in range(e.addr & ~3, e.addr + e.width, 4):
+            return ()
+        first = e.addr & ~3
+        if e.addr + e.width <= first + 4 and not bisect.bisect_right(self._edges, first) & 1:
+            return ()  # one untracked word (`_is_tracked` inline): the common quiet access
+        warnings = []
+        for word in range(first, e.addr + e.width, 4):
             if not self._is_tracked(word):
                 continue
             state = self.words.get(word)
@@ -250,8 +259,9 @@ class LocksetChecker:
                 continue  # reported already
             self.words[word] = held
             if not held:
-                yield Warning.at(e, self.name, RULE_RACE,
-                                 "no common lock protects this word across accesses", word)
+                warnings.append(Warning.at(e, self.name, RULE_RACE, "no common lock protects"
+                                           " this word across accesses", word))
+        return warnings
 
 
 # The plugin table, in canonical order: a checker is one class here.

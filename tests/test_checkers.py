@@ -7,6 +7,7 @@ acceptance gate holds the lockset to, is pinned here on hand-built
 event streams.
 """
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,8 @@ from scvm.checkers import (
     RULE_USER_WRITE,
     FmtChecker,
     LocksetChecker,
+    NullChecker,
+    UserChecker,
     CHECKER_ORDER,
     OPTIONS,
     CheckerRegistry,
@@ -33,6 +36,8 @@ from scvm.machine import (
     HEAP_BASE,
     HEAP_LIMIT,
     MEMORY_SIZE,
+    MODE_KERNEL,
+    MODE_USER,
     SYS_ALLOC,
     SYS_CHECK_USER_READ,
     SYS_CHECK_USER_WRITE,
@@ -46,10 +51,12 @@ from scvm.machine import (
     SYS_TAG_UNTRUSTED_SOURCE,
     SchedulerPolicy,
     load,
+    stack_base,
 )
-from scvm.shadow import ShadowState
+from scvm.shadow import ShadowState, TagKind
 
 from helpers import (
+    brute_force_first_empty,
     ev,
     happens_before_races,
     registry_warnings,
@@ -503,6 +510,139 @@ def test_wide_access_touches_every_overlapped_word():
         [checker], [ev("mem-write", addr=0x102, width=8, src=("syscall", 3))]
     )
     assert sorted(w.address for w in got) == [0x100, 0x104, 0x108]
+
+
+# Stack tops a SPAWN cuts from the heap: aligned, unaligned, and one whose
+# stack reaches below HEAP_BASE.
+GAP_TOPS = (HEAP_BASE + 0x800, HEAP_BASE + 0x1402, HEAP_BASE + 0x101)
+# Every address within 6 bytes of an edge of the tracked set: the image,
+# the heap and each stack a GAP_TOPS SPAWN cuts.
+NEAR_EDGES = sorted({a + d for a in (0, 8, HEAP_BASE, HEAP_LIMIT, *GAP_TOPS,
+                                     *(stack_base(t) for t in GAP_TOPS))
+                     for d in range(-6, 7) if a + d >= 0})
+
+
+def _lockset_stream(rng, n):
+    """Random mem-read/mem-write events around NEAR_EDGES and across the
+    heap, aligned and not, of widths 1, 2, 4, 8 and a READ_NET's 1024,
+    by three threads that mostly hold most of three locks, with a SPAWN
+    now and then."""
+    events = []
+    for step in range(n):
+        stamp = dict(step=step, tid=rng.randrange(3),
+                     locks_held=frozenset(lock for lock in (1, 2, 3) if rng.random() < 0.85))
+        if rng.random() < 0.05:
+            top = rng.choice(GAP_TOPS)
+            events.append(ev("syscall", sysno=SYS_SPAWN, args=(0, top, 0, 0), **stamp))
+            continue
+        width = 1024 if rng.random() < 0.03 else rng.choice((1, 2, 4, 8))
+        addr = (rng.choice(NEAR_EDGES) if rng.random() < 0.7
+                else rng.randrange(HEAP_BASE, HEAP_LIMIT) & rng.choice((~0, ~3)))
+        events.append(ev(rng.choice(("mem-read", "mem-write")), addr=addr, width=width, **stamp))
+    return events
+
+
+def _lockset_oracle(machine, events, tracked, grace):
+    """The per-word trace of the words tracked at each access, as a second
+    lockset handed only the SPAWNs tells them.  Returns the (word, step)
+    of each word's first empty lockset, by the brute-force oracle over
+    that trace, and the state the lockset keeps for each of its words
+    (`words`), recomputed from the word's whole history."""
+    spawns = LocksetChecker(machine, tracked=tracked)
+    trace, steps = [], []
+    for e in events:
+        if e.kind == "syscall":
+            spawns.on_event(e)
+            continue
+        for word in sorted({a & ~3 for a in range(e.addr, e.addr + e.width)}):
+            if spawns._is_tracked(word):
+                trace.append((word, e.tid, e.locks_held))
+                steps.append(e.step)
+    warned = brute_force_first_empty(trace, grace)
+    history = {}
+    for word, tid, held in trace:
+        history.setdefault(word, []).append((tid, held))
+    states = {}
+    for word, accesses in history.items():
+        owner = accesses[0][0]
+        start = next((i for i, (tid, _) in enumerate(accesses) if tid != owner),
+                     None) if grace else 0
+        states[word] = owner if start is None else frozenset.intersection(
+            *(held for _, held in accesses[start:]))  # the owner: still exclusive to it
+    return [(word, steps[i]) for word, i in warned.items()], states
+
+
+@pytest.mark.parametrize("tracked", ["heap", "all"])
+@pytest.mark.parametrize("grace", [False, True])
+def test_the_one_word_fast_path_reports_what_the_brute_force_oracle_does(tracked, grace):
+    """The lockset skips an access within one untracked word before it
+    splits the access into words.  Over random streams that straddle
+    the edges of the image, the heap and stacks cut by SPAWNs, it still
+    reports the words, and at the steps, of the brute-force oracle, and
+    it ends with the state the oracle's trace gives each word."""
+    rng = random.Random(0xFA57 + grace)
+    machine = load(assemble("HALT"))
+    reported = 0
+    for _ in range(40):
+        events = _lockset_stream(rng, rng.randint(50, 300))
+        lockset = LocksetChecker(machine, tracked=tracked, grace=grace)
+        got = registry_warnings([lockset], events)
+        want, states = _lockset_oracle(machine, events, tracked, grace)
+        assert [(w.address, w.step) for w in got] == want
+        assert lockset.words == states
+        reported += len(got)
+    assert reported > 40
+
+
+TAG_SETS = (
+    (),
+    (TagKind.ALLOC_UNCHECKED,),
+    (TagKind.ALLOC_UNCHECKED, TagKind.NULL_CHECKED),
+    (TagKind.FD_UNCHECKED,),
+    (TagKind.FD_UNCHECKED, TagKind.NULL_CHECKED),
+    (TagKind.TAINTED,),
+    (TagKind.USER_UNCHECKED,),
+    (TagKind.USER_UNCHECKED, TagKind.USER_READ_CHECKED),
+    (TagKind.USER_UNCHECKED, TagKind.USER_WRITE_CHECKED),
+    (TagKind.USER_UNCHECKED, TagKind.USER_READ_CHECKED, TagKind.USER_WRITE_CHECKED),
+)
+
+
+@pytest.mark.parametrize("tags", TAG_SETS, ids=lambda tags: "+".join(t.name for t in tags) or "untagged")
+def test_null_and_user_return_exactly_the_warnings_their_docstrings_state(tags):
+    """For each base-register tag set, mode, iflag, kind and base_reg
+    (None or a register): null warns at a dereference through an
+    ALLOC/OPEN result no compare has checked; user warns at a kernel
+    dereference of an unchecked user address with interrupts off, then
+    at one that lacks its access's check."""
+    shadow = ShadowState()
+    obj = shadow.fresh(tags, "minted here") if tags else shadow.untagged
+    shadow.reg_cells[1][3] = obj
+    null, user = NullChecker(None, shadow), UserChecker(None, shadow)
+    for mode, iflag, kind, base_reg in itertools.product(
+            (MODE_USER, MODE_KERNEL), (True, False), ("mem-read", "mem-write"), (None, 3)):
+        e = ev(kind, step=9, tid=1, pc=0x40, mode=mode, iflag=iflag, addr=HEAP_BASE + 8,
+               width=4, base_reg=base_reg, value=0)
+        want_null, want_user = [], []
+        if base_reg is not None and {TagKind.ALLOC_UNCHECKED, TagKind.FD_UNCHECKED} & set(tags) \
+                and TagKind.NULL_CHECKED not in tags:
+            origin = "ALLOC" if TagKind.ALLOC_UNCHECKED in tags else "OPEN"
+            want_null.append((RULE_NULL_DEREF, f"{origin} result dereferenced without null check"
+                                               " (minted here)"))
+        if base_reg is not None and mode == MODE_KERNEL and TagKind.USER_UNCHECKED in tags:
+            if not iflag:
+                want_user.append((RULE_USER_IRQOFF,
+                                  "user address dereferenced with interrupts disabled"))
+            if kind == "mem-read" and TagKind.USER_READ_CHECKED not in tags:
+                want_user.append((RULE_USER_READ, "user address read in kernel without read check"))
+            if kind == "mem-write" and TagKind.USER_WRITE_CHECKED not in tags:
+                want_user.append((RULE_USER_WRITE,
+                                  "user address written in kernel without write check"))
+        for plugin, want in ((null, want_null), (user, want_user)):
+            got = plugin.on_event(e)
+            assert [(w.rule, w.detail) for w in got] == want, (plugin.name, mode, iflag, kind)
+            assert {(w.checker, w.tid, w.pc, w.step, w.address, w.object_id) for w in got} <= {
+                (plugin.name, 1, 0x40, 9, HEAP_BASE + 8, obj.id)}
 
 
 def test_make_checkers_validation():

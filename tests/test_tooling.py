@@ -10,6 +10,7 @@ import ast
 import dataclasses
 import functools
 import importlib.util
+import inspect
 import json
 import re
 from collections.abc import Iterable
@@ -444,6 +445,13 @@ def test_benchmark_patched_names_exist():
         for kind in plugin.kinds:
             out = plugin.on_event(Event(kind=kind, **quiet))
             assert isinstance(out, Iterable) and list(out) == [], (plugin.name, kind)
+
+
+def test_no_plugin_on_event_is_a_generator():
+    """A plugin returns its warnings, `()` when quiet: a generator would
+    allocate a frame on every event it is handed, quiet or not."""
+    for cls in PLUGINS:
+        assert not inspect.isgeneratorfunction(cls.on_event), cls.name
 
 
 def top_level_value(source: str, name: str) -> ast.expr:
