@@ -18,8 +18,8 @@ processing emits.  Event lines go out in blocks of at most 32 lines,
 one write per block; a shadow line starts a new write, so no write
 holds two of them.  Memory stays bounded and the bytes are those of one
 line per write; the last block goes out when the run ends, however it
-ends.  --trace events takes each event's line, compiled into its code
-word from machine.EVENT_FIELDS; a shadow line renders each tag set once.
+ends.  --trace events reads machine.LINES, each event's line compiled
+into its code word; a shadow line renders each tag set once.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .corpus import run_corpus
 from .driver import RunConfig, analyze
 from .machine import (
     DEFAULT_STEP_LIMIT,
+    LINES,
     ROUND_ROBIN,
     SCHEDULER_KINDS,
     SchedulerPolicy,
@@ -136,7 +137,7 @@ _BLOCK_LINES = 32  # lines per write to stdout: few writes, a few KB held
 
 
 def _trace_out():
-    """Observer for --trace events (a line observer), sink for --trace
+    """Observer for --trace events (a reader of LINES), sink for --trace
     shadow, and their flush, sharing one block of lines in the order they
     are made.  Event lines wait until _BLOCK_LINES of them go to stdout in
     one write; a shadow line flushes the block and starts the next, so
@@ -153,7 +154,7 @@ def _trace_out():
         block.append(line)
         if len(block) >= _BLOCK_LINES:
             flush()
-    observe.lines = True
+    observe.kinds = (LINES,)
 
     def shadow_line(line: str) -> None:
         flush()
@@ -171,7 +172,7 @@ def _outcome_status(result) -> int:
 
 
 def _cmd_run(args) -> int:
-    """Bare run: no shadow state, no checkers, no Event (--trace events takes lines)."""
+    """Bare run: no shadow state, no checkers, no Event (--trace events reads LINES)."""
     image, policy = _image_and_policy(args)
     machine = load(image, policy)
     observe, _, flush = _trace_out()

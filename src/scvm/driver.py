@@ -32,7 +32,7 @@ class RunConfig:
     policy: SchedulerPolicy = field(default_factory=SchedulerPolicy)
     step_limit: int = DEFAULT_STEP_LIMIT
     checker_options: dict = field(default_factory=dict)
-    observers: tuple = ()  # each handed the Events (with `lines` true, lines) of its `kinds`
+    observers: tuple = ()  # each handed the Events (and lines, for LINES) of its `kinds`
     shadow_trace: Callable[[str], None] | None = None  # handed each shadow trace line
 
 

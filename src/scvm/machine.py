@@ -9,28 +9,29 @@ reach back into mutable machine state to interpret them.  An observer
 may name the kinds it reads in `kinds`, and those it reads until it wakes
 in `idle_kinds` (see EVENT_KINDS, Machine); an event reaches only the
 observers that read its kind, and a kind nobody reads builds no Event.
-One whose `lines` is true takes each event's format_event line instead,
-built inline by the code word: a kind only such observers read builds no Event.
+One more kind, LINES, is each event's format_event line, built inline
+by the code word and handed to its readers before the event's Event.
 
 Each code word is decoded once and compiled once per read set, the set
 of kinds the observers read, into a handler closed over its operands
 and memoized on the word's 8 bytes, so code the guest writes at run
 time needs no invalidation.  One table, _CODE_TEXT, defines every
 opcode and every syscall number: each one's code and events, its
-`fetch` first, in order.  The word compiler builds each word's handler
-from it, through a factory compiled once per entry and read set that
-builds only the events of that set, so an unread kind costs no test; a
-SYS's events after its `syscall`, which can wake an observer, are built
-only if their kind has readers then.  A bare run is the empty read set.
+`fetch` first, in order; one walk (_walk) turns an entry into code for
+both compilers.  The word compiler builds each word's handler through a
+factory compiled once per entry and read set that builds only the lines
+and events of that set, so an unread kind costs no test; a SYS's after
+its `syscall`, which can wake an observer, are built only if their kind
+has readers then.  A bare run is the empty read set.
 
 Straight-line code also runs in blocks, as Bochs's trace cache and
 QEMU's translation blocks do, under any read set.  A block is the words
 from a pc up to and including the first BEQ, BNE, JMP, CALL or RET,
 ending before a SYS, CLI, STI or HALT or a word that does not decode,
-and at most _BLOCK_WORDS long.  The block compiler inlines the same
-table into one function for the run's read set, which builds each
-word's events of that set inline (as libdft inlines its analysis), once
-a pc has been dispatched _HOT times in a run, and caches it for the
+and at most _BLOCK_WORDS long.  The block compiler walks the same table
+into one function for the run's read set, which builds each word's
+lines and events of that set inline (as libdft inlines its analysis),
+once a pc has been dispatched _HOT times in a run, and caches it for the
 whole process (_BLOCKS), bounded, on its exact bytes and read set.  A
 block stops, with the thread's pc at the next word, before a load or
 store that would fault and after a store into its own bytes; the
@@ -135,7 +136,9 @@ EVENT_FIELDS = {
     "thread-exit": (), "mode-change": (), "iflag-change": (),
 }
 EVENT_KINDS = tuple(EVENT_FIELDS)
-_LINE_KINDS = {kind: kind + "/line" for kind in EVENT_KINDS}  # kind -> its line readers' key
+# The kind of each event's format_event line, which an observer reads only
+# if its `kinds` lists it.
+LINES = "lines"
 
 ROUND_ROBIN = "round-robin"
 SEEDED_RANDOM = "seeded-random"
@@ -352,29 +355,29 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 
 # -- compiled code words --------------------------------------------------
 #
-# A handler, handler(m, t, pc, s, st, by_kind, wake), executes step s,
-# one instruction for thread t of machine m, whose state is st, at pc and
-# sets t.pc (a blocked LOCK and a HALT leave it as it is), or raises
-# _Fault.  It hands the instruction's `fetch`, then its operand events in
-# operand-evaluation order, to their kind's readers in by_kind, and each
-# reader that returns true at its `syscall` event to wake.  First, each
-# event's line goes to its line readers, by_kind[_LINE_KINDS[kind]], whose
-# return is ignored: they wake nothing.
+# A handler, handler(sched, t, pc, s, st, by_kind, wake), executes step
+# s, one instruction for thread t of the machine whose state is st and
+# scheduler sched, at pc and sets t.pc (a blocked LOCK and a HALT leave it
+# as it is), or raises _Fault.  It hands the instruction's `fetch`, then
+# its operand events in operand-evaluation order, to their kind's readers
+# in by_kind, each event's line to the readers of LINES first, and each
+# reader that returns true at its `syscall` event to wake; a line's
+# readers wake nothing.
 #
 # _CODE_TEXT is the one definition of every opcode, and of each syscall n
 # under the key (SYS, n); SYS's own entry faults on an unknown number.
-# The word compiler (_handler_factory) and the block compiler
-# (_build_block) both read it.  An entry lists its word's parts in event
-# order: code, as text, and events, as (kind, keyword text).  In the
-# templates {rd}, {rs}, {rt} and {imm} are the word's fields, {next} the
-# next word's address, {op} its opcode's name as a literal, {width},
-# {mask}, {last} and {align} its access's, and {fault} what a load or
-# store that would fault does: a handler raises, a block stops before the
-# word.  In the code r is the thread's registers, st the state and m the
-# memory, or the machine in SYS, which no block holds.  A handler builds
-# each event up to a SYS's `syscall` only if its kind is read, and each
-# later one only if its kind has readers then: the `syscall` event can
-# wake an observer, which then reads the rest of the step.
+# An entry lists its word's parts in event order: code, as text, and
+# events, as (kind, keyword text).  One walk, _walk, turns an entry's
+# parts into code, for the word compiler (_handler_factory) and the block
+# compiler (_build_block) alike; they differ only in the slots they fill,
+# the order of the parts they pass and the code they wrap around it.  In
+# the templates {rd}, {rs}, {rt} and {imm} are the word's fields, {next}
+# the next word's address, {op} its opcode's name as a literal, {width},
+# {mask}, {last} and {align} its access's, {fault} what a load or store
+# that would fault does (a handler raises, a block stops before the
+# word), {stamp} an event's stamp and {line} its line around its {text}.
+# In the code r is the thread's registers, st the state, m the memory
+# and sched the scheduler, which only SYS reads and no block holds.
 
 _U32 = struct.Struct("<I")  # a word in memory
 load32, store32 = _U32.unpack_from, _U32.pack_into
@@ -389,7 +392,6 @@ def _access_fault(addr: int, width: int) -> _Fault:
 
 _FAULTS = ("a = (r[{rs}] + {imm}) & 0xFFFFFFFF\n"
            "if a > {last} or a & {align}: {fault}")
-_LANDS_IN = "if {lo} < a < {hi}: t.pc = {next}; return {done}"  # blocks only
 _FETCH = ("fetch", "op={op}")
 _READ_RS = ("reg-read", "reg={rs}, value=r[{rs}]")
 _READ_RT = ("reg-read", "reg={rt}, value=r[{rt}]")
@@ -408,8 +410,7 @@ _CODE_TEXT = {
        for op, load in ((Opcode.LD, "load32(m, a)[0]"), (Opcode.LDB, "m[a]"))},
     **{op: (_FETCH, _READ_RS, _READ_RT, _FAULTS, store,
             ("mem-write", "addr=a, width={width}, value=r[{rt}] & {mask}, base_reg={rs}, "
-                          "src=('reg', {rt})"),
-            _LANDS_IN)
+                          "src=('reg', {rt})"))
        for op, store in ((Opcode.ST, "store32(m, a, r[{rt}] & 0xFFFFFFFF)"),
                          (Opcode.STB, "m[a] = r[{rt}] & 0xFF"))},
     **{op: (_FETCH, _READ_RS, _READ_RT,
@@ -450,7 +451,7 @@ _CODE_TEXT = {
     (Opcode.SYS, SYS_READ_NET): (_FETCH, _SYSCALL,
         "if r[1] <= 0: t.pc = {next}; return\n"  # no bytes, no mem-write
         "if r[0] + r[1] > MEMORY_SIZE: raise _access_fault(r[0], r[1])\n"
-        "seed = m.scheduler.policy.seed\n"  # the pattern's offset
+        "seed = sched.policy.seed\n"  # the pattern's offset
         "for i in range(r[1]): st.memory[r[0] + i] = (seed + i) & 0xFF",
         ("mem-write", "addr=r[0], width=r[1], src=('syscall', {imm})")),
     (Opcode.SYS, SYS_PRINTF): (_FETCH, _SYSCALL, _PAST_END,
@@ -489,7 +490,7 @@ _CODE_TEXT = {
         _SYSCALL, "del st.locks[r[0]]\nt.locks_held = t.locks_held - {{r[0]}}",
         ("unlock", "lock=r[0]"),
         "for tid in st.blocked.pop(r[0], ()): bisect.insort(st.runnable, tid)"),
-    (Opcode.SYS, SYS_YIELD): (_FETCH, _SYSCALL, "m.scheduler.expire_slice()"),
+    (Opcode.SYS, SYS_YIELD): (_FETCH, _SYSCALL, "sched.expire_slice()"),
     (Opcode.SYS, SYS_EXIT_THREAD): (_FETCH, _SYSCALL, *_END_THREAD),
 }
 _BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL, Opcode.RET)  # they set t.pc
@@ -497,17 +498,11 @@ _BLOCK_ENDS = (Opcode.BEQ, Opcode.BNE, Opcode.JMP, Opcode.CALL, Opcode.RET)  # t
 _BLOCK_OPS = set(Opcode) - {Opcode.SYS, Opcode.CLI, Opcode.STI, Opcode.HALT}
 
 
-def _flagged(parts: tuple) -> tuple:
-    """The parts of an entry whose events its handler emits only if read:
-    all of them, or a SYS's up to its `syscall`."""
-    return parts[: parts.index(_SYSCALL) + 1] if _SYSCALL in parts else parts
-
-
-# The kinds each entry's handler may emit only if read, and those of its
-# events' lines, so read sets that differ only in other kinds share its factory.
-_HANDLER_KINDS = {key: frozenset(part[0] for part in _flagged(parts) if isinstance(part, tuple))
-                  | {_LINE_KINDS[part[0]] for part in parts if isinstance(part, tuple)}
-                  for key, parts in _CODE_TEXT.items()}
+# The kinds an entry's handler builds only if read, LINES and those of its
+# events up to a SYS's `syscall`: read sets differing in others share it.
+_HANDLER_KINDS = {key: frozenset({LINES}).union(
+    part[0] for part in parts[: parts.index(_SYSCALL) + 1 if _SYSCALL in parts else None]
+    if isinstance(part, tuple)) for key, parts in _CODE_TEXT.items()}
 
 
 def _opcode_slots(op: Opcode) -> dict:
@@ -517,8 +512,8 @@ def _opcode_slots(op: Opcode) -> dict:
                 last=MEMORY_SIZE - width, align=width - 1)
 
 
-# The stamp, {stamp} in an event's template and around {text} in its line:
-# a handler reads it per event, a block all but the step and pc once.
+# {stamp}, in an event's template, and {line}, around its line's {text}:
+# a handler reads the stamp per event, a block all but the step and pc once.
 _WORD_STAMP = "s, t.tid, pc, t.mode, st.iflag, t.locks_held"
 _BLOCK_STAMP = "s + {k}, tid, {pc}, mode, iflag, held"
 _WORD_LINE = ("f'''{{s}}\\t{{t.tid}}\\t0x{{pc:04X}}{text}"
@@ -542,38 +537,56 @@ def _event_text(kind: str, keywords: str) -> str:
     return f"Event({kind!r}, {{stamp}}{''.join(', ' + arg for arg in args)})"
 
 
+def _walk(parts: tuple, slots: dict, reads: frozenset, head: dict) -> list:
+    """The code of a word's _CODE_TEXT parts, in the order given: each
+    code part with its slots filled, and for each event part its line,
+    handed to the readers of LINES, then its Event, handed to those of
+    its kind.  Up to a SYS's `syscall` event a delivery is built only if
+    its kind is in reads, for its readers as the caller's function reads
+    them at its start, into head's locals (local -> expression); after
+    that event, which can wake an observer, only if its kind has readers."""
+    code, woke = [], False
+    for part in parts:
+        if isinstance(part, str):
+            code += part.format(**slots).split("\n")
+            continue
+        kind, keywords = part[0], part[1].format(**slots)
+        for to, name in ((LINES, "line"), (kind, "e")):
+            if not woke and to not in reads:
+                continue
+            value = (slots["line"].format(text=_line_text(kind, keywords), **slots)
+                     if to is LINES else _event_text(*part).format(**slots))
+            call = "f(e) and wake(f)" if part is _SYSCALL and name == "e" else f"f({name})"
+            if woke:
+                code += [f"if readers := by_kind[{to!r}]:", f"    {name} = {value}",
+                         f"    for f in readers: {call}"]
+            else:
+                head[local := "to_" + to.replace("-", "_")] = f"by_kind[{to!r}]"
+                code += [f"{name} = {value}", f"for f in {local}: {call}"]
+        woke = woke or part is _SYSCALL
+    return code
+
+
 @functools.lru_cache(maxsize=sum(2 ** len(kinds) for kinds in _HANDLER_KINDS.values()))
 def _handler_factory(op: Opcode, parts: tuple, reads: frozenset):
     """factory(rd, rs, rt, imm), which returns the handler of a word of
     opcode op whose _CODE_TEXT entry is parts, closed over the word's
-    fields, for the read set reads (of the entry's _HANDLER_KINDS): it
-    builds each _flagged event of a kind in reads, so an unread kind
-    costs no test, and each later one whose kind has readers.  Compiled
-    with `exec` once per entry text and kinds read, so a word costs one
-    closure, and entries of one text (the hypercalls') share a factory."""
-    slots = _opcode_slots(op) | dict(rd="rd", rs="rs", rt="rt", imm="imm",
-                                     next=f"pc + {INSTR_SIZE}", stamp=_WORD_STAMP)
+    fields, for the read set reads (of the entry's _HANDLER_KINDS).
+    Compiled with `exec` once per entry text and kinds read, so a word
+    costs one closure, and entries of one text (the hypercalls') share a
+    factory."""
+    slots = _opcode_slots(op) | dict(rd="rd", rs="rs", rt="rt", imm="imm", stamp=_WORD_STAMP,
+                                     next=f"pc + {INSTR_SIZE}", line=_WORD_LINE)
     slots["fault"] = f"raise _access_fault(a, {slots['width']})"
-    lines = ["m = st.memory"] if _FAULTS in parts else []
-    flagged = len(_flagged(parts))
-    for k, part in enumerate(parts):
-        if isinstance(part, str):
-            if part is not _LANDS_IN:
-                lines += part.format(**slots).split("\n")
-            continue
-        if _LINE_KINDS[part[0]] in reads:
-            line = _WORD_LINE.format(text=_line_text(part[0], part[1].format(**slots)))
-            lines += [f"line = {line}", f"for f in by_kind[{_LINE_KINDS[part[0]]!r}]: f(line)"]
-        if part[0] in reads or k >= flagged:
-            lines += [f"if readers := by_kind[{part[0]!r}]:",
-                      f"    e = {_event_text(*part).format(**slots)}",
-                      f"    for f in readers: {'f(e) and wake(f)' if part is _SYSCALL else 'f(e)'}"]
+    head = {"m": "st.memory"} if _FAULTS in parts else {}
+    code = _walk(parts, slots, reads, head)
     if op not in (*_BLOCK_ENDS, Opcode.HALT):
-        lines.append(f"t.pc = {slots['next']}")
+        code.append(f"t.pc = {slots['next']}")
+    code[:0] = (f"{name} = {value}" for name, value in head.items())
     scope = {}
     exec("def factory(rd, rs, rt, imm):\n"
-         "    def handler(m, t, pc, s, st, by_kind, wake):\n        r = t.regs\n"
-         + "".join(f"        {line}\n" for line in lines) + "    return handler\n",
+         "    def handler(sched, t, pc, s, st, by_kind, wake):\n        r = t.regs\n"
+         + "".join(f"        {line}\n" for line in code) + "    return handler\n",
          globals(), scope)
     return scope["factory"]
 
@@ -614,20 +627,17 @@ def _compiler(reads: frozenset):
 #
 # block(t, m, n, s, st, by_kind) runs up to n of the straight-line words
 # from its pc for thread t over memory m, as their handlers would, and
-# returns how many ran, with t.pc at the next word to run.  Each word
-# hands its events of the block's read set, each one's line first, as its
-# handler would, to by_kind's readers, stamped with step s plus its index,
-# its pc, and the tid, mode, locks held and st.iflag read once, as is the
-# stamp's text in a block with a line (a block holds no SYS, CLI, STI or
-# HALT).  It stops early, raising nothing, before the `fetch` of a load or
-# store that would fault (the fault test, free of side effects, is
-# hoisted ahead of the word's parts), after a store into its own bytes
-# and before its n+1th word, so the per-word path runs the faulting word,
-# the rewritten code and the slice's last step.  A block inlines its
-# words' _CODE_TEXT entries with every slot a constant, and their lines
-# with each field the word fixes rendered; in the block-only slots {k} is
-# the word's index in the block and {done} one more, and a store's {lo}
-# and {hi} bound the addresses at which it lands in the block's bytes.
+# returns how many ran, with t.pc at the next word to run.  It walks its
+# words' _CODE_TEXT entries, each with every slot a constant and its
+# fault test hoisted ahead of its parts (the test is free of side
+# effects), so each word hands its lines and events of the block's read
+# set, as its handler would, stamped with step s plus the word's index
+# {k}, its pc, and the tid, mode, locks held and st.iflag read once, as
+# is the stamp's text of its lines (a block holds no SYS, CLI, STI or
+# HALT), each field the word fixes rendered.  It stops early, raising
+# nothing, before the `fetch` of a load or store that would fault, after
+# a store into its own bytes and before its n+1th word, so the per-word
+# path runs the faulting word, the rewritten code and the slice's last step.
 
 _BLOCK_WORDS = 32  # the most words one block holds
 _HOT = 16  # the dispatch of a pc, in a run under one read set, at which its block is built
@@ -657,39 +667,30 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
             break
     if not words:
         return None
-    hi = pc + len(words) * INSTR_SIZE
-    lines, head = [], {}  # head: each local the block reads once, at its start
+    hi, code = pc + len(words) * INSTR_SIZE, []
+    head = {"stamp": "_fmt_stamp(mode, iflag, held)"} if LINES in reads else {}
     for k, i in enumerate(words):
         at = pc + k * INSTR_SIZE
         if k:
-            lines.append(f"if n == {k}: t.pc = {at}; return {k}")
+            code.append(f"if n == {k}: t.pc = {at}; return {k}")
         slots = _opcode_slots(i.opcode)
-        slots.update(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, done=k + 1, pc=at,
-                     next=at + INSTR_SIZE, lo=pc - slots["width"], hi=hi,
-                     fault=f"t.pc = {at}; return {k}", stamp=_BLOCK_STAMP.format(k=k, pc=at))
-        for part in sorted(_CODE_TEXT[i.opcode], key=lambda part: part is not _FAULTS):
-            if isinstance(part, str):
-                lines += part.format(**slots).split("\n")
-                continue
-            name = part[0].replace("-", "_")
-            if _LINE_KINDS[part[0]] in reads:
-                head.update({"stamp": "_fmt_stamp(mode, iflag, held)",
-                             f"lines_{name}": f"by_kind[{_LINE_KINDS[part[0]]!r}]"})
-                text = _line_text(part[0], part[1].format(**slots))
-                lines += [f"line = {_BLOCK_LINE.format(text=text, **slots)}",
-                          f"for f in lines_{name}: f(line)"]
-            if part[0] in reads:
-                head[f"to_{name}"] = f"by_kind[{part[0]!r}]"
-                lines += [f"e = {_event_text(*part).format(**slots)}", f"for f in to_{name}: f(e)"]
+        slots.update(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, pc=at, next=at + INSTR_SIZE,
+                     fault=f"t.pc = {at}; return {k}", stamp=_BLOCK_STAMP.format(k=k, pc=at),
+                     line=_BLOCK_LINE)
+        code += _walk(sorted(_CODE_TEXT[i.opcode], key=lambda part: part is not _FAULTS),
+                      slots, reads, head)
+        if i.opcode in (Opcode.ST, Opcode.STB):  # into the block's own bytes, it ends the block
+            code.append(f"if {pc - slots['width']} < a < {hi}: t.pc = {at + INSTR_SIZE}; "
+                        f"return {k + 1}")
     if words[-1].opcode not in _BLOCK_ENDS:
-        lines.append(f"t.pc = {hi}")
-    lines.append(f"return {len(words)}")
+        code.append(f"t.pc = {hi}")
+    code.append(f"return {len(words)}")
     if head:
-        lines[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
-                     *(f"{name} = {value}" for name, value in head.items())]
+        code[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
+                    *(f"{name} = {value}" for name, value in head.items())]
     scope = {}
     exec("def block(t, m, n, s, st, by_kind):\n    r = t.regs\n"
-         + "".join(f"    {line}\n" for line in lines), globals(), scope)
+         + "".join(f"    {line}\n" for line in code), globals(), scope)
     block = scope["block"]
     if pc not in _BLOCKS and len(_BLOCKS) >= _BLOCK_PCS:
         _BLOCKS.clear()
@@ -743,9 +744,9 @@ class Machine:
     have none.  They are the only way to see the event stream.  One with
     `idle_kinds` reads only those until it joins `woken`, as it does when
     its call at a `syscall` event returns true or a caller adds it before
-    run(); then it reads its `kinds`, in resumed runs too.  One whose
-    `lines` is true receives each event's format_event line in its place,
-    before the event's other readers; its return value is ignored.
+    run(); then it reads its `kinds`, in resumed runs too.  One that
+    reads LINES receives each event's format_event line before its
+    Event; a line's return value is ignored: a line wakes nothing.
     """
 
     def __init__(self, state: MachineState, policy: SchedulerPolicy | None = None):
@@ -768,12 +769,12 @@ class Machine:
         set, the kinds some observer reads (_compiler); with no
         observers that set is empty and the run builds no event.  An
         idle observer wakes when its call at a `syscall` event returns
-        true, and every later event reaches it, those of the waking step
-        included.  A slice with room for two more steps runs a block
-        (_block_at) where one is cached for the read set or pc is hot,
-        and runs it again while it branches back to its own pc; the
-        block never runs the slice's last step, which, like a SYS or
-        HALT, goes through its handler and so settles the quantum.
+        true, and every later event or line it reads reaches it, those
+        of the waking step included.  A slice with room for two more
+        steps runs a block (_block_at) where one is cached for the read
+        set or pc is hot, and runs it again while it branches back to its
+        own pc; the block never runs the slice's last step, which, like a
+        SYS or HALT, goes through its handler and so settles the quantum.
 
         A fault records itself in state.fault and halts the machine;
         effects already committed before the fault point stand, nothing
@@ -781,20 +782,17 @@ class Machine:
         """
         st = self.state
         threads = st.threads
-        by_kind = {}  # kind or line kind -> readers, kept in place so a handler sees a wake
+        by_kind = {}  # kind -> readers, kept in place so a handler sees a wake
 
         def read():
-            """Each kind's readers, as fresh tuples (a loop over the old
-            ones keeps them), and the handlers for the kinds read."""
+            """Each kind's readers, LINES's too, as fresh tuples (a loop over
+            the old ones keeps them), and the handlers for the kinds read."""
             nonlocal reads, compile_, hot
-            by_kind.update(dict.fromkeys(by_kind or EVENT_KINDS, ()))
+            by_kind.update(dict.fromkeys(by_kind or (*EVENT_KINDS, LINES), ()))
             for fn in self.observers:
                 kinds = getattr(fn, "kinds", None)
                 if hasattr(fn, "idle_kinds") and fn not in self.woken:
                     kinds = fn.idle_kinds
-                if getattr(fn, "lines", False):  # filed under each kind's line key
-                    kinds = [_LINE_KINDS[k] for k in (EVENT_KINDS if kinds is None else kinds)]
-                    by_kind.update((kind, by_kind.get(kind, ())) for kind in kinds)
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
             # From a set, which sizes the frozenset's table to fit its kinds.
@@ -851,7 +849,7 @@ class Machine:
                     end = ends or step_no == last
                     if end and step_no > first:  # a pick per step's count, before a YIELD
                         sched._used = (used + step_no - first - 1) % quantum + 1
-                    handler(self, t, pc, step_no, st, by_kind, wake)
+                    handler(sched, t, pc, step_no, st, by_kind, wake)
                     step_no += 1
                     if end:
                         break

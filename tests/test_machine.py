@@ -22,6 +22,7 @@ from scvm.machine import (
     EVENT_FIELDS,
     EVENT_KINDS,
     HEAP_BASE,
+    LINES,
     MAX_LOCKS_HELD,
     ROUND_ROBIN,
     SEEDED_RANDOM,
@@ -1424,7 +1425,7 @@ def test_no_event_is_built_for_a_kind_nobody_reads(monkeypatch):
 
 
 def _line_reader():
-    """An observer that takes the trace line of every kind, returning
+    """An observer that reads LINES, every event's trace line, returning
     true at each, and the lines it got."""
     got = []
 
@@ -1432,7 +1433,7 @@ def _line_reader():
         got.append(line)
         return True
 
-    take.lines = True
+    take.kinds = (LINES,)
     return take, got
 
 
@@ -1440,7 +1441,7 @@ def _line_reader():
 def test_an_events_line_reaches_its_line_readers_before_its_event_readers(monkeypatch, hot):
     """A line observer registered after an observer of Events still gets
     each event's line before that event's Event, in blocks and word by
-    word: the machine hands a kind's line readers each event first."""
+    word: the machine hands the readers of LINES each event's line first."""
     monkeypatch.setattr(scvm.machine, "_HOT", hot)
     machine = load(assemble(OBSERVED_SRC))
     order = []
@@ -1448,7 +1449,7 @@ def test_an_events_line_reaches_its_line_readers_before_its_event_readers(monkey
     def take(line):
         order.append(line)
 
-    take.lines = True
+    take.kinds = (LINES,)
     machine.add_observer(order.append)
     machine.add_observer(take)
     machine.run(step_limit=200)
@@ -1458,14 +1459,15 @@ def test_an_events_line_reaches_its_line_readers_before_its_event_readers(monkey
 
 
 def test_a_line_observer_wakes_nothing():
-    """A line reader's return value is ignored: one idle on `syscall`
-    lines that returns true at each, a minting SYS's among them, joins
-    no machine.woken.  The idle shadow beside it reads only its idle
-    kinds until its own call at the minting SYS wakes it, as it does
-    with no line observer."""
-    image = assemble("SYS 51\n" + WAKE_SRC)  # a YIELD, which mints nothing, then WAKE_SRC
+    """A line reader's return value is ignored: one idle on LINES that
+    returns true at every line, a minting SYS's among them, joins no
+    machine.woken and gets every event's line.  The idle shadow beside
+    it reads only its idle kinds until its own call at the minting SYS
+    wakes it, exactly what it reads with no line reader."""
+    src = "SYS 51\n" + WAKE_SRC  # a YIELD, which mints nothing, then WAKE_SRC
+    image = assemble(src)
     take, got = _line_reader()
-    take.idle_kinds = ("syscall",)
+    take.idle_kinds = (LINES,)
     runs = []
     for observers in ((take,), ()):
         machine = load(image)
@@ -1475,10 +1477,38 @@ def test_a_line_observer_wakes_nothing():
         assert machine.run(step_limit=100).outcome == "halt"
         assert machine.woken == {shadow.on_event}
         runs.append(shadow.events)
-    assert [line.split("\t")[3] for line in got] == ["syscall", "syscall"]
+    assert got == [format_event(e) for e in run_source(src, step_limit=100)[1].events]
     assert runs[0] == runs[1]
     wake = image.symbols["wake"] // INSTR_SIZE
     assert [(e.step, e.kind) for e in runs[0] if e.step < wake] == [(0, "syscall")]
+
+
+@pytest.mark.parametrize("hot", (scvm.machine._HOT, 1))
+def test_a_line_reader_woken_at_a_syscall_gets_the_rest_of_that_steps_lines(monkeypatch, hot):
+    """Lines follow the wake rule of Events: an observer of LINES and
+    `syscall`, idle on `syscall`, that returns true at the minting SYS's
+    `syscall` Event gets no line before it and, from that Event on, the
+    rest of that step's lines (the ALLOC's reg-write line), then every
+    later line, in blocks and word by word."""
+    monkeypatch.setattr(scvm.machine, "_HOT", hot)
+    image = assemble(WAKE_SRC)
+    got = []
+
+    def take(x):
+        got.append(x)
+        return isinstance(x, Event)
+
+    take.kinds, take.idle_kinds = (LINES, "syscall"), ("syscall",)
+    machine = load(image)
+    machine.add_observer(take)
+    assert machine.run(step_limit=100).outcome == "halt"
+    assert machine.woken == {take}
+    wake = image.symbols["wake"] // INSTR_SIZE
+    events = run_source(WAKE_SRC, step_limit=100)[1].events
+    syscall, write = [e for e in events if e.step == wake and e.kind != "fetch"]
+    assert (syscall.kind, write.kind) == ("syscall", "reg-write")
+    assert got == [syscall, format_event(write), *(format_event(e) for e in events
+                                                   if e.step > wake)]
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -45,6 +45,7 @@ from scvm.isa import Opcode
 from scvm.machine import (
     EVENT_KINDS,
     HEAP_BASE,
+    LINES,
     ROUND_ROBIN,
     SCHEDULER_KINDS,
     SEEDED_RANDOM,
@@ -135,7 +136,7 @@ def run_with_lines(image, policy, step_limit):
     def take(line):
         got.append(line)
 
-    observe.kinds, take.lines = ShadowState.on_event.kinds, True
+    observe.kinds, take.kinds = ShadowState.on_event.kinds, (LINES,)
     machine.add_observer(observe)
     machine.add_observer(take)
     result = machine.run(step_limit)

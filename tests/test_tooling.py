@@ -37,6 +37,7 @@ from scvm.machine import (
     EVENT_FIELDS,
     EVENT_KINDS,
     HEAP_BASE,
+    LINES,
     SYS_LOCK,
     SYSCALL_NAMES,
     Event,
@@ -138,26 +139,23 @@ def test_every_memo_is_bounded():
     """No guest can exhaust host memory through a memo: every functools
     cache in scvm (the per-opcode-and-read-set handler factories and the
     per-word line templates among them), and each per-read-set compile
-    cache that _compiler returns, a trace's read set with line kinds
-    too, has a finite maxsize, and so does the block cache."""
+    cache that _compiler returns, a trace's read set with LINES too,
+    has a finite maxsize, and so does the block cache."""
     found = {}
     for path in MODULES:
         if path.stem != "__main__":  # importing it runs the CLI
             module = importlib.import_module(f"scvm.{path.stem}")
             found.update({f"{path.stem}.{n}": f for n, f in memos(vars(module)).items()})
-    lines = frozenset(scvm.machine._LINE_KINDS.values())
-    for reads in (frozenset(), frozenset(EVENT_KINDS), frozenset(EVENT_KINDS) | lines):
+    for reads in (frozenset(), frozenset(EVENT_KINDS), frozenset({*EVENT_KINDS, LINES})):
         found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
     assert {"machine._decode", "machine._line_text", "machine._fmt_code_src",
             "machine._fmt_stamp", "machine._event_text", "machine._handler_factory",
             "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
     # The handler factories' cache holds every (opcode, kinds read) pair,
-    # the line kinds of each entry's events among the kinds, so no run
-    # evicts a factory and compiles it with `exec` again.
-    assert all(scvm.machine._LINE_KINDS[part[0]] in scvm.machine._HANDLER_KINDS[key]
-               for key, parts in scvm.machine._CODE_TEXT.items()
-               for part in parts if isinstance(part, tuple))
+    # LINES among each entry's kinds, so no run evicts a factory and
+    # compiles it with `exec` again.
+    assert all(LINES in kinds for kinds in scvm.machine._HANDLER_KINDS.values())
     assert scvm.machine._handler_factory.cache_info().maxsize >= sum(
         2 ** len(kinds) for kinds in scvm.machine._HANDLER_KINDS.values())
     # The block cache, machine._BLOCKS, is a plain dict with one bound
@@ -377,6 +375,43 @@ def test_warnings_are_stamped_only_by_warning_at():
 def test_observers_read_only_known_kinds():
     assert set(ShadowState.on_event.kinds) <= set(EVENT_KINDS)
     assert set(CheckerRegistry.dispatch.kinds) <= set(EVENT_KINDS)
+    observe, _, _ = scvm.cli._trace_out()  # --trace events: lines, and no Event
+    assert observe.kinds == (LINES,)
+    assert LINES not in EVENT_KINDS
+
+
+def test_only_the_walk_builds_an_events_code():
+    """machine._walk is the one emission loop: it alone turns an event
+    part into its Event template (_event_text) and, beside format_event's
+    renderers, into its line (_line_text), so no compiler delivers an
+    event or a line of its own."""
+    source = (ROOT / "src" / "scvm" / "machine.py").read_text()
+    assert call_sites(source, "_event_text") == ["_walk"]
+    assert sorted(set(call_sites(source, "_line_text"))) == ["_renderer", "_walk"]
+
+
+def attribute_stores(source: str, attr: str) -> list:
+    """The line of every assignment to an attribute named attr, by `x.attr
+    = ...` (a tuple target's too) or by setattr with a literal name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+            and len(node.args) > 1 and getattr(node.args[1], "value", None) == attr)
+
+
+def test_attribute_stores_are_found():
+    src = "f.lines = 1\na.kinds, g.lines = 2, 3\nsetattr(h, 'lines', 4)\nx = f.lines\nf.lines()"
+    assert attribute_stores(src, "lines") == [1, 2, 3]
+
+
+def test_no_observer_is_given_a_lines_attribute():
+    """An observer reads lines by listing LINES in its `kinds`; the
+    machine reads no `lines` attribute, so a stale `fn.lines = True`
+    would silently make a line reader an all-kinds reader of Events."""
+    paths = [*MODULES, *sorted((ROOT / "tests").glob("*.py"))]
+    assert [(path.name, line) for path in paths
+            for line in attribute_stores(path.read_text(), "lines")] == []
 
 
 def test_registry_reads_every_kind_a_shipped_plugin_reads():
