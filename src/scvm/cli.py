@@ -137,30 +137,23 @@ _BLOCK_LINES = 32  # lines per write to stdout: few writes, a few KB held
 
 
 def _trace_out():
-    """Observer for --trace events (a reader of LINES), sink for --trace
-    shadow, and their flush, sharing one block of lines in the order they
-    are made.  Event lines wait until _BLOCK_LINES of them go to stdout in
-    one write; a shadow line flushes the block and starts the next, so
-    each write holds at most one shadow line, at its head.  The caller
-    flushes when the run ends, however it ends."""
+    """Observer for --trace events (a reader of LINES), and flush: it
+    writes the lines held (at most _BLOCK_LINES) in one write, then holds
+    its arguments.  It is the sink for --trace shadow, so a shadow line
+    heads the next write, and the caller calls it bare when the run ends."""
     block = []
 
-    def flush():
+    def flush(*rest):
         if block:
             sys.stdout.write("\n".join(block) + "\n")  # looked up now: stdout may be redirected
-            block.clear()
+        block[:] = rest
 
     def observe(line: str) -> None:
         block.append(line)
         if len(block) >= _BLOCK_LINES:
             flush()
     observe.kinds = (LINES,)
-
-    def shadow_line(line: str) -> None:
-        flush()
-        block.append(line)
-
-    return observe, shadow_line, flush
+    return observe, flush
 
 
 def _outcome_status(result) -> int:
@@ -175,7 +168,7 @@ def _cmd_run(args) -> int:
     """Bare run: no shadow state, no checkers, no Event (--trace events reads LINES)."""
     image, policy = _image_and_policy(args)
     machine = load(image, policy)
-    observe, _, flush = _trace_out()
+    observe, flush = _trace_out()
     if args.trace:
         machine.add_observer(observe)
     try:
@@ -195,7 +188,7 @@ def _cmd_check(args) -> int:
         options[key] = value
     args_trace = tuple(args.trace or ())
     image, policy = _image_and_policy(args)
-    observe, shadow_line, flush = _trace_out()
+    observe, flush = _trace_out()
     try:
         config = RunConfig(
             checkers=names,
@@ -203,7 +196,7 @@ def _cmd_check(args) -> int:
             step_limit=args.steps,
             checker_options=options,
             observers=(observe,) if "events" in args_trace else (),
-            shadow_trace=shadow_line if "shadow" in args_trace else None,
+            shadow_trace=flush if "shadow" in args_trace else None,
         )
         result = analyze(image, config)
     except ValueError as exc:

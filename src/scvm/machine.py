@@ -184,8 +184,7 @@ _FIELD_TEXT = {
 
 @functools.lru_cache(maxsize=1024)
 def _fmt_code_src(src: tuple) -> str:
-    """`src=` of an imm, reg:N, binop:OP:A:B or syscall:N source, which
-    the code word fixes; a mem source is formatted per event."""
+    """`src=` of an imm, reg:N, binop:OP:A:B or syscall:N source tuple."""
     return f"src={':'.join(map(str, src))} "
 
 
@@ -197,11 +196,24 @@ def _fmt_stamp(mode: str, iflag: bool, locks_held: frozenset) -> str:
     return f"mode={mode} iflag={int(iflag)} locks={{{locks}}}"
 
 
-def _text(field: str, expr: str) -> str:
-    """f-string text of one EVENT_FIELDS entry whose value is expr."""
+def _text(field: str, expr: str, event: bool = True) -> str:
+    """f-string text of one EVENT_FIELDS entry whose value is expr: an
+    Event's field, else a _CODE_TEXT expression, never None, whose
+    source's constants are rendered now and whose mask is not repeated."""
     name = field.rstrip("?")
-    text = _FIELD_TEXT[name].replace("@", expr)
-    return text if field == name else f'{{"" if {expr} is None else f"{text}"}}'
+    text, node = _FIELD_TEXT[name].replace("@", expr), ast.parse(expr, mode="eval").body
+    if event:
+        return text if field == name else f'{{"" if {expr} is None else f"{text}"}}'
+    if name == "src":  # a tuple display; a mem source's address in hex
+        kind, *items = node.elts
+        texts = [str(i.value) if isinstance(i, ast.Constant) else f"{{{ast.unparse(i)}}}"
+                 for i in items]
+        if kind.value == "mem":
+            texts[0] = f"0x{{{ast.unparse(items[0])}:04X}}"
+        return f"src={':'.join([kind.value, *texts])} "
+    masked = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+              and isinstance(node.right, ast.Constant) and node.right.value <= M32)
+    return text.replace(" & M32", "") if masked else text
 
 
 def _keywords(kind: str, keywords: str) -> dict:
@@ -213,23 +225,23 @@ def _keywords(kind: str, keywords: str) -> dict:
 
 
 @functools.lru_cache(maxsize=4096)
-def _line_text(kind: str, keywords: str) -> str:
+def _line_text(kind: str, keywords: str, event: bool = False) -> str:
     """The f-string text of an event's trace line from its kind to its
     stamp: the kind, then each of its EVENT_FIELDS as the expression that
-    keywords gives it (None if none), a literal one rendered now."""
+    keywords gives it (None if none, an Event's if event), a literal now."""
     given, text = _keywords(kind, keywords), f"\\t{kind}\\t"
     for f in EVENT_FIELDS[kind]:
         expr = given.get(f.rstrip("?"), "None")
         try:  # a literal's text now, else the text that renders it per line
             text += eval(f"f'''{_text(f, 'v')}'''", globals(), {"v": ast.literal_eval(expr)})
         except ValueError:
-            text += _text(f, expr)
+            text += _text(f, expr, event)
     return text
 
 
 def _renderer(kind: str, fields: tuple):
     """kind's trace line as one f-string of its _line_text for e's fields."""
-    text = _line_text(kind, ", ".join(f"{f}=e.{f}" for f in (f.rstrip("?") for f in fields)))
+    text = _line_text(kind, ", ".join(f"{f}=e.{f}" for f in (f.rstrip("?") for f in fields)), True)
     return eval(f"lambda e: f'''{{e.step}}\\t{{e.tid}}\\t0x{{e.pc:04X}}{text}"
                 "{_fmt_stamp(e.mode, e.iflag, e.locks_held)}'''")
 
@@ -375,9 +387,9 @@ def read_cstr(memory, addr: int, cap: int) -> tuple[bytes, bool]:
 # the next word's address, {op} its opcode's name as a literal, {width},
 # {mask}, {last} and {align} its access's, {fault} what a load or store
 # that would fault does (a handler raises, a block stops before the
-# word), {stamp} an event's stamp and {line} its line around its {text}.
-# In the code r is the thread's registers, st the state, m the memory
-# and sched the scheduler, which only SYS reads and no block holds.
+# word), {stamp} an event's stamp and lead what makes the locals its
+# line reads.  In the code r is the thread's registers, st the state, m
+# the memory and sched the scheduler, which only SYS reads and no block holds.
 
 _U32 = struct.Struct("<I")  # a word in memory
 load32, store32 = _U32.unpack_from, _U32.pack_into
@@ -512,13 +524,20 @@ def _opcode_slots(op: Opcode) -> dict:
                 last=MEMORY_SIZE - width, align=width - 1)
 
 
-# {stamp}, in an event's template, and {line}, around its line's {text}:
-# a handler reads the stamp per event, a block all but the step and pc once.
+# {stamp}, in an event's template: a handler reads the stamp per event, a
+# block all but the step and pc once.  A line, _LINE around its {text},
+# reads `head`, made once per word, and `stamp`, made once per block and in
+# a handler once per word and again after each code part that assigns one
+# of _STAMPED (_RESTAMPS, found in the parts' own text).
 _WORD_STAMP = "s, t.tid, pc, t.mode, st.iflag, t.locks_held"
 _BLOCK_STAMP = "s + {k}, tid, {pc}, mode, iflag, held"
-_WORD_LINE = ("f'''{{s}}\\t{{t.tid}}\\t0x{{pc:04X}}{text}"
-              "{{_fmt_stamp(t.mode, st.iflag, t.locks_held)}}'''")
-_BLOCK_LINE = "f'''{{s + {k}}}\\t{{tid}}\\t0x{pc:04X}{text}{{stamp}}'''"
+_LINE = "f'''{{head}}{text}{{stamp}}'''"
+_STAMPED = ("t.mode", "st.iflag", "t.locks_held")
+_WORD_LEAD = ("head = f'{s}\\t{t.tid}\\t0x{pc:04X}'", f"stamp = _fmt_stamp({', '.join(_STAMPED)})")
+_BLOCK_HEAD = "head = f'{{s + {k}}}\\t{{tid}}\\t0x{pc:04X}'"
+_RESTAMPS = {part for parts in _CODE_TEXT.values() for part in parts if isinstance(part, str)
+             and any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                     and ast.unparse(n) in _STAMPED for n in ast.walk(ast.parse(part)))}
 
 
 @functools.lru_cache(maxsize=64)
@@ -537,31 +556,35 @@ def _event_text(kind: str, keywords: str) -> str:
     return f"Event({kind!r}, {{stamp}}{''.join(', ' + arg for arg in args)})"
 
 
-def _walk(parts: tuple, slots: dict, reads: frozenset, head: dict) -> list:
+def _walk(parts: tuple, slots: dict, reads: frozenset, prologue: dict) -> list:
     """The code of a word's _CODE_TEXT parts, in the order given: each
     code part with its slots filled, and for each event part its line,
     handed to the readers of LINES, then its Event, handed to those of
     its kind.  Up to a SYS's `syscall` event a delivery is built only if
-    its kind is in reads, for its readers as the caller's function reads
-    them at its start, into head's locals (local -> expression); after
-    that event, which can wake an observer, only if its kind has readers."""
-    code, woke = [], False
+    its kind is in reads, its readers read at the start into prologue's
+    locals (local -> expression); after it, which can wake an observer,
+    only if its kind has readers.  A line's locals, slots["lead"], are
+    made at the start if LINES is in reads, else in each line's `if`."""
+    code, woke = [*slots["lead"]] if LINES in reads else [], False
     for part in parts:
         if isinstance(part, str):
             code += part.format(**slots).split("\n")
+            if LINES in reads and part in _RESTAMPS:
+                code.append(_WORD_LEAD[1])
             continue
         kind, keywords = part[0], part[1].format(**slots)
         for to, name in ((LINES, "line"), (kind, "e")):
             if not woke and to not in reads:
                 continue
-            value = (slots["line"].format(text=_line_text(kind, keywords), **slots)
-                     if to is LINES else _event_text(*part).format(**slots))
+            value = (_LINE.format(text=_line_text(kind, keywords)) if to is LINES
+                     else _event_text(*part).format(**slots))
             call = "f(e) and wake(f)" if part is _SYSCALL and name == "e" else f"f({name})"
             if woke:
-                code += [f"if readers := by_kind[{to!r}]:", f"    {name} = {value}",
-                         f"    for f in readers: {call}"]
+                make = slots["lead"] if to is LINES and LINES not in reads else ()
+                code += [f"if readers := by_kind[{to!r}]:", *(f"    {line}" for line in make),
+                         f"    {name} = {value}", f"    for f in readers: {call}"]
             else:
-                head[local := "to_" + to.replace("-", "_")] = f"by_kind[{to!r}]"
+                prologue[local := "to_" + to.replace("-", "_")] = f"by_kind[{to!r}]"
                 code += [f"{name} = {value}", f"for f in {local}: {call}"]
         woke = woke or part is _SYSCALL
     return code
@@ -576,13 +599,13 @@ def _handler_factory(op: Opcode, parts: tuple, reads: frozenset):
     costs one closure, and entries of one text (the hypercalls') share a
     factory."""
     slots = _opcode_slots(op) | dict(rd="rd", rs="rs", rt="rt", imm="imm", stamp=_WORD_STAMP,
-                                     next=f"pc + {INSTR_SIZE}", line=_WORD_LINE)
+                                     next=f"pc + {INSTR_SIZE}", lead=_WORD_LEAD)
     slots["fault"] = f"raise _access_fault(a, {slots['width']})"
-    head = {"m": "st.memory"} if _FAULTS in parts else {}
-    code = _walk(parts, slots, reads, head)
+    prologue = {"m": "st.memory"} if _FAULTS in parts else {}
+    code = _walk(parts, slots, reads, prologue)
     if op not in (*_BLOCK_ENDS, Opcode.HALT):
         code.append(f"t.pc = {slots['next']}")
-    code[:0] = (f"{name} = {value}" for name, value in head.items())
+    code[:0] = (f"{name} = {value}" for name, value in prologue.items())
     scope = {}
     exec("def factory(rd, rs, rt, imm):\n"
          "    def handler(sched, t, pc, s, st, by_kind, wake):\n        r = t.regs\n"
@@ -634,10 +657,10 @@ def _compiler(reads: frozenset):
 # set, as its handler would, stamped with step s plus the word's index
 # {k}, its pc, and the tid, mode, locks held and st.iflag read once, as
 # is the stamp's text of its lines (a block holds no SYS, CLI, STI or
-# HALT), each field the word fixes rendered.  It stops early, raising
-# nothing, before the `fetch` of a load or store that would fault, after
-# a store into its own bytes and before its n+1th word, so the per-word
-# path runs the faulting word, the rewritten code and the slice's last step.
+# HALT), and its head once per word.  It stops early, raising nothing,
+# before the `fetch` of a load or store that would fault, after a store
+# into its own bytes and before its n+1th word, so the per-word path
+# runs the faulting word, the rewritten code and the slice's last step.
 
 _BLOCK_WORDS = 32  # the most words one block holds
 _HOT = 16  # the dispatch of a pc, in a run under one read set, at which its block is built
@@ -668,7 +691,7 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
     if not words:
         return None
     hi, code = pc + len(words) * INSTR_SIZE, []
-    head = {"stamp": "_fmt_stamp(mode, iflag, held)"} if LINES in reads else {}
+    prologue = {"stamp": "_fmt_stamp(mode, iflag, held)"} if LINES in reads else {}
     for k, i in enumerate(words):
         at = pc + k * INSTR_SIZE
         if k:
@@ -676,18 +699,18 @@ def _build_block(memory: bytearray, pc: int, reads: frozenset):
         slots = _opcode_slots(i.opcode)
         slots.update(rd=i.rd, rs=i.rs, rt=i.rt, imm=i.imm & M32, k=k, pc=at, next=at + INSTR_SIZE,
                      fault=f"t.pc = {at}; return {k}", stamp=_BLOCK_STAMP.format(k=k, pc=at),
-                     line=_BLOCK_LINE)
+                     lead=(_BLOCK_HEAD.format(k=k, pc=at),))
         code += _walk(sorted(_CODE_TEXT[i.opcode], key=lambda part: part is not _FAULTS),
-                      slots, reads, head)
+                      slots, reads, prologue)
         if i.opcode in (Opcode.ST, Opcode.STB):  # into the block's own bytes, it ends the block
             code.append(f"if {pc - slots['width']} < a < {hi}: t.pc = {at + INSTR_SIZE}; "
                         f"return {k + 1}")
     if words[-1].opcode not in _BLOCK_ENDS:
         code.append(f"t.pc = {hi}")
     code.append(f"return {len(words)}")
-    if head:
+    if prologue:
         code[:0] = ["tid, mode, iflag, held = t.tid, t.mode, st.iflag, t.locks_held",
-                    *(f"{name} = {value}" for name, value in head.items())]
+                    *(f"{name} = {value}" for name, value in prologue.items())]
     scope = {}
     exec("def block(t, m, n, s, st, by_kind):\n    r = t.regs\n"
          + "".join(f"    {line}\n" for line in code), globals(), scope)
@@ -756,6 +779,11 @@ class Machine:
         self.woken: set = set()  # observers that left their idle_kinds for good
 
     def add_observer(self, fn) -> None:
+        """Add fn, whose `kinds` and `idle_kinds` may name only EVENT_KINDS and LINES."""
+        for attr in ("kinds", "idle_kinds"):
+            if unknown := set(getattr(fn, attr, None) or ()) - {*EVENT_KINDS, LINES}:
+                raise ValueError(f"observer {getattr(fn, '__qualname__', type(fn).__qualname__)} "
+                                 f"{attr} names unknown kind {min(map(repr, unknown))}")
         self.observers.append(fn)
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:

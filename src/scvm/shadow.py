@@ -115,16 +115,16 @@ class ShadowState:
     def _set_reg(self, tid: int, reg: int, obj: TypeObject):
         self.reg_cells[tid][reg] = obj
         if self.trace is not None:
-            self.trace(
-                f"cell r{reg}@t{tid} -> object {obj.id} tags {_fmt_tags(frozenset(obj.tags))}"
-            )
+            tags = _fmt_tags(frozenset(obj.tags))
+            self.trace(f"cell r{reg}@t{tid} -> object {obj.id} tags {tags}")
 
-    def _set_mem(self, addr: int, obj: TypeObject):
-        self.mem_cells[addr] = obj
-        if self.trace is not None:
-            self.trace(
-                f"cell 0x{addr:04X} -> object {obj.id} tags {_fmt_tags(frozenset(obj.tags))}"
-            )
+    def _set_mem(self, addrs, obj: TypeObject):
+        for a in addrs:
+            self.mem_cells[a] = obj
+        if self.trace is not None:  # one tail for all the cells' lines
+            tail = f" -> object {obj.id} tags {_fmt_tags(frozenset(obj.tags))}"
+            for a in addrs:
+                self.trace(f"cell 0x{a:04X}{tail}")
 
     def _add_tag(self, obj: TypeObject, tag: TagKind):
         obj.tags.add(tag)
@@ -138,7 +138,7 @@ class ShadowState:
         if kind == "reg-write":
             self._set_reg(e.tid, e.reg, self._source_object(e))
         elif kind == "mem-write":
-            self._on_mem_write(e)
+            self._set_mem(range(e.addr, e.addr + e.width), self._source_object(e))
         elif kind == "mem-read":
             # Reads from a registered untrusted range materialize taint
             # before the load's reg-write picks the cell up: one object
@@ -150,9 +150,8 @@ class ShadowState:
                 untainted = [a for a, flag in flags
                              if flag and TagKind.TAINTED not in self.mem_object(a).tags]
                 if untainted:
-                    obj = self.fresh({TagKind.TAINTED}, "read from untrusted source range")
-                    for a in untainted:
-                        self._set_mem(a, obj)
+                    self._set_mem(untainted, self.fresh({TagKind.TAINTED},
+                                                        "read from untrusted source range"))
         elif kind == "compare":
             self._on_compare(e)
         elif kind == "syscall":
@@ -212,11 +211,6 @@ class ShadowState:
             return tagged[0] if tagged else self.untagged
         note = f"{what} merge of " + " and ".join(f"#{o.id}" for o in tagged)
         return self.fresh(set().union(*(o.tags for o in tagged)), note)
-
-    def _on_mem_write(self, e: Event) -> None:
-        obj = self._source_object(e)
-        for a in range(e.addr, e.addr + e.width):
-            self._set_mem(a, obj)
 
     def _on_compare(self, e: Event) -> None:
         # A compare against zero counts as the null check for whatever

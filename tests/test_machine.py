@@ -49,6 +49,7 @@ from helpers import (
     general_pick,
     rebuilt_runnable,
     ref_xorshift64star,
+    run_program,
     shadow_cells,
     spawn_slowdown,
 )
@@ -1509,6 +1510,87 @@ def test_a_line_reader_woken_at_a_syscall_gets_the_rest_of_that_steps_lines(monk
     assert (syscall.kind, write.kind) == ("syscall", "reg-write")
     assert got == [syscall, format_event(write), *(format_event(e) for e in events
                                                    if e.step > wake)]
+
+
+# Each SYS, CLI or STI that changes the stamp, in turn: LOCK (locks
+# held), KCALL (mode), CLI (iflag), UNLOCK, STI and KRET.
+RESTAMP_SRC = """
+start:  MOVI r0, trap
+        SYS 18
+        MOVI r0, 7
+        SYS 49
+        SYS 16
+        HALT
+trap:   CLI
+        SYS 50
+        STI
+        SYS 17
+"""
+
+
+@pytest.mark.parametrize("wake_at", [None, "LOCK", "KCALL", "UNLOCK", "KRET"])
+def test_a_line_after_a_change_of_the_stamp_carries_the_new_stamp(monkeypatch, wake_at):
+    """A handler renders a line's stamp once, and again after a part
+    that sets the mode, the interrupt flag or the locks held.  Run word
+    by word, every line of a KCALL, KRET, CLI, STI, LOCK and UNLOCK step
+    equals format_event of its Event: read from the start, or by a line
+    reader that wakes at one of these SYSes' `syscall` Event and so gets
+    the rest of that step's lines from a handler compiled without them."""
+    monkeypatch.setattr(scvm.machine, "_block_at", lambda *args: None)
+    events = run_source(RESTAMP_SRC, step_limit=100)[1].events
+    got = []
+
+    def take(x):
+        if not isinstance(x, Event):
+            got.append(x)
+        return isinstance(x, Event) and SYSCALL_NAMES[x.sysno] == wake_at
+
+    take.kinds = (LINES, "syscall")
+    if wake_at is not None:
+        take.idle_kinds = ("syscall",)
+    machine = load(assemble(RESTAMP_SRC))
+    machine.add_observer(take)
+    assert machine.run(step_limit=100).outcome == "halt"
+    woke = [i for i, e in enumerate(events)
+            if e.kind == "syscall" and SYSCALL_NAMES[e.sysno] == wake_at]
+    assert len(woke) == (wake_at is not None)
+    assert got == [format_event(e) for e in events[woke[0] + 1 if woke else 0:]]
+    changes = [(e.kind, e.mode, e.iflag, e.locks_held) for e in events
+               if e.kind in ("lock", "unlock", "mode-change", "iflag-change")]
+    assert changes == [("lock", MODE_USER, True, {7}), ("mode-change", MODE_KERNEL, True, {7}),
+                       ("iflag-change", MODE_KERNEL, False, {7}),
+                       ("unlock", MODE_KERNEL, False, set()),
+                       ("iflag-change", MODE_KERNEL, True, set()),
+                       ("mode-change", MODE_USER, True, set())]
+
+
+@pytest.mark.parametrize("attr", ["kinds", "idle_kinds"])
+def test_an_observer_of_an_unknown_kind_is_refused_when_added(attr):
+    """add_observer checks `kinds` and `idle_kinds` against EVENT_KINDS
+    and LINES and names the observer and the kind, so a stale kind
+    (the old per-kind line key here) fails before any run."""
+    def stale(e):
+        pass
+
+    setattr(stale, attr, ("syscall", "fetch/line"))
+    machine = load(assemble("HALT"))
+    with pytest.raises(ValueError, match=f"{stale.__qualname__} {attr} .*'fetch/line'"):
+        machine.add_observer(stale)
+    assert machine.observers == []
+    setattr(stale, attr, ("syscall", LINES))
+    machine.add_observer(stale)
+    assert machine.observers == [stale]
+
+
+def test_a_run_config_observer_of_an_unknown_kind_is_refused():
+    class Stale:
+        kinds = ("mem_write",)
+
+        def __call__(self, e):
+            pass
+
+    with pytest.raises(ValueError, match=r"\.Stale kinds names unknown kind 'mem_write'"):
+        run_program("HALT", observers=(Stale(),))
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

@@ -235,9 +235,11 @@ def test_no_event_is_built_with_20_arguments():
 
 def test_every_event_part_has_a_line_that_compiles_in_a_word_and_a_block():
     """Both compilers splice an event's trace line into the code: its
-    _line_text between the word's or the block's stamp.  For every event
-    part of every _CODE_TEXT entry, under a handler's slots and under a
-    block's, that line is one f-string that compiles, and a block's
+    _line_text between the word's head and its stamp (_LINE).  For every
+    event part of every _CODE_TEXT entry, under a handler's slots and
+    under a block's, the head and the line are each one f-string that
+    compiles; no line builds a ('mem', ...) source or tests `is None`,
+    and each renders an access's width at compile time; and a block's
     renders each field the code word fixes (a register, the opcode, a
     literal source) at compile time."""
     machine = scvm.machine
@@ -245,13 +247,17 @@ def test_every_event_part_has_a_line_that_compiles_in_a_word_and_a_block():
         op = key[0] if isinstance(key, tuple) else key
         word = dict(rd="rd", rs="rs", rt="rt", imm="imm", next="pc + 8")
         block = dict(rd=1, rs=2, rt=3, imm=0x40, next=0x18)
-        for fixed, template in ((word, machine._WORD_LINE), (block, machine._BLOCK_LINE)):
+        for fixed, head in ((word, machine._WORD_LEAD[0]),
+                            (block, machine._BLOCK_HEAD.format(k=1, pc=0x10))):
             slots = machine._opcode_slots(op) | fixed
             for kind, keywords in (part for part in parts if isinstance(part, tuple)):
                 text = machine._line_text(kind, keywords.format(**slots))
-                line = template.format(text=text, k=1, pc=0x10)
-                assert isinstance(ast.parse(line, mode="eval").body, ast.JoinedStr), line
-                compile(line, "<line>", "eval")
+                for line in (head.removeprefix("head = "), machine._LINE.format(text=text)):
+                    assert isinstance(ast.parse(line, mode="eval").body, ast.JoinedStr), line
+                    compile(line, "<line>", "eval")
+                assert not re.search(r"\('mem'|is None|_fmt_code_src", text), text
+                if "{width}" in keywords:
+                    assert re.search(rf"(width=|:){slots['width']} ", text), text
                 if fixed is block:
                     assert not re.search(r"\{(\d|'|True|None|\('(imm|reg|binop)')", text), text
 
@@ -375,7 +381,7 @@ def test_warnings_are_stamped_only_by_warning_at():
 def test_observers_read_only_known_kinds():
     assert set(ShadowState.on_event.kinds) <= set(EVENT_KINDS)
     assert set(CheckerRegistry.dispatch.kinds) <= set(EVENT_KINDS)
-    observe, _, _ = scvm.cli._trace_out()  # --trace events: lines, and no Event
+    observe, _ = scvm.cli._trace_out()  # --trace events: lines, and no Event
     assert observe.kinds == (LINES,)
     assert LINES not in EVENT_KINDS
 
