@@ -9,8 +9,10 @@ reach back into mutable machine state to interpret them.  An observer
 may name the kinds it reads in `kinds`, and those it reads until it wakes
 in `idle_kinds` (see EVENT_KINDS, Machine); an event reaches only the
 observers that read its kind, and a kind nobody reads builds no Event.
-One more kind, LINES, is each event's format_event line, built inline
-by the code word and handed to its readers before the event's Event.
+A kind's only reader may state its rule for the kind as code text, its
+`rules`, which the code word runs in the Event's place (_splice).  One
+more kind, LINES, is each event's format_event line, built inline by
+the code word and handed to its readers before the event's Event.
 
 Each code word is decoded once and compiled once per read set, the set
 of kinds the observers read, into a handler closed over its operands
@@ -20,9 +22,10 @@ opcode and every syscall number: each one's code and events, its
 `fetch` first, in order; one walk (_walk) turns an entry into code for
 both compilers.  The word compiler builds each word's handler through a
 factory compiled once per entry and read set that builds only the lines
-and events of that set, so an unread kind costs no test; a SYS's after
-its `syscall`, which can wake an observer, are built only if their kind
-has readers then.  A bare run is the empty read set.
+and events of that set, so an unread kind costs no test, or splices a
+rule in an Event's place; a SYS's Events after its `syscall`, which can
+wake an observer, are built only if their kind has readers then.  A
+bare run is the empty read set.
 
 Straight-line code also runs in blocks, as Bochs's trace cache and
 QEMU's translation blocks do, under any read set.  A block is the words
@@ -556,16 +559,33 @@ def _event_text(kind: str, keywords: str) -> str:
     return f"Event({kind!r}, {{stamp}}{''.join(', ' + arg for arg in args)})"
 
 
+def _splice(fn, kind: str, keywords: str, stamp: str, prologue: dict) -> list:
+    """fn's rule for an event of kind (by its source's kind, if it has one),
+    each {field} the expression its Event would carry ({src[i]} the
+    source's i-th item), and fn's binds in prologue, {reader} its reader."""
+    rule, kw = fn.rules[kind], _keywords(kind, keywords)
+    names = [f.name for f in fields(Event)[1:]]  # the stamp's six, then the operands'
+    given = dict.fromkeys(names, "None") | dict(zip(names, stamp.split(", "))) | kw
+    if "src" in kw:
+        items = ast.parse(given["src"], mode="eval").body.elts
+        rule, given["src"] = rule[items[0].value], [*map(ast.unparse, items)]
+    for local, expr in getattr(fn, "binds", {}).items():
+        prologue.setdefault(local, expr.format(reader=f"by_kind[{kind!r}][0]", **given))
+    return rule.format(**given).split("\n")
+
+
 def _walk(parts: tuple, slots: dict, reads: frozenset, prologue: dict) -> list:
     """The code of a word's _CODE_TEXT parts, in the order given: each
     code part with its slots filled, and for each event part its line,
     handed to the readers of LINES, then its Event, handed to those of
-    its kind.  Up to a SYS's `syscall` event a delivery is built only if
-    its kind is in reads, its readers read at the start into prologue's
-    locals (local -> expression); after it, which can wake an observer,
-    only if its kind has readers.  A line's locals, slots["lead"], are
+    its kind, or the rule reads splices in its place (_splice).  Up to a
+    SYS's `syscall` event a delivery is built only if its kind is in
+    reads, its readers read at the start into prologue's locals (local
+    -> expression); after it, which can wake an observer, only if its
+    kind has readers, as an Event.  A line's locals, slots["lead"], are
     made at the start if LINES is in reads, else in each line's `if`."""
     code, woke = [*slots["lead"]] if LINES in reads else [], False
+    spliced = dict(x for x in reads if isinstance(x, tuple))  # kind -> its rules' function
     for part in parts:
         if isinstance(part, str):
             code += part.format(**slots).split("\n")
@@ -574,6 +594,9 @@ def _walk(parts: tuple, slots: dict, reads: frozenset, prologue: dict) -> list:
             continue
         kind, keywords = part[0], part[1].format(**slots)
         for to, name in ((LINES, "line"), (kind, "e")):
+            if not woke and (fn := spliced.get(to)):
+                code += _splice(fn, kind, keywords, slots["stamp"], prologue)
+                continue
             if not woke and to not in reads:
                 continue
             value = (_LINE.format(text=_line_text(kind, keywords)) if to is LINES
@@ -590,11 +613,12 @@ def _walk(parts: tuple, slots: dict, reads: frozenset, prologue: dict) -> list:
     return code
 
 
-@functools.lru_cache(maxsize=sum(2 ** len(kinds) for kinds in _HANDLER_KINDS.values()))
+@functools.lru_cache(maxsize=sum(2 * 3 ** (len(kinds) - 1) for kinds in _HANDLER_KINDS.values()))
 def _handler_factory(op: Opcode, parts: tuple, reads: frozenset):
     """factory(rd, rs, rt, imm), which returns the handler of a word of
     opcode op whose _CODE_TEXT entry is parts, closed over the word's
-    fields, for the read set reads (of the entry's _HANDLER_KINDS).
+    fields, for the read set reads (of the entry's _HANDLER_KINDS: LINES
+    read or not, each other kind unread, read or spliced by one owner).
     Compiled with `exec` once per entry text and kinds read, so a word
     costs one closure, and entries of one text (the hypercalls') share a
     factory."""
@@ -630,7 +654,8 @@ def _compile(word: int, reads: frozenset) -> tuple:
     i = _decode(word)
     op = i.opcode
     key = (op, i.imm) if (op, i.imm) in _CODE_TEXT else op
-    factory = _handler_factory(op, _CODE_TEXT[key], reads & _HANDLER_KINDS[key])
+    factory = _handler_factory(op, _CODE_TEXT[key], frozenset(  # a spliced kind is (kind, fn)
+        x for x in reads if (x[0] if isinstance(x, tuple) else x) in _HANDLER_KINDS[key]))
     return factory(i.rd, i.rs, i.rt, i.imm & M32), op in (Opcode.SYS, Opcode.HALT)
 
 
@@ -779,11 +804,15 @@ class Machine:
         self.woken: set = set()  # observers that left their idle_kinds for good
 
     def add_observer(self, fn) -> None:
-        """Add fn, whose `kinds` and `idle_kinds` may name only EVENT_KINDS and LINES."""
-        for attr in ("kinds", "idle_kinds"):
-            if unknown := set(getattr(fn, attr, None) or ()) - {*EVENT_KINDS, LINES}:
+        """Add fn, whose `kinds` and `idle_kinds` may name only EVENT_KINDS
+        and LINES, and its `rules` only kinds it reads, but `syscall`."""
+        kinds, known = getattr(fn, "kinds", None), {*EVENT_KINDS, LINES}
+        splices = set(EVENT_KINDS if kinds is None else kinds) - {LINES, "syscall"}
+        for attr, names in (("kinds", known), ("idle_kinds", known), ("rules", splices)):
+            if unknown := set(getattr(fn, attr, None) or ()) - names:
                 raise ValueError(f"observer {getattr(fn, '__qualname__', type(fn).__qualname__)} "
-                                 f"{attr} names unknown kind {min(map(repr, unknown))}")
+                                 f"{attr} names {'unread' if attr == 'rules' else 'unknown'} "
+                                 f"kind {min(map(repr, unknown))}")
         self.observers.append(fn)
 
     def run(self, step_limit: int = DEFAULT_STEP_LIMIT) -> RunResult:
@@ -823,8 +852,14 @@ class Machine:
                     kinds = fn.idle_kinds
                 for kind in EVENT_KINDS if kinds is None else kinds:
                     by_kind[kind] += (fn,)
-            # From a set, which sizes the frozenset's table to fit its kinds.
-            reads = frozenset({kind for kind, readers in by_kind.items() if readers})
+            # A kind whose one reader has a rule for it runs the rule in place of its
+            # Event, as (kind, function): the first such reader's, as they share its binds.
+            sole = {kind: readers[0] for kind, readers in by_kind.items() if len(readers) == 1}
+            owner = next((fn for kind, fn in sole.items() if kind in getattr(fn, "rules", ())),
+                         None)
+            func, rules = getattr(owner, "__func__", owner), getattr(owner, "rules", ())
+            reads = frozenset({(kind, func) if kind in rules and sole.get(kind) == owner else kind
+                               for kind, readers in by_kind.items() if readers})  # sized to fit
             compile_, hot = _compiler(reads), {}  # hot: pc -> misses there
 
         def wake(fn):

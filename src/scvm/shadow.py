@@ -7,10 +7,10 @@ null compare on a copied pointer) is visible through every other alias.
 That extra level of indirection is the whole point: copying a value
 copies the handle, never the tags.
 
-The engine is driven purely by machine events (see machine.Event and
-its `src` provenance convention).  It never reads machine registers or
-memory directly, which keeps replaying a recorded stream equivalent to
-observing a live run.
+The engine is driven by machine events (see machine.Event and its `src`
+provenance convention), and by RULES, which the machine splices into
+the code words in their place.  It never reads machine registers or
+memory, which keeps replaying a recorded stream equivalent to a live run.
 
 Only the SYSes in MINTING_SYSES mint an object.  Until one runs every
 cell is untagged, so on_event reads only its `idle_kinds` (machine.Machine).
@@ -23,7 +23,7 @@ import enum
 import functools
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .isa import MEMORY_SIZE, NUM_REGS
 from .machine import (
@@ -81,6 +81,59 @@ def _fmt_tags(tags: frozenset) -> str:
     return "{%s}" % ",".join(sorted(t.name for t in tags))
 
 
+# The rules as code text, stated once: a reg-write's, by its source's kind
+# (machine's `src` convention), is SOURCES's code, which sets `obj`, then
+# _STORE's.  The machine splices a rule in the Event's place where this
+# shadow alone reads its kind; on_event runs it compiled (_RUN).  A rule
+# reads `sh` and `cells` (BINDS, made once per handler or block call) and
+# each `{field}` its Event would carry (`{src[i]}` the source's i-th item),
+# never registers or memory, so a replay of the Events computes the same.
+BINDS = {"sh": "{reader}.__self__", "cells": "sh.reg_cells[{tid}]"}
+SOURCES = {
+    "imm": "obj = sh.untagged",
+    "reg": "obj = cells[{src[1]}]",
+    # The one object in all the bytes loaded, else their _merge.
+    "mem": ("addr, width, get, untagged = {src[1]}, {src[2]}, sh.mem_cells.get, sh.untagged\n"
+            "obj = get(addr, untagged)\n"
+            "if width != 1 and not (obj is get(addr + 1, untagged) is get(addr + 2, untagged)\n"
+            "                       is get(addr + 3, untagged)):\n"
+            "    obj = sh._merge([get(x, untagged) for x in range(addr, addr + width)], 'load')"),
+    # SUB/XOR of one object is an integer, not a copy.
+    "binop": ("x, y = cells[{src[2]}], cells[{src[3]}]\n"
+              "if x is y: obj = sh.untagged if {src[1]} in sh.ZEROING_OPS else x\n"
+              "else: obj = y if not x.tags else x if not y.tags else sh._merge((x, y), {src[1]})"),
+    "syscall": "obj = sh._mint({src[1]}, {step}, {width})",
+}
+_MINTS = {SYS_ALLOC: (TagKind.ALLOC_UNCHECKED, "ALLOC at step {step}"),  # tag and note
+          SYS_OPEN: (TagKind.FD_UNCHECKED, "OPEN at step {step}"),
+          SYS_READ_NET: (TagKind.TAINTED, "network read of {width} bytes")}
+# A traced shadow stores through _set_reg, which also prints the cell's line.
+_STORE = "if sh.trace is None: cells[{reg}] = obj\nelse: sh._set_reg({tid}, {reg}, obj)"
+RULES = {
+    "reg-write": {kind: f"{text}\n{_STORE}" for kind, text in SOURCES.items()},
+    # A compare against zero counts as the null check for whatever
+    # allocation/descriptor object the left register aliases.
+    "compare": ("if {value} == 0:\n"
+                "    obj = cells[{rs}]\n"
+                "    if obj.tags & sh.NULLABLE_TAGS and sh.NULL_CHECKED not in obj.tags:\n"
+                "        sh._add_tag(obj, sh.NULL_CHECKED)"),
+}
+
+
+def _compiled(text: str) -> Callable:
+    """rule(sh, e): BINDS's cells, then text, each {field} the Event e's."""
+    given = {f.name: f"e.{f.name}" for f in fields(Event)}
+    given["src"] = [f"e.src[{i}]" for i in range(4)]
+    lines = f"cells = {BINDS['cells']}\n{text}".format(**given).split("\n")
+    exec("def rule(sh, e):\n" + "".join(f"    {line}\n" for line in lines), {}, scope := {})
+    return scope["rule"]
+
+
+_RUN = {  # each source's object, by its kind, and the compare rule, for on_event
+    **{kind: _compiled(f"{text}\nreturn obj") for kind, text in SOURCES.items()},
+    "compare": _compiled(RULES["compare"])}
+
+
 class ShadowState:
     """One cell per register per live thread, one per guest memory byte.
 
@@ -136,9 +189,9 @@ class ShadowState:
     def on_event(self, e: Event) -> bool | None:
         kind = e.kind
         if kind == "reg-write":
-            self._set_reg(e.tid, e.reg, self._source_object(e))
+            self._set_reg(e.tid, e.reg, _RUN[e.src[0]](self, e))
         elif kind == "mem-write":
-            self._set_mem(range(e.addr, e.addr + e.width), self._source_object(e))
+            self._set_mem(range(e.addr, e.addr + e.width), _RUN[e.src[0]](self, e))
         elif kind == "mem-read":
             # Reads from a registered untrusted range materialize taint
             # before the load's reg-write picks the cell up: one object
@@ -153,7 +206,7 @@ class ShadowState:
                     self._set_mem(untainted, self.fresh({TagKind.TAINTED},
                                                         "read from untrusted source range"))
         elif kind == "compare":
-            self._on_compare(e)
+            _RUN["compare"](self, e)
         elif kind == "syscall":
             self._on_syscall(e)
             return e.sysno in MINTING_SYSES  # true wakes the shadow to its kinds
@@ -164,41 +217,15 @@ class ShadowState:
     on_event.kinds = ("reg-write", "mem-write", "mem-read", "compare", "syscall", "thread-exit")
     # thread-exit drops the register cells a CHECK_USER made before any mint.
     on_event.idle_kinds = ("syscall", "thread-exit")
+    # What the machine may splice in the Events' place, and what the rules read through `sh`.
+    on_event.rules, on_event.binds = RULES, BINDS
+    NULLABLE_TAGS, NULL_CHECKED, ZEROING_OPS = NULLABLE_TAGS, TagKind.NULL_CHECKED, ZEROING_OPS
 
-    def _source_object(self, e: Event) -> TypeObject:
-        src = e.src
-        regs = self.reg_cells[e.tid]
-        if src[0] == "imm":
+    def _mint(self, sysno: int, step: int, width) -> TypeObject:
+        """A syscall's result's object: a fresh one if the syscall mints it."""
+        if sysno not in _MINTS:
             return self.untagged
-        if src[0] == "reg":
-            return regs[src[1]]
-        if src[0] == "mem":
-            _, addr, width = src
-            get, untagged = self.mem_cells.get, self.untagged
-            first = get(addr, untagged)
-            if width == 1 or (get(addr + 1, untagged) is first
-                              and get(addr + 2, untagged) is first
-                              and get(addr + 3, untagged) is first):
-                return first
-            return self._merge([get(a, untagged) for a in range(addr, addr + width)], "load")
-        if src[0] == "binop":
-            _, opname, rs, rt = src
-            a, b = regs[rs], regs[rt]
-            if a is b:  # SUB/XOR of one object is an integer, not a copy
-                return self.untagged if opname in ZEROING_OPS else a
-            if not b.tags:
-                return a
-            if not a.tags:
-                return b
-            return self._merge((a, b), opname)
-        if src[0] == "syscall":
-            if src[1] == SYS_ALLOC:
-                return self.fresh({TagKind.ALLOC_UNCHECKED}, f"ALLOC at step {e.step}")
-            if src[1] == SYS_OPEN:
-                return self.fresh({TagKind.FD_UNCHECKED}, f"OPEN at step {e.step}")
-            if src[1] == SYS_READ_NET:
-                return self.fresh({TagKind.TAINTED}, f"network read of {e.width} bytes")
-        return self.untagged
+        return self.fresh({_MINTS[sysno][0]}, _MINTS[sysno][1].format(step=step, width=width))
 
     def _merge(self, objs, what: str) -> TypeObject:
         """A load's differing bytes, or a binop's two distinct tagged
@@ -211,15 +238,6 @@ class ShadowState:
             return tagged[0] if tagged else self.untagged
         note = f"{what} merge of " + " and ".join(f"#{o.id}" for o in tagged)
         return self.fresh(set().union(*(o.tags for o in tagged)), note)
-
-    def _on_compare(self, e: Event) -> None:
-        # A compare against zero counts as the null check for whatever
-        # allocation/descriptor object the left register aliases.
-        if e.value != 0:
-            return
-        obj = self.reg_cells[e.tid][e.rs]
-        if obj.tags & NULLABLE_TAGS and TagKind.NULL_CHECKED not in obj.tags:
-            self._add_tag(obj, TagKind.NULL_CHECKED)
 
     def _on_syscall(self, e: Event) -> None:
         n = e.sysno

@@ -1582,6 +1582,43 @@ def test_an_observer_of_an_unknown_kind_is_refused_when_added(attr):
     assert machine.observers == [stale]
 
 
+@pytest.mark.parametrize("kinds, ruled, refused", [
+    (("reg-write", "syscall"), ("reg-write", "compare"), "'compare'"),  # not read
+    (("reg-write", "syscall"), ("reg-write", "syscall"), "'syscall'"),  # its Event wakes
+    (None, ("compare", "syscall"), "'syscall'"),  # no `kinds` reads every EVENT_KIND
+    ((LINES, "reg-write"), (LINES,), repr(LINES)),  # a line is no Event
+    (None, (LINES,), repr(LINES)),
+])
+def test_an_observer_whose_rules_name_a_kind_it_cannot_splice_is_refused(kinds, ruled, refused):
+    """add_observer checks `rules` against the kinds the observer reads as
+    Events, but `syscall`, whose Event is the one that wakes, and names
+    the observer and the kind."""
+    def ruler(e):
+        pass
+
+    if kinds is not None:
+        ruler.kinds = kinds
+    ruler.rules = dict.fromkeys(ruled, "")
+    machine = load(assemble("HALT"))
+    with pytest.raises(ValueError, match=f"{ruler.__qualname__} rules names unread kind {refused}"):
+        machine.add_observer(ruler)
+    assert machine.observers == []
+    ruler.rules = {kind: "" for kind in ruled if kind not in (LINES, "syscall", "compare")}
+    if kinds is None:
+        ruler.rules["compare"] = ""
+    machine.add_observer(ruler)
+    assert machine.observers == [ruler]
+
+
+def test_the_shadow_states_rules_only_for_kinds_it_reads():
+    """The shadow's rules pass add_observer's check: reg-write's and
+    compare's, kinds it reads once awake and never idle."""
+    rules = ShadowState.on_event.rules
+    assert set(rules) == {"reg-write", "compare"}
+    assert not set(rules) & set(ShadowState.on_event.idle_kinds)
+    load(assemble("HALT")).add_observer(ShadowState().on_event)
+
+
 def test_a_run_config_observer_of_an_unknown_kind_is_refused():
     class Stale:
         kinds = ("mem_write",)

@@ -6,13 +6,20 @@ which pins down propagation rules one event at a time.  The fuzz
 families and the corpus hold the idle shadow to one woken before the run.
 """
 
+import contextlib
 import dataclasses
+import functools
+import importlib.util
 import itertools
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import scvm.machine
 from scvm.asm import assemble
 from scvm.checkers import CHECKER_ORDER, RULE_NULL_DEREF
 from scvm.driver import RunConfig, analyze
@@ -27,10 +34,14 @@ from helpers import (
     corpus_names,
     corpus_source,
     ev,
+    full_delivery,
+    recorded_run,
     run_program,
     shadow_cells,
     steps_growth,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def alloc_into(sh, reg=0, tid=0):
@@ -737,3 +748,224 @@ def test_memory_writes_only_touch_their_span(writes):
             assert sh.mem_object(a).tags == {TagKind.ALLOC_UNCHECKED}
         else:
             assert sh.mem_object(a) is sh.untagged
+
+
+# -- spliced rules ---------------------------------------------------------
+#
+# An awake shadow that alone reads `reg-write` and `compare` gets no Event
+# of either: the code words run its RULES in their place.
+
+
+@functools.lru_cache(maxsize=1)
+def bench_guests() -> list:
+    """(name, image, policy) of the benchmark's three guests at seeds 5
+    and 91, built by bench/guests.py, which is loaded by its path (it
+    needs nothing but scvm) rather than imported as a package."""
+    spec = importlib.util.spec_from_file_location("bench_guests", ROOT / "bench" / "guests.py")
+    guests = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(guests)
+    return [(f"{g.name}-{seed}", assemble(g.source), g.policy)
+            for make in (guests.alu_loop, guests.lock_threads, guests.taint_copy)
+            for seed in (5, 91) for g in [make(seed)]]
+
+
+@contextlib.contextmanager
+def read_sets():
+    """Yields the read sets the runs inside compile for."""
+    seen, compiler = [], scvm.machine._compiler
+
+    def spy(reads):
+        seen.append(reads)
+        return compiler(reads)
+
+    with mock.patch.object(scvm.machine, "_compiler", spy):
+        yield seen
+
+
+def replayed(events) -> ShadowState:
+    """A fresh ShadowState fed events through on_event."""
+    shadow = ShadowState()
+    for e in events:
+        shadow.on_event(e)
+    return shadow
+
+
+def assert_same_cells(shadow, other, tids, where) -> None:
+    """The registers of tids and every memory cell either shadow holds
+    hold objects of the same ids, tags and notes in both."""
+    addrs = shadow.mem_cells.keys() | other.mem_cells.keys()
+    assert shadow_cells(shadow, tids, addrs) == shadow_cells(other, tids, addrs), where
+
+
+def assert_live_run_equals_its_replay(image, policy, step_limit) -> bool:
+    """A plain analyze, whose awake shadow runs its spliced rules, leaves
+    every live thread's register cells and every memory cell holding
+    objects of the same ids, tags and notes as a fresh ShadowState fed,
+    through on_event, the recorded Events of a second run, at _HOT 16
+    and 1.  Returns whether the live run spliced a rule; it does exactly
+    when the stream holds a minting SYS, which wakes the shadow."""
+    _, events = recorded_run(image, policy, step_limit)
+    replay = replayed(events)
+    minted = any(e.kind == "syscall" and e.sysno in MINTING_SYSES for e in events)
+    for hot in (scvm.machine._HOT, 1):
+        with mock.patch.object(scvm.machine, "_HOT", hot), read_sets() as reads:
+            live = analyze(image, RunConfig(policy=policy, step_limit=step_limit))
+        spliced = {x for r in reads for x in r if isinstance(x, tuple)}
+        assert spliced == ({("reg-write", ShadowState.on_event), ("compare", ShadowState.on_event)}
+                           if minted else set()), (policy, hot)
+        assert_same_cells(live.shadow, replay, live.state.threads, (policy, hot))
+    return minted
+
+
+# A minting SYS, then a hot loop that copies, stores, reloads, adds,
+# compares and null-checks what it left in r0.
+SPLICED_LOOP = """
+        MOVI r2, 0xE000
+        MOVI r0, 16
+wake:   SYS 1
+        MOVI r5, 0
+        MOVI r6, 40
+        MOVI r7, 1
+loop:   MOV r4, r0
+        ST [r2], r4
+        LD r3, [r2]
+        ADD r1, r3, r7
+        SUB r1, r1, r3
+        CMPI r3, 0
+        ADD r5, r5, r7
+        CMP r5, r6
+        BNE loop
+        LDB r7, [r3]
+        HALT
+"""
+
+
+def test_a_spliced_loop_live_equals_its_replay():
+    image = assemble(SPLICED_LOOP)
+    for kind in SCHEDULER_KINDS:
+        assert assert_live_run_equals_its_replay(image, SchedulerPolicy(kind), 1000)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_corpus_entries_live_equal_their_replay(name):
+    policy = parse_manifest(corpus_manifest_text(name)).policy
+    assert_live_run_equals_its_replay(assemble(corpus_source(name)), policy, 100_000)
+
+
+def test_benchmark_guests_live_equal_their_replay():
+    minted = {name: assert_live_run_equals_its_replay(image, policy, 100_000)
+              for name, image, policy in bench_guests()}
+    assert minted == {"alu_loop-5": False, "alu_loop-91": False, "lock_threads-5": False,
+                      "lock_threads-91": False, "taint_copy-5": True, "taint_copy-91": True}
+
+
+@over_family("random", 40)
+def test_random_images_live_equal_their_replay(image, policy, step_limit):
+    assert_live_run_equals_its_replay(image, policy, step_limit)
+
+
+@over_family("sharing", 20)
+def test_sharing_images_live_equal_their_replay(image, policy, step_limit):
+    assert_live_run_equals_its_replay(image, policy, step_limit)
+
+
+@over_family("waiting", 8)
+def test_waiting_images_live_equal_their_replay(image, policy, step_limit):
+    assert_live_run_equals_its_replay(image, policy, step_limit)
+
+
+@over_family("self-rewriting", 40)
+def test_rewriting_images_live_equal_their_replay(image, policy, step_limit):
+    assert_live_run_equals_its_replay(image, policy, step_limit)
+
+
+class SplicedShadow(ShadowState):
+    """The real shadow's kinds, idle kinds, rules and binds, keeping each
+    Event it is still handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_event(self, e):
+        self.events.append(e)
+        return super().on_event(e)
+
+    for attr in ("kinds", "idle_kinds", "rules", "binds"):
+        setattr(on_event, attr, getattr(ShadowState.on_event, attr))
+    del attr
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_the_waking_syss_reg_write_reaches_the_shadow_as_an_event(blocks):
+    """The minting SYS's `syscall` Event wakes the shadow; the rest of
+    that step's events, the ALLOC's r0 result among them, are Events,
+    and from the next word on every reg-write and compare is spliced,
+    word by word and in blocks, leaving the cells a replay leaves."""
+    image = assemble(SPLICED_LOOP)
+    machine, shadow = load(image), SplicedShadow()
+    machine.add_observer(shadow.on_event)
+    ran = []
+
+    def counted(*args):
+        block = block_at(*args) if blocks else None
+        ran.append(block is not None)
+        return block
+
+    block_at = scvm.machine._block_at
+    with mock.patch.object(scvm.machine, "_HOT", 1), \
+            mock.patch.object(scvm.machine, "_block_at", counted):
+        assert machine.run(1000).outcome == "halt"
+    assert any(ran) == blocks
+    assert [(e.kind, e.src, e.pc) for e in shadow.events if e.kind in ("reg-write", "compare")] == [
+        ("reg-write", ("syscall", 1), image.symbols["wake"])]
+    _, events = recorded_run(image, SchedulerPolicy(), 1000)
+    assert_same_cells(shadow, replayed(events), [0], blocks)
+    assert shadow.reg_object(0, 3).tags == {TagKind.ALLOC_UNCHECKED, TagKind.NULL_CHECKED}
+    assert shadow.reg_object(0, 1) is shadow.untagged  # (r3 + 1) - r3: an integer, not a copy
+
+
+def spliced_runs():
+    """(name, image, spliced AnalysisResult, config) of each corpus entry,
+    the benchmark's taint_copy at seed 5 and SPLICED_LOOP, under plain
+    RunConfigs."""
+    entries = [(name, assemble(corpus_source(name)),
+                parse_manifest(corpus_manifest_text(name)).policy) for name in corpus_names()]
+    entries += [g for g in bench_guests() if g[0] == "taint_copy-5"]
+    entries.append(("spliced loop", assemble(SPLICED_LOOP), SchedulerPolicy()))
+    for name, image, policy in entries:
+        config = RunConfig(policy=policy)
+        yield name, image, analyze(image, config), config
+
+
+def test_a_reg_write_reader_before_the_shadow_gets_every_event_and_changes_nothing():
+    """A RunConfig observer of reg-write is registered before the shadow,
+    so the kind has two readers and is built as Events for both: the
+    observer gets every one a recorded run has, and the warnings and the
+    final shadow equal those of the run that spliced the shadow's rules."""
+    for name, image, spliced, config in spliced_runs():
+        seen = []
+
+        def watch(e):
+            seen.append(e)
+
+        watch.kinds = ("reg-write",)
+        watched = analyze(image, dataclasses.replace(config, observers=(watch,)))
+        _, events = recorded_run(image, config.policy, config.step_limit)
+        assert seen == [e for e in events if e.kind == "reg-write"], name
+        assert watched.warnings == spliced.warnings, name
+        assert_same_cells(watched.shadow, spliced.shadow, spliced.state.threads, name)
+
+
+def test_a_plain_wrapper_of_the_shadow_gets_events_and_changes_nothing():
+    """The benchmark's traced pass registers a wrapper of on_event with
+    no `kinds`, `idle_kinds` or `rules`: it is handed every kind as
+    Events, and the warnings and final shadow equal the spliced run's."""
+    handed = set()
+    for name, image, spliced, config in spliced_runs():
+        with full_delivery() as seen:
+            wrapped = analyze(image, config)
+        handed |= seen
+        assert wrapped.warnings == spliced.warnings, name
+        assert_same_cells(wrapped.shadow, spliced.shadow, spliced.state.threads, name)
+    assert {"reg-write", "compare"} <= handed

@@ -146,18 +146,22 @@ def test_every_memo_is_bounded():
         if path.stem != "__main__":  # importing it runs the CLI
             module = importlib.import_module(f"scvm.{path.stem}")
             found.update({f"{path.stem}.{n}": f for n, f in memos(vars(module)).items()})
-    for reads in (frozenset(), frozenset(EVENT_KINDS), frozenset({*EVENT_KINDS, LINES})):
-        found[f"machine._compiler({len(reads)} kinds)"] = scvm.machine._compiler(reads)
+    spliced = frozenset({*EVENT_KINDS, LINES} - {"reg-write", "compare"}) | {
+        ("reg-write", ShadowState.on_event), ("compare", ShadowState.on_event)}
+    for reads in (frozenset(), frozenset(EVENT_KINDS), frozenset({*EVENT_KINDS, LINES}), spliced):
+        found[f"machine._compiler({len(reads)} kinds, {reads is spliced} spliced)"] = (
+            scvm.machine._compiler(reads))
     assert {"machine._decode", "machine._line_text", "machine._fmt_code_src",
             "machine._fmt_stamp", "machine._event_text", "machine._handler_factory",
             "shadow._fmt_tags"} <= set(found)
     assert [name for name, f in found.items() if f.cache_info().maxsize is None] == []
     # The handler factories' cache holds every (opcode, kinds read) pair,
-    # LINES among each entry's kinds, so no run evicts a factory and
-    # compiles it with `exec` again.
+    # LINES among each entry's kinds, read or not, and each other kind
+    # unread, read or spliced (one owner's rules), so no run evicts a
+    # factory and compiles it with `exec` again.
     assert all(LINES in kinds for kinds in scvm.machine._HANDLER_KINDS.values())
     assert scvm.machine._handler_factory.cache_info().maxsize >= sum(
-        2 ** len(kinds) for kinds in scvm.machine._HANDLER_KINDS.values())
+        2 * 3 ** (len(kinds) - 1) for kinds in scvm.machine._HANDLER_KINDS.values())
     # The block cache, machine._BLOCKS, is a plain dict with one bound
     # across all read sets: at most _BLOCK_PCS pcs, each with at most
     # _BLOCK_VARIANTS blocks of any read sets (tests/test_machine.py holds
@@ -394,6 +398,43 @@ def test_only_the_walk_builds_an_events_code():
     source = (ROOT / "src" / "scvm" / "machine.py").read_text()
     assert call_sites(source, "_event_text") == ["_walk"]
     assert sorted(set(call_sites(source, "_line_text"))) == ["_renderer", "_walk"]
+    # Only the walk splices an observer's rule text, through _splice, the
+    # one reader of the text and its binds.
+    assert call_sites(source, "_splice") == ["_walk"]
+    assert scopes_of(source, lambda node: isinstance(node, ast.Attribute) and node.attr in (
+        "rules", "binds") or isinstance(node, ast.Constant) and node.value == "binds") == [
+        "_splice", "_splice"]
+
+
+def rule_texts() -> dict:
+    """Each of the shadow's rule texts and binds, by where it is, as code
+    with every {field} a name of its own: `_<field>`, `_src<i>`."""
+    names = {f.name: f"_{f.name}" for f in dataclasses.fields(Event)}
+    names |= {"src": [f"_src{i}" for i in range(4)], "reader": "_reader"}
+    rules, binds = ShadowState.on_event.rules, ShadowState.on_event.binds
+    texts = {("reg-write", kind): text for kind, text in rules["reg-write"].items()}
+    texts[("compare",)] = rules["compare"]
+    texts |= {("bind", name): f"{name} = {expr}" for name, expr in binds.items()}
+    return {where: ast.parse(text.format(**names)) for where, text in texts.items()}
+
+
+def test_no_shadow_rule_reads_the_machine():
+    """A spliced rule runs inside a code word, beside the word's own
+    registers (r), memory (m), state (st) and thread (t): it reads none
+    of them, only cells, the shadow, the word's constants and what its
+    Event would carry, which keeps a replay of the Events equal to a
+    live run.  Each name it reads is a field, a bind or one it sets."""
+    texts = rule_texts()
+    assert {where[0] for where in texts} == {"reg-write", "compare", "bind"}
+    assert {where[1] for where in texts if where[0] == "reg-write"} == {
+        "imm", "reg", "mem", "binop", "syscall"}
+    binds = set(ShadowState.on_event.binds)
+    for where, tree in texts.items():
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not names & {"r", "m", "st", "t"}, where
+        own = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+               and isinstance(n.ctx, ast.Store)}
+        assert {n for n in names if not n.startswith("_")} <= binds | own | {"range"}, where
 
 
 def attribute_stores(source: str, attr: str) -> list:
